@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet verify verify-scale verify-codec verify-trace verify-transport verify-consensus bench clean
+.PHONY: build test race vet verify verify-scale verify-codec verify-trace verify-transport verify-consensus bench bench-compare profile-node clean
 
 build:
 	$(GO) build ./...
@@ -50,14 +50,18 @@ verify-trace:
 		./internal/experiments ./internal/chaostest
 
 # verify-transport gates the real-wire layer: a build, the frame fuzz
-# corpus replayed as regular tests, the frame/stall/dupe/hostile-input
-# suites and the distributed≡core plus loopback≡TCP conformance goldens
-# under -race, then the multi-process abdhfl-node cluster smoke (1 root,
-# 2 leaders, 4 devices over real sockets with a fault plan active).
+# corpus replayed as regular tests, the frame/stall/dupe/hostile-input and
+# payload-ownership suites and the distributed≡core plus loopback≡TCP
+# conformance goldens, the payload decoders' hostile headers and the
+# round-scratch lifetime check under -race, then — without -race, whose
+# own allocations would be counted — the per-RunCluster allocation budget,
+# then the multi-process abdhfl-node cluster smoke (1 root, 2 leaders,
+# 4 devices over real sockets with a fault plan active).
 verify-transport:
 	$(GO) build -o /dev/null ./cmd/abdhfl-node
 	$(GO) test -race -run 'Frame|Stall|Dupe|Concurrent|Hostility|Lifecycle|Restart|Fuzz' ./internal/transport
-	$(GO) test -race -run 'Conformance|MatchesCore' ./internal/node
+	$(GO) test -race -run 'Conformance|MatchesCore|Decode|RoundScratch' ./internal/node
+	$(GO) test -run TestRunClusterAllocBudget ./internal/node
 	$(GO) test -run ClusterSmoke ./cmd/abdhfl-node
 
 # verify-consensus gates the randomized-agreement layer: the
@@ -77,6 +81,20 @@ verify-consensus:
 # bench regenerates the tier-1 benchmark numbers (see BENCH_*.json).
 bench:
 	$(GO) run ./cmd/abdhfl-bench
+
+# bench-compare judges two `go run ./benchmark` reports against each other:
+# make bench-compare OLD=a.json NEW=b.json
+bench-compare:
+	$(GO) run ./benchmark -compare $(OLD) $(NEW)
+
+# profile-node prints where node_round-shaped RunCluster calls allocate
+# their bytes (the alloc-budget test's four TCP runs and its one Build,
+# every allocation sampled), so the next attribution is read rather than
+# guessed. The test binary and profile land in the git-ignored .bench_build/.
+profile-node:
+	mkdir -p .bench_build
+	$(GO) test -count=1 -run 'TestRunClusterAllocBudget/tcp' -memprofile node.mem -memprofilerate 1 -outputdir .bench_build -o .bench_build/node.test ./internal/node
+	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=30 .bench_build/node.test .bench_build/node.mem
 
 clean:
 	$(GO) clean ./...

@@ -26,6 +26,7 @@ func (e *Engine) Run() (*Result, error) {
 	seedRNG := rng.New(e.cfg.Seed)
 	e.global = nn.New(seedRNG.Derive("init"), e.sizes...).Params()
 	e.dim = len(e.global)
+	e.spare = tensor.NewVector(e.dim)
 	for round := 0; round < e.ccfg.Rounds; round++ {
 		e.curRound = round
 		if err := e.runRound(seedRNG, round); err != nil {
@@ -45,6 +46,7 @@ func (e *Engine) runRound(seedRNG *rng.RNG, round int) error {
 	roundRNG := seedRNG.Derive(fmt.Sprintf("round-%d", round))
 	skip := core.DrawRoundSkip(e.ccfg, roundRNG)
 	clear(e.produces)
+	e.scratchUsed = 0
 
 	if e.isRoot {
 		// The root tallies the round's deterministic trainer activations —
@@ -122,11 +124,10 @@ func (e *Engine) runRound(seedRNG *rng.RNG, round int) error {
 			}
 		}
 	}
-	newGlobal := tensor.NewVector(e.dim)
-	if err := e.decodeModel(newGlobal, payload); err != nil {
+	if err := e.decodeModel(e.spare, payload); err != nil {
 		return fmt.Errorf("node %d: round %d global decode: %w", e.id, round, err)
 	}
-	e.global = newGlobal
+	e.global, e.spare = e.spare, e.global
 	e.logf("node %d: round %d done", e.id, round)
 	return nil
 }
@@ -212,7 +213,7 @@ func (e *Engine) leadCluster(roundRNG *rng.RNG, round, lvl, ci int, skip map[int
 			}
 			audits = append(audits, sub...)
 		}
-		v := tensor.NewVector(e.dim)
+		v := e.roundVec()
 		if err := e.decodeModel(v, mbytes); err != nil {
 			return fmt.Errorf("node %d: round %d cluster (%d,%d) model from %d: %w", e.id, round, lvl, ci, m, err)
 		}
@@ -227,7 +228,7 @@ func (e *Engine) leadCluster(roundRNG *rng.RNG, round, lvl, ci int, skip map[int
 	}
 
 	vecs, ids = core.ApplyQuorum(e.ccfg, roundRNG, lvl, ci, vecs, ids)
-	agg, verdict, err := e.wa.AggregateCluster(roundRNG, c, vecs, ids, tensor.NewVector(e.dim), round)
+	agg, verdict, err := e.wa.AggregateCluster(roundRNG, c, vecs, ids, e.roundVec(), round)
 	if err != nil {
 		return fmt.Errorf("node %d: round %d cluster (%d,%d): %w", e.id, round, lvl, ci, err)
 	}
@@ -292,7 +293,7 @@ func (e *Engine) rootRound(roundRNG *rng.RNG, round int, skip map[int]bool) erro
 		if err != nil {
 			return fmt.Errorf("root: round %d partial from %d: %w", round, c.Leader, err)
 		}
-		v := tensor.NewVector(e.dim)
+		v := e.roundVec()
 		if err := e.decodeModel(v, mbytes); err != nil {
 			return fmt.Errorf("root: round %d model from %d: %w", round, c.Leader, err)
 		}
@@ -311,10 +312,12 @@ func (e *Engine) rootRound(roundRNG *rng.RNG, round int, skip map[int]bool) erro
 	}
 
 	// --- Global aggregation (Algorithm 6).
-	newGlobal, verdict, err := e.wa.AggregateTopBallots(roundRNG, partials, tensor.NewVector(e.dim), round, ballots)
+	agg, verdict, err := e.wa.AggregateTopBallots(roundRNG, partials, e.spare, round, ballots)
 	if err != nil {
 		return fmt.Errorf("root: round %d: %w", round, err)
 	}
+	newGlobal := e.spare
+	copy(newGlobal, agg) // a BRA returns dst itself, a CBA its own vector
 	audits = append(audits, WireAudit{
 		Level: 0, Cluster: 0, Round: round,
 		Rule: verdict.Rule, Kept: verdict.Kept, Clipped: verdict.Clipped, Discarded: verdict.Discarded,
@@ -342,7 +345,7 @@ func (e *Engine) rootRound(roundRNG *rng.RNG, round int, skip map[int]bool) erro
 			return fmt.Errorf("root: round %d dissemination codec: %w", round, err)
 		}
 	}
-	e.global = newGlobal
+	e.global, e.spare = newGlobal, e.global
 	for _, m := range e.tree.Top().Members {
 		if err := e.send(KindGlobal, m, round, payload); err != nil {
 			return err
@@ -426,7 +429,7 @@ func (e *Engine) answerProposal(f transport.Frame) error {
 	if e.wa == nil {
 		return fmt.Errorf("node %d: round %d proposal sent to a non-leader", e.id, f.Round)
 	}
-	member, proposals, err := decodeProposals(f.Payload)
+	member, proposals, err := e.decodeProposals(f.Payload)
 	if err != nil {
 		return fmt.Errorf("node %d: round %d proposal: %w", e.id, f.Round, err)
 	}

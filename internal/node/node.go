@@ -126,7 +126,16 @@ type Engine struct {
 	cdc codec.Codec
 	cs  *codec.Scratch
 
-	global   tensor.Vector
+	// global is the round-start model every codec hop refers to; the next
+	// one is formed (root) or decoded (everyone else) into spare and the
+	// two swap. scratch[:scratchUsed] are the dim-sized vectors handed out
+	// by roundVec since the round began — collected updates, partials,
+	// aggregation results, decoded proposals — all dead by the next round,
+	// which starts over at 0 and reuses them.
+	global, spare tensor.Vector
+	scratch       []tensor.Vector
+	scratchUsed   int
+
 	curRound int
 	produces map[[2]int]bool
 	pending  map[pendKey][]transport.Frame
@@ -231,6 +240,16 @@ func New(cfg Config) (*Engine, error) {
 	e.q = cfg.Endpoint.Bus().Subscribe(4*(devices+1)+16, KindUpdate, KindPartial, KindGlobal, KindProposal, KindBallot)
 	e.busDone = cfg.Endpoint.Bus().Done()
 	return e, nil
+}
+
+// roundVec returns a dim-sized vector, contents unspecified, that is the
+// caller's until the round ends.
+func (e *Engine) roundVec() tensor.Vector {
+	if e.scratchUsed == len(e.scratch) {
+		e.scratch = append(e.scratch, tensor.NewVector(e.dim))
+	}
+	e.scratchUsed++
+	return e.scratch[e.scratchUsed-1]
 }
 
 // logf emits a progress line when a logger is configured.

@@ -112,28 +112,40 @@ func encodeProposals(member int, proposals []tensor.Vector) []byte {
 	return out
 }
 
-// decodeProposals parses a KindProposal payload.
-func decodeProposals(raw []byte) (member int, proposals []tensor.Vector, err error) {
+// decodeProposals parses a KindProposal payload into round-scratch
+// vectors. Every header field is peer-chosen, so each is bounded on its own
+// before the length they imply is computed (in uint64, where the bounded
+// product cannot wrap): dim must be the model's, count at most the number
+// of level-1 clusters a proposal set can hold, member one of the count.
+// Values must be finite, the postcondition codec decodes give every other
+// vector that reaches an aggregation rule.
+func (e *Engine) decodeProposals(raw []byte) (member int, proposals []tensor.Vector, err error) {
 	if len(raw) < 12 {
 		return 0, nil, fmt.Errorf("node: proposal message truncated (%d bytes)", len(raw))
 	}
-	member = int(binary.LittleEndian.Uint32(raw))
-	count := int(binary.LittleEndian.Uint32(raw[4:]))
-	dim := int(binary.LittleEndian.Uint32(raw[8:]))
-	if count < 0 || dim < 0 || len(raw) != 12+8*count*dim {
-		return 0, nil, fmt.Errorf("node: proposal message is %d bytes, want %d", len(raw), 12+8*count*dim)
+	m := binary.LittleEndian.Uint32(raw)
+	count := binary.LittleEndian.Uint32(raw[4:])
+	dim := binary.LittleEndian.Uint32(raw[8:])
+	if uint64(dim) != uint64(e.dim) || uint64(count) > uint64(len(e.tree.Clusters[1])) || m >= count {
+		return 0, nil, fmt.Errorf("node: proposal header (member %d, count %d, dim %d) out of range for %d clusters of dim %d", m, count, dim, len(e.tree.Clusters[1]), e.dim)
+	}
+	if want := 12 + 8*uint64(count)*uint64(dim); uint64(len(raw)) != want {
+		return 0, nil, fmt.Errorf("node: proposal message is %d bytes, want %d", len(raw), want)
 	}
 	proposals = make([]tensor.Vector, count)
 	off := 12
 	for i := range proposals {
-		v := tensor.NewVector(dim)
+		v := e.roundVec()
 		for j := range v {
 			v[j] = math.Float64frombits(binary.LittleEndian.Uint64(raw[off:]))
 			off += 8
 		}
+		if !tensor.AllFinite(v) {
+			return 0, nil, fmt.Errorf("node: proposal %d: %w", i, codec.ErrNonFinite)
+		}
 		proposals[i] = v
 	}
-	return member, proposals, nil
+	return int(m), proposals, nil
 }
 
 // encodeBallot frames a KindBallot payload: the sender's consensus member
@@ -157,9 +169,9 @@ func decodeBallot(raw []byte) (member int, bits []bool, err error) {
 		return 0, nil, fmt.Errorf("node: ballot message truncated (%d bytes)", len(raw))
 	}
 	member = int(binary.LittleEndian.Uint32(raw))
-	n := int(binary.LittleEndian.Uint32(raw[4:]))
-	if n < 0 || len(raw) != 8+n {
-		return 0, nil, fmt.Errorf("node: ballot message is %d bytes, want %d", len(raw), 8+n)
+	n := binary.LittleEndian.Uint32(raw[4:])
+	if uint64(len(raw)) != 8+uint64(n) {
+		return 0, nil, fmt.Errorf("node: ballot message is %d bytes, want %d", len(raw), 8+uint64(n))
 	}
 	bits = make([]bool, n)
 	for i := range bits {
@@ -174,12 +186,13 @@ func decodePartial(raw []byte) (model []byte, audits []WireAudit, err error) {
 	if len(raw) < 4 {
 		return nil, nil, fmt.Errorf("node: partial message truncated (%d bytes)", len(raw))
 	}
-	n := int(binary.LittleEndian.Uint32(raw))
-	if n < 0 || 4+n > len(raw) {
+	n := binary.LittleEndian.Uint32(raw)
+	if uint64(n) > uint64(len(raw)-4) {
 		return nil, nil, fmt.Errorf("node: partial model length %d exceeds message (%d bytes)", n, len(raw))
 	}
-	if err := json.Unmarshal(raw[4+n:], &audits); err != nil {
+	end := 4 + int(n) // at most len(raw)
+	if err := json.Unmarshal(raw[end:], &audits); err != nil {
 		return nil, nil, fmt.Errorf("node: partial audit list: %w", err)
 	}
-	return raw[4 : 4+n], audits, nil
+	return raw[4:end], audits, nil
 }

@@ -1,0 +1,191 @@
+package node
+
+import (
+	"math"
+	"reflect"
+	"runtime"
+	"runtime/debug"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"abdhfl"
+	"abdhfl/internal/fault"
+	"abdhfl/internal/transport"
+)
+
+// underRace reports whether the test binary was built with -race, whose
+// instrumentation allocates on the program's behalf.
+func underRace() bool {
+	bi, _ := debug.ReadBuildInfo()
+	if bi == nil {
+		return false
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
+}
+
+// nodeRoundScenario is the shape of the benchmark's node_round workload:
+// 64 devices under 3 levels plus the root, multi-krum partials, ABA with its
+// ballot exchange at the top, int8 on the wire, light training.
+func nodeRoundScenario() abdhfl.Scenario {
+	return abdhfl.Scenario{
+		Levels: 3, ClusterSize: 4, TopNodes: 4,
+		Aggregator: "multi-krum", TopProtocol: "aba", Codec: "int8",
+		Attack: abdhfl.AttackType1, MaliciousFraction: 0.25, Placement: abdhfl.PlacePrefix,
+		Rounds: 5, LocalIters: 1, BatchSize: 8,
+		SamplesPerClient: 24, TestSamples: 400, ValidationSamples: 300, EvalEvery: 5,
+		Seed: 3,
+	}.WithDefaults()
+}
+
+// TestRunClusterAllocBudget pins what one RunCluster call allocates on the
+// node_round shape. The budgets are the figures this test measures
+// (loopback 19.8 MB, TCP 21.4 MB) plus a quarter; the same run allocated
+// 279 MB when every endpoint pre-sized its dupe map, and 52 MB with only
+// that fixed, so a budget this close catches the return of any one of the
+// per-frame or per-vector allocations the wire path used to make.
+// `make profile-node` prints where the bytes of a failing run come from.
+func TestRunClusterAllocBudget(t *testing.T) {
+	if underRace() {
+		t.Skip("the race detector's own allocations are counted in TotalAlloc")
+	}
+	mat := build(t, nodeRoundScenario())
+	for _, tc := range []struct {
+		backend string
+		budget  uint64
+	}{
+		{BackendLoopback, 25 << 20},
+		{BackendTCP, 27 << 20},
+	} {
+		t.Run(tc.backend, func(t *testing.T) {
+			run := func() uint64 {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				res, err := RunCluster(ClusterOpts{Materials: mat, Seed: 3, Backend: tc.backend})
+				if err != nil {
+					t.Fatalf("cluster run: %v", err)
+				}
+				runtime.ReadMemStats(&after)
+				if tot := res.Total; tot.FramesSent != tot.FramesDelivered || tot.SendErrors+tot.DecodeErrors != 0 {
+					t.Fatalf("unclean wire: %+v", tot)
+				}
+				return after.TotalAlloc - before.TotalAlloc
+			}
+			run() // first-use costs (lazy tables, the listener's poller) are not per-run
+			least := run()
+			for i := 0; i < 2; i++ {
+				least = min(least, run())
+			}
+			t.Logf("%s: %.2f MB per RunCluster (budget %.2f MB)", tc.backend, float64(least)/(1<<20), float64(tc.budget)/(1<<20))
+			if least > tc.budget {
+				t.Errorf("%s: RunCluster allocated %d bytes, budget %d", tc.backend, least, tc.budget)
+			}
+		})
+	}
+}
+
+// runLoopbackHooked is RunCluster over loopback with one addition: after
+// every round an engine finishes, atRoundEnd runs on that engine's own
+// goroutine (it rides on the "round done" progress line).
+func runLoopbackHooked(t *testing.T, mat *abdhfl.Materials, seed uint64, plan *fault.Plan, atRoundEnd func(*Engine)) []*Result {
+	t.Helper()
+	n := mat.Tree.NumDevices() + 1
+	lb := transport.NewLoopback()
+	engines := make([]*Engine, n)
+	for id := range engines {
+		ep, err := lb.Attach(transport.Config{Self: transport.NodeID(id), Plan: plan, FaultKinds: FaultableKinds()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ep.Close()
+		id := id
+		engines[id], err = New(Config{
+			Materials: mat, Seed: seed, ID: transport.NodeID(id), Endpoint: ep, Plan: plan,
+			StallAfter: 500 * time.Millisecond, GlobalWait: 8 * time.Second,
+			Logf: func(format string, _ ...any) {
+				if strings.Contains(format, "done") {
+					atRoundEnd(engines[id])
+				}
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	results := make([]*Result, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for id := range engines {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			results[id], errs[id] = engines[id].Run()
+		}(id)
+	}
+	wg.Wait()
+	for id, err := range errs {
+		if err != nil {
+			t.Fatalf("node %d: %v", id, err)
+		}
+	}
+	return results
+}
+
+// TestRoundScratchDeadAtRoundEnd is the lifetime claim the engine's reuse
+// rests on: every vector roundVec handed out, and the spare global, is dead
+// when its round ends. A 3-round run whose engines overwrite all of them
+// with NaN at each round's end — so any value carried across a round
+// boundary in reused memory poisons the model — must report exactly what
+// the untouched run reports, node by node: final model, curve, σ-accounting,
+// audits, stalls. Delta-int8 makes every decode read the previous global
+// and ABA adds the proposal vectors; the drop+duplicate plan adds starved
+// clusters, silent ballots and rounds that take fewer vectors than the
+// round before. The clean run is tied to RunHFL, the golden the reuse must
+// not move.
+func TestRoundScratchDeadAtRoundEnd(t *testing.T) {
+	s := testScenario("delta-int8")
+	s.TopProtocol = "aba"
+	poison := func(e *Engine) {
+		for i := range e.spare {
+			e.spare[i] = math.NaN()
+		}
+		for _, v := range e.scratch {
+			copy(v, e.spare)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		plan *fault.Plan
+	}{
+		{"clean", nil},
+		{"drop-dup", &fault.Plan{Seed: 9, Drop: 0.1, Duplicate: 0.2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want := runLoopbackHooked(t, build(t, s), s.Seed, tc.plan, func(*Engine) {})
+			got := runLoopbackHooked(t, build(t, s), s.Seed, tc.plan, poison)
+			for id := range want {
+				if !reflect.DeepEqual(want[id], got[id]) {
+					t.Errorf("node %d reports differently once dead scratch is poisoned:\nwant %+v\ngot  %+v", id, want[id], got[id])
+				}
+			}
+			if tc.plan != nil {
+				return
+			}
+			core, err := build(t, s).RunHFL(s.Seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			root := got[len(got)-1]
+			sameParams(t, "final params vs RunHFL", core.FinalParams, root.FinalParams)
+			if !reflect.DeepEqual(core.Curve, root.Curve) || core.Comm != root.Comm {
+				t.Errorf("curve/comm diverge from RunHFL: %+v %+v != %+v %+v", root.Curve, root.Comm, core.Curve, core.Comm)
+			}
+		})
+	}
+}

@@ -142,10 +142,10 @@ func (s *Sim) Register(id NodeID, h Handler) {
 		s.negNodes[id] = h
 		return
 	}
-	if int(id) >= len(s.nodes) {
-		grown := make([]Handler, int(id)+1)
-		copy(grown, s.nodes)
-		s.nodes = grown
+	if n := int(id) + 1; n > len(s.nodes) {
+		// append grows the backing array geometrically, so registering ids
+		// in order is linear overall rather than one full copy per id.
+		s.nodes = append(s.nodes, make([]Handler, n-len(s.nodes))...)
 	}
 	s.nodes[id] = h
 }

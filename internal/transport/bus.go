@@ -28,8 +28,8 @@ type Bus struct {
 }
 
 // Queue is one subscription: a buffered channel of frames. Each frame's
-// payload is owned by the receiver (the transport copies it out of its read
-// buffers before publishing), so consumers may retain it.
+// payload is owned by the receiver (see Endpoint), so consumers may retain
+// it.
 type Queue struct {
 	C chan Frame
 }

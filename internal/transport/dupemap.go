@@ -15,6 +15,11 @@ import "sync"
 // forgetting the oldest entries. A key is therefore remembered for at least
 // `capacity` and at most `2*capacity` distinct inserts — exactly the
 // recency window duplicate suppression needs, with no timer machinery.
+//
+// Nothing is sized at construction and both generations grow on demand, so
+// a map costs what its traffic costs: a run moves hundreds of frames per
+// endpoint against a default capacity of 65 536, and pre-sizing for the
+// capacity was once four fifths of a cluster run's allocation.
 type DupeMap struct {
 	mu        sync.Mutex
 	capacity  int
@@ -37,11 +42,7 @@ func NewDupeMap(capacity int) *DupeMap {
 	if capacity <= 0 {
 		capacity = DefaultDupeCap
 	}
-	return &DupeMap{
-		capacity: capacity,
-		cur:      make(map[dupeKey]struct{}, capacity),
-		prev:     map[dupeKey]struct{}{},
-	}
+	return &DupeMap{capacity: capacity, cur: map[dupeKey]struct{}{}}
 }
 
 // Seen reports whether (from, seq) was recorded within the retention
@@ -58,7 +59,7 @@ func (d *DupeMap) Seen(from NodeID, seq uint64) bool {
 	}
 	if len(d.cur) >= d.capacity {
 		d.prev = d.cur
-		d.cur = make(map[dupeKey]struct{}, d.capacity)
+		d.cur = map[dupeKey]struct{}{}
 		d.rotations++
 	}
 	d.cur[k] = struct{}{}

@@ -82,11 +82,10 @@ var (
 // length, including the length prefix.
 func EncodedSize(payloadLen int) int { return headerSize + payloadLen }
 
-// AppendFrame appends the wire encoding of f to dst and returns the
-// extended slice.
-func AppendFrame(dst []byte, f *Frame) []byte {
+// putHeader writes f's wire header (length prefix included) into hdr; the
+// frame on the wire is hdr followed by f.Payload.
+func putHeader(hdr *[headerSize]byte, f *Frame) {
 	plen := len(f.Payload)
-	var hdr [headerSize]byte
 	binary.BigEndian.PutUint32(hdr[0:4], uint32(headerBody+plen))
 	binary.BigEndian.PutUint16(hdr[4:6], frameMagic)
 	hdr[6] = frameVersion
@@ -97,6 +96,13 @@ func AppendFrame(dst []byte, f *Frame) []byte {
 	binary.BigEndian.PutUint64(hdr[20:28], f.Seq)
 	binary.BigEndian.PutUint64(hdr[28:36], uint64(f.Sent))
 	binary.BigEndian.PutUint32(hdr[36:40], uint32(plen))
+}
+
+// AppendFrame appends the wire encoding of f to dst and returns the
+// extended slice.
+func AppendFrame(dst []byte, f *Frame) []byte {
+	var hdr [headerSize]byte
+	putHeader(&hdr, f)
 	dst = append(dst, hdr[:]...)
 	return append(dst, f.Payload...)
 }

@@ -70,9 +70,8 @@ func (e *LoopbackEndpoint) Addr() string { return "loopback" }
 // Bus returns the endpoint's dispatch layer.
 func (e *LoopbackEndpoint) Bus() *Bus { return e.bus }
 
-// Send encodes f, applies its fault fate, and enqueues the surviving
-// copies to the peer's inbox. The payload is copied during encoding, so
-// the caller may reuse it immediately.
+// Send applies f's fault fate and enqueues the surviving copies, encoded
+// into the one buffer the receiver will own, to the peer's inbox.
 func (e *LoopbackEndpoint) Send(to NodeID, f *Frame) error {
 	select {
 	case <-e.quit:
@@ -83,7 +82,11 @@ func (e *LoopbackEndpoint) Send(to NodeID, f *Frame) error {
 	if peer == nil {
 		return fmt.Errorf("%w: %d", ErrUnknownPeer, to)
 	}
-	raw, copies, delay := e.prepareSend(to, f)
+	copies, delay := e.prepareSend(to, f)
+	if copies == 0 {
+		return nil
+	}
+	raw := EncodeFrame(f)
 	for i := 0; i < copies; i++ {
 		if delay > 0 {
 			e.timers.Add(1)

@@ -43,8 +43,17 @@ type TCPEndpoint struct {
 // tcpPeer is one outbound write queue and its writer goroutine.
 type tcpPeer struct {
 	addr string
-	q    chan []byte
+	q    chan *outFrame
 	done chan struct{}
+}
+
+// outFrame is one frame queued to a writer: the header built by Send and
+// the sender's payload, uncopied. A model relayed to every member of a
+// cluster is thus one payload behind as many 40-byte headers; the writer
+// joins the two in its own reused buffer for a single write.
+type outFrame struct {
+	hdr     [headerSize]byte
+	payload []byte
 }
 
 // Dial/backoff tuning for the outbound writers.
@@ -90,15 +99,19 @@ func (e *TCPEndpoint) Addr() string { return e.ln.Addr().String() }
 // Bus returns the endpoint's dispatch layer.
 func (e *TCPEndpoint) Bus() *Bus { return e.bus }
 
-// Send encodes f, applies its fault fate, and enqueues the surviving
-// copies to the peer's writer. The payload is copied during encoding, so
-// the caller may reuse it immediately.
+// Send applies f's fault fate and enqueues the surviving copies — a fresh
+// header in front of the caller's payload — to the peer's writer.
 func (e *TCPEndpoint) Send(to NodeID, f *Frame) error {
 	p, err := e.peer(to)
 	if err != nil {
 		return err
 	}
-	raw, copies, delay := e.prepareSend(to, f)
+	copies, delay := e.prepareSend(to, f)
+	if copies == 0 {
+		return nil
+	}
+	out := &outFrame{payload: f.Payload}
+	putHeader(&out.hdr, f)
 	for i := 0; i < copies; i++ {
 		if delay > 0 {
 			e.timers.Add(1)
@@ -108,22 +121,22 @@ func (e *TCPEndpoint) Send(to NodeID, f *Frame) error {
 				defer t.Stop()
 				select {
 				case <-t.C:
-					e.enqueue(p, raw)
+					e.enqueue(p, out)
 				case <-e.quit:
 				}
 			}()
 		} else {
-			e.enqueue(p, raw)
+			e.enqueue(p, out)
 		}
 	}
 	return nil
 }
 
-// enqueue hands one encoded frame to a peer's writer; frames arriving
-// after Close seals the queues are abandoned and counted.
-func (e *TCPEndpoint) enqueue(p *tcpPeer, raw []byte) {
+// enqueue hands one frame to a peer's writer; frames arriving after Close
+// seals the queues are abandoned and counted.
+func (e *TCPEndpoint) enqueue(p *tcpPeer, out *outFrame) {
 	select {
-	case p.q <- raw:
+	case p.q <- out:
 	case <-e.sealed:
 		e.stats.SendErrors.Add(1)
 	}
@@ -153,7 +166,7 @@ func (e *TCPEndpoint) peer(id NodeID) (*tcpPeer, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownPeer, id)
 	}
-	p := &tcpPeer{addr: addr, q: make(chan []byte, e.queueCap), done: make(chan struct{})}
+	p := &tcpPeer{addr: addr, q: make(chan *outFrame, e.queueCap), done: make(chan struct{})}
 	e.peers[id] = p
 	go e.writeLoop(p)
 	return p, nil
@@ -171,20 +184,22 @@ func (e *TCPEndpoint) writeLoop(p *tcpPeer) {
 			conn.Close()
 		}
 	}()
-	write := func(raw []byte) {
-		if !e.writeFrame(p, &conn, raw) {
+	var wire []byte // this writer's frame buffer, grown to its largest frame
+	write := func(out *outFrame) {
+		wire = append(append(wire[:0], out.hdr[:]...), out.payload...)
+		if !e.writeFrame(p, &conn, wire) {
 			e.stats.SendErrors.Add(1)
 		}
 	}
 	for {
 		select {
-		case raw := <-p.q:
-			write(raw)
+		case out := <-p.q:
+			write(out)
 		case <-e.sealed:
 			for {
 				select {
-				case raw := <-p.q:
-					write(raw)
+				case out := <-p.q:
+					write(out)
 				default:
 					return
 				}
@@ -267,7 +282,9 @@ func (e *TCPEndpoint) readLoop(c net.Conn) {
 		delete(e.conns, c)
 		e.mu.Unlock()
 	}()
-	br := bufio.NewReaderSize(c, 64<<10)
+	// Every frame is read whole into its own buffer, so the reader only
+	// spares small frames a second read for the length prefix.
+	br := bufio.NewReader(c)
 	for {
 		raw, err := readRawFrame(br, e.maxFrame)
 		if err != nil {

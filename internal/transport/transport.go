@@ -15,6 +15,14 @@ import (
 // peer (stamping Seq and Sent); received frames are decoded, dupe-checked
 // and dispatched to the Bus by kind. Implementations: the in-process
 // Loopback and the socket-backed TCP endpoint.
+//
+// Who owns the bytes: a payload handed to Send belongs to the transport
+// from that call on, and a payload received on a Queue belongs to whoever
+// took it off the channel. The transport reads such bytes (a sender's
+// payload goes to the socket as it is, and may be shared by several Sends)
+// but never writes them again, and no read buffer is reused behind a
+// delivered frame — so a receiver may keep a payload, or Send it on, for
+// as long as it likes, and nobody may modify one after passing it on.
 type Endpoint interface {
 	// Self returns this endpoint's node id.
 	Self() NodeID
@@ -22,8 +30,9 @@ type Endpoint interface {
 	Addr() string
 	// Bus returns the dispatch layer received frames are published to.
 	Bus() *Bus
-	// Send asynchronously delivers f (Payload is copied; the caller may
-	// reuse it) to the peer. Frame fate injection, if configured, applies.
+	// Send asynchronously delivers f to the peer, stamping its routing
+	// fields. f.Payload is not copied: see the ownership rule above. Frame
+	// fate injection, if configured, applies.
 	Send(to NodeID, f *Frame) error
 	// Stats returns a snapshot of the endpoint's wire counters.
 	Stats() StatsSnapshot
@@ -254,15 +263,14 @@ func fateLabel(f *Frame) string {
 	return fmt.Sprintf("%d:%d>%d@%d", f.Kind, f.From, f.To, f.Round)
 }
 
-// prepareSend stamps the frame, encodes it, and draws its fault fate.
-// copies is 0 when the frame is dropped; delay > 0 requests a deferred
-// (reordering) handoff to the wire.
-func (c *epCore) prepareSend(to NodeID, f *Frame) (raw []byte, copies int, delay time.Duration) {
+// prepareSend stamps the frame and draws its fault fate; the backend then
+// puts the frame on its wire copies times. copies is 0 when the frame is
+// dropped; delay > 0 requests a deferred (reordering) handoff to the wire.
+func (c *epCore) prepareSend(to NodeID, f *Frame) (copies int, delay time.Duration) {
 	f.From = c.self
 	f.To = to
 	f.Seq = c.seq.Add(1)
 	f.Sent = time.Now().UnixNano()
-	raw = EncodeFrame(f)
 	copies = 1
 	var drop, dup bool
 	var delayMS float64
@@ -272,7 +280,7 @@ func (c *epCore) prepareSend(to NodeID, f *Frame) (raw []byte, copies int, delay
 	if drop {
 		c.stats.FaultDropped.Add(1)
 		c.counters.dropped.Inc()
-		return raw, 0, 0
+		return 0, 0
 	}
 	if dup {
 		copies++
@@ -284,15 +292,17 @@ func (c *epCore) prepareSend(to NodeID, f *Frame) (raw []byte, copies int, delay
 		c.stats.FaultDelayed.Add(1)
 		c.counters.delayed.Inc()
 	}
+	wire := int64(EncodedSize(len(f.Payload))) * int64(copies)
 	c.stats.FramesSent.Add(1)
-	c.stats.BytesSent.Add(int64(len(raw)) * int64(copies))
+	c.stats.BytesSent.Add(wire)
 	c.counters.framesSent.Inc()
-	c.counters.bytesSent.Add(int64(len(raw)) * int64(copies))
-	return raw, copies, delay
+	c.counters.bytesSent.Add(wire)
+	return copies, delay
 }
 
-// deliver runs the shared receive path on one decoded-or-raw frame. The
-// payload is copied out of buf, so callers may reuse their read buffers.
+// deliver runs the shared receive path on one frame's wire bytes. buf must
+// be the frame's own buffer — the delivered Payload is a sub-slice of it,
+// not a copy — so backends allocate one per frame and never touch it again.
 func (c *epCore) deliver(buf []byte) {
 	c.stats.BytesRecv.Add(int64(len(buf)))
 	c.counters.bytesRecv.Add(int64(len(buf)))
@@ -306,9 +316,6 @@ func (c *epCore) deliver(buf []byte) {
 		c.stats.DupesSuppressed.Add(1)
 		c.counters.dupes.Inc()
 		return
-	}
-	if len(f.Payload) > 0 {
-		f.Payload = append([]byte(nil), f.Payload...)
 	}
 	now := time.Now()
 	if c.tracer != nil {

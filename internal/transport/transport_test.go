@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"errors"
 	"net"
 	"sync"
@@ -279,4 +280,86 @@ func TestTCPPeerRestart(t *testing.T) {
 			t.Fatal("no frame arrived after peer restart")
 		}
 	}
+}
+
+// TestFramePayloadOwnership pins the ownership rule stated on Endpoint from
+// both ends of a connection. The receiver keeps frame k's payload — a
+// sub-slice of the buffer that frame was read into — while 50 more frames
+// arrive behind it, and finds it byte-unchanged: no read buffer is recycled
+// under a delivered frame. The sender hands the same payload to several
+// Sends, uncopied, and finds it unwritten once all are delivered. Sizes
+// straddle the connection reader's buffer, so both of its read paths
+// deliver. Under -race a transport write to either side's bytes is a
+// reported race with the test's reads.
+func TestFramePayloadOwnership(t *testing.T) {
+	const later = 50
+	pattern := func(k int) []byte {
+		p := make([]byte, 1+(k*977)%9000)
+		for i := range p {
+			p[i] = byte(k + i)
+		}
+		return p
+	}
+	run := func(t *testing.T, a, b Endpoint) {
+		t.Helper()
+		q := b.Bus().Subscribe(later+1, 1)
+		recv := func() Frame {
+			t.Helper()
+			select {
+			case f := <-q.C:
+				return f
+			case <-time.After(5 * time.Second):
+				t.Fatal("frame never delivered")
+				return Frame{}
+			}
+		}
+		sent := make([][]byte, later+1)
+		for k := range sent {
+			sent[k] = pattern(k)
+			if k%5 == 4 {
+				sent[k] = sent[k-1] // one payload behind two frames
+			}
+			if err := a.Send(b.Self(), &Frame{Kind: 1, Round: uint32(k), Payload: sent[k]}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		held := recv()
+		if held.Round != 0 {
+			t.Fatalf("first frame delivered is round %d", held.Round)
+		}
+		for k := 1; k <= later; k++ {
+			f := recv()
+			want := pattern(k)
+			if k%5 == 4 {
+				want = pattern(k - 1)
+			}
+			if int(f.Round) != k || !bytes.Equal(f.Payload, want) {
+				t.Fatalf("frame %d arrived as round %d with %d payload bytes", k, f.Round, len(f.Payload))
+			}
+			if !bytes.Equal(sent[k], want) {
+				t.Fatalf("sender's payload %d was written after Send", k)
+			}
+		}
+		if !bytes.Equal(held.Payload, pattern(0)) {
+			t.Fatalf("payload held across %d later frames changed", later)
+		}
+	}
+	t.Run("loopback", func(t *testing.T) {
+		lb := NewLoopback()
+		a, err := lb.Attach(Config{Self: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { a.Close() })
+		b, err := lb.Attach(Config{Self: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { b.Close() })
+		run(t, a, b)
+	})
+	t.Run("tcp", func(t *testing.T) {
+		a, b := tcpPair(t, nil)
+		run(t, a, b)
+	})
 }
