@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet verify verify-scale verify-codec verify-trace verify-transport verify-consensus bench bench-compare profile-node clean
+.PHONY: build test race vet verify verify-scale verify-codec verify-trace verify-transport verify-consensus bench bench-compare profile-node profile-train kernel-addrs clean
 
 build:
 	$(GO) build ./...
@@ -78,9 +78,10 @@ verify-consensus:
 		./internal/consensus ./internal/chaostest ./internal/node ./internal/experiments
 	$(GO) test -run ClusterSmokeABA ./cmd/abdhfl-node
 
-# bench regenerates the tier-1 benchmark numbers (see BENCH_*.json).
+# bench runs the repository benchmark (BENCHMARK.json): four workloads, five
+# end-to-end metrics each, then the per-layer trace pass.
 bench:
-	$(GO) run ./cmd/abdhfl-bench
+	$(GO) run ./benchmark
 
 # bench-compare judges two `go run ./benchmark` reports against each other:
 # make bench-compare OLD=a.json NEW=b.json
@@ -95,6 +96,28 @@ profile-node:
 	mkdir -p .bench_build
 	$(GO) test -count=1 -run 'TestRunClusterAllocBudget/tcp' -memprofile node.mem -memprofilerate 1 -outputdir .bench_build -o .bench_build/node.test ./internal/node
 	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=30 .bench_build/node.test .bench_build/node.mem
+
+# profile-train prints where the two training-bound benchmark shapes spend
+# their CPU: a table5_cell-shaped RunHFL loop and a pipeline_round-shaped
+# RunPipeline loop (BenchmarkTrainShapes), one profile over both.
+profile-train:
+	mkdir -p .bench_build
+	$(GO) test -count=1 -run '^$$' -bench TrainShapes -benchtime 3s -cpuprofile train.cpu -outputdir .bench_build -o .bench_build/train.test .
+	$(GO) tool pprof -top -nodecount=25 .bench_build/train.test .bench_build/train.cpu
+
+# kernel-addrs prints where the linker put the hot tensor/nn functions in the
+# benchmark binary: address, address mod 64, symbol. The per-sample loops these
+# replaced ran 25-35 % slower when unrelated code moved them 32 bytes, so
+# compare this listing between two binaries before believing an nn-bound
+# timing difference between them.
+kernel-addrs:
+	mkdir -p .bench_build
+	$(GO) build -o .bench_build/benchmark ./benchmark
+	$(GO) tool nm -n .bench_build/benchmark | awk -v hex=0123456789abcdef \
+		'$$3 ~ /internal\/tensor\.(matVec|MatVec|MatTVec|addOuter|AddOuter|addScaled|Axpy$$)|internal\/nn\.(SGDWS|Softmax|.*Tile)/ { \
+			h = substr($$1, length($$1)-1); \
+			v = (index(hex, substr(h, 1, 1))-1)*16 + index(hex, substr(h, 2, 1))-1; \
+			printf "%s  %2d  %s\n", $$1, v%64, $$3 }'
 
 clean:
 	$(GO) clean ./...

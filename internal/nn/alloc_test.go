@@ -69,15 +69,37 @@ func TestEvaluateWSAllocationFree(t *testing.T) {
 }
 
 func TestSGDWSSteadyStateAllocationFree(t *testing.T) {
-	m, ws, d := allocModel()
-	cfg := TrainConfig{LearningRate: 0.1, BatchSize: 8, Iterations: 2}
-	r := rng.New(3)
-	SGDWS(m, ws, d, cfg, r) // warm up (lazily allocates the grad accumulator)
-	allocs := testing.AllocsPerRun(10, func() {
-		SGDWS(m, ws, d, cfg, r)
-	})
-	if allocs > 0 {
-		t.Fatalf("SGDWS allocates %.1f objects/op with a warm workspace, want 0", allocs)
+	for _, cfg := range []TrainConfig{
+		{LearningRate: 0.1, BatchSize: 8, Iterations: 2},
+		// Several tiles and a ragged last one, plus the lazily allocated
+		// momentum accumulator.
+		{LearningRate: 0.1, BatchSize: 3*tile + 1, Iterations: 2, Momentum: 0.9, WeightDecay: 1e-4},
+	} {
+		m, ws, d := allocModel()
+		r := rng.New(3)
+		SGDWS(m, ws, d, cfg, r) // warm up (lazily allocates the accumulators)
+		allocs := testing.AllocsPerRun(10, func() {
+			SGDWS(m, ws, d, cfg, r)
+		})
+		if allocs > 0 {
+			t.Fatalf("SGDWS(batch %d) allocates %.1f objects/op with a warm workspace, want 0", cfg.BatchSize, allocs)
+		}
+	}
+}
+
+// The tile scratch is a small constant per workspace: the pipeline engine
+// holds one workspace per device actor and the node engine one per process.
+func TestWorkspaceTileScratchIsSmall(t *testing.T) {
+	_, ws, _ := allocModel()
+	bytes := 8 * cap(ws.back)
+	for _, layer := range ws.acts {
+		bytes += 24 * cap(layer)
+		for _, v := range layer {
+			bytes += 8 * cap(v)
+		}
+	}
+	if bytes > 8<<10 {
+		t.Fatalf("workspace tile scratch is %d bytes at 64-32-10, want <= 8 KB", bytes)
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"sync/atomic"
 
 	"abdhfl/internal/dataset"
+	"abdhfl/internal/tensor"
 )
 
 // evalChunkSize is the number of samples per parallel evaluation chunk. It
@@ -41,13 +42,7 @@ func AccuracyWorkers(m *Model, d *dataset.Dataset, workers int) float64 {
 	}
 	correct := 0
 	forEachChunk(m, d.Len(), workers, func(ws *Workspace, lo, hi int) (int, float64) {
-		c := 0
-		for i := lo; i < hi; i++ {
-			if m.PredictWS(ws, d.X[i]) == d.Y[i] {
-				c++
-			}
-		}
-		return c, 0
+		return correctRange(m, ws, d, lo, hi), 0
 	}, func(c int, _ float64) { correct += c })
 	return float64(correct) / float64(d.Len())
 }
@@ -58,13 +53,7 @@ func AccuracyWS(m *Model, ws *Workspace, d *dataset.Dataset) float64 {
 	if d.Len() == 0 {
 		return 0
 	}
-	correct := 0
-	for i := range d.X {
-		if m.PredictWS(ws, d.X[i]) == d.Y[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(d.Len())
+	return float64(correctRange(m, ws, d, 0, d.Len())) / float64(d.Len())
 }
 
 // Loss returns the mean softmax cross-entropy loss of m on d without
@@ -117,44 +106,60 @@ func EvaluateWS(m *Model, ws *Workspace, d *dataset.Dataset) (acc, loss float64)
 	return float64(c) / float64(d.Len()), l / float64(d.Len())
 }
 
+// forEachLogits runs the forward pass over samples [lo, hi) a tile at a time
+// and hands fn each sample's logits in index order. The logits are owned by
+// ws and valid only during the call.
+func forEachLogits(m *Model, ws *Workspace, d *dataset.Dataset, lo, hi int, fn func(i int, logits tensor.Vector)) {
+	for lo < hi {
+		n := min(tile, hi-lo)
+		for k, logits := range m.forwardTile(ws, d.X[lo:lo+n]) {
+			fn(lo+k, logits)
+		}
+		lo += n
+	}
+}
+
+// xentLoss returns the cross-entropy loss of one sample given its logits,
+// which it overwrites with the softmax probabilities.
+func xentLoss(logits tensor.Vector, label int) float64 {
+	p := Softmax(logits, logits)[label]
+	if p < 1e-12 {
+		p = 1e-12
+	}
+	return -ln(p)
+}
+
+// correctRange counts the correct argmax predictions of [lo, hi).
+func correctRange(m *Model, ws *Workspace, d *dataset.Dataset, lo, hi int) int {
+	correct := 0
+	forEachLogits(m, ws, d, lo, hi, func(i int, logits tensor.Vector) {
+		if tensor.ArgMax(logits) == d.Y[i] {
+			correct++
+		}
+	})
+	return correct
+}
+
 // lossRange sums the sample losses of [lo, hi) in index order.
 func lossRange(m *Model, ws *Workspace, d *dataset.Dataset, lo, hi int) float64 {
 	total := 0.0
-	for i := lo; i < hi; i++ {
-		logits := m.ForwardWS(ws, d.X[i])
-		Softmax(ws.probs, logits)
-		p := ws.probs[d.Y[i]]
-		if p < 1e-12 {
-			p = 1e-12
-		}
-		total += -ln(p)
-	}
+	forEachLogits(m, ws, d, lo, hi, func(i int, logits tensor.Vector) {
+		total += xentLoss(logits, d.Y[i])
+	})
 	return total
 }
 
-// evalRange counts correct predictions and sums losses of [lo, hi) with one
-// forward pass per sample.
+// evalRange counts correct predictions and sums losses of [lo, hi) in index
+// order with one forward pass per sample.
 func evalRange(m *Model, ws *Workspace, d *dataset.Dataset, lo, hi int) (int, float64) {
 	correct := 0
 	total := 0.0
-	for i := lo; i < hi; i++ {
-		logits := m.ForwardWS(ws, d.X[i])
-		best := 0
-		for j := 1; j < len(logits); j++ {
-			if logits[j] > logits[best] {
-				best = j
-			}
-		}
-		if best == d.Y[i] {
+	forEachLogits(m, ws, d, lo, hi, func(i int, logits tensor.Vector) {
+		if tensor.ArgMax(logits) == d.Y[i] {
 			correct++
 		}
-		Softmax(ws.probs, logits)
-		p := ws.probs[d.Y[i]]
-		if p < 1e-12 {
-			p = 1e-12
-		}
-		total += -ln(p)
-	}
+		total += xentLoss(logits, d.Y[i])
+	})
 	return correct, total
 }
 

@@ -123,11 +123,33 @@ func (m *Model) Forward(x tensor.Vector) tensor.Vector {
 // Predict returns the argmax class for input x.
 func (m *Model) Predict(x tensor.Vector) int { return tensor.ArgMax(m.Forward(x)) }
 
-func relu(v tensor.Vector) {
-	for i, x := range v {
+// addBiasReLU stores max(z+b, 0) in z (NaN and -0 pass through: only x < 0
+// is clamped). Selecting between the two bit patterns, rather than branching
+// to a store, compiles to a conditional move; the branch would mispredict on
+// every other hidden unit.
+func addBiasReLU(z, b tensor.Vector) {
+	b = b[:len(z)]
+	for i, x := range z {
+		x += b[i]
+		u := math.Float64bits(x)
 		if x < 0 {
-			v[i] = 0
+			u = 0
 		}
+		z[i] = math.Float64frombits(u)
+	}
+}
+
+// reluBackward turns a layer's activations into the backprop error at that
+// layer, in place: back[i] where the unit was active, 0 where ReLU clamped it
+// (act <= 0) — with the same select-not-branch shape as addBiasReLU.
+func reluBackward(act, back tensor.Vector) {
+	back = back[:len(act)]
+	for i, a := range act {
+		u := math.Float64bits(back[i])
+		if a <= 0 {
+			u = 0
+		}
+		act[i] = math.Float64frombits(u)
 	}
 }
 

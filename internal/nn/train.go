@@ -51,12 +51,22 @@ func SGDWS(m *Model, ws *Workspace, d *dataset.Dataset, cfg TrainConfig, r *rng.
 	}
 	totalLoss := 0.0
 	samples := 0
+	var xs [tile]tensor.Vector
+	var ys [tile]int
 	for it := 0; it < cfg.Iterations; it++ {
 		g.Zero()
-		for b := 0; b < batch; b++ {
-			i := r.Intn(d.Len())
-			totalLoss += m.BackwardWS(ws, g, d.X[i], d.Y[i])
-			samples++
+		for b := 0; b < batch; {
+			// Draw a tile of samples, in the order a per-sample loop would.
+			n := 0
+			for ; n < tile && b < batch; n, b = n+1, b+1 {
+				i := r.Intn(d.Len())
+				xs[n], ys[n] = d.X[i], d.Y[i]
+			}
+			m.backwardTile(ws, g, xs[:n], ys[:n])
+			for _, l := range ws.loss[:n] {
+				totalLoss += l
+			}
+			samples += n
 		}
 		if cfg.WeightDecay > 0 {
 			// L2 regularisation: grad += wd * batch * params (scaled so the

@@ -7,41 +7,65 @@ import (
 	"abdhfl/internal/tensor"
 )
 
+// tile is the number of samples the training and evaluation loops push
+// through the batched tensor kernels together. No result depends on it (see
+// the summation-order contract in internal/tensor/matrix.go), so it is a
+// constant rather than a knob: large enough that a weight-gradient row folds
+// four ReLU-surviving samples per pass most of the time, small enough that
+// the per-workspace scratch stays a few KB.
+const tile = 8
+
 // Workspace holds the scratch buffers one evaluation/training thread needs to
-// run forward and backward passes without per-call allocation: layer
-// activations, backprop deltas, the softmax probability vector, and (lazily)
-// gradient and momentum accumulators. A warm Workspace makes ForwardWS,
-// BackwardWS, and the *WS evaluation helpers allocation-free, which is what
-// keeps the simulator's inner loops off the garbage collector.
+// run forward and backward passes without per-call allocation: one tile of
+// layer activations and (lazily) gradient and momentum accumulators. A warm
+// Workspace makes ForwardWS, BackwardWS, SGDWS and the *WS evaluation helpers
+// allocation-free, which is what keeps the simulator's inner loops off the
+// garbage collector.
 //
 // A Workspace is NOT safe for concurrent use; give each goroutine its own
 // (see EvalPool) and reuse it across calls.
 type Workspace struct {
 	sizes []int
-	// acts[l] is layer l's activation; acts[0] aliases the current input and
-	// is cleared after each pass so the workspace never pins caller data.
-	acts []tensor.Vector
-	// deltas[l] is the backprop error scratch entering layer l (1 <= l < L).
-	deltas []tensor.Vector
-	probs  tensor.Vector
-	grads  *Grads
-	vel    *Grads
+	// acts[l][b] is layer l's activation of tile sample b, 1 <= l <= L; a
+	// backward pass overwrites it with the backprop error at that layer once
+	// the activation has been used. Layer 0's activations are the caller's
+	// inputs, which are passed down and never stored, so the workspace does
+	// not pin caller data.
+	acts [][]tensor.Vector
+	// back is one hidden layer's worth of scratch for the error on its way
+	// through the ReLU mask.
+	back tensor.Vector
+	// loss[b] is the loss of tile sample b after a backward pass.
+	loss  [tile]float64
+	grads *Grads
+	vel   *Grads
 }
 
 // NewWorkspace returns a workspace shaped for m. It can be reused for any
 // model with identical layer sizes.
 func NewWorkspace(m *Model) *Workspace {
 	L := m.Layers()
-	w := &Workspace{
-		sizes:  append([]int(nil), m.Sizes...),
-		acts:   make([]tensor.Vector, L+1),
-		deltas: make([]tensor.Vector, L),
-		probs:  tensor.NewVector(m.Sizes[L]),
+	width, hidden := 0, 0
+	for _, s := range m.Sizes[1:] {
+		width += s
 	}
-	for l := 0; l < L; l++ {
-		w.acts[l+1] = tensor.NewVector(m.Sizes[l+1])
-		if l >= 1 {
-			w.deltas[l] = tensor.NewVector(m.Sizes[l])
+	for _, s := range m.Sizes[1:L] {
+		hidden = max(hidden, s)
+	}
+	// One buffer backs every vector.
+	buf := make([]float64, tile*width+hidden)
+	vecs := make([]tensor.Vector, tile*L)
+	w := &Workspace{
+		sizes: append([]int(nil), m.Sizes...),
+		acts:  make([][]tensor.Vector, L+1),
+		back:  buf[:hidden:hidden],
+	}
+	buf = buf[hidden:]
+	for l := 1; l <= L; l++ {
+		n := m.Sizes[l]
+		w.acts[l], vecs = vecs[:tile:tile], vecs[tile:]
+		for b := range w.acts[l] {
+			w.acts[l][b], buf = buf[:n:n], buf[n:]
 		}
 	}
 	return w
@@ -80,21 +104,32 @@ func (w *Workspace) velFor(m *Model) *Grads {
 	return w.vel
 }
 
+// forwardTile runs the samples xs (at most tile) through the network and
+// returns their logits, leaving layer l's post-activation outputs in
+// ws.acts[l][:len(xs)]. The slices are owned by ws and valid until its next
+// use.
+func (m *Model) forwardTile(ws *Workspace, xs []tensor.Vector) []tensor.Vector {
+	ws.checkModel(m)
+	in := xs
+	for l, w := range m.Weights {
+		out := ws.acts[l+1][:len(xs)]
+		tensor.MatVecBatch(out, w, in)
+		for _, z := range out {
+			if l < len(m.Weights)-1 {
+				addBiasReLU(z, m.Biases[l])
+			} else {
+				tensor.Add(z, z, m.Biases[l])
+			}
+		}
+		in = out
+	}
+	return in
+}
+
 // ForwardWS computes the class logits for input x using ws as scratch. The
 // returned vector is owned by ws and valid until its next use.
 func (m *Model) ForwardWS(ws *Workspace, x tensor.Vector) tensor.Vector {
-	ws.checkModel(m)
-	act := x
-	for l := range m.Weights {
-		z := ws.acts[l+1]
-		tensor.MatVec(z, m.Weights[l], act)
-		tensor.Add(z, z, m.Biases[l])
-		if l < len(m.Weights)-1 {
-			relu(z)
-		}
-		act = z
-	}
-	return act
+	return m.forwardTile(ws, []tensor.Vector{x})[0]
 }
 
 // PredictWS returns the argmax class for input x using ws as scratch.
@@ -102,48 +137,49 @@ func (m *Model) PredictWS(ws *Workspace, x tensor.Vector) int {
 	return tensor.ArgMax(m.ForwardWS(ws, x))
 }
 
+// backwardTile accumulates into g the softmax cross-entropy gradients of the
+// samples (xs[b], labels[b]) (at most tile), in sample order per gradient
+// element — bit-identical to one backward pass per sample — and leaves the
+// sample losses in ws.loss[:len(xs)].
+func (m *Model) backwardTile(ws *Workspace, g *Grads, xs []tensor.Vector, labels []int) {
+	// Forward pass, caching post-activation outputs of every layer.
+	delta := m.forwardTile(ws, xs)
+	// Softmax + cross entropy, in place: delta = p - onehot(label).
+	for b, p := range delta {
+		Softmax(p, p)
+		ws.loss[b] = -ln(max64(p[labels[b]], 1e-12))
+		p[labels[b]] -= 1
+	}
+	// Backward pass.
+	for l := m.Layers() - 1; l > 0; l-- {
+		in := ws.acts[l][:len(xs)]
+		accumulate(g, l, delta, in)
+		// The error behind layer l replaces the activations in front of it,
+		// zeroed where ReLU clamped them.
+		for b, d := range delta {
+			back := tensor.MatTVec(ws.back[:len(in[b])], m.Weights[l], d)
+			reluBackward(in[b], back)
+		}
+		delta = in
+	}
+	accumulate(g, 0, delta, xs)
+}
+
+// accumulate adds the samples' layer-l gradients to g: the outer products
+// delta[b] in[b]ᵀ for the weights, delta[b] for the biases.
+func accumulate(g *Grads, l int, delta, in []tensor.Vector) {
+	tensor.AddOuterBatch(g.Weights[l], 1, delta, in)
+	for _, d := range delta {
+		tensor.Axpy(g.Biases[l], 1, d)
+	}
+}
+
 // BackwardWS accumulates into g the gradient of the softmax cross-entropy
 // loss for sample (x, label) using ws as scratch, and returns the sample
 // loss. It is Backward without the per-layer allocations.
 func (m *Model) BackwardWS(ws *Workspace, g *Grads, x tensor.Vector, label int) float64 {
-	ws.checkModel(m)
-	L := m.Layers()
-	// Forward pass, caching post-activation outputs of every layer.
-	ws.acts[0] = x
-	for l := 0; l < L; l++ {
-		z := ws.acts[l+1]
-		tensor.MatVec(z, m.Weights[l], ws.acts[l])
-		tensor.Add(z, z, m.Biases[l])
-		if l < L-1 {
-			relu(z)
-		}
-	}
-	// Softmax + cross entropy: delta = p - onehot(label).
-	out := ws.acts[L]
-	probs := ws.probs
-	Softmax(probs, out)
-	loss := -ln(max64(probs[label], 1e-12))
-	delta := probs
-	delta[label] -= 1
-	// Backward pass.
-	for l := L - 1; l >= 0; l-- {
-		tensor.AddOuter(g.Weights[l], 1, delta, ws.acts[l])
-		tensor.Axpy(g.Biases[l], 1, delta)
-		if l == 0 {
-			break
-		}
-		prev := ws.deltas[l]
-		tensor.MatTVec(prev, m.Weights[l], delta)
-		// ReLU derivative: zero where the activation was clamped.
-		for i, a := range ws.acts[l] {
-			if a <= 0 {
-				prev[i] = 0
-			}
-		}
-		delta = prev
-	}
-	ws.acts[0] = nil
-	return loss
+	m.backwardTile(ws, g, []tensor.Vector{x}, []int{label})
+	return ws.loss[0]
 }
 
 func max64(a, b float64) float64 {

@@ -17,7 +17,11 @@ import (
 	"abdhfl/internal/trace"
 )
 
-// Message payloads exchanged between actors.
+// Message payloads exchanged between actors. A sent model vector is
+// immutable: the sender finishes writing params (its codec hop included)
+// before the send, and from then on every holder — each recipient of a
+// fan-out, the collectors that retain it, the engine's codec reference — only
+// reads it. That is what lets one vector be shared by all of them uncopied.
 type (
 	msgLocal struct { // device -> bottom cluster leader
 		round  int
@@ -242,9 +246,8 @@ func (d *deviceActor) start(ctx *simnet.Context, round int, params tensor.Vector
 			d.e.roundStart[round] = ctx.Now()
 		}
 	}
-	startParams := params.Clone()
 	dur := d.e.trainDuration(d.id, round)
-	ctx.After(dur, func(ctx *simnet.Context) { d.finish(ctx, round, startParams) })
+	ctx.After(dur, func(ctx *simnet.Context) { d.finish(ctx, round, params) })
 }
 
 func (d *deviceActor) finish(ctx *simnet.Context, round int, startParams tensor.Vector) {

@@ -219,22 +219,22 @@ func PairwiseSquaredDistances(vs []Vector) [][]float64 {
 	if n > 0 {
 		dim = len(vs[0])
 	}
-	fill := func(i int) {
-		for j := i + 1; j < n; j++ {
-			dist := SquaredDistance(vs[i], vs[j])
-			d[i][j] = dist
-			d[j][i] = dist
+	fill := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			for j := i + 1; j < n; j++ {
+				dist := SquaredDistance(vs[i], vs[j])
+				d[i][j] = dist
+				d[j][i] = dist
+			}
 		}
 	}
 	// Work per row i is (n-1-i)*dim; parallelise only when the total pays
 	// for the goroutine fan-out. Rows write disjoint cells, so no locking.
 	if n*n*dim/2 < parallelPairwiseThreshold {
-		for i := 0; i < n; i++ {
-			fill(i)
-		}
-		return d
+		fill(0, n)
+	} else {
+		parallelRows(n, fill)
 	}
-	parallelRows(n, n*dim/2, fill)
 	return d
 }
 
