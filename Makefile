@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet verify verify-scale verify-codec verify-trace verify-transport verify-consensus bench bench-compare profile-node profile-train kernel-addrs clean
+.PHONY: build test race vet fmt verify verify-scale verify-codec verify-trace verify-transport verify-consensus bench bench-compare profile-node profile-train profile-scale kernel-addrs clean
 
 build:
 	$(GO) build ./...
@@ -11,6 +11,10 @@ test:
 vet:
 	$(GO) vet ./...
 
+# fmt fails, listing the files, if any Go file is not gofmt-formatted.
+fmt:
+	@out="$$(gofmt -l .)"; test -z "$$out" || { echo "gofmt needed on:"; echo "$$out"; exit 1; }
+
 # race exercises the parallel evaluation and consensus-validation fan-out
 # under the race detector, plus the realtime engine's crash/churn fault
 # regressions (a crashed member must never deadlock its leader) and the
@@ -20,15 +24,18 @@ race:
 	$(GO) test -race ./...
 
 # verify is the tier-1 gate: everything must pass before a commit.
-verify: vet build race verify-codec verify-trace verify-transport verify-consensus
+verify: fmt vet build race verify-codec verify-trace verify-transport verify-consensus
 
-# verify-scale gates the million-device layer: shard-count and rerun
-# invariance of the sharded event engine, lazy≡eager state equality, cohort
-# accounting (core + scale engine), all under -race, then a one-shot
-# devices/sec benchmark smoke at 100k devices.
+# verify-scale gates the million-device layer: the event queue's (at, seq)
+# dispatch-order property and rerun invariance, event pooling, lazy≡eager
+# state equality, cohort accounting (core + scale engine), all under -race;
+# then — without -race, whose own allocations would be counted — the
+# allocation budgets of a derived random stream and of one scale_cell run,
+# then a one-shot devices/sec benchmark smoke at 100k devices.
 verify-scale:
-	$(GO) test -race -run 'Shard|ParallelFold|EventPool|PeakQueue|Cohort|Scale|Stream|DeriveN|ChoiceInto' \
+	$(GO) test -race -run 'DispatchOrder|ContextSelf|Rerun|EventPool|PeakQueue|Cohort|Scale|Stream|DeriveN|ChoiceInto' \
 		./internal/simnet ./internal/rng ./internal/telemetry ./internal/core ./internal/experiments
+	$(GO) test -run 'TestDeriveStaysOnStack|TestRunScaleAllocBudget' ./internal/rng ./internal/experiments
 	$(GO) test -run '^$$' -bench ScaleDevicesPerSec -benchtime 1x ./internal/experiments
 
 # verify-codec gates the update-codec layer: encode→decode round-trips and
@@ -104,6 +111,16 @@ profile-train:
 	mkdir -p .bench_build
 	$(GO) test -count=1 -run '^$$' -bench TrainShapes -benchtime 3s -cpuprofile train.cpu -outputdir .bench_build -o .bench_build/train.test .
 	$(GO) tool pprof -top -nodecount=25 .bench_build/train.test .bench_build/train.cpu
+
+# profile-scale prints where a scale_cell-shaped RunScale loop spends its
+# CPU and allocates its bytes (BenchmarkScaleDevicesPerSec: the benchmark's
+# 100k-device cell, topology build included), one CPU and one allocation
+# profile of the same runs.
+profile-scale:
+	mkdir -p .bench_build
+	$(GO) test -count=1 -run '^$$' -bench ScaleDevicesPerSec -benchtime 20x -cpuprofile scale.cpu -memprofile scale.mem -memprofilerate 4096 -outputdir .bench_build -o .bench_build/scale.test ./internal/experiments
+	$(GO) tool pprof -top -nodecount=25 .bench_build/scale.test .bench_build/scale.cpu
+	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=25 .bench_build/scale.test .bench_build/scale.mem
 
 # kernel-addrs prints where the linker put the hot tensor/nn functions in the
 # benchmark binary: address, address mod 64, symbol. The per-sample loops these

@@ -47,7 +47,7 @@ type Report struct {
 }
 
 func main() {
-	bench := flag.String("bench", "Table5Cell|Fig3Convergence|AggregateRules|TelemetryOverhead|TraceOverhead|ScaleDevicesPerSec|ShardedQueue|CodecThroughput|TransportThroughput", "go test -bench regexp")
+	bench := flag.String("bench", "Table5Cell|Fig3Convergence|AggregateRules|TelemetryOverhead|TraceOverhead|ScaleDevicesPerSec|QueueDeep|CodecThroughput|TransportThroughput", "go test -bench regexp")
 	benchtime := flag.String("benchtime", "3x", "go test -benchtime value")
 	count := flag.Int("count", 1, "go test -count value")
 	pkg := flag.String("pkg", ".,./internal/aggregate,./internal/codec,./internal/experiments,./internal/simnet,./internal/transport", "comma-separated packages to benchmark")

@@ -1,10 +1,10 @@
 // Command abdhfl-scale sweeps the million-device scale engine over a
 // depth × fan-out × γ matrix and prints one row per cell: final-round model
 // error, bottom-level filter precision/recall, trainer activations and
-// materialized buffers (the lazy-state footprint), event counts, the sharded
+// materialized buffers (the lazy-state footprint), event counts, the event
 // queue's peak occupancy, and the σ_w/σ_g timing aggregates.
 //
-// Every cell simulates the full device population on the sharded event
+// Every cell simulates the full device population on the discrete-event
 // engine with cohort-batched training, so a 100k-device deployment costs
 // roughly a second of wall clock per round. All table cells are pure
 // functions of -seed: running the command twice produces byte-identical
@@ -37,8 +37,6 @@ func main() {
 		rounds  = flag.Int("rounds", 5, "global rounds per cell")
 		dim     = flag.Int("dim", 16, "synthetic update dimension")
 		rule    = flag.String("rule", "median", "aggregation rule at every level")
-		shards  = flag.Int("shards", 8, "simnet event-queue shards")
-		workers = flag.Int("workers", 4, "simnet queue fold workers")
 		seed    = flag.Uint64("seed", 1, "seed for topology, Byzantine placement, and updates")
 		taddr   = flag.String("telemetry-addr", "",
 			"serve Prometheus /metrics, expvar, and pprof on this address (e.g. localhost:9090); empty disables")
@@ -61,8 +59,7 @@ func main() {
 
 	fmt.Printf("Scale matrix — depth x fan-out x gamma, >=%d devices per cell, cohort %d, %d rounds, rule %s, seed %d\n",
 		*devices, *cohort, *rounds, *rule, *seed)
-	fmt.Printf("sharded event engine: %d shards, %d fold workers; lazy device state; deterministic per cell\n\n",
-		*shards, *workers)
+	fmt.Print("lazy device state; deterministic per cell\n\n")
 
 	table := metrics.Table{Header: experiments.ScaleTableHeader()}
 	var totalDevices, totalEvents, maxPeakQueue int
@@ -81,8 +78,6 @@ func main() {
 					Rounds:    *rounds,
 					Dim:       *dim,
 					Rule:      *rule,
-					Shards:    *shards,
-					Workers:   *workers,
 					Seed:      *seed,
 					Telemetry: reg,
 				})

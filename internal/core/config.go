@@ -18,8 +18,8 @@ import (
 	"abdhfl/internal/dataset"
 	"abdhfl/internal/nn"
 	"abdhfl/internal/telemetry"
-	"abdhfl/internal/trace"
 	"abdhfl/internal/topology"
+	"abdhfl/internal/trace"
 )
 
 // LevelRule selects the aggregation used at a tier of the tree: exactly one

@@ -13,8 +13,8 @@ import (
 	"abdhfl/internal/nn"
 	"abdhfl/internal/rng"
 	"abdhfl/internal/telemetry"
-	"abdhfl/internal/trace"
 	"abdhfl/internal/tensor"
+	"abdhfl/internal/trace"
 )
 
 // GossipConfig describes a flat gossip-averaging baseline — the "gossip

@@ -14,8 +14,8 @@ import (
 	"abdhfl/internal/nn"
 	"abdhfl/internal/rng"
 	"abdhfl/internal/telemetry"
-	"abdhfl/internal/trace"
 	"abdhfl/internal/tensor"
+	"abdhfl/internal/trace"
 )
 
 // VanillaConfig describes a classic star-topology FL run: one central server

@@ -20,7 +20,7 @@ import (
 // materialized from a pool solely for the rounds a device is sampled into
 // its cluster's cohort — so the simulated population can exceed the
 // process's memory budget for real models by orders of magnitude. The run
-// exercises the real machinery everywhere it matters: the sharded simnet
+// exercises the real machinery everywhere it matters: the simnet event
 // queue carries every upload and dissemination, cluster aggregation calls
 // the real robust rules with filter auditing, and timing is accounted with
 // the paper's σ quantities as streaming aggregates.
@@ -33,9 +33,13 @@ type ScaleOptions struct {
 	Rounds  int     // global rounds; 0 -> 5
 	Dim     int     // synthetic update dimension; 0 -> 16
 	Rule    string  // aggregate.ByName rule for every level; "" -> "median"
-	Shards  int     // simnet event-queue shards; 0 -> 8
-	Workers int     // simnet queue fold workers; 0 -> 4
-	Seed    uint64
+	// Shards is ignored: the event queue is no longer sharded.
+	//
+	// Deprecated: kept only because benchmark/workloads.go sets it and a PR
+	// that claims a gain may not edit benchmark/. The [benchmark] re-cut
+	// (ROADMAP item 2) deletes it.
+	Shards int
+	Seed   uint64
 	// Eager pre-materializes one update buffer per device — the reference
 	// mode the lazy-state equality test compares against. Results are
 	// bit-identical to the lazy default; only BuffersAllocated changes.
@@ -66,17 +70,11 @@ func (o *ScaleOptions) defaults() {
 	if o.Rule == "" {
 		o.Rule = "median"
 	}
-	if o.Shards == 0 {
-		o.Shards = 8
-	}
-	if o.Workers == 0 {
-		o.Workers = 4
-	}
 }
 
 // ScaleResult is the outcome of one scale simulation. Every field except
 // Elapsed/DevicesPerSec is a pure function of the options — byte-identical
-// across reruns and shard counts — so result tables stay diffable.
+// across reruns — so result tables stay diffable.
 type ScaleResult struct {
 	Options  ScaleOptions
 	Devices  int // devices actually built (>= Options.Devices)
@@ -215,9 +213,9 @@ type scaleActor struct {
 	truth         []bool // per input: ground-truth maliciousness
 	first, last   simnet.Time
 	partial       tensor.Vector
-	byzSampled    int // Byzantine sampled leaves seen this round
-	totSampled    int // total sampled leaves seen this round
-	pick, scratch []int // bottom: cohort draw buffers
+	byzSampled    int      // Byzantine sampled leaves seen this round
+	totSampled    int      // total sampled leaves seen this round
+	pick, scratch []int    // bottom: cohort draw buffers
 	out           scaleMsg // reused ascend payload (safe: consumed before next round)
 }
 
@@ -254,7 +252,7 @@ func (a *scaleActor) startRound(ctx *simnet.Context, round int) {
 		dr := rr.DeriveN("dev", uint64(d))
 		// Local training duration plus uplink latency, virtual ms. Drawn
 		// from the device's own derived stream so arrival times are
-		// independent of scheduling and shard layout.
+		// independent of scheduling.
 		delay := simnet.Time(40 + 160*dr.Float64() + 1 + 9*dr.Float64())
 		device := d
 		ctx.After(delay, func(ctx *simnet.Context) {
@@ -375,8 +373,9 @@ func (a *scaleActor) onGlobal(ctx *simnet.Context, m scaleGlobal) {
 }
 
 func (a *scaleActor) disseminate(ctx *simnet.Context, round int) {
+	var m any = scaleGlobal{round: round} // boxed once, not once per child
 	for _, id := range a.childIDs {
-		ctx.SendVolume(id, scaleGlobal{round: round}, int64(a.eng.o.Dim))
+		ctx.SendVolume(id, m, int64(a.eng.o.Dim))
 	}
 }
 
@@ -390,7 +389,7 @@ func relativeError(got, want tensor.Vector, wantNorm float64) float64 {
 }
 
 // RunScale builds the topology, wires one simnet actor per cluster, and
-// drives Rounds global rounds through the sharded event engine.
+// drives Rounds global rounds through the event engine.
 func RunScale(o ScaleOptions) (*ScaleResult, error) {
 	o.defaults()
 	if o.Depth < 2 {
@@ -453,7 +452,7 @@ func RunScale(o ScaleOptions) (*ScaleResult, error) {
 	}
 
 	// One simnet node per cluster, level-major.
-	e.sim = simnet.NewSharded(simnet.Uniform{Min: 1, Max: 15}, root.Derive("net"), o.Shards, o.Workers)
+	e.sim = simnet.New(simnet.Uniform{Min: 1, Max: 15}, root.Derive("net"))
 	e.nodeOf = make([][]simnet.NodeID, tree.Depth())
 	next := simnet.NodeID(0)
 	for l := range tree.Clusters {
@@ -500,6 +499,8 @@ func RunScale(o ScaleOptions) (*ScaleResult, error) {
 		if a.level != bottom {
 			a.expect = len(a.childIDs)
 		}
+		a.vecs = make([]tensor.Vector, 0, a.expect)
+		a.truth = make([]bool, 0, a.expect)
 	}
 
 	// Generous livelock guard: arrivals + ascents + dissemination per round.

@@ -22,8 +22,8 @@ import (
 	"abdhfl/internal/simnet"
 	"abdhfl/internal/telemetry"
 	"abdhfl/internal/tensor"
-	"abdhfl/internal/trace"
 	"abdhfl/internal/topology"
+	"abdhfl/internal/trace"
 )
 
 // Timing models the virtual durations of compute phases. Link delays come

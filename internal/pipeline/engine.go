@@ -115,10 +115,10 @@ type engine struct {
 
 // Hop indices of the per-hop wire-byte counters.
 const (
-	hopUplink = iota // device -> bottom cluster leader
-	hopPartial       // cluster leader -> parent / top
-	hopFlag          // flag-model dissemination downwards
-	hopGlobal        // global-model dissemination downwards
+	hopUplink  = iota // device -> bottom cluster leader
+	hopPartial        // cluster leader -> parent / top
+	hopFlag           // flag-model dissemination downwards
+	hopGlobal         // global-model dissemination downwards
 	numHops
 )
 

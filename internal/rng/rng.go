@@ -48,17 +48,51 @@ func (r *RNG) Split() *RNG {
 // Derive returns a deterministic sub-generator identified by label. Unlike
 // Split it does not advance the receiver, so derivation order does not
 // matter: Derive(a) is the same stream regardless of any Derive(b) calls.
+//
+// Derive and DeriveN are one-line wrappers so that they inline: a derived
+// generator that does not outlive its caller then lives on that caller's
+// stack, and a hot loop can derive a stream per device per round without
+// allocating (TestDeriveStaysOnStack).
 func (r *RNG) Derive(label string) *RNG {
-	h := r.state
-	for i := 0; i < len(label); i++ {
-		h = (h ^ uint64(label[i])) * 0x100000001B3 // FNV-1a style fold
+	return &RNG{state: deriveState(r.state, label)}
+}
+
+// deriveState is Derive's hash, kept out of line so the wrapper stays within
+// the inlining budget.
+//
+//go:noinline
+func deriveState(h uint64, label string) uint64 {
+	return finish(foldLabel(h, label))
+}
+
+// deriveStateN is DeriveN's hash: the label, then the index folded byte-wise
+// so all 64 bits participate.
+//
+//go:noinline
+func deriveStateN(h uint64, label string, n uint64) uint64 {
+	h = foldLabel(h, label)
+	for i := 0; i < 8; i++ {
+		h = (h ^ (n & 0xFF)) * 0x100000001B3
+		n >>= 8
 	}
-	// Run the mixed value through one SplitMix finalizer so similar labels
-	// land far apart.
+	return finish(h)
+}
+
+// foldLabel folds label into h byte by byte, FNV-1a style.
+func foldLabel(h uint64, label string) uint64 {
+	for i := 0; i < len(label); i++ {
+		h = (h ^ uint64(label[i])) * 0x100000001B3
+	}
+	return h
+}
+
+// finish runs the folded value through one SplitMix finalizer so similar
+// labels land far apart.
+func finish(h uint64) uint64 {
 	h += gamma
 	h = (h ^ (h >> 30)) * mixA
 	h = (h ^ (h >> 27)) * mixB
-	return &RNG{state: h ^ (h >> 31)}
+	return h ^ (h >> 31)
 }
 
 // Float64 returns a uniform sample in [0, 1).
@@ -158,19 +192,7 @@ func (r *RNG) Choice(n, k int) []int {
 // DeriveN(label, n) and Derive(label + strconv(n)) are distinct streams;
 // callers must pick one convention per stream family and keep it.
 func (r *RNG) DeriveN(label string, n uint64) *RNG {
-	h := r.state
-	for i := 0; i < len(label); i++ {
-		h = (h ^ uint64(label[i])) * 0x100000001B3
-	}
-	// Fold the index byte-wise so all 64 bits participate.
-	for i := 0; i < 8; i++ {
-		h = (h ^ (n & 0xFF)) * 0x100000001B3
-		n >>= 8
-	}
-	h += gamma
-	h = (h ^ (h >> 30)) * mixA
-	h = (h ^ (h >> 27)) * mixB
-	return &RNG{state: h ^ (h >> 31)}
+	return &RNG{state: deriveStateN(r.state, label, n)}
 }
 
 // PermInto fills p (treated as having length n = len(p)) with a random

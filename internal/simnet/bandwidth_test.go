@@ -83,7 +83,7 @@ func TestBandwidthZeroRate(t *testing.T) {
 	s := New(Bandwidth{Base: Fixed(4)}, rng.New(1))
 	a := &echoNode{}
 	s.Register(1, a)
-	s.ScheduleAt(0, 1, func(ctx *Context) { ctx.SendVolume(1, "x", 1 << 40) })
+	s.ScheduleAt(0, 1, func(ctx *Context) { ctx.SendVolume(1, "x", 1<<40) })
 	if _, err := s.Run(0); err != nil {
 		t.Fatal(err)
 	}

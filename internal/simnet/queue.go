@@ -1,212 +1,97 @@
 package simnet
 
-import "sync"
-
-// This file implements the simulator's sharded event queue. The seed-era
-// engine kept one global container/heap whose interface methods boxed every
-// *event through `any` and whose single O(log n) heap dominated the dispatch
-// profile once runs grew past a few hundred nodes. The rework shards the
-// queue by node id across per-shard binary heaps keyed by (at, seq) and
-// merges at pop time by scanning the shard heads for the minimum key.
+// This file is the simulator's event queue: one min-heap over every pending
+// event, ordered by (at, seq). seq is the global schedule counter, so the
+// order is total and dispatch is a pure function of what was scheduled.
 //
-// Determinism contract: (at, seq) is a TOTAL order over events — seq is a
-// global schedule counter — so the merged dispatch order is identical for
-// every shard count. Sharding changes only which heap an event waits in,
-// never when it fires; a seeded run is byte-identical at shards=1 and
-// shards=64, which the shard-invariance tests pin.
+// At 100k devices tens of thousands of events are pending at once, so the
+// time key sits in the heap slot itself: a comparison reads two slots of one
+// array and follows an event pointer only when two times are equal. (A 4-ary
+// and an 8-ary layout were measured against this binary one at that depth
+// with BenchmarkQueueDeep and a 100k-device RunScale; 4 read the same within
+// run-to-run spread, 8 read 10 % slower, so the plain layout stayed.)
 //
-// Two further mechanics matter at million-device scale:
-//
-//   - Staged inserts. schedule() appends to a per-shard pending slice
-//     instead of heap-pushing immediately; pending events are folded into
-//     the heaps just before the next pop. A handler (or a round kickoff)
-//     that schedules a large burst therefore pays one batched fold, and
-//     when the burst is big enough the fold fans out worker-parallel across
-//     shards — each worker owns whole shards, so there is no locking and no
-//     nondeterminism.
-//   - Pooled events. Dispatched events return to a free list and are
-//     reused, so the steady state allocates no event structs and the
-//     Message payload envelope is embedded by value rather than pointed to.
-type shardedQueue struct {
-	shards  []eventHeap
-	pending [][]*event
-	staged  int // events sitting in pending slices
-	size    int // total queued events (heaps + pending)
-	peak    int // high-water mark of size (Stats.PeakQueue)
-	workers int // fan-out bound for parallel folds
-	free    []*event
+// Dispatched events return to a free list and are reused, so the steady state
+// allocates no event structs.
+type eventQueue struct {
+	heap []slot
+	peak int // high-water mark of len(heap) (Stats.PeakQueue)
+	free []*event
 }
 
-// parallelFoldThreshold is the staged-event count above which the fold into
-// the per-shard heaps fans out across workers. Below it the goroutine
-// handoff costs more than the heap pushes save.
-const parallelFoldThreshold = 4096
+// slot is one heap entry: the event and a copy of its delivery time.
+type slot struct {
+	at Time
+	e  *event
+}
 
-// eventHeap is a binary min-heap of events keyed by (at, seq). The methods
-// are monomorphic (no interface boxing) — this is where the seed engine's
-// container/heap allocations went.
-type eventHeap []*event
-
-func eventLess(a, b *event) bool {
+func (a slot) less(b slot) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
-	return a.seq < b.seq
+	return a.e.seq < b.e.seq
 }
 
-func (h *eventHeap) push(e *event) {
-	*h = append(*h, e)
-	q := *h
-	i := len(q) - 1
+// push queues e for delivery at e.msg.At; e.seq is already set.
+func (q *eventQueue) push(e *event) {
+	s := slot{at: e.msg.At, e: e}
+	h := append(q.heap, s)
+	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !eventLess(q[i], q[parent]) {
+		if !s.less(h[parent]) {
 			break
 		}
-		q[i], q[parent] = q[parent], q[i]
+		h[i] = h[parent]
 		i = parent
 	}
-}
-
-func (h *eventHeap) pop() *event {
-	q := *h
-	n := len(q)
-	e := q[0]
-	q[0] = q[n-1]
-	q[n-1] = nil
-	q = q[:n-1]
-	*h = q
-	// Sift the relocated root down.
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		least := i
-		if l < len(q) && eventLess(q[l], q[least]) {
-			least = l
-		}
-		if r < len(q) && eventLess(q[r], q[least]) {
-			least = r
-		}
-		if least == i {
-			break
-		}
-		q[i], q[least] = q[least], q[i]
-		i = least
-	}
-	return e
-}
-
-// newShardedQueue sizes the queue for the given shard and worker counts.
-// Shards are clamped to [1, 256] and rounded up to a power of two so the
-// shard index is a mask instead of a modulo.
-func newShardedQueue(shards, workers int) *shardedQueue {
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > 256 {
-		shards = 256
-	}
-	n := 1
-	for n < shards {
-		n <<= 1
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return &shardedQueue{
-		shards:  make([]eventHeap, n),
-		pending: make([][]*event, n),
-		workers: workers,
+	h[i] = s
+	q.heap = h
+	if len(h) > q.peak {
+		q.peak = len(h)
 	}
 }
 
-// shardOf maps a node id to its shard. Negative ids (external injections)
-// fold onto shard 0.
-func (q *shardedQueue) shardOf(node NodeID) int {
-	if node < 0 {
-		return 0
-	}
-	return int(node) & (len(q.shards) - 1)
-}
-
-// add stages an event for insertion. The (at, seq) key is already set by
-// the caller; staging preserves nothing about order because the heaps sort
-// by the total key.
-func (q *shardedQueue) add(e *event) {
-	s := q.shardOf(e.node)
-	q.pending[s] = append(q.pending[s], e)
-	q.staged++
-	q.size++
-	if q.size > q.peak {
-		q.peak = q.size
-	}
-}
-
-// fold moves every staged event into its shard heap. Large bursts fan out
-// worker-parallel: each goroutine folds a disjoint set of shards, touching
-// only that shard's pending slice and heap, so the result is independent of
-// scheduling and identical to the serial fold.
-func (q *shardedQueue) fold() {
-	if q.staged == 0 {
-		return
-	}
-	if q.staged >= parallelFoldThreshold && q.workers > 1 && len(q.shards) > 1 {
-		workers := q.workers
-		if workers > len(q.shards) {
-			workers = len(q.shards)
-		}
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for s := w; s < len(q.shards); s += workers {
-					for _, e := range q.pending[s] {
-						q.shards[s].push(e)
-					}
-					q.pending[s] = q.pending[s][:0]
-				}
-			}(w)
-		}
-		wg.Wait()
-	} else {
-		for s := range q.shards {
-			for _, e := range q.pending[s] {
-				q.shards[s].push(e)
-			}
-			q.pending[s] = q.pending[s][:0]
-		}
-	}
-	q.staged = 0
-}
-
-// popMin removes and returns the globally minimal event by (at, seq), or
-// nil when the queue is empty. The shard-head scan is linear in the shard
-// count, which is at most 256 and typically single-digit — far cheaper than
-// the deeper heap a single global queue would need.
-func (q *shardedQueue) popMin() *event {
-	q.fold()
-	best := -1
-	for s := range q.shards {
-		if len(q.shards[s]) == 0 {
-			continue
-		}
-		if best < 0 || eventLess(q.shards[s][0], q.shards[best][0]) {
-			best = s
-		}
-	}
-	if best < 0 {
+// pop removes and returns the event least by (at, seq), or nil when the queue
+// is empty.
+func (q *eventQueue) pop() *event {
+	h := q.heap
+	n := len(h) - 1
+	if n < 0 {
 		return nil
 	}
-	q.size--
-	return q.shards[best].pop()
+	top := h[0].e
+	s := h[n]
+	h[n] = slot{}
+	h = h[:n]
+	q.heap = h
+	// Sift the former last slot down from the root.
+	i := 0
+	for {
+		c := 2*i + 1 // the lesser child
+		if c >= n {
+			break
+		}
+		if c+1 < n && h[c+1].less(h[c]) {
+			c++
+		}
+		if !h[c].less(s) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	if n > 0 {
+		h[i] = s
+	}
+	return top
 }
 
 // empty reports whether no events remain.
-func (q *shardedQueue) empty() bool { return q.size == 0 }
+func (q *eventQueue) empty() bool { return len(q.heap) == 0 }
 
 // get returns a pooled event (zeroed) or a fresh one.
-func (q *shardedQueue) get() *event {
+func (q *eventQueue) get() *event {
 	if n := len(q.free); n > 0 {
 		e := q.free[n-1]
 		q.free[n-1] = nil
@@ -218,7 +103,7 @@ func (q *shardedQueue) get() *event {
 
 // put recycles a dispatched event. References are cleared so pooled events
 // never retain payloads or timer closures.
-func (q *shardedQueue) put(e *event) {
+func (q *eventQueue) put(e *event) {
 	*e = event{}
 	q.free = append(q.free, e)
 }

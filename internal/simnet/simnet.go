@@ -6,11 +6,10 @@
 // distributions; determinism makes the pipeline timing quantities of the
 // paper (σ_w, σ_p, σ_g, ν) exactly reproducible.
 //
-// The event queue is sharded (see queue.go) and event structs are pooled, so
-// dispatch stays allocation-free and the engine scales to million-device
-// topologies. Shard count never changes delivery order: events are totally
-// ordered by (time, schedule sequence) and the cross-shard merge pops them
-// in exactly that order.
+// Events are totally ordered by (time, schedule sequence) and wait in one
+// heap (see queue.go); event structs are pooled and one Context serves every
+// callback of a Run, so dispatch stays allocation-free and the engine scales
+// to million-device topologies.
 package simnet
 
 import (
@@ -44,13 +43,12 @@ type TimerFunc func(ctx *Context)
 
 // event is a queue entry: either a message delivery or a timer (timer != nil
 // discriminates). The Message is embedded by value — events are pooled and a
-// pointer here would force a second allocation per send.
+// pointer here would force a second allocation per send. msg.At is when the
+// event fires and msg.To the node it fires on, for timers as for messages.
 type event struct {
-	at    Time
 	seq   uint64 // tie-break so simultaneous events fire in schedule order
 	msg   Message
 	timer TimerFunc
-	node  NodeID
 }
 
 // Stats aggregates traffic counters for communication-cost accounting and
@@ -68,18 +66,16 @@ type Stats struct {
 	// (crashed or never-started nodes).
 	DroppedUnregistered int
 	// PeakQueue is the high-water mark of simultaneously pending events —
-	// the gauge chaos runs watch to spot queue blow-ups. It is identical for
-	// every shard count because insert/remove accounting is global.
+	// the gauge chaos runs watch to spot queue blow-ups.
 	PeakQueue int
 }
 
 // Sim is the simulator instance. It is not safe for concurrent use; node
-// handlers run sequentially in virtual-time order. (The queue may fold large
-// insert bursts worker-parallel internally, but dispatch is serial.)
+// handlers run sequentially in virtual-time order.
 type Sim struct {
 	now Time
 	seq uint64
-	q   *shardedQueue
+	q   eventQueue
 	// nodes is a dense registry for the common non-negative ids; negNodes
 	// catches the rare negative ids (external actors).
 	nodes    []Handler
@@ -104,19 +100,8 @@ type Sim struct {
 	Bandwidth func(from, to NodeID) float64
 }
 
-// New returns a simulator using the given latency model and random stream,
-// with a single queue shard — the right default for small topologies.
+// New returns a simulator using the given latency model and random stream.
 func New(latency LatencyModel, r *rng.RNG) *Sim {
-	return NewSharded(latency, r, 1, 1)
-}
-
-// NewSharded returns a simulator whose event queue is split across the given
-// number of shards (clamped to [1,256], rounded up to a power of two) and
-// which may use up to workers goroutines to fold large event bursts into the
-// shard heaps. Delivery order — and therefore every seeded result — is
-// byte-identical for any shards/workers combination; the knobs trade only
-// wall-clock speed at scale.
-func NewSharded(latency LatencyModel, r *rng.RNG, shards, workers int) *Sim {
 	if latency == nil {
 		latency = Fixed(1)
 	}
@@ -125,12 +110,21 @@ func NewSharded(latency LatencyModel, r *rng.RNG, shards, workers int) *Sim {
 	}
 	sized, _ := latency.(SizedLatencyModel)
 	return &Sim{
-		q:       newShardedQueue(shards, workers),
 		latency: latency,
 		sized:   sized,
 		rng:     r,
 		frng:    r.Derive("fault"),
 	}
+}
+
+// NewSharded is New; the queue is no longer sharded and both counts are
+// ignored.
+//
+// Deprecated: kept only because benchmark/replay.go calls it and a PR that
+// claims a gain may not edit benchmark/. The [benchmark] re-cut (ROADMAP
+// item 2) deletes it.
+func NewSharded(latency LatencyModel, r *rng.RNG, shards, workers int) *Sim {
+	return New(latency, r)
 }
 
 // Register binds a handler to a node id, replacing any previous binding.
@@ -172,7 +166,9 @@ func (s *Sim) Stats() Stats {
 }
 
 // Context is the API a handler uses to interact with the simulator during an
-// event callback.
+// event callback. It is valid only until that callback returns: Run reuses
+// one Context for every event it dispatches, so a callback must not retain
+// its Context (a timer closure takes its own as an argument).
 type Context struct {
 	sim  *Sim
 	self NodeID
@@ -204,11 +200,7 @@ func (c *Context) After(d Time, fn TimerFunc) {
 		panic("simnet: negative timer delay")
 	}
 	s := c.sim
-	e := s.q.get()
-	e.at = s.now + d
-	e.timer = fn
-	e.node = c.self
-	s.schedule(e)
+	s.scheduleTimer(s.now+d, c.self, fn)
 }
 
 func (s *Sim) send(from, to NodeID, payload any, volume int64) {
@@ -247,9 +239,7 @@ func (s *Sim) send(from, to NodeID, payload any, volume int64) {
 		s.stats.Messages++
 		s.stats.Volume += volume
 		e := s.q.get()
-		e.at = at
 		e.msg = Message{From: from, To: to, Payload: payload, SentAt: s.now, At: at}
-		e.node = to
 		s.schedule(e)
 	}
 }
@@ -257,7 +247,14 @@ func (s *Sim) send(from, to NodeID, payload any, volume int64) {
 func (s *Sim) schedule(e *event) {
 	e.seq = s.seq
 	s.seq++
-	s.q.add(e)
+	s.q.push(e)
+}
+
+func (s *Sim) scheduleTimer(at Time, id NodeID, fn TimerFunc) {
+	e := s.q.get()
+	e.msg.To, e.msg.At = id, at
+	e.timer = fn
+	s.schedule(e)
 }
 
 // Inject delivers a payload to a node from the outside world (NodeID -1) at
@@ -271,11 +268,7 @@ func (s *Sim) ScheduleAt(at Time, id NodeID, fn TimerFunc) {
 	if at < s.now {
 		panic("simnet: ScheduleAt in the past")
 	}
-	e := s.q.get()
-	e.at = at
-	e.timer = fn
-	e.node = id
-	s.schedule(e)
+	s.scheduleTimer(at, id, fn)
 }
 
 // Run processes events until the queue is empty or until virtual time
@@ -287,31 +280,32 @@ func (s *Sim) Run(until Time) (int, error) {
 		maxEvents = 10_000_000
 	}
 	processed := 0
+	ctx := &Context{sim: s}
 	for {
-		e := s.q.popMin()
+		e := s.q.pop()
 		if e == nil {
 			break
 		}
-		if until > 0 && e.at > until {
+		if until > 0 && e.msg.At > until {
 			// Push back (seq preserved) so a later Run can resume from here.
-			s.q.add(e)
+			s.q.push(e)
 			s.now = until
 			return processed, nil
 		}
-		s.now = e.at
+		s.now = e.msg.At
+		ctx.self = e.msg.To
 		processed++
 		if processed > maxEvents {
 			s.q.put(e)
 			return processed, fmt.Errorf("simnet: exceeded %d events (livelock?)", maxEvents)
 		}
-		ctx := &Context{sim: s, self: e.node}
 		if e.timer != nil {
 			fn := e.timer
 			s.q.put(e)
 			fn(ctx)
 			continue
 		}
-		h := s.handlerFor(e.node)
+		h := s.handlerFor(e.msg.To)
 		if h == nil {
 			// Message to an unregistered (crashed / never-started) node: the
 			// delivery is lost, and — unlike the seed's bare continue — the

@@ -354,6 +354,7 @@ func TestPrefixPlacementPanics(t *testing.T) {
 }
 
 func BenchmarkECSMBuild(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := NewECSM(4, 4, 4); err != nil {
 			b.Fatal(err)
