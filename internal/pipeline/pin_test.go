@@ -1,0 +1,146 @@
+package pipeline
+
+import (
+	"fmt"
+	"hash/fnv"
+	"sort"
+	"strings"
+	"testing"
+
+	"abdhfl/internal/aggregate"
+	"abdhfl/internal/codec"
+	"abdhfl/internal/consensus"
+	"abdhfl/internal/fault"
+	"abdhfl/internal/telemetry"
+	"abdhfl/internal/trace"
+)
+
+// The pins below hold what a refactor of the engines must not move: every
+// constant was recorded from the tree at commit 7eae79a, before the cluster
+// step was shared, and compares a run's whole observable output against it.
+// The span-stream goldens next door only compare one build with itself.
+
+// pinned is one run's observable output folded into three FNV-1a digests.
+type pinned struct{ spans, metrics, filters uint64 }
+
+func (p pinned) String() string {
+	return fmt.Sprintf("{%#x, %#x, %#x}", p.spans, p.metrics, p.filters)
+}
+
+func digest(s string) uint64 {
+	h := fnv.New64a()
+	h.Write([]byte(s))
+	return h.Sum64()
+}
+
+// spanDigest folds the tracer's exported JSONL stream.
+func spanDigest(t *testing.T, tr *trace.Tracer) uint64 {
+	t.Helper()
+	var b strings.Builder
+	if err := tr.WriteJSONL(&b); err != nil {
+		t.Fatal(err)
+	}
+	if tr.Len() == 0 || tr.Dropped() != 0 {
+		t.Fatalf("tracer retained %d spans, dropped %d", tr.Len(), tr.Dropped())
+	}
+	return digest(b.String())
+}
+
+// metricsDigest folds the sorted series names (labels included) of the
+// Prometheus exposition, with the sample value of every family that is not a
+// wall-clock duration (*_seconds). abdhfl_step_errors_total is the one
+// family added after the pins were taken and is left out.
+func metricsDigest(t *testing.T, reg *telemetry.Registry) uint64 {
+	t.Helper()
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	var lines []string
+	for _, ln := range strings.Split(b.String(), "\n") {
+		if ln == "" || ln[0] == '#' || strings.HasPrefix(ln, "abdhfl_step_errors_total") {
+			continue
+		}
+		sp := strings.LastIndexByte(ln, ' ')
+		if strings.Contains(ln[:sp], "_seconds") {
+			ln = ln[:sp]
+		}
+		lines = append(lines, ln)
+	}
+	sort.Strings(lines)
+	return digest(strings.Join(lines, "\n"))
+}
+
+// filterLog collects the OnFilter sequence as text, one decision per line.
+type filterLog struct{ b strings.Builder }
+
+func (l *filterLog) record(d telemetry.FilterDecision) {
+	fmt.Fprintf(&l.b, "%s %d %d %d %s %v %v %v\n", d.Engine, d.Level, d.Cluster, d.Round, d.Rule, d.Kept, d.Clipped, d.Discarded)
+}
+
+// pinRun runs an engine twice — once with only a tracer, so spans take their
+// kept/filtered counts from an audit nobody else asked for, once with a
+// registry and an OnFilter consumer — and digests both.
+func pinRun(t *testing.T, run func(tr *trace.Tracer, reg *telemetry.Registry, onFilter func(telemetry.FilterDecision)) error) pinned {
+	t.Helper()
+	tr := trace.NewTracer(4, 0)
+	if err := run(tr, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.New()
+	var log filterLog
+	if err := run(nil, reg, log.record); err != nil {
+		t.Fatal(err)
+	}
+	return pinned{spanDigest(t, tr), metricsDigest(t, reg), digest(log.b.String())}
+}
+
+func mustCodec(t *testing.T, name string) codec.Codec {
+	t.Helper()
+	if name == "" {
+		return nil
+	}
+	c, err := codec.ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+func TestPipelinePinned(t *testing.T) {
+	for _, arm := range []struct {
+		name  string
+		tweak func(*Config)
+		want  pinned
+	}{
+		{"voting-flag1", func(c *Config) {}, pinned{0xcd6b8b448cb32bd3, 0x3648873abee690e9, 0xd01cd5a65fee0bbf}},
+		{"median-flag0-int8", func(c *Config) {
+			c.TopVoting, c.TopBRA = nil, aggregate.Median{}
+			c.FlagLevel = 0
+			c.Codec = mustCodec(t, "int8")
+		}, pinned{0xf7de58b9d4eb535d, 0xde83b56598360915, 0x865a2f7b2e373dfd}},
+		{"aba-faults-quorum-delta", func(c *Config) {
+			c.TopVoting, c.TopCBA = nil, consensus.ABA{}
+			c.PartialBRA = aggregate.CenteredClipping{}
+			c.Quorum = 0.7
+			c.CollectTimeout = 300
+			c.Faults = &fault.Plan{Seed: 5, Drop: 0.1, Duplicate: 0.1, CrashFromRound: map[int]int{7: 1}}
+			c.Codec = mustCodec(t, "delta-int8")
+		}, pinned{0x30e7486ae4e89b5c, 0x81590a30d9786ba9, 0x2b00301a073fe3f4}},
+	} {
+		t.Run(arm.name, func(t *testing.T) {
+			got := pinRun(t, func(tr *trace.Tracer, reg *telemetry.Registry, onFilter func(telemetry.FilterDecision)) error {
+				cfg := buildConfig(t, 3, 3, 4, 4, 1, 5)
+				cfg.EvalEvery = 2
+				cfg.Workers = 2
+				arm.tweak(&cfg)
+				cfg.Trace, cfg.Telemetry, cfg.OnFilter = tr, reg, onFilter
+				_, err := Run(cfg)
+				return err
+			})
+			if got != arm.want {
+				t.Fatalf("pinned output moved: got %v, want %v", got, arm.want)
+			}
+		})
+	}
+}
