@@ -2,6 +2,7 @@ package aggregate
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -413,5 +414,79 @@ func TestNormBoundAllZero(t *testing.T) {
 	}
 	if tensor.Norm2(out) != 0 {
 		t.Fatal("zero updates produced non-zero aggregate")
+	}
+}
+
+// bulyanReference is Bulyan written the plain way — full sorts, no scratch,
+// no kernels: iterated Krum picks the best-scored survivor until n-2f are
+// chosen, then each coordinate averages the beta chosen values closest to
+// their median, ties going to the earlier pick.
+func bulyanReference(updates []tensor.Vector, f int) tensor.Vector {
+	alive := make([]int, len(updates))
+	for i := range alive {
+		alive[i] = i
+	}
+	selCount := max(len(updates)-2*f, 1)
+	var chosen []tensor.Vector
+	for len(chosen) < selCount {
+		best, bestScore := 0, math.Inf(1)
+		for ai, i := range alive {
+			var ds []float64
+			for _, j := range alive {
+				if j != i {
+					ds = append(ds, tensor.SquaredDistance(updates[i], updates[j]))
+				}
+			}
+			sort.Float64s(ds)
+			score := 0.0
+			for _, d := range ds[:min(max(len(alive)-f-2, 1), len(ds))] {
+				score += d
+			}
+			if score < bestScore {
+				best, bestScore = ai, score
+			}
+		}
+		chosen = append(chosen, updates[alive[best]])
+		alive = append(alive[:best], alive[best+1:]...)
+	}
+	beta := max(len(chosen)-2*f, 1)
+	out := tensor.NewVector(len(updates[0]))
+	col := make([]float64, len(chosen))
+	for j := range out {
+		for i, v := range chosen {
+			col[i] = v[j]
+		}
+		med := tensor.Median(col)
+		sort.SliceStable(col, func(a, b int) bool { return math.Abs(col[a]-med) < math.Abs(col[b]-med) })
+		s := 0.0
+		for _, v := range col[:beta] {
+			s += v
+		}
+		out[j] = s / float64(beta)
+	}
+	return out
+}
+
+// TestBulyanMatchesReference holds Bulyan to the plain formulation at the
+// paper's cluster size (n = 4, f = 1: two updates survive, beta = 1, so the
+// result must be the best-scored update itself) and at a size where the
+// second stage really averages.
+func TestBulyanMatchesReference(t *testing.T) {
+	for _, tc := range []struct{ n, f, dim int }{{4, 1, 300}, {11, 2, 300}} {
+		r := rng.New(uint64(40 + tc.n))
+		updates := honestPopulation(r, tc.n-tc.f, tc.dim, center(tc.dim, 1), 0.3)
+		updates = append(updates, honestPopulation(r, tc.f, tc.dim, center(tc.dim, -4), 0.3)...)
+		want := bulyanReference(updates, tc.f)
+		for _, workers := range []int{1, 4} {
+			got := tensor.NewVector(tc.dim)
+			if err := (Bulyan{F: tc.f}).AggregateInto(got, NewScratch(workers), updates); err != nil {
+				t.Fatal(err)
+			}
+			for j := range want {
+				if math.Abs(got[j]-want[j]) > 1e-12 {
+					t.Fatalf("n=%d f=%d workers=%d: coordinate %d is %v, reference %v", tc.n, tc.f, workers, j, got[j], want[j])
+				}
+			}
+		}
 	}
 }

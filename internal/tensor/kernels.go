@@ -79,9 +79,12 @@ func CoordinateTrimmedMeanWS(dst Vector, vs []Vector, trim int, cols []float64, 
 // CoordinateNearMedianMeanWS stores, per coordinate, the mean of the beta
 // values of vs closest to that coordinate's median into dst and returns dst
 // — the second stage of Bulyan. The closest values are selected and summed
-// in ascending order of |value − median| (ties by scan position), replacing
-// the per-coordinate sort.Slice closure of the naive formulation. Scratch
-// and determinism contract as for CoordinateMedianWS.
+// in ascending order of |value − median|, replacing the per-coordinate
+// sort.Slice closure of the naive formulation. Distance ties resolve to the
+// earlier input index: at n = 2 every coordinate is an exact tie, and the
+// caller's order (Bulyan's is best Krum score first) must decide it, not
+// whatever order the median's quickselect left behind. Scratch and
+// determinism contract as for CoordinateMedianWS.
 func CoordinateNearMedianMeanWS(dst Vector, vs []Vector, beta int, cols []float64, workers int) Vector {
 	n := len(vs)
 	if n == 0 {
@@ -109,8 +112,13 @@ func nearMedianMeanRange(dst Vector, vs []Vector, beta int, col []float64, lo, h
 			col[i] = v[j]
 		}
 		med := MedianInPlace(col)
-		// Partial selection sort by distance to the median: after step t,
-		// col[:t+1] holds the t+1 closest values in ascending-distance order.
+		// MedianInPlace reordered col; gather it again in input order.
+		for i, v := range vs {
+			col[i] = v[j]
+		}
+		// Stable partial selection by distance to the median: after step t,
+		// col[:t+1] holds the t+1 closest values in ascending-distance order
+		// and col[t+1:] the rest, still in input order.
 		s := 0.0
 		for t := 0; t < beta; t++ {
 			best := t
@@ -120,8 +128,10 @@ func nearMedianMeanRange(dst Vector, vs []Vector, beta int, col []float64, lo, h
 					best, bd = x, d
 				}
 			}
-			col[t], col[best] = col[best], col[t]
-			s += col[t]
+			v := col[best]
+			copy(col[t+1:best+1], col[t:best])
+			col[t] = v
+			s += v
 		}
 		dst[j] = s / float64(beta)
 	}

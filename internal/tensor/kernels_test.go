@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"abdhfl/internal/rng"
@@ -220,5 +221,57 @@ func TestSelectKernelAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("serial WS kernels allocated %v times per run", allocs)
+	}
+}
+
+// TestNearMedianMeanTiesKeepInputOrder pins the tie rule at the paper's
+// cluster size: Bulyan over n = 4, f = 1 hands this kernel two updates with
+// beta = 1, where both values are exactly as far from their midpoint on
+// every coordinate. The earlier input must win each tie, so dst is vs[0] bit
+// for bit; the values are multiples of 1/8 so that every midpoint is exact.
+func TestNearMedianMeanTiesKeepInputOrder(t *testing.T) {
+	const d = 9000 // 2*d crosses parallelThreshold
+	r := rng.New(31)
+	vs := []Vector{NewVector(d), NewVector(d)}
+	for j := 0; j < d; j++ {
+		vs[0][j] = float64(r.Intn(4001)-2000) / 8
+		vs[1][j] = float64(r.Intn(4001)-2000) / 8
+	}
+	for _, w := range []int{1, 2, 3, 8} {
+		cols := make([]float64, resolveWorkers(w)*2)
+		if got := CoordinateNearMedianMeanWS(NewVector(d), vs, 1, cols, w); !bitsEq(got, vs[0]) {
+			t.Errorf("workers=%d: ties did not resolve to the first input", w)
+		}
+	}
+}
+
+// TestNearMedianMeanMatchesStableSort compares the kernel with the naive
+// formulation: per coordinate, stable-sort the inputs by distance to the
+// median and average the first beta.
+func TestNearMedianMeanMatchesStableSort(t *testing.T) {
+	const n, d, beta = 7, 8000, 3
+	vs := kernelPopulation(5, n, d)
+	for j := 0; j < d; j += 3 {
+		vs[4][j] = vs[1][j] // exact distance ties between inputs 1 and 4
+	}
+	want := NewVector(d)
+	col := make([]float64, n)
+	for j := range want {
+		for i, v := range vs {
+			col[i] = v[j]
+		}
+		med := Median(col)
+		sort.SliceStable(col, func(a, b int) bool { return math.Abs(col[a]-med) < math.Abs(col[b]-med) })
+		s := 0.0
+		for _, v := range col[:beta] {
+			s += v
+		}
+		want[j] = s / beta
+	}
+	for _, w := range []int{1, 2, 3, 8} {
+		cols := make([]float64, resolveWorkers(w)*n)
+		if got := CoordinateNearMedianMeanWS(NewVector(d), vs, beta, cols, w); !bitsEq(got, want) {
+			t.Errorf("workers=%d differs from the stable-sort reference", w)
+		}
 	}
 }
