@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt verify verify-scale verify-codec verify-trace verify-transport verify-consensus bench bench-compare profile-node profile-train profile-scale kernel-addrs clean
+.PHONY: build test race vet fmt verify verify-results verify-results-slow verify-scale verify-codec verify-trace verify-transport verify-consensus bench bench-compare profile-node profile-train profile-scale kernel-addrs clean
 
 build:
 	$(GO) build ./...
@@ -24,7 +24,46 @@ race:
 	$(GO) test -race ./...
 
 # verify is the tier-1 gate: everything must pass before a commit.
-verify: fmt vet build race verify-codec verify-trace verify-transport verify-consensus
+verify: fmt vet build race verify-codec verify-trace verify-transport verify-consensus verify-results
+
+# verify-results keeps the committed oracle whole: it builds the generators
+# once, reruns every results_* file that takes seconds with the command
+# EXPERIMENTS.md states (about a minute in all), and fails listing the files
+# whose output no longer matches the committed copy byte for byte.
+RESULTS_CHECK = check() { f=$$1; c=$$2; shift 2; echo "  $$f"; "$$tmp/$$c" "$$@" > "$$tmp/$$f" || exit 1; \
+	cmp -s "$$tmp/$$f" "$$f" || bad="$$bad $$f"; }
+RESULTS_BUILD = tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; bad=""; \
+	for c in $(1); do $(GO) build -o "$$tmp/$$c" ./cmd/abdhfl-$$c || exit 1; done
+RESULTS_REPORT = test -z "$$bad" || { echo "results files that no longer reproduce:$$bad"; exit 1; }
+
+verify-results:
+	@$(call RESULTS_BUILD,attacks bounds chaos codec pipeline schemes table5 trace); $(RESULTS_CHECK); \
+	check results_attacks_matrix.txt attacks; \
+	check results_attacks_e2e.txt attacks -e2e; \
+	check results_bounds.txt bounds -acsm; \
+	check results_chaos.txt chaos; \
+	check results_consensus_latency.txt chaos -consensus; \
+	check results_codec_matrix.txt codec; \
+	check results_filter_audit.txt table5 -audit -rounds 20 -samples 200; \
+	check results_pipeline_timeline.txt pipeline; \
+	check results_pipeline_sweep.txt pipeline -sweep; \
+	check results_pipeline_tradeoff.txt pipeline -tradeoff; \
+	check results_schemes.txt schemes -rounds 25 -samples 120; \
+	check results_trace_paths.txt trace; \
+	$(RESULTS_REPORT)
+
+# verify-results-slow does the same for the three generators that take
+# minutes (Table V ~4 min, Fig 3 and the scale matrix longer); not part of
+# verify. results_fig3.txt quotes absolute paths, so Fig 3 is compared by
+# its CSV series instead.
+verify-results-slow:
+	@$(call RESULTS_BUILD,table5 fig3 scale); $(RESULTS_CHECK); \
+	check results_table5.txt table5 -rounds 60 -repeats 3 -samples 200 -csv "$$tmp/results_table5.csv"; \
+	cmp -s "$$tmp/results_table5.csv" results_table5.csv || bad="$$bad results_table5.csv"; \
+	check results_scale_matrix.txt scale -devices 100000 -depths 3,4 -fanouts 8,16 -gammas 0,0.1,0.2,0.3 -rule multi-krum; \
+	echo "  fig3_out"; "$$tmp/fig3" -rounds 60 -repeats 3 -samples 200 -out "$$tmp/fig3_out" > /dev/null || exit 1; \
+	diff -rq "$$tmp/fig3_out" fig3_out > /dev/null || bad="$$bad fig3_out"; \
+	$(RESULTS_REPORT)
 
 # verify-scale gates the million-device layer: the event queue's (at, seq)
 # dispatch-order property and rerun invariance, event pooling, lazy≡eager
