@@ -53,13 +53,16 @@ verify-results:
 	$(RESULTS_REPORT)
 
 # verify-results-slow does the same for the three generators that take
-# minutes (Table V ~4 min, Fig 3 and the scale matrix longer); not part of
-# verify. results_fig3.txt quotes absolute paths, so Fig 3 is compared by
-# its CSV series instead.
+# minutes (about five in all); not part of verify. results_table5.txt was
+# committed with its progress lines and results_fig3.txt quotes absolute
+# paths, so Table V is compared by its CSV and by the table with the progress,
+# blank and "CSV written to" lines dropped, and Fig 3 by its CSV series.
 verify-results-slow:
 	@$(call RESULTS_BUILD,table5 fig3 scale); $(RESULTS_CHECK); \
-	check results_table5.txt table5 -rounds 60 -repeats 3 -samples 200 -csv "$$tmp/results_table5.csv"; \
+	table() { grep -v '^  \|^CSV written\|^$$' "$$1"; }; \
+	echo "  results_table5.txt"; "$$tmp/table5" -rounds 60 -repeats 3 -samples 200 -csv "$$tmp/results_table5.csv" > "$$tmp/results_table5.txt" || exit 1; \
 	cmp -s "$$tmp/results_table5.csv" results_table5.csv || bad="$$bad results_table5.csv"; \
+	table "$$tmp/results_table5.txt" > "$$tmp/got"; table results_table5.txt | cmp -s - "$$tmp/got" || bad="$$bad results_table5.txt"; \
 	check results_scale_matrix.txt scale -devices 100000 -depths 3,4 -fanouts 8,16 -gammas 0,0.1,0.2,0.3 -rule multi-krum; \
 	echo "  fig3_out"; "$$tmp/fig3" -rounds 60 -repeats 3 -samples 200 -out "$$tmp/fig3_out" > /dev/null || exit 1; \
 	diff -rq "$$tmp/fig3_out" fig3_out > /dev/null || bad="$$bad fig3_out"; \

@@ -11,44 +11,19 @@ import (
 	"errors"
 	"fmt"
 
-	"abdhfl/internal/aggregate"
 	"abdhfl/internal/attack"
 	"abdhfl/internal/codec"
-	"abdhfl/internal/consensus"
 	"abdhfl/internal/dataset"
 	"abdhfl/internal/nn"
+	"abdhfl/internal/step"
 	"abdhfl/internal/telemetry"
 	"abdhfl/internal/topology"
 	"abdhfl/internal/trace"
 )
 
 // LevelRule selects the aggregation used at a tier of the tree: exactly one
-// of BRA or CBA must be set.
-type LevelRule struct {
-	BRA aggregate.Aggregator
-	CBA consensus.Protocol
-}
-
-// IsCBA reports whether the rule is consensus-based.
-func (r LevelRule) IsCBA() bool { return r.CBA != nil }
-
-func (r LevelRule) validate(what string) error {
-	if (r.BRA == nil) == (r.CBA == nil) {
-		return fmt.Errorf("core: %s rule must set exactly one of BRA or CBA", what)
-	}
-	return nil
-}
-
-// Name returns the rule's display name.
-func (r LevelRule) Name() string {
-	if r.CBA != nil {
-		return "cba:" + r.CBA.Name()
-	}
-	if r.BRA != nil {
-		return "bra:" + r.BRA.Name()
-	}
-	return "unset"
-}
+// of BRA or CBA must be set. It is the cluster step's rule type.
+type LevelRule = step.Rule
 
 // Config describes one ABD-HFL run.
 type Config struct {
@@ -178,10 +153,10 @@ func (c *Config) Validate() error {
 	if c.TestData == nil || c.TestData.Len() == 0 {
 		return errors.New("core: TestData is empty")
 	}
-	if err := c.Partial.validate("Partial"); err != nil {
+	if err := c.Partial.Check("core: Partial"); err != nil {
 		return err
 	}
-	if err := c.Global.validate("Global"); err != nil {
+	if err := c.Global.Check("core: Global"); err != nil {
 		return err
 	}
 	anyCBA := c.Partial.IsCBA() || c.Global.IsCBA()
@@ -189,7 +164,7 @@ func (c *Config) Validate() error {
 		if lvl < 1 || lvl > c.Tree.Bottom() {
 			return fmt.Errorf("core: PartialByLevel level %d out of [1, %d]", lvl, c.Tree.Bottom())
 		}
-		if err := rule.validate(fmt.Sprintf("PartialByLevel[%d]", lvl)); err != nil {
+		if err := rule.Check(fmt.Sprintf("core: PartialByLevel[%d]", lvl)); err != nil {
 			return err
 		}
 		anyCBA = anyCBA || rule.IsCBA()
@@ -223,17 +198,16 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-func (c *Config) hidden() []int {
-	if len(c.Hidden) == 0 {
-		return []int{32}
+// RuleAt returns the aggregation rule of level lvl: Global at the top
+// (level 0), the level's PartialByLevel entry or Partial below it.
+func (c *Config) RuleAt(lvl int) LevelRule {
+	if lvl == 0 {
+		return c.Global
 	}
-	return c.Hidden
-}
-
-func (c *Config) modelSizes() []int {
-	sizes := []int{dataset.Dim}
-	sizes = append(sizes, c.hidden()...)
-	return append(sizes, dataset.NumClasses)
+	if rule, ok := c.PartialByLevel[lvl]; ok {
+		return rule
+	}
+	return c.Partial
 }
 
 // RoundStat is one point of a convergence curve.

@@ -12,6 +12,7 @@ import (
 	"abdhfl/internal/dataset"
 	"abdhfl/internal/nn"
 	"abdhfl/internal/rng"
+	"abdhfl/internal/step"
 	"abdhfl/internal/telemetry"
 	"abdhfl/internal/tensor"
 	"abdhfl/internal/trace"
@@ -91,16 +92,6 @@ func (c *GossipConfig) Validate() error {
 	return nil
 }
 
-func (c *GossipConfig) modelSizes() []int {
-	hidden := c.Hidden
-	if len(hidden) == 0 {
-		hidden = []int{32}
-	}
-	sizes := []int{dataset.Dim}
-	sizes = append(sizes, hidden...)
-	return append(sizes, dataset.NumClasses)
-}
-
 // RunGossip executes the gossip baseline. Byzantine devices are data
 // poisoners (their shards are poisoned by the harness); because gossip has
 // no aggregation point with a global view, robust rules can only act on the
@@ -135,7 +126,7 @@ func RunGossip(cfg GossipConfig) (*Result, error) {
 	}
 
 	root := rng.New(cfg.Seed)
-	sizes := cfg.modelSizes()
+	sizes := step.ModelSizes(cfg.Hidden)
 	initParams := nn.New(root.Derive("init"), sizes...).Params()
 	params := make([]tensor.Vector, devices)
 	for i := range params {
@@ -143,37 +134,31 @@ func RunGossip(cfg GossipConfig) (*Result, error) {
 	}
 	trained := make([]tensor.Vector, devices)
 	hcfg := Config{ClientData: cfg.ClientData, Local: cfg.Local, Byzantine: cfg.Byzantine}
-	var evalPool *nn.EvalPool
+	rule := step.Rule{BRA: cfg.Aggregator}
 	if cfg.NeighborhoodCBA != nil {
-		evalPool = nn.NewEvalPool(sizes...)
+		rule = step.Rule{CBA: cfg.NeighborhoodCBA}
 	}
 
 	res := &Result{}
 	evalModel := nn.NewShaped(sizes...)
 	evalWS := nn.NewWorkspace(evalModel)
 	trainer := newLocalTrainer(sizes, workers, devices)
-	// Aggregation memory persists across rounds: one warm scratch for the
+	// Aggregation memory persists across rounds: one warm stepper for the
 	// rule's buffers, a reusable peer-group slice, and double-buffered
 	// per-device model storage (round r writes bufs[r%2] while bufs[(r-1)%2]
 	// still holds the params the trainer just read).
-	aggScratch := aggregate.NewScratch(workers)
+	dim := len(initParams)
+	obs := step.NewObserver(cfg.Telemetry, "gossip", 1, cfg.OnFilter, cfg.Trace)
+	st := step.NewStepper(obs, workers, sizes, false)
 	codecScratch := codec.NewScratch()
-	ins := newInstruments(cfg.Telemetry, "gossip", 1)
-	ins.codecInfo(cfg.Codec, len(initParams))
-	fe := newFilterEmitter(ins, cfg.OnFilter, "gossip")
-	fe.attach(aggScratch)
-	ct := newCoreTracer(cfg.Trace, 0, wireBytesOf(cfg.Codec, len(initParams)))
-	if ct != nil && fe == nil {
-		fe = &filterEmitter{engine: "gossip"}
-		fe.attach(aggScratch)
-	}
+	ins := newInstruments(cfg.Telemetry, "gossip", cfg.Codec, dim)
+	ct := newCoreTracer(cfg.Trace, 0, step.WireBytes(cfg.Codec, dim))
 	group := make([]tensor.Vector, 0, fanout+1)
 	groupIDs := make([]int, 0, fanout+1)
-	dim := len(initParams)
 	var aggBufs [2][]tensor.Vector
 	for round := 0; round < cfg.Rounds; round++ {
 		roundRNG := root.Derive(fmt.Sprintf("round-%d", round))
-		ct.beginRound(round)
+		ct.beginRound()
 		var tRound, tPhase time.Time
 		commBefore := res.Comm
 		if ins.enabled() {
@@ -224,39 +209,25 @@ func RunGossip(cfg GossipConfig) (*Result, error) {
 			if next[id] == nil {
 				next[id] = tensor.NewVector(dim)
 			}
+			in := step.Input{Cluster: id, Round: round, Vecs: group, IDs: groupIDs, Dst: next[id]}
 			if cfg.NeighborhoodCBA != nil {
 				// Neighbourhood consensus: the group's devices are the
 				// members, each scoring every pulled model on its own shard.
-				cctx := &consensus.Context{
-					Members:   len(group),
-					Validator: localValidator(hcfg, groupIDs, evalPool),
-					Rand:      roundRNG.Derive(fmt.Sprintf("cba-%d", id)),
-					Workers:   workers,
-					Round:     round,
-				}
-				out, st, err := cfg.NeighborhoodCBA.Agree(cctx, group)
-				if err != nil {
-					return nil, fmt.Errorf("core: gossip round %d device %d: %w", round, id, err)
-				}
-				copy(next[id], out)
-				fe.emitConsensus(0, id, round, groupIDs, cfg.NeighborhoodCBA.Name(), st)
-				if ct != nil {
-					kept, filtered := fe.verdictCounts()
-					ct.gossipAggregate(round, id, cfg.NeighborhoodCBA.Name(), kept, filtered)
-				}
-				res.Comm.ModelTransfers += st.ModelTransfers + len(group) - 1
-				res.Comm.ScalarMessages += st.Messages - st.ModelTransfers
-			} else {
-				if err := cfg.Aggregator.AggregateInto(next[id], aggScratch, group); err != nil {
-					return nil, fmt.Errorf("core: gossip round %d device %d: %w", round, id, err)
-				}
-				fe.emitAudit(0, id, round, groupIDs)
-				if ct != nil {
-					kept, filtered := fe.verdictCounts()
-					ct.gossipAggregate(round, id, cfg.Aggregator.Name(), kept, filtered)
-				}
-				res.Comm.ModelTransfers += len(group) - 1
+				in.Rand = roundRNG.Derive(fmt.Sprintf("cba-%d", id))
+				in.Workers, in.Local, in.Name = workers, cfg.ClientData, rule.Bare()
 			}
+			_, v, comm, err := st.Aggregate(rule, in)
+			if err != nil {
+				return nil, fmt.Errorf("core: gossip round %d device %d: %w", round, id, err)
+			}
+			if ct != nil {
+				kept, filtered := v.Counts()
+				ct.gossipAggregate(round, id, rule.Bare(), kept, filtered)
+			}
+			// The device pulls its peers' models; a consensus adds its own
+			// exchange on top.
+			res.Comm.ModelTransfers += comm.ModelTransfers + len(group) - 1
+			res.Comm.ScalarMessages += comm.ScalarMessages
 		}
 		params = next
 		if cfg.Codec != nil {

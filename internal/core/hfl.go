@@ -2,17 +2,16 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"time"
 
-	"abdhfl/internal/aggregate"
 	"abdhfl/internal/attack"
 	"abdhfl/internal/codec"
 	"abdhfl/internal/consensus"
 	"abdhfl/internal/nn"
 	"abdhfl/internal/rng"
+	"abdhfl/internal/step"
 	"abdhfl/internal/tensor"
 	"abdhfl/internal/topology"
 )
@@ -29,7 +28,7 @@ func RunHFL(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	root := rng.New(cfg.Seed)
-	sizes := cfg.modelSizes()
+	sizes := step.ModelSizes(cfg.Hidden)
 	global := nn.New(root.Derive("init"), sizes...)
 	globalParams := global.Params()
 
@@ -46,34 +45,23 @@ func RunHFL(cfg Config) (*Result, error) {
 
 	res := &Result{}
 	evalModel := nn.NewShaped(sizes...)
-	pool := nn.NewEvalPool(sizes...)
 	updates := make([]tensor.Vector, devices)
 	trainer := newLocalTrainer(sizes, workers, devices)
 
-	// Aggregation working memory, reused across rounds: one Scratch for every
-	// BRA call (aggregation is sequential within a round), one destination
-	// buffer per (level, cluster) — inputs at each level live in the level
-	// below's buffers, so destinations never alias inputs — and a
+	// Aggregation working memory, reused across rounds: one stepper for every
+	// cluster step (aggregation is sequential within a round), one
+	// destination buffer per (level, cluster) — inputs at each level live in
+	// the level below's buffers, so destinations never alias inputs — and a
 	// double-buffered global destination. Leader rotation preserves the tree
 	// shape, so the cluster counts are stable.
-	aggScratch := aggregate.NewScratch(workers)
-	// Codec working memory beside the aggregation scratch: the round loop is
-	// sequential, so one Scratch serves every hop of every round.
-	codecScratch := codec.NewScratch()
-	ins := newInstruments(cfg.Telemetry, "hfl", len(tree.Clusters))
-	ins.codecInfo(cfg.Codec, len(globalParams))
-	fe := newFilterEmitter(ins, cfg.OnFilter, "hfl")
-	fe.attach(aggScratch)
 	dim := len(globalParams)
-	ct := newCoreTracer(cfg.Trace, tree.Bottom(), wireBytesOf(cfg.Codec, dim))
-	if ct != nil && fe == nil {
-		// Spans carry kept/filtered counts, which come from the filter
-		// audit; run an audit-only emitter (no telemetry, no callback) so
-		// the rules record verdicts. Auditing observes, never changes, what
-		// a rule computes.
-		fe = &filterEmitter{engine: "hfl"}
-		fe.attach(aggScratch)
-	}
+	obs := step.NewObserver(cfg.Telemetry, "hfl", len(tree.Clusters), cfg.OnFilter, cfg.Trace)
+	st := step.NewStepper(obs, workers, sizes, false)
+	// Codec working memory beside the stepper: the round loop is sequential,
+	// so one Scratch serves every hop of every round.
+	codecScratch := codec.NewScratch()
+	ins := newInstruments(cfg.Telemetry, "hfl", cfg.Codec, dim)
+	ct := newCoreTracer(cfg.Trace, tree.Bottom(), step.WireBytes(cfg.Codec, dim))
 	partialBufs := make([][]tensor.Vector, len(tree.Clusters))
 	levelOut := make([][]tensor.Vector, len(tree.Clusters))
 	for lvl := range tree.Clusters {
@@ -87,7 +75,7 @@ func RunHFL(cfg Config) (*Result, error) {
 	baseTree := tree
 	for round := 0; round < cfg.Rounds; round++ {
 		roundRNG := root.Derive(fmt.Sprintf("round-%d", round))
-		ct.beginRound(round)
+		ct.beginRound()
 		var tRound, tPhase time.Time
 		commBefore := res.Comm
 		if ins.enabled() {
@@ -107,7 +95,7 @@ func RunHFL(cfg Config) (*Result, error) {
 
 		// --- Availability churn (Assumption 3) and cohort sampling: offline
 		// and unsampled devices skip the round entirely.
-		skip := drawSkip(cfg, roundRNG, tree, drawOffline(cfg, roundRNG, devices))
+		skip := DrawRoundSkip(cfg, roundRNG, tree)
 
 		// --- Local model training (Algorithm 2) over a worker pool.
 		trainer.round(cfg, globalParams, updates, skip, roundRNG)
@@ -155,9 +143,9 @@ func RunHFL(cfg Config) (*Result, error) {
 		// level; at the bottom the inputs are device updates.
 		partials := updates
 		byLevelInput := func(c *topology.Cluster, lvl int) ([]tensor.Vector, []int) {
-			// The shared backing buffers are safe to reuse per cluster: both
-			// aggregation paths consume vecs/ids synchronously (BRA copies
-			// into its destination, CBA returns a fresh vector).
+			// The shared backing buffers are safe to reuse per cluster: the
+			// step consumes vecs/ids synchronously and copies its result
+			// into the destination it is given.
 			vecs := vecsBuf[:0]
 			ids := idsBuf[:0]
 			for mi, m := range c.Members {
@@ -167,7 +155,7 @@ func RunHFL(cfg Config) (*Result, error) {
 				} else {
 					// Members of an upper cluster are leaders of child
 					// clusters; the child cluster order matches member order.
-					v = partials[childIndex(tree, c, mi)]
+					v = partials[tree.ChildIndex(c, mi)]
 				}
 				if v != nil {
 					vecs = append(vecs, v)
@@ -181,6 +169,7 @@ func RunHFL(cfg Config) (*Result, error) {
 			for i := range next {
 				next[i] = nil
 			}
+			rule := cfg.RuleAt(lvl)
 			for ci, c := range tree.Clusters[lvl] {
 				vecs, ids := byLevelInput(c, lvl)
 				if len(vecs) == 0 {
@@ -189,11 +178,11 @@ func RunHFL(cfg Config) (*Result, error) {
 					// aggregates fewer inputs.
 					continue
 				}
-				vecs, ids = applyQuorum(cfg, roundRNG, lvl, ci, vecs, ids)
+				vecs, ids = step.ApplyQuorum(cfg.Quorum, roundRNG, lvl, ci, vecs, ids)
 				if partialBufs[lvl][ci] == nil {
 					partialBufs[lvl][ci] = tensor.NewVector(dim)
 				}
-				agg, comm, err := aggregateCluster(cfg, roundRNG, c, vecs, ids, pool, partialBufs[lvl][ci], aggScratch, fe, round)
+				agg, v, comm, err := st.Aggregate(rule, cfg.ClusterInput(roundRNG, c, round, vecs, ids, partialBufs[lvl][ci]))
 				if err != nil {
 					return nil, fmt.Errorf("core: round %d level %d cluster %d: %w", round, lvl, ci, err)
 				}
@@ -202,10 +191,10 @@ func RunHFL(cfg Config) (*Result, error) {
 					if lvl > 1 {
 						parentCi = tree.Parent(lvl, ci).Index
 					}
-					kept, filtered := fe.verdictCounts()
-					ct.aggregate(round, lvl, ci, parentCi, ruleForLevel(cfg, lvl).Name(), kept, filtered)
+					kept, filtered := v.Counts()
+					ct.aggregate(round, lvl, ci, parentCi, rule.Name(), kept, filtered)
 				}
-				res.Comm.Add(comm)
+				res.Comm.Add(StepComm(rule, comm, len(vecs), c.Size()))
 				// Leader→parent uplink: the freshly formed partial crosses the
 				// next codec hop before the level above consumes it.
 				if cfg.Codec != nil {
@@ -220,18 +209,25 @@ func RunHFL(cfg Config) (*Result, error) {
 
 		// --- Global model aggregation (Algorithm 6) at the top. After the
 		// level loop, partials holds one model per level-1 cluster, whose
-		// leaders are exactly the top cluster's members.
+		// leaders — the top cluster's members — are the contributors.
+		vecs, ids := vecsBuf[:0], idsBuf[:0]
+		for i, p := range partials {
+			if p != nil {
+				vecs = append(vecs, p)
+				ids = append(ids, tree.Clusters[1][i].Leader)
+			}
+		}
 		if globalBufs[round%2] == nil {
 			globalBufs[round%2] = tensor.NewVector(dim)
 		}
-		newGlobal, comm, excluded, err := aggregateTop(cfg, tree, roundRNG, partials, pool, globalBufs[round%2], aggScratch, fe, round, nil)
+		newGlobal, v, comm, err := st.Aggregate(cfg.Global, cfg.TopInput(roundRNG, round, vecs, ids, globalBufs[round%2], nil))
 		if err != nil {
 			return nil, fmt.Errorf("core: round %d top level: %w", round, err)
 		}
-		res.Comm.Add(comm)
-		res.ExcludedByConsensus += excluded
+		res.Comm.Add(StepComm(cfg.Global, comm, len(vecs), len(vecs)))
+		res.ExcludedByConsensus += v.Excluded
 		if ct != nil {
-			kept, filtered := fe.verdictCounts()
+			kept, filtered := v.Counts()
 			ct.global(round, cfg.Global.Name(), kept, filtered)
 		}
 		// Dissemination downlink: the new global crosses one codec hop (all
@@ -249,7 +245,7 @@ func RunHFL(cfg Config) (*Result, error) {
 
 		// --- Dissemination (Algorithm 5): the global model travels down the
 		// tree, one broadcast per cluster.
-		res.Comm.Add(disseminationCost(tree))
+		res.Comm.ModelTransfers += tree.DisseminationTransfers()
 		if ins.enabled() {
 			ins.observePhase(phaseAggregate, time.Since(tPhase))
 			tPhase = time.Now()
@@ -293,16 +289,6 @@ func RunHFL(cfg Config) (*Result, error) {
 	res.FinalParams = globalParams
 	res.TrainerBuffers = trainer.allocated
 	return res, nil
-}
-
-// childIndex maps member mi of upper-level cluster c to the index of the
-// child cluster it leads at level c.Level+1.
-func childIndex(tree *topology.Tree, c *topology.Cluster, mi int) int {
-	children := tree.ChildClusters(c.Level, c.Index)
-	if mi >= len(children) {
-		panic("core: member without child cluster")
-	}
-	return children[mi].Index
 }
 
 // localTrainer owns the per-worker training models/workspaces and a pool of
@@ -405,33 +391,30 @@ func trainLocal(cfg Config, sizes []int, start tensor.Vector, updates []tensor.V
 	newLocalTrainer(sizes, workers, len(updates)).round(cfg, start, updates, skip, roundRNG)
 }
 
-// drawOffline samples the round's offline set deterministically.
-func drawOffline(cfg Config, roundRNG *rng.RNG, devices int) map[int]bool {
-	if cfg.Churn.OfflineProb <= 0 {
-		return nil
-	}
-	r := roundRNG.Derive("churn")
-	offline := map[int]bool{}
-	for id := 0; id < devices; id++ {
-		if r.Float64() < cfg.Churn.OfflineProb {
-			offline[id] = true
+// DrawRoundSkip draws the round's non-training set: every device independently
+// offline with the churn probability plus, when cohort sampling is on, every
+// bottom-cluster member of tree outside its cluster's deterministically
+// sampled k-cohort. Each cluster draws from its own derived stream, so the
+// sample is independent of cluster iteration order and of every other random
+// draw in the round — and any process holding the config and the round's
+// stream computes the same set, which is what lets a distributed aggregator
+// know which contributors to expect without any signaling.
+func DrawRoundSkip(cfg Config, roundRNG *rng.RNG, tree *topology.Tree) map[int]bool {
+	var skip map[int]bool
+	if cfg.Churn.OfflineProb > 0 {
+		r := roundRNG.Derive("churn")
+		skip = map[int]bool{}
+		for id, devices := 0, tree.NumDevices(); id < devices; id++ {
+			if r.Float64() < cfg.Churn.OfflineProb {
+				skip[id] = true
+			}
 		}
 	}
-	return offline
-}
-
-// drawSkip composes the round's non-training set: offline devices plus, when
-// cohort sampling is on, every bottom-cluster member outside its cluster's
-// deterministically sampled k-cohort. Each cluster draws from its own
-// derived stream, so the sample is independent of cluster iteration order
-// and of every other random draw in the round.
-func drawSkip(cfg Config, roundRNG *rng.RNG, tree *topology.Tree, offline map[int]bool) map[int]bool {
 	if cfg.Cohort <= 0 {
-		return offline
+		return skip
 	}
-	skip := make(map[int]bool, len(offline))
-	for id := range offline {
-		skip[id] = true
+	if skip == nil {
+		skip = map[int]bool{}
 	}
 	bottom := tree.Clusters[tree.Bottom()]
 	maxSize := 0
@@ -503,188 +486,51 @@ func applyModelAttack(cfg Config, updates []tensor.Vector, start tensor.Vector, 
 	}
 }
 
-// applyQuorum deterministically subsamples a cluster's available models down
-// to ceil(φ*size), simulating a leader that stops waiting once the quorum is
-// reached (Algorithm 4's φ_ℓ × C_ℓ,i condition).
-func applyQuorum(cfg Config, roundRNG *rng.RNG, lvl, ci int, vecs []tensor.Vector, ids []int) ([]tensor.Vector, []int) {
-	if cfg.Quorum == 0 || cfg.Quorum >= 1 || len(vecs) <= 1 {
-		return vecs, ids
+// ClusterInput is cluster c's step input in the round protocol (Algorithms
+// 3-4): members score a CBA's proposals on their own training shards, and
+// the instance draws from roundRNG's "cba-<level>-<index>" stream. RunHFL
+// and the distributed node engine build their inputs here, which is what
+// keeps the two bit-identical.
+func (c *Config) ClusterInput(roundRNG *rng.RNG, cl *topology.Cluster, round int, vecs []tensor.Vector, ids []int, dst tensor.Vector) step.Input {
+	in := step.Input{Level: cl.Level, Cluster: cl.Index, Round: round, Vecs: vecs, IDs: ids, Dst: dst}
+	if c.RuleAt(cl.Level).IsCBA() {
+		in.Rand = roundRNG.Derive(fmt.Sprintf("cba-%d-%d", cl.Level, cl.Index))
+		in.Workers, in.Local, in.Byzantine = c.Workers, c.ClientData, c.protocolByzantine()
 	}
-	need := int(math.Ceil(cfg.Quorum * float64(len(vecs))))
-	if need < 1 {
-		need = 1
-	}
-	if need >= len(vecs) {
-		return vecs, ids
-	}
-	r := roundRNG.Derive(fmt.Sprintf("quorum-%d-%d", lvl, ci))
-	pick := r.Choice(len(vecs), need)
-	outV := make([]tensor.Vector, need)
-	outI := make([]int, need)
-	for k, i := range pick {
-		outV[k] = vecs[i]
-		outI[k] = ids[i]
-	}
-	return outV, outI
+	return in
 }
 
-// ruleForLevel returns the aggregation rule for intermediate level lvl.
-func ruleForLevel(cfg Config, lvl int) LevelRule {
-	if rule, ok := cfg.PartialByLevel[lvl]; ok {
-		return rule
+// TopInput is the top cluster's step input (Algorithm 6): ids are the
+// contributing level-1 leaders, members score on the top nodes' private
+// validation shards (the paper's Appendix D-B voting input; Validate rejects
+// a CBA top without shards), and the instance draws from roundRNG's
+// "cba-top" stream. ballots, when non-nil, injects wire-collected member
+// ballots (the node engine's ABA exchange).
+func (c *Config) TopInput(roundRNG *rng.RNG, round int, vecs []tensor.Vector, ids []int, dst tensor.Vector, ballots *consensus.BallotSet) step.Input {
+	in := step.Input{Round: round, Vecs: vecs, IDs: ids, Dst: dst}
+	if c.Global.IsCBA() {
+		in.Rand = roundRNG.Derive("cba-top")
+		in.Workers, in.Shards, in.Byzantine, in.Ballots = c.Workers, c.ValidationShards, c.protocolByzantine(), ballots
 	}
-	return cfg.Partial
+	return in
 }
 
-// aggregateCluster forms one cluster's partial model with the configured
-// intermediate rule and returns its communication cost: members upload to
-// the leader and the leader broadcasts the result back (BRA), or all members
-// exchange proposals (CBA). BRA writes into the caller-owned dst buffer using
-// scratch; CBA protocols return their own fresh vector.
-func aggregateCluster(cfg Config, roundRNG *rng.RNG, c *topology.Cluster, vecs []tensor.Vector, ids []int, pool *nn.EvalPool, dst tensor.Vector, scratch *aggregate.Scratch, fe *filterEmitter, round int) (tensor.Vector, CommStats, error) {
-	var comm CommStats
-	n := len(vecs)
-	if n == 0 {
-		return nil, comm, fmt.Errorf("cluster (%d,%d) received no models", c.Level, c.Index)
-	}
-	rule := ruleForLevel(cfg, c.Level)
-	if !rule.IsCBA() {
-		if err := rule.BRA.AggregateInto(dst, scratch, vecs); err != nil {
-			return nil, comm, err
-		}
-		fe.emitAudit(c.Level, c.Index, round, ids)
-		// Uploads to leader (leader's own model is local) + result broadcast
-		// to members for storage.
-		comm.ModelTransfers += (n - 1) + (c.Size() - 1)
-		return dst, comm, nil
-	}
-	ctx := &consensus.Context{
-		Members:   n,
-		Byzantine: protocolByzantine(cfg, ids),
-		Validator: localValidator(cfg, ids, pool),
-		Rand:      roundRNG.Derive(fmt.Sprintf("cba-%d-%d", c.Level, c.Index)),
-		Workers:   cfg.Workers,
-		Round:     round,
-	}
-	agg, st, err := rule.CBA.Agree(ctx, vecs)
-	if err != nil {
-		return nil, comm, err
-	}
-	fe.emitConsensus(c.Level, c.Index, round, ids, rule.Name(), st)
-	comm.ModelTransfers += st.ModelTransfers
-	comm.ScalarMessages += st.Messages - st.ModelTransfers
-	return agg, comm, nil
-}
-
-// aggregateTop forms the global model (Algorithm 6). BRA writes into the
-// caller-owned dst buffer (double-buffered by the round loop so the previous
-// global model stays intact while the new one forms); CBA protocols return
-// their own fresh vector. ballots, when non-nil, injects wire-collected
-// member ballots into the consensus context (the node engine's ABA
-// exchange); the single-process engine always passes nil and computes them
-// locally.
-func aggregateTop(cfg Config, tree *topology.Tree, roundRNG *rng.RNG, partials []tensor.Vector, pool *nn.EvalPool, dst tensor.Vector, scratch *aggregate.Scratch, fe *filterEmitter, round int, ballots *consensus.BallotSet) (tensor.Vector, CommStats, int, error) {
-	var comm CommStats
-	vecs := make([]tensor.Vector, 0, len(partials))
-	var ids []int
-	for i, p := range partials {
-		if p != nil {
-			vecs = append(vecs, p)
-			if fe != nil {
-				// Top-level contributors are the level-1 cluster leaders (or
-				// the devices themselves in a degenerate single-level tree).
-				if tree.Bottom() == 0 {
-					ids = append(ids, i)
-				} else {
-					ids = append(ids, tree.Clusters[1][i].Leader)
-				}
-			}
-		}
-	}
-	if len(vecs) == 0 {
-		return nil, comm, 0, fmt.Errorf("top level received no partial models")
-	}
-	if !cfg.Global.IsCBA() {
-		if err := cfg.Global.BRA.AggregateInto(dst, scratch, vecs); err != nil {
-			return nil, comm, 0, err
-		}
-		fe.emitAudit(0, 0, round, ids)
-		n := len(vecs)
-		comm.ModelTransfers += (n - 1) + (n - 1) // uploads to A_{0,0} + broadcast
-		return dst, comm, 0, nil
-	}
-	top := tree.Top()
-	ctx := &consensus.Context{
-		Members:   len(vecs),
-		Byzantine: protocolByzantine(cfg, top.Members[:min(len(vecs), top.Size())]),
-		Validator: shardValidator(cfg, pool),
-		Rand:      roundRNG.Derive("cba-top"),
-		Workers:   cfg.Workers,
-		Round:     round,
-		Ballots:   ballots,
-	}
-	agg, st, err := cfg.Global.CBA.Agree(ctx, vecs)
-	if err != nil {
-		return nil, comm, 0, err
-	}
-	fe.emitConsensus(0, 0, round, ids, cfg.Global.Name(), st)
-	comm.ModelTransfers += st.ModelTransfers
-	comm.ScalarMessages += st.Messages - st.ModelTransfers
-	return agg, comm, len(st.Excluded), nil
-}
-
-// protocolByzantine maps device-level Byzantine flags onto protocol member
-// indices. Data poisoners follow the consensus protocol honestly (the
-// paper's Table V note); only model attackers deviate inside protocols.
-func protocolByzantine(cfg Config, ids []int) map[int]bool {
-	if cfg.ModelAttack == nil || cfg.Byzantine == nil {
+// protocolByzantine returns the devices that deviate inside consensus
+// protocols: model attackers only. Data poisoners follow the protocol
+// honestly (the paper's Table V note).
+func (c *Config) protocolByzantine() map[int]bool {
+	if c.ModelAttack == nil {
 		return nil
 	}
-	out := make(map[int]bool)
-	for i, id := range ids {
-		if cfg.Byzantine[id] {
-			out[i] = true
-		}
-	}
-	return out
+	return c.Byzantine
 }
 
-// localValidator scores a proposal by its accuracy on the member device's
-// own training shard — the only data an intermediate node holds. Scoring
-// runs on pooled evaluation models so the n×n scorings of a voting round
-// neither allocate nor contend, and the validator is safe for the consensus
-// layer's parallel fan-out.
-func localValidator(cfg Config, ids []int, pool *nn.EvalPool) consensus.Validator {
-	return func(member int, model tensor.Vector) float64 {
-		s := pool.Get()
-		defer pool.Put(s)
-		s.Model.SetParams(model)
-		return nn.AccuracyWS(s.Model, s.WS, cfg.ClientData[ids[member]])
+// StepComm is one cluster step's communication in the round protocol: a
+// CBA's own exchange, or for a BRA the n-1 uploads to the leader (its own
+// model is local) plus the result's broadcast to the size-1 other members.
+func StepComm(rule LevelRule, comm step.Comm, n, size int) CommStats {
+	if !rule.IsCBA() {
+		return CommStats{ModelTransfers: (n - 1) + (size - 1)}
 	}
-}
-
-// shardValidator scores a proposal by its accuracy on a top node's private
-// validation shard (the paper's Appendix D-B voting input). Config.Validate
-// rejects CBA configurations without shards before a run starts.
-func shardValidator(cfg Config, pool *nn.EvalPool) consensus.Validator {
-	return func(member int, model tensor.Vector) float64 {
-		shard := cfg.ValidationShards[member%len(cfg.ValidationShards)]
-		s := pool.Get()
-		defer pool.Put(s)
-		s.Model.SetParams(model)
-		return nn.AccuracyWS(s.Model, s.WS, shard)
-	}
-}
-
-// disseminationCost counts the model transfers of Algorithm 5: every cluster
-// leader broadcasts the model to its cluster members (members-1 transfers
-// per cluster, every level).
-func disseminationCost(tree *topology.Tree) CommStats {
-	var comm CommStats
-	for _, level := range tree.Clusters {
-		for _, c := range level {
-			comm.ModelTransfers += c.Size() - 1
-		}
-	}
-	return comm
+	return CommStats{ModelTransfers: comm.ModelTransfers, ScalarMessages: comm.ScalarMessages}
 }

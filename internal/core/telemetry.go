@@ -4,9 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"abdhfl/internal/aggregate"
 	"abdhfl/internal/codec"
-	"abdhfl/internal/consensus"
+	"abdhfl/internal/step"
 	"abdhfl/internal/telemetry"
 )
 
@@ -20,7 +19,9 @@ const (
 
 var phaseNames = [numPhases]string{"train", "aggregate", "eval"}
 
-// instruments bundles one engine run's telemetry handles, resolved once at
+// instruments bundles what the round engines measure beyond the cluster
+// step (whose filter and consensus metrics step.Observer owns): round and
+// phase timings, accuracy, communication. Handles are resolved once at
 // startup so the per-event cost is a single atomic operation. A nil
 // *instruments (no registry configured) disables every recording; all
 // methods are nil-receiver-safe.
@@ -32,19 +33,13 @@ type instruments struct {
 	loss      *telemetry.Gauge
 	transfers *telemetry.Counter
 	scalars   *telemetry.Counter
-	excluded  *telemetry.Counter
-	votes     *telemetry.Histogram
 	wireBytes *telemetry.Counter
-	ratio     *telemetry.Gauge
-	// kept/clipped/trimmed are indexed by tree level (0 = top).
-	kept    []*telemetry.Counter
-	clipped []*telemetry.Counter
-	trimmed []*telemetry.Counter
 }
 
 // newInstruments registers the engine's metric families under the given
-// engine label, with per-level filter counters for levels [0, levels).
-func newInstruments(reg *telemetry.Registry, engine string, levels int) *instruments {
+// engine label and publishes the codec's compression ratio at the run's
+// model dimension (the gauge stays zero without a codec).
+func newInstruments(reg *telemetry.Registry, engine string, c codec.Codec, dim int) *instruments {
 	if reg == nil {
 		return nil
 	}
@@ -58,20 +53,12 @@ func newInstruments(reg *telemetry.Registry, engine string, levels int) *instrum
 		loss:      reg.Gauge(label("abdhfl_loss")),
 		transfers: reg.Counter(label("abdhfl_comm_model_transfers_total")),
 		scalars:   reg.Counter(label("abdhfl_comm_scalar_messages_total")),
-		excluded:  reg.Counter(label("abdhfl_consensus_excluded_total")),
-		votes:     reg.Histogram(label("abdhfl_consensus_votes"), telemetry.LinearBuckets(0, 1, 17)),
 		wireBytes: reg.Counter(label("abdhfl_codec_wire_bytes_total")),
-		ratio:     reg.Gauge(label("abdhfl_codec_compression_ratio")),
 	}
+	reg.Gauge(label("abdhfl_codec_compression_ratio")).Set(step.CompressionRatio(c, dim))
 	for p := 0; p < numPhases; p++ {
 		ins.phases[p] = reg.Histogram(
 			fmt.Sprintf(`abdhfl_phase_seconds{engine=%q,phase=%q}`, engine, phaseNames[p]), nil)
-	}
-	for lvl := 0; lvl < levels; lvl++ {
-		suffix := fmt.Sprintf(`{engine=%q,level="%d"}`, engine, lvl)
-		ins.kept = append(ins.kept, reg.Counter("abdhfl_filter_kept_total"+suffix))
-		ins.clipped = append(ins.clipped, reg.Counter("abdhfl_filter_clipped_total"+suffix))
-		ins.trimmed = append(ins.trimmed, reg.Counter("abdhfl_filter_discarded_total"+suffix))
 	}
 	return ins
 }
@@ -97,148 +84,9 @@ func (ins *instruments) roundDone(d time.Duration, delta CommStats) {
 	ins.wireBytes.Add(delta.WireBytes)
 }
 
-// codecInfo publishes the configured codec's compression ratio (raw float64
-// bytes over wire bytes at the run's model dimension); a nil codec leaves
-// the gauge at zero.
-func (ins *instruments) codecInfo(c codec.Codec, dim int) {
-	if ins == nil || c == nil || dim == 0 {
-		return
-	}
-	ins.ratio.Set(float64(8*dim) / float64(c.WireBytes(dim)))
-}
-
 func (ins *instruments) evalDone(acc, loss float64) {
 	if ins != nil {
 		ins.accuracy.Set(acc)
 		ins.loss.Set(loss)
 	}
-}
-
-// filterCounts feeds one aggregation's verdict tallies into the per-level
-// counters (levels beyond the registered range are dropped, which cannot
-// happen for tree-derived levels).
-func (ins *instruments) filterCounts(level, kept, clipped, trimmed int) {
-	if ins == nil || level >= len(ins.kept) {
-		return
-	}
-	ins.kept[level].Add(int64(kept))
-	ins.clipped[level].Add(int64(clipped))
-	ins.trimmed[level].Add(int64(trimmed))
-}
-
-// consensusStats feeds a CBA step's exclusion count and vote tallies.
-func (ins *instruments) consensusStats(st consensus.Stats) {
-	if ins == nil {
-		return
-	}
-	ins.excluded.Add(int64(len(st.Excluded)))
-	for _, v := range st.Votes {
-		ins.votes.Observe(float64(v))
-	}
-}
-
-// filterEmitter turns aggregate.FilterAudit reports and consensus stats
-// into per-level counters and FilterDecision callbacks. It owns the
-// FilterAudit attached to the run's Scratch and the id slices handed to the
-// callback, all reused across emissions — so emitting allocates nothing in
-// the steady state. A nil *filterEmitter (telemetry and OnFilter both
-// unset) disables auditing entirely: the Scratch keeps a nil Audit and the
-// rules skip recording.
-type filterEmitter struct {
-	ins      *instruments
-	onFilter func(telemetry.FilterDecision)
-	engine   string
-	audit    aggregate.FilterAudit
-	kept     []int
-	clipped  []int
-	disc     []int
-}
-
-func newFilterEmitter(ins *instruments, onFilter func(telemetry.FilterDecision), engine string) *filterEmitter {
-	if ins == nil && onFilter == nil {
-		return nil
-	}
-	return &filterEmitter{ins: ins, onFilter: onFilter, engine: engine}
-}
-
-// attach points the scratch's audit slot at the emitter's report buffer,
-// turning on per-rule decision recording.
-func (f *filterEmitter) attach(s *aggregate.Scratch) {
-	if f != nil {
-		s.Audit = &f.audit
-	}
-}
-
-// publish pushes the current kept/clipped/discarded id sets to the counters
-// and the callback.
-func (f *filterEmitter) publish(level, cluster, round int, rule string) {
-	f.ins.filterCounts(level, len(f.kept), len(f.clipped), len(f.disc))
-	if f.onFilter != nil {
-		f.onFilter(telemetry.FilterDecision{
-			Engine:    f.engine,
-			Level:     level,
-			Cluster:   cluster,
-			Round:     round,
-			Rule:      rule,
-			Kept:      f.kept,
-			Clipped:   f.clipped,
-			Discarded: f.disc,
-		})
-	}
-}
-
-// emitAudit publishes the attached audit's verdict for the aggregation that
-// just ran. ids[i] is update i's contributor id (device id at the bottom
-// level, child-cluster leader id above); nil ids means positions are ids.
-func (f *filterEmitter) emitAudit(level, cluster, round int, ids []int) {
-	if f == nil {
-		return
-	}
-	f.kept, f.clipped, f.disc = f.kept[:0], f.clipped[:0], f.disc[:0]
-	for i, d := range f.audit.Decisions {
-		id := i
-		if ids != nil {
-			id = ids[i]
-		}
-		switch d {
-		case aggregate.DecisionKept:
-			f.kept = append(f.kept, id)
-		case aggregate.DecisionClipped:
-			f.clipped = append(f.clipped, id)
-		default:
-			f.disc = append(f.disc, id)
-		}
-	}
-	f.publish(level, cluster, round, f.audit.Rule)
-}
-
-// emitConsensus publishes a CBA step's verdict: excluded proposals are
-// discarded contributors, the rest kept. st.Excluded is sorted by the
-// protocols, so a two-pointer sweep splits the membership.
-func (f *filterEmitter) emitConsensus(level, cluster, round int, ids []int, rule string, st consensus.Stats) {
-	if f == nil {
-		return
-	}
-	f.kept, f.clipped, f.disc = f.kept[:0], f.clipped[:0], f.disc[:0]
-	ei := 0
-	for i, id := range ids {
-		if ei < len(st.Excluded) && st.Excluded[ei] == i {
-			f.disc = append(f.disc, id)
-			ei++
-		} else {
-			f.kept = append(f.kept, id)
-		}
-	}
-	f.ins.consensusStats(st)
-	f.publish(level, cluster, round, rule)
-}
-
-// verdictCounts reports the last emitted verdict's tallies: contributions
-// that made it into the result (kept + clipped) and those filtered out.
-// Span emission reads these right after emitAudit/emitConsensus.
-func (f *filterEmitter) verdictCounts() (kept, filtered int) {
-	if f == nil {
-		return 0, 0
-	}
-	return len(f.kept) + len(f.clipped), len(f.disc)
 }

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"abdhfl/internal/codec"
-	"abdhfl/internal/trace"
-)
+import "abdhfl/internal/trace"
 
 // coreTracer emits causal spans for the logically-synchronous engines
 // (hfl, vanilla, gossip). These engines have no virtual clock, so spans sit
@@ -35,16 +32,6 @@ type coreTracer struct {
 	base   float64
 }
 
-// wireBytesOf is the per-transfer wire charge spans report: codec wire
-// bytes when a codec is set, the raw element count otherwise (matching the
-// engines' volume accounting).
-func wireBytesOf(c codec.Codec, dim int) int64 {
-	if c == nil {
-		return int64(dim)
-	}
-	return int64(c.WireBytes(dim))
-}
-
 func newCoreTracer(tr *trace.Tracer, bottom int, bytes int64) *coreTracer {
 	if tr == nil {
 		return nil
@@ -52,7 +39,7 @@ func newCoreTracer(tr *trace.Tracer, bottom int, bytes int64) *coreTracer {
 	return &coreTracer{tr: tr, bottom: bottom, bytes: bytes}
 }
 
-func (ct *coreTracer) beginRound(round int) {
+func (ct *coreTracer) beginRound() {
 	if ct != nil {
 		ct.base = ct.clock
 	}
@@ -67,40 +54,15 @@ func (ct *coreTracer) train(round, dev, cluster int) {
 	if ct.bottom >= 1 {
 		parent = trace.SpanID("aggregate", round, ct.bottom, cluster)
 	}
-	ct.tr.Record(trace.Span{
-		ID:      trace.SpanID("train", round, dev),
-		Parent:  parent,
-		Name:    "train",
-		Start:   ct.base,
-		End:     ct.base + 1,
-		Round:   round,
-		Level:   ct.bottom,
-		Cluster: cluster,
-		Device:  dev,
-		From:    -1,
-		To:      -1,
-	})
+	ct.tr.Record(trace.TrainSpan(round, dev, ct.bottom, cluster, parent, ct.base, ct.base+1))
 }
 
 // trainGossip emits a gossip device's train span, feeding its own
 // neighbourhood aggregation.
 func (ct *coreTracer) trainGossip(round, dev int) {
-	if ct == nil {
-		return
+	if ct != nil {
+		ct.tr.Record(trace.TrainSpan(round, dev, 0, dev, trace.SpanID("aggregate", round, 0, dev), ct.base, ct.base+1))
 	}
-	ct.tr.Record(trace.Span{
-		ID:      trace.SpanID("train", round, dev),
-		Parent:  trace.SpanID("aggregate", round, 0, dev),
-		Name:    "train",
-		Start:   ct.base,
-		End:     ct.base + 1,
-		Round:   round,
-		Level:   0,
-		Cluster: dev,
-		Device:  dev,
-		From:    -1,
-		To:      -1,
-	})
 }
 
 // aggregate emits the partial aggregation span of cluster ci at level lvl;
@@ -115,23 +77,7 @@ func (ct *coreTracer) aggregate(round, lvl, ci, parentCi int, rule string, kept,
 		parent = trace.SpanID("aggregate", round, lvl-1, parentCi)
 	}
 	start := ct.base + 1 + float64(ct.bottom-lvl)
-	ct.tr.Record(trace.Span{
-		ID:       trace.SpanID("aggregate", round, lvl, ci),
-		Parent:   parent,
-		Name:     "aggregate",
-		Start:    start,
-		End:      start + 1,
-		Round:    round,
-		Level:    lvl,
-		Cluster:  ci,
-		Device:   -1,
-		From:     -1,
-		To:       -1,
-		Rule:     rule,
-		Bytes:    ct.bytes,
-		Kept:     kept,
-		Filtered: filtered,
-	})
+	ct.tr.Record(trace.AggregateSpan(round, lvl, ci, parent, start, start+1, rule, ct.bytes, kept, filtered))
 }
 
 // gossipAggregate emits device dev's neighbourhood aggregation span (gossip
@@ -140,23 +86,9 @@ func (ct *coreTracer) gossipAggregate(round, dev int, rule string, kept, filtere
 	if ct == nil {
 		return
 	}
-	ct.tr.Record(trace.Span{
-		ID:       trace.SpanID("aggregate", round, 0, dev),
-		Parent:   trace.SpanID("round", round),
-		Name:     "aggregate",
-		Start:    ct.base + 1,
-		End:      ct.base + 2,
-		Round:    round,
-		Level:    0,
-		Cluster:  dev,
-		Device:   dev,
-		From:     -1,
-		To:       -1,
-		Rule:     rule,
-		Bytes:    ct.bytes,
-		Kept:     kept,
-		Filtered: filtered,
-	})
+	s := trace.AggregateSpan(round, 0, dev, trace.SpanID("round", round), ct.base+1, ct.base+2, rule, ct.bytes, kept, filtered)
+	s.Device = dev
+	ct.tr.Record(s)
 }
 
 // global emits the round's global-formation span.
@@ -165,23 +97,7 @@ func (ct *coreTracer) global(round int, rule string, kept, filtered int) {
 		return
 	}
 	start := ct.base + 1 + float64(ct.bottom)
-	ct.tr.Record(trace.Span{
-		ID:       trace.SpanID("global", round),
-		Parent:   trace.SpanID("round", round),
-		Name:     "global",
-		Start:    start,
-		End:      start + 1,
-		Round:    round,
-		Level:    0,
-		Cluster:  0,
-		Device:   -1,
-		From:     -1,
-		To:       -1,
-		Rule:     rule,
-		Bytes:    ct.bytes,
-		Kept:     kept,
-		Filtered: filtered,
-	})
+	ct.tr.Record(trace.GlobalSpan(round, start, start+1, rule, ct.bytes, kept, filtered))
 }
 
 // eval emits the round's evaluation phase span (only on evaluated rounds).
@@ -190,19 +106,7 @@ func (ct *coreTracer) eval(round int) {
 		return
 	}
 	start := ct.base + 2 + float64(ct.bottom)
-	ct.tr.Record(trace.Span{
-		ID:      trace.SpanID("phase-eval", round),
-		Parent:  trace.SpanID("round", round),
-		Name:    "phase-eval",
-		Start:   start,
-		End:     start + 1,
-		Round:   round,
-		Level:   -1,
-		Cluster: -1,
-		Device:  -1,
-		From:    -1,
-		To:      -1,
-	})
+	ct.tr.Record(trace.PhaseSpan("phase-eval", round, start, start+1))
 }
 
 // endRound emits the round's phase envelopes and the round span, then
@@ -212,43 +116,8 @@ func (ct *coreTracer) endRound(round int) {
 		return
 	}
 	end := ct.base + 3 + float64(ct.bottom)
-	ct.tr.Record(trace.Span{
-		ID:      trace.SpanID("phase-train", round),
-		Parent:  trace.SpanID("round", round),
-		Name:    "phase-train",
-		Start:   ct.base,
-		End:     ct.base + 1,
-		Round:   round,
-		Level:   -1,
-		Cluster: -1,
-		Device:  -1,
-		From:    -1,
-		To:      -1,
-	})
-	ct.tr.Record(trace.Span{
-		ID:      trace.SpanID("phase-aggregate", round),
-		Parent:  trace.SpanID("round", round),
-		Name:    "phase-aggregate",
-		Start:   ct.base + 1,
-		End:     ct.base + 2 + float64(ct.bottom),
-		Round:   round,
-		Level:   -1,
-		Cluster: -1,
-		Device:  -1,
-		From:    -1,
-		To:      -1,
-	})
-	ct.tr.Record(trace.Span{
-		ID:      trace.SpanID("round", round),
-		Name:    "round",
-		Start:   ct.base,
-		End:     end,
-		Round:   round,
-		Level:   -1,
-		Cluster: -1,
-		Device:  -1,
-		From:    -1,
-		To:      -1,
-	})
+	ct.tr.Record(trace.PhaseSpan("phase-train", round, ct.base, ct.base+1))
+	ct.tr.Record(trace.PhaseSpan("phase-aggregate", round, ct.base+1, ct.base+2+float64(ct.bottom)))
+	ct.tr.Record(trace.RoundSpan(round, ct.base, end))
 	ct.clock = end
 }

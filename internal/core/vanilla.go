@@ -13,6 +13,7 @@ import (
 	"abdhfl/internal/dataset"
 	"abdhfl/internal/nn"
 	"abdhfl/internal/rng"
+	"abdhfl/internal/step"
 	"abdhfl/internal/telemetry"
 	"abdhfl/internal/tensor"
 	"abdhfl/internal/trace"
@@ -80,23 +81,13 @@ func (c *VanillaConfig) Validate() error {
 	return nil
 }
 
-func (c *VanillaConfig) modelSizes() []int {
-	hidden := c.Hidden
-	if len(hidden) == 0 {
-		hidden = []int{32}
-	}
-	sizes := []int{dataset.Dim}
-	sizes = append(sizes, hidden...)
-	return append(sizes, dataset.NumClasses)
-}
-
 // RunVanilla executes the star-topology baseline.
 func RunVanilla(cfg VanillaConfig) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	root := rng.New(cfg.Seed)
-	sizes := cfg.modelSizes()
+	sizes := step.ModelSizes(cfg.Hidden)
 	globalParams := nn.New(root.Derive("init"), sizes...).Params()
 	evalModel := nn.NewShaped(sizes...)
 
@@ -110,32 +101,27 @@ func RunVanilla(cfg VanillaConfig) (*Result, error) {
 		evalEvery = 1
 	}
 	hcfg := Config{ClientData: cfg.ClientData, Local: cfg.Local, Byzantine: cfg.Byzantine, ModelAttack: cfg.ModelAttack}
-	var evalPool *nn.EvalPool
+	rule := step.Rule{BRA: cfg.Aggregator}
 	if cfg.TopCBA != nil {
-		evalPool = nn.NewEvalPool(sizes...)
+		rule = step.Rule{CBA: cfg.TopCBA}
 	}
 
 	res := &Result{}
 	updates := make([]tensor.Vector, clients)
 	trainer := newLocalTrainer(sizes, workers, clients)
-	// Aggregation memory persists across rounds: the scratch keeps the rule's
+	// Aggregation memory persists across rounds: the stepper keeps the rule's
 	// internal buffers warm, and the double-buffered destination lets round r
 	// write while round r-1's result is still the read-only training start.
-	aggScratch := aggregate.NewScratch(workers)
+	dim := len(globalParams)
+	obs := step.NewObserver(cfg.Telemetry, "vanilla", 1, cfg.OnFilter, cfg.Trace)
+	st := step.NewStepper(obs, workers, sizes, false)
 	codecScratch := codec.NewScratch()
-	ins := newInstruments(cfg.Telemetry, "vanilla", 1)
-	ins.codecInfo(cfg.Codec, len(globalParams))
-	fe := newFilterEmitter(ins, cfg.OnFilter, "vanilla")
-	fe.attach(aggScratch)
-	ct := newCoreTracer(cfg.Trace, 0, wireBytesOf(cfg.Codec, len(globalParams)))
-	if ct != nil && fe == nil {
-		fe = &filterEmitter{engine: "vanilla"}
-		fe.attach(aggScratch)
-	}
+	ins := newInstruments(cfg.Telemetry, "vanilla", cfg.Codec, dim)
+	ct := newCoreTracer(cfg.Trace, 0, step.WireBytes(cfg.Codec, dim))
 	var globalBufs [2]tensor.Vector
 	for round := 0; round < cfg.Rounds; round++ {
 		roundRNG := root.Derive(fmt.Sprintf("round-%d", round))
-		ct.beginRound(round)
+		ct.beginRound()
 		var tRound, tPhase time.Time
 		if ins.enabled() {
 			tRound = time.Now()
@@ -170,14 +156,15 @@ func RunVanilla(cfg VanillaConfig) (*Result, error) {
 			tPhase = time.Now()
 		}
 		if globalBufs[round%2] == nil {
-			globalBufs[round%2] = tensor.NewVector(len(globalParams))
+			globalBufs[round%2] = tensor.NewVector(dim)
 		}
-		agg := globalBufs[round%2]
 		inputs := updates
 		var ids []int
 		if cfg.Cohort > 0 && cfg.Cohort < clients {
 			// Aggregate only the cohort's updates, reporting the sampled
-			// client ids to the filter audit.
+			// client ids to the filter audit. Without cohort sampling there
+			// is no churn in the star baseline, so update positions are
+			// client ids and ids stays nil.
 			vecs := make([]tensor.Vector, 0, cfg.Cohort)
 			ids = make([]int, 0, cfg.Cohort)
 			for id, u := range updates {
@@ -188,50 +175,27 @@ func RunVanilla(cfg VanillaConfig) (*Result, error) {
 			}
 			inputs = vecs
 		}
-		var roundComm CommStats
+		in := step.Input{Round: round, Vecs: inputs, IDs: ids, Dst: globalBufs[round%2]}
 		if cfg.TopCBA != nil {
 			// Consensus at the server: contributing clients are the members,
 			// each scoring every update on its own shard.
-			if ids == nil {
-				ids = make([]int, len(inputs))
-				for i := range ids {
-					ids[i] = i
-				}
-			}
-			ctx := &consensus.Context{
-				Members:   len(inputs),
-				Byzantine: protocolByzantine(hcfg, ids),
-				Validator: localValidator(hcfg, ids, evalPool),
-				Rand:      roundRNG.Derive("cba-top"),
-				Workers:   workers,
-				Round:     round,
-			}
-			out, st, err := cfg.TopCBA.Agree(ctx, inputs)
-			if err != nil {
-				return nil, fmt.Errorf("core: vanilla round %d: %w", round, err)
-			}
-			copy(agg, out)
-			fe.emitConsensus(0, 0, round, ids, cfg.TopCBA.Name(), st)
-			if ct != nil {
-				kept, filtered := fe.verdictCounts()
-				ct.global(round, cfg.TopCBA.Name(), kept, filtered)
-			}
-			roundComm.ModelTransfers = st.ModelTransfers + len(inputs)
-			roundComm.ScalarMessages = st.Messages - st.ModelTransfers
-		} else {
-			if err := cfg.Aggregator.AggregateInto(agg, aggScratch, inputs); err != nil {
-				return nil, fmt.Errorf("core: vanilla round %d: %w", round, err)
-			}
-			// Without cohort sampling there is no churn in the star baseline,
-			// so update positions are client ids and ids stays nil.
-			fe.emitAudit(0, 0, round, ids)
-			if ct != nil {
-				kept, filtered := fe.verdictCounts()
-				ct.global(round, cfg.Aggregator.Name(), kept, filtered)
-			}
-			// Star topology: every participant uploads, the server broadcasts
-			// back.
-			roundComm.ModelTransfers = 2 * len(inputs)
+			in.Rand = roundRNG.Derive("cba-top")
+			in.Workers, in.Local, in.Byzantine, in.Name = workers, cfg.ClientData, hcfg.protocolByzantine(), rule.Bare()
+		}
+		agg, v, comm, err := st.Aggregate(rule, in)
+		if err != nil {
+			return nil, fmt.Errorf("core: vanilla round %d: %w", round, err)
+		}
+		if ct != nil {
+			kept, filtered := v.Counts()
+			ct.global(round, rule.Bare(), kept, filtered)
+		}
+		// Star topology: every participant uploads and the server broadcasts
+		// back; a consensus at the server exchanges the models among the
+		// members instead of broadcasting.
+		roundComm := CommStats{ModelTransfers: 2 * len(inputs)}
+		if cfg.TopCBA != nil {
+			roundComm = CommStats{ModelTransfers: comm.ModelTransfers + len(inputs), ScalarMessages: comm.ScalarMessages}
 		}
 		// Server→client downlink: the broadcast global crosses one codec hop
 		// (the previous global, still intact in the other buffer, is the

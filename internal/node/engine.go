@@ -8,6 +8,7 @@ import (
 	"abdhfl/internal/core"
 	"abdhfl/internal/nn"
 	"abdhfl/internal/rng"
+	"abdhfl/internal/step"
 	"abdhfl/internal/tensor"
 	"abdhfl/internal/transport"
 )
@@ -44,7 +45,7 @@ func (e *Engine) Run() (*Result, error) {
 // runRound executes one global round for this node's roles.
 func (e *Engine) runRound(seedRNG *rng.RNG, round int) error {
 	roundRNG := seedRNG.Derive(fmt.Sprintf("round-%d", round))
-	skip := core.DrawRoundSkip(e.ccfg, roundRNG)
+	skip := core.DrawRoundSkip(e.ccfg, roundRNG, e.tree)
 	clear(e.produces)
 	e.scratchUsed = 0
 
@@ -161,7 +162,7 @@ func (e *Engine) leadCluster(roundRNG *rng.RNG, round, lvl, ci int, skip map[int
 				continue
 			}
 		} else {
-			cci := core.ChildClusterIndex(e.tree, c, mi)
+			cci := e.tree.ChildIndex(c, mi)
 			if !e.clusterProduces(lvl+1, cci, round, skip) {
 				continue
 			}
@@ -227,16 +228,13 @@ func (e *Engine) leadCluster(roundRNG *rng.RNG, round, lvl, ci int, skip map[int
 		return nil
 	}
 
-	vecs, ids = core.ApplyQuorum(e.ccfg, roundRNG, lvl, ci, vecs, ids)
-	agg, verdict, err := e.wa.AggregateCluster(roundRNG, c, vecs, ids, e.roundVec(), round)
+	vecs, ids = step.ApplyQuorum(e.ccfg.Quorum, roundRNG, lvl, ci, vecs, ids)
+	rule := e.ccfg.RuleAt(lvl)
+	agg, v, comm, err := e.st.Aggregate(rule, e.ccfg.ClusterInput(roundRNG, c, round, vecs, ids, e.roundVec()))
 	if err != nil {
 		return fmt.Errorf("node %d: round %d cluster (%d,%d): %w", e.id, round, lvl, ci, err)
 	}
-	audits = append(audits, WireAudit{
-		Level: lvl, Cluster: ci, Round: round,
-		Rule: verdict.Rule, Kept: verdict.Kept, Clipped: verdict.Clipped, Discarded: verdict.Discarded,
-		Transfers: verdict.Comm.ModelTransfers, Scalars: verdict.Comm.ScalarMessages,
-	})
+	audits = append(audits, wireAudit(lvl, ci, round, &v, core.StepComm(rule, comm, len(vecs), c.Size())))
 
 	// Route the partial: level-1 clusters feed the root; deeper ones feed
 	// the parent cluster's leader, locally when that leader is this same
@@ -282,9 +280,12 @@ func (e *Engine) rootRound(roundRNG *rng.RNG, round int, skip map[int]bool) erro
 		return err
 	}
 
-	partials := make([]tensor.Vector, len(level1))
+	// The contributors, in level-1 cluster order: the partials that arrived
+	// and the leaders that sent them (the top cluster's members).
+	vecs := make([]tensor.Vector, 0, len(level1))
+	leaders := make([]int, 0, len(level1))
 	var audits []WireAudit
-	for ci, c := range level1 {
+	for _, c := range level1 {
 		raw, ok := got[transport.NodeID(c.Leader)]
 		if !ok {
 			continue
@@ -297,41 +298,40 @@ func (e *Engine) rootRound(roundRNG *rng.RNG, round int, skip map[int]bool) erro
 		if err := e.decodeModel(v, mbytes); err != nil {
 			return fmt.Errorf("root: round %d model from %d: %w", round, c.Leader, err)
 		}
-		partials[ci] = v
+		vecs = append(vecs, v)
+		leaders = append(leaders, c.Leader)
 		audits = append(audits, sub...)
 	}
 
 	// --- ABA ballot exchange: when the global rule is the randomized
 	// consensus, the root ships each contributing leader the decoded
 	// proposal set and collects their validation ballots before agreeing.
+	// With every row present the result is bit-identical to computing the
+	// ballots here, because each remote ballot is the same bits
+	// (ShardBallot); missing rows consume the protocol's fault budget.
 	var ballots *consensus.BallotSet
-	if core.GlobalNeedsBallots(e.ccfg) && e.tree.Bottom() > 0 {
-		if ballots, err = e.exchangeBallots(round, partials); err != nil {
+	if e.ccfg.Global.NeedsBallots() && len(vecs) > 0 {
+		if ballots, err = e.exchangeBallots(round, vecs, leaders); err != nil {
 			return err
 		}
 	}
 
-	// --- Global aggregation (Algorithm 6).
-	agg, verdict, err := e.wa.AggregateTopBallots(roundRNG, partials, e.spare, round, ballots)
+	// --- Global aggregation (Algorithm 6), into the spare global buffer.
+	newGlobal, v, comm, err := e.st.Aggregate(e.ccfg.Global, e.ccfg.TopInput(roundRNG, round, vecs, leaders, e.spare, ballots))
 	if err != nil {
 		return fmt.Errorf("root: round %d: %w", round, err)
 	}
-	newGlobal := e.spare
-	copy(newGlobal, agg) // a BRA returns dst itself, a CBA its own vector
-	audits = append(audits, WireAudit{
-		Level: 0, Cluster: 0, Round: round,
-		Rule: verdict.Rule, Kept: verdict.Kept, Clipped: verdict.Clipped, Discarded: verdict.Discarded,
-		Transfers: verdict.Comm.ModelTransfers, Scalars: verdict.Comm.ScalarMessages,
-		Excluded: verdict.Excluded,
-	})
+	top := wireAudit(0, 0, round, &v, core.StepComm(e.ccfg.Global, comm, len(vecs), len(vecs)))
+	top.Excluded = v.Excluded
+	audits = append(audits, top)
 	sortAudits(audits)
 	for _, a := range audits {
 		e.res.Comm.ModelTransfers += a.Transfers
 		e.res.Comm.ScalarMessages += a.Scalars
 	}
-	e.res.ExcludedByConsensus += verdict.Excluded
+	e.res.ExcludedByConsensus += v.Excluded
 	e.res.Audit = append(e.res.Audit, audits...)
-	e.res.Comm.Add(core.DisseminationCost(e.tree))
+	e.res.Comm.ModelTransfers += e.tree.DisseminationTransfers()
 
 	// --- Dissemination: encode against the previous global (the reference
 	// every receiver still holds), apply the same lossy hop to the root's
@@ -380,18 +380,7 @@ func (e *Engine) rootRound(roundRNG *rng.RNG, round int, skip map[int]bool) erro
 // — a dropped proposal or ballot under the fault plan — come back as nil
 // rows: silent consensus members the randomized protocol absorbs within
 // its fault budget (and recomputes locally beyond it).
-func (e *Engine) exchangeBallots(round int, partials []tensor.Vector) (*consensus.BallotSet, error) {
-	vecs := make([]tensor.Vector, 0, len(partials))
-	var leaders []int
-	for ci, p := range partials {
-		if p != nil {
-			vecs = append(vecs, p)
-			leaders = append(leaders, e.tree.Clusters[1][ci].Leader)
-		}
-	}
-	if len(vecs) == 0 {
-		return nil, nil
-	}
+func (e *Engine) exchangeBallots(round int, vecs []tensor.Vector, leaders []int) (*consensus.BallotSet, error) {
 	expect := make(map[transport.NodeID]bool, len(leaders))
 	for m, ld := range leaders {
 		if err := e.send(KindProposal, ld, round, encodeProposals(m, vecs)); err != nil {
@@ -426,14 +415,14 @@ func (e *Engine) exchangeBallots(round int, partials []tensor.Vector) (*consensu
 // vectors the root holds, so the bits match a central computation) and
 // ships it back.
 func (e *Engine) answerProposal(f transport.Frame) error {
-	if e.wa == nil {
+	if e.st == nil {
 		return fmt.Errorf("node %d: round %d proposal sent to a non-leader", e.id, f.Round)
 	}
 	member, proposals, err := e.decodeProposals(f.Payload)
 	if err != nil {
 		return fmt.Errorf("node %d: round %d proposal: %w", e.id, f.Round, err)
 	}
-	bits := e.wa.ShardBallot(member, proposals)
+	bits := e.st.ShardBallot(e.ccfg.Global, e.ccfg.ValidationShards, member, proposals)
 	return e.send(KindBallot, int(RootID(e.tree)), int(f.Round), encodeBallot(member, bits))
 }
 

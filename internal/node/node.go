@@ -38,6 +38,7 @@ import (
 	"abdhfl/internal/core"
 	"abdhfl/internal/fault"
 	"abdhfl/internal/nn"
+	"abdhfl/internal/step"
 	"abdhfl/internal/tensor"
 	"abdhfl/internal/topology"
 	"abdhfl/internal/transport"
@@ -120,7 +121,11 @@ type Engine struct {
 	stall   time.Duration
 	gwait   time.Duration
 
-	wa  *core.WireAggregator
+	// st is the cluster step's working memory, present on the root and on
+	// every leader: the same step RunHFL runs, applied to the vectors this
+	// node collected off the wire. It always records verdicts — they ride up
+	// the tree as WireAudits whether or not anyone observes them locally.
+	st  *step.Stepper
 	led map[int][]int // level → indices of clusters this node leads
 
 	cdc codec.Codec
@@ -186,7 +191,7 @@ func New(cfg Config) (*Engine, error) {
 	gwait := cfg.GlobalWait
 	if gwait <= 0 {
 		gwait = time.Duration(tree.Depth()+2) * stall
-		if core.GlobalNeedsBallots(ccfg) {
+		if ccfg.Global.NeedsBallots() {
 			// The ballot exchange adds one request/response hop at the root
 			// before the global can form.
 			gwait += 2 * stall
@@ -207,7 +212,7 @@ func New(cfg Config) (*Engine, error) {
 		id:       cfg.ID,
 		devices:  devices,
 		isRoot:   int(cfg.ID) == devices,
-		sizes:    ccfg.ModelSizes(),
+		sizes:    step.ModelSizes(ccfg.Hidden),
 		workers:  workers,
 		evalEver: evalEvery,
 		stall:    stall,
@@ -232,7 +237,8 @@ func New(cfg Config) (*Engine, error) {
 		e.ws = nn.NewWorkspace(e.model)
 	}
 	if e.isRoot || len(e.led) > 0 {
-		e.wa = core.NewWireAggregator(&e.ccfg)
+		obs := step.NewObserver(ccfg.Telemetry, "node", len(tree.Clusters), ccfg.OnFilter, nil)
+		e.st = step.NewStepper(obs, max(ccfg.Workers, 1), e.sizes, true)
 	}
 	// One queue for all kinds: the engine is single-threaded, and the
 	// pending buffer re-sorts out-of-phase frames. Capacity covers a full
@@ -286,7 +292,7 @@ func (e *Engine) clusterProduces(lvl, ci, round int, skip map[int]bool) bool {
 		}
 	} else {
 		for mi := range c.Members {
-			if e.clusterProduces(lvl+1, core.ChildClusterIndex(e.tree, c, mi), round, skip) {
+			if e.clusterProduces(lvl+1, e.tree.ChildIndex(c, mi), round, skip) {
 				out = true
 				break
 			}

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"abdhfl/internal/core"
+	"abdhfl/internal/step"
 )
 
 // WireAudit is one aggregation step's filter verdict plus its step-local
@@ -24,6 +25,25 @@ type WireAudit struct {
 	Scalars   int `json:"scalars"`
 	// Excluded counts CBA-excluded proposals (top step only).
 	Excluded int `json:"excluded,omitempty"`
+}
+
+// wireAudit packs one step's verdict and communication for the wire. The
+// verdict's id lists are the stepper's reused buffers, so they are copied —
+// into one backing array — before the next step overwrites them.
+func wireAudit(lvl, ci, round int, v *step.Verdict, comm core.CommStats) WireAudit {
+	ids := make([]int, 0, len(v.Kept)+len(v.Clipped)+len(v.Discarded))
+	own := func(src []int) []int {
+		if len(src) == 0 {
+			return nil
+		}
+		ids = append(ids, src...)
+		return ids[len(ids)-len(src) : len(ids) : len(ids)]
+	}
+	return WireAudit{
+		Level: lvl, Cluster: ci, Round: round, Rule: v.Rule,
+		Kept: own(v.Kept), Clipped: own(v.Clipped), Discarded: own(v.Discarded),
+		Transfers: comm.ModelTransfers, Scalars: comm.ScalarMessages,
+	}
 }
 
 // sortAudits orders one round's audits exactly as RunHFL emits them:

@@ -270,16 +270,6 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-func (c *Config) modelSizes() []int {
-	hidden := c.Hidden
-	if len(hidden) == 0 {
-		hidden = []int{32}
-	}
-	sizes := []int{dataset.Dim}
-	sizes = append(sizes, hidden...)
-	return append(sizes, dataset.NumClasses)
-}
-
 // RoundTiming holds the paper's per-round pipeline quantities for one global
 // round, averaged over bottom clusters.
 type RoundTiming struct {
@@ -335,6 +325,11 @@ type Result struct {
 	Abandoned int
 	// Omitted counts uploads withheld by omission-Byzantine devices.
 	Omitted int
+	// StepError is the first error an aggregation or consensus step returned,
+	// nil when none did. The engine drops that cluster's round and carries
+	// on (upstream deadlines absorb it like any other silent cluster), so
+	// this — with abdhfl_step_errors_total — is where such a failure shows.
+	StepError error
 	// WireBytes is the total encoded bytes shipped across all links (every
 	// SendVolume charge, forwards included) when a Codec is configured; zero
 	// without one.

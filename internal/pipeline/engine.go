@@ -5,13 +5,12 @@ import (
 	"math"
 	"sort"
 
-	"abdhfl/internal/aggregate"
 	"abdhfl/internal/codec"
-	"abdhfl/internal/consensus"
 	"abdhfl/internal/fault"
 	"abdhfl/internal/nn"
 	"abdhfl/internal/rng"
 	"abdhfl/internal/simnet"
+	"abdhfl/internal/step"
 	"abdhfl/internal/tensor"
 	"abdhfl/internal/topology"
 	"abdhfl/internal/trace"
@@ -73,19 +72,19 @@ type engine struct {
 
 	result    *Result
 	evalModel *nn.Model
-	evalPool  *nn.EvalPool
 	workers   int
-	// aggScratch is shared by every cluster- and top-level aggregation: the
-	// simulation is single-threaded (discrete events run one at a time), so
-	// one warm scratch serves all actors without contention. Destination
-	// vectors stay fresh per aggregation because message envelopes retain
-	// them.
-	aggScratch *aggregate.Scratch
-	// ins/fe are the run's telemetry handles and filter-audit emitter; both
-	// are nil (and every call a no-op) when Config.Telemetry and OnFilter are
-	// unset. The single-threaded event loop lets one emitter serve all actors.
+	// st is shared by every cluster- and top-level step: the simulation is
+	// single-threaded (discrete events run one at a time), so one warm
+	// stepper serves all actors without contention. Destination vectors stay
+	// fresh per step because message envelopes retain them. A step that
+	// fails drops its cluster's round; obs counts it and keeps the first
+	// error for Result.StepError. partial and top are the two rules.
+	st           *step.Stepper
+	obs          *step.Observer
+	partial, top step.Rule
+	// ins holds the run's telemetry handles; nil (and every call a no-op)
+	// when Config.Telemetry is unset.
 	ins      *instruments
-	fe       *filterEmitter
 	quorumOf func(size int) int
 	alpha    AlphaPolicy
 	done     bool
@@ -311,7 +310,7 @@ type clusterActor struct {
 	// collectedIDs tracks, in lockstep with collected, each input's
 	// contributor id (device id at the bottom, child-cluster leader id
 	// above) so filter audits can name who was kept or discarded. Only
-	// maintained when the engine has a filter emitter.
+	// maintained when the stepper records verdicts.
 	collectedIDs map[int][]int
 	// seen deduplicates contributions per round: the fault layer can
 	// duplicate messages, and a duplicated upload must never count twice
@@ -446,7 +445,7 @@ func (a *clusterActor) receive(ctx *simnet.Context, round int, params tensor.Vec
 	}
 	first := len(a.collected[round]) == 0
 	a.collected[round] = append(a.collected[round], params)
-	if e.fe != nil {
+	if e.st.Records() {
 		a.collectedIDs[round] = append(a.collectedIDs[round], from)
 	}
 	if first && e.cfg.CollectTimeout > 0 && !e.faulty {
@@ -487,13 +486,15 @@ func (a *clusterActor) aggregateRound(ctx *simnet.Context, round int) {
 		if a.failed(round) {
 			return
 		}
-		agg := tensor.NewVector(len(vecs[0]))
-		if err := e.cfg.PartialBRA.AggregateInto(agg, e.aggScratch, vecs); err != nil {
+		agg, v, _, err := e.st.Aggregate(e.partial, step.Input{
+			Level: a.cluster.Level, Cluster: a.cluster.Index, Round: round,
+			Vecs: vecs, IDs: ids, Dst: tensor.NewVector(len(vecs[0])),
+		})
+		if err != nil {
 			// A malformed quorum at runtime: drop the round for this cluster.
 			return
 		}
-		e.traceAggregate(a.cluster.Level, a.cluster.Index, round, len(vecs), closeAt, ctx.Now(), e.cfg.PartialBRA.Name())
-		e.fe.emitAudit(a.cluster.Level, a.cluster.Index, round, ids)
+		e.traceAggregate(a.cluster.Level, a.cluster.Index, round, &v, closeAt, ctx.Now())
 		// One codec hop per formed partial: the upward send and the flag
 		// release below ship the same encoded bytes.
 		e.transcodeHop(agg, e.lastRef)
@@ -551,7 +552,7 @@ func (t *topActor) OnMessage(ctx *simnet.Context, msg simnet.Message) {
 	}
 	e.tracePartial(1, m.child, m.round, -1, 0, msg.SentAt, ctx.Now(), len(m.params))
 	t.collected[m.round] = append(t.collected[m.round], m.params)
-	if e.fe != nil {
+	if e.st.Records() {
 		t.collectedIDs[m.round] = append(t.collectedIDs[m.round], e.tree.Clusters[1][m.child].Leader)
 	}
 	t.armCollect(ctx, m.round, 0)
@@ -613,44 +614,22 @@ func (t *topActor) armCollect(ctx *simnet.Context, round, attempt int) {
 
 func (t *topActor) formGlobal(ctx *simnet.Context, round int, vecs []tensor.Vector, ids []int) {
 	e := t.e
-	var global tensor.Vector
-	var err error
-	kept, filtered := len(vecs), 0
-	rule := ""
-	proto := e.cfg.TopCBA
-	if proto == nil && e.cfg.TopVoting != nil {
-		proto = *e.cfg.TopVoting
-	}
-	if proto != nil {
-		cctx := &consensus.Context{
-			Members:   len(vecs),
-			Validator: e.shardValidator(),
-			Rand:      e.root.Derive(fmt.Sprintf("vote-%d", round)),
-			Workers:   e.workers,
-			Round:     round,
-		}
-		var st consensus.Stats
-		global, st, err = proto.Agree(cctx, vecs)
-		if err == nil {
-			rule = proto.Name()
-			kept, filtered = len(vecs)-len(st.Excluded), len(st.Excluded)
-			e.fe.emitConsensus(0, 0, round, ids, proto.Name(), st)
-		}
+	in := step.Input{Round: round, Vecs: vecs, IDs: ids}
+	if e.top.IsCBA() {
+		// The protocol's decision is a fresh vector, as the dissemination
+		// messages need.
+		in.Rand = e.root.Derive(fmt.Sprintf("vote-%d", round))
+		in.Workers, in.Shards, in.Name = e.workers, e.cfg.ValidationShards, e.top.Bare()
 	} else {
-		global = tensor.NewVector(len(vecs[0]))
-		err = e.cfg.TopBRA.AggregateInto(global, e.aggScratch, vecs)
-		if err == nil {
-			rule = e.cfg.TopBRA.Name()
-			kept, filtered = e.auditCounts(len(vecs))
-			e.fe.emitAudit(0, 0, round, ids)
-		}
+		in.Dst = tensor.NewVector(len(vecs[0]))
 	}
+	global, v, _, err := e.st.Aggregate(e.top, in)
 	if err != nil {
 		return
 	}
 	e.ins.globalFormed()
 	e.globalReady[round] = ctx.Now()
-	e.traceGlobal(round, kept, filtered, ctx.Now(), rule, len(global))
+	e.traceGlobal(round, &v, ctx.Now(), len(global))
 	// Dissemination codec hop: encoded against the previous global, then the
 	// decoded result becomes the reference for everything formed after it.
 	e.transcodeHop(global, e.lastRef)
@@ -674,17 +653,6 @@ func (t *topActor) formGlobal(ctx *simnet.Context, round int, vecs []tensor.Vect
 	if t.completed >= e.cfg.Rounds {
 		e.done = true
 		e.result.Duration = ctx.Now()
-	}
-}
-
-func (e *engine) shardValidator() consensus.Validator {
-	shards := e.cfg.ValidationShards
-	pool := e.evalPool
-	return func(member int, model tensor.Vector) float64 {
-		s := pool.Get()
-		defer pool.Put(s)
-		s.Model.SetParams(model)
-		return nn.AccuracyWS(s.Model, s.WS, shards[member%len(shards)])
 	}
 }
 
@@ -724,19 +692,28 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Faults.Enabled() {
 		sim.Fault = cfg.Faults
 	}
-	sizes := cfg.modelSizes()
+	sizes := step.ModelSizes(cfg.Hidden)
+	// Everyone bootstraps from the initial model, so it is the first Delta
+	// reference; each formed global replaces it.
+	init := nn.New(root.Derive("init"), sizes...).Params()
 	e := &engine{
-		cfg:        cfg,
-		tree:       tree,
-		sim:        sim,
-		root:       root,
-		sizes:      sizes,
-		result:     &Result{},
-		alpha:      cfg.Alpha,
-		evalModel:  nn.NewShaped(sizes...),
-		evalPool:   nn.NewEvalPool(sizes...),
-		workers:    cfg.Workers,
-		aggScratch: aggregate.NewScratch(cfg.Workers),
+		cfg:       cfg,
+		tree:      tree,
+		sim:       sim,
+		root:      root,
+		sizes:     sizes,
+		result:    &Result{},
+		alpha:     cfg.Alpha,
+		evalModel: nn.NewShaped(sizes...),
+		workers:   cfg.Workers,
+		lastRef:   init,
+		partial:   step.Rule{BRA: cfg.PartialBRA},
+		top:       step.Rule{BRA: cfg.TopBRA},
+	}
+	if cfg.TopCBA != nil {
+		e.top = step.Rule{CBA: cfg.TopCBA}
+	} else if cfg.TopVoting != nil {
+		e.top = step.Rule{CBA: *cfg.TopVoting}
 	}
 	e.plan = cfg.Faults
 	e.faulty = cfg.Faults.Enabled()
@@ -748,16 +725,11 @@ func Run(cfg Config) (*Result, error) {
 	if e.retries == 0 {
 		e.retries = 3
 	}
-	e.ins = newInstruments(cfg.Telemetry, tree.Depth())
-	e.fe = newFilterEmitter(e.ins, cfg.OnFilter)
-	e.fe.attach(e.aggScratch)
+	e.ins = newInstruments(cfg.Telemetry, cfg.Codec, len(init))
+	e.obs = step.NewObserver(cfg.Telemetry, "pipeline", tree.Depth(), cfg.OnFilter, cfg.Trace)
+	e.st = step.NewStepper(e.obs, cfg.Workers, sizes, false)
 	e.tr = cfg.Trace
 	e.roundStart = map[int]simnet.Time{}
-	if e.tr != nil && e.aggScratch.Audit == nil {
-		// Spans carry kept/filtered counts; audit recording observes the
-		// rules without changing what they compute.
-		e.aggScratch.Audit = new(aggregate.FilterAudit)
-	}
 	if cfg.Flight != nil {
 		sim.Trace = cfg.Flight.Hook()
 	}
@@ -810,11 +782,6 @@ func Run(cfg Config) (*Result, error) {
 	e.globalReady = map[int]simnet.Time{}
 
 	// --- Register actors.
-	init := nn.New(root.Derive("init"), e.sizes...).Params()
-	// Everyone bootstraps from the initial model, so it is the first Delta
-	// reference; each formed global replaces it.
-	e.lastRef = init
-	e.ins.codecInfo(cfg.Codec, len(init))
 	devActors := make([]*deviceActor, devices)
 	for id := 0; id < devices; id++ {
 		m := nn.NewShaped(e.sizes...)
@@ -898,8 +865,12 @@ func Run(cfg Config) (*Result, error) {
 		return nil, e.codecErr
 	}
 	e.result.CompletedRounds = topA.completed
+	e.result.StepError = e.obs.Err()
 	if !e.done {
 		if !e.faulty {
+			if e.result.StepError != nil {
+				return nil, fmt.Errorf("pipeline: simulation drained after %d/%d rounds: %w", topA.completed, cfg.Rounds, e.result.StepError)
+			}
 			return nil, fmt.Errorf("pipeline: simulation drained after %d/%d rounds", topA.completed, cfg.Rounds)
 		}
 		// Degraded operation under injected faults: the plan starved the

@@ -1,9 +1,14 @@
 package pipeline
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
+	"abdhfl/internal/aggregate"
 	"abdhfl/internal/fault"
+	"abdhfl/internal/telemetry"
+	"abdhfl/internal/tensor"
 )
 
 // TestPipelineTimeoutQuorumTable drives the Algorithm-4 timeout/quorum
@@ -224,5 +229,52 @@ func TestPipelineBackoffValidation(t *testing.T) {
 	cfg.TimeoutRetries = -1
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("negative retries accepted")
+	}
+}
+
+// failingRule errors on its nth AggregateInto and is the inner rule otherwise.
+type failingRule struct {
+	aggregate.Aggregator
+	calls *int
+	nth   int
+}
+
+func (f failingRule) AggregateInto(dst tensor.Vector, s *aggregate.Scratch, u []tensor.Vector) error {
+	*f.calls++
+	if *f.calls == f.nth {
+		return errors.New("rule blew up")
+	}
+	return f.Aggregator.AggregateInto(dst, s, u)
+}
+
+// TestStepErrorIsReported: a step that fails drops its cluster's round — the
+// engine's policy — but no longer vanishes: it is counted per level, the
+// first one is in the Result, and when it starves a run that cannot absorb
+// it the run's error names it as the cause.
+func TestStepErrorIsReported(t *testing.T) {
+	calls := 0
+	cfg := buildConfig(t, 3, 2, 2, 4, 1, 0)
+	cfg.PartialBRA = failingRule{cfg.PartialBRA, &calls, 3}
+	cfg.Quorum = 0.5 // the parent proceeds on the sibling's partial
+	cfg.Telemetry = telemetry.New()
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.CompletedRounds != 4 {
+		t.Fatalf("completed %d of 4 rounds", res.CompletedRounds)
+	}
+	if res.StepError == nil || !strings.Contains(res.StepError.Error(), "rule blew up") || !strings.Contains(res.StepError.Error(), "level 2") {
+		t.Fatalf("StepError = %v", res.StepError)
+	}
+	if got := cfg.Telemetry.Counter(`abdhfl_step_errors_total{engine="pipeline",level="2"}`).Value(); got != 1 {
+		t.Fatalf("level-2 step error counter = %d, want 1", got)
+	}
+
+	calls = 0
+	cfg = buildConfig(t, 3, 2, 2, 4, 1, 0)
+	cfg.PartialBRA = failingRule{cfg.PartialBRA, &calls, 3}
+	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "drained") || !strings.Contains(err.Error(), "rule blew up") {
+		t.Fatalf("a full-quorum run starved by a failed step must say so: %v", err)
 	}
 }

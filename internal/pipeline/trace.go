@@ -1,8 +1,8 @@
 package pipeline
 
 import (
-	"abdhfl/internal/aggregate"
 	"abdhfl/internal/simnet"
+	"abdhfl/internal/step"
 	"abdhfl/internal/trace"
 )
 
@@ -21,49 +21,11 @@ import (
 // never (a timed-out collection leaves its inputs' spans dangling, which is
 // exactly what happened).
 
-// wireOf returns the codec wire size of one model transfer without touching
-// the per-hop accounting (volume() owns that).
-func (e *engine) wireOf(dim int) int64 {
-	if e.cfg.Codec == nil {
-		return int64(dim)
-	}
-	return int64(e.cfg.Codec.WireBytes(dim))
-}
-
-// auditCounts reads the scratch audit's verdict for the aggregation that
-// just ran: kept counts contributions that made it into the result
-// (clipped ones still contribute), filtered counts discarded ones.
-func (e *engine) auditCounts(n int) (kept, filtered int) {
-	a := e.aggScratch.Audit
-	if a == nil || len(a.Decisions) != n {
-		return n, 0
-	}
-	for _, d := range a.Decisions {
-		if d != aggregate.DecisionKept && d != aggregate.DecisionClipped {
-			filtered++
-		}
-	}
-	return n - filtered, filtered
-}
-
 // traceTrain emits a device's train span for the round it just finished.
 func (e *engine) traceTrain(dev, round int, start, end simnet.Time) {
-	if e.tr == nil {
-		return
+	if e.tr != nil {
+		e.tr.Record(trace.TrainSpan(round, dev, e.tree.Bottom(), e.deviceCluster[dev], trace.SpanID("umsg", round, dev), float64(start), float64(end)))
 	}
-	e.tr.Record(trace.Span{
-		ID:      trace.SpanID("train", round, dev),
-		Parent:  trace.SpanID("umsg", round, dev),
-		Name:    "train",
-		Start:   float64(start),
-		End:     float64(end),
-		Round:   round,
-		Level:   e.tree.Bottom(),
-		Cluster: e.deviceCluster[dev],
-		Device:  dev,
-		From:    -1,
-		To:      -1,
-	})
 }
 
 // traceUplink emits the device->leader hop span for a counted upload.
@@ -71,21 +33,10 @@ func (e *engine) traceUplink(dev, round, level, cluster int, sentAt, at simnet.T
 	if e.tr == nil {
 		return
 	}
-	e.tr.Record(trace.Span{
-		ID:      trace.SpanID("umsg", round, dev),
-		Parent:  trace.SpanID("aggregate", round, level, cluster),
-		Name:    "msg",
-		Start:   float64(sentAt),
-		End:     float64(at),
-		Round:   round,
-		Level:   level,
-		Cluster: cluster,
-		Device:  dev,
-		From:    dev,
-		To:      int(e.clusterNode[level][cluster]),
-		Bytes:   e.wireOf(dim),
-		Detail:  "uplink",
-	})
+	s := trace.MsgSpan(trace.SpanID("umsg", round, dev), trace.SpanID("aggregate", round, level, cluster), "uplink",
+		round, level, cluster, float64(sentAt), float64(at), step.WireBytes(e.cfg.Codec, dim))
+	s.Device, s.From, s.To = dev, dev, int(e.clusterNode[level][cluster])
+	e.tr.Record(s)
 }
 
 // tracePartial emits the child-cluster->parent hop span for a counted
@@ -102,86 +53,35 @@ func (e *engine) tracePartial(childLevel, child, round, level, cluster int, sent
 		parent = trace.SpanID("aggregate", round, level, cluster)
 		to = int(e.clusterNode[level][cluster])
 	}
-	e.tr.Record(trace.Span{
-		ID:      trace.SpanID("pmsg", round, childLevel, child),
-		Parent:  parent,
-		Name:    "msg",
-		Start:   float64(sentAt),
-		End:     float64(at),
-		Round:   round,
-		Level:   childLevel,
-		Cluster: child,
-		Device:  -1,
-		From:    int(e.clusterNode[childLevel][child]),
-		To:      to,
-		Bytes:   e.wireOf(dim),
-		Detail:  "partial",
-	})
+	s := trace.MsgSpan(trace.SpanID("pmsg", round, childLevel, child), parent, "partial",
+		round, childLevel, child, float64(sentAt), float64(at), step.WireBytes(e.cfg.Codec, dim))
+	s.From, s.To = int(e.clusterNode[childLevel][child]), to
+	e.tr.Record(s)
 }
 
 // traceAggregate emits a cluster aggregation span: collection closed at
 // closeAt, the aggregate formed (after τ') at end.
-func (e *engine) traceAggregate(level, cluster, round, inputs int, closeAt, end simnet.Time, rule string) {
+func (e *engine) traceAggregate(level, cluster, round int, v *step.Verdict, closeAt, end simnet.Time) {
 	if e.tr == nil {
 		return
 	}
-	kept, filtered := e.auditCounts(inputs)
-	e.tr.Record(trace.Span{
-		ID:       trace.SpanID("aggregate", round, level, cluster),
-		Parent:   trace.SpanID("pmsg", round, level, cluster),
-		Name:     "aggregate",
-		Start:    float64(closeAt),
-		End:      float64(end),
-		Round:    round,
-		Level:    level,
-		Cluster:  cluster,
-		Device:   -1,
-		From:     -1,
-		To:       -1,
-		Rule:     rule,
-		Kept:     kept,
-		Filtered: filtered,
-	})
+	kept, filtered := v.Counts()
+	e.tr.Record(trace.AggregateSpan(round, level, cluster, trace.SpanID("pmsg", round, level, cluster),
+		float64(closeAt), float64(end), e.partial.Bare(), 0, kept, filtered))
 }
 
 // traceGlobal emits the round's global-formation span plus the enclosing
 // round span (first device start -> global formed).
-func (e *engine) traceGlobal(round, kept, filtered int, end simnet.Time, rule string, dim int) {
+func (e *engine) traceGlobal(round int, v *step.Verdict, end simnet.Time, dim int) {
 	if e.tr == nil {
 		return
 	}
 	start := e.firstPartial[round]
-	e.tr.Record(trace.Span{
-		ID:       trace.SpanID("global", round),
-		Parent:   trace.SpanID("round", round),
-		Name:     "global",
-		Start:    float64(start),
-		End:      float64(end),
-		Round:    round,
-		Level:    0,
-		Cluster:  0,
-		Device:   -1,
-		From:     -1,
-		To:       -1,
-		Rule:     rule,
-		Bytes:    e.wireOf(dim),
-		Kept:     kept,
-		Filtered: filtered,
-	})
+	kept, filtered := v.Counts()
+	e.tr.Record(trace.GlobalSpan(round, float64(start), float64(end), e.top.Bare(), step.WireBytes(e.cfg.Codec, dim), kept, filtered))
 	rs, ok := e.roundStart[round]
 	if !ok {
 		rs = start
 	}
-	e.tr.Record(trace.Span{
-		ID:      trace.SpanID("round", round),
-		Name:    "round",
-		Start:   float64(rs),
-		End:     float64(end),
-		Round:   round,
-		Level:   -1,
-		Cluster: -1,
-		Device:  -1,
-		From:    -1,
-		To:      -1,
-	})
+	e.tr.Record(trace.RoundSpan(round, float64(rs), float64(end)))
 }

@@ -26,6 +26,7 @@ import (
 	"abdhfl/internal/fault"
 	"abdhfl/internal/nn"
 	"abdhfl/internal/rng"
+	"abdhfl/internal/step"
 	"abdhfl/internal/telemetry"
 	"abdhfl/internal/tensor"
 	"abdhfl/internal/topology"
@@ -155,16 +156,6 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-func (c *Config) modelSizes() []int {
-	hidden := c.Hidden
-	if len(hidden) == 0 {
-		hidden = []int{32}
-	}
-	sizes := []int{dataset.Dim}
-	sizes = append(sizes, hidden...)
-	return append(sizes, dataset.NumClasses)
-}
-
 // Result is the outcome of a realtime run.
 type Result struct {
 	FinalAccuracy float64
@@ -190,6 +181,10 @@ type Result struct {
 	// DroppedSends counts messages suppressed by the plan's transport-drop
 	// coin.
 	DroppedSends int
+	// StepError is the first error an aggregation or consensus step returned,
+	// nil when none did: the leader drops that round and carries on, so this
+	// — with abdhfl_step_errors_total — is where such a failure shows.
+	StepError error
 	// WireBytes is the total encoded bytes of every codec hop taken (zero
 	// without a Codec). Realtime charges the hop where the model is formed,
 	// not per forwarded copy — scheduling decides fan-out order, and this
@@ -213,44 +208,31 @@ type envelope struct {
 	params tensor.Vector
 }
 
-// rtInstruments holds the run's telemetry handles. Every handle is backed by
-// atomics, so the concurrent device and leader goroutines record through one
-// shared instance; a nil *rtInstruments makes every method a no-op.
+// rtInstruments holds what the run measures beyond the cluster step (whose
+// filter and consensus metrics step.Observer owns). Every handle is backed
+// by atomics, so the concurrent device and leader goroutines record through
+// one shared instance; a nil *rtInstruments makes every method a no-op.
 type rtInstruments struct {
 	rounds    *telemetry.Counter
 	merges    *telemetry.Counter
 	accuracy  *telemetry.Gauge
-	excluded  *telemetry.Counter
-	votes     *telemetry.Histogram
 	subquorum *telemetry.Counter
 	abandon   *telemetry.Counter
 	omit      *telemetry.Counter
-	kept      []*telemetry.Counter
-	clipped   []*telemetry.Counter
-	trimmed   []*telemetry.Counter
 }
 
-func newRTInstruments(reg *telemetry.Registry, levels int) *rtInstruments {
+func newRTInstruments(reg *telemetry.Registry) *rtInstruments {
 	if reg == nil {
 		return nil
 	}
-	ins := &rtInstruments{
+	return &rtInstruments{
 		rounds:    reg.Counter(`abdhfl_rounds_total{engine="realtime"}`),
 		merges:    reg.Counter("abdhfl_realtime_merged_globals_total"),
 		accuracy:  reg.Gauge(`abdhfl_accuracy{engine="realtime"}`),
-		excluded:  reg.Counter(`abdhfl_consensus_excluded_total{engine="realtime"}`),
-		votes:     reg.Histogram(`abdhfl_consensus_votes{engine="realtime"}`, telemetry.LinearBuckets(0, 1, 17)),
 		subquorum: reg.Counter(`abdhfl_subquorum_aggregations_total{engine="realtime"}`),
 		abandon:   reg.Counter(`abdhfl_abandoned_collections_total{engine="realtime"}`),
 		omit:      reg.Counter(`abdhfl_omitted_uploads_total{engine="realtime"}`),
 	}
-	for lvl := 0; lvl < levels; lvl++ {
-		suffix := fmt.Sprintf(`{engine="realtime",level="%d"}`, lvl)
-		ins.kept = append(ins.kept, reg.Counter("abdhfl_filter_kept_total"+suffix))
-		ins.clipped = append(ins.clipped, reg.Counter("abdhfl_filter_clipped_total"+suffix))
-		ins.trimmed = append(ins.trimmed, reg.Counter("abdhfl_filter_discarded_total"+suffix))
-	}
-	return ins
 }
 
 func (ins *rtInstruments) merged() {
@@ -277,47 +259,10 @@ func (ins *rtInstruments) omitted() {
 	}
 }
 
-// attachAudit gives a leader-owned scratch its own FilterAudit (leaders run
-// concurrently, so audits are never shared) and reports whether auditing is on.
-func (ins *rtInstruments) attachAudit(s *aggregate.Scratch) bool {
-	if ins == nil {
-		return false
-	}
-	s.Audit = &aggregate.FilterAudit{}
-	return true
-}
-
-// recordAudit adds the scratch's last verdict tallies to the level's counters.
-func (ins *rtInstruments) recordAudit(level int, s *aggregate.Scratch) {
-	if ins == nil || s.Audit == nil || level >= len(ins.kept) {
-		return
-	}
-	k, c, t := s.Audit.Counts()
-	ins.kept[level].Add(int64(k))
-	ins.clipped[level].Add(int64(c))
-	ins.trimmed[level].Add(int64(t))
-}
-
 func (ins *rtInstruments) globalFormed(acc float64) {
 	if ins != nil {
 		ins.rounds.Inc()
 		ins.accuracy.Set(acc)
-	}
-}
-
-func (ins *rtInstruments) consensusStats(members int, st consensus.Stats) {
-	if ins == nil {
-		return
-	}
-	ins.excluded.Add(int64(len(st.Excluded)))
-	for _, v := range st.Votes {
-		ins.votes.Observe(float64(v))
-	}
-	// The voting verdict doubles as the top-level filter report: excluded
-	// proposals were discarded, the rest kept.
-	if len(ins.kept) > 0 {
-		ins.kept[0].Add(int64(members - len(st.Excluded)))
-		ins.trimmed[0].Add(int64(len(st.Excluded)))
 	}
 }
 
@@ -337,7 +282,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	tree := cfg.Tree
 	bottom := tree.Bottom()
-	sizes := cfg.modelSizes()
+	sizes := step.ModelSizes(cfg.Hidden)
 	root := rng.New(cfg.Seed)
 	initParams := nn.New(root.Derive("init"), sizes...).Params()
 
@@ -358,8 +303,18 @@ func Run(cfg Config) (*Result, error) {
 	done := make(chan struct{})
 	var merges sync.Mutex
 	mergeCount := 0
-	ins := newRTInstruments(cfg.Telemetry, tree.Depth())
-	rt := newRTTracer(cfg.Trace, tree, cfg.Codec, len(initParams))
+	ins := newRTInstruments(cfg.Telemetry)
+	// Every leader steps with its own stepper (leaders run concurrently, so
+	// warm buffers and verdicts are never shared) and reports to one
+	// observer. A failed step drops its round; obs keeps the first error.
+	obs := step.NewObserver(cfg.Telemetry, "realtime", tree.Depth(), nil, cfg.Trace)
+	partial, top := step.Rule{BRA: cfg.PartialBRA}, step.Rule{BRA: cfg.TopBRA}
+	if cfg.TopCBA != nil {
+		top = step.Rule{CBA: cfg.TopCBA}
+	} else if cfg.TopVoting != nil {
+		top = step.Rule{CBA: *cfg.TopVoting}
+	}
+	rt := newRTTracer(cfg.Trace, tree, step.WireBytes(cfg.Codec, len(initParams)))
 
 	// Fault machinery: the plan's queries are all nil-safe, so actors consult
 	// it unconditionally. fstats is shared by every goroutine.
@@ -593,11 +548,7 @@ func Run(cfg Config) (*Result, error) {
 				collected := map[int][]tensor.Vector{}
 				closed := map[int]bool{}
 				need := quorumOf(c.Size())
-				// Leader-owned aggregation scratch: leaders run concurrently,
-				// so the warm buffers must not be shared between goroutines.
-				aggScratch := aggregate.NewScratch(cfg.Workers)
-				ins.attachAudit(aggScratch)
-				rt.attachAudit(aggScratch)
+				st := step.NewStepper(obs, cfg.Workers, sizes, false)
 				cs := codec.NewScratch()
 				// firstArrival is when each open round's first input landed —
 				// the start of its aggregate span.
@@ -628,14 +579,13 @@ func Run(cfg Config) (*Result, error) {
 					delete(collected, r)
 					// Fresh destination per call: the aggregate is retained
 					// by downstream envelopes.
-					agg := tensor.NewVector(len(vecs[0]))
-					if err := cfg.PartialBRA.AggregateInto(agg, aggScratch, vecs); err != nil {
+					agg, v, _, err := st.Aggregate(partial, step.Input{Level: l, Cluster: ci, Round: r, Vecs: vecs, Dst: tensor.NewVector(len(vecs[0]))})
+					if err != nil {
 						return true
 					}
-					ins.recordAudit(l, aggScratch)
 					if rt != nil {
-						kept, filtered := auditVerdict(aggScratch, len(vecs))
-						rt.aggregate(l, ci, r, parentLevel, parentCi, kept, filtered, firstArrival[r], cfg.PartialBRA.Name())
+						kept, filtered := v.Counts()
+						rt.aggregate(l, ci, r, parentLevel, parentCi, kept, filtered, firstArrival[r], partial.Bare())
 						delete(firstArrival, r)
 					}
 					// One codec hop per formed partial; the upward send and a
@@ -756,13 +706,6 @@ func Run(cfg Config) (*Result, error) {
 	// --- Top goroutine.
 	evalModel := nn.NewShaped(sizes...)
 	evalWS := nn.NewWorkspace(evalModel)
-	pool := nn.NewEvalPool(sizes...)
-	validator := func(member int, model tensor.Vector) float64 {
-		s := pool.Get()
-		defer pool.Put(s)
-		s.Model.SetParams(model)
-		return nn.AccuracyWS(s.Model, s.WS, cfg.ValidationShards[member%len(cfg.ValidationShards)])
-	}
 	var topChildren []chan envelope
 	for _, ch := range tree.ChildClusters(0, 0) {
 		topChildren = append(topChildren, clusterInbox[1][ch.Index])
@@ -776,9 +719,7 @@ func Run(cfg Config) (*Result, error) {
 		collected := map[int][]tensor.Vector{}
 		closedRounds := map[int]bool{}
 		need := quorumOf(tree.Top().Size())
-		aggScratch := aggregate.NewScratch(cfg.Workers)
-		ins.attachAudit(aggScratch)
-		rt.attachAudit(aggScratch)
+		st := step.NewStepper(obs, cfg.Workers, sizes, false)
 		cs := codec.NewScratch()
 		firstArrival := map[int]float64{}
 		var lastGlobal tensor.Vector
@@ -812,42 +753,20 @@ func Run(cfg Config) (*Result, error) {
 			delete(collected, r)
 			resolved++
 			arm(r + 1)
-			var global tensor.Vector
-			var err error
-			kept, filtered := len(vecs), 0
-			rule := ""
-			proto := cfg.TopCBA
-			if proto == nil && cfg.TopVoting != nil {
-				proto = *cfg.TopVoting
-			}
-			if proto != nil {
-				cctx := &consensus.Context{
-					Members:   len(vecs),
-					Validator: validator,
-					Rand:      root.Derive(fmt.Sprintf("vote-%d", r)),
-					Round:     r,
-				}
-				var st consensus.Stats
-				global, st, err = proto.Agree(cctx, vecs)
-				if err == nil {
-					ins.consensusStats(len(vecs), st)
-					rule = proto.Name()
-					kept, filtered = len(vecs)-len(st.Excluded), len(st.Excluded)
-				}
+			in := step.Input{Round: r, Vecs: vecs}
+			if top.IsCBA() {
+				in.Rand = root.Derive(fmt.Sprintf("vote-%d", r))
+				in.Shards, in.Name = cfg.ValidationShards, top.Bare()
 			} else {
-				global = tensor.NewVector(len(vecs[0]))
-				err = cfg.TopBRA.AggregateInto(global, aggScratch, vecs)
-				if err == nil {
-					ins.recordAudit(0, aggScratch)
-					rule = cfg.TopBRA.Name()
-					kept, filtered = auditVerdict(aggScratch, len(vecs))
-				}
+				in.Dst = tensor.NewVector(len(vecs[0]))
 			}
+			global, v, _, err := st.Aggregate(top, in)
 			if err != nil {
 				return
 			}
 			if rt != nil {
-				rt.global(r, kept, filtered, firstArrival[r], rule)
+				kept, filtered := v.Counts()
+				rt.global(r, kept, filtered, firstArrival[r], top.Bare())
 				delete(firstArrival, r)
 			}
 			// Dissemination codec hop against the previous global; everyone
@@ -936,6 +855,7 @@ func Run(cfg Config) (*Result, error) {
 	result.Omitted = fstats.omitted
 	result.DroppedSends = fstats.dropped
 	fstats.Unlock()
+	result.StepError = obs.Err()
 	cstats.Lock()
 	result.WireBytes = cstats.wireBytes
 	codecErr := cstats.err

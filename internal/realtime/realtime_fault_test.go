@@ -1,10 +1,17 @@
 package realtime
 
 import (
+	"errors"
+	"fmt"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"abdhfl/internal/aggregate"
 	"abdhfl/internal/fault"
+	"abdhfl/internal/telemetry"
+	"abdhfl/internal/tensor"
 )
 
 // TestRealtimeCrashedMemberDoesNotDeadlockLeader is the liveness regression
@@ -95,5 +102,44 @@ func TestRealtimeValidateRejectsFaultsWithoutTimeout(t *testing.T) {
 	cfg.TimeoutBackoff = 0.5
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("backoff below 1 accepted")
+	}
+}
+
+// failingRule errors on its nth AggregateInto (counted across the concurrent
+// leaders) and is the inner rule otherwise.
+type failingRule struct {
+	aggregate.Aggregator
+	calls *atomic.Int64
+	nth   int64
+}
+
+func (f failingRule) AggregateInto(dst tensor.Vector, s *aggregate.Scratch, u []tensor.Vector) error {
+	if f.calls.Add(1) == f.nth {
+		return errors.New("rule blew up")
+	}
+	return f.Aggregator.AggregateInto(dst, s, u)
+}
+
+// TestRealtimeStepErrorIsReported: a leader whose step fails drops that round
+// and carries on, but the failure is counted and the first one is in the
+// Result instead of vanishing.
+func TestRealtimeStepErrorIsReported(t *testing.T) {
+	cfg := buildConfig(t, 3, 2, 2, 4, 1, 0)
+	cfg.Quorum = 0.5 // parents proceed on the sibling's partial
+	cfg.PartialBRA = failingRule{cfg.PartialBRA, new(atomic.Int64), 3}
+	cfg.Telemetry = telemetry.New()
+	res := runWithTimeout(t, cfg)
+	if res.StepError == nil || !strings.Contains(res.StepError.Error(), "rule blew up") {
+		t.Fatalf("StepError = %v", res.StepError)
+	}
+	counted := int64(0)
+	for lvl := 0; lvl < 3; lvl++ {
+		counted += cfg.Telemetry.Counter(fmt.Sprintf(`abdhfl_step_errors_total{engine="realtime",level="%d"}`, lvl)).Value()
+	}
+	if counted != 1 {
+		t.Fatalf("step error counters sum to %d, want 1", counted)
+	}
+	if res.CompletedRounds == 0 {
+		t.Fatal("no rounds completed around the failed step")
 	}
 }

@@ -3,8 +3,6 @@ package realtime
 import (
 	"time"
 
-	"abdhfl/internal/aggregate"
-	"abdhfl/internal/codec"
 	"abdhfl/internal/topology"
 	"abdhfl/internal/trace"
 )
@@ -32,13 +30,9 @@ type rtTracer struct {
 	leaderOf  []int // device id -> bottom-level leader device id
 }
 
-func newRTTracer(tr *trace.Tracer, tree *topology.Tree, c codec.Codec, dim int) *rtTracer {
+func newRTTracer(tr *trace.Tracer, tree *topology.Tree, bytes int64) *rtTracer {
 	if tr == nil {
 		return nil
-	}
-	bytes := int64(dim)
-	if c != nil {
-		bytes = int64(c.WireBytes(dim))
 	}
 	rt := &rtTracer{
 		tr:        tr,
@@ -57,25 +51,6 @@ func newRTTracer(tr *trace.Tracer, tree *topology.Tree, c codec.Codec, dim int) 
 	return rt
 }
 
-// attachAudit gives a leader-owned scratch a FilterAudit when tracing wants
-// kept/filtered counts and telemetry hasn't already attached one.
-func (rt *rtTracer) attachAudit(s *aggregate.Scratch) {
-	if rt != nil && s.Audit == nil {
-		s.Audit = &aggregate.FilterAudit{}
-	}
-}
-
-// auditVerdict reads the scratch audit's verdict for the aggregation that
-// just ran over n inputs: kept counts contributions in the result (clipped
-// ones still contribute), filtered counts discarded ones.
-func auditVerdict(s *aggregate.Scratch, n int) (kept, filtered int) {
-	if s.Audit == nil || len(s.Audit.Decisions) != n {
-		return n, 0
-	}
-	k, c, t := s.Audit.Counts()
-	return k + c, t
-}
-
 // now is the engine clock: wall milliseconds since the run began.
 func (rt *rtTracer) now() float64 {
 	return float64(time.Since(rt.start).Microseconds()) / 1000
@@ -83,22 +58,9 @@ func (rt *rtTracer) now() float64 {
 
 // train emits a device's completed SGD pass for a round.
 func (rt *rtTracer) train(dev, round int, startMS float64) {
-	if rt == nil {
-		return
+	if rt != nil {
+		rt.tr.Record(trace.TrainSpan(round, dev, rt.bottom, rt.clusterOf[dev], trace.SpanID("umsg", round, dev), startMS, rt.now()))
 	}
-	rt.tr.Record(trace.Span{
-		ID:      trace.SpanID("train", round, dev),
-		Parent:  trace.SpanID("umsg", round, dev),
-		Name:    "train",
-		Start:   startMS,
-		End:     rt.now(),
-		Round:   round,
-		Level:   rt.bottom,
-		Cluster: rt.clusterOf[dev],
-		Device:  dev,
-		From:    -1,
-		To:      -1,
-	})
 }
 
 // uplink emits the device->leader hop for an upload actually sent. Channel
@@ -109,21 +71,10 @@ func (rt *rtTracer) uplink(dev, round int) {
 		return
 	}
 	at := rt.now()
-	rt.tr.Record(trace.Span{
-		ID:      trace.SpanID("umsg", round, dev),
-		Parent:  trace.SpanID("aggregate", round, rt.bottom, rt.clusterOf[dev]),
-		Name:    "msg",
-		Start:   at,
-		End:     at,
-		Round:   round,
-		Level:   rt.bottom,
-		Cluster: rt.clusterOf[dev],
-		Device:  dev,
-		From:    dev,
-		To:      rt.leaderOf[dev],
-		Bytes:   rt.bytes,
-		Detail:  "uplink",
-	})
+	s := trace.MsgSpan(trace.SpanID("umsg", round, dev), trace.SpanID("aggregate", round, rt.bottom, rt.clusterOf[dev]), "uplink",
+		round, rt.bottom, rt.clusterOf[dev], at, at, rt.bytes)
+	s.Device, s.From, s.To = dev, dev, rt.leaderOf[dev]
+	rt.tr.Record(s)
 }
 
 // aggregate emits a leader's collection-close-to-formed span plus the
@@ -134,41 +85,13 @@ func (rt *rtTracer) aggregate(level, ci, round, parentLevel, parentCi, kept, fil
 		return
 	}
 	end := rt.now()
-	rt.tr.Record(trace.Span{
-		ID:       trace.SpanID("aggregate", round, level, ci),
-		Parent:   trace.SpanID("pmsg", round, level, ci),
-		Name:     "aggregate",
-		Start:    firstMS,
-		End:      end,
-		Round:    round,
-		Level:    level,
-		Cluster:  ci,
-		Device:   -1,
-		From:     -1,
-		To:       -1,
-		Rule:     rule,
-		Kept:     kept,
-		Filtered: filtered,
-	})
+	pmsg := trace.SpanID("pmsg", round, level, ci)
+	rt.tr.Record(trace.AggregateSpan(round, level, ci, pmsg, firstMS, end, rule, 0, kept, filtered))
 	parent := trace.SpanID("global", round)
 	if parentLevel >= 0 {
 		parent = trace.SpanID("aggregate", round, parentLevel, parentCi)
 	}
-	rt.tr.Record(trace.Span{
-		ID:      trace.SpanID("pmsg", round, level, ci),
-		Parent:  parent,
-		Name:    "msg",
-		Start:   end,
-		End:     end,
-		Round:   round,
-		Level:   level,
-		Cluster: ci,
-		Device:  -1,
-		From:    -1,
-		To:      -1,
-		Bytes:   rt.bytes,
-		Detail:  "partial",
-	})
+	rt.tr.Record(trace.MsgSpan(pmsg, parent, "partial", round, level, ci, end, end, rt.bytes))
 }
 
 // global emits the round's global-formation span and the enclosing round
@@ -179,33 +102,6 @@ func (rt *rtTracer) global(round, kept, filtered int, firstMS float64, rule stri
 		return
 	}
 	end := rt.now()
-	rt.tr.Record(trace.Span{
-		ID:       trace.SpanID("global", round),
-		Parent:   trace.SpanID("round", round),
-		Name:     "global",
-		Start:    firstMS,
-		End:      end,
-		Round:    round,
-		Level:    0,
-		Cluster:  0,
-		Device:   -1,
-		From:     -1,
-		To:       -1,
-		Rule:     rule,
-		Bytes:    rt.bytes,
-		Kept:     kept,
-		Filtered: filtered,
-	})
-	rt.tr.Record(trace.Span{
-		ID:      trace.SpanID("round", round),
-		Name:    "round",
-		Start:   firstMS,
-		End:     end,
-		Round:   round,
-		Level:   -1,
-		Cluster: -1,
-		Device:  -1,
-		From:    -1,
-		To:      -1,
-	})
+	rt.tr.Record(trace.GlobalSpan(round, firstMS, end, rule, rt.bytes, kept, filtered))
+	rt.tr.Record(trace.RoundSpan(round, firstMS, end))
 }

@@ -483,3 +483,37 @@ func TestRotateACSMProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestChildIndexAndDissemination: member mi of an upper cluster leads the
+// mi-th child cluster (the order a level's outputs are read in), and
+// Algorithm 5 costs members-1 transfers per cluster.
+func TestChildIndexAndDissemination(t *testing.T) {
+	for _, tree := range []*Tree{mustECSM(t, 3, 4, 4), mustECSM(t, 4, 3, 2)} {
+		want := 0
+		for l, level := range tree.Clusters {
+			for _, c := range level {
+				want += c.Size() - 1
+				if l == tree.Bottom() {
+					continue
+				}
+				children := tree.ChildClusters(l, c.Index)
+				for mi, m := range c.Members {
+					ci := tree.ChildIndex(c, mi)
+					if ci != children[mi].Index || tree.Clusters[l+1][ci].Leader != m {
+						t.Fatalf("level %d cluster %d member %d (device %d): child index %d", l, c.Index, mi, m, ci)
+					}
+				}
+			}
+		}
+		if got := tree.DisseminationTransfers(); got != want {
+			t.Fatalf("DisseminationTransfers = %d, want %d", got, want)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("ChildIndex past the last child must panic")
+		}
+	}()
+	tree := mustECSM(t, 3, 4, 4)
+	tree.ChildIndex(tree.Top(), 4)
+}

@@ -92,6 +92,36 @@ func (t *Tree) ChildClusters(l, idx int) []*Cluster {
 	return out
 }
 
+// ChildIndex maps member mi of upper-level cluster c to the index of the
+// child cluster it leads at level c.Level+1 — child clusters are in member
+// order, which is what lets a level's outputs be read as the next level's
+// inputs. It panics when c has fewer than mi+1 children.
+func (t *Tree) ChildIndex(c *Cluster, mi int) int {
+	for ci, p := range t.parentOf[c.Level+1] {
+		if p != c.Index {
+			continue
+		}
+		if mi == 0 {
+			return t.Clusters[c.Level+1][ci].Index
+		}
+		mi--
+	}
+	panic("topology: member without child cluster")
+}
+
+// DisseminationTransfers counts the model transfers of Algorithm 5: every
+// cluster leader broadcasts the global model to its cluster members
+// (members-1 transfers per cluster, every level).
+func (t *Tree) DisseminationTransfers() int {
+	n := 0
+	for _, level := range t.Clusters {
+		for _, c := range level {
+			n += c.Size() - 1
+		}
+	}
+	return n
+}
+
 // LeafDescendants returns the bottom-level device ids reachable from cluster
 // (l, idx) by following child clusters. For a bottom cluster this is its
 // member list.

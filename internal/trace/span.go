@@ -96,6 +96,58 @@ func SpanID(name string, coords ...int) uint64 {
 	return h
 }
 
+// newSpan is the one place the -1 "not applicable" sentinels are written:
+// the constructors below start from it and fill in the coordinates their kind
+// of span has. What stays with each engine is its clock (the start and end it
+// passes) and its choice of consumer (the parent it passes).
+func newSpan(name string, id, parent uint64, round int, start, end float64) Span {
+	return Span{ID: id, Parent: parent, Name: name, Start: start, End: end,
+		Round: round, Level: -1, Cluster: -1, Device: -1, From: -1, To: -1}
+}
+
+// TrainSpan is device dev's local training for a round; (level, cluster) is
+// its bottom cluster and parent the span its update feeds.
+func TrainSpan(round, dev, level, cluster int, parent uint64, start, end float64) Span {
+	s := newSpan("train", SpanID("train", round, dev), parent, round, start, end)
+	s.Level, s.Cluster, s.Device = level, cluster, dev
+	return s
+}
+
+// MsgSpan is one model transfer of the named kind ("uplink", "partial") at
+// (level, cluster); the caller sets Device, From and To where its transport
+// knows them.
+func MsgSpan(id, parent uint64, detail string, round, level, cluster int, start, end float64, bytes int64) Span {
+	s := newSpan("msg", id, parent, round, start, end)
+	s.Level, s.Cluster, s.Bytes, s.Detail = level, cluster, bytes, detail
+	return s
+}
+
+// AggregateSpan is cluster (level, cluster)'s aggregation step with its
+// rule and the kept/filtered pair of its verdict.
+func AggregateSpan(round, level, cluster int, parent uint64, start, end float64, rule string, bytes int64, kept, filtered int) Span {
+	s := newSpan("aggregate", SpanID("aggregate", round, level, cluster), parent, round, start, end)
+	s.Level, s.Cluster, s.Rule, s.Bytes, s.Kept, s.Filtered = level, cluster, rule, bytes, kept, filtered
+	return s
+}
+
+// GlobalSpan is the round's global-model formation at the top cluster; it
+// feeds the round span.
+func GlobalSpan(round int, start, end float64, rule string, bytes int64, kept, filtered int) Span {
+	s := newSpan("global", SpanID("global", round), SpanID("round", round), round, start, end)
+	s.Level, s.Cluster, s.Rule, s.Bytes, s.Kept, s.Filtered = 0, 0, rule, bytes, kept, filtered
+	return s
+}
+
+// RoundSpan is a whole round, the root of its span tree.
+func RoundSpan(round int, start, end float64) Span {
+	return newSpan("round", SpanID("round", round), 0, round, start, end)
+}
+
+// PhaseSpan is one named phase envelope ("phase-train", ...) of a round.
+func PhaseSpan(name string, round int, start, end float64) Span {
+	return newSpan(name, SpanID(name, round), SpanID("round", round), round, start, end)
+}
+
 // spanShard is one lock-striped append buffer.
 type spanShard struct {
 	mu    sync.Mutex
@@ -259,19 +311,9 @@ func SpanHook(t *Tracer) func(simnet.Message) {
 		if rc, ok := m.Payload.(RoundCarrier); ok {
 			round = rc.TraceRound()
 		}
-		t.Record(Span{
-			ID:      SpanID("msg", round, int(m.From), int(m.To)),
-			Name:    "msg",
-			Start:   float64(m.SentAt),
-			End:     float64(m.At),
-			Round:   round,
-			Level:   -1,
-			Cluster: -1,
-			Device:  -1,
-			From:    int(m.From),
-			To:      int(m.To),
-			Detail:  names.name(m.Payload),
-		})
+		s := MsgSpan(SpanID("msg", round, int(m.From), int(m.To)), 0, names.name(m.Payload), round, -1, -1, float64(m.SentAt), float64(m.At), 0)
+		s.From, s.To = int(m.From), int(m.To)
+		t.Record(s)
 	}
 }
 

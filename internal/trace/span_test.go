@@ -288,3 +288,29 @@ func TestSimnetHookZeroAlloc(t *testing.T) {
 		t.Fatalf("SimnetHook allocates %.1f per message in steady state", allocs)
 	}
 }
+
+// TestSpanConstructorsSentinels: each constructor fills the coordinates its
+// kind of span has and leaves every other one at the -1 sentinel, with the
+// structural IDs both ends of a hop compute.
+func TestSpanConstructorsSentinels(t *testing.T) {
+	for _, tc := range []struct {
+		got, want Span
+	}{
+		{TrainSpan(3, 7, 2, 1, 99, 10, 20),
+			Span{ID: SpanID("train", 3, 7), Parent: 99, Name: "train", Start: 10, End: 20, Round: 3, Level: 2, Cluster: 1, Device: 7, From: -1, To: -1}},
+		{MsgSpan(5, 6, "uplink", 3, 2, 1, 10, 20, 800),
+			Span{ID: 5, Parent: 6, Name: "msg", Start: 10, End: 20, Round: 3, Level: 2, Cluster: 1, Device: -1, From: -1, To: -1, Bytes: 800, Detail: "uplink"}},
+		{AggregateSpan(3, 2, 1, 99, 10, 20, "median", 800, 4, 1),
+			Span{ID: SpanID("aggregate", 3, 2, 1), Parent: 99, Name: "aggregate", Start: 10, End: 20, Round: 3, Level: 2, Cluster: 1, Device: -1, From: -1, To: -1, Rule: "median", Bytes: 800, Kept: 4, Filtered: 1}},
+		{GlobalSpan(3, 10, 20, "voting", 800, 4, 0),
+			Span{ID: SpanID("global", 3), Parent: SpanID("round", 3), Name: "global", Start: 10, End: 20, Round: 3, Device: -1, From: -1, To: -1, Rule: "voting", Bytes: 800, Kept: 4}},
+		{RoundSpan(3, 10, 20),
+			Span{ID: SpanID("round", 3), Name: "round", Start: 10, End: 20, Round: 3, Level: -1, Cluster: -1, Device: -1, From: -1, To: -1}},
+		{PhaseSpan("phase-eval", 3, 10, 20),
+			Span{ID: SpanID("phase-eval", 3), Parent: SpanID("round", 3), Name: "phase-eval", Start: 10, End: 20, Round: 3, Level: -1, Cluster: -1, Device: -1, From: -1, To: -1}},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s span:\n got %+v\nwant %+v", tc.want.Name, tc.got, tc.want)
+		}
+	}
+}
