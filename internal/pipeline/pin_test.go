@@ -3,6 +3,7 @@ package pipeline
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -142,5 +143,74 @@ func TestPipelinePinned(t *testing.T) {
 				t.Fatalf("pinned output moved: got %v, want %v", got, arm.want)
 			}
 		})
+	}
+}
+
+// resultDigest folds everything a run computes — as opposed to what it
+// reports through spans, metrics and OnFilter — into one FNV-1a digest: the
+// final model's parameter bits, the accuracy curve, the per-round timing
+// series, the network totals and the fault and wire counters.
+func resultDigest(res *Result) uint64 {
+	h := fnv.New64a()
+	for _, x := range res.FinalParams {
+		fmt.Fprintf(h, "%x ", math.Float64bits(x))
+	}
+	fmt.Fprintf(h, "\n%v\n", res.Curve)
+	for _, tm := range res.Timings {
+		fmt.Fprintf(h, "%d %v %v %v %v\n", tm.Round, tm.SigmaW, tm.SigmaP, tm.SigmaG, tm.Nu)
+	}
+	fmt.Fprintf(h, "%+v %d %d %d %d %d\n", res.Network, res.MergedGlobals, res.Omitted, res.SubQuorum, res.Abandoned, res.WireBytes)
+	return h.Sum64()
+}
+
+// TestPipelineResultPinned holds the model itself: the constants were
+// recorded from the tree at commit 503fada, when every device trained inline
+// on the event loop, and must hold for every worker count.
+func TestPipelineResultPinned(t *testing.T) {
+	for _, arm := range []struct {
+		name  string
+		tweak func(*Config)
+		want  uint64
+	}{
+		{"voting-flag1", func(c *Config) {}, 0x3a3713a1aa08c45},
+		{"quorum-timeout-lossy", func(c *Config) {
+			c.Quorum = 0.7
+			c.CollectTimeout = 300
+			c.Faults = fault.Lossy(21, 0.1, 0.1, 15)
+		}, 0x37f4812f44bbcff1},
+		{"crash-churn-omit-leader", func(c *Config) {
+			c.Quorum = 0.6
+			c.CollectTimeout = 300
+			n := c.Tree.NumDevices()
+			c.Faults = fault.Merge(
+				fault.CrashDevices(5, n, 3, 1),
+				fault.ChurnDevices(6, n, 4, 1, 3),
+				&fault.Plan{
+					CrashFromRound: map[int]int{33: 2, 34: 2, 35: 2}, // a whole cluster: its leader abandons
+					OmitProb:       map[int]float64{2: 0.5, 11: 0.5, 20: 1},
+					LeaderFailures: []fault.LeaderFailure{{Level: 2, Cluster: 5, FromRound: 2}},
+				},
+			)
+		}, 0xd83be0781631e1e6},
+		{"delta-int8-flag0", func(c *Config) {
+			c.FlagLevel = 0
+			c.Codec = mustCodec(t, "delta-int8")
+		}, 0x7832e46ddd42c4b9},
+	} {
+		for _, workers := range []int{1, 2, 3, 8} {
+			t.Run(fmt.Sprintf("%s/workers=%d", arm.name, workers), func(t *testing.T) {
+				cfg := buildConfig(t, 3, 3, 4, 4, 1, 5)
+				cfg.EvalEvery = 2
+				cfg.Workers = workers
+				arm.tweak(&cfg)
+				res, err := Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := resultDigest(res); got != arm.want {
+					t.Fatalf("pinned result moved: got %#x, want %#x", got, arm.want)
+				}
+			})
+		}
 	}
 }
