@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt verify verify-results verify-results-slow verify-scale verify-codec verify-trace verify-transport verify-consensus bench bench-compare profile-node profile-train profile-scale kernel-addrs clean
+.PHONY: build test race vet fmt verify verify-results verify-results-slow verify-scale verify-codec verify-trace verify-transport verify-consensus bench bench-compare profile-node profile-train profile-pipeline profile-scale kernel-addrs clean
 
 build:
 	$(GO) build ./...
@@ -153,6 +153,18 @@ profile-train:
 	mkdir -p .bench_build
 	$(GO) test -count=1 -run '^$$' -bench TrainShapes -benchtime 3s -cpuprofile train.cpu -outputdir .bench_build -o .bench_build/train.test .
 	$(GO) tool pprof -top -nodecount=25 .bench_build/train.test .bench_build/train.cpu
+
+# profile-pipeline prints a CPU and a block profile of the pipeline_round
+# shape alone (every blocking event sampled): the CPU top says what the
+# training workers and the event loop compute, the block top how long the
+# loop waits to join a training (chanrecv under deviceActor.finish) and the
+# workers wait for a job (under startTraining), so the overlap is read rather
+# than guessed. TestRunPipelineAllocBudget holds the run's allocation figure.
+profile-pipeline:
+	mkdir -p .bench_build
+	$(GO) test -count=1 -run '^$$' -bench 'TrainShapes/pipeline_round' -benchtime 3s -cpuprofile pipeline.cpu -blockprofile pipeline.block -blockprofilerate 1 -outputdir .bench_build -o .bench_build/pipeline.test .
+	$(GO) tool pprof -top -nodecount=25 .bench_build/pipeline.test .bench_build/pipeline.cpu
+	$(GO) tool pprof -top -nodecount=15 .bench_build/pipeline.test .bench_build/pipeline.block
 
 # profile-scale prints where a scale_cell-shaped RunScale loop spends its
 # CPU and allocates its bytes (BenchmarkScaleDevicesPerSec: the benchmark's

@@ -1,10 +1,6 @@
 package aggregate
 
-import (
-	"runtime"
-
-	"abdhfl/internal/tensor"
-)
+import "abdhfl/internal/tensor"
 
 // Scratch holds the reusable working memory of the aggregation rules — the
 // aggregation analogue of nn.Workspace. Buffers grow on demand and are kept
@@ -57,10 +53,7 @@ func (s *Scratch) resolve() *Scratch {
 
 // workerCount resolves the Workers knob for buffer sizing.
 func (s *Scratch) workerCount() int {
-	if s.Workers > 0 {
-		return s.Workers
-	}
-	return runtime.GOMAXPROCS(0)
+	return tensor.ResolveWorkers(s.Workers)
 }
 
 // columns returns the per-worker coordinate-column scratch for n updates.

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"time"
 
 	"abdhfl/internal/aggregate"
@@ -120,10 +119,7 @@ func RunGossip(cfg GossipConfig) (*Result, error) {
 	if evalSample > devices {
 		evalSample = devices
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := tensor.ResolveWorkers(cfg.Workers)
 
 	root := rng.New(cfg.Seed)
 	sizes := step.ModelSizes(cfg.Hidden)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -34,10 +33,7 @@ func RunHFL(cfg Config) (*Result, error) {
 
 	tree := cfg.Tree
 	devices := tree.NumDevices()
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := tensor.ResolveWorkers(cfg.Workers)
 	evalEvery := cfg.EvalEvery
 	if evalEvery <= 0 {
 		evalEvery = 1

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"time"
 
 	"abdhfl/internal/aggregate"
@@ -92,10 +91,7 @@ func RunVanilla(cfg VanillaConfig) (*Result, error) {
 	evalModel := nn.NewShaped(sizes...)
 
 	clients := len(cfg.ClientData)
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := tensor.ResolveWorkers(cfg.Workers)
 	evalEvery := cfg.EvalEvery
 	if evalEvery <= 0 {
 		evalEvery = 1

@@ -3,8 +3,9 @@ package experiments
 import (
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"testing"
+
+	"abdhfl/internal/testenv"
 )
 
 // smallScale is a topology that exercises every moving part (3 levels,
@@ -135,21 +136,6 @@ func scaleCellOptions() ScaleOptions {
 	}
 }
 
-// underRace reports whether the test binary was built with -race, whose
-// instrumentation allocates on the program's behalf.
-func underRace() bool {
-	bi, _ := debug.ReadBuildInfo()
-	if bi == nil {
-		return false
-	}
-	for _, s := range bi.Settings {
-		if s.Key == "-race" {
-			return s.Value == "true"
-		}
-	}
-	return false
-}
-
 // TestRunScaleAllocBudget pins what one RunScale call allocates on the
 // scale_cell shape: the figure this test measures plus about a tenth. What is
 // left is standing state — the tree, one actor per cluster, the event pool
@@ -159,7 +145,7 @@ func underRace() bool {
 // return of any one of them. `make profile-scale` prints where the bytes of
 // a failing run come from.
 func TestRunScaleAllocBudget(t *testing.T) {
-	if underRace() {
+	if testenv.UnderRace() {
 		t.Skip("the race detector's own allocations are counted in TotalAlloc")
 	}
 	const budget = 38_000_000 // bytes; the benchmark's alloc_bytes_per_run reads in the same unit

@@ -12,7 +12,6 @@
 package nn
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -170,9 +169,7 @@ func evalRange(m *Model, ws *Workspace, d *dataset.Dataset, lo, hi int) (int, fl
 // goroutines.
 func forEachChunk(m *Model, n, workers int, kernel func(ws *Workspace, lo, hi int) (int, float64), combine func(int, float64)) {
 	chunks := (n + evalChunkSize - 1) / evalChunkSize
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers = tensor.ResolveWorkers(workers)
 	if workers > chunks {
 		workers = chunks
 	}

@@ -30,7 +30,6 @@ package node
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"abdhfl"
@@ -197,10 +196,7 @@ func New(cfg Config) (*Engine, error) {
 			gwait += 2 * stall
 		}
 	}
-	workers := ccfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := tensor.ResolveWorkers(ccfg.Workers)
 	evalEvery := ccfg.EvalEvery
 	if evalEvery <= 0 {
 		evalEvery = 1

@@ -4,7 +4,6 @@ import (
 	"math"
 	"reflect"
 	"runtime"
-	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -12,23 +11,9 @@ import (
 
 	"abdhfl"
 	"abdhfl/internal/fault"
+	"abdhfl/internal/testenv"
 	"abdhfl/internal/transport"
 )
-
-// underRace reports whether the test binary was built with -race, whose
-// instrumentation allocates on the program's behalf.
-func underRace() bool {
-	bi, _ := debug.ReadBuildInfo()
-	if bi == nil {
-		return false
-	}
-	for _, s := range bi.Settings {
-		if s.Key == "-race" {
-			return s.Value == "true"
-		}
-	}
-	return false
-}
 
 // nodeRoundScenario is the shape of the benchmark's node_round workload:
 // 64 devices under 3 levels plus the root, multi-krum partials, ABA with its
@@ -52,7 +37,7 @@ func nodeRoundScenario() abdhfl.Scenario {
 // per-frame or per-vector allocations the wire path used to make.
 // `make profile-node` prints where the bytes of a failing run come from.
 func TestRunClusterAllocBudget(t *testing.T) {
-	if underRace() {
+	if testenv.UnderRace() {
 		t.Skip("the race detector's own allocations are counted in TotalAlloc")
 	}
 	mat := build(t, nodeRoundScenario())

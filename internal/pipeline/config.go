@@ -201,11 +201,16 @@ type Config struct {
 	// and round). The id slices are reused between calls; consumers must
 	// copy or reduce them before returning.
 	OnFilter func(telemetry.FilterDecision)
-	// Workers bounds the goroutines used for consensus validator scoring,
-	// test-set evaluation, and the robust-aggregation kernels (the
-	// simulation's event loop itself stays single-threaded and
-	// deterministic); zero selects GOMAXPROCS. Results are bit-identical for
-	// every value.
+	// Workers is the number of goroutines that run devices' local training,
+	// and bounds those used for consensus validator scoring, test-set
+	// evaluation and the robust-aggregation kernels; zero selects GOMAXPROCS.
+	// Training leaves the event loop — a device's SGD is dispatched when the
+	// device starts, in virtual time, and joined at its finish timer, so the
+	// overlap the pipeline simulates is also real — because it is a pure
+	// function of the start vector, the round, the device id and the shard.
+	// Everything observable (stale-global merges, spans, metrics, codec hops,
+	// sends, aggregation) stays on the single-threaded loop in event order,
+	// so results are bit-identical for every value.
 	Workers int
 	// Trace, when non-nil, receives causal spans for every round: device
 	// train spans, counted uplink/partial message hops, per-cluster

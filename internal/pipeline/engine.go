@@ -73,12 +73,13 @@ type engine struct {
 	result    *Result
 	evalModel *nn.Model
 	workers   int
-	// st is shared by every cluster- and top-level step: the simulation is
-	// single-threaded (discrete events run one at a time), so one warm
-	// stepper serves all actors without contention. Destination vectors stay
-	// fresh per step because message envelopes retain them. A step that
-	// fails drops its cluster's round; obs counts it and keeps the first
-	// error for Result.StepError. partial and top are the two rules.
+	// st is shared by every cluster- and top-level step: every step runs on
+	// the event loop (discrete events run one at a time; only local training
+	// leaves it, see pool), so one warm stepper serves all actors without
+	// contention. Destination vectors stay fresh per step because message
+	// envelopes retain them. A step that fails drops its cluster's round; obs
+	// counts it and keeps the first error for Result.StepError. partial and
+	// top are the two rules.
 	st           *step.Stepper
 	obs          *step.Observer
 	partial, top step.Rule
@@ -95,11 +96,11 @@ type engine struct {
 	faulty  bool
 	backoff float64
 	retries int
-	// cs is the engine's codec scratch (single-threaded event loop, so one
-	// serves every actor); lastRef is the last formed — and decoded — global
-	// model, the Delta reference every non-device hop uses. codecErr latches
-	// the first transcode failure; the run is failed with it after the drain
-	// (actor callbacks have no error return path).
+	// cs is the engine's codec scratch (every codec hop runs on the event
+	// loop, so one serves every actor); lastRef is the last formed — and
+	// decoded — global model, the Delta reference every non-device hop uses.
+	// codecErr latches the first transcode failure; the run is failed with it
+	// after the drain (actor callbacks have no error return path).
 	cs       *codec.Scratch
 	lastRef  tensor.Vector
 	codecErr error
@@ -110,6 +111,11 @@ type engine struct {
 	tr            *trace.Tracer
 	deviceCluster []int
 	roundStart    map[int]simnet.Time
+	// pool trains devices off the event loop. free lists upload vectors a
+	// bottom leader has finished aggregating, for the next trainings to fill;
+	// only the event loop touches it.
+	pool trainPool
+	free []tensor.Vector
 }
 
 // Hop indices of the per-hop wire-byte counters.
@@ -197,8 +203,9 @@ type deviceActor struct {
 	stashedFlag *msgFlag
 	pending     []msgGlobal
 	seenGlobal  map[int]bool
-	model       *nn.Model
-	ws          *nn.Workspace
+	// trained carries the in-flight training's result from its worker to
+	// finish. One slot: the worker's send never waits for the join.
+	trained chan tensor.Vector
 }
 
 func (d *deviceActor) OnMessage(ctx *simnet.Context, msg simnet.Message) {
@@ -245,21 +252,23 @@ func (d *deviceActor) start(ctx *simnet.Context, round int, params tensor.Vector
 			d.e.roundStart[round] = ctx.Now()
 		}
 	}
+	// The update is sent as a message and retained by its collector, so it
+	// needs a vector nobody else holds: one a bottom leader handed back after
+	// aggregating it (aggregateRound), else a fresh one.
+	var buf tensor.Vector
+	if n := len(d.e.free); n > 0 {
+		buf, d.e.free = d.e.free[n-1], d.e.free[:n-1]
+	}
+	d.e.pool.jobs <- trainJob{d: d, round: round, start: params, buf: buf}
 	dur := d.e.trainDuration(d.id, round)
 	ctx.After(dur, func(ctx *simnet.Context) { d.finish(ctx, round, params) })
 }
 
 func (d *deviceActor) finish(ctx *simnet.Context, round int, startParams tensor.Vector) {
 	e := d.e
-	d.model.SetParams(startParams)
-	// The SGD stream is derived exactly as in the synchronous core engine
-	// (root -> "round-R" -> "device-D"), so a zero-latency, zero-fault
-	// pipeline run is bit-identical to core.RunHFL on the same seed.
-	r := e.root.Derive(fmt.Sprintf("round-%d", round)).Derive(fmt.Sprintf("device-%d", d.id))
-	nn.SGDWS(d.model, d.ws, e.cfg.ClientData[d.id], e.cfg.Local, r)
-	// The update is sent as a message and retained by collectors, so it must
-	// be a fresh vector (no buffer reuse here, unlike the round engine).
-	out := d.model.Params()
+	// Join the training dispatched at start; from here on everything happens
+	// on the loop and in event order, whatever the worker count.
+	out := <-d.trained
 	// Correction-factor merges for globals that arrived during training.
 	for _, g := range d.pending {
 		if e.cfg.FlagLevel == 0 && g.round < round {
@@ -493,6 +502,12 @@ func (a *clusterActor) aggregateRound(ctx *simnet.Context, round int) {
 		if err != nil {
 			// A malformed quorum at runtime: drop the round for this cluster.
 			return
+		}
+		if a.isBottom {
+			// This leader was the uploads' only holder (a late or duplicated
+			// delivery is dropped unread) and the rule copied into Dst, so the
+			// vectors are free for the next trainings to fill.
+			e.free = append(e.free, vecs...)
 		}
 		e.traceAggregate(a.cluster.Level, a.cluster.Index, round, &v, closeAt, ctx.Now())
 		// One codec hop per formed partial: the upward send and the flag
@@ -784,8 +799,7 @@ func Run(cfg Config) (*Result, error) {
 	// --- Register actors.
 	devActors := make([]*deviceActor, devices)
 	for id := 0; id < devices; id++ {
-		m := nn.NewShaped(e.sizes...)
-		devActors[id] = &deviceActor{e: e, id: id, curRound: -1, model: m, ws: nn.NewWorkspace(m), seenGlobal: map[int]bool{}}
+		devActors[id] = &deviceActor{e: e, id: id, curRound: -1, seenGlobal: map[int]bool{}, trained: make(chan tensor.Vector, 1)}
 		if !cfg.Crashed[id] {
 			// Crashed devices stay unregistered: the simulator drops their
 			// traffic, exactly like a crash-stop node.
@@ -858,6 +872,8 @@ func Run(cfg Config) (*Result, error) {
 			topA.armCollect(ctx, 0, 0)
 		})
 	}
+	e.startTraining(tensor.ResolveWorkers(cfg.Workers), devices)
+	defer e.stopTraining()
 	if _, err := sim.Run(0); err != nil {
 		return nil, err
 	}

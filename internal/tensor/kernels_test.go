@@ -45,7 +45,7 @@ func TestCoordinateKernelsBitIdenticalToSerial(t *testing.T) {
 	legacyMean := Mean(NewVector(d), vs)
 
 	for _, w := range workerCounts {
-		cols := make([]float64, resolveWorkers(w)*n)
+		cols := make([]float64, ResolveWorkers(w)*n)
 		if got := CoordinateMedianWS(NewVector(d), vs, cols, w); !bitsEq(got, legacyMed) {
 			t.Errorf("CoordinateMedianWS workers=%d differs from CoordinateMedian", w)
 		}
@@ -238,7 +238,7 @@ func TestNearMedianMeanTiesKeepInputOrder(t *testing.T) {
 		vs[1][j] = float64(r.Intn(4001)-2000) / 8
 	}
 	for _, w := range []int{1, 2, 3, 8} {
-		cols := make([]float64, resolveWorkers(w)*2)
+		cols := make([]float64, ResolveWorkers(w)*2)
 		if got := CoordinateNearMedianMeanWS(NewVector(d), vs, 1, cols, w); !bitsEq(got, vs[0]) {
 			t.Errorf("workers=%d: ties did not resolve to the first input", w)
 		}
@@ -269,7 +269,7 @@ func TestNearMedianMeanMatchesStableSort(t *testing.T) {
 		want[j] = s / beta
 	}
 	for _, w := range []int{1, 2, 3, 8} {
-		cols := make([]float64, resolveWorkers(w)*n)
+		cols := make([]float64, ResolveWorkers(w)*n)
 		if got := CoordinateNearMedianMeanWS(NewVector(d), vs, beta, cols, w); !bitsEq(got, want) {
 			t.Errorf("workers=%d differs from the stable-sort reference", w)
 		}

@@ -13,9 +13,9 @@ import (
 // a chunk never changes what is written.
 const coordChunk = 1024
 
-// resolveWorkers maps the user-facing Workers knob (<=0 means "use every
+// ResolveWorkers maps the user-facing Workers knob (<=0 means "use every
 // core") to a concrete goroutine count.
-func resolveWorkers(workers int) int {
+func ResolveWorkers(workers int) int {
 	if workers <= 0 {
 		return runtime.GOMAXPROCS(0)
 	}
@@ -29,7 +29,7 @@ func kernelWorkers(items, perItem, workers int) int {
 	if items*perItem < parallelThreshold {
 		return 1
 	}
-	return resolveWorkers(workers)
+	return ResolveWorkers(workers)
 }
 
 // parallelChunks splits [0, n) into fixed-size chunks and fans fn out across

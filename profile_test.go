@@ -1,10 +1,23 @@
 package abdhfl
 
 import (
+	"runtime"
 	"testing"
 
 	"abdhfl/internal/pipeline"
+	"abdhfl/internal/testenv"
 )
+
+// pipelineRoundScenario is the shape of the benchmark's pipeline_round
+// workload (benchmark/workloads.go): 81 devices under 4 levels, run at ℓF = 1.
+func pipelineRoundScenario() Scenario {
+	return Scenario{
+		Levels: 4, ClusterSize: 3, TopNodes: 3,
+		Attack: AttackType1, MaliciousFraction: 0.25, Placement: PlaceRandom,
+		Rounds: 5, SamplesPerClient: 80, TestSamples: 600, ValidationSamples: 400, EvalEvery: 1,
+		Seed: 1,
+	}
+}
 
 // BenchmarkTrainShapes runs the two training-bound shapes of the repository
 // benchmark (benchmark/workloads.go: table5_cell on the round engine,
@@ -31,12 +44,7 @@ func BenchmarkTrainShapes(b *testing.B) {
 		}
 	})
 	b.Run("pipeline_round", func(b *testing.B) {
-		m, err := Build(Scenario{
-			Levels: 4, ClusterSize: 3, TopNodes: 3,
-			Attack: AttackType1, MaliciousFraction: 0.25, Placement: PlaceRandom,
-			Rounds: 5, SamplesPerClient: 80, TestSamples: 600, ValidationSamples: 400, EvalEvery: 1,
-			Seed: 1,
-		})
+		m, err := Build(pipelineRoundScenario())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -47,4 +55,41 @@ func BenchmarkTrainShapes(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestRunPipelineAllocBudget pins what one RunPipeline call allocates on the
+// pipeline_round shape: the figure this test measures (6.4 MB) plus a tenth.
+// The same call allocated 16.4 MB when every device owned a model and a
+// workspace and every training returned a fresh parameter vector, so a budget
+// this close catches the return of either. `make profile-pipeline` profiles
+// the same runs.
+func TestRunPipelineAllocBudget(t *testing.T) {
+	if testenv.UnderRace() {
+		t.Skip("the race detector's own allocations are counted in TotalAlloc")
+	}
+	const budget = 7_000_000 // bytes; the benchmark's alloc_bytes_per_run reads in the same unit
+	s := pipelineRoundScenario()
+	s.Workers = 2
+	m, err := Build(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := m.RunPipeline(3, 1, pipeline.DefaultTiming()); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	run() // first-use costs are not per-run
+	least := run()
+	for i := 0; i < 2; i++ {
+		least = min(least, run())
+	}
+	t.Logf("%.2f MB per RunPipeline (budget %.2f MB)", float64(least)/1e6, float64(budget)/1e6)
+	if least > budget {
+		t.Errorf("RunPipeline allocated %d bytes, budget %d", least, budget)
+	}
 }
