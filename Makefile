@@ -69,14 +69,18 @@ verify-results-slow:
 	$(RESULTS_REPORT)
 
 # verify-scale gates the million-device layer: the event queue's (at, seq)
-# dispatch-order property and rerun invariance, event pooling, lazy≡eager
-# state equality, cohort accounting (core + scale engine), all under -race;
-# then — without -race, whose own allocations would be counted — the
-# allocation budgets of a derived random stream and of one scale_cell run,
-# then a one-shot devices/sec benchmark smoke at 100k devices.
+# dispatch-order property over messages, closure timers and argument timers,
+# with and without a reserve, rerun invariance, event pooling and the 64-byte
+# event, lazy≡eager state equality and the pinned scale results, cohort
+# accounting (core + scale engine), the one-pass coordinate kernel against its
+# two-pass reference and the branch-free AllFinite, all under -race; then —
+# without -race, whose own allocations would be counted — the allocation
+# budgets of a derived random stream and of one scale_cell run (bytes and
+# objects), then a one-shot devices/sec benchmark smoke at 100k devices.
 verify-scale:
-	$(GO) test -race -run 'DispatchOrder|ContextSelf|Rerun|EventPool|PeakQueue|Cohort|Scale|Stream|DeriveN|ChoiceInto' \
+	$(GO) test -race -run 'DispatchOrder|EqualTime|ArgumentTimer|EventIsOneCacheLine|ContextSelf|Rerun|EventPool|PeakQueue|Cohort|Scale|Stream|DeriveN|ChoiceInto' \
 		./internal/simnet ./internal/rng ./internal/telemetry ./internal/core ./internal/experiments
+	$(GO) test -race -run 'TestCoordinateAuditMatchesReference|CoordinateKernels|AllFinite' ./internal/aggregate ./internal/tensor
 	$(GO) test -run 'TestDeriveStaysOnStack|TestRunScaleAllocBudget' ./internal/rng ./internal/experiments
 	$(GO) test -run '^$$' -bench ScaleDevicesPerSec -benchtime 1x ./internal/experiments
 
@@ -169,10 +173,11 @@ profile-pipeline:
 # profile-scale prints where a scale_cell-shaped RunScale loop spends its
 # CPU and allocates its bytes (BenchmarkScaleDevicesPerSec: the benchmark's
 # 100k-device cell, topology build included), one CPU and one allocation
-# profile of the same runs.
+# profile of the same runs, under the benchmark line's bytes and objects per
+# run (-benchmem).
 profile-scale:
 	mkdir -p .bench_build
-	$(GO) test -count=1 -run '^$$' -bench ScaleDevicesPerSec -benchtime 20x -cpuprofile scale.cpu -memprofile scale.mem -memprofilerate 4096 -outputdir .bench_build -o .bench_build/scale.test ./internal/experiments
+	$(GO) test -count=1 -run '^$$' -bench ScaleDevicesPerSec -benchtime 20x -benchmem -cpuprofile scale.cpu -memprofile scale.mem -memprofilerate 4096 -outputdir .bench_build -o .bench_build/scale.test ./internal/experiments
 	$(GO) tool pprof -top -nodecount=25 .bench_build/scale.test .bench_build/scale.cpu
 	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=25 .bench_build/scale.test .bench_build/scale.mem
 

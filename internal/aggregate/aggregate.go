@@ -130,11 +130,12 @@ func (a Median) AggregateInto(dst tensor.Vector, scratch *Scratch, updates []ten
 	}
 	s := scratch.resolve()
 	n := len(updates)
-	tensor.CoordinateMedianWS(dst, updates, s.columns(n), s.Workers)
+	kept := s.keptCounts(n)
+	tensor.CoordinateMedianWS(dst, updates, s.columns(n), kept, s.Workers)
 	if aud := s.Audit; aud != nil {
 		aud.begin(a.Name(), n)
 		// The median keeps rank (n-1)/2, or the two middle ranks for even n.
-		aud.recordCoordinates(updates, (n-1)/2, n/2)
+		aud.recordKept(kept, len(dst), 2-n%2)
 	}
 	return finiteOut(dst)
 }
@@ -169,12 +170,13 @@ func (a TrimmedMean) AggregateInto(dst tensor.Vector, scratch *Scratch, updates 
 		return fmt.Errorf("aggregate: trimmed mean would remove all %d updates (trim %d per side)", n, trim)
 	}
 	s := scratch.resolve()
-	tensor.CoordinateTrimmedMeanWS(dst, updates, trim, s.columns(n), s.Workers)
+	kept := s.keptCounts(n)
+	tensor.CoordinateTrimmedMeanWS(dst, updates, trim, s.columns(n), kept, s.Workers)
 	if aud := s.Audit; aud != nil {
 		// The family name, not Name(): formatting the fraction would put an
 		// allocation on the audited hot path.
 		aud.begin("trimmed-mean", n)
-		aud.recordCoordinates(updates, trim, n-1-trim)
+		aud.recordKept(kept, len(dst), n-2*trim)
 	}
 	return finiteOut(dst)
 }

@@ -1,9 +1,5 @@
 package aggregate
 
-import (
-	"abdhfl/internal/tensor"
-)
-
 // Decision classifies how an aggregation rule treated one update.
 type Decision uint8
 
@@ -59,10 +55,6 @@ type FilterAudit struct {
 	// TrimFrac[i] is the fraction of coordinates on which update i was
 	// trimmed (coordinate rules only; 0 elsewhere).
 	TrimFrac []float64
-
-	col  []float64 // one original coordinate column
-	work []float64 // quickselect work copy of col
-	cnt  []int     // per-update kept-coordinate counts
 }
 
 // begin resets the audit for a rule over n updates, defaulting every
@@ -120,49 +112,24 @@ func (a *FilterAudit) recordScales(scales []float64) {
 	}
 }
 
-// recordCoordinates audits a coordinate-wise rule that keeps, per
-// coordinate, the values at sorted ranks [loRank, hiRank]. For each update
-// it counts the coordinates whose value lies inside the kept value range
-// (ties count as kept, so the measure is conservative), fills TrimFrac, and
-// marks the update trimmed when its trim fraction exceeds the midpoint
-// between the chance rate (n-kept)/n and 1 — an update trimmed that often
-// is being systematically pushed to the extremes, which is exactly the
+// recordKept audits a coordinate-wise rule that keeps, per coordinate, the
+// values at width of the n sorted ranks. kept[i] is the number of update i's
+// dim coordinates whose value lay inside the kept value range (ties count as
+// kept, so the measure is conservative) — counted by the kernel that formed
+// the aggregate, from the selection it made anyway. recordKept fills
+// TrimFrac and marks the update trimmed when its trim fraction exceeds the
+// midpoint between the chance rate (n-width)/n and 1 — an update trimmed that
+// often is being systematically pushed to the extremes, which is exactly the
 // behaviour the rule defends against.
-func (a *FilterAudit) recordCoordinates(updates []tensor.Vector, loRank, hiRank int) {
-	n := len(updates)
-	dim := len(updates[0])
+func (a *FilterAudit) recordKept(kept []int, dim, width int) {
 	if dim == 0 {
 		return
 	}
-	col := growFloats(&a.col, n)
-	work := growFloats(&a.work, n)
-	cnt := growInts(&a.cnt, n)
-	for i := range cnt {
-		cnt[i] = 0
-	}
-	for j := 0; j < dim; j++ {
-		for i, u := range updates {
-			col[i] = u[j]
-		}
-		copy(work, col)
-		// After selecting the hiRank-th value the prefix work[:hiRank+1]
-		// holds the hiRank+1 smallest, so the lo statistic is selected from
-		// that prefix without re-scanning the tail.
-		hi := tensor.SelectKth(work, hiRank)
-		lo := hi
-		if loRank < hiRank {
-			lo = tensor.SelectKth(work[:hiRank+1], loRank)
-		}
-		for i, v := range col {
-			if v >= lo && v <= hi {
-				cnt[i]++
-			}
-		}
-	}
-	chance := float64(n-(hiRank-loRank+1)) / float64(n)
+	n := len(a.Decisions)
+	chance := float64(n-width) / float64(n)
 	threshold := (chance + 1) / 2
 	for i := range a.Decisions {
-		a.TrimFrac[i] = 1 - float64(cnt[i])/float64(dim)
+		a.TrimFrac[i] = 1 - float64(kept[i])/float64(dim)
 		if a.TrimFrac[i] > threshold {
 			a.Decisions[i] = DecisionTrimmed
 		} else {

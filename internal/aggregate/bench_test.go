@@ -8,8 +8,9 @@ import (
 	"abdhfl/internal/tensor"
 )
 
-// Per-rule aggregation microbenchmarks, run by cmd/abdhfl-bench alongside the
-// end-to-end Table 5 cells. The sizes bracket the repository's real loads:
+// Per-rule aggregation microbenchmarks. (What the rule a workload is
+// configured with costs inside a run is the repository benchmark's
+// aggregate.us_per_call; this sweeps every rule.) The sizes bracket the repository's real loads:
 // n=16 is one Table 5 cluster, n=64 the vanilla-FL server; d=4096 is near the
 // experiment model (~2.4k params) and d=50000 a larger-model stress case.
 // Each op is one steady-state AggregateInto with a warm Scratch — the shape

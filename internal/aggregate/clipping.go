@@ -43,7 +43,7 @@ func (a CenteredClipping) AggregateInto(dst tensor.Vector, scratch *Scratch, upd
 	s := scratch.resolve()
 	n := len(updates)
 	// Robust start: coordinate median.
-	tensor.CoordinateMedianWS(dst, updates, s.columns(n), s.Workers)
+	tensor.CoordinateMedianWS(dst, updates, s.columns(n), nil, s.Workers)
 	norms := growFloats(&s.norms, n)
 	tmp := growFloats(&s.tmp, n)
 	scales := growFloats(&s.scales, n)

@@ -21,7 +21,8 @@ type Scratch struct {
 	// so the steady state stays allocation-free.
 	Audit *FilterAudit
 
-	cols   []float64       // per-worker coordinate columns (workers × n)
+	cols   []float64       // per-worker coordinate columns (workers × 2n)
+	kept   []int           // per-worker kept-coordinate counts (workers × n)
 	dists  []float64       // flat n×n pairwise distances / Gram matrix
 	sqn    []float64       // squared norms for the Gram trick
 	scores []float64       // per-update Krum scores
@@ -56,9 +57,19 @@ func (s *Scratch) workerCount() int {
 	return tensor.ResolveWorkers(s.Workers)
 }
 
-// columns returns the per-worker coordinate-column scratch for n updates.
+// columns returns the per-worker coordinate-column scratch for n updates:
+// two columns a worker, the second for the copy an audited pass selects on.
 func (s *Scratch) columns(n int) []float64 {
-	return growFloats(&s.cols, s.workerCount()*n)
+	return growFloats(&s.cols, s.workerCount()*2*n)
+}
+
+// keptCounts returns the per-worker kept-coordinate counts a coordinate
+// kernel fills for the audit of n updates, or nil when nothing is audited.
+func (s *Scratch) keptCounts(n int) []int {
+	if s.Audit == nil {
+		return nil
+	}
+	return growInts(&s.kept, s.workerCount()*n)
 }
 
 // vector returns a dim-length temporary vector.

@@ -11,8 +11,8 @@ import (
 // every registered codec at a realistic model size (the paper's MLP is
 // ~25k parameters; we round up to 32k). SetBytes counts the raw float64
 // payload, so the MB/s column is directly comparable across codecs, and the
-// compression ratio is reported as a custom metric for abdhfl-bench's Extra
-// capture (BENCH_5.json).
+// compression ratio is reported as a custom metric. Inside a whole cluster run
+// the figure is the repository benchmark's codec.mb_per_s (node_round).
 func BenchmarkCodecThroughput(b *testing.B) {
 	const dim = 32768
 	r := rng.New(1)

@@ -135,7 +135,19 @@ type scaleEngine struct {
 	g     tensor.Vector // ground-truth gradient direction
 	gNorm float64
 
-	pool      []tensor.Vector
+	// roundRNG is root.DeriveN("round", roundNo), the stream every draw of
+	// that round derives from: hashed when the round changes, not once per
+	// arrival.
+	roundNo  int
+	roundRNG rng.RNG
+
+	// The cohort draw buffers belong to the engine, not to each of its
+	// bottom actors: dispatch is serial and startRound has consumed a draw
+	// before it returns, so one pair serves them all.
+	pick, scratch []int
+
+	pool      []tensor.Vector // released update buffers, sized once in RunScale
+	slab      []float64       // update buffers not yet handed out
 	eagerBufs []tensor.Vector
 	allocated int
 
@@ -145,6 +157,20 @@ type scaleEngine struct {
 	relErr                 float64
 	roundsDone             int
 	lastGlobalAt           simnet.Time
+}
+
+// scaleSlabVectors is how many update buffers one slab is cut into: 64 KB at
+// the default dimension, so 100k devices take their buffers from a few dozen
+// allocations.
+const scaleSlabVectors = 512
+
+// roundStream returns root.DeriveN("round", round).
+func (e *scaleEngine) roundStream(round int) *rng.RNG {
+	if round != e.roundNo {
+		e.roundNo = round
+		e.roundRNG = *e.root.DeriveN("round", uint64(round))
+	}
+	return &e.roundRNG
 }
 
 // isByz derives device d's Byzantine flag from the placement stream — no
@@ -157,7 +183,8 @@ func (e *scaleEngine) isByz(d int) bool {
 }
 
 // take materializes an update buffer: pooled when lazy, the device's
-// preallocated slot when eager.
+// preallocated slot when eager. allocated counts vectors first handed out,
+// however few slabs they were cut from.
 func (e *scaleEngine) take(device int) tensor.Vector {
 	if e.o.Eager {
 		return e.eagerBufs[device]
@@ -169,7 +196,13 @@ func (e *scaleEngine) take(device int) tensor.Vector {
 		return v
 	}
 	e.allocated++
-	return tensor.NewVector(e.o.Dim)
+	dim := e.o.Dim
+	if len(e.slab) < dim {
+		e.slab = make([]float64, scaleSlabVectors*dim)
+	}
+	v := tensor.Vector(e.slab[:dim:dim])
+	e.slab = e.slab[dim:]
+	return v
 }
 
 // release returns a buffer to the pool (no-op when eager: the device owns
@@ -186,7 +219,7 @@ func (e *scaleEngine) release(v tensor.Vector) {
 // materialization order or buffer identity — the invariant that makes lazy
 // and eager modes bit-identical.
 func (e *scaleEngine) fill(v tensor.Vector, round, d int, byz bool) {
-	r := e.root.DeriveN("round", uint64(round)).DeriveN("upd", uint64(d))
+	r := e.roundStream(round).DeriveN("upd", uint64(d))
 	if byz {
 		for j := range v {
 			v[j] = -3*e.g[j] + 0.1*r.NormFloat64()
@@ -208,16 +241,18 @@ type scaleActor struct {
 	childIDs     []simnet.NodeID // upper levels: child cluster actors
 	expect       int             // inputs per round (cohort size or child count)
 
-	round         int
-	vecs          []tensor.Vector
-	truth         []bool // per input: ground-truth maliciousness
-	first, last   simnet.Time
-	partial       tensor.Vector
-	byzSampled    int      // Byzantine sampled leaves seen this round
-	totSampled    int      // total sampled leaves seen this round
-	pick, scratch []int    // bottom: cohort draw buffers
-	out           scaleMsg // reused ascend payload (safe: consumed before next round)
+	round       int
+	vecs        []tensor.Vector
+	truth       []bool // per input: ground-truth maliciousness
+	first, last simnet.Time
+	partial     tensor.Vector
+	byzSampled  int      // Byzantine sampled leaves seen this round
+	totSampled  int      // total sampled leaves seen this round
+	out         scaleMsg // reused ascend payload (safe: consumed before next round)
 }
+
+// OnTimer is a sampled device's upload landing; the argument is the device.
+func (a *scaleActor) OnTimer(ctx *simnet.Context, device int) { a.onArrival(ctx, device) }
 
 func (a *scaleActor) OnMessage(ctx *simnet.Context, msg simnet.Message) {
 	switch m := msg.Payload.(type) {
@@ -236,28 +271,24 @@ func (a *scaleActor) startRound(ctx *simnet.Context, round int) {
 	e := a.eng
 	a.round = round
 	a.resetRound()
-	rr := e.root.DeriveN("round", uint64(round))
-	k := a.expect
-	cr := rr.DeriveN("cohort", uint64(a.index))
-	a.pick = a.pick[:k]
-	if k >= a.cluster.Size() {
-		for i := range a.pick {
-			a.pick[i] = i
+	rr := e.roundStream(round)
+	pick := e.pick[:a.expect]
+	if a.expect >= a.cluster.Size() {
+		for i := range pick {
+			pick[i] = i
 		}
 	} else {
-		cr.ChoiceInto(a.pick, a.cluster.Size(), a.scratch)
+		rr.DeriveN("cohort", uint64(a.index)).ChoiceInto(pick, a.cluster.Size(), e.scratch)
 	}
-	for _, mi := range a.pick {
+	for _, mi := range pick {
 		d := a.cluster.Members[mi]
 		dr := rr.DeriveN("dev", uint64(d))
 		// Local training duration plus uplink latency, virtual ms. Drawn
 		// from the device's own derived stream so arrival times are
-		// independent of scheduling.
+		// independent of scheduling. The timer carries the device id to
+		// OnTimer; a closure per arrival was 2.6 MB of a 100k-device run.
 		delay := simnet.Time(40 + 160*dr.Float64() + 1 + 9*dr.Float64())
-		device := d
-		ctx.After(delay, func(ctx *simnet.Context) {
-			a.onArrival(ctx, device)
-		})
+		ctx.AfterArg(delay, d)
 	}
 }
 
@@ -421,12 +452,13 @@ func RunScale(o ScaleOptions) (*ScaleResult, error) {
 
 	root := rng.New(o.Seed)
 	e := &scaleEngine{
-		o:      o,
-		tree:   tree,
-		root:   root,
-		agg:    agg,
-		scr:    aggregate.NewScratch(1),
-		levels: make([]LevelScore, tree.Depth()),
+		o:       o,
+		tree:    tree,
+		root:    root,
+		agg:     agg,
+		scr:     aggregate.NewScratch(1),
+		levels:  make([]LevelScore, tree.Depth()),
+		roundNo: -1,
 	}
 	e.scr.Audit = &aggregate.FilterAudit{}
 	for l := range e.levels {
@@ -445,13 +477,16 @@ func RunScale(o ScaleOptions) (*ScaleResult, error) {
 	devices := tree.NumDevices()
 	if o.Eager {
 		e.eagerBufs = make([]tensor.Vector, devices)
+		flat := make([]float64, devices*o.Dim)
 		for d := range e.eagerBufs {
-			e.eagerBufs[d] = tensor.NewVector(o.Dim)
+			e.eagerBufs[d] = flat[d*o.Dim : (d+1)*o.Dim : (d+1)*o.Dim]
 		}
 		e.allocated = devices
 	}
 
-	// One simnet node per cluster, level-major.
+	// One simnet node per cluster, level-major. Everything an actor owns is
+	// cut from a slab shared by all of them, so the build is a dozen
+	// allocations whatever the cluster count, not several per cluster.
 	e.sim = simnet.New(simnet.Uniform{Min: 1, Max: 15}, root.Derive("net"))
 	e.nodeOf = make([][]simnet.NodeID, tree.Depth())
 	next := simnet.NodeID(0)
@@ -463,64 +498,70 @@ func RunScale(o ScaleOptions) (*ScaleResult, error) {
 		}
 	}
 	clusters := int(next)
-	actors := make([]*scaleActor, 0, clusters)
 	bottom := tree.Bottom()
+	actors := make([]scaleActor, clusters)
+	sampled, widest := 0, 0 // cohort members per round; largest bottom cluster
 	for l := range tree.Clusters {
 		for i, c := range tree.Clusters[l] {
-			a := &scaleActor{
-				eng: e, level: l, index: i, cluster: c,
-				partial: tensor.NewVector(o.Dim),
-			}
+			id := e.nodeOf[l][i]
+			a := &actors[id]
+			*a = scaleActor{eng: e, level: l, index: i, cluster: c}
 			if l > 0 {
+				// Parents come first in level-major order: count this
+				// cluster among its parent's inputs.
 				p := tree.Parent(l, i)
 				a.parent = e.nodeOf[p.Level][p.Index]
+				actors[a.parent].expect++
 			}
 			if l == bottom {
-				a.expect = o.Cohort
-				if a.expect > c.Size() {
-					a.expect = c.Size()
-				}
-				a.pick = make([]int, 0, c.Size())
-				a.scratch = make([]int, c.Size())
+				a.expect = min(o.Cohort, c.Size())
+				sampled += a.expect
+				widest = max(widest, c.Size())
 			}
-			actors = append(actors, a)
-			e.sim.Register(e.nodeOf[l][i], a)
+			e.sim.Register(id, a)
 		}
 	}
-	// Child links (upper levels) and expected input counts.
-	for l := 1; l < tree.Depth(); l++ {
-		for i := range tree.Clusters[l] {
-			p := tree.Parent(l, i)
-			pa := actors[int(e.nodeOf[p.Level][p.Index])]
-			pa.childIDs = append(pa.childIDs, e.nodeOf[l][i])
-		}
+	inputs := 0
+	for i := range actors {
+		inputs += actors[i].expect
 	}
-	for _, a := range actors {
+	partials := make([]float64, clusters*o.Dim)
+	vecs := make([]tensor.Vector, inputs)
+	truth := make([]bool, inputs)
+	childIDs := make([]simnet.NodeID, clusters-1)
+	for i := range actors {
+		a := &actors[i]
+		a.partial, partials = partials[:o.Dim:o.Dim], partials[o.Dim:]
+		a.vecs, vecs = vecs[:0:a.expect], vecs[a.expect:]
+		a.truth, truth = truth[:0:a.expect], truth[a.expect:]
 		if a.level != bottom {
-			a.expect = len(a.childIDs)
+			a.childIDs, childIDs = childIDs[:0:a.expect], childIDs[a.expect:]
 		}
-		a.vecs = make([]tensor.Vector, 0, a.expect)
-		a.truth = make([]bool, 0, a.expect)
 	}
+	for id := 1; id < clusters; id++ {
+		p := &actors[actors[id].parent]
+		p.childIDs = append(p.childIDs, simnet.NodeID(id))
+	}
+	e.pick = make([]int, o.Cohort)
+	e.scratch = make([]int, widest)
 
-	// Generous livelock guard: arrivals + ascents + dissemination per round.
-	sampled := 0
-	for _, c := range tree.Clusters[bottom] {
-		k := o.Cohort
-		if k > c.Size() {
-			k = c.Size()
-		}
-		sampled += k
+	// What can be pending at once bounds the queue, and sizes it once: a
+	// bottom cluster has its kick-off, its cohort's arrivals, its partial or
+	// the next round's global in flight, never two of them, and a cluster
+	// above it one partial or one global. Every buffer in use belongs to an
+	// arrival not yet aggregated, so the pool never holds more than sampled.
+	e.sim.Reserve(sampled + clusters - len(tree.Clusters[bottom]))
+	if !o.Eager {
+		e.pool = make([]tensor.Vector, 0, sampled)
 	}
+	// Generous livelock guard: arrivals + ascents + dissemination per round.
 	e.sim.MaxEvents = 8 * o.Rounds * (sampled + 3*clusters + 16)
 
-	// Kick off round 0 at every bottom cluster.
-	for i := range tree.Clusters[bottom] {
-		a := actors[int(e.nodeOf[bottom][i])]
-		id := e.nodeOf[bottom][i]
-		e.sim.ScheduleAt(0, id, func(ctx *simnet.Context) {
-			a.startRound(ctx, 0)
-		})
+	// Kick off round 0 at every bottom cluster: one closure, which finds its
+	// actor by the node it fires on.
+	kickOff := func(ctx *simnet.Context) { actors[ctx.Self()].startRound(ctx, 0) }
+	for _, id := range e.nodeOf[bottom] {
+		e.sim.ScheduleAt(0, id, kickOff)
 	}
 
 	start := time.Now()

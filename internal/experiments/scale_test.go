@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"hash/fnv"
 	"runtime"
 	"testing"
 
@@ -85,6 +86,32 @@ func TestScaleLazyMatchesEager(t *testing.T) {
 	}
 }
 
+// TestScaleResultPinned holds everything deterministic a small run reports —
+// model error, every level's filter score, activations, buffers handed out,
+// events, traffic, peak queue, the three σ summaries — against constants taken
+// before the queue was reserved, the actors were cut from slabs, arrivals
+// became argument timers, the round's stream was cached and the coordinate
+// rules audited in one pass. A digest that moves means a draw, an event's
+// place in the order or an audit decision moved.
+func TestScaleResultPinned(t *testing.T) {
+	for _, pin := range []struct {
+		rule string
+		want uint64
+	}{
+		{"median", 0xaee298c4d6102ea8},
+		{"trimmed-mean", 0x5f50c56567d37ed1},
+		{"multi-krum", 0x981e5ee778339afd},
+	} {
+		o := smallScale()
+		o.Rule = pin.rule
+		h := fnv.New64a()
+		fmt.Fprint(h, fmtScale(deterministicView(mustRunScale(t, o))))
+		if got := h.Sum64(); got != pin.want {
+			t.Errorf("%s: result digest %#x, pinned %#x", pin.rule, got, pin.want)
+		}
+	}
+}
+
 func TestScaleCohortBoundsActivations(t *testing.T) {
 	o := smallScale()
 	res := mustRunScale(t, o)
@@ -137,30 +164,45 @@ func scaleCellOptions() ScaleOptions {
 }
 
 // TestRunScaleAllocBudget pins what one RunScale call allocates on the
-// scale_cell shape: the figure this test measures plus about a tenth. What is
-// left is standing state — the tree, one actor per cluster, the event pool
-// and heap. The same call allocated 49.7 MB when every derived random stream
-// was a heap object, Tree.Validate built two 100k-entry maps and every
-// dispatched event got its own Context, so a budget this close catches the
-// return of any one of them. `make profile-scale` prints where the bytes of
-// a failing run come from.
+// scale_cell shape, in bytes and in objects: the figures this test measures
+// (19.56 MB, 28 259 objects) plus about a tenth. What is left is standing
+// state — the tree (two objects per cluster, all of the object count), one
+// actor per cluster and its slabs, and the queue, events and update vectors
+// for what is in flight at the peak. The same call allocated 49.7 MB when
+// every derived random stream was a heap object, Tree.Validate built two
+// 100k-entry maps and every dispatched event got its own Context, and 31.9 MB
+// in 302 k objects while the heap, the free list and the vector pool grew by
+// append, every event, actor and vector was its own object and every arrival
+// its own closure; budgets this close catch the return of any one of them.
+// The object budget is the one that sees a per-event or per-arrival object
+// come back, which a few bytes each would hide from the byte budget.
+// `make profile-scale` prints where the bytes of a failing run come from.
 func TestRunScaleAllocBudget(t *testing.T) {
 	if testenv.UnderRace() {
 		t.Skip("the race detector's own allocations are counted in TotalAlloc")
 	}
-	const budget = 38_000_000 // bytes; the benchmark's alloc_bytes_per_run reads in the same unit
+	const (
+		byteBudget   = 21_500_000 // the benchmark's alloc_bytes_per_run reads in the same unit
+		objectBudget = 31_000
+	)
 	o := scaleCellOptions()
-	run := func() uint64 {
+	run := func() (bytes, objects uint64) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		mustRunScale(t, o)
 		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc
+		return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
 	}
-	least := min(run(), run())
-	t.Logf("%.2f MB per RunScale (budget %.2f MB)", float64(least)/1e6, float64(budget)/1e6)
-	if least > budget {
-		t.Errorf("RunScale allocated %d bytes, budget %d", least, budget)
+	b1, o1 := run()
+	b2, o2 := run()
+	bytes, objects := min(b1, b2), min(o1, o2)
+	t.Logf("%.2f MB in %d objects per RunScale (budget %.2f MB, %d objects)",
+		float64(bytes)/1e6, objects, float64(byteBudget)/1e6, objectBudget)
+	if bytes > byteBudget {
+		t.Errorf("RunScale allocated %d bytes, budget %d", bytes, byteBudget)
+	}
+	if objects > objectBudget {
+		t.Errorf("RunScale allocated %d objects, budget %d", objects, objectBudget)
 	}
 }
 

@@ -13,10 +13,43 @@ package simnet
 //
 // Dispatched events return to a free list and are reused, so the steady state
 // allocates no event structs.
+//
+// Nothing here grows by append. A caller that knows how many events it will
+// ever have pending says so once (reserve) and gets the heap, the free list
+// and the events themselves, one slab, at that size; otherwise a full array
+// doubles. Go's append grows a large slice by a quarter, which for a queue
+// that climbs to its peak once means copying it a dozen times: the arrays
+// thrown away on the way were a fifth of what a 100k-device run allocated.
 type eventQueue struct {
 	heap []slot
 	peak int // high-water mark of len(heap) (Stats.PeakQueue)
 	free []*event
+	slab []event // reserved events not yet handed out
+}
+
+// growMin is the least capacity a full array doubles to.
+const growMin = 16
+
+// reserve sizes the queue for n simultaneously pending events. It is a hint:
+// a run that exceeds it grows as if it had not been given.
+func (q *eventQueue) reserve(n int) {
+	if n > cap(q.heap) {
+		q.heap = append(make([]slot, 0, n), q.heap...)
+	}
+	if n > cap(q.free) {
+		q.free = append(make([]*event, 0, n), q.free...)
+	}
+	if made := len(q.heap) + len(q.free); n > made+len(q.slab) {
+		q.slab = make([]event, n-made)
+	}
+}
+
+// room returns s with space for one more element, doubling a full array.
+func room[T any](s []T) []T {
+	if len(s) < cap(s) {
+		return s
+	}
+	return append(make([]T, 0, max(2*cap(s), growMin)), s...)
 }
 
 // slot is one heap entry: the event and a copy of its delivery time.
@@ -35,7 +68,7 @@ func (a slot) less(b slot) bool {
 // push queues e for delivery at e.msg.At; e.seq is already set.
 func (q *eventQueue) push(e *event) {
 	s := slot{at: e.msg.At, e: e}
-	h := append(q.heap, s)
+	h := append(room(q.heap), s)
 	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
@@ -90,7 +123,7 @@ func (q *eventQueue) pop() *event {
 // empty reports whether no events remain.
 func (q *eventQueue) empty() bool { return len(q.heap) == 0 }
 
-// get returns a pooled event (zeroed) or a fresh one.
+// get returns a pooled event (zeroed), a reserved one or a fresh one.
 func (q *eventQueue) get() *event {
 	if n := len(q.free); n > 0 {
 		e := q.free[n-1]
@@ -98,12 +131,17 @@ func (q *eventQueue) get() *event {
 		q.free = q.free[:n-1]
 		return e
 	}
-	return &event{}
+	if len(q.slab) == 0 {
+		return &event{}
+	}
+	e := &q.slab[0]
+	q.slab = q.slab[1:]
+	return e
 }
 
 // put recycles a dispatched event. References are cleared so pooled events
 // never retain payloads or timer closures.
 func (q *eventQueue) put(e *event) {
 	*e = event{}
-	q.free = append(q.free, e)
+	q.free = append(room(q.free), e)
 }

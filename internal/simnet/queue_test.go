@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"abdhfl/internal/rng"
 )
@@ -21,8 +22,9 @@ type scheduled struct {
 	node NodeID
 }
 
-// orderScript drives a random schedule of sends, timers and ScheduleAt calls
-// through a simulator and keeps the model the property is checked against.
+// orderScript drives a random schedule of sends, closure timers, argument
+// timers and ScheduleAt calls through a simulator and keeps the model the
+// property is checked against.
 // Latency is Fixed(1) and every delay a small integer, so most events share
 // their time with many others and the seq tie-break decides the order.
 type orderScript struct {
@@ -65,15 +67,25 @@ func (s *orderScript) fire(ctx *Context, id int) {
 	}
 }
 
+// scriptNode is every node of the script: messages carry an event id as
+// their payload, argument timers as their argument.
+type scriptNode struct{ s *orderScript }
+
+func (n scriptNode) OnMessage(ctx *Context, msg Message) { n.s.fire(ctx, msg.Payload.(int)) }
+func (n scriptNode) OnTimer(ctx *Context, id int)        { n.s.fire(ctx, id) }
+
 func (s *orderScript) spawn(ctx *Context) {
 	other := NodeID(s.r.Intn(s.nodes))
-	switch s.r.Intn(3) {
+	switch s.r.Intn(4) {
 	case 0:
 		ctx.Send(other, s.note(ctx.Now()+1, other))
 	case 1:
 		d := Time(s.r.Intn(3))
 		id := s.note(ctx.Now()+d, ctx.Self())
 		ctx.After(d, func(ctx *Context) { s.fire(ctx, id) })
+	case 2:
+		d := Time(s.r.Intn(3))
+		ctx.AfterArg(d, s.note(ctx.Now()+d, ctx.Self()))
 	default:
 		// A timer armed from this node's callback for another node.
 		at := ctx.Now() + Time(s.r.Intn(3))
@@ -82,13 +94,15 @@ func (s *orderScript) spawn(ctx *Context) {
 	}
 }
 
-// runOrderScript runs one seeded schedule, pausing at each of the given
-// times, and returns the script for inspection.
-func runOrderScript(t *testing.T, seed uint64, pauses []Time) *orderScript {
+// runOrderScript runs one seeded schedule on a queue reserved for reserve
+// pending events (0: none), pausing at each of the given times, and returns
+// the script for inspection.
+func runOrderScript(t *testing.T, seed uint64, reserve int, pauses []Time) *orderScript {
 	t.Helper()
 	s := &orderScript{t: t, sim: New(Fixed(1), rng.New(seed)), r: rng.New(seed).Derive("script"), nodes: 8, budget: 3000}
+	s.sim.Reserve(reserve)
 	for i := 0; i < s.nodes; i++ {
-		s.sim.Register(NodeID(i), handlerFunc(func(ctx *Context, msg Message) { s.fire(ctx, msg.Payload.(int)) }))
+		s.sim.Register(NodeID(i), scriptNode{s})
 	}
 	for i := 0; i < 40; i++ {
 		node := NodeID(s.r.Intn(s.nodes))
@@ -109,13 +123,15 @@ func runOrderScript(t *testing.T, seed uint64, pauses []Time) *orderScript {
 }
 
 // TestDispatchOrderIsStableSort is the queue's contract as a property: events
-// fire in exactly the order a stable sort of the schedule by time gives, that
-// is by (at, seq); pausing with Run(until) and resuming changes neither the
-// order nor the PeakQueue gauge; and every callback, nested or not, runs with
+// — messages, closure timers and argument timers alike — fire in exactly the
+// order a stable sort of the schedule by time gives, that is by (at, seq);
+// pausing with Run(until) and resuming changes neither the order nor the
+// PeakQueue gauge; nor does reserving the queue, whether the run stays inside
+// its reserve or outgrows it; and every callback, nested or not, runs with
 // Self() the node its event was scheduled for.
 func TestDispatchOrderIsStableSort(t *testing.T) {
 	for seed := uint64(1); seed <= 20; seed++ {
-		s := runOrderScript(t, seed, nil)
+		s := runOrderScript(t, seed, 0, nil)
 		if s.budget != 0 || len(s.dispatched) != len(s.events) {
 			t.Fatalf("seed %d: scheduled %d events, dispatched %d, budget left %d",
 				seed, len(s.events), len(s.dispatched), s.budget)
@@ -137,13 +153,121 @@ func TestDispatchOrderIsStableSort(t *testing.T) {
 
 		// Pauses land before, on and between event times; a paused event is
 		// pushed back with its seq.
-		p := runOrderScript(t, seed, []Time{0.5, 2, 2.5, 3, 7})
+		p := runOrderScript(t, seed, 0, []Time{0.5, 2, 2.5, 3, 7})
 		if fmt.Sprint(p.dispatched) != fmt.Sprint(s.dispatched) {
 			t.Fatalf("seed %d: pausing and resuming changed the dispatch order", seed)
 		}
 		if got := p.sim.Stats().PeakQueue; got != s.peak {
 			t.Fatalf("seed %d: PeakQueue %d after pauses, %d without", seed, got, s.peak)
 		}
+
+		// A reserve the run outgrows many times over, and one it never fills.
+		if s.peak <= 4*growMin {
+			t.Fatalf("seed %d: peak %d does not outgrow the small reserve", seed, s.peak)
+		}
+		for _, reserve := range []int{3, 2 * s.peak} {
+			r := runOrderScript(t, seed, reserve, nil)
+			if fmt.Sprint(r.dispatched) != fmt.Sprint(s.dispatched) {
+				t.Fatalf("seed %d: reserving %d events changed the dispatch order", seed, reserve)
+			}
+			if got := r.sim.Stats().PeakQueue; got != s.peak {
+				t.Fatalf("seed %d: PeakQueue %d with %d reserved, %d without", seed, got, reserve, s.peak)
+			}
+			if events := len(r.sim.q.free) + len(r.sim.q.slab); reserve > s.peak && (cap(r.sim.q.heap) != reserve || events != reserve) {
+				t.Fatalf("seed %d: a run inside its reserve of %d ended with %d slots, %d events",
+					seed, reserve, cap(r.sim.q.heap), events)
+			}
+		}
+	}
+}
+
+// TestEqualTimeTimersAndMessagesFireInScheduleOrder spells the property out
+// on one node: a message, a closure timer and an argument timer due at the
+// same instant fire in the order they were scheduled, whichever order that is.
+func TestEqualTimeTimersAndMessagesFireInScheduleOrder(t *testing.T) {
+	kinds := []string{"message", "closure", "argument"}
+	for _, order := range [][]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}} {
+		sim := New(Fixed(1), rng.New(1))
+		var got []string
+		node := recordingNode{got: &got}
+		sim.Register(0, node)
+		sim.ScheduleAt(0, 0, func(ctx *Context) {
+			for _, k := range order {
+				switch kinds[k] {
+				case "message":
+					ctx.Send(0, "message") // Fixed(1): due at 1
+				case "closure":
+					ctx.After(1, func(*Context) { got = append(got, "closure") })
+				default:
+					ctx.AfterArg(1, 7)
+				}
+			}
+		})
+		if _, err := sim.Run(0); err != nil {
+			t.Fatal(err)
+		}
+		var want []string
+		for _, k := range order {
+			want = append(want, kinds[k])
+		}
+		if strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Fatalf("scheduled %v, fired %v", want, got)
+		}
+	}
+}
+
+type recordingNode struct{ got *[]string }
+
+func (n recordingNode) OnMessage(_ *Context, msg Message) {
+	*n.got = append(*n.got, msg.Payload.(string))
+}
+
+func (n recordingNode) OnTimer(_ *Context, arg int) {
+	if arg != 7 {
+		panic("argument timer lost its argument")
+	}
+	*n.got = append(*n.got, "argument")
+}
+
+// TestArgumentTimerNeedsItsHandler: an argument timer whose node has lost its
+// handler by the time it fires is lost with it and counted, like a message to
+// a node that is gone; one armed on a node whose handler cannot take it is a
+// programming error and panics the run.
+func TestArgumentTimerNeedsItsHandler(t *testing.T) {
+	sim := New(Fixed(1), rng.New(1))
+	var got []string
+	sim.Register(0, recordingNode{got: &got})
+	sim.ScheduleAt(0, 0, func(ctx *Context) {
+		ctx.AfterArg(1, 7)
+		ctx.AfterArg(3, 7)
+	})
+	sim.ScheduleAt(2, 0, func(ctx *Context) { sim.Register(0, nil) })
+	if _, err := sim.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Join(got, " ") != "argument" {
+		t.Fatalf("fired %v, want the one timer due before the handler went", got)
+	}
+	if st := sim.Stats(); st.DroppedUnregistered != 1 {
+		t.Fatalf("DroppedUnregistered = %d, want the one orphaned timer", st.DroppedUnregistered)
+	}
+
+	sim.Register(1, handlerFunc(func(ctx *Context, msg Message) { ctx.AfterArg(1, 7) }))
+	sim.Inject(1, nil)
+	defer func() {
+		if recover() == nil {
+			t.Error("an argument timer fired on a plain Handler without a panic")
+		}
+	}()
+	sim.Run(0)
+}
+
+// TestEventIsOneCacheLine pins the event struct at 64 bytes: the queue holds
+// tens of thousands of them, and an argument timer was fitted into fields a
+// timer leaves unused so that it would stay there.
+func TestEventIsOneCacheLine(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got != 64 {
+		t.Fatalf("event is %d bytes, want 64", got)
 	}
 }
 

@@ -41,15 +41,32 @@ type Handler interface {
 // TimerFunc is a scheduled callback.
 type TimerFunc func(ctx *Context)
 
-// event is a queue entry: either a message delivery or a timer (timer != nil
-// discriminates). The Message is embedded by value — events are pooled and a
-// pointer here would force a second allocation per send. msg.At is when the
-// event fires and msg.To the node it fires on, for timers as for messages.
+// TimerHandler is a Handler that also takes argument timers: timers that
+// carry an integer to the node's own OnTimer instead of a closure of their
+// own. A node that arms one timer per unit of work — an arrival per sampled
+// device — names the unit in arg and allocates nothing per timer.
+type TimerHandler interface {
+	Handler
+	// OnTimer is invoked when a timer armed with Context.AfterArg fires.
+	OnTimer(ctx *Context, arg int)
+}
+
+// event is a queue entry: a message delivery or a timer. A timer is either a
+// closure (timer != nil) or an argument timer (msg.Payload is argTimer{} and
+// msg.From holds the argument). The Message is embedded by value — events are
+// pooled and a pointer here would force a second allocation per send. msg.At
+// is when the event fires and msg.To the node it fires on, for timers as for
+// messages. The struct is one cache line (TestEventIsOneCacheLine); an
+// argument timer borrows fields a timer leaves unused rather than widen it.
 type event struct {
 	seq   uint64 // tie-break so simultaneous events fire in schedule order
 	msg   Message
 	timer TimerFunc
 }
+
+// argTimer in an event's msg.Payload marks it an argument timer. The type is
+// unexported, so no message can carry one.
+type argTimer struct{}
 
 // Stats aggregates traffic counters for communication-cost accounting and
 // fault-injection audit: every message lost or multiplied by the fault
@@ -62,8 +79,8 @@ type Stats struct {
 	Dropped int
 	// Duplicated counts the extra copies injected by the fault model.
 	Duplicated int
-	// DroppedUnregistered counts deliveries to nodes no handler is bound to
-	// (crashed or never-started nodes).
+	// DroppedUnregistered counts deliveries — messages and argument timers —
+	// to nodes no handler is bound to (crashed or never-started nodes).
 	DroppedUnregistered int
 	// PeakQueue is the high-water mark of simultaneously pending events —
 	// the gauge chaos runs watch to spot queue blow-ups.
@@ -203,6 +220,20 @@ func (c *Context) After(d Time, fn TimerFunc) {
 	s.scheduleTimer(s.now+d, c.self, fn)
 }
 
+// AfterArg schedules an argument timer on this node after the given virtual
+// delay: the node's handler, which must be a TimerHandler (Run panics on one
+// that is not), gets OnTimer(arg). It orders with closure timers and messages
+// like any other event, by time and then by when it was scheduled.
+func (c *Context) AfterArg(d Time, arg int) {
+	if d < 0 {
+		panic("simnet: negative timer delay")
+	}
+	s := c.sim
+	e := s.q.get()
+	e.msg = Message{From: NodeID(arg), To: c.self, Payload: argTimer{}, At: s.now + d}
+	s.schedule(e)
+}
+
 func (s *Sim) send(from, to NodeID, payload any, volume int64) {
 	copies := 1
 	extra := 0.0
@@ -306,10 +337,19 @@ func (s *Sim) Run(until Time) (int, error) {
 			continue
 		}
 		h := s.handlerFor(e.msg.To)
+		if _, ok := e.msg.Payload.(argTimer); ok && h != nil {
+			// The timer's other form: the argument goes to the node's own
+			// handler. (A node that lost its handler after arming the timer
+			// loses the timer too, counted below like a message to it.)
+			arg := int(e.msg.From)
+			s.q.put(e)
+			h.(TimerHandler).OnTimer(ctx, arg)
+			continue
+		}
 		if h == nil {
-			// Message to an unregistered (crashed / never-started) node: the
-			// delivery is lost, and — unlike the seed's bare continue — the
-			// loss is counted so runners can surface it in their summaries.
+			// Delivery to an unregistered (crashed / never-started) node: it
+			// is lost, and — unlike the seed's bare continue — the loss is
+			// counted so runners can surface it in their summaries.
 			s.stats.DroppedUnregistered++
 			s.q.put(e)
 			continue
@@ -323,6 +363,11 @@ func (s *Sim) Run(until Time) (int, error) {
 	}
 	return processed, nil
 }
+
+// Reserve sizes the event queue for n simultaneously pending events, so a
+// run that knows its bound allocates the queue once instead of growing into
+// it. It is a hint: a run that exceeds it grows as if it had not been given.
+func (s *Sim) Reserve(n int) { s.q.reserve(n) }
 
 // Pending reports whether undelivered events remain.
 func (s *Sim) Pending() bool { return !s.q.empty() }

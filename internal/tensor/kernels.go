@@ -10,70 +10,108 @@ import "math"
 // allocation-free (see the MatVec comment).
 
 // CoordinateMedianWS stores the per-coordinate median of vs into dst and
-// returns dst. cols is caller-owned scratch holding at least len(vs) values
-// per participating worker (workers*len(vs) for full fan-out); the worker
-// count is additionally clamped to len(cols)/len(vs). Each coordinate's
-// median is computed independently via MedianInPlace on a scratch column, so
+// returns dst: each coordinate's median is MedianInPlace of its column, so
 // the result is bit-identical to CoordinateMedian for every worker count.
-func CoordinateMedianWS(dst Vector, vs []Vector, cols []float64, workers int) Vector {
-	n := len(vs)
-	if n == 0 {
-		panic("tensor: CoordinateMedianWS of empty set")
-	}
-	assertSameLen(dst, vs[0])
-	workers = coordColWorkers(len(dst), n, len(cols), workers)
-	if workers <= 1 {
-		col := cols[:n]
-		for j := range dst {
-			for k, v := range vs {
-				col[k] = v[j]
-			}
-			dst[j] = MedianInPlace(col)
-		}
-		return dst
-	}
-	parallelChunks(len(dst), coordChunk, workers, func(w, lo, hi int) {
-		col := cols[w*n : w*n+n]
-		for j := lo; j < hi; j++ {
-			for k, v := range vs {
-				col[k] = v[j]
-			}
-			dst[j] = MedianInPlace(col)
-		}
-	})
-	return dst
+// Scratch, the kept counts and the worker contract are coordinateKept's.
+func CoordinateMedianWS(dst Vector, vs []Vector, cols []float64, kept []int, workers int) Vector {
+	return coordinateKept(dst, vs, -1, cols, kept, workers)
 }
 
 // CoordinateTrimmedMeanWS stores the per-coordinate trimmed mean of vs into
 // dst and returns dst, trimming the trim extreme values at each end per
-// coordinate. Scratch and determinism contract as for CoordinateMedianWS.
-func CoordinateTrimmedMeanWS(dst Vector, vs []Vector, trim int, cols []float64, workers int) Vector {
+// coordinate (TrimmedMeanInPlace of each column). Scratch, the kept counts
+// and the worker contract are coordinateKept's.
+func CoordinateTrimmedMeanWS(dst Vector, vs []Vector, trim int, cols []float64, kept []int, workers int) Vector {
+	if trim < 0 {
+		panic("tensor: CoordinateTrimmedMeanWS trim out of range")
+	}
+	return coordinateKept(dst, vs, trim, cols, kept, workers)
+}
+
+// coordinateKept is the one kernel behind the coordinate rules, which keep,
+// per coordinate, the values at a fixed range of sorted ranks and average
+// them (trim < 0: the median's middle one or two; otherwise all but trim at
+// each end). It gathers each column once, selects once, and takes from that
+// one selection both the aggregate for dst and the kept value range [lo, hi]
+// a filter audit counts against.
+//
+// kept, if non-nil, is that audit: on return kept[i] is the number of
+// coordinates on which vs[i]'s value lay inside [lo, hi] (a value tied with
+// an edge counts as kept). Nil skips the counting and the column copy it
+// needs.
+//
+// Scratch: cols holds 2·len(vs) values and a non-nil kept len(vs) counts per
+// participating worker; the worker count is clamped to what both can serve.
+// Each worker writes dst only inside the chunks it claims and counts into its
+// own row of kept, and the rows are added up after the join — integer sums,
+// so dst and kept are identical for every worker count.
+func coordinateKept(dst Vector, vs []Vector, trim int, cols []float64, kept []int, workers int) Vector {
 	n := len(vs)
 	if n == 0 {
-		panic("tensor: CoordinateTrimmedMeanWS of empty set")
+		panic("tensor: coordinate kernel over an empty set")
 	}
 	assertSameLen(dst, vs[0])
-	workers = coordColWorkers(len(dst), n, len(cols), workers)
-	if workers <= 1 {
-		col := cols[:n]
-		for j := range dst {
-			for k, v := range vs {
-				col[k] = v[j]
-			}
-			dst[j] = TrimmedMeanInPlace(col, trim)
+	workers = coordColWorkers(len(dst), n, 2*n, len(cols), workers)
+	if kept != nil {
+		if len(kept) < n {
+			panic("tensor: coordinate kernel kept counts shorter than the set")
 		}
+		workers = min(workers, len(kept)/n)
+	}
+	// One row of n counts per worker, row 0 the result; nil when kept is.
+	// (Assigned once: the closure below then captures it by value and the
+	// serial path allocates nothing.)
+	rows := kept[:min(len(kept), workers*n)]
+	clear(rows)
+	if workers <= 1 {
+		coordinateKeptRange(dst, vs, trim, cols, rows, 0, len(dst))
 		return dst
 	}
 	parallelChunks(len(dst), coordChunk, workers, func(w, lo, hi int) {
-		col := cols[w*n : w*n+n]
-		for j := lo; j < hi; j++ {
-			for k, v := range vs {
-				col[k] = v[j]
-			}
-			dst[j] = TrimmedMeanInPlace(col, trim)
+		var cnt []int
+		if rows != nil {
+			cnt = rows[w*n : (w+1)*n]
 		}
+		coordinateKeptRange(dst, vs, trim, cols[2*w*n:], cnt, lo, hi)
 	})
+	for w := 1; w < len(rows)/n; w++ {
+		for i, c := range rows[w*n : (w+1)*n] {
+			rows[i] += c
+		}
+	}
 	return dst
+}
+
+// coordinateKeptRange runs coordinateKept over coordinates [from, to) with one
+// worker's scratch: cols starts with its two columns, cnt is its row of kept
+// counts or nil.
+func coordinateKeptRange(dst Vector, vs []Vector, trim int, cols []float64, cnt []int, from, to int) {
+	n := len(vs)
+	// The selection permutes its column; counting needs the input order, so
+	// an audited pass selects on a copy.
+	col, work := cols[:n], cols[:n]
+	if cnt != nil {
+		work = cols[n : 2*n]
+	}
+	for j := from; j < to; j++ {
+		for k, v := range vs {
+			col[k] = v[j]
+		}
+		if cnt != nil {
+			copy(work, col)
+		}
+		var lo, hi float64
+		if trim < 0 {
+			dst[j], lo, hi = medianKept(work)
+		} else {
+			dst[j], lo, hi = trimmedMeanKept(work, trim)
+		}
+		for i := range cnt {
+			if v := col[i]; v >= lo && v <= hi {
+				cnt[i]++
+			}
+		}
+	}
 }
 
 // CoordinateNearMedianMeanWS stores, per coordinate, the mean of the beta
@@ -94,7 +132,7 @@ func CoordinateNearMedianMeanWS(dst Vector, vs []Vector, beta int, cols []float6
 		panic("tensor: CoordinateNearMedianMeanWS beta out of range")
 	}
 	assertSameLen(dst, vs[0])
-	workers = coordColWorkers(len(dst), n, len(cols), workers)
+	workers = coordColWorkers(len(dst), n, n, len(cols), workers)
 	if workers <= 1 {
 		nearMedianMeanRange(dst, vs, beta, cols[:n], 0, len(dst))
 		return dst
@@ -137,17 +175,14 @@ func nearMedianMeanRange(dst Vector, vs []Vector, beta int, col []float64, lo, h
 	}
 }
 
-// coordColWorkers combines the work-size clamp with the scratch-size clamp
-// for the column-scratch coordinate kernels.
-func coordColWorkers(d, n, colsLen, workers int) int {
-	if colsLen < n {
-		panic("tensor: coordinate kernel scratch smaller than one column")
+// coordColWorkers combines the work-size clamp (d coordinates of n values)
+// with the scratch-size clamp for the column-scratch coordinate kernels, which
+// need per scratch values for each worker.
+func coordColWorkers(d, n, per, colsLen, workers int) int {
+	if colsLen < per {
+		panic("tensor: coordinate kernel scratch smaller than one worker's columns")
 	}
-	workers = kernelWorkers(d, n, workers)
-	if m := colsLen / n; workers > m {
-		workers = m
-	}
-	return workers
+	return min(kernelWorkers(d, n, workers), colsLen/per)
 }
 
 // MeanWS stores the arithmetic mean of vs into dst and returns dst, fanning

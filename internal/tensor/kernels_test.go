@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -31,6 +32,25 @@ func kernelPopulation(seed uint64, n, d int) []Vector {
 	return vs
 }
 
+// keptBySorting counts, per input, the coordinates on which its value lies
+// between the column's order statistics of rank loRank and hiRank.
+func keptBySorting(vs []Vector, loRank, hiRank int) []int {
+	kept := make([]int, len(vs))
+	col := make([]float64, len(vs))
+	for j := range vs[0] {
+		for i, v := range vs {
+			col[i] = v[j]
+		}
+		sort.Float64s(col)
+		for i, v := range vs {
+			if v[j] >= col[loRank] && v[j] <= col[hiRank] {
+				kept[i]++
+			}
+		}
+	}
+	return kept
+}
+
 // TestCoordinateKernelsBitIdenticalToSerial pins the tentpole contract: the
 // WS kernels must produce bit-identical output for every worker count, and
 // match the legacy sort-based serial implementations exactly.
@@ -45,12 +65,28 @@ func TestCoordinateKernelsBitIdenticalToSerial(t *testing.T) {
 	legacyMean := Mean(NewVector(d), vs)
 
 	for _, w := range workerCounts {
-		cols := make([]float64, ResolveWorkers(w)*n)
-		if got := CoordinateMedianWS(NewVector(d), vs, cols, w); !bitsEq(got, legacyMed) {
+		cols := make([]float64, ResolveWorkers(w)*2*n)
+		if got := CoordinateMedianWS(NewVector(d), vs, cols, nil, w); !bitsEq(got, legacyMed) {
 			t.Errorf("CoordinateMedianWS workers=%d differs from CoordinateMedian", w)
 		}
-		if got := CoordinateTrimmedMeanWS(NewVector(d), vs, 2, cols, w); !bitsEq(got, legacyTrim) {
+		if got := CoordinateTrimmedMeanWS(NewVector(d), vs, 2, cols, nil, w); !bitsEq(got, legacyTrim) {
 			t.Errorf("CoordinateTrimmedMeanWS workers=%d differs from CoordinateTrimmedMean", w)
+		}
+		// Counting what each input had kept changes neither aggregate, and
+		// the counts are those of a sorted column: an input is kept where its
+		// value lies between the order statistics the rule keeps.
+		kept := make([]int, ResolveWorkers(w)*n)
+		if got := CoordinateMedianWS(NewVector(d), vs, cols, kept, w); !bitsEq(got, legacyMed) {
+			t.Errorf("CoordinateMedianWS workers=%d with kept counts differs from CoordinateMedian", w)
+		}
+		if want := keptBySorting(vs, (n-1)/2, n/2); !slices.Equal(kept[:n], want) {
+			t.Errorf("CoordinateMedianWS workers=%d kept %v, a sort says %v", w, kept[:n], want)
+		}
+		if got := CoordinateTrimmedMeanWS(NewVector(d), vs, 2, cols, kept, w); !bitsEq(got, legacyTrim) {
+			t.Errorf("CoordinateTrimmedMeanWS workers=%d with kept counts differs from CoordinateTrimmedMean", w)
+		}
+		if want := keptBySorting(vs, 2, n-3); !slices.Equal(kept[:n], want) {
+			t.Errorf("CoordinateTrimmedMeanWS workers=%d kept %v, a sort says %v", w, kept[:n], want)
 		}
 		next, dists := NewVector(d), make([]float64, n)
 		if got := GeometricMedianWS(NewVector(d), vs, 1e-8, 50, next, dists, w); !bitsEq(got, legacyGeo) {
@@ -205,13 +241,15 @@ func TestSelectKernelAllocFree(t *testing.T) {
 	const n, d = 8, 64
 	vs := kernelPopulation(51, n, d)
 	dst := NewVector(d)
-	cols := make([]float64, n)
+	cols := make([]float64, 2*n)
+	kept := make([]int, n)
 	next, dists := NewVector(d), make([]float64, n)
 	sq := make([]float64, n*n)
 	sqn := make([]float64, n)
 	allocs := testing.AllocsPerRun(10, func() {
-		CoordinateMedianWS(dst, vs, cols, 1)
-		CoordinateTrimmedMeanWS(dst, vs, 2, cols, 1)
+		CoordinateMedianWS(dst, vs, cols, nil, 1)
+		CoordinateMedianWS(dst, vs, cols, kept, 1)
+		CoordinateTrimmedMeanWS(dst, vs, 2, cols, kept, 1)
 		GeometricMedianWS(dst, vs, 1e-6, 10, next, dists, 1)
 		MeanWS(dst, vs, 1)
 		PairwiseSquaredDistancesWS(sq, sqn, vs, 1)

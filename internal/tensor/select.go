@@ -83,23 +83,31 @@ func insertionSort(xs []float64) {
 // odd counts, the mean of the two middle order statistics for even counts.
 // It panics on an empty slice.
 func MedianInPlace(xs []float64) float64 {
+	med, _, _ := medianKept(xs)
+	return med
+}
+
+// medianKept is MedianInPlace that also returns the order statistics the
+// median was formed from — ranks (n-1)/2 and n/2, one value twice for odd
+// counts — which bound the value range a coordinate median keeps.
+func medianKept(xs []float64) (med, lo, hi float64) {
 	n := len(xs)
 	if n == 0 {
 		panic("tensor: MedianInPlace of empty slice")
 	}
-	hi := SelectKth(xs, n/2)
+	hi = SelectKth(xs, n/2)
 	if n%2 == 1 {
-		return hi
+		return hi, hi, hi
 	}
 	// SelectKth left the n/2 smallest values in xs[:n/2]; the lower middle is
 	// their maximum.
-	lo := xs[0]
+	lo = xs[0]
 	for _, x := range xs[1 : n/2] {
 		if x > lo {
 			lo = x
 		}
 	}
-	return (lo + hi) / 2
+	return (lo + hi) / 2, lo, hi
 }
 
 // TrimmedMeanInPlace returns the mean of xs after discarding the trim
@@ -107,6 +115,13 @@ func MedianInPlace(xs []float64) float64 {
 // values are summed in ascending order, so the result is bit-identical to
 // TrimmedMean. It panics if 2*trim >= len(xs).
 func TrimmedMeanInPlace(xs []float64, trim int) float64 {
+	mean, _, _ := trimmedMeanKept(xs, trim)
+	return mean
+}
+
+// trimmedMeanKept is TrimmedMeanInPlace that also returns the least and the
+// greatest value it kept: the order statistics of rank trim and n-1-trim.
+func trimmedMeanKept(xs []float64, trim int) (mean, lo, hi float64) {
 	n := len(xs)
 	if trim < 0 || 2*trim >= n {
 		panic("tensor: TrimmedMeanInPlace trim out of range")
@@ -122,5 +137,5 @@ func TrimmedMeanInPlace(xs []float64, trim int) float64 {
 	for _, x := range mid {
 		s += x
 	}
-	return s / float64(n-2*trim)
+	return s / float64(n-2*trim), mid[0], mid[len(mid)-1]
 }

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
 	"testing/quick"
@@ -168,16 +169,90 @@ func TestClip(t *testing.T) {
 	}
 }
 
+// allFiniteRef is AllFinite as a definition: no element is NaN or ±Inf.
+func allFiniteRef(v Vector) bool {
+	for _, x := range v {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestAllFinite puts every kind of float64 at every position of vectors of
+// length 0 to 9 — so each lane of an unrolled body and each length of its
+// tail sees each value — and holds AllFinite to the definition.
 func TestAllFinite(t *testing.T) {
-	if !AllFinite(Vector{1, 2, 3}) {
-		t.Fatal("finite vector reported non-finite")
+	values := []struct {
+		name   string
+		x      float64
+		finite bool
+	}{
+		{"one", 1, true},
+		{"+0", 0, true},
+		{"-0", math.Copysign(0, -1), true},
+		{"+max", math.MaxFloat64, true},
+		{"-max", -math.MaxFloat64, true},
+		{"subnormal", math.SmallestNonzeroFloat64, true},
+		{"-subnormal", -math.SmallestNonzeroFloat64, true},
+		{"largest subnormal", math.Float64frombits(0x000FFFFFFFFFFFFF), true},
+		{"+Inf", math.Inf(1), false},
+		{"-Inf", math.Inf(-1), false},
+		{"NaN", math.NaN(), false},
+		{"-NaN", math.Float64frombits(0xFFF8000000000000), false},
+		{"signalling NaN, payload 1", math.Float64frombits(0x7FF0000000000001), false},
+		{"NaN, full payload", math.Float64frombits(0x7FFFFFFFFFFFFFFF), false},
 	}
-	if AllFinite(Vector{1, math.NaN()}) {
-		t.Fatal("NaN not detected")
+	for n := 0; n <= 9; n++ {
+		v := NewVector(n)
+		for i := range v {
+			v[i] = float64(i) - 4.5
+		}
+		if !AllFinite(v) {
+			t.Fatalf("finite vector of length %d reported non-finite", n)
+		}
+		for pos := 0; pos < n; pos++ {
+			for _, c := range values {
+				old := v[pos]
+				v[pos] = c.x
+				if got := AllFinite(v); got != c.finite {
+					t.Fatalf("length %d, %s at %d: AllFinite = %v, want %v", n, c.name, pos, got, c.finite)
+				}
+				v[pos] = old
+			}
+		}
 	}
-	if AllFinite(Vector{1, math.Inf(1)}) {
-		t.Fatal("Inf not detected")
+	// Finite values that overflow when summed or cancelled must not trip it.
+	if !AllFinite(Vector{math.MaxFloat64, math.MaxFloat64, -math.MaxFloat64, math.MaxFloat64, math.MaxFloat64}) {
+		t.Fatal("a vector of ±MaxFloat64 reported non-finite")
 	}
+}
+
+// FuzzAllFinite reads its input as little-endian float64 bit patterns, so the
+// fuzzer mutates straight through NaN payloads, ±Inf and subnormals.
+func FuzzAllFinite(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(leFloats(1, 2, 3, 4, 5))
+	f.Add(leFloats(1, 2, 3, 4, math.NaN()))
+	f.Add(leFloats(math.Inf(-1), 2, 3, 4, 5, 6, 7, 8))
+	f.Add(leFloats(math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		v := NewVector(len(raw) / 8)
+		for i := range v {
+			v[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		}
+		if got, want := AllFinite(v), allFiniteRef(v); got != want {
+			t.Fatalf("AllFinite(%v) = %v, want %v", v, got, want)
+		}
+	})
+}
+
+func leFloats(vals ...float64) []byte {
+	b := make([]byte, 8*len(vals))
+	for i, x := range vals {
+		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
+	}
+	return b
 }
 
 func TestPairwiseSquaredDistances(t *testing.T) {
