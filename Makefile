@@ -103,16 +103,19 @@ verify-trace:
 		./internal/experiments ./internal/chaostest
 
 # verify-transport gates the real-wire layer: a build, the frame fuzz
-# corpus replayed as regular tests, the frame/stall/dupe/hostile-input and
-# payload-ownership suites and the distributed≡core plus loopback≡TCP
-# conformance goldens, the payload decoders' hostile headers and the
-# round-scratch lifetime check under -race, then — without -race, whose
-# own allocations would be counted — the per-RunCluster allocation budget,
-# then the multi-process abdhfl-node cluster smoke (1 root, 2 leaders,
-# 4 devices over real sockets with a fault plan active).
+# corpus replayed as regular tests, the frame/stall/dupe/hostile-input
+# suites and the ownership contract (Send copies, a held payload survives
+# released ones, released buffers recycle, the free list stays bounded,
+# duplicate copies own their buffers), the distributed≡core plus
+# loopback≡TCP conformance goldens, the payload decoders' hostile headers
+# and the round-scratch lifetime check under -race, then — without -race,
+# whose own allocations would be counted — the per-RunCluster allocation
+# budget (bytes and objects), then the multi-process abdhfl-node cluster
+# smoke (1 root, 2 leaders, 4 devices over real sockets with a fault plan
+# active).
 verify-transport:
 	$(GO) build -o /dev/null ./cmd/abdhfl-node
-	$(GO) test -race -run 'Frame|Stall|Dupe|Concurrent|Hostility|Lifecycle|Restart|Fuzz' ./internal/transport
+	$(GO) test -race -run 'Frame|Stall|Dupe|Duplicate|Release|Concurrent|Hostility|Lifecycle|Restart|Fuzz' ./internal/transport
 	$(GO) test -race -run 'Conformance|MatchesCore|Decode|RoundScratch' ./internal/node
 	$(GO) test -run TestRunClusterAllocBudget ./internal/node
 	$(GO) test -run ClusterSmoke ./cmd/abdhfl-node
@@ -143,12 +146,20 @@ bench-compare:
 
 # profile-node prints where node_round-shaped RunCluster calls allocate
 # their bytes (the alloc-budget test's four TCP runs and its one Build,
-# every allocation sampled), so the next attribution is read rather than
-# guessed. The test binary and profile land in the git-ignored .bench_build/.
+# every allocation sampled), then a CPU and a block profile of 150 such TCP
+# runs (BenchmarkRunClusterTCP, every blocking event sampled): the CPU top
+# says what the engines, codec and wire compute, the block top where the 65
+# engines wait on one another (chanrecv under Engine.collect / awaitGlobal)
+# and where the wire waits on them (Bus.Publish, frameQueue.push), so the
+# next attribution is read rather than guessed. The test binary and profiles
+# land in the git-ignored .bench_build/.
 profile-node:
 	mkdir -p .bench_build
 	$(GO) test -count=1 -run 'TestRunClusterAllocBudget/tcp' -memprofile node.mem -memprofilerate 1 -outputdir .bench_build -o .bench_build/node.test ./internal/node
 	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=30 .bench_build/node.test .bench_build/node.mem
+	$(GO) test -count=1 -run '^$$' -bench RunClusterTCP -benchtime 150x -cpuprofile node.cpu -blockprofile node.block -blockprofilerate 1 -outputdir .bench_build -o .bench_build/node.test ./internal/node
+	$(GO) tool pprof -top -nodecount=25 .bench_build/node.test .bench_build/node.cpu
+	$(GO) tool pprof -top -nodecount=15 .bench_build/node.test .bench_build/node.block
 
 # profile-train prints where the two training-bound benchmark shapes spend
 # their CPU: a table5_cell-shaped RunHFL loop and a pipeline_round-shaped

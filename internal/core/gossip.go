@@ -123,7 +123,7 @@ func RunGossip(cfg GossipConfig) (*Result, error) {
 
 	root := rng.New(cfg.Seed)
 	sizes := step.ModelSizes(cfg.Hidden)
-	initParams := nn.New(root.Derive("init"), sizes...).Params()
+	initParams := nn.InitParamsInto(nil, root.Derive("init"), sizes...)
 	params := make([]tensor.Vector, devices)
 	for i := range params {
 		params[i] = initParams.Clone()

@@ -28,8 +28,7 @@ func RunHFL(cfg Config) (*Result, error) {
 	}
 	root := rng.New(cfg.Seed)
 	sizes := step.ModelSizes(cfg.Hidden)
-	global := nn.New(root.Derive("init"), sizes...)
-	globalParams := global.Params()
+	globalParams := nn.InitParamsInto(nil, root.Derive("init"), sizes...)
 
 	tree := cfg.Tree
 	devices := tree.NumDevices()

@@ -87,7 +87,7 @@ func RunVanilla(cfg VanillaConfig) (*Result, error) {
 	}
 	root := rng.New(cfg.Seed)
 	sizes := step.ModelSizes(cfg.Hidden)
-	globalParams := nn.New(root.Derive("init"), sizes...).Params()
+	globalParams := nn.InitParamsInto(nil, root.Derive("init"), sizes...)
 	evalModel := nn.NewShaped(sizes...)
 
 	clients := len(cfg.ClientData)

@@ -35,6 +35,38 @@ func New(r *rng.RNG, sizes ...int) *Model {
 	return m
 }
 
+// InitParamsInto writes the parameters New(r, sizes...) would start from
+// into dst in Params layout — He-initialised weights, zero biases, the same
+// draws in the same order — growing dst only when it is too small, and
+// returns it. Engines that only need the initial vector use it instead of
+// building a model to flatten.
+func InitParamsInto(dst tensor.Vector, r *rng.RNG, sizes ...int) tensor.Vector {
+	if len(sizes) < 2 {
+		panic("nn: model needs at least input and output layers")
+	}
+	n := 0
+	for l := 0; l < len(sizes)-1; l++ {
+		n += (sizes[l] + 1) * sizes[l+1]
+	}
+	if cap(dst) < n {
+		dst = make(tensor.Vector, n)
+	}
+	dst = dst[:n]
+	pos := 0
+	for l := 0; l < len(sizes)-1; l++ {
+		in, out := sizes[l], sizes[l+1]
+		std := math.Sqrt(2 / float64(in))
+		w := dst[pos : pos+in*out]
+		for i := range w {
+			w[i] = std * r.NormFloat64()
+		}
+		pos += len(w)
+		clear(dst[pos : pos+out])
+		pos += out
+	}
+	return dst
+}
+
 // NewShaped constructs a zero-initialised model of the given layer sizes —
 // the right constructor for evaluation shells whose parameters are about to
 // be overwritten by SetParams, where He initialisation would only burn RNG

@@ -52,6 +52,32 @@ func TestParamsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestInitParamsIntoMatchesNew pins InitParamsInto to the model New builds:
+// bit-equal parameters for three shapes and two seeds, whether dst is nil,
+// too short, or long enough (and dirty, so zero biases must be written).
+func TestInitParamsIntoMatchesNew(t *testing.T) {
+	for _, sizes := range [][]int{{8, 4}, {64, 32, 10}, {12, 9, 7, 3}} {
+		for _, seed := range []uint64{1, 42} {
+			want := New(rng.New(seed).Derive("init"), sizes...).Params()
+			dirty := make(tensor.Vector, len(want)+3)
+			for i := range dirty {
+				dirty[i] = math.NaN()
+			}
+			for _, dst := range []tensor.Vector{nil, make(tensor.Vector, 1), dirty} {
+				got := InitParamsInto(dst, rng.New(seed).Derive("init"), sizes...)
+				if len(got) != len(want) {
+					t.Fatalf("sizes %v seed %d: %d params, want %d", sizes, seed, len(got), len(want))
+				}
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("sizes %v seed %d: param %d is %v, want %v", sizes, seed, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestSetParamsLengthPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -26,7 +26,7 @@ func testScenario(codecName string) abdhfl.Scenario {
 	}.WithDefaults()
 }
 
-func build(t *testing.T, s abdhfl.Scenario) *abdhfl.Materials {
+func build(t testing.TB, s abdhfl.Scenario) *abdhfl.Materials {
 	t.Helper()
 	m, err := abdhfl.Build(s)
 	if err != nil {

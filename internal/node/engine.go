@@ -1,6 +1,7 @@
 package node
 
 import (
+	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -25,7 +26,7 @@ type pendKey struct {
 // confined to the transport underneath.
 func (e *Engine) Run() (*Result, error) {
 	seedRNG := rng.New(e.cfg.Seed)
-	e.global = nn.New(seedRNG.Derive("init"), e.sizes...).Params()
+	e.global = nn.InitParamsInto(nil, seedRNG.Derive("init"), e.sizes...)
 	e.dim = len(e.global)
 	e.spare = tensor.NewVector(e.dim)
 	for round := 0; round < e.ccfg.Rounds; round++ {
@@ -34,6 +35,10 @@ func (e *Engine) Run() (*Result, error) {
 			return nil, err
 		}
 		e.prunePending(round)
+		for i := range e.held {
+			e.cfg.Endpoint.Release(&e.held[i])
+		}
+		e.held = e.held[:0]
 	}
 	if len(e.res.Curve) > 0 {
 		e.res.FinalAccuracy = e.res.Curve[len(e.res.Curve)-1].Accuracy
@@ -251,13 +256,9 @@ func (e *Engine) leadCluster(roundRNG *rng.RNG, round, lvl, ci int, skip map[int
 		selfAudits[[2]int{lvl, ci}] = audits
 		return nil
 	}
-	mbytes, err := e.encodeModel(agg)
+	payload, err := e.encodePartial(agg, audits)
 	if err != nil {
 		return fmt.Errorf("node %d: round %d cluster (%d,%d) partial codec: %w", e.id, round, lvl, ci, err)
-	}
-	payload, err := encodePartial(mbytes, audits)
-	if err != nil {
-		return err
 	}
 	return e.send(KindPartial, parent, round, payload)
 }
@@ -375,15 +376,18 @@ func (e *Engine) rootRound(roundRNG *rng.RNG, round int, skip map[int]bool) erro
 
 // exchangeBallots runs the ABA proposal/ballot wire exchange: the root
 // sends each contributing level-1 leader the full decoded proposal set
-// plus that leader's consensus member index (KindProposal), then collects
+// plus that leader's consensus member index (KindProposal) — one encoding,
+// its member word rewritten per recipient — then collects
 // the leaders' validation ballots (KindBallot). Leaders that never answer
 // — a dropped proposal or ballot under the fault plan — come back as nil
 // rows: silent consensus members the randomized protocol absorbs within
 // its fault budget (and recomputes locally beyond it).
 func (e *Engine) exchangeBallots(round int, vecs []tensor.Vector, leaders []int) (*consensus.BallotSet, error) {
 	expect := make(map[transport.NodeID]bool, len(leaders))
+	e.wire = appendProposals(e.wire[:0], 0, vecs)
 	for m, ld := range leaders {
-		if err := e.send(KindProposal, ld, round, encodeProposals(m, vecs)); err != nil {
+		binary.LittleEndian.PutUint32(e.wire, uint32(m))
+		if err := e.send(KindProposal, ld, round, e.wire); err != nil {
 			return nil, err
 		}
 		expect[transport.NodeID(ld)] = true
@@ -398,12 +402,12 @@ func (e *Engine) exchangeBallots(round int, vecs []tensor.Vector, leaders []int)
 		if !ok {
 			continue
 		}
-		member, bits, err := decodeBallot(raw)
+		member, bits, err := decodeBallot(raw, len(vecs))
 		if err != nil {
 			return nil, fmt.Errorf("root: round %d ballot from %d: %w", round, ld, err)
 		}
-		if member != m || len(bits) != len(vecs) {
-			return nil, fmt.Errorf("root: round %d ballot from %d: member %d want %d, %d bits for %d proposals", round, ld, member, m, len(bits), len(vecs))
+		if member != m {
+			return nil, fmt.Errorf("root: round %d ballot from %d: member %d want %d", round, ld, member, m)
 		}
 		set.Rows[m] = bits
 	}
@@ -423,13 +427,16 @@ func (e *Engine) answerProposal(f transport.Frame) error {
 		return fmt.Errorf("node %d: round %d proposal: %w", e.id, f.Round, err)
 	}
 	bits := e.st.ShardBallot(e.ccfg.Global, e.ccfg.ValidationShards, member, proposals)
-	return e.send(KindBallot, int(RootID(e.tree)), int(f.Round), encodeBallot(member, bits))
+	e.wire = appendBallot(e.wire[:0], member, bits)
+	return e.send(KindBallot, int(RootID(e.tree)), int(f.Round), e.wire)
 }
 
-// send ships one protocol frame.
+// send ships one protocol frame. The transport copies the frame, so
+// payload may be send scratch the next encode overwrites, and the frame
+// itself is the engine's one outbound frame.
 func (e *Engine) send(kind uint8, to, round int, payload []byte) error {
-	f := transport.Frame{Kind: kind, Round: uint32(round), Payload: payload}
-	if err := e.cfg.Endpoint.Send(transport.NodeID(to), &f); err != nil {
+	e.out = transport.Frame{Kind: kind, Round: uint32(round), Payload: payload}
+	if err := e.cfg.Endpoint.Send(transport.NodeID(to), &e.out); err != nil {
 		return fmt.Errorf("node %d: send kind %d to %d: %w", e.id, kind, to, err)
 	}
 	return nil
@@ -485,7 +492,7 @@ func (e *Engine) collect(kind uint8, round int, expect map[transport.NodeID]bool
 func (e *Engine) accept(f transport.Frame, kind uint8, round int, waiting map[transport.NodeID]bool, got map[transport.NodeID][]byte, det *transport.StallDetector) {
 	if f.Kind == kind && int(f.Round) == round && waiting[f.From] {
 		det.Heard(f.From)
-		got[f.From] = f.Payload
+		got[f.From] = e.hold(f)
 		delete(waiting, f.From)
 		return
 	}
@@ -502,11 +509,12 @@ func (e *Engine) awaitGlobal(round int) ([]byte, error) {
 		if err := e.answerProposal(f); err != nil {
 			return nil, err
 		}
+		e.hold(f)
 	}
 	delete(e.pending, pkey)
 	key := pendKey{KindGlobal, uint32(round)}
 	if fs := e.pending[key]; len(fs) > 0 {
-		payload := fs[0].Payload
+		payload := e.hold(fs[0])
 		if len(fs) == 1 {
 			delete(e.pending, key)
 		} else {
@@ -521,12 +529,13 @@ func (e *Engine) awaitGlobal(round int) ([]byte, error) {
 		case f := <-e.q.C:
 			timer.Stop()
 			if f.Kind == KindGlobal && int(f.Round) == round {
-				return f.Payload, nil
+				return e.hold(f), nil
 			}
 			if f.Kind == KindProposal && int(f.Round) == round {
 				if err := e.answerProposal(f); err != nil {
 					return nil, err
 				}
+				e.hold(f)
 				continue
 			}
 			e.stash(f)
@@ -539,10 +548,18 @@ func (e *Engine) awaitGlobal(round int) ([]byte, error) {
 	}
 }
 
+// hold keeps a consumed frame until its round ends, when Run releases it,
+// and returns its payload.
+func (e *Engine) hold(f transport.Frame) []byte {
+	e.held = append(e.held, f)
+	return f.Payload
+}
+
 // stash buffers an out-of-phase frame for a later protocol step; frames
-// from already-finished rounds are dropped.
+// from already-finished rounds are released.
 func (e *Engine) stash(f transport.Frame) {
 	if int(f.Round) < e.curRound {
+		e.cfg.Endpoint.Release(&f)
 		return
 	}
 	key := pendKey{f.Kind, f.Round}
@@ -560,7 +577,7 @@ func (e *Engine) takePending(kind uint8, round int, waiting map[transport.NodeID
 	for _, f := range fs {
 		if waiting[f.From] {
 			det.Heard(f.From)
-			got[f.From] = f.Payload
+			got[f.From] = e.hold(f)
 			delete(waiting, f.From)
 		} else {
 			rest = append(rest, f)
@@ -573,10 +590,14 @@ func (e *Engine) takePending(kind uint8, round int, waiting map[transport.NodeID
 	}
 }
 
-// prunePending drops buffered frames from the just-finished round.
+// prunePending releases buffered frames from the just-finished round —
+// duplicates and frames no collect was waiting for.
 func (e *Engine) prunePending(round int) {
-	for k := range e.pending {
+	for k, fs := range e.pending {
 		if int(k.round) <= round {
+			for i := range fs {
+				e.cfg.Endpoint.Release(&fs[i])
+			}
 			delete(e.pending, k)
 		}
 	}

@@ -29,6 +29,8 @@
 package node
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"time"
 
@@ -143,6 +145,18 @@ type Engine struct {
 	curRound int
 	produces map[[2]int]bool
 	pending  map[pendKey][]transport.Frame
+	// held are the frames consumed this round, released to the endpoint
+	// when it ends: every payload is decoded into engine memory, relayed
+	// (Send copies) or answered within its round.
+	held []transport.Frame
+
+	// wire is the send scratch every encoder writes into, grown to the
+	// largest payload once; jsonEnc writes partial audit lists to jsonBuf;
+	// out is the frame send hands the endpoint.
+	wire    []byte
+	jsonBuf bytes.Buffer
+	jsonEnc *json.Encoder
+	out     transport.Frame
 
 	// Device training state (nil on the root).
 	model  *nn.Model
@@ -236,12 +250,37 @@ func New(cfg Config) (*Engine, error) {
 		obs := step.NewObserver(ccfg.Telemetry, "node", len(tree.Clusters), ccfg.OnFilter, nil)
 		e.st = step.NewStepper(obs, max(ccfg.Workers, 1), e.sizes, true)
 	}
+	e.jsonEnc = json.NewEncoder(&e.jsonBuf)
 	// One queue for all kinds: the engine is single-threaded, and the
-	// pending buffer re-sorts out-of-phase frames. Capacity covers a full
-	// round of traffic from every peer with room for fault duplicates.
-	e.q = cfg.Endpoint.Bus().Subscribe(4*(devices+1)+16, KindUpdate, KindPartial, KindGlobal, KindProposal, KindBallot)
+	// pending buffer re-sorts out-of-phase frames. The capacity only paces
+	// the wire, it cannot deadlock it: the engine drains the queue whenever
+	// it waits on a peer (collect, awaitGlobal), and the only other place it
+	// blocks is a Send into an outbound queue of QueueCap frames, which a
+	// link carrying a few frames per round never fills. A full queue so
+	// holds its publisher only until the engine's next wait. Twice this
+	// node's per-round inbound bound lets a whole round, fault duplicates
+	// included, land without that pause.
+	e.q = cfg.Endpoint.Bus().Subscribe(2*e.inboundPerRound(), KindUpdate, KindPartial, KindGlobal, KindProposal, KindBallot)
 	e.busDone = cfg.Endpoint.Bus().Done()
 	return e, nil
+}
+
+// inboundPerRound bounds the frames this node's roles are sent in one round:
+// the disseminated global (everyone but the root, which forms it), an update
+// or partial from every other member of each cluster it leads, an ABA
+// proposal per level-1 cluster it leads and, at the root, a partial and a
+// ballot per level-1 cluster.
+func (e *Engine) inboundPerRound() int {
+	if e.isRoot {
+		return 2 * len(e.tree.Clusters[1])
+	}
+	n := 1 + len(e.led[1])
+	for lvl, cis := range e.led {
+		for _, ci := range cis {
+			n += e.tree.Clusters[lvl][ci].Size() - 1
+		}
+	}
+	return n
 }
 
 // roundVec returns a dim-sized vector, contents unspecified, that is the

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 
 	"abdhfl/internal/codec"
 	"abdhfl/internal/tensor"
@@ -19,22 +20,30 @@ import (
 // codec, payloads are raw little-endian float64s (lossless).
 
 // encodeModel returns v's wire payload against the current global as the
-// codec reference.
+// codec reference. The bytes live in the engine's send scratch: valid until
+// the next encode, which is all Send needs, since it copies.
 func (e *Engine) encodeModel(v tensor.Vector) ([]byte, error) {
+	var err error
+	e.wire, err = e.appendModel(e.wire[:0], v)
+	return e.wire, err
+}
+
+// appendModel appends v's wire payload to dst.
+func (e *Engine) appendModel(dst []byte, v tensor.Vector) ([]byte, error) {
 	if e.cdc != nil {
 		e.cs.Ref = e.global
-		buf := make([]byte, e.cdc.WireBytes(len(v)))
-		n, err := e.cdc.EncodeInto(buf, v, e.cs)
+		dst = slices.Grow(dst, e.cdc.WireBytes(len(v)))
+		n, err := e.cdc.EncodeInto(dst[len(dst):cap(dst)], v, e.cs)
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
-		return buf[:n], nil
+		return dst[:len(dst)+n], nil
 	}
-	buf := make([]byte, 8*len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(x))
+	dst = slices.Grow(dst, 8*len(v))
+	for _, x := range v {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(x))
 	}
-	return buf, nil
+	return dst, nil
 }
 
 // decodeModel reconstructs a wire payload into dst against the current
@@ -70,17 +79,21 @@ func (e *Engine) transcodeLocal(v tensor.Vector) error {
 // sender's subtree this round, so the root can reassemble the run-wide
 // filter audit without a separate reporting channel.
 
-// encodePartial frames a partial model payload with its subtree audits.
-func encodePartial(model []byte, audits []WireAudit) ([]byte, error) {
-	tail, err := json.Marshal(audits)
+// encodePartial frames the partial model agg, codec-encoded, with its
+// subtree audits, in the engine's send scratch.
+func (e *Engine) encodePartial(agg tensor.Vector, audits []WireAudit) ([]byte, error) {
+	out, err := e.appendModel(append(e.wire[:0], 0, 0, 0, 0), agg)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]byte, 4+len(model)+len(tail))
-	binary.LittleEndian.PutUint32(out, uint32(len(model)))
-	copy(out[4:], model)
-	copy(out[4+len(model):], tail)
-	return out, nil
+	binary.LittleEndian.PutUint32(out, uint32(len(out)-4))
+	e.jsonBuf.Reset()
+	if err := e.jsonEnc.Encode(audits); err != nil {
+		return nil, err
+	}
+	tail := e.jsonBuf.Bytes()
+	e.wire = append(out, tail[:len(tail)-1]...) // Encode ends with a newline json.Marshal does not write
+	return e.wire, nil
 }
 
 // ABA ballot-exchange wire formats. Proposals ship as raw little-endian
@@ -90,26 +103,26 @@ func encodePartial(model []byte, audits []WireAudit) ([]byte, error) {
 // RunHFL) would compute centrally. A codec hop here would let quantization
 // noise diverge the distributed ballots from the core engine's.
 
-// encodeProposals frames a KindProposal payload: the receiver's consensus
-// member index plus every contributing proposal in member order.
-// Layout: [u32 member][u32 count][u32 dim][count×dim×f64 LE].
-func encodeProposals(member int, proposals []tensor.Vector) []byte {
+// appendProposals appends a KindProposal payload to dst: the receiver's
+// consensus member index plus every contributing proposal in member order.
+// Layout: [u32 member][u32 count][u32 dim][count×dim×f64 LE]. The member
+// index is the first word, so one encoding serves every recipient with
+// that word rewritten.
+func appendProposals(dst []byte, member int, proposals []tensor.Vector) []byte {
 	dim := 0
 	if len(proposals) > 0 {
 		dim = len(proposals[0])
 	}
-	out := make([]byte, 12+8*len(proposals)*dim)
-	binary.LittleEndian.PutUint32(out, uint32(member))
-	binary.LittleEndian.PutUint32(out[4:], uint32(len(proposals)))
-	binary.LittleEndian.PutUint32(out[8:], uint32(dim))
-	off := 12
+	dst = slices.Grow(dst, 12+8*len(proposals)*dim)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(member))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(proposals)))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(dim))
 	for _, p := range proposals {
 		for _, x := range p {
-			binary.LittleEndian.PutUint64(out[off:], math.Float64bits(x))
-			off += 8
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(x))
 		}
 	}
-	return out
+	return dst
 }
 
 // decodeProposals parses a KindProposal payload into round-scratch
@@ -148,28 +161,34 @@ func (e *Engine) decodeProposals(raw []byte) (member int, proposals []tensor.Vec
 	return int(m), proposals, nil
 }
 
-// encodeBallot frames a KindBallot payload: the sender's consensus member
-// index plus its validation-voting bits over the proposals.
+// appendBallot appends a KindBallot payload to dst: the sender's consensus
+// member index plus its validation-voting bits over the proposals.
 // Layout: [u32 member][u32 nbits][nbits×u8].
-func encodeBallot(member int, bits []bool) []byte {
-	out := make([]byte, 8+len(bits))
-	binary.LittleEndian.PutUint32(out, uint32(member))
-	binary.LittleEndian.PutUint32(out[4:], uint32(len(bits)))
-	for i, b := range bits {
+func appendBallot(dst []byte, member int, bits []bool) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(member))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(bits)))
+	for _, b := range bits {
+		var v byte
 		if b {
-			out[8+i] = 1
+			v = 1
 		}
+		dst = append(dst, v)
 	}
-	return out
+	return dst
 }
 
-// decodeBallot parses a KindBallot payload.
-func decodeBallot(raw []byte) (member int, bits []bool, err error) {
+// decodeBallot parses a KindBallot payload over want proposals. The bit
+// count is peer-chosen, so it is checked against want before anything is
+// sized from it.
+func decodeBallot(raw []byte, want int) (member int, bits []bool, err error) {
 	if len(raw) < 8 {
 		return 0, nil, fmt.Errorf("node: ballot message truncated (%d bytes)", len(raw))
 	}
 	member = int(binary.LittleEndian.Uint32(raw))
 	n := binary.LittleEndian.Uint32(raw[4:])
+	if uint64(n) != uint64(want) {
+		return 0, nil, fmt.Errorf("node: ballot carries %d bits for %d proposals", n, want)
+	}
 	if uint64(len(raw)) != 8+uint64(n) {
 		return 0, nil, fmt.Errorf("node: ballot message is %d bytes, want %d", len(raw), 8+uint64(n))
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 
 	"abdhfl/internal/codec"
@@ -67,7 +68,7 @@ func TestDecodeProposalsRoundTrip(t *testing.T) {
 	const dim = 3
 	e := decoderEngine(t, dim)
 	want := []tensor.Vector{{1, -2.5, 0}, {math.SmallestNonzeroFloat64, math.MaxFloat64, -0.0}}
-	member, got, err := e.decodeProposals(encodeProposals(1, want))
+	member, got, err := e.decodeProposals(appendProposals(nil, 1, want))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestDecodeProposalsRoundTrip(t *testing.T) {
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		e.scratchUsed = 0
 		poisoned := []tensor.Vector{{1, 2, 3}, {4, bad, 6}}
-		if _, _, err := e.decodeProposals(encodeProposals(0, poisoned)); !errors.Is(err, codec.ErrNonFinite) {
+		if _, _, err := e.decodeProposals(appendProposals(nil, 0, poisoned)); !errors.Is(err, codec.ErrNonFinite) {
 			t.Errorf("proposal carrying %v: error %v, want codec.ErrNonFinite", bad, err)
 		}
 	}
@@ -91,7 +92,9 @@ func TestDecodeProposalsRoundTrip(t *testing.T) {
 
 // TestDecodePartialAndBallotLengths gives the other two remote-reachable
 // decoders length fields that disagree with the message, up to the values
-// whose sums leave 32 bits.
+// whose sums leave 32 bits. A ballot must also carry exactly one bit per
+// proposal, checked before its bits are sized: a well-formed 1 MiB ballot
+// over 3 proposals is rejected having allocated none of it.
 func TestDecodePartialAndBallotLengths(t *testing.T) {
 	u32 := func(vals ...uint32) []byte {
 		var raw []byte
@@ -117,19 +120,35 @@ func TestDecodePartialAndBallotLengths(t *testing.T) {
 		t.Errorf("decodePartial of a well-formed message: %q, %v, %v", model, audits, err)
 	}
 
-	for _, raw := range [][]byte{
-		nil,
-		u32(0, 1)[:7],
-		u32(0, 1),
-		append(u32(0, 1), 1, 1),
-		u32(0, math.MaxUint32),
-		append(u32(0, math.MaxUint32-7), 1),
+	for _, tc := range []struct {
+		raw  []byte
+		want int
+	}{
+		{nil, 1},
+		{u32(0, 1)[:7], 1},
+		{u32(0, 1), 1},
+		{append(u32(0, 1), 1, 1), 1},
+		{u32(0, math.MaxUint32), math.MaxUint32},
+		{append(u32(0, math.MaxUint32-7), 1), math.MaxUint32 - 7},
+		{append(u32(0, 2), 1, 0), 3},
+		{append(u32(0, 4), 1, 0, 1, 1), 3},
 	} {
-		if _, _, err := decodeBallot(raw); err == nil {
-			t.Errorf("decodeBallot accepted % x", raw)
+		if _, _, err := decodeBallot(tc.raw, tc.want); err == nil {
+			t.Errorf("decodeBallot accepted % x over %d proposals", tc.raw, tc.want)
 		}
 	}
-	if member, bits, err := decodeBallot(encodeBallot(3, []bool{true, false, true})); err != nil || member != 3 || len(bits) != 3 || !bits[0] || bits[1] || !bits[2] {
+	hostile := appendBallot(nil, 0, make([]bool, 1<<20))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := decodeBallot(hostile, 3)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Error("decodeBallot accepted 2^20 bits over 3 proposals")
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+		t.Errorf("rejecting a 2^20-bit ballot allocated %d bytes", n)
+	}
+	if member, bits, err := decodeBallot(appendBallot(nil, 3, []bool{true, false, true}), 3); err != nil || member != 3 || len(bits) != 3 || !bits[0] || bits[1] || !bits[2] {
 		t.Errorf("decodeBallot round trip: member %d bits %v err %v", member, bits, err)
 	}
 }

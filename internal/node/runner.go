@@ -98,10 +98,14 @@ func RunCluster(opts ClusterOpts) (*ClusterResult, error) {
 			endpoints = append(endpoints, ep)
 			tcps = append(tcps, ep)
 		}
-		for _, ep := range tcps {
-			for id, peer := range tcps {
-				if peer != ep {
-					ep.AddPeer(transport.NodeID(id), peer.Addr())
+		addrs := make([]string, n)
+		for id, ep := range tcps {
+			addrs[id] = ep.Addr()
+		}
+		for self, ep := range tcps {
+			for id, addr := range addrs {
+				if id != self {
+					ep.AddPeer(transport.NodeID(id), addr)
 				}
 			}
 		}

@@ -30,11 +30,12 @@ func nodeRoundScenario() abdhfl.Scenario {
 }
 
 // TestRunClusterAllocBudget pins what one RunCluster call allocates on the
-// node_round shape. The budgets are the figures this test measures
-// (loopback 19.8 MB, TCP 21.4 MB) plus a quarter; the same run allocated
-// 279 MB when every endpoint pre-sized its dupe map, and 52 MB with only
-// that fixed, so a budget this close catches the return of any one of the
-// per-frame or per-vector allocations the wire path used to make.
+// node_round shape, in bytes and in objects. The budgets are the figures
+// this test measures (loopback 10.8 MB / 15 000 objects, TCP 12.7 MB /
+// 23 100 objects) plus a tenth. The same run allocated 279 MB when every
+// endpoint pre-sized its dupe map and 21.4 MB over TCP while every frame
+// was read into, and encoded into, a fresh buffer; the object budget
+// catches a per-frame allocation that returns even when its bytes are few.
 // `make profile-node` prints where the bytes of a failing run come from.
 func TestRunClusterAllocBudget(t *testing.T) {
 	if testenv.UnderRace() {
@@ -43,13 +44,14 @@ func TestRunClusterAllocBudget(t *testing.T) {
 	mat := build(t, nodeRoundScenario())
 	for _, tc := range []struct {
 		backend string
-		budget  uint64
+		bytes   uint64
+		objects uint64
 	}{
-		{BackendLoopback, 25 << 20},
-		{BackendTCP, 27 << 20},
+		{BackendLoopback, 12 << 20, 16_500},
+		{BackendTCP, 14 << 20, 25_500},
 	} {
 		t.Run(tc.backend, func(t *testing.T) {
-			run := func() uint64 {
+			run := func() (bytes, objects uint64) {
 				var before, after runtime.MemStats
 				runtime.ReadMemStats(&before)
 				res, err := RunCluster(ClusterOpts{Materials: mat, Seed: 3, Backend: tc.backend})
@@ -60,18 +62,36 @@ func TestRunClusterAllocBudget(t *testing.T) {
 				if tot := res.Total; tot.FramesSent != tot.FramesDelivered || tot.SendErrors+tot.DecodeErrors != 0 {
 					t.Fatalf("unclean wire: %+v", tot)
 				}
-				return after.TotalAlloc - before.TotalAlloc
+				return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
 			}
 			run() // first-use costs (lazy tables, the listener's poller) are not per-run
-			least := run()
+			bytes, objects := run()
 			for i := 0; i < 2; i++ {
-				least = min(least, run())
+				b, o := run()
+				bytes, objects = min(bytes, b), min(objects, o)
 			}
-			t.Logf("%s: %.2f MB per RunCluster (budget %.2f MB)", tc.backend, float64(least)/(1<<20), float64(tc.budget)/(1<<20))
-			if least > tc.budget {
-				t.Errorf("%s: RunCluster allocated %d bytes, budget %d", tc.backend, least, tc.budget)
+			t.Logf("%s: %.2f MB, %d objects per RunCluster (budget %.2f MB, %d objects)",
+				tc.backend, float64(bytes)/(1<<20), objects, float64(tc.bytes)/(1<<20), tc.objects)
+			if bytes > tc.bytes {
+				t.Errorf("%s: RunCluster allocated %d bytes, budget %d", tc.backend, bytes, tc.bytes)
+			}
+			if objects > tc.objects {
+				t.Errorf("%s: RunCluster allocated %d objects, budget %d", tc.backend, objects, tc.objects)
 			}
 		})
+	}
+}
+
+// BenchmarkRunClusterTCP runs node_round-shaped RunCluster calls over TCP,
+// one per iteration — the loop `make profile-node` takes its CPU and block
+// profiles of.
+func BenchmarkRunClusterTCP(b *testing.B) {
+	mat := build(b, nodeRoundScenario())
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := RunCluster(ClusterOpts{Materials: mat, Seed: 3, Backend: BackendTCP}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

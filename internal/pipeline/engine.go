@@ -710,7 +710,7 @@ func Run(cfg Config) (*Result, error) {
 	sizes := step.ModelSizes(cfg.Hidden)
 	// Everyone bootstraps from the initial model, so it is the first Delta
 	// reference; each formed global replaces it.
-	init := nn.New(root.Derive("init"), sizes...).Params()
+	init := nn.InitParamsInto(nil, root.Derive("init"), sizes...)
 	e := &engine{
 		cfg:       cfg,
 		tree:      tree,

@@ -284,7 +284,7 @@ func Run(cfg Config) (*Result, error) {
 	bottom := tree.Bottom()
 	sizes := step.ModelSizes(cfg.Hidden)
 	root := rng.New(cfg.Seed)
-	initParams := nn.New(root.Derive("init"), sizes...).Params()
+	initParams := nn.InitParamsInto(nil, root.Derive("init"), sizes...)
 
 	// Inbox channels. Buffers are sized so no send can block forever: each
 	// actor receives at most (members * rounds) messages of each kind.

@@ -21,15 +21,13 @@ type Bus struct {
 	subs   map[uint8][]*Queue
 	done   chan struct{}
 	closed bool
-	// published counts frames handed to at least one subscriber; unrouted
-	// counts frames published with no subscriber for their kind.
-	published atomic.Int64
-	unrouted  atomic.Int64
+	// unrouted counts frames published with no subscriber for their kind.
+	unrouted atomic.Int64
 }
 
-// Queue is one subscription: a buffered channel of frames. Each frame's
-// payload is owned by the receiver (see Endpoint), so consumers may retain
-// it.
+// Queue is one subscription: a buffered channel of frames. A frame's
+// payload stays valid until the receiver releases it (see Endpoint), so
+// consumers may retain it.
 type Queue struct {
 	C chan Frame
 }
@@ -65,14 +63,13 @@ func (b *Bus) Publish(f Frame) bool {
 		b.unrouted.Add(1)
 		return false
 	}
-	for _, q := range qs {
+	for i, q := range qs {
 		select {
 		case q.C <- f:
 		case <-b.done:
-			return false
+			return i > 0
 		}
 	}
-	b.published.Add(1)
 	return true
 }
 

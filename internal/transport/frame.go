@@ -46,6 +46,9 @@ type Frame struct {
 	Sent int64
 	// Payload is the message body; may be empty (signal-only frames).
 	Payload []byte
+	// buf is the wire buffer a received Payload aliases, returned to the
+	// endpoint's free list by Release; nil on frames not read off a wire.
+	buf []byte
 }
 
 // Wire format: a 4-byte big-endian body length L, then the body:

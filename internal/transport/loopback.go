@@ -7,7 +7,7 @@ import (
 )
 
 // Loopback is the in-process wire: a registry of endpoints exchanging
-// encoded frames through buffered channels. Frames still round-trip
+// encoded frames through per-endpoint inbox queues. Frames still round-trip
 // through the full encode → enqueue → decode → dupe-check → bus path, so
 // byte accounting, fault fates, dupe suppression, and trace spans are
 // identical to the TCP backend — only the transport medium differs. That
@@ -26,7 +26,7 @@ func NewLoopback() *Loopback {
 type LoopbackEndpoint struct {
 	epCore
 	net    *Loopback
-	in     chan []byte
+	in     *frameQueue
 	quit   chan struct{}
 	closed sync.Once
 	wg     sync.WaitGroup // receive loop
@@ -40,7 +40,7 @@ func (l *Loopback) Attach(cfg Config) (*LoopbackEndpoint, error) {
 	ep := &LoopbackEndpoint{
 		epCore: *newEpCore(cfg, "loopback"),
 		net:    l,
-		in:     make(chan []byte, cfg.queueCap()),
+		in:     newFrameQueue(cfg.queueCap()),
 		quit:   make(chan struct{}),
 		linger: cfg.linger(),
 	}
@@ -70,8 +70,9 @@ func (e *LoopbackEndpoint) Addr() string { return "loopback" }
 // Bus returns the endpoint's dispatch layer.
 func (e *LoopbackEndpoint) Bus() *Bus { return e.bus }
 
-// Send applies f's fault fate and enqueues the surviving copies, encoded
-// into the one buffer the receiver will own, to the peer's inbox.
+// Send applies f's fault fate and enqueues the surviving copies to the
+// peer's inbox, each encoded into its own buffer from the peer's free list —
+// the buffer the receiver will release.
 func (e *LoopbackEndpoint) Send(to NodeID, f *Frame) error {
 	select {
 	case <-e.quit:
@@ -83,11 +84,8 @@ func (e *LoopbackEndpoint) Send(to NodeID, f *Frame) error {
 		return fmt.Errorf("%w: %d", ErrUnknownPeer, to)
 	}
 	copies, delay := e.prepareSend(to, f)
-	if copies == 0 {
-		return nil
-	}
-	raw := EncodeFrame(f)
 	for i := 0; i < copies; i++ {
+		raw := encodeInto(&peer.pool, f)
 		if delay > 0 {
 			e.timers.Add(1)
 			go func() {
@@ -96,32 +94,25 @@ func (e *LoopbackEndpoint) Send(to NodeID, f *Frame) error {
 				defer t.Stop()
 				select {
 				case <-t.C:
-					peer.enqueue(raw)
+					peer.in.push(raw, peer.quit)
 				case <-e.quit:
 				}
 			}()
 		} else {
-			peer.enqueue(raw)
+			peer.in.push(raw, peer.quit)
 		}
 	}
 	return nil
-}
-
-// enqueue hands one encoded frame to the endpoint's receive loop, giving
-// up if the receiver closes.
-func (e *LoopbackEndpoint) enqueue(raw []byte) {
-	select {
-	case e.in <- raw:
-	case <-e.quit:
-	}
 }
 
 func (e *LoopbackEndpoint) recvLoop() {
 	defer e.wg.Done()
 	for {
 		select {
-		case raw := <-e.in:
-			e.deliver(raw)
+		case <-e.in.ready:
+			for raw, ok := e.in.pop(); ok; raw, ok = e.in.pop() {
+				e.deliver(raw)
+			}
 		case <-e.quit:
 			return
 		}

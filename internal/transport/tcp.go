@@ -40,20 +40,13 @@ type TCPEndpoint struct {
 	timers sync.WaitGroup // delayed (reordered) sends in flight
 }
 
-// tcpPeer is one outbound write queue and its writer goroutine.
+// tcpPeer is one outbound write queue and its writer goroutine. Each queued
+// frame is whole — length prefix, header and payload in one buffer from the
+// endpoint's free list — and the writer returns it there once written.
 type tcpPeer struct {
 	addr string
-	q    chan *outFrame
+	q    *frameQueue
 	done chan struct{}
-}
-
-// outFrame is one frame queued to a writer: the header built by Send and
-// the sender's payload, uncopied. A model relayed to every member of a
-// cluster is thus one payload behind as many 40-byte headers; the writer
-// joins the two in its own reused buffer for a single write.
-type outFrame struct {
-	hdr     [headerSize]byte
-	payload []byte
 }
 
 // Dial/backoff tuning for the outbound writers.
@@ -99,20 +92,17 @@ func (e *TCPEndpoint) Addr() string { return e.ln.Addr().String() }
 // Bus returns the endpoint's dispatch layer.
 func (e *TCPEndpoint) Bus() *Bus { return e.bus }
 
-// Send applies f's fault fate and enqueues the surviving copies — a fresh
-// header in front of the caller's payload — to the peer's writer.
+// Send applies f's fault fate and enqueues the surviving copies to the
+// peer's writer, each encoded into its own buffer from the endpoint's free
+// list.
 func (e *TCPEndpoint) Send(to NodeID, f *Frame) error {
 	p, err := e.peer(to)
 	if err != nil {
 		return err
 	}
 	copies, delay := e.prepareSend(to, f)
-	if copies == 0 {
-		return nil
-	}
-	out := &outFrame{payload: f.Payload}
-	putHeader(&out.hdr, f)
 	for i := 0; i < copies; i++ {
+		raw := encodeInto(&e.pool, f)
 		if delay > 0 {
 			e.timers.Add(1)
 			go func() {
@@ -121,12 +111,12 @@ func (e *TCPEndpoint) Send(to NodeID, f *Frame) error {
 				defer t.Stop()
 				select {
 				case <-t.C:
-					e.enqueue(p, out)
+					e.enqueue(p, raw)
 				case <-e.quit:
 				}
 			}()
 		} else {
-			e.enqueue(p, out)
+			e.enqueue(p, raw)
 		}
 	}
 	return nil
@@ -134,10 +124,8 @@ func (e *TCPEndpoint) Send(to NodeID, f *Frame) error {
 
 // enqueue hands one frame to a peer's writer; frames arriving after Close
 // seals the queues are abandoned and counted.
-func (e *TCPEndpoint) enqueue(p *tcpPeer, out *outFrame) {
-	select {
-	case p.q <- out:
-	case <-e.sealed:
+func (e *TCPEndpoint) enqueue(p *tcpPeer, raw []byte) {
+	if !p.q.push(raw, e.sealed) {
 		e.stats.SendErrors.Add(1)
 	}
 }
@@ -166,7 +154,7 @@ func (e *TCPEndpoint) peer(id NodeID) (*tcpPeer, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownPeer, id)
 	}
-	p := &tcpPeer{addr: addr, q: make(chan *outFrame, e.queueCap), done: make(chan struct{})}
+	p := &tcpPeer{addr: addr, q: newFrameQueue(e.queueCap), done: make(chan struct{})}
 	e.peers[id] = p
 	go e.writeLoop(p)
 	return p, nil
@@ -184,26 +172,21 @@ func (e *TCPEndpoint) writeLoop(p *tcpPeer) {
 			conn.Close()
 		}
 	}()
-	var wire []byte // this writer's frame buffer, grown to its largest frame
-	write := func(out *outFrame) {
-		wire = append(append(wire[:0], out.hdr[:]...), out.payload...)
-		if !e.writeFrame(p, &conn, wire) {
-			e.stats.SendErrors.Add(1)
+	flush := func() {
+		for raw, ok := p.q.pop(); ok; raw, ok = p.q.pop() {
+			if !e.writeFrame(p, &conn, raw) {
+				e.stats.SendErrors.Add(1)
+			}
+			e.pool.put(raw)
 		}
 	}
 	for {
 		select {
-		case out := <-p.q:
-			write(out)
+		case <-p.q.ready:
+			flush()
 		case <-e.sealed:
-			for {
-				select {
-				case out := <-p.q:
-					write(out)
-				default:
-					return
-				}
-			}
+			flush()
+			return
 		}
 	}
 }
@@ -286,7 +269,7 @@ func (e *TCPEndpoint) readLoop(c net.Conn) {
 	// spares small frames a second read for the length prefix.
 	br := bufio.NewReader(c)
 	for {
-		raw, err := readRawFrame(br, e.maxFrame)
+		raw, err := readRawFrame(br, e.maxFrame, &e.pool)
 		if err != nil {
 			if errors.Is(err, ErrCorruptFrame) || errors.Is(err, ErrFrameTooLarge) {
 				e.stats.DecodeErrors.Add(1)
@@ -298,10 +281,10 @@ func (e *TCPEndpoint) readLoop(c net.Conn) {
 	}
 }
 
-// readRawFrame reads one length-prefixed frame and returns its full wire
-// bytes (prefix included), validating the length claim against maxFrame
-// before allocating.
-func readRawFrame(r io.Reader, maxFrame int) ([]byte, error) {
+// readRawFrame reads one length-prefixed frame into a buffer from pool and
+// returns its full wire bytes (prefix included), validating the length claim
+// against maxFrame before drawing the buffer.
+func readRawFrame(r io.Reader, maxFrame int, pool *bufPool) ([]byte, error) {
 	var lenbuf [4]byte
 	if _, err := io.ReadFull(r, lenbuf[:]); err != nil {
 		return nil, err
@@ -313,9 +296,10 @@ func readRawFrame(r io.Reader, maxFrame int) ([]byte, error) {
 	if int64(body)+4 > int64(maxFrame) {
 		return nil, ErrFrameTooLarge
 	}
-	buf := make([]byte, 4+body)
+	buf := pool.get(4 + int(body))
 	copy(buf, lenbuf[:])
 	if _, err := io.ReadFull(r, buf[4:]); err != nil {
+		pool.put(buf)
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 			return nil, io.ErrUnexpectedEOF
 		}

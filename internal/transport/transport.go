@@ -16,13 +16,16 @@ import (
 // and dispatched to the Bus by kind. Implementations: the in-process
 // Loopback and the socket-backed TCP endpoint.
 //
-// Who owns the bytes: a payload handed to Send belongs to the transport
-// from that call on, and a payload received on a Queue belongs to whoever
-// took it off the channel. The transport reads such bytes (a sender's
-// payload goes to the socket as it is, and may be shared by several Sends)
-// but never writes them again, and no read buffer is reused behind a
-// delivered frame — so a receiver may keep a payload, or Send it on, for
-// as long as it likes, and nobody may modify one after passing it on.
+// Who owns the bytes: Send copies. The frame is encoded into a buffer the
+// transport owns before Send returns, so the caller's payload is the
+// caller's again at once, to overwrite or reuse. A payload received on a
+// Queue aliases a buffer drawn from the receiving endpoint's bounded free
+// list; it stays valid until the receiver hands the frame to Release, which
+// recycles the buffer for a later frame. A frame that is never released is
+// simply collected, so holding a payload forever is correct, only not free.
+// A frame delivered to several subscribers shares one buffer: release it
+// once, after all of them are done. The transport itself releases every
+// frame it drops (corrupt, duplicate, unrouted).
 type Endpoint interface {
 	// Self returns this endpoint's node id.
 	Self() NodeID
@@ -31,9 +34,13 @@ type Endpoint interface {
 	// Bus returns the dispatch layer received frames are published to.
 	Bus() *Bus
 	// Send asynchronously delivers f to the peer, stamping its routing
-	// fields. f.Payload is not copied: see the ownership rule above. Frame
-	// fate injection, if configured, applies.
+	// fields. f.Payload is copied before Send returns: see the ownership
+	// rule above. Frame fate injection, if configured, applies.
 	Send(to NodeID, f *Frame) error
+	// Release returns a frame received from this endpoint's bus to its free
+	// list and clears f's payload. The payload must not be read after, and
+	// a frame must be released at most once.
+	Release(f *Frame)
 	// Stats returns a snapshot of the endpoint's wire counters.
 	Stats() StatsSnapshot
 	// Close shuts the endpoint down, draining queued outbound frames first
@@ -74,8 +81,9 @@ type Config struct {
 	// DupeCap is the duplicate-suppression window per generation (<= 0
 	// selects DefaultDupeCap).
 	DupeCap int
-	// QueueCap is the per-subscription and per-peer outbound queue capacity
-	// (<= 0 selects 1024).
+	// QueueCap bounds the frames queued to one TCP peer's writer or to one
+	// loopback endpoint's receive loop (<= 0 selects 1024); a Send that would
+	// exceed it waits. The queues grow with the frames actually in flight.
 	QueueCap int
 	// Linger bounds how long Close waits for outbound queues to drain
 	// (<= 0 selects 2s).
@@ -231,6 +239,9 @@ type epCore struct {
 	seq        atomic.Uint64
 	epoch      time.Time
 	maxFrame   int
+	// pool recycles frame buffers: the ones received frames are read into
+	// (both backends) and, over TCP, the ones Send encodes into.
+	pool bufPool
 }
 
 func newEpCore(cfg Config, backend string) *epCore {
@@ -300,9 +311,10 @@ func (c *epCore) prepareSend(to NodeID, f *Frame) (copies int, delay time.Durati
 	return copies, delay
 }
 
-// deliver runs the shared receive path on one frame's wire bytes. buf must
-// be the frame's own buffer — the delivered Payload is a sub-slice of it,
-// not a copy — so backends allocate one per frame and never touch it again.
+// deliver runs the shared receive path on one frame's wire bytes. buf is
+// the frame's own buffer, drawn from c.pool or one-off — the delivered
+// Payload is a sub-slice of it, not a copy — and passes to the subscriber
+// with the frame, or back to the pool when the frame goes nowhere.
 func (c *epCore) deliver(buf []byte) {
 	c.stats.BytesRecv.Add(int64(len(buf)))
 	c.counters.bytesRecv.Add(int64(len(buf)))
@@ -310,11 +322,13 @@ func (c *epCore) deliver(buf []byte) {
 	if err := DecodeFrame(buf, &f, c.maxFrame); err != nil {
 		c.stats.DecodeErrors.Add(1)
 		c.counters.decodeErrs.Inc()
+		c.pool.put(buf)
 		return
 	}
 	if c.dupes.Seen(f.From, f.Seq) {
 		c.stats.DupesSuppressed.Add(1)
 		c.counters.dupes.Inc()
+		c.pool.put(buf)
 		return
 	}
 	now := time.Now()
@@ -341,7 +355,21 @@ func (c *epCore) deliver(buf []byte) {
 	}
 	c.stats.FramesDelivered.Add(1)
 	c.counters.framesRecv.Inc()
-	c.bus.Publish(f)
+	f.buf = buf
+	if !c.bus.Publish(f) {
+		c.pool.put(buf)
+	}
+}
+
+// Release returns a received frame's buffer to the free list.
+func (c *epCore) Release(f *Frame) {
+	c.pool.put(f.buf)
+	f.buf, f.Payload = nil, nil
+}
+
+// encode writes f's wire bytes into a buffer from pool.
+func encodeInto(pool *bufPool, f *Frame) []byte {
+	return AppendFrame(pool.get(EncodedSize(len(f.Payload)))[:0], f)
 }
 
 // snapshot copies the counters.

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"abdhfl/internal/fault"
 )
 
 // tcpPair returns two connected TCP endpoints (ids 1 and 2) with cleanup
@@ -51,35 +53,41 @@ func waitStat(t *testing.T, what string, want int64, get func() int64) {
 }
 
 // TestConcurrentSendRecv hammers both backends with concurrent senders and
-// a concurrent receiver per side; run under -race this pins the endpoint's
-// internal synchronization.
+// a concurrent receiver per side that checks and releases every frame; run
+// under -race this pins the endpoint's internal synchronization — the free
+// lists senders, writers, readers and receivers share, and outbound queues
+// and inboxes of QueueCap 4, so senders keep waiting on full queues.
 func TestConcurrentSendRecv(t *testing.T) {
 	const senders, perSender = 8, 50
-	run := func(t *testing.T, a, b Endpoint) {
+	payload := []byte("concurrent-payload")
+	endpointPairs(t, Config{QueueCap: 4}, func(t *testing.T, a, b Endpoint, _ *bufPool) {
 		t.Helper()
 		total := senders * perSender
 		qa := a.Bus().Subscribe(64, 1)
 		qb := b.Bus().Subscribe(64, 1)
 		var recvWG sync.WaitGroup
-		drain := func(q *Queue, bus *Bus) {
+		drain := func(ep Endpoint, q *Queue) {
 			defer recvWG.Done()
 			for n := 0; n < total; n++ {
 				select {
-				case <-q.C:
-				case <-bus.Done():
+				case f := <-q.C:
+					if !bytes.Equal(f.Payload, payload) {
+						t.Errorf("node %d received %q", ep.Self(), f.Payload)
+					}
+					ep.Release(&f)
+				case <-ep.Bus().Done():
 					t.Errorf("bus closed after %d/%d frames", n, total)
 					return
 				}
 			}
 		}
 		recvWG.Add(2)
-		go drain(qa, a.Bus())
-		go drain(qb, b.Bus())
+		go drain(a, qa)
+		go drain(b, qb)
 
 		var sendWG sync.WaitGroup
 		send := func(from Endpoint, to NodeID) {
 			defer sendWG.Done()
-			payload := []byte("concurrent-payload")
 			for i := 0; i < perSender; i++ {
 				if err := from.Send(to, &Frame{Kind: 1, Round: uint32(i), Payload: payload}); err != nil {
 					t.Errorf("send: %v", err)
@@ -104,24 +112,6 @@ func TestConcurrentSendRecv(t *testing.T) {
 				t.Errorf("node %d: decode errors %d, dupes %d on a clean wire", ep.Self(), s.DecodeErrors, s.DupesSuppressed)
 			}
 		}
-	}
-	t.Run("loopback", func(t *testing.T) {
-		lb := NewLoopback()
-		a, err := lb.Attach(Config{Self: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { a.Close() })
-		b, err := lb.Attach(Config{Self: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { b.Close() })
-		run(t, a, b)
-	})
-	t.Run("tcp", func(t *testing.T) {
-		a, b := tcpPair(t, nil)
-		run(t, a, b)
 	})
 }
 
@@ -282,84 +272,197 @@ func TestTCPPeerRestart(t *testing.T) {
 	}
 }
 
+// endpointPairs runs fn on a fresh pair of endpoints (ids 1 and 2) of each
+// backend, handing it the receiver's free list as well.
+func endpointPairs(t *testing.T, cfg Config, fn func(t *testing.T, a, b Endpoint, pool *bufPool)) {
+	t.Run("loopback", func(t *testing.T) {
+		lb := NewLoopback()
+		attach := func(id NodeID) *LoopbackEndpoint {
+			c := cfg
+			c.Self = id
+			ep, err := lb.Attach(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { ep.Close() })
+			return ep
+		}
+		a, b := attach(1), attach(2)
+		fn(t, a, b, &b.pool)
+	})
+	t.Run("tcp", func(t *testing.T) {
+		a, b := tcpPair(t, func(id NodeID) Config { c := cfg; c.Self = id; return c })
+		fn(t, a, b, &b.pool)
+	})
+}
+
+// recvFrame takes the next frame off q, failing the test after 5s.
+func recvFrame(t *testing.T, q *Queue) Frame {
+	t.Helper()
+	select {
+	case f := <-q.C:
+		return f
+	case <-time.After(5 * time.Second):
+		t.Fatal("frame never delivered")
+		return Frame{}
+	}
+}
+
+// idle returns a copy of the pool's free list.
+func (p *bufPool) idle() [][]byte {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return append([][]byte(nil), p.free...)
+}
+
 // TestFramePayloadOwnership pins the ownership rule stated on Endpoint from
-// both ends of a connection. The receiver keeps frame k's payload — a
-// sub-slice of the buffer that frame was read into — while 50 more frames
-// arrive behind it, and finds it byte-unchanged: no read buffer is recycled
-// under a delivered frame. The sender hands the same payload to several
-// Sends, uncopied, and finds it unwritten once all are delivered. Sizes
-// straddle the connection reader's buffer, so both of its read paths
-// deliver. Under -race a transport write to either side's bytes is a
-// reported race with the test's reads.
+// both ends of a connection. The sender encodes every frame from one scratch
+// slice and overwrites it as soon as Send returns: what arrives is what was
+// sent. The receiver holds frame 0, never released, while 50 later frames
+// arrive and are released — their buffers go back to the free list under
+// it — and finds it byte-unchanged. In lock step, a released buffer carries
+// the next frame of its size. Sizes straddle the connection reader's buffer,
+// so both of its read paths deliver. Under -race a transport write to a held
+// payload, or a read of the sender's slice after Send, is a reported race.
 func TestFramePayloadOwnership(t *testing.T) {
 	const later = 50
-	pattern := func(k int) []byte {
-		p := make([]byte, 1+(k*977)%9000)
+	pattern := func(k, size int) []byte {
+		p := make([]byte, size)
 		for i := range p {
 			p[i] = byte(k + i)
 		}
 		return p
 	}
-	run := func(t *testing.T, a, b Endpoint) {
-		t.Helper()
+	sizeOf := func(k int) int { return 1 + (k*977)%9000 }
+	endpointPairs(t, Config{}, func(t *testing.T, a, b Endpoint, _ *bufPool) {
 		q := b.Bus().Subscribe(later+1, 1)
-		recv := func() Frame {
+		var scratch []byte
+		send := func(k, size int) {
 			t.Helper()
-			select {
-			case f := <-q.C:
-				return f
-			case <-time.After(5 * time.Second):
-				t.Fatal("frame never delivered")
-				return Frame{}
-			}
-		}
-		sent := make([][]byte, later+1)
-		for k := range sent {
-			sent[k] = pattern(k)
-			if k%5 == 4 {
-				sent[k] = sent[k-1] // one payload behind two frames
-			}
-			if err := a.Send(b.Self(), &Frame{Kind: 1, Round: uint32(k), Payload: sent[k]}); err != nil {
+			scratch = append(scratch[:0], pattern(k, size)...)
+			if err := a.Send(b.Self(), &Frame{Kind: 1, Round: uint32(k), Payload: scratch}); err != nil {
 				t.Fatal(err)
 			}
+			for i := range scratch {
+				scratch[i] = 0xFF
+			}
 		}
-		held := recv()
+		for k := 0; k <= later; k++ {
+			send(k, sizeOf(k))
+		}
+		held := recvFrame(t, q)
 		if held.Round != 0 {
 			t.Fatalf("first frame delivered is round %d", held.Round)
 		}
 		for k := 1; k <= later; k++ {
-			f := recv()
-			want := pattern(k)
-			if k%5 == 4 {
-				want = pattern(k - 1)
-			}
-			if int(f.Round) != k || !bytes.Equal(f.Payload, want) {
+			f := recvFrame(t, q)
+			if int(f.Round) != k || !bytes.Equal(f.Payload, pattern(k, sizeOf(k))) {
 				t.Fatalf("frame %d arrived as round %d with %d payload bytes", k, f.Round, len(f.Payload))
 			}
-			if !bytes.Equal(sent[k], want) {
-				t.Fatalf("sender's payload %d was written after Send", k)
+			b.Release(&f)
+			if f.Payload != nil {
+				t.Fatal("Release left the frame's payload set")
 			}
 		}
-		if !bytes.Equal(held.Payload, pattern(0)) {
+		if !bytes.Equal(held.Payload, pattern(0, sizeOf(0))) {
 			t.Fatalf("payload held across %d later frames changed", later)
 		}
+
+		send(later+1, 700)
+		f := recvFrame(t, q)
+		first := &f.Payload[0]
+		b.Release(&f)
+		send(later+2, 700)
+		f = recvFrame(t, q)
+		if &f.Payload[0] != first {
+			t.Error("a frame after a release of its size was read into a fresh buffer")
+		}
+		if !bytes.Equal(f.Payload, pattern(later+2, 700)) {
+			t.Error("a frame in a recycled buffer arrived changed")
+		}
+	})
+}
+
+// TestReleasePoolBounded fills a receiver's free list past both of its
+// bounds: a frame larger than poolBufMax — as a hostile peer may send, up to
+// MaxFrame — and more frames than poolBufs are delivered intact, held, then
+// all released, and the list keeps neither the oversized buffer nor more
+// than poolBufs.
+func TestReleasePoolBounded(t *testing.T) {
+	endpointPairs(t, Config{}, func(t *testing.T, a, b Endpoint, pool *bufPool) {
+		const small = poolBufs + 8
+		q := b.Bus().Subscribe(small+1, 1)
+		big := bytes.Repeat([]byte{0xAB}, poolBufMax+1)
+		if err := a.Send(b.Self(), &Frame{Kind: 1, Payload: big}); err != nil {
+			t.Fatal(err)
+		}
+		for k := 1; k <= small; k++ {
+			if err := a.Send(b.Self(), &Frame{Kind: 1, Round: uint32(k), Payload: []byte{byte(k)}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		frames := make([]Frame, 0, small+1)
+		for k := 0; k <= small; k++ {
+			frames = append(frames, recvFrame(t, q))
+		}
+		if !bytes.Equal(frames[0].Payload, big) {
+			t.Fatal("oversized frame arrived changed")
+		}
+		for i := range frames {
+			b.Release(&frames[i])
+		}
+		free := pool.idle()
+		if len(free) > poolBufs {
+			t.Errorf("free list holds %d buffers, bound %d", len(free), poolBufs)
+		}
+		for _, buf := range free {
+			if cap(buf) > poolBufMax {
+				t.Errorf("free list kept a %d-byte buffer, bound %d", cap(buf), poolBufMax)
+			}
+		}
+	})
+}
+
+// TestLoopbackDuplicateCopiesOwnBuffers sends one frame under a plan that
+// duplicates every frame. Each copy must be encoded into its own buffer: the
+// receiver suppresses the second copy and releases it, and were the copies
+// one buffer, that release would hand the delivered frame's bytes to the
+// next frame off the wire.
+func TestLoopbackDuplicateCopiesOwnBuffers(t *testing.T) {
+	lb := NewLoopback()
+	plan := &fault.Plan{Seed: 1, Duplicate: 1}
+	a, err := lb.Attach(Config{Self: 1, Plan: plan})
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Run("loopback", func(t *testing.T) {
-		lb := NewLoopback()
-		a, err := lb.Attach(Config{Self: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { a.Close() })
-		b, err := lb.Attach(Config{Self: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { b.Close() })
-		run(t, a, b)
-	})
-	t.Run("tcp", func(t *testing.T) {
-		a, b := tcpPair(t, nil)
-		run(t, a, b)
-	})
+	t.Cleanup(func() { a.Close() })
+	b, err := lb.Attach(Config{Self: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { b.Close() })
+	q := b.Bus().Subscribe(4, 1)
+	payload := []byte("duplicated-frame")
+	if err := a.Send(2, &Frame{Kind: 1, Payload: payload}); err != nil {
+		t.Fatal(err)
+	}
+	f := recvFrame(t, q)
+	waitStat(t, "dupes suppressed", 1, func() int64 { return b.Stats().DupesSuppressed })
+	if a.Stats().FaultDuplicated != 1 {
+		t.Fatalf("fault duplicated = %d, want 1", a.Stats().FaultDuplicated)
+	}
+	free := b.pool.idle()
+	if len(free) != 1 {
+		t.Fatalf("free list after the suppressed copy: %d buffers, want 1", len(free))
+	}
+	if &free[0][:1][0] == &f.buf[0] {
+		t.Fatal("the suppressed copy released the delivered frame's buffer")
+	}
+	if err := a.Send(2, &Frame{Kind: 1, Round: 1, Payload: []byte("next-frame-overwrites")}); err != nil {
+		t.Fatal(err)
+	}
+	recvFrame(t, q)
+	if !bytes.Equal(f.Payload, payload) {
+		t.Fatalf("delivered payload changed to %q", f.Payload)
+	}
 }
