@@ -169,14 +169,17 @@ profile-train:
 	$(GO) test -count=1 -run '^$$' -bench TrainShapes -benchtime 3s -cpuprofile train.cpu -outputdir .bench_build -o .bench_build/train.test .
 	$(GO) tool pprof -top -nodecount=25 .bench_build/train.test .bench_build/train.cpu
 
-# profile-pipeline prints a CPU and a block profile of the pipeline_round
-# shape alone (every blocking event sampled): the CPU top says what the
-# training workers and the event loop compute, the block top how long the
-# loop waits to join a training (chanrecv under deviceActor.finish) and the
-# workers wait for a job (under startTraining), so the overlap is read rather
-# than guessed. TestRunPipelineAllocBudget holds the run's allocation figure.
+# profile-pipeline prints where pipeline_round-shaped RunPipeline calls
+# allocate their bytes (the alloc-budget test's four runs and its one Build,
+# every allocation sampled), then a CPU and a block profile of the same shape
+# (every blocking event sampled): the CPU top says what the training workers
+# and the event loop compute, the block top how long the loop waits to join a
+# training (chanrecv under deviceActor.finish) and the workers wait for a job
+# (under startTraining), so the overlap is read rather than guessed.
 profile-pipeline:
 	mkdir -p .bench_build
+	$(GO) test -count=1 -run TestRunPipelineAllocBudget -memprofile pipeline.mem -memprofilerate 1 -outputdir .bench_build -o .bench_build/pipeline.test .
+	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=25 .bench_build/pipeline.test .bench_build/pipeline.mem
 	$(GO) test -count=1 -run '^$$' -bench 'TrainShapes/pipeline_round' -benchtime 3s -cpuprofile pipeline.cpu -blockprofile pipeline.block -blockprofilerate 1 -outputdir .bench_build -o .bench_build/pipeline.test .
 	$(GO) tool pprof -top -nodecount=25 .bench_build/pipeline.test .bench_build/pipeline.cpu
 	$(GO) tool pprof -top -nodecount=15 .bench_build/pipeline.test .bench_build/pipeline.block

@@ -99,8 +99,13 @@ func (ABA) Name() string { return "aba" }
 
 // Agree implements Protocol.
 func (a ABA) Agree(ctx *Context, proposals []tensor.Vector) (tensor.Vector, Stats, error) {
-	if err := ctx.check(proposals); err != nil {
-		return nil, Stats{}, err
+	return agree(a, ctx, proposals)
+}
+
+// AgreeInto implements Protocol.
+func (a ABA) AgreeInto(dst tensor.Vector, ctx *Context, proposals []tensor.Vector) (Stats, error) {
+	if err := ctx.checkInto(dst, proposals); err != nil {
+		return Stats{}, err
 	}
 	n := ctx.Members
 	f := (n - 1) / 3
@@ -140,7 +145,7 @@ func (a ABA) Agree(ctx *Context, proposals []tensor.Vector) (tensor.Vector, Stat
 		}
 	}
 	if needCompute && ctx.Validator == nil {
-		return nil, Stats{}, errors.New("consensus: aba requires a validator")
+		return Stats{}, errors.New("consensus: aba requires a validator")
 	}
 	forEachMember(ctx.workers(), n, func(i int) {
 		if ballots[i] == nil && !silent[i] {
@@ -200,7 +205,7 @@ func (a ABA) Agree(ctx *Context, proposals []tensor.Vector) (tensor.Vector, Stat
 		out, err := runABAInstance(inst.Derive("schedule"), inst.Derive("adversary"),
 			coinRNG, uint64(j), inputs, byzSet, silent, sched, maxRounds, tr)
 		if err != nil {
-			return nil, Stats{}, fmt.Errorf("consensus: aba proposal %d: %w", j, err)
+			return Stats{}, fmt.Errorf("consensus: aba proposal %d: %w", j, err)
 		}
 		decision := -1
 		for _, d := range out.Decisions {
@@ -210,11 +215,11 @@ func (a ABA) Agree(ctx *Context, proposals []tensor.Vector) (tensor.Vector, Stat
 			if decision < 0 {
 				decision = d
 			} else if d != decision {
-				return nil, Stats{}, fmt.Errorf("consensus: aba proposal %d: honest members disagree (safety violation)", j)
+				return Stats{}, fmt.Errorf("consensus: aba proposal %d: honest members disagree (safety violation)", j)
 			}
 		}
 		if decision < 0 {
-			return nil, Stats{}, fmt.Errorf("consensus: aba proposal %d: no honest member decided", j)
+			return Stats{}, fmt.Errorf("consensus: aba proposal %d: no honest member decided", j)
 		}
 		if out.Rounds > st.CoinRounds {
 			st.CoinRounds = out.Rounds
@@ -251,8 +256,8 @@ func (a ABA) Agree(ctx *Context, proposals []tensor.Vector) (tensor.Vector, Stat
 	st.Rounds = 2 + st.CoinRounds
 	st.ModelTransfers = n * (n - 1)
 	st.Messages += 2 * n * (n - 1)
-	out := tensor.Mean(tensor.NewVector(len(proposals[0])), kept)
-	return out, st, nil
+	tensor.Mean(dst, kept)
+	return st, nil
 }
 
 // BinaryOutcome reports one binary ABA instance.

@@ -38,8 +38,13 @@ func (ApproxAgreement) Name() string { return "approx-agreement" }
 
 // Agree implements Protocol.
 func (a ApproxAgreement) Agree(ctx *Context, proposals []tensor.Vector) (tensor.Vector, Stats, error) {
-	if err := ctx.check(proposals); err != nil {
-		return nil, Stats{}, err
+	return agree(a, ctx, proposals)
+}
+
+// AgreeInto implements Protocol.
+func (a ApproxAgreement) AgreeInto(dst tensor.Vector, ctx *Context, proposals []tensor.Vector) (Stats, error) {
+	if err := ctx.checkInto(dst, proposals); err != nil {
+		return Stats{}, err
 	}
 	n := ctx.Members
 	f := a.F
@@ -54,7 +59,7 @@ func (a ApproxAgreement) Agree(ctx *Context, proposals []tensor.Vector) (tensor.
 	}
 	honest := n - byzCount
 	if honest <= 2*f {
-		return nil, Stats{}, fmt.Errorf("consensus: approx agreement needs > 2f honest members (have %d honest, f=%d)", honest, f)
+		return Stats{}, fmt.Errorf("consensus: approx agreement needs > 2f honest members (have %d honest, f=%d)", honest, f)
 	}
 	eps := a.Epsilon
 	if eps == 0 {
@@ -117,7 +122,7 @@ func (a ApproxAgreement) Agree(ctx *Context, proposals []tensor.Vector) (tensor.
 		}
 	}
 	if spread := honestSpread(ctx, values); spread > eps {
-		return nil, st, fmt.Errorf("consensus: approx agreement did not converge (spread %.3g > ε %.3g)", spread, eps)
+		return st, fmt.Errorf("consensus: approx agreement did not converge (spread %.3g > ε %.3g)", spread, eps)
 	}
 	// All honest values coincide within ε; return their mean.
 	var honestVals []tensor.Vector
@@ -126,8 +131,8 @@ func (a ApproxAgreement) Agree(ctx *Context, proposals []tensor.Vector) (tensor.
 			honestVals = append(honestVals, values[i])
 		}
 	}
-	out := tensor.Mean(tensor.NewVector(dim), honestVals)
-	return out, st, nil
+	tensor.Mean(dst, honestVals)
+	return st, nil
 }
 
 // honestSpread returns the maximum per-coordinate range among honest values.

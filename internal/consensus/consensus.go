@@ -129,6 +129,17 @@ func (c *Context) check(proposals []tensor.Vector) error {
 	return nil
 }
 
+// checkInto is check plus AgreeInto's contract on the destination.
+func (c *Context) checkInto(dst tensor.Vector, proposals []tensor.Vector) error {
+	if err := c.check(proposals); err != nil {
+		return err
+	}
+	if len(dst) != len(proposals[0]) {
+		return fmt.Errorf("consensus: destination dim %d, want %d", len(dst), len(proposals[0]))
+	}
+	return nil
+}
+
 // Stats reports the communication footprint of one consensus instance.
 type Stats struct {
 	Rounds   int
@@ -155,8 +166,26 @@ type Stats struct {
 type Protocol interface {
 	// Name identifies the protocol in configs and reports.
 	Name() string
-	// Agree runs the protocol and returns the agreed model.
+	// Agree runs the protocol and returns the agreed model in a fresh
+	// vector.
 	Agree(ctx *Context, proposals []tensor.Vector) (tensor.Vector, Stats, error)
+	// AgreeInto runs the protocol and decides into dst, which must have the
+	// proposals' dimension and alias none of them; the protocol retains
+	// neither. On error dst's contents are unspecified.
+	AgreeInto(dst tensor.Vector, ctx *Context, proposals []tensor.Vector) (Stats, error)
+}
+
+// agree is every protocol's Agree: AgreeInto a fresh vector.
+func agree(p Protocol, ctx *Context, proposals []tensor.Vector) (tensor.Vector, Stats, error) {
+	if len(proposals) == 0 {
+		return nil, Stats{}, ErrNoProposals
+	}
+	out := tensor.NewVector(len(proposals[0]))
+	st, err := p.AgreeInto(out, ctx, proposals)
+	if err != nil {
+		return nil, st, err
+	}
+	return out, st, nil
 }
 
 // Voting is the paper's top-level consensus (Appendix D-B): every member
@@ -180,11 +209,16 @@ func (Voting) Name() string { return "voting" }
 
 // Agree implements Protocol.
 func (v Voting) Agree(ctx *Context, proposals []tensor.Vector) (tensor.Vector, Stats, error) {
-	if err := ctx.check(proposals); err != nil {
-		return nil, Stats{}, err
+	return agree(v, ctx, proposals)
+}
+
+// AgreeInto implements Protocol.
+func (v Voting) AgreeInto(dst tensor.Vector, ctx *Context, proposals []tensor.Vector) (Stats, error) {
+	if err := ctx.checkInto(dst, proposals); err != nil {
+		return Stats{}, err
 	}
 	if ctx.Validator == nil {
-		return nil, Stats{}, errors.New("consensus: voting requires a validator")
+		return Stats{}, errors.New("consensus: voting requires a validator")
 	}
 	n := ctx.Members
 	// Member scorings are independent (each member evaluates every proposal
@@ -217,8 +251,8 @@ func (v Voting) Agree(ctx *Context, proposals []tensor.Vector) (tensor.Vector, S
 		Excluded:       excluded,
 		Votes:          counts,
 	}
-	out := tensor.Mean(tensor.NewVector(len(proposals[0])), kept)
-	return out, st, nil
+	tensor.Mean(dst, kept)
+	return st, nil
 }
 
 // Committee is a committee-based consensus (Li et al. 2020 style): a random
@@ -236,11 +270,16 @@ func (Committee) Name() string { return "committee" }
 
 // Agree implements Protocol.
 func (c Committee) Agree(ctx *Context, proposals []tensor.Vector) (tensor.Vector, Stats, error) {
-	if err := ctx.check(proposals); err != nil {
-		return nil, Stats{}, err
+	return agree(c, ctx, proposals)
+}
+
+// AgreeInto implements Protocol.
+func (c Committee) AgreeInto(dst tensor.Vector, ctx *Context, proposals []tensor.Vector) (Stats, error) {
+	if err := ctx.checkInto(dst, proposals); err != nil {
+		return Stats{}, err
 	}
 	if ctx.Validator == nil {
-		return nil, Stats{}, errors.New("consensus: committee requires a validator")
+		return Stats{}, errors.New("consensus: committee requires a validator")
 	}
 	n := ctx.Members
 	size := c.Size
@@ -255,16 +294,16 @@ func (c Committee) Agree(ctx *Context, proposals []tensor.Vector) (tensor.Vector
 		keep = 0.5
 	}
 	committee := ctx.Rand.Choice(n, size)
-	return committeeAgree(ctx, proposals, committee, keep)
+	return committeeAgree(dst, ctx, proposals, committee, keep), nil
 }
 
 // committeeAgree is the scoring kernel shared by Committee and
 // RotatingCommittee: the given committee scores every proposal, the top
-// keep-fraction by total committee score is averaged.
-func committeeAgree(ctx *Context, proposals []tensor.Vector, committee []int, keep float64) (tensor.Vector, Stats, error) {
+// keep-fraction by total committee score is averaged into dst.
+func committeeAgree(dst tensor.Vector, ctx *Context, proposals []tensor.Vector, committee []int, keep float64) Stats {
 	n := ctx.Members
 	size := len(committee)
-	// Fan the committee members' scorings out like Voting.Agree; summing the
+	// Fan the committee members' scorings out like Voting.AgreeInto; summing the
 	// per-member rows in committee order afterwards reproduces the serial
 	// accumulation sequence exactly.
 	rows := make([][]float64, size)
@@ -308,6 +347,6 @@ func committeeAgree(ctx *Context, proposals []tensor.Vector, committee []int, ke
 	st.Rounds = 3
 	st.ModelTransfers = n*size + size*n // proposals in, decision out
 	st.Messages = st.ModelTransfers + size*(size-1)
-	out := tensor.Mean(tensor.NewVector(len(proposals[0])), kept)
-	return out, st, nil
+	tensor.Mean(dst, kept)
+	return st
 }

@@ -464,3 +464,51 @@ func TestDistributedVotingRequiresValidator(t *testing.T) {
 		t.Fatal("nil validator accepted")
 	}
 }
+
+// TestAgreeIntoDecidesIntoTheCallersVector: every registered protocol writes
+// into dst the bits Agree returns — over whatever dst held before — leaves
+// the proposals as they were, and refuses a destination of the wrong
+// dimension with an error rather than a panic.
+func TestAgreeIntoDecidesIntoTheCallersVector(t *testing.T) {
+	proposals, good := goodBadProposals(6, 1, 8)
+	ctx := func() *Context {
+		return &Context{Members: 7, Byzantine: map[int]bool{6: true}, Validator: accuracyLike(good), Rand: rng.New(4), Round: 2}
+	}
+	for _, name := range Names() {
+		p, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := make([]tensor.Vector, len(proposals))
+		for i, q := range proposals {
+			before[i] = q.Clone()
+		}
+		want, wantSt, err := p.Agree(ctx(), proposals)
+		if err != nil {
+			t.Fatalf("%s.Agree: %v", name, err)
+		}
+		dst := tensor.Fill(tensor.NewVector(8), math.NaN())
+		st, err := p.AgreeInto(dst, ctx(), proposals)
+		if err != nil {
+			t.Fatalf("%s.AgreeInto: %v", name, err)
+		}
+		for i := range want {
+			if math.Float64bits(dst[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: AgreeInto decided %v, Agree %v", name, dst, want)
+			}
+		}
+		if !sameStats(st, wantSt) {
+			t.Fatalf("%s: AgreeInto stats %+v, Agree %+v", name, st, wantSt)
+		}
+		for i := range proposals {
+			if tensor.Distance(proposals[i], before[i]) != 0 {
+				t.Fatalf("%s changed proposal %d", name, i)
+			}
+		}
+		for _, bad := range []tensor.Vector{nil, tensor.NewVector(7)} {
+			if _, err := p.AgreeInto(bad, ctx(), proposals); err == nil {
+				t.Fatalf("%s accepted a %d-element destination for 8-element proposals", name, len(bad))
+			}
+		}
+	}
+}

@@ -35,11 +35,16 @@ func (PBFT) Name() string { return "pbft" }
 
 // Agree implements Protocol.
 func (p PBFT) Agree(ctx *Context, proposals []tensor.Vector) (tensor.Vector, Stats, error) {
-	if err := ctx.check(proposals); err != nil {
-		return nil, Stats{}, err
+	return agree(p, ctx, proposals)
+}
+
+// AgreeInto implements Protocol.
+func (p PBFT) AgreeInto(dst tensor.Vector, ctx *Context, proposals []tensor.Vector) (Stats, error) {
+	if err := ctx.checkInto(dst, proposals); err != nil {
+		return Stats{}, err
 	}
 	if ctx.Validator == nil {
-		return nil, Stats{}, errors.New("consensus: pbft requires a validator")
+		return Stats{}, errors.New("consensus: pbft requires a validator")
 	}
 	n := ctx.Members
 	f := p.F
@@ -86,10 +91,11 @@ func (p PBFT) Agree(ctx *Context, proposals []tensor.Vector) (tensor.Vector, Sta
 			}
 		}
 		if prepares >= quorum {
-			return proposals[primary].Clone(), st, nil
+			copy(dst, proposals[primary])
+			return st, nil
 		}
 		st.Excluded = append(st.Excluded, primary)
 	}
 	sort.Ints(st.Excluded)
-	return nil, st, fmt.Errorf("consensus: pbft exhausted %d views without a commit quorum", n)
+	return st, fmt.Errorf("consensus: pbft exhausted %d views without a commit quorum", n)
 }

@@ -57,11 +57,16 @@ func (RotatingCommittee) Name() string { return "rotating-committee" }
 
 // Agree implements Protocol.
 func (c RotatingCommittee) Agree(ctx *Context, proposals []tensor.Vector) (tensor.Vector, Stats, error) {
-	if err := ctx.check(proposals); err != nil {
-		return nil, Stats{}, err
+	return agree(c, ctx, proposals)
+}
+
+// AgreeInto implements Protocol.
+func (c RotatingCommittee) AgreeInto(dst tensor.Vector, ctx *Context, proposals []tensor.Vector) (Stats, error) {
+	if err := ctx.checkInto(dst, proposals); err != nil {
+		return Stats{}, err
 	}
 	if ctx.Validator == nil {
-		return nil, Stats{}, errors.New("consensus: rotating committee requires a validator")
+		return Stats{}, errors.New("consensus: rotating committee requires a validator")
 	}
 	n := ctx.Members
 	size := c.Size
@@ -76,5 +81,5 @@ func (c RotatingCommittee) Agree(ctx *Context, proposals []tensor.Vector) (tenso
 		keep = 0.5
 	}
 	_, committee := CommitteeForRound(ctx.Rand, ctx.Round, n, size)
-	return committeeAgree(ctx, proposals, committee, keep)
+	return committeeAgree(dst, ctx, proposals, committee, keep), nil
 }

@@ -76,10 +76,10 @@ type engine struct {
 	// st is shared by every cluster- and top-level step: every step runs on
 	// the event loop (discrete events run one at a time; only local training
 	// leaves it, see pool), so one warm stepper serves all actors without
-	// contention. Destination vectors stay fresh per step because message
-	// envelopes retain them. A step that fails drops its cluster's round; obs
-	// counts it and keeps the first error for Result.StepError. partial and
-	// top are the two rules.
+	// contention. Every step's destination comes from the free list (take).
+	// A step that fails drops its cluster's round; obs counts it and keeps
+	// the first error for Result.StepError. partial and top are the two
+	// rules.
 	st           *step.Stepper
 	obs          *step.Observer
 	partial, top step.Rule
@@ -111,11 +111,42 @@ type engine struct {
 	tr            *trace.Tracer
 	deviceCluster []int
 	roundStart    map[int]simnet.Time
-	// pool trains devices off the event loop. free lists upload vectors a
-	// bottom leader has finished aggregating, for the next trainings to fill;
-	// only the event loop touches it.
+	// pool trains devices off the event loop. free holds model vectors (dim
+	// elements) that nothing reads any more, for the next training or step
+	// to fill; only the event loop touches it (take, recycle).
 	pool trainPool
 	free []tensor.Vector
+	dim  int
+}
+
+// poisonRecycled makes recycle fill every vector it frees with NaN, so a
+// test can show that no freed vector is read again — such a read would
+// carry the NaN into the model. Only tests set it.
+var poisonRecycled bool
+
+// take returns a model vector for a training or a step to overwrite: the
+// most recently freed one, else a fresh one.
+func (e *engine) take() tensor.Vector {
+	n := len(e.free)
+	if n == 0 {
+		return tensor.NewVector(e.dim)
+	}
+	v := e.free[n-1]
+	e.free = e.free[:n-1]
+	return v
+}
+
+// recycle frees vectors whose last reader is done with them. A model vector
+// is sent once, to one collector, unless it is a flag or a global (see
+// clusterActor.recycles), so the collector's step is its last read: a
+// duplicated or late delivery of it is dropped unread.
+func (e *engine) recycle(vs ...tensor.Vector) {
+	if poisonRecycled {
+		for _, v := range vs {
+			tensor.Fill(v, math.NaN())
+		}
+	}
+	e.free = append(e.free, vs...)
 }
 
 // Hop indices of the per-hop wire-byte counters.
@@ -252,14 +283,7 @@ func (d *deviceActor) start(ctx *simnet.Context, round int, params tensor.Vector
 			d.e.roundStart[round] = ctx.Now()
 		}
 	}
-	// The update is sent as a message and retained by its collector, so it
-	// needs a vector nobody else holds: one a bottom leader handed back after
-	// aggregating it (aggregateRound), else a fresh one.
-	var buf tensor.Vector
-	if n := len(d.e.free); n > 0 {
-		buf, d.e.free = d.e.free[n-1], d.e.free[:n-1]
-	}
-	d.e.pool.jobs <- trainJob{d: d, round: round, start: params, buf: buf}
+	d.e.pool.jobs <- trainJob{d: d, round: round, start: params, buf: d.e.take()}
 	dur := d.e.trainDuration(d.id, round)
 	ctx.After(dur, func(ctx *simnet.Context) { d.finish(ctx, round, params) })
 }
@@ -292,6 +316,7 @@ func (d *deviceActor) finish(ctx *simnet.Context, round int, startParams tensor.
 		// upload. The leader's quorum/timeout machinery must absorb it.
 		e.result.Omitted++
 		e.ins.omitted()
+		e.recycle(out)
 	} else {
 		// Uplink codec hop: the round's start parameters are the Delta
 		// reference (the leader disseminated them, so both ends hold them).
@@ -329,6 +354,10 @@ type clusterActor struct {
 	// armed tracks rounds whose collect deadline is already scheduled.
 	armed    map[int]bool
 	isBottom bool
+	// recycles reports that this leader's step is its inputs' last read:
+	// uploads, and partials of a level that is not the flag level (a flag
+	// partial is also every device's start model below it).
+	recycles bool
 }
 
 // failed reports whether this cluster's leader is fault-planned down for
@@ -492,36 +521,41 @@ func (a *clusterActor) aggregateRound(ctx *simnet.Context, round int) {
 	closeAt := ctx.Now()
 	dur := e.aggDuration(a.cluster.Level, a.cluster.Index, round)
 	ctx.After(dur, func(ctx *simnet.Context) {
-		if a.failed(round) {
-			return
+		if !a.failed(round) {
+			a.step(ctx, round, vecs, ids, closeAt)
 		}
-		agg, v, _, err := e.st.Aggregate(e.partial, step.Input{
-			Level: a.cluster.Level, Cluster: a.cluster.Index, Round: round,
-			Vecs: vecs, IDs: ids, Dst: tensor.NewVector(len(vecs[0])),
-		})
-		if err != nil {
-			// A malformed quorum at runtime: drop the round for this cluster.
-			return
-		}
-		if a.isBottom {
-			// This leader was the uploads' only holder (a late or duplicated
-			// delivery is dropped unread) and the rule copied into Dst, so the
-			// vectors are free for the next trainings to fill.
-			e.free = append(e.free, vecs...)
-		}
-		e.traceAggregate(a.cluster.Level, a.cluster.Index, round, &v, closeAt, ctx.Now())
-		// One codec hop per formed partial: the upward send and the flag
-		// release below ship the same encoded bytes.
-		e.transcodeHop(agg, e.lastRef)
-		ctx.SendVolume(a.parent, msgPartial{round: round, params: agg, child: a.cluster.Index}, e.volume(hopPartial, len(agg)))
-		if a.cluster.Level == e.cfg.FlagLevel {
-			flag := msgFlag{round: round + 1, params: agg, relSize: a.relSize()}
-			for _, ch := range a.children {
-				ctx.SendVolume(ch, flag, e.volume(hopFlag, len(agg)))
-			}
-			a.armCollect(ctx, round+1, 0)
+		if a.recycles {
+			e.recycle(vecs...)
 		}
 	})
+}
+
+// step forms the round's partial from the closed collection and forwards
+// it: upwards, and at the flag level downwards as the next round's flag.
+func (a *clusterActor) step(ctx *simnet.Context, round int, vecs []tensor.Vector, ids []int, closeAt simnet.Time) {
+	e := a.e
+	dst := e.take()
+	agg, v, _, err := e.st.Aggregate(e.partial, step.Input{
+		Level: a.cluster.Level, Cluster: a.cluster.Index, Round: round,
+		Vecs: vecs, IDs: ids, Dst: dst,
+	})
+	if err != nil {
+		// A malformed quorum at runtime: drop the round for this cluster.
+		e.recycle(dst)
+		return
+	}
+	e.traceAggregate(a.cluster.Level, a.cluster.Index, round, &v, closeAt, ctx.Now())
+	// One codec hop per formed partial: the upward send and the flag
+	// release below ship the same encoded bytes.
+	e.transcodeHop(agg, e.lastRef)
+	ctx.SendVolume(a.parent, msgPartial{round: round, params: agg, child: a.cluster.Index}, e.volume(hopPartial, len(agg)))
+	if a.cluster.Level == e.cfg.FlagLevel {
+		flag := msgFlag{round: round + 1, params: agg, relSize: a.relSize()}
+		for _, ch := range a.children {
+			ctx.SendVolume(ch, flag, e.volume(hopFlag, len(agg)))
+		}
+		a.armCollect(ctx, round+1, 0)
+	}
 }
 
 // relSize is the fraction of all devices under this cluster.
@@ -544,6 +578,9 @@ type topActor struct {
 	armed     map[int]bool
 	children  []simnet.NodeID
 	completed int
+	// recycles: see clusterActor.recycles (level-1 partials are flags when
+	// the flag level is 1).
+	recycles bool
 }
 
 func (t *topActor) OnMessage(ctx *simnet.Context, msg simnet.Message) {
@@ -629,17 +666,21 @@ func (t *topActor) armCollect(ctx *simnet.Context, round, attempt int) {
 
 func (t *topActor) formGlobal(ctx *simnet.Context, round int, vecs []tensor.Vector, ids []int) {
 	e := t.e
-	in := step.Input{Round: round, Vecs: vecs, IDs: ids}
+	// The global is never freed: it is the next Delta reference, the run's
+	// final model, and devices merge it (and, at flag level 0, start from it)
+	// whenever it reaches them.
+	dst := e.take()
+	in := step.Input{Round: round, Vecs: vecs, IDs: ids, Dst: dst}
 	if e.top.IsCBA() {
-		// The protocol's decision is a fresh vector, as the dissemination
-		// messages need.
 		in.Rand = e.root.Derive(fmt.Sprintf("vote-%d", round))
 		in.Workers, in.Shards, in.Name = e.workers, e.cfg.ValidationShards, e.top.Bare()
-	} else {
-		in.Dst = tensor.NewVector(len(vecs[0]))
 	}
 	global, v, _, err := e.st.Aggregate(e.top, in)
+	if t.recycles {
+		e.recycle(vecs...)
+	}
 	if err != nil {
+		e.recycle(dst)
 		return
 	}
 	e.ins.globalFormed()
@@ -722,6 +763,7 @@ func Run(cfg Config) (*Result, error) {
 		evalModel: nn.NewShaped(sizes...),
 		workers:   cfg.Workers,
 		lastRef:   init,
+		dim:       len(init),
 		partial:   step.Rule{BRA: cfg.PartialBRA},
 		top:       step.Rule{BRA: cfg.TopBRA},
 	}
@@ -817,6 +859,7 @@ func Run(cfg Config) (*Result, error) {
 					seen:         map[int]map[int]bool{},
 					closed:       map[int]bool{},
 					armed:        map[int]bool{},
+					recycles:     cfg.FlagLevel != 1,
 				}
 				for _, ch := range tree.ChildClusters(0, 0) {
 					topA.children = append(topA.children, e.nodeOfCluster(1, ch.Index))
@@ -833,6 +876,7 @@ func Run(cfg Config) (*Result, error) {
 				closed:       map[int]bool{},
 				armed:        map[int]bool{},
 				isBottom:     l == bottom,
+				recycles:     l == bottom || l+1 != cfg.FlagLevel,
 			}
 			if l == 1 {
 				a.parent = e.clusterNode[0][0]

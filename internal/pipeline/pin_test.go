@@ -163,54 +163,75 @@ func resultDigest(res *Result) uint64 {
 	return h.Sum64()
 }
 
-// TestPipelineResultPinned holds the model itself: the constants were
-// recorded from the tree at commit 503fada, when every device trained inline
-// on the event loop, and must hold for every worker count.
+// resultPins hold the model itself: the constants were recorded from the
+// tree at commit 503fada, when every device trained inline on the event loop
+// and every partial was a fresh vector.
+var resultPins = []struct {
+	name  string
+	tweak func(*testing.T, *Config)
+	want  uint64
+}{
+	{"voting-flag1", func(*testing.T, *Config) {}, 0x3a3713a1aa08c45},
+	{"quorum-timeout-lossy", func(_ *testing.T, c *Config) {
+		c.Quorum = 0.7
+		c.CollectTimeout = 300
+		c.Faults = fault.Lossy(21, 0.1, 0.1, 15)
+	}, 0x37f4812f44bbcff1},
+	{"crash-churn-omit-leader", func(_ *testing.T, c *Config) {
+		c.Quorum = 0.6
+		c.CollectTimeout = 300
+		n := c.Tree.NumDevices()
+		c.Faults = fault.Merge(
+			fault.CrashDevices(5, n, 3, 1),
+			fault.ChurnDevices(6, n, 4, 1, 3),
+			&fault.Plan{
+				CrashFromRound: map[int]int{33: 2, 34: 2, 35: 2}, // a whole cluster: its leader abandons
+				OmitProb:       map[int]float64{2: 0.5, 11: 0.5, 20: 1},
+				LeaderFailures: []fault.LeaderFailure{{Level: 2, Cluster: 5, FromRound: 2}},
+			},
+		)
+	}, 0xd83be0781631e1e6},
+	{"delta-int8-flag0", func(t *testing.T, c *Config) {
+		c.FlagLevel = 0
+		c.Codec = mustCodec(t, "delta-int8")
+	}, 0x7832e46ddd42c4b9},
+}
+
+// checkResultPin runs resultPins[arm] on workers training goroutines and
+// compares its digest with the pin.
+func checkResultPin(t *testing.T, arm, workers int) {
+	t.Helper()
+	cfg := buildConfig(t, 3, 3, 4, 4, 1, 5)
+	cfg.EvalEvery = 2
+	cfg.Workers = workers
+	resultPins[arm].tweak(t, &cfg)
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := resultDigest(res), resultPins[arm].want; got != want {
+		t.Fatalf("pinned result moved: got %#x, want %#x", got, want)
+	}
+}
+
+// TestPipelineResultPinned: the pins hold for every worker count.
 func TestPipelineResultPinned(t *testing.T) {
-	for _, arm := range []struct {
-		name  string
-		tweak func(*Config)
-		want  uint64
-	}{
-		{"voting-flag1", func(c *Config) {}, 0x3a3713a1aa08c45},
-		{"quorum-timeout-lossy", func(c *Config) {
-			c.Quorum = 0.7
-			c.CollectTimeout = 300
-			c.Faults = fault.Lossy(21, 0.1, 0.1, 15)
-		}, 0x37f4812f44bbcff1},
-		{"crash-churn-omit-leader", func(c *Config) {
-			c.Quorum = 0.6
-			c.CollectTimeout = 300
-			n := c.Tree.NumDevices()
-			c.Faults = fault.Merge(
-				fault.CrashDevices(5, n, 3, 1),
-				fault.ChurnDevices(6, n, 4, 1, 3),
-				&fault.Plan{
-					CrashFromRound: map[int]int{33: 2, 34: 2, 35: 2}, // a whole cluster: its leader abandons
-					OmitProb:       map[int]float64{2: 0.5, 11: 0.5, 20: 1},
-					LeaderFailures: []fault.LeaderFailure{{Level: 2, Cluster: 5, FromRound: 2}},
-				},
-			)
-		}, 0xd83be0781631e1e6},
-		{"delta-int8-flag0", func(c *Config) {
-			c.FlagLevel = 0
-			c.Codec = mustCodec(t, "delta-int8")
-		}, 0x7832e46ddd42c4b9},
-	} {
+	for arm, pin := range resultPins {
 		for _, workers := range []int{1, 2, 3, 8} {
-			t.Run(fmt.Sprintf("%s/workers=%d", arm.name, workers), func(t *testing.T) {
-				cfg := buildConfig(t, 3, 3, 4, 4, 1, 5)
-				cfg.EvalEvery = 2
-				cfg.Workers = workers
-				arm.tweak(&cfg)
-				res, err := Run(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := resultDigest(res); got != arm.want {
-					t.Fatalf("pinned result moved: got %#x, want %#x", got, arm.want)
-				}
-			})
+			t.Run(fmt.Sprintf("%s/workers=%d", pin.name, workers), func(t *testing.T) { checkResultPin(t, arm, workers) })
 		}
+	}
+}
+
+// TestFreedVectorsAreNeverReadAgain: with every vector the engine frees
+// overwritten with NaN, each pinned run still produces its pinned bits. So
+// no upload, partial or failed step's destination is read once it is freed,
+// no flag or global is freed, and every training and step overwrites the
+// whole vector take hands it.
+func TestFreedVectorsAreNeverReadAgain(t *testing.T) {
+	poisonRecycled = true
+	defer func() { poisonRecycled = false }()
+	for arm, pin := range resultPins {
+		t.Run(pin.name, func(t *testing.T) { checkResultPin(t, arm, 3) })
 	}
 }

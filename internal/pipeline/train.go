@@ -18,7 +18,7 @@ type trainJob struct {
 	d     *deviceActor
 	round int
 	start tensor.Vector
-	buf   tensor.Vector // recycled upload vector to fill, or nil to allocate
+	buf   tensor.Vector // the upload vector to fill (engine.take)
 }
 
 // trainPool runs local SGD off the event loop on a fixed set of goroutines,

@@ -753,12 +753,12 @@ func Run(cfg Config) (*Result, error) {
 			delete(collected, r)
 			resolved++
 			arm(r + 1)
-			in := step.Input{Round: r, Vecs: vecs}
+			// Fresh destination: the global is retained by the dissemination
+			// envelopes and as the next codec reference.
+			in := step.Input{Round: r, Vecs: vecs, Dst: tensor.NewVector(len(vecs[0]))}
 			if top.IsCBA() {
 				in.Rand = root.Derive(fmt.Sprintf("vote-%d", r))
 				in.Shards, in.Name = cfg.ValidationShards, top.Bare()
-			} else {
-				in.Dst = tensor.NewVector(len(vecs[0]))
 			}
 			global, v, _, err := st.Aggregate(top, in)
 			if err != nil {

@@ -51,10 +51,11 @@ func TestBRAStepAllocationFree(t *testing.T) {
 	}
 }
 
-// TestVotingStepAddsNoAllocation: the protocols allocate their own ballots,
-// tallies and decision vector, so a voting step cannot be zero — but the
-// step must add nothing to what a bare Agree over a prebuilt context costs:
-// no context, validator closure, Byzantine map, verdict or callback garbage.
+// TestVotingStepAddsNoAllocation: the protocols allocate their own ballots
+// and tallies, so a voting step cannot be zero — but the step must add
+// nothing to what a bare AgreeInto over a prebuilt context costs: no
+// context, validator closure, Byzantine map, decision vector, verdict or
+// callback garbage.
 // (The one thing it can add is the tagged rule name it builds when Input.Name
 // is empty — one string per CBA step, as the round engine always paid.)
 func TestVotingStepAddsNoAllocation(t *testing.T) {
@@ -72,8 +73,9 @@ func TestVotingStepAddsNoAllocation(t *testing.T) {
 	bare := NewStepper(nil, 1, f.sizes, false)
 	bare.in = in
 	ctx := &consensus.Context{Members: 4, Byzantine: map[int]bool{1: true}, Validator: bare.shardFn, Rand: r, Round: 3}
+	dst := tensor.NewVector(len(f.vecs[0]))
 	bareRun := func() {
-		if _, _, err := rule.CBA.Agree(ctx, f.vecs); err != nil {
+		if _, err := rule.CBA.AgreeInto(dst, ctx, f.vecs); err != nil {
 			t.Fatal(err)
 		}
 	}

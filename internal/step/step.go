@@ -81,9 +81,9 @@ type Input struct {
 	// Nil IDs means positions are ids.
 	Vecs []tensor.Vector
 	IDs  []int
-	// Dst receives the result and is what Aggregate returns. A BRA requires
-	// it; a CBA's decision is copied into it when set and returned as the
-	// protocol's own fresh vector otherwise (for callers that retain it).
+	// Dst receives the result and is what Aggregate returns: a BRA
+	// aggregates into it, a CBA decides into it. It must have the models'
+	// dimension and alias none of them; the step retains neither.
 	Dst tensor.Vector
 
 	// The rest configures a CBA and is ignored by a BRA. Rand is the
@@ -223,6 +223,9 @@ func (s *Stepper) run(rule Rule, in *Input) (tensor.Vector, Verdict, Comm, error
 	if len(in.Vecs) == 0 {
 		return nil, Verdict{}, Comm{}, fmt.Errorf("cluster (%d,%d) received no models", in.Level, in.Cluster)
 	}
+	if len(in.Dst) != len(in.Vecs[0]) {
+		return nil, Verdict{}, Comm{}, fmt.Errorf("cluster (%d,%d) destination dim %d, want %d", in.Level, in.Cluster, len(in.Dst), len(in.Vecs[0]))
+	}
 	if !rule.IsCBA() {
 		if err := rule.BRA.AggregateInto(in.Dst, s.scratch, in.Vecs); err != nil {
 			return nil, Verdict{}, Comm{}, err
@@ -241,17 +244,13 @@ func (s *Stepper) run(rule Rule, in *Input) (tensor.Vector, Verdict, Comm, error
 	if in.Shards != nil {
 		s.ctx.Validator = s.shardFn
 	}
-	out, st, err := rule.CBA.Agree(&s.ctx, in.Vecs)
+	st, err := rule.CBA.AgreeInto(in.Dst, &s.ctx, in.Vecs)
 	if err != nil {
 		return nil, Verdict{}, Comm{}, err
 	}
 	s.obs.consensus(st)
-	if in.Dst != nil {
-		copy(in.Dst, out)
-		out = in.Dst
-	}
 	comm := Comm{ModelTransfers: st.ModelTransfers, ScalarMessages: st.Messages - st.ModelTransfers}
-	return out, s.consensusVerdict(rule, in, st.Excluded), comm, nil
+	return in.Dst, s.consensusVerdict(rule, in, st.Excluded), comm, nil
 }
 
 // protocolByzantine maps contributor-level Byzantine flags onto protocol

@@ -3,6 +3,7 @@ package step
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os/exec"
 	"strings"
 	"testing"
@@ -106,13 +107,14 @@ func TestAggregateCBAMatchesTheProtocolAndReports(t *testing.T) {
 	// IDs index Local: contributor 100+i scores on data[i].
 	local := make([]*dataset.Dataset, 104)
 	copy(local[100:], f.data)
-	in := Input{Level: 1, Round: 1, Vecs: f.vecs, IDs: f.ids, Rand: rng.New(9), Workers: 2, Local: local}
+	dst := tensor.Fill(tensor.NewVector(len(want)), math.NaN())
+	in := Input{Level: 1, Round: 1, Vecs: f.vecs, IDs: f.ids, Dst: dst, Rand: rng.New(9), Workers: 2, Local: local}
 	got, v, comm, err := st.Aggregate(rule, in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tensor.Distance(got, want) != 0 {
-		t.Fatal("a CBA step must return the protocol's decision")
+	if &got[0] != &dst[0] || tensor.Distance(got, want) != 0 {
+		t.Fatal("a CBA step must decide the protocol's model into its Dst")
 	}
 	if comm.ModelTransfers != wantStats.ModelTransfers || comm.ScalarMessages != wantStats.Messages-wantStats.ModelTransfers {
 		t.Fatalf("comm %+v vs stats %+v", comm, wantStats)
@@ -129,9 +131,9 @@ func TestAggregateCBAMatchesTheProtocolAndReports(t *testing.T) {
 		t.Fatalf("excluded counter %d, verdict %d", got, v.Excluded)
 	}
 
-	// Dst receives a copy, Name overrides the reported rule, and nil IDs are
-	// positions (Shards then does the scoring).
-	dst := tensor.NewVector(len(want))
+	// Name overrides the reported rule, and nil IDs are positions (Shards
+	// then does the scoring).
+	dst = tensor.NewVector(len(want))
 	in.Dst, in.Name, in.IDs, in.Local, in.Shards, in.Rand = dst, "voting", nil, nil, f.data, rng.New(9)
 	got, v, _, err = st.Aggregate(rule, in)
 	if err != nil {
@@ -172,6 +174,13 @@ func TestAggregateErrorIsCountedAndKept(t *testing.T) {
 	if _, _, _, err := st.Aggregate(rule, Input{Level: 2}); err == nil {
 		t.Fatal("a step over no models must fail")
 	}
+	for _, r := range []Rule{{BRA: aggregate.Mean{}}, {CBA: consensus.Voting{}}} {
+		for _, dst := range []tensor.Vector{nil, tensor.NewVector(len(f.vecs[0]) - 1)} {
+			if _, _, _, err := st.Aggregate(r, Input{Level: 2, Vecs: f.vecs, Dst: dst, Shards: f.data, Rand: rng.New(1)}); err == nil {
+				t.Fatalf("%s: a step into a %d-element Dst must fail", r.Name(), len(dst))
+			}
+		}
+	}
 	if got := f.counter(`abdhfl_step_errors_total{engine="test",level="1"}`); got != 1 {
 		t.Fatalf("level-1 error counter = %d, want 1", got)
 	}
@@ -199,7 +208,7 @@ func TestNothingObservedRecordsNothing(t *testing.T) {
 		if err != nil || v.Kept != nil || v.Rule != "" {
 			t.Fatalf("err %v verdict %+v", err, v)
 		}
-		_, v, _, err = st.Aggregate(Rule{CBA: consensus.Voting{}}, Input{Vecs: f.vecs, Shards: f.data, Rand: rng.New(1)})
+		_, v, _, err = st.Aggregate(Rule{CBA: consensus.Voting{}}, Input{Vecs: f.vecs, Dst: tensor.NewVector(len(f.vecs[0])), Shards: f.data, Rand: rng.New(1)})
 		if err != nil || v.Kept != nil {
 			t.Fatalf("err %v verdict %+v", err, v)
 		}
@@ -235,7 +244,7 @@ func TestShardBallotMatchesCentralBallots(t *testing.T) {
 		t.Fatal("only ABA consumes injected ballots")
 	}
 	st := NewStepper(nil, 1, f.sizes, false)
-	want, _, _, err := st.Aggregate(rule, Input{Vecs: f.vecs, Shards: f.data, Rand: rng.New(3)})
+	want, _, _, err := st.Aggregate(rule, Input{Vecs: f.vecs, Dst: tensor.NewVector(len(f.vecs[0])), Shards: f.data, Rand: rng.New(3)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +252,7 @@ func TestShardBallotMatchesCentralBallots(t *testing.T) {
 	for m := range set.Rows {
 		set.Rows[m] = NewStepper(nil, 1, f.sizes, false).ShardBallot(rule, f.data, m, f.vecs)
 	}
-	got, _, _, err := st.Aggregate(rule, Input{Vecs: f.vecs, Shards: f.data, Rand: rng.New(3), Ballots: set})
+	got, _, _, err := st.Aggregate(rule, Input{Vecs: f.vecs, Dst: tensor.NewVector(len(f.vecs[0])), Shards: f.data, Rand: rng.New(3), Ballots: set})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,38 +58,48 @@ func BenchmarkTrainShapes(b *testing.B) {
 }
 
 // TestRunPipelineAllocBudget pins what one RunPipeline call allocates on the
-// pipeline_round shape: the figure this test measures (6.4 MB) plus a tenth.
-// The same call allocated 16.4 MB when every device owned a model and a
-// workspace and every training returned a fresh parameter vector, so a budget
-// this close catches the return of either. `make profile-pipeline` profiles
-// the same runs.
+// pipeline_round shape, in bytes and in objects: the figures this test
+// measures (2.6 MB, 7 000 objects) plus a tenth. The same call allocated
+// 16.4 MB when every device owned a model and a workspace and every training
+// returned a fresh parameter vector, and 6.4 MB while every step formed its
+// partial in a fresh vector, so a budget this close catches the return of
+// any of them; the object budget catches a per-step allocation that returns
+// even when its bytes are few. `make profile-pipeline` profiles the same
+// runs.
 func TestRunPipelineAllocBudget(t *testing.T) {
 	if testenv.UnderRace() {
 		t.Skip("the race detector's own allocations are counted in TotalAlloc")
 	}
-	const budget = 7_000_000 // bytes; the benchmark's alloc_bytes_per_run reads in the same unit
+	const (
+		budget  = 2_900_000 // bytes; the benchmark's alloc_bytes_per_run reads in the same unit
+		objects = 7_700
+	)
 	s := pipelineRoundScenario()
 	s.Workers = 2
 	m, err := Build(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func() uint64 {
+	run := func() (uint64, uint64) { // bytes, objects
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		if _, err := m.RunPipeline(3, 1, pipeline.DefaultTiming()); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc
+		return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
 	}
 	run() // first-use costs are not per-run
-	least := run()
+	least, fewest := run()
 	for i := 0; i < 2; i++ {
-		least = min(least, run())
+		b, o := run()
+		least, fewest = min(least, b), min(fewest, o)
 	}
-	t.Logf("%.2f MB per RunPipeline (budget %.2f MB)", float64(least)/1e6, float64(budget)/1e6)
+	t.Logf("%.2f MB, %d objects per RunPipeline (budget %.2f MB, %d objects)", float64(least)/1e6, fewest, float64(budget)/1e6, objects)
 	if least > budget {
 		t.Errorf("RunPipeline allocated %d bytes, budget %d", least, budget)
+	}
+	if fewest > objects {
+		t.Errorf("RunPipeline allocated %d objects, budget %d", fewest, objects)
 	}
 }
