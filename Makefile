@@ -70,15 +70,17 @@ verify-results-slow:
 
 # verify-scale gates the million-device layer: the event queue's (at, seq)
 # dispatch-order property over messages, closure timers and argument timers,
-# with and without a reserve, rerun invariance, event pooling and the 64-byte
-# event, lazy≡eager state equality and the pinned scale results, cohort
-# accounting (core + scale engine), the one-pass coordinate kernel against its
-# two-pass reference and the branch-free AllFinite, all under -race; then —
-# without -race, whose own allocations would be counted — the allocation
-# budgets of a derived random stream and of one scale_cell run (bytes and
-# objects), then a one-shot devices/sec benchmark smoke at 100k devices.
+# with and without a reserve, argument timers never armed in the past, rerun
+# invariance, event pooling and the 64-byte event, the scale results pinned
+# whole and with the state counts left out (small and scale_cell shapes),
+# cohort accounting and the one-event-per-cluster queue bound (core + scale
+# engine), the one-pass coordinate kernel against its two-pass reference and
+# the branch-free AllFinite, all under -race; then — without -race, whose own
+# allocations would be counted — the allocation budgets of a derived random
+# stream and of one scale_cell run (bytes and objects), then a one-shot
+# devices/sec benchmark smoke at 100k devices.
 verify-scale:
-	$(GO) test -race -run 'DispatchOrder|EqualTime|ArgumentTimer|EventIsOneCacheLine|ContextSelf|Rerun|EventPool|PeakQueue|Cohort|Scale|Stream|DeriveN|ChoiceInto' \
+	$(GO) test -race -run 'DispatchOrder|EqualTime|ArgumentTimer|AtArg|EventIsOneCacheLine|ContextSelf|Rerun|EventPool|PeakQueue|Cohort|Scale|Stream|DeriveN|ChoiceInto' \
 		./internal/simnet ./internal/rng ./internal/telemetry ./internal/core ./internal/experiments
 	$(GO) test -race -run 'TestCoordinateAuditMatchesReference|CoordinateKernels|AllFinite' ./internal/aggregate ./internal/tensor
 	$(GO) test -run 'TestDeriveStaysOnStack|TestRunScaleAllocBudget' ./internal/rng ./internal/experiments
@@ -185,15 +187,16 @@ profile-pipeline:
 	$(GO) tool pprof -top -nodecount=15 .bench_build/pipeline.test .bench_build/pipeline.block
 
 # profile-scale prints where a scale_cell-shaped RunScale loop spends its
-# CPU and allocates its bytes (BenchmarkScaleDevicesPerSec: the benchmark's
-# 100k-device cell, topology build included), one CPU and one allocation
-# profile of the same runs, under the benchmark line's bytes and objects per
-# run (-benchmem).
+# CPU and allocates its bytes and its objects (BenchmarkScaleDevicesPerSec:
+# the benchmark's 100k-device cell, topology build included), one CPU and one
+# allocation profile of the same runs read by space and by count, under the
+# benchmark line's bytes and objects per run (-benchmem).
 profile-scale:
 	mkdir -p .bench_build
 	$(GO) test -count=1 -run '^$$' -bench ScaleDevicesPerSec -benchtime 20x -benchmem -cpuprofile scale.cpu -memprofile scale.mem -memprofilerate 4096 -outputdir .bench_build -o .bench_build/scale.test ./internal/experiments
 	$(GO) tool pprof -top -nodecount=25 .bench_build/scale.test .bench_build/scale.cpu
 	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=25 .bench_build/scale.test .bench_build/scale.mem
+	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=15 .bench_build/scale.test .bench_build/scale.mem
 
 # kernel-addrs prints where the linker put the hot tensor/nn functions in the
 # benchmark binary: address, address mod 64, symbol. The per-sample loops these

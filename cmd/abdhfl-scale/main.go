@@ -1,8 +1,9 @@
 // Command abdhfl-scale sweeps the million-device scale engine over a
 // depth × fan-out × γ matrix and prints one row per cell: final-round model
 // error, bottom-level filter precision/recall, trainer activations and
-// materialized buffers (the lazy-state footprint), event counts, the event
-// queue's peak occupancy, and the σ_w/σ_g timing aggregates.
+// materialized update buffers (one cohort-sized scratch, whatever the
+// population), event counts, the event queue's peak occupancy (at most one
+// event per cluster), and the σ_w/σ_g timing aggregates.
 //
 // Every cell simulates the full device population on the discrete-event
 // engine with cohort-batched training, so a 100k-device deployment costs
@@ -105,8 +106,10 @@ func main() {
 	// must not land in the diffable artifact.
 	fmt.Fprintf(os.Stderr, "\n%d cells, %d simulated devices, %d events, mean %.0f devices/sec\n",
 		cells, totalDevices, totalEvents, totalRate/float64(cells))
-	fmt.Println("\nEach row simulates the full population; only the sampled cohort trains and")
-	fmt.Println("materializes an update buffer (compare the buffers column against devices).")
+	fmt.Println("\nEach row simulates the full population; only the sampled cohort trains, and")
+	fmt.Println("a device stays an id until its cluster aggregates: the cohort's updates are")
+	fmt.Println("filled into one scratch of cohort vectors (compare the buffers column against")
+	fmt.Println("devices), and each cluster has one event pending at a time (peak_queue).")
 	fmt.Println("rel_err is the final global model's relative error against the synthetic")
 	fmt.Println("ground-truth gradient: robust rules hold it near the gamma=0 noise floor")
 	fmt.Println("until the Byzantine fraction approaches the rule's tolerance bound, and the")

@@ -15,15 +15,18 @@ import (
 )
 
 // ScaleOptions parameterises RunScale: a million-device-class discrete-event
-// simulation of one ABD-HFL deployment. Devices are synthetic — an idle
-// device exists only as an id plus derived randomness; a model vector is
-// materialized from a pool solely for the rounds a device is sampled into
-// its cluster's cohort — so the simulated population can exceed the
-// process's memory budget for real models by orders of magnitude. The run
-// exercises the real machinery everywhere it matters: the simnet event
-// queue carries every upload and dissemination, cluster aggregation calls
-// the real robust rules with filter auditing, and timing is accounted with
-// the paper's σ quantities as streaming aggregates.
+// simulation of one ABD-HFL deployment. Devices are synthetic — a device
+// exists only as an id plus derived randomness, also while it is sampled into
+// its cluster's cohort and its upload is in flight; its update is filled into
+// an engine-owned scratch only when the cohort's last upload lands and the
+// cluster aggregates — so the simulated population can exceed the process's
+// memory budget for real models by orders of magnitude. The run exercises the
+// real machinery everywhere it matters: the simnet event queue carries every
+// upload and dissemination, cluster aggregation calls the real robust rules
+// with filter auditing, and timing is accounted with the paper's σ quantities
+// as streaming aggregates.
+//
+// A count left at 0 takes its default; a negative one is an error.
 type ScaleOptions struct {
 	Depth   int     // tree levels (>= 2); 0 -> 3
 	Fanout  int     // ECSM cluster size m; 0 -> 8
@@ -40,10 +43,6 @@ type ScaleOptions struct {
 	// (ROADMAP item 2) deletes it.
 	Shards int
 	Seed   uint64
-	// Eager pre-materializes one update buffer per device — the reference
-	// mode the lazy-state equality test compares against. Results are
-	// bit-identical to the lazy default; only BuffersAllocated changes.
-	Eager bool
 	// Telemetry, if non-nil, receives queue and σ gauges after the run.
 	Telemetry *telemetry.Registry
 }
@@ -72,6 +71,25 @@ func (o *ScaleOptions) defaults() {
 	}
 }
 
+// validate rejects what defaults leaves out of range.
+func (o *ScaleOptions) validate() error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"Fanout", o.Fanout}, {"Devices", o.Devices}, {"Cohort", o.Cohort}, {"Rounds", o.Rounds}, {"Dim", o.Dim}} {
+		if f.v < 0 {
+			return fmt.Errorf("scale: %s %d < 0", f.name, f.v)
+		}
+	}
+	if o.Depth < 2 {
+		return fmt.Errorf("scale: Depth %d < 2", o.Depth)
+	}
+	if o.Gamma < 0 || o.Gamma >= 1 {
+		return fmt.Errorf("scale: Gamma %v out of [0,1)", o.Gamma)
+	}
+	return nil
+}
+
 // ScaleResult is the outcome of one scale simulation. Every field except
 // Elapsed/DevicesPerSec is a pure function of the options — byte-identical
 // across reruns — so result tables stay diffable.
@@ -89,8 +107,8 @@ type ScaleResult struct {
 	// child subtree's sampled leaves was).
 	Levels []LevelScore
 	// Activations counts device-train events; BuffersAllocated counts
-	// update vectors materialized (≈ peak concurrent cohort when lazy,
-	// exactly Devices when Eager).
+	// update vectors materialized: the one scratch every bottom cluster
+	// fills as it aggregates, Cohort vectors whatever the population.
 	Activations      int
 	BuffersAllocated int
 	Events           int // simnet events processed
@@ -105,16 +123,6 @@ type ScaleResult struct {
 	// Devices × Rounds / Elapsed. The population counts, not just active
 	// trainers — supporting a device cheaply while it idles is the point.
 	DevicesPerSec float64
-}
-
-// scaleMsg is a partial model ascending one level, carrying the sampled-leaf
-// Byzantine census its subtree saw (the upper-level audit ground truth).
-type scaleMsg struct {
-	level, index int
-	round        int
-	vec          tensor.Vector
-	byzLeaves    int
-	totLeaves    int
 }
 
 // scaleGlobal is the dissemination broadcast starting the next round.
@@ -141,15 +149,14 @@ type scaleEngine struct {
 	roundNo  int
 	roundRNG rng.RNG
 
-	// The cohort draw buffers belong to the engine, not to each of its
-	// bottom actors: dispatch is serial and startRound has consumed a draw
-	// before it returns, so one pair serves them all.
+	// The cohort draw buffers, and the updates a bottom cluster aggregates
+	// with their ground truth, belong to the engine, not to each of its
+	// bottom actors: dispatch is serial, startRound has consumed a draw
+	// before it returns and aggregate has read the updates before it
+	// returns, so one set serves them all.
 	pick, scratch []int
-
-	pool      []tensor.Vector // released update buffers, sized once in RunScale
-	slab      []float64       // update buffers not yet handed out
-	eagerBufs []tensor.Vector
-	allocated int
+	updates       []tensor.Vector // Cohort vectors cut from one slab
+	updateByz     []bool
 
 	levels                 []LevelScore
 	sigmaW, sigmaP, sigmaG telemetry.Stream
@@ -158,11 +165,6 @@ type scaleEngine struct {
 	roundsDone             int
 	lastGlobalAt           simnet.Time
 }
-
-// scaleSlabVectors is how many update buffers one slab is cut into: 64 KB at
-// the default dimension, so 100k devices take their buffers from a few dozen
-// allocations.
-const scaleSlabVectors = 512
 
 // roundStream returns root.DeriveN("round", round).
 func (e *scaleEngine) roundStream(round int) *rng.RNG {
@@ -182,42 +184,10 @@ func (e *scaleEngine) isByz(d int) bool {
 	return e.root.DeriveN("byz", uint64(d)).Float64() < e.o.Gamma
 }
 
-// take materializes an update buffer: pooled when lazy, the device's
-// preallocated slot when eager. allocated counts vectors first handed out,
-// however few slabs they were cut from.
-func (e *scaleEngine) take(device int) tensor.Vector {
-	if e.o.Eager {
-		return e.eagerBufs[device]
-	}
-	if n := len(e.pool); n > 0 {
-		v := e.pool[n-1]
-		e.pool[n-1] = nil
-		e.pool = e.pool[:n-1]
-		return v
-	}
-	e.allocated++
-	dim := e.o.Dim
-	if len(e.slab) < dim {
-		e.slab = make([]float64, scaleSlabVectors*dim)
-	}
-	v := tensor.Vector(e.slab[:dim:dim])
-	e.slab = e.slab[dim:]
-	return v
-}
-
-// release returns a buffer to the pool (no-op when eager: the device owns
-// its slot).
-func (e *scaleEngine) release(v tensor.Vector) {
-	if !e.o.Eager {
-		e.pool = append(e.pool, v)
-	}
-}
-
 // fill writes device d's round-r update into v: the ground-truth gradient
 // plus per-device noise for honest devices, an amplified sign-flip for
 // Byzantine ones. Values depend only on (seed, round, device), never on
-// materialization order or buffer identity — the invariant that makes lazy
-// and eager modes bit-identical.
+// when they are filled or into which buffer.
 func (e *scaleEngine) fill(v tensor.Vector, round, d int, byz bool) {
 	r := e.roundStream(round).DeriveN("upd", uint64(d))
 	if byz {
@@ -231,6 +201,13 @@ func (e *scaleEngine) fill(v tensor.Vector, round, d int, byz bool) {
 	}
 }
 
+// scaleArrival is a sampled device's upload as its leader knows it before
+// the cohort aggregates: the device, and when the upload lands.
+type scaleArrival struct {
+	at     simnet.Time
+	device int
+}
+
 // scaleActor simulates one cluster: the bottom level collects its sampled
 // cohort's uploads and aggregates; upper levels collect child partials.
 type scaleActor struct {
@@ -238,25 +215,31 @@ type scaleActor struct {
 	level, index int
 	cluster      *topology.Cluster
 	parent       simnet.NodeID
-	childIDs     []simnet.NodeID // upper levels: child cluster actors
-	expect       int             // inputs per round (cohort size or child count)
+	expect       int // inputs per round (cohort size or child count)
+	round        int
+	partial      tensor.Vector
+	// byzSampled/totSampled are the sampled-leaf Byzantine census of the
+	// partial this cluster formed last (bottom) or is forming (upper) — the
+	// upper-level audit ground truth, read by the parent when the partial
+	// lands.
+	byzSampled, totSampled int
 
-	round       int
-	vecs        []tensor.Vector
-	truth       []bool // per input: ground-truth maliciousness
-	first, last simnet.Time
-	partial     tensor.Vector
-	byzSampled  int      // Byzantine sampled leaves seen this round
-	totSampled  int      // total sampled leaves seen this round
-	out         scaleMsg // reused ascend payload (safe: consumed before next round)
+	// Bottom level: this round's uploads in landing order.
+	arrivals []scaleArrival
+
+	// Upper levels: child cluster actors, and this round's child partials
+	// with their ground truth.
+	childIDs []simnet.NodeID
+	vecs     []tensor.Vector
+	truth    []bool
 }
 
-// OnTimer is a sampled device's upload landing; the argument is the device.
-func (a *scaleActor) OnTimer(ctx *simnet.Context, device int) { a.onArrival(ctx, device) }
+// OnTimer is an upload landing; the argument is its index in a.arrivals.
+func (a *scaleActor) OnTimer(ctx *simnet.Context, i int) { a.onArrival(ctx, i) }
 
 func (a *scaleActor) OnMessage(ctx *simnet.Context, msg simnet.Message) {
 	switch m := msg.Payload.(type) {
-	case *scaleMsg:
+	case *scaleActor:
 		a.onPartial(ctx, msg, m)
 	case scaleGlobal:
 		a.onGlobal(ctx, m)
@@ -265,12 +248,12 @@ func (a *scaleActor) OnMessage(ctx *simnet.Context, msg simnet.Message) {
 	}
 }
 
-// startRound samples the bottom cluster's cohort and schedules each sampled
-// device's upload arrival (local training time plus uplink).
+// startRound samples the bottom cluster's cohort, draws each sampled device's
+// upload arrival (local training time plus uplink), and arms the earliest:
+// a cluster has one arrival on the queue at a time, each arming the next.
 func (a *scaleActor) startRound(ctx *simnet.Context, round int) {
 	e := a.eng
 	a.round = round
-	a.resetRound()
 	rr := e.roundStream(round)
 	pick := e.pick[:a.expect]
 	if a.expect >= a.cluster.Size() {
@@ -280,105 +263,105 @@ func (a *scaleActor) startRound(ctx *simnet.Context, round int) {
 	} else {
 		rr.DeriveN("cohort", uint64(a.index)).ChoiceInto(pick, a.cluster.Size(), e.scratch)
 	}
+	now := ctx.Now()
+	arr := a.arrivals[:0]
 	for _, mi := range pick {
 		d := a.cluster.Members[mi]
 		dr := rr.DeriveN("dev", uint64(d))
 		// Local training duration plus uplink latency, virtual ms. Drawn
 		// from the device's own derived stream so arrival times are
-		// independent of scheduling. The timer carries the device id to
-		// OnTimer; a closure per arrival was 2.6 MB of a 100k-device run.
-		delay := simnet.Time(40 + 160*dr.Float64() + 1 + 9*dr.Float64())
-		ctx.AfterArg(delay, d)
-	}
-}
-
-func (a *scaleActor) resetRound() {
-	a.vecs = a.vecs[:0]
-	a.truth = a.truth[:0]
-	a.byzSampled, a.totSampled = 0, 0
-	a.first, a.last = 0, 0
-}
-
-// onArrival materializes one sampled device's update as it lands at the
-// leader — the lazy-state moment: before this event and after this round's
-// aggregation the device holds no vector.
-func (a *scaleActor) onArrival(ctx *simnet.Context, device int) {
-	e := a.eng
-	now := ctx.Now()
-	if len(a.vecs) == 0 {
-		a.first = now
-	}
-	a.last = now
-	byz := e.isByz(device)
-	v := e.take(device)
-	e.fill(v, a.round, device, byz)
-	e.activations++
-	a.vecs = append(a.vecs, v)
-	a.truth = append(a.truth, byz)
-	a.totSampled++
-	if byz {
-		a.byzSampled++
-	}
-	if len(a.vecs) == a.expect {
-		e.sigmaW.Observe(float64(a.last - a.first))
-		a.aggregate(ctx)
-		for _, u := range a.vecs {
-			e.release(u)
+		// independent of scheduling.
+		at := now + simnet.Time(40+160*dr.Float64()+1+9*dr.Float64())
+		// Insert in landing order, a tie after the earlier pick: the order
+		// the queue's (at, seq) gave when every arrival was armed at once,
+		// in pick order.
+		k := len(arr)
+		arr = append(arr, scaleArrival{})
+		for ; k > 0 && arr[k-1].at > at; k-- {
+			arr[k] = arr[k-1]
 		}
-		a.resetRound()
+		arr[k] = scaleArrival{at: at, device: d}
 	}
+	a.arrivals = arr
+	ctx.AtArg(arr[0].at, 0)
+}
+
+// onArrival is upload i landing at the leader. Until the cohort's last
+// lands, its devices are only the ids and times in a.arrivals: the next
+// arrival is armed and nothing else happens. The last fills every update, in
+// landing order, into the engine's scratch and aggregates them.
+func (a *scaleActor) onArrival(ctx *simnet.Context, i int) {
+	if i++; i < len(a.arrivals) {
+		ctx.AtArg(a.arrivals[i].at, i)
+		return
+	}
+	e := a.eng
+	n := len(a.arrivals)
+	e.sigmaW.Observe(float64(a.arrivals[n-1].at - a.arrivals[0].at))
+	vecs, truth := e.updates[:n], e.updateByz[:n]
+	a.byzSampled, a.totSampled = 0, n
+	for k, up := range a.arrivals {
+		truth[k] = e.isByz(up.device)
+		if truth[k] {
+			a.byzSampled++
+		}
+		e.fill(vecs[k], a.round, up.device, truth[k])
+	}
+	e.activations += n
+	a.aggregate(ctx, vecs, truth)
 }
 
 // onPartial collects one child cluster's partial model at an upper level.
-func (a *scaleActor) onPartial(ctx *simnet.Context, msg simnet.Message, m *scaleMsg) {
+// The payload is the child actor: its partial, round and census stay as they
+// are until its next round, which starts only after this cluster aggregates.
+func (a *scaleActor) onPartial(ctx *simnet.Context, msg simnet.Message, c *scaleActor) {
 	e := a.eng
-	if m.round != a.round {
+	if c.round != a.round {
 		panic(fmt.Sprintf("scale: cluster (%d,%d) got round %d partial during round %d",
-			a.level, a.index, m.round, a.round))
+			a.level, a.index, c.round, a.round))
 	}
 	e.sigmaP.Observe(float64(msg.At - msg.SentAt))
-	a.vecs = append(a.vecs, m.vec)
+	if len(a.vecs) == 0 {
+		// The last round's census went up with the last round's partial.
+		a.byzSampled, a.totSampled = 0, 0
+	}
+	a.vecs = append(a.vecs, c.partial)
 	// Upper-level ground truth: the subtree's sampled leaves were
 	// majority-Byzantine (below that, the level below is expected to have
 	// cleaned the partial).
-	a.truth = append(a.truth, 2*m.byzLeaves > m.totLeaves)
-	a.totSampled += m.totLeaves
-	a.byzSampled += m.byzLeaves
+	a.truth = append(a.truth, 2*c.byzSampled > c.totSampled)
+	a.totSampled += c.totSampled
+	a.byzSampled += c.byzSampled
 	if len(a.vecs) == a.expect {
-		a.aggregate(ctx)
-		a.resetRound()
-		a.round++
+		a.aggregate(ctx, a.vecs, a.truth)
+		a.vecs, a.truth = a.vecs[:0], a.truth[:0]
 	}
 }
 
-// aggregate runs the robust rule over the collected inputs, scores the
-// filter audit against ground truth, and either ascends the partial or — at
+// aggregate runs the robust rule over the round's inputs, scores the filter
+// audit against their ground truth, and either ascends the partial or — at
 // the top — closes the round and disseminates.
-func (a *scaleActor) aggregate(ctx *simnet.Context) {
+func (a *scaleActor) aggregate(ctx *simnet.Context, vecs []tensor.Vector, truth []bool) {
 	e := a.eng
-	if err := e.agg.AggregateInto(a.partial, e.scr, a.vecs); err != nil {
+	if err := e.agg.AggregateInto(a.partial, e.scr, vecs); err != nil {
 		panic(fmt.Sprintf("scale: cluster (%d,%d): %v", a.level, a.index, err))
 	}
 	s := &e.levels[a.level]
 	for i, d := range e.scr.Audit.Decisions {
 		flagged := d != aggregate.DecisionKept
 		switch {
-		case flagged && a.truth[i]:
+		case flagged && truth[i]:
 			s.TP++
 		case flagged:
 			s.FP++
-		case a.truth[i]:
+		case truth[i]:
 			s.FN++
 		default:
 			s.TN++
 		}
 	}
 	if a.level > 0 {
-		a.out = scaleMsg{
-			level: a.level, index: a.index, round: a.round,
-			vec: a.partial, byzLeaves: a.byzSampled, totLeaves: a.totSampled,
-		}
-		ctx.SendVolume(a.parent, &a.out, int64(e.o.Dim))
+		ctx.SendVolume(a.parent, a, int64(e.o.Dim))
 		return
 	}
 	// Top of the tree: the global model for this round is formed.
@@ -388,7 +371,8 @@ func (a *scaleActor) aggregate(ctx *simnet.Context) {
 	e.relErr = relativeError(a.partial, e.g, e.gNorm)
 	e.roundsDone++
 	if e.roundsDone < e.o.Rounds {
-		a.disseminate(ctx, a.round+1)
+		a.round++
+		a.disseminate(ctx, a.round)
 	}
 }
 
@@ -423,11 +407,8 @@ func relativeError(got, want tensor.Vector, wantNorm float64) float64 {
 // drives Rounds global rounds through the event engine.
 func RunScale(o ScaleOptions) (*ScaleResult, error) {
 	o.defaults()
-	if o.Depth < 2 {
-		return nil, fmt.Errorf("scale: Depth %d < 2", o.Depth)
-	}
-	if o.Gamma < 0 || o.Gamma >= 1 {
-		return nil, fmt.Errorf("scale: Gamma %v out of [0,1)", o.Gamma)
+	if err := o.validate(); err != nil {
+		return nil, err
 	}
 	agg, err := aggregate.ByName(o.Rule)
 	if err != nil {
@@ -475,14 +456,6 @@ func RunScale(o ScaleOptions) (*ScaleResult, error) {
 		e.gNorm = 1
 	}
 	devices := tree.NumDevices()
-	if o.Eager {
-		e.eagerBufs = make([]tensor.Vector, devices)
-		flat := make([]float64, devices*o.Dim)
-		for d := range e.eagerBufs {
-			e.eagerBufs[d] = flat[d*o.Dim : (d+1)*o.Dim : (d+1)*o.Dim]
-		}
-		e.allocated = devices
-	}
 
 	// One simnet node per cluster, level-major. Everything an actor owns is
 	// cut from a slab shared by all of them, so the build is a dozen
@@ -503,8 +476,7 @@ func RunScale(o ScaleOptions) (*ScaleResult, error) {
 	sampled, widest := 0, 0 // cohort members per round; largest bottom cluster
 	for l := range tree.Clusters {
 		for i, c := range tree.Clusters[l] {
-			id := e.nodeOf[l][i]
-			a := &actors[id]
+			a := &actors[e.nodeOf[l][i]]
 			*a = scaleActor{eng: e, level: l, index: i, cluster: c}
 			if l > 0 {
 				// Parents come first in level-major order: count this
@@ -518,25 +490,28 @@ func RunScale(o ScaleOptions) (*ScaleResult, error) {
 				sampled += a.expect
 				widest = max(widest, c.Size())
 			}
-			e.sim.Register(id, a)
 		}
 	}
-	inputs := 0
-	for i := range actors {
-		inputs += actors[i].expect
+	// Registering the last node first sizes simnet's node table once.
+	for id := clusters - 1; id >= 0; id-- {
+		e.sim.Register(simnet.NodeID(id), &actors[id])
 	}
+	// Every cluster but the top is one input of its parent.
 	partials := make([]float64, clusters*o.Dim)
-	vecs := make([]tensor.Vector, inputs)
-	truth := make([]bool, inputs)
+	arrivals := make([]scaleArrival, sampled)
+	vecs := make([]tensor.Vector, clusters-1)
+	truth := make([]bool, clusters-1)
 	childIDs := make([]simnet.NodeID, clusters-1)
 	for i := range actors {
 		a := &actors[i]
 		a.partial, partials = partials[:o.Dim:o.Dim], partials[o.Dim:]
+		if a.level == bottom {
+			a.arrivals, arrivals = arrivals[:0:a.expect], arrivals[a.expect:]
+			continue
+		}
 		a.vecs, vecs = vecs[:0:a.expect], vecs[a.expect:]
 		a.truth, truth = truth[:0:a.expect], truth[a.expect:]
-		if a.level != bottom {
-			a.childIDs, childIDs = childIDs[:0:a.expect], childIDs[a.expect:]
-		}
+		a.childIDs, childIDs = childIDs[:0:a.expect], childIDs[a.expect:]
 	}
 	for id := 1; id < clusters; id++ {
 		p := &actors[actors[id].parent]
@@ -544,16 +519,18 @@ func RunScale(o ScaleOptions) (*ScaleResult, error) {
 	}
 	e.pick = make([]int, o.Cohort)
 	e.scratch = make([]int, widest)
+	e.updates = make([]tensor.Vector, o.Cohort)
+	flat := make([]float64, o.Cohort*o.Dim)
+	for i := range e.updates {
+		e.updates[i], flat = flat[:o.Dim:o.Dim], flat[o.Dim:]
+	}
+	e.updateByz = make([]bool, o.Cohort)
 
 	// What can be pending at once bounds the queue, and sizes it once: a
-	// bottom cluster has its kick-off, its cohort's arrivals, its partial or
-	// the next round's global in flight, never two of them, and a cluster
-	// above it one partial or one global. Every buffer in use belongs to an
-	// arrival not yet aggregated, so the pool never holds more than sampled.
-	e.sim.Reserve(sampled + clusters - len(tree.Clusters[bottom]))
-	if !o.Eager {
-		e.pool = make([]tensor.Vector, 0, sampled)
-	}
+	// bottom cluster has its kick-off, its one armed arrival, its partial or
+	// the next round's global pending, never two of them, and a cluster
+	// above it one partial or one global — at most one event per cluster.
+	e.sim.Reserve(clusters)
 	// Generous livelock guard: arrivals + ascents + dissemination per round.
 	e.sim.MaxEvents = 8 * o.Rounds * (sampled + 3*clusters + 16)
 
@@ -581,7 +558,7 @@ func RunScale(o ScaleOptions) (*ScaleResult, error) {
 		RelErr:           e.relErr,
 		Levels:           e.levels,
 		Activations:      e.activations,
-		BuffersAllocated: e.allocated,
+		BuffersAllocated: len(e.updates),
 		Events:           events,
 		Net:              e.sim.Stats(),
 		SigmaW:           e.sigmaW.Snapshot(),

@@ -84,8 +84,8 @@ func (s *orderScript) spawn(ctx *Context) {
 		id := s.note(ctx.Now()+d, ctx.Self())
 		ctx.After(d, func(ctx *Context) { s.fire(ctx, id) })
 	case 2:
-		d := Time(s.r.Intn(3))
-		ctx.AfterArg(d, s.note(ctx.Now()+d, ctx.Self()))
+		at := ctx.Now() + Time(s.r.Intn(3))
+		ctx.AtArg(at, s.note(at, ctx.Self()))
 	default:
 		// A timer armed from this node's callback for another node.
 		at := ctx.Now() + Time(s.r.Intn(3))
@@ -199,7 +199,7 @@ func TestEqualTimeTimersAndMessagesFireInScheduleOrder(t *testing.T) {
 				case "closure":
 					ctx.After(1, func(*Context) { got = append(got, "closure") })
 				default:
-					ctx.AfterArg(1, 7)
+					ctx.AtArg(ctx.Now()+1, 7)
 				}
 			}
 		})
@@ -238,8 +238,8 @@ func TestArgumentTimerNeedsItsHandler(t *testing.T) {
 	var got []string
 	sim.Register(0, recordingNode{got: &got})
 	sim.ScheduleAt(0, 0, func(ctx *Context) {
-		ctx.AfterArg(1, 7)
-		ctx.AfterArg(3, 7)
+		ctx.AtArg(ctx.Now()+1, 7)
+		ctx.AtArg(ctx.Now()+3, 7)
 	})
 	sim.ScheduleAt(2, 0, func(ctx *Context) { sim.Register(0, nil) })
 	if _, err := sim.Run(0); err != nil {
@@ -252,7 +252,7 @@ func TestArgumentTimerNeedsItsHandler(t *testing.T) {
 		t.Fatalf("DroppedUnregistered = %d, want the one orphaned timer", st.DroppedUnregistered)
 	}
 
-	sim.Register(1, handlerFunc(func(ctx *Context, msg Message) { ctx.AfterArg(1, 7) }))
+	sim.Register(1, handlerFunc(func(ctx *Context, msg Message) { ctx.AtArg(ctx.Now()+1, 7) }))
 	sim.Inject(1, nil)
 	defer func() {
 		if recover() == nil {
@@ -260,6 +260,29 @@ func TestArgumentTimerNeedsItsHandler(t *testing.T) {
 		}
 	}()
 	sim.Run(0)
+}
+
+// TestAtArgNotInThePast: an argument timer may be armed for the current
+// instant, and fires; one armed before it panics, as ScheduleAt does.
+func TestAtArgNotInThePast(t *testing.T) {
+	sim := New(Fixed(1), rng.New(1))
+	var got []string
+	sim.Register(0, recordingNode{got: &got})
+	sim.ScheduleAt(2, 0, func(ctx *Context) {
+		ctx.AtArg(ctx.Now(), 7)
+		defer func() {
+			if recover() == nil {
+				t.Error("AtArg before the current time did not panic")
+			}
+		}()
+		ctx.AtArg(ctx.Now()-0.5, 7)
+	})
+	if _, err := sim.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Join(got, " ") != "argument" {
+		t.Fatalf("fired %v, want the one timer armed for the current instant", got)
+	}
 }
 
 // TestEventIsOneCacheLine pins the event struct at 64 bytes: the queue holds

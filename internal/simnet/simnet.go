@@ -47,7 +47,7 @@ type TimerFunc func(ctx *Context)
 // device — names the unit in arg and allocates nothing per timer.
 type TimerHandler interface {
 	Handler
-	// OnTimer is invoked when a timer armed with Context.AfterArg fires.
+	// OnTimer is invoked when a timer armed with Context.AtArg fires.
 	OnTimer(ctx *Context, arg int)
 }
 
@@ -155,7 +155,8 @@ func (s *Sim) Register(id NodeID, h Handler) {
 	}
 	if n := int(id) + 1; n > len(s.nodes) {
 		// append grows the backing array geometrically, so registering ids
-		// in order is linear overall rather than one full copy per id.
+		// in order is linear overall rather than one full copy per id;
+		// registering the highest id first sizes the table once.
 		s.nodes = append(s.nodes, make([]Handler, n-len(s.nodes))...)
 	}
 	s.nodes[id] = h
@@ -220,17 +221,17 @@ func (c *Context) After(d Time, fn TimerFunc) {
 	s.scheduleTimer(s.now+d, c.self, fn)
 }
 
-// AfterArg schedules an argument timer on this node after the given virtual
-// delay: the node's handler, which must be a TimerHandler (Run panics on one
-// that is not), gets OnTimer(arg). It orders with closure timers and messages
-// like any other event, by time and then by when it was scheduled.
-func (c *Context) AfterArg(d Time, arg int) {
-	if d < 0 {
-		panic("simnet: negative timer delay")
-	}
+// AtArg schedules an argument timer on this node at absolute virtual time at
+// (>= now): the node's handler, which must be a TimerHandler (Run panics on
+// one that is not), gets OnTimer(arg). It orders with closure timers and
+// messages like any other event, by time and then by when it was scheduled.
+func (c *Context) AtArg(at Time, arg int) {
 	s := c.sim
+	if at < s.now {
+		panic("simnet: AtArg in the past")
+	}
 	e := s.q.get()
-	e.msg = Message{From: NodeID(arg), To: c.self, Payload: argTimer{}, At: s.now + d}
+	e.msg = Message{From: NodeID(arg), To: c.self, Payload: argTimer{}, At: at}
 	s.schedule(e)
 }
 

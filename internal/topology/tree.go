@@ -7,10 +7,7 @@
 // (Theorems 1-3 and corollaries) as executable functions.
 package topology
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Cluster is one learning cluster: an ordered set of device ids with a
 // designated leader (the leader is always a member). At the top level the
@@ -151,11 +148,13 @@ func (t *Tree) ClusterOf(id int) *Cluster {
 // Validate checks the structural invariants of an ABD-HFL tree: every
 // cluster is non-empty, leaders are members of their clusters, every
 // non-top-level leader appears exactly once at the level above, the top
-// level is a single cluster, and device ids at the bottom are unique.
+// level is a single cluster, and device ids at the bottom are unique and in
+// [0, NumDevices).
 //
-// Set questions are answered over one sorted id slice, reused level by level,
-// rather than a map: every builder and every engine's Config.Validate calls
-// this, and a 100k-device tree would otherwise hash 100k ids per call.
+// Set questions are answered over one bitset of device ids, reused level by
+// level, rather than a map or a sorted copy of the ids: every builder and
+// every engine's Config.Validate calls this, and a 100k-device tree would
+// otherwise hash or copy 100k ids per call.
 func (t *Tree) Validate() error {
 	if t.Depth() < 2 {
 		return fmt.Errorf("topology: tree needs at least 2 levels, has %d", t.Depth())
@@ -163,14 +162,17 @@ func (t *Tree) Validate() error {
 	if len(t.Clusters[0]) != 1 {
 		return fmt.Errorf("topology: top level must be a single cluster, has %d", len(t.Clusters[0]))
 	}
-	ids := make([]int, 0, t.NumDevices())
+	n := t.NumDevices()
+	ids := make(idSet, (n+63)/64)
 	for _, c := range t.Clusters[t.Bottom()] {
-		ids = append(ids, c.Members...)
-	}
-	sort.Ints(ids)
-	for i := 1; i < len(ids); i++ {
-		if ids[i] == ids[i-1] {
-			return fmt.Errorf("topology: device %d in multiple bottom clusters", ids[i])
+		for _, id := range c.Members {
+			if id < 0 || id >= n {
+				return fmt.Errorf("topology: device %d outside [0, %d)", id, n)
+			}
+			if ids.has(id) {
+				return fmt.Errorf("topology: device %d in multiple bottom clusters", id)
+			}
+			ids.add(id)
 		}
 	}
 	for l, level := range t.Clusters {
@@ -191,15 +193,14 @@ func (t *Tree) Validate() error {
 	}
 	// Upper-level members must be exactly the leaders of the level below.
 	for l := 0; l < t.Bottom(); l++ {
-		leaders := ids[:0]
+		clear(ids)
 		for _, c := range t.Clusters[l+1] {
-			leaders = append(leaders, c.Leader)
+			ids.add(c.Leader)
 		}
-		sort.Ints(leaders)
 		count := 0
 		for _, c := range t.Clusters[l] {
 			for _, m := range c.Members {
-				if i := sort.SearchInts(leaders, m); i == len(leaders) || leaders[i] != m {
+				if !ids.has(m) {
 					return fmt.Errorf("topology: level %d member %d is not a leader below", l, m)
 				}
 				count++
@@ -210,6 +211,21 @@ func (t *Tree) Validate() error {
 		}
 	}
 	return nil
+}
+
+// idSet is a set of non-negative ids, one bit each. add ignores an id past
+// the words the set was made with, so has never reports one.
+type idSet []uint64
+
+func (s idSet) add(id int) {
+	if w := id >> 6; id >= 0 && w < len(s) {
+		s[w] |= 1 << (id & 63)
+	}
+}
+
+func (s idSet) has(id int) bool {
+	w := id >> 6
+	return id >= 0 && w < len(s) && s[w]&(1<<(id&63)) != 0
 }
 
 // NewECSM builds an Equal Cluster Size Model tree: levels+1 tiers where
@@ -245,30 +261,18 @@ func NewECSM(levels, m, topNodes int) (*Tree, error) {
 	bottom := levels - 1
 	devices := counts[bottom] * m
 	// Assign device ids to bottom clusters consecutively.
-	t.Clusters[bottom] = make([]*Cluster, counts[bottom])
-	for i := 0; i < counts[bottom]; i++ {
-		members := make([]int, m)
-		for j := range members {
-			members[j] = i*m + j
-		}
-		t.Clusters[bottom][i] = &Cluster{Level: bottom, Index: i, Members: members, Leader: members[0]}
-	}
+	t.Clusters[bottom] = ecsmLevel(bottom, counts[bottom], m, func(i, j int) int { return i*m + j })
 	// Build upper levels from leaders below.
 	for l := bottom - 1; l >= 0; l-- {
 		size := m
 		if l == 0 {
 			size = topNodes
 		}
-		t.Clusters[l] = make([]*Cluster, counts[l])
-		t.parentOf[l+1] = make([]int, len(t.Clusters[l+1]))
-		for i := 0; i < counts[l]; i++ {
-			members := make([]int, size)
-			for j := 0; j < size; j++ {
-				child := t.Clusters[l+1][i*size+j]
-				members[j] = child.Leader
-				t.parentOf[l+1][i*size+j] = i
-			}
-			t.Clusters[l][i] = &Cluster{Level: l, Index: i, Members: members, Leader: members[0]}
+		below := t.Clusters[l+1]
+		t.Clusters[l] = ecsmLevel(l, counts[l], size, func(i, j int) int { return below[i*size+j].Leader })
+		t.parentOf[l+1] = make([]int, len(below))
+		for ci := range below {
+			t.parentOf[l+1][ci] = ci / size
 		}
 	}
 	t.parentOf[0] = nil
@@ -280,4 +284,23 @@ func NewECSM(levels, m, topNodes int) (*Tree, error) {
 		return nil, err
 	}
 	return t, nil
+}
+
+// ecsmLevel returns level l's n clusters of size members each, member(i, j)
+// being cluster i's j-th member and the first its leader. The clusters, and
+// their member lists, are cut from one slab apiece: a 100k-device tree is a
+// few allocations a level, not two a cluster.
+func ecsmLevel(l, n, size int, member func(i, j int) int) []*Cluster {
+	out := make([]*Cluster, n)
+	cs := make([]Cluster, n)
+	ids := make([]int, n*size)
+	for i := range cs {
+		members := ids[i*size : (i+1)*size : (i+1)*size]
+		for j := range members {
+			members[j] = member(i, j)
+		}
+		cs[i] = Cluster{Level: l, Index: i, Members: members, Leader: members[0]}
+		out[i] = &cs[i]
+	}
+	return out
 }

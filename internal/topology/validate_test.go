@@ -19,6 +19,10 @@ func TestValidateRejects(t *testing.T) {
 		}, "topology: top level must be a single cluster, has 2"},
 		{"device in two bottom clusters", func(tr *Tree) { tr.Clusters[2][1].Members[1] = 1 },
 			"topology: device 1 in multiple bottom clusters"},
+		{"device id past the device count", func(tr *Tree) { tr.Clusters[2][3].Members[1] = 8 },
+			"topology: device 8 outside [0, 8)"},
+		{"negative device id", func(tr *Tree) { tr.Clusters[2][0].Members[1] = -1 },
+			"topology: device -1 outside [0, 8)"},
 		{"empty cluster", func(tr *Tree) { tr.Clusters[1][1].Members = nil },
 			"topology: empty cluster at level 1 index 1"},
 		{"leader not a member", func(tr *Tree) { tr.Clusters[2][3].Leader = 5 },
