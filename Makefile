@@ -74,13 +74,14 @@ verify-results-slow:
 # invariance, event pooling and the 64-byte event, the scale results pinned
 # whole and with the state counts left out (small and scale_cell shapes),
 # cohort accounting and the one-event-per-cluster queue bound (core + scale
-# engine), the one-pass coordinate kernel against its two-pass reference and
-# the branch-free AllFinite, all under -race; then — without -race, whose own
-# allocations would be counted — the allocation budgets of a derived random
-# stream and of one scale_cell run (bytes and objects), then a one-shot
-# devices/sec benchmark smoke at 100k devices.
+# engine), the one-pass coordinate kernel against its two-pass reference,
+# the branch-free AllFinite and the string-free decimal-label derive against
+# Derive, all under -race; then — without -race, whose own allocations would
+# be counted — the allocation budgets of the derived random streams (Derive,
+# DeriveDecimal, DeriveN) and of one scale_cell run (bytes and objects), then
+# a one-shot devices/sec benchmark smoke at 100k devices.
 verify-scale:
-	$(GO) test -race -run 'DispatchOrder|EqualTime|ArgumentTimer|AtArg|EventIsOneCacheLine|ContextSelf|Rerun|EventPool|PeakQueue|Cohort|Scale|Stream|DeriveN|ChoiceInto' \
+	$(GO) test -race -run 'DispatchOrder|EqualTime|ArgumentTimer|AtArg|EventIsOneCacheLine|ContextSelf|Rerun|EventPool|PeakQueue|Cohort|Scale|Stream|DeriveN|DeriveDecimal|ChoiceInto' \
 		./internal/simnet ./internal/rng ./internal/telemetry ./internal/core ./internal/experiments
 	$(GO) test -race -run 'TestCoordinateAuditMatchesReference|CoordinateKernels|AllFinite' ./internal/aggregate ./internal/tensor
 	$(GO) test -run 'TestDeriveStaysOnStack|TestRunScaleAllocBudget' ./internal/rng ./internal/experiments
@@ -108,17 +109,19 @@ verify-trace:
 # corpus replayed as regular tests, the frame/stall/dupe/hostile-input
 # suites and the ownership contract (Send copies, a held payload survives
 # released ones, released buffers recycle, the free list stays bounded,
-# duplicate copies own their buffers), the distributed≡core plus
-# loopback≡TCP conformance goldens, the payload decoders' hostile headers
-# and the round-scratch lifetime check under -race, then — without -race,
-# whose own allocations would be counted — the per-RunCluster allocation
-# budget (bytes and objects), then the multi-process abdhfl-node cluster
-# smoke (1 root, 2 leaders, 4 devices over real sockets with a fault plan
-# active).
+# duplicate copies own their buffers, a shared address book stays unwritten),
+# the distributed≡core plus loopback≡TCP conformance goldens, the payload
+# decoders' hostile headers, the round-scratch lifetime check (round vectors,
+# spare global and the shared training pool NaN-poisoned at every round end)
+# and SGDWS on a dirty pooled model and workspace under -race, then —
+# without -race, whose own allocations would be counted — the per-RunCluster
+# allocation budget (bytes and objects), then the multi-process abdhfl-node
+# cluster smoke (1 root, 2 leaders, 4 devices over real sockets with a fault
+# plan active).
 verify-transport:
 	$(GO) build -o /dev/null ./cmd/abdhfl-node
-	$(GO) test -race -run 'Frame|Stall|Dupe|Duplicate|Release|Concurrent|Hostility|Lifecycle|Restart|Fuzz' ./internal/transport
-	$(GO) test -race -run 'Conformance|MatchesCore|Decode|RoundScratch' ./internal/node
+	$(GO) test -race -run 'Frame|Stall|Dupe|Duplicate|Release|Concurrent|Hostility|Lifecycle|Restart|Fuzz|SharedBook' ./internal/transport
+	$(GO) test -race -run 'Conformance|MatchesCore|Decode|RoundScratch|DirtyScratch' ./internal/node ./internal/nn
 	$(GO) test -run TestRunClusterAllocBudget ./internal/node
 	$(GO) test -run ClusterSmoke ./cmd/abdhfl-node
 

@@ -153,7 +153,7 @@ func RunGossip(cfg GossipConfig) (*Result, error) {
 	groupIDs := make([]int, 0, fanout+1)
 	var aggBufs [2][]tensor.Vector
 	for round := 0; round < cfg.Rounds; round++ {
-		roundRNG := root.Derive(fmt.Sprintf("round-%d", round))
+		roundRNG := root.DeriveDecimal("round-", round)
 		ct.beginRound()
 		var tRound, tPhase time.Time
 		commBefore := res.Comm
@@ -281,7 +281,7 @@ func trainLocalFrom(t *localTrainer, cfg Config, starts, out []tensor.Vector, sk
 		go func(m *nn.Model, ws *nn.Workspace) {
 			for id := range jobs {
 				m.SetParams(starts[id])
-				r := roundRNG.Derive(fmt.Sprintf("device-%d", id))
+				r := roundRNG.DeriveDecimal("device-", id)
 				nn.SGDWS(m, ws, cfg.ClientData[id], cfg.Local, r)
 				out[id] = m.ParamsInto(out[id])
 			}

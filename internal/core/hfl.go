@@ -69,7 +69,7 @@ func RunHFL(cfg Config) (*Result, error) {
 
 	baseTree := tree
 	for round := 0; round < cfg.Rounds; round++ {
-		roundRNG := root.Derive(fmt.Sprintf("round-%d", round))
+		roundRNG := root.DeriveDecimal("round-", round)
 		ct.beginRound()
 		var tRound, tPhase time.Time
 		commBefore := res.Comm
@@ -358,7 +358,7 @@ func (t *localTrainer) round(cfg Config, start tensor.Vector, updates []tensor.V
 			defer wg.Done()
 			for id := range jobs {
 				m.SetParams(start)
-				r := roundRNG.Derive(fmt.Sprintf("device-%d", id))
+				r := roundRNG.DeriveDecimal("device-", id)
 				nn.SGDWS(m, ws, cfg.ClientData[id], cfg.Local, r)
 				updates[id] = m.ParamsInto(updates[id])
 			}

@@ -116,7 +116,7 @@ func RunVanilla(cfg VanillaConfig) (*Result, error) {
 	ct := newCoreTracer(cfg.Trace, 0, step.WireBytes(cfg.Codec, dim))
 	var globalBufs [2]tensor.Vector
 	for round := 0; round < cfg.Rounds; round++ {
-		roundRNG := root.Derive(fmt.Sprintf("round-%d", round))
+		roundRNG := root.DeriveDecimal("round-", round)
 		ct.beginRound()
 		var tRound, tPhase time.Time
 		if ins.enabled() {

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"testing"
 
 	"abdhfl/internal/dataset"
@@ -213,6 +214,72 @@ func TestNewShapedMatchesSetParams(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("NewShaped+SetParams logit %d = %v, want %v", i, b[i], a[i])
+		}
+	}
+}
+
+// TestSGDWSOnDirtyScratchMatchesFresh is the contract a shared training pool
+// rests on: SGDWS reads nothing its model shell or workspace held before the
+// call. A model and workspace that ran another training (other data, another
+// config, so the momentum buffer exists), then had their parameters, tile
+// activations, back scratch, sample losses, gradients and momentum
+// NaN-filled, must train bit-identically to a fresh pair once SetParams loads
+// the start point: plain SGD, momentum, weight decay, and both on a batch
+// that ends mid-tile.
+func TestSGDWSOnDirtyScratchMatchesFresh(t *testing.T) {
+	sizes := []int{dataset.Dim, 16, dataset.NumClasses}
+	d := dataset.Generate(rng.New(2), 64, dataset.DefaultGen())
+	other := dataset.Generate(rng.New(3), 40, dataset.DefaultGen())
+	start := New(rng.New(1), sizes...).Params()
+	nan := math.NaN()
+	fill := func(v tensor.Vector) {
+		for i := range v {
+			v[i] = nan
+		}
+	}
+	fillGrads := func(g *Grads) {
+		for l := range g.Weights {
+			fill(tensor.Vector(g.Weights[l].Data))
+			fill(g.Biases[l])
+		}
+	}
+	for _, cfg := range []TrainConfig{
+		{LearningRate: 0.1, BatchSize: 8, Iterations: 3},
+		{LearningRate: 0.1, BatchSize: 8, Iterations: 3, Momentum: 0.9},
+		{LearningRate: 0.1, BatchSize: 8, Iterations: 3, WeightDecay: 1e-3},
+		{LearningRate: 0.05, BatchSize: 13, Iterations: 2, Momentum: 0.9, WeightDecay: 1e-3},
+	} {
+		fresh := NewShaped(sizes...)
+		fresh.SetParams(start)
+		wantLoss := SGDWS(fresh, NewWorkspace(fresh), d, cfg, rng.New(5))
+
+		dirty := NewShaped(sizes...)
+		ws := NewWorkspace(dirty)
+		SGDWS(dirty, ws, other, TrainConfig{LearningRate: 0.3, BatchSize: 11, Iterations: 2, Momentum: 0.5, WeightDecay: 0.01}, rng.New(9))
+		for l := range dirty.Weights {
+			fill(tensor.Vector(dirty.Weights[l].Data))
+			fill(dirty.Biases[l])
+		}
+		for _, acts := range ws.acts {
+			for _, a := range acts {
+				fill(a)
+			}
+		}
+		fill(ws.back)
+		fill(ws.loss[:])
+		fillGrads(ws.grads)
+		fillGrads(ws.vel)
+		dirty.SetParams(start)
+		gotLoss := SGDWS(dirty, ws, d, cfg, rng.New(5))
+
+		if math.Float64bits(gotLoss) != math.Float64bits(wantLoss) {
+			t.Errorf("%+v: loss %v on dirty scratch, %v on fresh", cfg, gotLoss, wantLoss)
+		}
+		want, got := fresh.Params(), dirty.Params()
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%+v: param %d is %v on dirty scratch, %v on fresh", cfg, i, got[i], want[i])
+			}
 		}
 	}
 }

@@ -189,9 +189,9 @@ func max64(a, b float64) float64 {
 	return b
 }
 
-// EvalScratch bundles a reusable evaluation model with a matching workspace —
-// everything a validator needs to score a flat parameter vector without
-// allocating.
+// EvalScratch bundles a reusable model with a matching workspace —
+// everything a validator needs to score a flat parameter vector, or a device
+// to train from one, without allocating.
 type EvalScratch struct {
 	Model *Model
 	WS    *Workspace
@@ -202,6 +202,13 @@ type EvalScratch struct {
 // building a fresh He-initialised model per call — immediately overwritten by
 // SetParams — was the simulator's single largest allocation source. A pool
 // amortises the model and workspace across calls and across goroutines.
+//
+// It serves training too: SGDWS reads nothing a borrowed model or workspace
+// held before (SetParams overwrites the parameters, every iteration zeroes
+// the gradients, momentum starts from zero and the forward pass overwrites
+// the activations), so the node engines of one process borrow from one pool
+// for each device's SetParams → SGDWS → ParamsInto span instead of holding a
+// model each.
 type EvalPool struct {
 	pool sync.Pool
 }

@@ -29,6 +29,7 @@ func (e *Engine) Run() (*Result, error) {
 	e.global = nn.InitParamsInto(nil, seedRNG.Derive("init"), e.sizes...)
 	e.dim = len(e.global)
 	e.spare = tensor.NewVector(e.dim)
+	defer e.timer.Stop()
 	for round := 0; round < e.ccfg.Rounds; round++ {
 		e.curRound = round
 		if err := e.runRound(seedRNG, round); err != nil {
@@ -49,7 +50,7 @@ func (e *Engine) Run() (*Result, error) {
 
 // runRound executes one global round for this node's roles.
 func (e *Engine) runRound(seedRNG *rng.RNG, round int) error {
-	roundRNG := seedRNG.Derive(fmt.Sprintf("round-%d", round))
+	roundRNG := seedRNG.DeriveDecimal("round-", round)
 	skip := core.DrawRoundSkip(e.ccfg, roundRNG, e.tree)
 	clear(e.produces)
 	e.scratchUsed = 0
@@ -65,14 +66,16 @@ func (e *Engine) runRound(seedRNG *rng.RNG, round int) error {
 		return e.rootRound(roundRNG, round, skip)
 	}
 
-	// --- Local training (Algorithm 2), one device's slice of it.
+	// --- Local training (Algorithm 2) on a borrowed model, into spare: dead
+	// until the round-end global decode, after the update's last reader.
 	var update tensor.Vector
 	if e.trains(int(e.id), round, skip) {
-		e.model.SetParams(e.global)
-		r := roundRNG.Derive(fmt.Sprintf("device-%d", e.id))
-		nn.SGDWS(e.model, e.ws, e.ccfg.ClientData[e.id], e.ccfg.Local, r)
-		e.update = e.model.ParamsInto(e.update)
-		update = e.update
+		s := e.pool.Get()
+		s.Model.SetParams(e.global)
+		r := roundRNG.DeriveDecimal("device-", int(e.id))
+		nn.SGDWS(s.Model, s.WS, e.ccfg.ClientData[e.id], e.ccfg.Local, r)
+		update = s.Model.ParamsInto(e.spare)
+		e.pool.Put(s)
 	}
 
 	// --- Uplink: non-leader devices ship the update to their bottom
@@ -355,8 +358,10 @@ func (e *Engine) rootRound(roundRNG *rng.RNG, round int, skip map[int]bool) erro
 
 	// --- Evaluation, on RunHFL's cadence.
 	if (round+1)%e.evalEver == 0 || round == e.ccfg.Rounds-1 {
-		e.evalModel.SetParams(e.global)
-		acc, loss := nn.Evaluate(e.evalModel, e.ccfg.TestData, e.workers)
+		s := e.pool.Get()
+		s.Model.SetParams(e.global)
+		acc, loss := nn.Evaluate(s.Model, e.ccfg.TestData, e.workers)
+		e.pool.Put(s)
 		stat := core.RoundStat{Round: round + 1, Accuracy: acc, Loss: loss}
 		e.res.Curve = append(e.res.Curve, stat)
 		if e.ccfg.OnRound != nil {
@@ -417,12 +422,12 @@ func (e *Engine) exchangeBallots(round int, vecs []tensor.Vector, leaders []int)
 // answerProposal serves one ballot-exchange proposal: the leader computes
 // its validation ballot over the root's proposal set (the exact decoded
 // vectors the root holds, so the bits match a central computation) and
-// ships it back.
+// ships it back, holding f until the round ends.
 func (e *Engine) answerProposal(f transport.Frame) error {
 	if e.st == nil {
 		return fmt.Errorf("node %d: round %d proposal sent to a non-leader", e.id, f.Round)
 	}
-	member, proposals, err := e.decodeProposals(f.Payload)
+	member, proposals, err := e.decodeProposals(e.hold(f))
 	if err != nil {
 		return fmt.Errorf("node %d: round %d proposal: %w", e.id, f.Round, err)
 	}
@@ -466,15 +471,12 @@ func (e *Engine) collect(kind uint8, round int, expect map[transport.NodeID]bool
 				deadline = d
 			}
 		}
-		timer := time.NewTimer(time.Until(deadline))
 		select {
 		case f := <-e.q.C:
-			timer.Stop()
 			e.accept(f, kind, round, waiting, got, det)
 		case <-e.busDone:
-			timer.Stop()
 			return got, fmt.Errorf("node %d: transport closed while collecting kind %d round %d", e.id, kind, round)
-		case <-timer.C:
+		case <-e.after(time.Until(deadline)):
 			for _, p := range det.Stalled(time.Now()) {
 				if waiting[p] {
 					delete(waiting, p)
@@ -509,7 +511,6 @@ func (e *Engine) awaitGlobal(round int) ([]byte, error) {
 		if err := e.answerProposal(f); err != nil {
 			return nil, err
 		}
-		e.hold(f)
 	}
 	delete(e.pending, pkey)
 	key := pendKey{KindGlobal, uint32(round)}
@@ -522,12 +523,10 @@ func (e *Engine) awaitGlobal(round int) ([]byte, error) {
 		}
 		return payload, nil
 	}
-	deadline := time.Now().Add(e.gwait)
+	fire := e.after(e.gwait)
 	for {
-		timer := time.NewTimer(time.Until(deadline))
 		select {
 		case f := <-e.q.C:
-			timer.Stop()
 			if f.Kind == KindGlobal && int(f.Round) == round {
 				return e.hold(f), nil
 			}
@@ -535,17 +534,25 @@ func (e *Engine) awaitGlobal(round int) ([]byte, error) {
 				if err := e.answerProposal(f); err != nil {
 					return nil, err
 				}
-				e.hold(f)
 				continue
 			}
 			e.stash(f)
 		case <-e.busDone:
-			timer.Stop()
 			return nil, fmt.Errorf("node %d: transport closed while awaiting round %d global", e.id, round)
-		case <-timer.C:
+		case <-fire:
 			return nil, fmt.Errorf("node %d: round %d global model never arrived (waited %v)", e.id, round, e.gwait)
 		}
 	}
+}
+
+// after re-arms the engine's one timer to fire in d and returns its channel,
+// first draining a tick an earlier wait left unread (go 1.22 timers keep it).
+func (e *Engine) after(d time.Duration) <-chan time.Time {
+	if !e.timer.Stop() && len(e.timer.C) > 0 {
+		<-e.timer.C
+	}
+	e.timer.Reset(d)
+	return e.timer.C
 }
 
 // hold keeps a consumed frame until its round ends, when Run releases it,

@@ -100,6 +100,9 @@ type Config struct {
 	GlobalWait time.Duration
 	// Logf, when set, receives progress lines (round boundaries, stalls).
 	Logf func(format string, args ...any)
+	// pool lends the models devices train and the root evaluates on; the
+	// engines RunCluster runs share one, nil gives the engine its own.
+	pool *nn.EvalPool
 }
 
 // Engine is one node's protocol actor. Run drives all of its roles for the
@@ -121,6 +124,8 @@ type Engine struct {
 	busDone <-chan struct{}
 	stall   time.Duration
 	gwait   time.Duration
+	timer   *time.Timer  // the one timer every wait arms (after)
+	pool    *nn.EvalPool // Config.pool, borrowed from per training or evaluation
 
 	// st is the cluster step's working memory, present on the root and on
 	// every leader: the same step RunHFL runs, applied to the vectors this
@@ -157,14 +162,6 @@ type Engine struct {
 	jsonBuf bytes.Buffer
 	jsonEnc *json.Encoder
 	out     transport.Frame
-
-	// Device training state (nil on the root).
-	model  *nn.Model
-	ws     *nn.Workspace
-	update tensor.Vector
-
-	// Root evaluation state (nil elsewhere).
-	evalModel *nn.Model
 
 	res Result
 }
@@ -227,6 +224,8 @@ func New(cfg Config) (*Engine, error) {
 		evalEver: evalEvery,
 		stall:    stall,
 		gwait:    gwait,
+		timer:    time.NewTimer(time.Hour),
+		pool:     cfg.pool,
 		cdc:      ccfg.Codec,
 		cs:       codec.NewScratch(),
 		led:      map[int][]int{},
@@ -240,11 +239,8 @@ func New(cfg Config) (*Engine, error) {
 			}
 		}
 	}
-	if e.isRoot {
-		e.evalModel = nn.NewShaped(e.sizes...)
-	} else {
-		e.model = nn.NewShaped(e.sizes...)
-		e.ws = nn.NewWorkspace(e.model)
+	if e.pool == nil {
+		e.pool = nn.NewEvalPool(e.sizes...)
 	}
 	if e.isRoot || len(e.led) > 0 {
 		obs := step.NewObserver(ccfg.Telemetry, "node", len(tree.Clusters), ccfg.OnFilter, nil)

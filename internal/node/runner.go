@@ -7,6 +7,7 @@ import (
 
 	"abdhfl"
 	"abdhfl/internal/fault"
+	"abdhfl/internal/nn"
 	"abdhfl/internal/telemetry"
 	"abdhfl/internal/trace"
 	"abdhfl/internal/transport"
@@ -88,7 +89,7 @@ func RunCluster(opts ClusterOpts) (*ClusterResult, error) {
 			endpoints = append(endpoints, ep)
 		}
 	case BackendTCP:
-		tcps := make([]*transport.TCPEndpoint, 0, n)
+		book := make(map[transport.NodeID]string, n)
 		for id := 0; id < n; id++ {
 			ep, err := transport.ListenTCP(epCfg(id), "127.0.0.1:0", nil)
 			if err != nil {
@@ -96,24 +97,18 @@ func RunCluster(opts ClusterOpts) (*ClusterResult, error) {
 				return nil, err
 			}
 			endpoints = append(endpoints, ep)
-			tcps = append(tcps, ep)
+			book[transport.NodeID(id)] = ep.Addr()
 		}
-		addrs := make([]string, n)
-		for id, ep := range tcps {
-			addrs[id] = ep.Addr()
-		}
-		for self, ep := range tcps {
-			for id, addr := range addrs {
-				if id != self {
-					ep.AddPeer(transport.NodeID(id), addr)
-				}
-			}
+		for _, ep := range endpoints {
+			ep.(*transport.TCPEndpoint).ShareBook(book)
 		}
 	default:
 		return nil, fmt.Errorf("node: unknown backend %q", opts.Backend)
 	}
 
+	// The first engine builds the training pool, the rest share it.
 	engines := make([]*Engine, n)
+	var pool *nn.EvalPool
 	for id := 0; id < n; id++ {
 		eng, err := New(Config{
 			Materials:  opts.Materials,
@@ -123,12 +118,13 @@ func RunCluster(opts ClusterOpts) (*ClusterResult, error) {
 			Plan:       opts.Plan,
 			StallAfter: opts.StallAfter,
 			GlobalWait: opts.GlobalWait,
+			pool:       pool,
 		})
 		if err != nil {
 			closeAll()
 			return nil, fmt.Errorf("node %d: %w", id, err)
 		}
-		engines[id] = eng
+		engines[id], pool = eng, eng.pool
 	}
 
 	results := make([]*Result, n)

@@ -11,6 +11,8 @@ import (
 
 	"abdhfl"
 	"abdhfl/internal/fault"
+	"abdhfl/internal/nn"
+	"abdhfl/internal/rng"
 	"abdhfl/internal/testenv"
 	"abdhfl/internal/transport"
 )
@@ -31,12 +33,17 @@ func nodeRoundScenario() abdhfl.Scenario {
 
 // TestRunClusterAllocBudget pins what one RunCluster call allocates on the
 // node_round shape, in bytes and in objects. The budgets are the figures
-// this test measures (loopback 10.8 MB / 15 000 objects, TCP 12.7 MB /
-// 23 100 objects) plus a tenth. The same run allocated 279 MB when every
-// endpoint pre-sized its dupe map and 21.4 MB over TCP while every frame
-// was read into, and encoded into, a fresh buffer; the object budget
-// catches a per-frame allocation that returns even when its bytes are few.
-// `make profile-node` prints where the bytes of a failing run come from.
+// this test measures (loopback 6.7 MB / 10 700 objects, TCP 8.1 MB /
+// 18 100 objects) plus a tenth. The same run allocated 279 MB when every
+// endpoint pre-sized its dupe map, 21.4 MB over TCP while every frame was
+// read into, and encoded into, a fresh buffer, and 12.5 MB while every
+// engine built its own model, workspace, gradients and update vector, armed
+// a fresh timer per wait and filled its own address book. What is left is
+// mostly the engines' global and spare vectors and leader round scratch,
+// the wire's frame buffers and one connection reader per link. The object
+// budget catches a per-frame allocation that returns even when its bytes
+// are few. `make profile-node` prints where the bytes of a failing run come
+// from.
 func TestRunClusterAllocBudget(t *testing.T) {
 	if testenv.UnderRace() {
 		t.Skip("the race detector's own allocations are counted in TotalAlloc")
@@ -47,8 +54,8 @@ func TestRunClusterAllocBudget(t *testing.T) {
 		bytes   uint64
 		objects uint64
 	}{
-		{BackendLoopback, 12 << 20, 16_500},
-		{BackendTCP, 14 << 20, 25_500},
+		{BackendLoopback, 74 << 20 / 10, 11_800},
+		{BackendTCP, 89 << 20 / 10, 19_900},
 	} {
 		t.Run(tc.backend, func(t *testing.T) {
 			run := func() (bytes, objects uint64) {
@@ -95,14 +102,16 @@ func BenchmarkRunClusterTCP(b *testing.B) {
 	}
 }
 
-// runLoopbackHooked is RunCluster over loopback with one addition: after
-// every round an engine finishes, atRoundEnd runs on that engine's own
-// goroutine (it rides on the "round done" progress line).
+// runLoopbackHooked is RunCluster over loopback, engines sharing one
+// training pool as there, with one addition: after every round an engine
+// finishes, atRoundEnd runs on that engine's own goroutine (it rides on the
+// "round done" progress line).
 func runLoopbackHooked(t *testing.T, mat *abdhfl.Materials, seed uint64, plan *fault.Plan, atRoundEnd func(*Engine)) []*Result {
 	t.Helper()
 	n := mat.Tree.NumDevices() + 1
 	lb := transport.NewLoopback()
 	engines := make([]*Engine, n)
+	var pool *nn.EvalPool
 	for id := range engines {
 		ep, err := lb.Attach(transport.Config{Self: transport.NodeID(id), Plan: plan, FaultKinds: FaultableKinds()})
 		if err != nil {
@@ -118,10 +127,12 @@ func runLoopbackHooked(t *testing.T, mat *abdhfl.Materials, seed uint64, plan *f
 					atRoundEnd(engines[id])
 				}
 			},
+			pool: pool,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		pool = engines[id].pool
 	}
 	results := make([]*Result, n)
 	errs := make([]error, n)
@@ -143,12 +154,17 @@ func runLoopbackHooked(t *testing.T, mat *abdhfl.Materials, seed uint64, plan *f
 }
 
 // TestRoundScratchDeadAtRoundEnd is the lifetime claim the engine's reuse
-// rests on: every vector roundVec handed out, and the spare global, is dead
-// when its round ends. A 3-round run whose engines overwrite all of them
-// with NaN at each round's end — so any value carried across a round
-// boundary in reused memory poisons the model — must report exactly what
-// the untouched run reports, node by node: final model, curve, σ-accounting,
-// audits, stalls. Delta-int8 makes every decode read the previous global
+// rests on: every vector roundVec handed out, the spare global (which held
+// the round's own update) and every model and workspace in the shared
+// training pool are dead when a round ends. A 3-round run whose engines
+// overwrite all of them with NaN at each round's end — so any value carried
+// across a round boundary in reused memory poisons the model — must report
+// exactly what the untouched run reports, node by node: final model, curve,
+// σ-accounting, audits, stalls. The pool is a sync.Pool, which cannot be
+// listed, so each round end takes sixteen scratches out at once — what the
+// pool holds, or more — NaN-fills each model, trains it with momentum and
+// weight decay so its activations, gradients and momentum turn NaN too, and
+// puts them back: nearly every later borrow gets a poisoned scratch. Delta-int8 makes every decode read the previous global
 // and ABA adds the proposal vectors; the drop+duplicate plan adds starved
 // clusters, silent ballots and rounds that take fewer vectors than the
 // round before. The clean run is tied to RunHFL, the golden the reuse must
@@ -162,6 +178,19 @@ func TestRoundScratchDeadAtRoundEnd(t *testing.T) {
 		}
 		for _, v := range e.scratch {
 			copy(v, e.spare)
+		}
+		var pooled [16]*nn.EvalScratch
+		for i := range pooled {
+			s := e.pool.Get()
+			for l := range s.Model.Weights {
+				copy(s.Model.Weights[l].Data, e.spare)
+				copy(s.Model.Biases[l], e.spare)
+			}
+			nn.SGDWS(s.Model, s.WS, e.ccfg.ClientData[0], nn.TrainConfig{LearningRate: 1, BatchSize: 9, Iterations: 1, Momentum: 0.5, WeightDecay: 0.1}, rng.New(1))
+			pooled[i] = s
+		}
+		for _, s := range pooled {
+			e.pool.Put(s)
 		}
 	}
 	for _, tc := range []struct {

@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"fmt"
 	"sync"
 
 	"abdhfl/internal/nn"
@@ -44,7 +43,7 @@ func (e *engine) startTraining(workers, devices int) {
 				// The SGD stream is derived exactly as in core.RunHFL (root ->
 				// "round-R" -> "device-D"), so a zero-latency, zero-fault
 				// pipeline run is bit-identical to it on the same seed.
-				r := e.root.Derive(fmt.Sprintf("round-%d", j.round)).Derive(fmt.Sprintf("device-%d", j.d.id))
+				r := e.root.DeriveDecimal("round-", j.round).DeriveDecimal("device-", j.d.id)
 				nn.SGDWS(m, ws, e.cfg.ClientData[j.d.id], e.cfg.Local, r)
 				j.d.trained <- m.ParamsInto(j.buf)
 			}

@@ -49,10 +49,10 @@ func (r *RNG) Split() *RNG {
 // Split it does not advance the receiver, so derivation order does not
 // matter: Derive(a) is the same stream regardless of any Derive(b) calls.
 //
-// Derive and DeriveN are one-line wrappers so that they inline: a derived
-// generator that does not outlive its caller then lives on that caller's
-// stack, and a hot loop can derive a stream per device per round without
-// allocating (TestDeriveStaysOnStack).
+// Derive, DeriveDecimal and DeriveN are one-line wrappers so that they
+// inline: a derived generator that does not outlive its caller then lives on
+// that caller's stack, and a hot loop can derive a stream per device per
+// round without allocating (TestDeriveStaysOnStack).
 func (r *RNG) Derive(label string) *RNG {
 	return &RNG{state: deriveState(r.state, label)}
 }
@@ -182,6 +182,36 @@ func (r *RNG) Choice(n, k int) []int {
 	}
 	p := r.Perm(n)
 	return p[:k]
+}
+
+// DeriveDecimal returns Derive(label + strconv.Itoa(n)) without building the
+// string: the label-and-index streams the engines name "round-7" or
+// "device-12" keep their bits while a hot loop derives them allocation-free.
+// It is not DeriveN, which folds n's bytes and so is a different stream.
+func (r *RNG) DeriveDecimal(label string, n int) *RNG {
+	return &RNG{state: deriveStateDecimal(r.state, label, n)}
+}
+
+// deriveStateDecimal is DeriveDecimal's hash: the label, then n's decimal
+// digits most significant first, a minus sign ahead of a negative n — the
+// bytes strconv.Itoa writes.
+//
+//go:noinline
+func deriveStateDecimal(h uint64, label string, n int) uint64 {
+	h = foldLabel(h, label)
+	u := uint64(n)
+	if n < 0 {
+		h = (h ^ '-') * 0x100000001B3
+		u = -u
+	}
+	p := uint64(1)
+	for u/p >= 10 {
+		p *= 10
+	}
+	for ; p > 0; p /= 10 {
+		h = (h ^ ('0' + u/p%10)) * 0x100000001B3
+	}
+	return finish(h)
 }
 
 // DeriveN returns a deterministic sub-generator identified by (label, n) —

@@ -1,6 +1,7 @@
 package rng
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -330,7 +331,27 @@ func TestDeriveStreamsPinned(t *testing.T) {
 	}
 }
 
-// TestDeriveStaysOnStack holds the reason Derive and DeriveN are one-line
+// TestDeriveDecimalIsDeriveOfTheDecimalLabel holds DeriveDecimal to its
+// contract over every index the engines use and then some: its stream is
+// Derive's on the formatted label, so swapping one for the other moves no
+// golden.
+func TestDeriveDecimalIsDeriveOfTheDecimalLabel(t *testing.T) {
+	r := New(42)
+	check := func(label string, n int) {
+		if got, want := r.DeriveDecimal(label, n).Uint64(), r.Derive(fmt.Sprint(label, n)).Uint64(); got != want {
+			t.Fatalf("DeriveDecimal(%q, %d) = %#x, Derive(%q) = %#x", label, n, got, fmt.Sprint(label, n), want)
+		}
+	}
+	for n := 0; n <= 100_000; n++ {
+		check("device-", n)
+	}
+	for _, n := range []int{-1, -10, -12345, math.MaxInt, math.MinInt} {
+		check("round-", n)
+	}
+	check("", 7)
+}
+
+// TestDeriveStaysOnStack holds the reason Derive, DeriveDecimal and DeriveN are one-line
 // wrappers: a derived generator that does not escape costs no allocation. A
 // compiler that stops inlining them fails here instead of silently adding an
 // allocation per derived stream (10 MB per 100k-device scale cell).
@@ -347,6 +368,12 @@ func TestDeriveStaysOnStack(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { i++; fsink += r.DeriveN("round", i).DeriveN("upd", i).NormFloat64() }); n != 0 {
 		t.Errorf("chained DeriveN: %v allocs per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		i++
+		fsink += r.DeriveDecimal("round-", int(i)).DeriveDecimal("device-", int(i)).NormFloat64()
+	}); n != 0 {
+		t.Errorf("chained DeriveDecimal: %v allocs per call, want 0", n)
 	}
 	_, _ = sink, fsink
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"sync"
 	"time"
@@ -21,11 +22,14 @@ import (
 type TCPEndpoint struct {
 	epCore
 	ln       net.Listener
-	book     map[NodeID]string
 	linger   time.Duration
 	queueCap int
 
-	mu      sync.Mutex
+	mu sync.Mutex
+	// book maps peer ids to dial addresses. A shared book (ShareBook) is
+	// read by other endpoints too, so AddPeer copies it before writing.
+	book    map[NodeID]string
+	shared  bool
 	peers   map[NodeID]*tcpPeer
 	conns   map[net.Conn]struct{}
 	closing bool
@@ -137,7 +141,24 @@ func (e *TCPEndpoint) enqueue(p *tcpPeer, raw []byte) {
 func (e *TCPEndpoint) AddPeer(id NodeID, addr string) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if e.shared {
+		own := make(map[NodeID]string, len(e.book)+1)
+		maps.Copy(own, e.book)
+		e.book, e.shared = own, false
+	}
 	e.book[id] = addr
+}
+
+// ShareBook makes book this endpoint's address book without copying it, so
+// the endpoints of an in-process cluster, which learn their addresses only
+// once every listener is bound, hold one book between them rather than a
+// copy each; the book may list the endpoint's own id. The caller must not
+// write book afterwards; neither does the endpoint (a later AddPeer writes
+// a private copy).
+func (e *TCPEndpoint) ShareBook(book map[NodeID]string) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.book, e.shared = book, true
 }
 
 // peer returns (creating on first use) the outbound writer for id.

@@ -229,6 +229,66 @@ func TestEndpointLifecycleErrors(t *testing.T) {
 	a.Close() // idempotent
 }
 
+// TestSharedBookAddPeerIsPrivate pins ShareBook's contract: endpoints
+// share one address book that none of them writes. While one endpoint adds
+// peers, the others keep resolving peers through the book; under -race a
+// write into the shared map is a reported race. Afterwards the caller's map
+// is unchanged, only the adding endpoint knows the new peer, and the shared
+// peers still carry frames.
+func TestSharedBookAddPeerIsPrivate(t *testing.T) {
+	eps := make([]*TCPEndpoint, 3)
+	book := map[NodeID]string{}
+	for i := range eps {
+		ep, err := ListenTCP(Config{Self: NodeID(i)}, "127.0.0.1:0", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ep.Close() })
+		eps[i] = ep
+		book[NodeID(i)] = ep.Addr()
+	}
+	for _, ep := range eps {
+		ep.ShareBook(book)
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			eps[0].AddPeer(NodeID(100+i), "127.0.0.1:1")
+		}
+		eps[0].AddPeer(2, eps[2].Addr())
+	}()
+	for _, ep := range eps[1:] {
+		wg.Add(1)
+		go func(ep *TCPEndpoint) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				if err := ep.Send(NodeID(100+i), &Frame{Kind: 1}); !errors.Is(err, ErrUnknownPeer) {
+					t.Errorf("node %d: send to a peer only node 0 added: %v, want ErrUnknownPeer", ep.Self(), err)
+					return
+				}
+			}
+		}(ep)
+	}
+	wg.Wait()
+	if len(book) != len(eps) {
+		t.Fatalf("shared book grew to %d entries, want %d", len(book), len(eps))
+	}
+	if _, ok := eps[0].book[100]; !ok {
+		t.Fatal("node 0 lost the peer it added")
+	}
+	q := eps[2].Bus().Subscribe(4, 1)
+	for _, ep := range eps[:2] {
+		if err := ep.Send(2, &Frame{Kind: 1, Payload: []byte("via the book")}); err != nil {
+			t.Fatal(err)
+		}
+		if f := recvFrame(t, q); string(f.Payload) != "via the book" {
+			t.Fatalf("node 2 received %q", f.Payload)
+		}
+	}
+}
+
 // TestTCPPeerRestart pins reconnect-and-resend: frames sent while the peer
 // is down are delivered once a new listener takes over the address, with
 // the reconnect counted.
