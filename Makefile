@@ -16,10 +16,10 @@ fmt:
 	@out="$$(gofmt -l .)"; test -z "$$out" || { echo "gofmt needed on:"; echo "$$out"; exit 1; }
 
 # race exercises the parallel evaluation and consensus-validation fan-out
-# under the race detector, plus the realtime engine's crash/churn fault
-# regressions (a crashed member must never deadlock its leader) and the
-# chaostest invariant sweeps; the engines must stay clean for every worker
-# count and under every fault plan.
+# under the race detector, plus the chaostest invariant sweeps — among them
+# node's chaos sweep (crashed, churned and omitting devices and lossy frames
+# on a real loopback wire must never deadlock a leader); the engines must
+# stay clean for every worker count and under every fault plan.
 race:
 	$(GO) test -race ./...
 
@@ -94,7 +94,7 @@ verify-scale:
 # invariance, all under -race.
 verify-codec:
 	$(GO) test -race -run 'Codec|RoundTrip|Alloc|Corrupt|NonFinite|ByName|Transcode|Bandwidth' \
-		./internal/codec ./internal/simnet ./internal/core ./internal/pipeline ./internal/realtime ./internal/experiments
+		./internal/codec ./internal/simnet ./internal/core ./internal/pipeline ./internal/experiments
 
 # verify-trace gates the causal-span layer: shard-merge and worker-count
 # byte-identity of the exported streams on every engine, concurrent
@@ -102,7 +102,7 @@ verify-codec:
 # invariants, the flight-recorder ring, and the zero-allocation hooks.
 verify-trace:
 	$(GO) test -race -run 'Span|Trace|Chrome|CriticalPath|Flight|Shard' \
-		./internal/trace ./internal/core ./internal/pipeline ./internal/realtime \
+		./internal/trace ./internal/core ./internal/pipeline \
 		./internal/experiments ./internal/chaostest
 
 # verify-transport gates the real-wire layer: a build, the frame fuzz

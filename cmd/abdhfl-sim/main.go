@@ -1,8 +1,9 @@
 // Command abdhfl-sim runs a single ABD-HFL experiment described entirely by
 // flags — the general-purpose front end to the library. It prints the
 // convergence curve, the final accuracy next to the vanilla baseline, the
-// communication counters, and (with -engine pipeline or -engine realtime)
-// the asynchronous workflow's efficiency statistics.
+// communication counters, and (with -engine pipeline) the asynchronous
+// workflow's efficiency statistics. The server-less deployment, one process
+// per node over a real wire, is cmd/abdhfl-node.
 package main
 
 import (
@@ -15,7 +16,6 @@ import (
 	"abdhfl/internal/consensus"
 	"abdhfl/internal/metrics"
 	"abdhfl/internal/pipeline"
-	"abdhfl/internal/realtime"
 	"abdhfl/internal/telemetry"
 	"abdhfl/internal/trace"
 )
@@ -38,8 +38,8 @@ func main() {
 		codecName = flag.String("codec", "", "update codec: identity | int8 | topk | delta | delta-<inner> ('' = uncompressed)")
 		cohort    = flag.Int("cohort", 0, "devices sampled to train per bottom cluster per round (0 = everyone)")
 		seed      = flag.Uint64("seed", 1, "experiment seed")
-		engine    = flag.String("engine", "rounds", "engine: rounds | pipeline | realtime")
-		flagLvl   = flag.Int("flaglevel", 1, "flag level for async engines")
+		engine    = flag.String("engine", "rounds", "engine: rounds | pipeline")
+		flagLvl   = flag.Int("flaglevel", 1, "flag level for the pipeline engine")
 		baseline  = flag.Bool("baseline", true, "also run the vanilla FL baseline (rounds engine only)")
 		listRules = flag.Bool("list", false, "list available aggregators and protocols, then exit")
 		config    = flag.String("config", "", "load the scenario from a JSON file (flags are ignored except -engine/-flaglevel/-baseline)")
@@ -111,8 +111,6 @@ func main() {
 		runRounds(mat, s, *baseline)
 	case "pipeline":
 		runPipeline(mat, *flagLvl)
-	case "realtime":
-		runRealtime(mat, *flagLvl)
 	default:
 		fatal(fmt.Errorf("unknown engine %q", *engine))
 	}
@@ -198,41 +196,6 @@ func runPipeline(mat *abdhfl.Materials, flagLevel int) {
 		res.Network.Messages, res.Network.Volume,
 		res.Network.Dropped, res.Network.Duplicated, res.Network.DroppedUnregistered)
 	fmt.Printf("peak queue      %d pending events\n", res.Network.PeakQueue)
-	if res.WireBytes > 0 {
-		fmt.Printf("wire traffic    %d encoded bytes (codec %s)\n", res.WireBytes, mat.Scenario.Codec)
-	}
-}
-
-func runRealtime(mat *abdhfl.Materials, flagLevel int) {
-	bra, err := aggregate.ByName(mat.Scenario.Aggregator)
-	if err != nil {
-		fatal(err)
-	}
-	voting := consensus.Voting{}
-	res, err := realtime.Run(realtime.Config{
-		Tree:             mat.Tree,
-		Rounds:           mat.Scenario.Rounds,
-		FlagLevel:        flagLevel,
-		Quorum:           mat.Scenario.Quorum,
-		Local:            mat.Local,
-		PartialBRA:       bra,
-		TopVoting:        &voting,
-		ClientData:       mat.Shards,
-		TestData:         mat.TestData,
-		ValidationShards: mat.ValidationShards,
-		Seed:             mat.Scenario.Seed,
-		Codec:            mat.Codec,
-		Telemetry:        mat.Telemetry,
-		Trace:            mat.Trace,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("realtime engine (goroutine-per-node), flag level %d\n", flagLevel)
-	fmt.Printf("final accuracy  %s\n", metrics.Pct(res.FinalAccuracy))
-	fmt.Printf("wall time       %v\n", res.WallTime)
-	fmt.Printf("goroutines      %d\n", res.Goroutines)
-	fmt.Printf("merges          %d\n", res.Merges)
 	if res.WireBytes > 0 {
 		fmt.Printf("wire traffic    %d encoded bytes (codec %s)\n", res.WireBytes, mat.Scenario.Codec)
 	}

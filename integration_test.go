@@ -6,13 +6,13 @@ import (
 	"abdhfl/internal/aggregate"
 	"abdhfl/internal/consensus"
 	"abdhfl/internal/pipeline"
-	"abdhfl/internal/realtime"
 )
 
-// Integration tests: the three engines (deterministic round engine, DES
-// pipeline, realtime goroutines) run the same materialised scenario and must
-// all learn — the protocol's behaviour should not depend on which execution
-// substrate carries it.
+// Integration tests: the round engine and the discrete-event pipeline run the
+// same materialised scenario and must both learn — the protocol's behaviour
+// should not depend on which execution substrate carries it. The node engine
+// (internal/node, which imports this package) is held to the round engine
+// bit for bit by its own conformance tests.
 
 func TestAllEnginesLearnSameScenario(t *testing.T) {
 	if testing.Short() {
@@ -49,30 +49,6 @@ func TestAllEnginesLearnSameScenario(t *testing.T) {
 	}
 	if pipeRes.FinalAccuracy < floor {
 		t.Fatalf("pipeline engine accuracy = %v", pipeRes.FinalAccuracy)
-	}
-
-	bra, err := aggregate.ByName(s.Aggregator)
-	if err != nil {
-		t.Fatal(err)
-	}
-	voting := consensus.Voting{}
-	rtRes, err := realtime.Run(realtime.Config{
-		Tree:             m.Tree,
-		Rounds:           s.Rounds,
-		FlagLevel:        0,
-		Local:            m.Local,
-		PartialBRA:       bra,
-		TopVoting:        &voting,
-		ClientData:       m.Shards,
-		TestData:         m.TestData,
-		ValidationShards: m.ValidationShards,
-		Seed:             1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rtRes.FinalAccuracy < floor {
-		t.Fatalf("realtime engine accuracy = %v", rtRes.FinalAccuracy)
 	}
 }
 

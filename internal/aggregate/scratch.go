@@ -7,10 +7,10 @@ import "abdhfl/internal/tensor"
 // across calls, so a rule's steady-state AggregateInto allocates nothing.
 //
 // A Scratch is owned by a single goroutine: concurrent AggregateInto calls
-// must use separate Scratch values (the realtime engine keeps one per leader
-// goroutine). The zero value is ready to use; Workers <= 0 means "use every
-// core". Results are bit-identical for every Workers value — the kernels
-// follow tensor's deterministic-chunking contract — so the knob only trades
+// must use separate Scratch values (every node engine's step keeps its own).
+// The zero value is ready to use; Workers <= 0 means "use every core".
+// Results are bit-identical for every Workers value — the kernels follow
+// tensor's deterministic-chunking contract — so the knob only trades
 // wall-clock time, never reproducibility.
 type Scratch struct {
 	// Workers bounds the goroutine fan-out of the parallel kernels.

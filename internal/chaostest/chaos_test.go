@@ -4,30 +4,38 @@ import (
 	"testing"
 	"time"
 
+	"abdhfl"
 	"abdhfl/internal/aggregate"
 	"abdhfl/internal/chaostest"
 	"abdhfl/internal/consensus"
 	"abdhfl/internal/core"
 	"abdhfl/internal/fault"
 	"abdhfl/internal/nn"
+	"abdhfl/internal/node"
 	"abdhfl/internal/pipeline"
-	"abdhfl/internal/realtime"
 	"abdhfl/internal/trace"
 )
 
 var localCfg = nn.TrainConfig{LearningRate: 0.1, BatchSize: 16, Iterations: 5}
 
-// chaosPlan composes every fault mode the taxonomy defines: transport loss,
-// duplication and reordering, permanent crashes, transient churn, one
-// omission-Byzantine device, and a failed bottom-level leader.
-func chaosPlan(seed uint64, devices int) *fault.Plan {
-	return fault.Merge(
+// devicePlans are the device and transport fault modes every engine under
+// chaos takes: transport loss, duplication and reordering, permanent
+// crashes, transient churn, and one omission-Byzantine device.
+func devicePlans(seed uint64, devices int) []*fault.Plan {
+	return []*fault.Plan{
 		fault.Lossy(seed, 0.10, 0.05, 10),
 		fault.CrashDevices(seed, devices, devices/8, 2),
 		fault.ChurnDevices(seed+1, devices, devices/8, 1, 3),
-		&fault.Plan{OmitProb: map[int]float64{1: 0.5}},
-		&fault.Plan{LeaderFailures: []fault.LeaderFailure{{Level: 2, Cluster: 0, FromRound: 2}}},
-	)
+		{OmitProb: map[int]float64{1: 0.5}},
+	}
+}
+
+// chaosPlan composes every fault mode the taxonomy defines: the device
+// plans plus a failed bottom-level leader, which only the pipeline
+// simulates (node rejects it: a real leader process is running or not).
+func chaosPlan(seed uint64, devices int) *fault.Plan {
+	return fault.Merge(append(devicePlans(seed, devices),
+		&fault.Plan{LeaderFailures: []fault.LeaderFailure{{Level: 2, Cluster: 0, FromRound: 2}}})...)
 }
 
 func pipelineOutcome(fx *chaostest.Fixture, seed uint64, rounds int) chaostest.Outcome {
@@ -88,31 +96,33 @@ func TestChaosPipelineDeterministic(t *testing.T) {
 	}
 }
 
-// TestChaosRealtime drives the goroutine engine through the same plans: real
-// crashed goroutines, wall-clock timeouts, scheduling nondeterminism — the
+// TestChaosNode drives the node engine over loopback through the device
+// plans: real crashed and churned devices, dropped, duplicated and delayed
+// frames, wall-clock collect deadlines, scheduling nondeterminism — the
 // invariants must hold on every interleaving.
-func TestChaosRealtime(t *testing.T) {
-	fx := chaostest.NewFixture(t, 9, 3, 2, 2)
+func TestChaosNode(t *testing.T) {
+	s := abdhfl.Scenario{
+		Levels: 3, ClusterSize: 2, TopNodes: 2,
+		Rounds: 4, LocalIters: 5, BatchSize: 16, LearningRate: 0.1,
+		SamplesPerClient: 60, TestSamples: 400, ValidationSamples: 300,
+		Quorum: 0.5, EvalEvery: 1, Seed: 9,
+	}.WithDefaults()
+	m, err := abdhfl.Build(s)
+	if err != nil {
+		t.Fatal(err)
+	}
 	chaostest.Sweep(t, []uint64{1, 2}, 120*time.Second, func(seed uint64) chaostest.Outcome {
-		cfg := realtime.Config{
-			Tree:           fx.Tree,
-			Rounds:         4,
-			FlagLevel:      1,
-			Quorum:         0.5,
-			CollectTimeout: 250 * time.Millisecond,
-			Faults:         chaosPlan(seed, fx.Tree.NumDevices()),
-			Local:          localCfg,
-			PartialBRA:     aggregate.NewMultiKrum(0.25),
-			TopBRA:         aggregate.Median{},
-			ClientData:     fx.Shards,
-			TestData:       fx.Test,
-			Seed:           seed,
-		}
-		res, err := realtime.Run(cfg)
-		o := chaostest.Outcome{Name: "realtime", Err: err, ConfiguredRounds: cfg.Rounds}
+		res, err := node.RunCluster(node.ClusterOpts{
+			Materials:  m,
+			Seed:       seed,
+			Backend:    node.BackendLoopback,
+			Plan:       fault.Merge(devicePlans(seed, m.Tree.NumDevices())...),
+			StallAfter: 100 * time.Millisecond,
+		})
+		o := chaostest.Outcome{Name: "node", Err: err, ConfiguredRounds: s.Rounds, AccuracyFloor: 0.15}
 		if res != nil {
-			o.CompletedRounds = res.CompletedRounds
-			o.FinalAccuracy = res.FinalAccuracy
+			o.CompletedRounds = len(res.Root.Curve)
+			o.FinalAccuracy = res.Root.FinalAccuracy
 		}
 		return o
 	})

@@ -8,7 +8,7 @@
 //
 // The harness is engine-agnostic: tests adapt each engine's result into an
 // Outcome, so the same invariant checks cover the discrete-event pipeline,
-// the goroutine realtime engine, and the synchronous core engine.
+// the node engine on a real wire, and the synchronous core engine.
 package chaostest
 
 import (

@@ -7,8 +7,8 @@ import "abdhfl/internal/tensor"
 // calls, so steady-state EncodeInto/DecodeInto/Transcode allocate nothing.
 //
 // A Scratch is owned by a single goroutine: concurrent codec calls must use
-// separate Scratch values (the realtime engine keeps one per goroutine). The
-// zero value is ready to use.
+// separate Scratch values (every node engine keeps its own). The zero value
+// is ready to use.
 type Scratch struct {
 	// Ref is the Delta codec's reference model: the vector both ends of the
 	// link already share (the current flag/global model). Engines set it

@@ -6,9 +6,12 @@
 // exists to survive:
 //
 //   - transport faults: per-message drop, duplication, and reordering-by-
-//     extra-delay (wired into internal/simnet as a FaultModel);
+//     extra-delay (wired into internal/simnet as a FaultModel, and into
+//     internal/transport as per-frame fates, FrameFate);
 //   - crash (fail-stop) devices: a device stops training and uploading from
-//     a chosen round onwards, forever;
+//     a chosen round onwards, forever; a crashed device that leads a
+//     cluster keeps collecting and relaying (a dead leader is the separate
+//     leader-failure mode below);
 //   - omission-Byzantine devices: a device keeps receiving and training but
 //     silently withholds a fraction of its uploads;
 //   - transient churn: a device is down for a round interval and rejoins;
@@ -17,9 +20,10 @@
 //     topology-resilience studies single out.
 //
 // All decisions are pure functions of (Plan, Seed, identifiers): the same
-// plan produces the same fault pattern in the discrete-event simulator and
-// in the goroutine engine, and every method is safe on a nil *Plan (no
-// faults), so engines query unconditionally.
+// plan crashes, churns and silences the same devices in the discrete-event
+// simulator and in the node engine, and loses the same frames on every
+// node backend (loopback, TCP, or across processes). Every method is safe
+// on a nil *Plan (no faults), so engines query unconditionally.
 package fault
 
 import (
@@ -200,17 +204,6 @@ func (p *Plan) OmitUpload(id, round int) bool {
 		return false
 	}
 	return p.coin(fmt.Sprintf("omit-%d-%d", id, round), prob)
-}
-
-// DropSend is the goroutine engine's transport-drop coin for one message,
-// keyed by a caller-chosen label (e.g. "up-<dev>-<round>"): real channels
-// cannot lose messages on their own, so the realtime engine asks the plan
-// per send. Deterministic per (seed, label).
-func (p *Plan) DropSend(label string) bool {
-	if p == nil {
-		return false
-	}
-	return p.coin("send-"+label, p.Drop)
 }
 
 // FrameFate is the transport-layer analogue of Fate for real wire frames:

@@ -20,7 +20,7 @@ func TestNilPlanIsSafeAndInert(t *testing.T) {
 	if p.DeviceCrashed(0, 0) || p.DeviceOffline(0, 0) || p.DeviceDown(0, 0) {
 		t.Fatal("nil plan downs devices")
 	}
-	if p.OmitUpload(0, 0) || p.DropSend("x") || p.LeaderFailed(0, 0, 0) {
+	if p.OmitUpload(0, 0) || p.LeaderFailed(0, 0, 0) {
 		t.Fatal("nil plan injects faults")
 	}
 	if p.String() != "none" {
@@ -58,13 +58,13 @@ func TestCoinDeterministicAcrossInstances(t *testing.T) {
 		}
 	}
 	// Reverse order on b: verdicts are pure functions of (seed, label).
-	labels := []string{"up-0-0", "up-1-0", "partial-2-0-1", "up-0-1"}
+	labels := []string{"1:0>2@0", "1:1>2@0", "2:2>6@1", "1:0>2@1"}
 	got := make([]bool, len(labels))
 	for i, l := range labels {
-		got[i] = a.DropSend(l)
+		got[i], _, _ = a.FrameFate(l)
 	}
 	for i := len(labels) - 1; i >= 0; i-- {
-		if b.DropSend(labels[i]) != got[i] {
+		if drop, _, _ := b.FrameFate(labels[i]); drop != got[i] {
 			t.Fatalf("drop verdict for %q order-dependent", labels[i])
 		}
 	}

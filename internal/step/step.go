@@ -3,9 +3,9 @@
 // or consensus protocol (CBA) over them, record who was kept, and hand back
 // the result (Algorithms 3-4 for a partial model, Algorithm 6 for the global
 // one). Every engine — the round engines, the discrete-event pipeline, the
-// goroutine engine, the distributed node — is a scheduler around this step:
-// it decides when a cluster's inputs are complete and what clock stamps the
-// result, then calls Stepper.Aggregate and reports through one Observer.
+// distributed node — is a scheduler around this step: it decides when a
+// cluster's inputs are complete and what clock stamps the result, then
+// calls Stepper.Aggregate and reports through one Observer.
 //
 // The package imports no engine. Random streams are derived by the caller
 // and passed in, so each engine's stream labels stay where they were.
@@ -55,8 +55,8 @@ func (r Rule) Name() string {
 }
 
 // Bare returns the aggregator's or protocol's own name, untagged — what the
-// flat baselines, the pipeline and the goroutine engine have always put in
-// their spans and verdicts.
+// flat baselines and the pipeline have always put in their spans and
+// verdicts.
 func (r Rule) Bare() string {
 	if r.CBA != nil {
 		return r.CBA.Name()
@@ -139,7 +139,7 @@ type Comm struct {
 // scratch and its filter audit, the verdict's id buffers, the consensus
 // context and the evaluation pool validators score on. Aggregate allocates
 // nothing of its own in the steady state. A Stepper serves one goroutine;
-// concurrent actors (the goroutine engine's leaders) each own one and may
+// concurrent actors (the engines of a node cluster) each own one and may
 // share an Observer.
 type Stepper struct {
 	obs     *Observer

@@ -303,7 +303,7 @@ func TestStepImportsNoEngine(t *testing.T) {
 	if err != nil {
 		t.Skipf("go list: %v", err)
 	}
-	for _, engine := range []string{"core", "pipeline", "realtime", "node", "experiments"} {
+	for _, engine := range []string{"core", "pipeline", "node", "experiments"} {
 		if strings.Contains(string(out), "abdhfl/internal/"+engine+"\n") {
 			t.Errorf("internal/step depends on internal/%s", engine)
 		}

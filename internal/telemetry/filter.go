@@ -11,7 +11,7 @@ package telemetry
 // consumers must copy (or fully reduce) them before returning.
 type FilterDecision struct {
 	// Engine names the emitting engine ("hfl", "vanilla", "gossip",
-	// "pipeline", "realtime").
+	// "pipeline", "node").
 	Engine string
 	// Level is the tree level of the aggregating node (0 = top). The flat
 	// baselines report everything at level 0.

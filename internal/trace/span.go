@@ -1,5 +1,6 @@
 // Causal span layer. A Span is an interval on the engine clock (virtual
-// milliseconds for the simulated engines, wall milliseconds for realtime)
+// milliseconds for the simulated engines, wall milliseconds for transport's
+// wire spans)
 // with a deterministic structural identity and a parent link pointing at the
 // span that *consumed* its output — a train span feeds an uplink msg span,
 // the msg span feeds its cluster's aggregate span, partial msg spans feed

@@ -19,7 +19,7 @@ import (
 
 // Event is one recorded protocol occurrence.
 type Event struct {
-	// Time is virtual milliseconds (or wall time for realtime engines).
+	// Time is virtual milliseconds on the simulator clock.
 	Time float64 `json:"t"`
 	// Kind classifies the event ("message", "aggregate", "global", ...).
 	Kind string `json:"kind"`
