@@ -73,18 +73,23 @@ verify-results-slow:
 # with and without a reserve, argument timers never armed in the past, rerun
 # invariance, event pooling and the 64-byte event, the scale results pinned
 # whole and with the state counts left out (small and scale_cell shapes),
-# cohort accounting and the one-event-per-cluster queue bound (core + scale
-# engine), the one-pass coordinate kernel against its two-pass reference,
-# the branch-free AllFinite and the string-free decimal-label derive against
-# Derive, all under -race; then — without -race, whose own allocations would
-# be counted — the allocation budgets of the derived random streams (Derive,
-# DeriveDecimal, DeriveN) and of one scale_cell run (bytes and objects), then
-# a one-shot devices/sec benchmark smoke at 100k devices.
+# the same results from the value pass at 1, 2, 3 and 8 workers
+# (TestScaleWorkersAgree), cohort accounting and the one-event-per-cluster
+# queue bound (core + scale engine), the one-pass coordinate kernel against
+# its two-pass reference, the branch-free AllFinite and the string-free
+# decimal-label derive against Derive, all under -race; then — without -race,
+# whose own allocations would be counted — the allocation budgets of the
+# derived random streams (Derive, DeriveDecimal, DeriveN) and of one
+# scale_cell run (bytes and objects); then, because RunScale's value pass
+# fans out across GOMAXPROCS workers, that budget and the scale pins again at
+# GOMAXPROCS 1, 2, 4 and 8; then a one-shot devices/sec benchmark smoke at
+# 100k devices.
 verify-scale:
 	$(GO) test -race -run 'DispatchOrder|EqualTime|ArgumentTimer|AtArg|EventIsOneCacheLine|ContextSelf|Rerun|EventPool|PeakQueue|Cohort|Scale|Stream|DeriveN|DeriveDecimal|ChoiceInto' \
 		./internal/simnet ./internal/rng ./internal/telemetry ./internal/core ./internal/experiments
 	$(GO) test -race -run 'TestCoordinateAuditMatchesReference|CoordinateKernels|AllFinite' ./internal/aggregate ./internal/tensor
 	$(GO) test -run 'TestDeriveStaysOnStack|TestRunScaleAllocBudget' ./internal/rng ./internal/experiments
+	$(GO) test -cpu 1,2,4,8 -run 'TestRunScaleAllocBudget|TestScaleComputedFieldsPinned|TestScaleResultPinned' ./internal/experiments
 	$(GO) test -run '^$$' -bench ScaleDevicesPerSec -benchtime 1x ./internal/experiments
 
 # verify-codec gates the update-codec layer: encode→decode round-trips and

@@ -1,13 +1,15 @@
 // Command abdhfl-scale sweeps the million-device scale engine over a
 // depth × fan-out × γ matrix and prints one row per cell: final-round model
 // error, bottom-level filter precision/recall, trainer activations and
-// materialized update buffers (one cohort-sized scratch, whatever the
-// population), event counts, the event queue's peak occupancy (at most one
-// event per cluster), and the σ_w/σ_g timing aggregates.
+// materialized update buffers (the cohort vectors one bottom aggregation
+// holds, per value-pass worker, whatever the population), event counts, the
+// event queue's peak occupancy (at most one event per cluster), and the
+// σ_w/σ_g timing aggregates.
 //
 // Every cell simulates the full device population on the discrete-event
-// engine with cohort-batched training, so a 100k-device deployment costs
-// roughly a second of wall clock per round. All table cells are pure
+// engine with cohort-batched training, and a 100k-device deployment costs
+// under 0.1 s of wall clock per round (≈ 0.08 s on two cores: 0.35 s for
+// the default five rounds, 0.75 s for ten). All table cells are pure
 // functions of -seed: running the command twice produces byte-identical
 // output (results_scale_matrix.txt is the committed reference artifact).
 //
@@ -107,9 +109,10 @@ func main() {
 	fmt.Fprintf(os.Stderr, "\n%d cells, %d simulated devices, %d events, mean %.0f devices/sec\n",
 		cells, totalDevices, totalEvents, totalRate/float64(cells))
 	fmt.Println("\nEach row simulates the full population; only the sampled cohort trains, and")
-	fmt.Println("a device stays an id until its cluster aggregates: the cohort's updates are")
-	fmt.Println("filled into one scratch of cohort vectors (compare the buffers column against")
-	fmt.Println("devices), and each cluster has one event pending at a time (peak_queue).")
+	fmt.Println("a device stays an id until its round closes: the value pass fills a cluster's")
+	fmt.Println("cohort updates into one cohort-vector buffer per worker (compare the buffers")
+	fmt.Println("column, one worker's, against devices), and each cluster has one event")
+	fmt.Println("pending at a time (peak_queue).")
 	fmt.Println("rel_err is the final global model's relative error against the synthetic")
 	fmt.Println("ground-truth gradient: robust rules hold it near the gamma=0 noise floor")
 	fmt.Println("until the Byzantine fraction approaches the rule's tolerance bound, and the")

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"abdhfl/internal/aggregate"
@@ -18,8 +19,8 @@ import (
 // simulation of one ABD-HFL deployment. Devices are synthetic — a device
 // exists only as an id plus derived randomness, also while it is sampled into
 // its cluster's cohort and its upload is in flight; its update is filled into
-// an engine-owned scratch only when the cohort's last upload lands and the
-// cluster aggregates — so the simulated population can exceed the process's
+// a value-pass worker's buffer only when the round closes and its cluster's
+// values are computed — so the simulated population can exceed the process's
 // memory budget for real models by orders of magnitude. The run exercises the
 // real machinery everywhere it matters: the simnet event queue carries every
 // upload and dissemination, cluster aggregation calls the real robust rules
@@ -40,7 +41,7 @@ type ScaleOptions struct {
 	//
 	// Deprecated: kept only because benchmark/workloads.go sets it and a PR
 	// that claims a gain may not edit benchmark/. The [benchmark] re-cut
-	// (ROADMAP item 2) deletes it.
+	// (ROADMAP item 1) deletes it.
 	Shards int
 	Seed   uint64
 	// Telemetry, if non-nil, receives queue and σ gauges after the run.
@@ -107,8 +108,9 @@ type ScaleResult struct {
 	// child subtree's sampled leaves was).
 	Levels []LevelScore
 	// Activations counts device-train events; BuffersAllocated counts
-	// update vectors materialized: the one scratch every bottom cluster
-	// fills as it aggregates, Cohort vectors whatever the population.
+	// update vectors materialized: the vectors one bottom aggregation holds,
+	// Cohort per value-pass worker whatever the population — counted per
+	// worker so that result tables do not depend on the machine.
 	Activations      int
 	BuffersAllocated int
 	Events           int // simnet events processed
@@ -118,7 +120,7 @@ type ScaleResult struct {
 	// ascent latency, and global round duration (virtual ms).
 	SigmaW, SigmaP, SigmaG telemetry.StreamSnapshot
 
-	Elapsed time.Duration // wall clock of the event loop (nondeterministic)
+	Elapsed time.Duration // wall clock of the event loop, value passes included (nondeterministic)
 	// DevicesPerSec is simulated device-rounds per wall-clock second:
 	// Devices × Rounds / Elapsed. The population counts, not just active
 	// trainers — supporting a device cheaply while it idles is the point.
@@ -128,15 +130,21 @@ type ScaleResult struct {
 // scaleGlobal is the dissemination broadcast starting the next round.
 type scaleGlobal struct{ round int }
 
-// scaleEngine holds the run-wide state shared by all cluster actors.
-// Dispatch is serial (simnet's contract), so no locking anywhere.
+// scaleEngine holds the run-wide state shared by all cluster actors. The
+// run has two parts. The event loop — the actors' handlers, dispatched
+// serially by simnet, so no locking there — decides only when things happen
+// and in which order: which devices a cohort samples, when each upload lands,
+// in which order child partials reach their parent. The value pass runs
+// inside the top cluster's round-closing event and computes everything else
+// from those recorded orders: every update, partial, census and audit score.
+// No event's time or order depends on a value, so the split moves nothing.
 type scaleEngine struct {
-	o    ScaleOptions
-	tree *topology.Tree
-	sim  *simnet.Sim
-	root *rng.RNG
-	agg  aggregate.Aggregator
-	scr  *aggregate.Scratch
+	o      ScaleOptions
+	tree   *topology.Tree
+	sim    *simnet.Sim
+	root   *rng.RNG
+	agg    aggregate.Aggregator
+	actors []scaleActor
 
 	nodeOf [][]simnet.NodeID
 
@@ -149,14 +157,16 @@ type scaleEngine struct {
 	roundNo  int
 	roundRNG rng.RNG
 
-	// The cohort draw buffers, and the updates a bottom cluster aggregates
-	// with their ground truth, belong to the engine, not to each of its
-	// bottom actors: dispatch is serial, startRound has consumed a draw
-	// before it returns and aggregate has read the updates before it
-	// returns, so one set serves them all.
+	// The cohort draw buffers belong to the engine, not to each bottom
+	// actor: startRound has consumed a draw before it returns, so one set
+	// serves them all.
 	pick, scratch []int
-	updates       []tensor.Vector // Cohort vectors cut from one slab
-	updateByz     []bool
+
+	// The value pass: its workers, each level's barrier, and the join of
+	// the workers it spawns.
+	workers   []scaleWorker
+	levelDone []sync.WaitGroup
+	passEnd   sync.WaitGroup
 
 	levels                 []LevelScore
 	sigmaW, sigmaP, sigmaG telemetry.Stream
@@ -184,12 +194,13 @@ func (e *scaleEngine) isByz(d int) bool {
 	return e.root.DeriveN("byz", uint64(d)).Float64() < e.o.Gamma
 }
 
-// fill writes device d's round-r update into v: the ground-truth gradient
-// plus per-device noise for honest devices, an amplified sign-flip for
-// Byzantine ones. Values depend only on (seed, round, device), never on
-// when they are filled or into which buffer.
-func (e *scaleEngine) fill(v tensor.Vector, round, d int, byz bool) {
-	r := e.roundStream(round).DeriveN("upd", uint64(d))
+// fill writes device d's update into v, drawn from rr, its round's stream:
+// the ground-truth gradient plus per-device noise for honest devices, an
+// amplified sign-flip for Byzantine ones. Values depend only on (seed, round,
+// device), never on when they are filled, into which buffer or by which
+// worker.
+func (e *scaleEngine) fill(v tensor.Vector, rr *rng.RNG, d int, byz bool) {
+	r := rr.DeriveN("upd", uint64(d))
 	if byz {
 		for j := range v {
 			v[j] = -3*e.g[j] + 0.1*r.NormFloat64()
@@ -201,15 +212,15 @@ func (e *scaleEngine) fill(v tensor.Vector, round, d int, byz bool) {
 	}
 }
 
-// scaleArrival is a sampled device's upload as its leader knows it before
-// the cohort aggregates: the device, and when the upload lands.
+// scaleArrival is a sampled device's upload as its leader knows it: the
+// device, and when the upload lands.
 type scaleArrival struct {
 	at     simnet.Time
 	device int
 }
 
 // scaleActor simulates one cluster: the bottom level collects its sampled
-// cohort's uploads and aggregates; upper levels collect child partials.
+// cohort's uploads; upper levels collect child partials.
 type scaleActor struct {
 	eng          *scaleEngine
 	level, index int
@@ -217,21 +228,19 @@ type scaleActor struct {
 	parent       simnet.NodeID
 	expect       int // inputs per round (cohort size or child count)
 	round        int
-	partial      tensor.Vector
-	// byzSampled/totSampled are the sampled-leaf Byzantine census of the
-	// partial this cluster formed last (bottom) or is forming (upper) — the
-	// upper-level audit ground truth, read by the parent when the partial
-	// lands.
+	// partial, byzSampled and totSampled are what the value pass computed
+	// for this cluster: its partial model and the sampled-leaf Byzantine
+	// census of its subtree — the parent's audit ground truth.
+	partial                tensor.Vector
 	byzSampled, totSampled int
 
 	// Bottom level: this round's uploads in landing order.
 	arrivals []scaleArrival
 
-	// Upper levels: child cluster actors, and this round's child partials
-	// with their ground truth.
+	// Upper levels: child cluster actors, and this round's children by node
+	// id in the order their partials arrived.
 	childIDs []simnet.NodeID
-	vecs     []tensor.Vector
-	truth    []bool
+	order    []int32
 }
 
 // OnTimer is an upload landing; the argument is its index in a.arrivals.
@@ -287,9 +296,9 @@ func (a *scaleActor) startRound(ctx *simnet.Context, round int) {
 }
 
 // onArrival is upload i landing at the leader. Until the cohort's last
-// lands, its devices are only the ids and times in a.arrivals: the next
-// arrival is armed and nothing else happens. The last fills every update, in
-// landing order, into the engine's scratch and aggregates them.
+// lands, the next arrival is armed and nothing else happens. The last sends
+// the partial up: the landing order it stands for is a.arrivals, which the
+// value pass reads.
 func (a *scaleActor) onArrival(ctx *simnet.Context, i int) {
 	if i++; i < len(a.arrivals) {
 		ctx.AtArg(a.arrivals[i].at, i)
@@ -298,22 +307,14 @@ func (a *scaleActor) onArrival(ctx *simnet.Context, i int) {
 	e := a.eng
 	n := len(a.arrivals)
 	e.sigmaW.Observe(float64(a.arrivals[n-1].at - a.arrivals[0].at))
-	vecs, truth := e.updates[:n], e.updateByz[:n]
-	a.byzSampled, a.totSampled = 0, n
-	for k, up := range a.arrivals {
-		truth[k] = e.isByz(up.device)
-		if truth[k] {
-			a.byzSampled++
-		}
-		e.fill(vecs[k], a.round, up.device, truth[k])
-	}
 	e.activations += n
-	a.aggregate(ctx, vecs, truth)
+	ctx.SendVolume(a.parent, a, int64(e.o.Dim))
 }
 
-// onPartial collects one child cluster's partial model at an upper level.
-// The payload is the child actor: its partial, round and census stay as they
-// are until its next round, which starts only after this cluster aggregates.
+// onPartial collects one child cluster's partial model at an upper level by
+// recording the child's place in the arrival order. The payload is the child
+// actor: its round stays as it is until its next round, which starts only
+// after the round closes.
 func (a *scaleActor) onPartial(ctx *simnet.Context, msg simnet.Message, c *scaleActor) {
 	e := a.eng
 	if c.round != a.round {
@@ -321,50 +322,17 @@ func (a *scaleActor) onPartial(ctx *simnet.Context, msg simnet.Message, c *scale
 			a.level, a.index, c.round, a.round))
 	}
 	e.sigmaP.Observe(float64(msg.At - msg.SentAt))
-	if len(a.vecs) == 0 {
-		// The last round's census went up with the last round's partial.
-		a.byzSampled, a.totSampled = 0, 0
-	}
-	a.vecs = append(a.vecs, c.partial)
-	// Upper-level ground truth: the subtree's sampled leaves were
-	// majority-Byzantine (below that, the level below is expected to have
-	// cleaned the partial).
-	a.truth = append(a.truth, 2*c.byzSampled > c.totSampled)
-	a.totSampled += c.totSampled
-	a.byzSampled += c.byzSampled
-	if len(a.vecs) == a.expect {
-		a.aggregate(ctx, a.vecs, a.truth)
-		a.vecs, a.truth = a.vecs[:0], a.truth[:0]
-	}
-}
-
-// aggregate runs the robust rule over the round's inputs, scores the filter
-// audit against their ground truth, and either ascends the partial or — at
-// the top — closes the round and disseminates.
-func (a *scaleActor) aggregate(ctx *simnet.Context, vecs []tensor.Vector, truth []bool) {
-	e := a.eng
-	if err := e.agg.AggregateInto(a.partial, e.scr, vecs); err != nil {
-		panic(fmt.Sprintf("scale: cluster (%d,%d): %v", a.level, a.index, err))
-	}
-	s := &e.levels[a.level]
-	for i, d := range e.scr.Audit.Decisions {
-		flagged := d != aggregate.DecisionKept
-		switch {
-		case flagged && truth[i]:
-			s.TP++
-		case flagged:
-			s.FP++
-		case truth[i]:
-			s.FN++
-		default:
-			s.TN++
-		}
+	a.order = append(a.order, int32(msg.From))
+	if len(a.order) < a.expect {
+		return
 	}
 	if a.level > 0 {
 		ctx.SendVolume(a.parent, a, int64(e.o.Dim))
 		return
 	}
-	// Top of the tree: the global model for this round is formed.
+	// Top of the tree: every order of the round is recorded, so its values
+	// can be computed and the global model for this round is formed.
+	e.valuePass(a.round)
 	now := ctx.Now()
 	e.sigmaG.Observe(float64(now - e.lastGlobalAt))
 	e.lastGlobalAt = now
@@ -387,10 +355,157 @@ func (a *scaleActor) onGlobal(ctx *simnet.Context, m scaleGlobal) {
 	a.startRound(ctx, m.round)
 }
 
+// disseminate sends round's global to every child. The last round's child
+// order has been read by the value pass, so it is cleared here.
 func (a *scaleActor) disseminate(ctx *simnet.Context, round int) {
+	a.order = a.order[:0]
 	var m any = scaleGlobal{round: round} // boxed once, not once per child
 	for _, id := range a.childIDs {
 		ctx.SendVolume(id, m, int64(a.eng.o.Dim))
+	}
+}
+
+// scaleWorker is one value-pass worker's state. Every part of it is cut from
+// a slab shared by all workers; what a worker allocates on its own is its
+// goroutine each round and its scratch's growth (see scalePassMaxWorkers).
+type scaleWorker struct {
+	scr   aggregate.Scratch
+	audit aggregate.FilterAudit
+	// A cluster's inputs — the cohort's updates, filled into the first
+	// Cohort×Dim of updates, or the child partials — and their ground truth.
+	vecs    []tensor.Vector
+	truth   []bool
+	updates []float64
+	// levels[l] scores this worker's level-l filter decisions of the pass;
+	// valuePass merges it into the engine's and clears it.
+	levels []LevelScore
+}
+
+// newPass cuts the value pass's state for w workers, each aggregating at
+// most inputs vectors, from one slab per kind.
+func (e *scaleEngine) newPass(w, inputs int) {
+	depth, per := e.tree.Depth(), e.o.Cohort*e.o.Dim
+	e.workers = make([]scaleWorker, w)
+	e.levelDone = make([]sync.WaitGroup, depth)
+	vecs := make([]tensor.Vector, w*inputs)
+	truth := make([]bool, w*inputs)
+	updates := make([]float64, w*per)
+	levels := make([]LevelScore, w*depth)
+	// An audit reuses buffers whose capacity suffices: cut at the widest
+	// cluster's size, they never grow.
+	decisions := make([]aggregate.Decision, w*inputs)
+	weights := make([]float64, 2*w*inputs)
+	for i := range e.workers {
+		wk := &e.workers[i]
+		wk.scr.Workers = 1
+		wk.scr.Audit = &wk.audit
+		wk.audit.Decisions, decisions = decisions[:0:inputs], decisions[inputs:]
+		wk.audit.Weights, weights = weights[:0:inputs], weights[inputs:]
+		wk.audit.TrimFrac, weights = weights[:0:inputs], weights[inputs:]
+		wk.vecs, vecs = vecs[:inputs:inputs], vecs[inputs:]
+		wk.truth, truth = truth[:inputs:inputs], truth[inputs:]
+		wk.updates, updates = updates[:per:per], updates[per:]
+		wk.levels, levels = levels[:depth:depth], levels[depth:]
+	}
+}
+
+// valuePass computes round's values level by level, from the bottom up,
+// across len(e.workers) workers; with one it runs inline. The event loop is
+// paused while it runs. A cluster's values depend only on (seed, round,
+// device) and the recorded orders, each cluster writes only its own partial
+// and census, a level reads only the level below it, which the barrier has
+// finished, and the audit scores are integer sums: the result is
+// bit-identical for every worker count.
+func (e *scaleEngine) valuePass(round int) {
+	rr := e.roundStream(round)
+	w := len(e.workers)
+	for l := range e.levelDone {
+		e.levelDone[l].Add(w)
+	}
+	e.passEnd.Add(w - 1)
+	for i := 1; i < w; i++ {
+		go func() {
+			defer e.passEnd.Done()
+			e.passWork(i, rr)
+		}()
+	}
+	e.passWork(0, rr)
+	e.passEnd.Wait()
+	for i := range e.workers {
+		for l, s := range e.workers[i].levels {
+			t := &e.levels[l]
+			t.TP, t.FP, t.FN, t.TN = t.TP+s.TP, t.FP+s.FP, t.FN+s.FN, t.TN+s.TN
+		}
+		clear(e.workers[i].levels)
+	}
+}
+
+// passWork is worker i's part of the pass over round stream rr: at each
+// level, from the bottom up, its contiguous share of the level's clusters,
+// then a wait until every worker has done its share.
+func (e *scaleEngine) passWork(i int, rr *rng.RNG) {
+	wk, w := &e.workers[i], len(e.workers)
+	for l := e.tree.Bottom(); l >= 0; l-- {
+		ids := e.nodeOf[l]
+		for _, id := range ids[i*len(ids)/w : (i+1)*len(ids)/w] {
+			e.values(wk, &e.actors[id], rr)
+		}
+		e.levelDone[l].Done()
+		e.levelDone[l].Wait()
+	}
+}
+
+// values computes cluster a's values from round stream rr with worker wk's
+// buffers: its inputs in the recorded order — at the bottom each sampled
+// device's update, filled here, at upper levels the child partials — and
+// their census, then the robust rule's partial and the filter audit scored
+// against the inputs' ground truth.
+func (e *scaleEngine) values(wk *scaleWorker, a *scaleActor, rr *rng.RNG) {
+	var vecs []tensor.Vector
+	var truth []bool
+	if a.level == e.tree.Bottom() {
+		n := len(a.arrivals)
+		vecs, truth = wk.vecs[:n], wk.truth[:n]
+		a.byzSampled, a.totSampled = 0, n
+		for k, up := range a.arrivals {
+			truth[k] = e.isByz(up.device)
+			if truth[k] {
+				a.byzSampled++
+			}
+			vecs[k] = wk.updates[k*e.o.Dim : (k+1)*e.o.Dim]
+			e.fill(vecs[k], rr, up.device, truth[k])
+		}
+	} else {
+		n := len(a.order)
+		vecs, truth = wk.vecs[:n], wk.truth[:n]
+		a.byzSampled, a.totSampled = 0, 0
+		for k, id := range a.order {
+			c := &e.actors[id]
+			vecs[k] = c.partial
+			// Upper-level ground truth: the subtree's sampled leaves were
+			// majority-Byzantine (below that, the level below is expected to
+			// have cleaned the partial).
+			truth[k] = 2*c.byzSampled > c.totSampled
+			a.byzSampled += c.byzSampled
+			a.totSampled += c.totSampled
+		}
+	}
+	if err := e.agg.AggregateInto(a.partial, &wk.scr, vecs); err != nil {
+		panic(fmt.Sprintf("scale: cluster (%d,%d): %v", a.level, a.index, err))
+	}
+	s := &wk.levels[a.level]
+	for i, d := range wk.audit.Decisions {
+		flagged := d != aggregate.DecisionKept
+		switch {
+		case flagged && truth[i]:
+			s.TP++
+		case flagged:
+			s.FP++
+		case truth[i]:
+			s.FN++
+		default:
+			s.TN++
+		}
 	}
 }
 
@@ -403,9 +518,26 @@ func relativeError(got, want tensor.Vector, wantNorm float64) float64 {
 	return math.Sqrt(s) / wantNorm
 }
 
+// scalePassMaxWorkers caps RunScale's value-pass fan-out. On the scale_cell
+// shape the pass is about half of a one-worker run's CPU samples (48 %) and
+// the event loop, which stays serial, the rest: four workers leave the pass
+// near an eighth of that run, so eight could take at most a further
+// sixteenth off. Each worker past the first adds six objects to the run's
+// 58 — its goroutine in each of the two rounds, and its scratch's column
+// and count buffers, grown for the cohort and again for a child count — so
+// eight workers measure 100–112 objects, past TestRunScaleAllocBudget's 100.
+const scalePassMaxWorkers = 4
+
 // RunScale builds the topology, wires one simnet actor per cluster, and
-// drives Rounds global rounds through the event engine.
+// drives Rounds global rounds through the event engine; each round's value
+// pass fans out across GOMAXPROCS workers, at most scalePassMaxWorkers.
 func RunScale(o ScaleOptions) (*ScaleResult, error) {
+	return runScale(o, min(tensor.ResolveWorkers(0), scalePassMaxWorkers))
+}
+
+// runScale is RunScale with the value pass on the given number of workers
+// (>= 1), which moves no result.
+func runScale(o ScaleOptions, workers int) (*ScaleResult, error) {
 	o.defaults()
 	if err := o.validate(); err != nil {
 		return nil, err
@@ -437,11 +569,9 @@ func RunScale(o ScaleOptions) (*ScaleResult, error) {
 		tree:    tree,
 		root:    root,
 		agg:     agg,
-		scr:     aggregate.NewScratch(1),
 		levels:  make([]LevelScore, tree.Depth()),
 		roundNo: -1,
 	}
-	e.scr.Audit = &aggregate.FilterAudit{}
 	for l := range e.levels {
 		e.levels[l].Level = l
 	}
@@ -472,7 +602,8 @@ func RunScale(o ScaleOptions) (*ScaleResult, error) {
 	}
 	clusters := int(next)
 	bottom := tree.Bottom()
-	actors := make([]scaleActor, clusters)
+	e.actors = make([]scaleActor, clusters)
+	actors := e.actors
 	sampled, widest := 0, 0 // cohort members per round; largest bottom cluster
 	for l := range tree.Clusters {
 		for i, c := range tree.Clusters[l] {
@@ -499,9 +630,9 @@ func RunScale(o ScaleOptions) (*ScaleResult, error) {
 	// Every cluster but the top is one input of its parent.
 	partials := make([]float64, clusters*o.Dim)
 	arrivals := make([]scaleArrival, sampled)
-	vecs := make([]tensor.Vector, clusters-1)
-	truth := make([]bool, clusters-1)
+	order := make([]int32, clusters-1)
 	childIDs := make([]simnet.NodeID, clusters-1)
+	inputs := o.Cohort // the most inputs one cluster aggregates
 	for i := range actors {
 		a := &actors[i]
 		a.partial, partials = partials[:o.Dim:o.Dim], partials[o.Dim:]
@@ -509,9 +640,9 @@ func RunScale(o ScaleOptions) (*ScaleResult, error) {
 			a.arrivals, arrivals = arrivals[:0:a.expect], arrivals[a.expect:]
 			continue
 		}
-		a.vecs, vecs = vecs[:0:a.expect], vecs[a.expect:]
-		a.truth, truth = truth[:0:a.expect], truth[a.expect:]
+		a.order, order = order[:0:a.expect], order[a.expect:]
 		a.childIDs, childIDs = childIDs[:0:a.expect], childIDs[a.expect:]
+		inputs = max(inputs, a.expect)
 	}
 	for id := 1; id < clusters; id++ {
 		p := &actors[actors[id].parent]
@@ -519,12 +650,7 @@ func RunScale(o ScaleOptions) (*ScaleResult, error) {
 	}
 	e.pick = make([]int, o.Cohort)
 	e.scratch = make([]int, widest)
-	e.updates = make([]tensor.Vector, o.Cohort)
-	flat := make([]float64, o.Cohort*o.Dim)
-	for i := range e.updates {
-		e.updates[i], flat = flat[:o.Dim:o.Dim], flat[o.Dim:]
-	}
-	e.updateByz = make([]bool, o.Cohort)
+	e.newPass(workers, inputs)
 
 	// What can be pending at once bounds the queue, and sizes it once: a
 	// bottom cluster has its kick-off, its one armed arrival, its partial or
@@ -558,7 +684,7 @@ func RunScale(o ScaleOptions) (*ScaleResult, error) {
 		RelErr:           e.relErr,
 		Levels:           e.levels,
 		Activations:      e.activations,
-		BuffersAllocated: len(e.updates),
+		BuffersAllocated: o.Cohort,
 		Events:           events,
 		Net:              e.sim.Stats(),
 		SigmaW:           e.sigmaW.Snapshot(),

@@ -82,28 +82,60 @@ func scaleDigest(r *ScaleResult) uint64 {
 // summaries — for three rules on the small shape and on the scale_cell shape,
 // against digests taken while every sampled device's arrival was armed at
 // once and its update was filled as it landed. Arming one arrival per cluster
-// and filling the cohort's updates when it aggregates may move only the two
-// counts scaleDigest leaves out: a device's values are a pure function of
+// and computing every value in a pass at the round's close may move only the
+// two counts scaleDigest leaves out: a device's values are a pure function of
 // (seed, round, device), and its arrival fires at the same time in the same
 // order.
 func TestScaleComputedFieldsPinned(t *testing.T) {
-	for _, pin := range []struct {
-		shape string
-		opts  func() ScaleOptions
-		rule  string
-		want  uint64
-	}{
-		{"small", smallScale, "median", 0xae6cd9ca34ce7778},
-		{"small", smallScale, "trimmed-mean", 0x44f8ee3420987b5b},
-		{"small", smallScale, "multi-krum", 0x762d357c4b667c91},
-		{"cell", scaleCellOptions, "median", 0xec1dc564f7a60794},
-		{"cell", scaleCellOptions, "trimmed-mean", 0x634b9455da602922},
-		{"cell", scaleCellOptions, "multi-krum", 0xe833857a6350cd1e},
-	} {
+	for _, pin := range scaleComputedPins {
 		o := pin.opts()
 		o.Rule = pin.rule
 		if got := scaleDigest(mustRunScale(t, o)); got != pin.want {
 			t.Errorf("%s %s: computed-fields digest %#x, pinned %#x", pin.shape, pin.rule, got, pin.want)
+		}
+	}
+}
+
+// scaleComputedPins are TestScaleComputedFieldsPinned's digests.
+var scaleComputedPins = []struct {
+	shape string
+	opts  func() ScaleOptions
+	rule  string
+	want  uint64
+}{
+	{"small", smallScale, "median", 0xae6cd9ca34ce7778},
+	{"small", smallScale, "trimmed-mean", 0x44f8ee3420987b5b},
+	{"small", smallScale, "multi-krum", 0x762d357c4b667c91},
+	{"cell", scaleCellOptions, "median", 0xec1dc564f7a60794},
+	{"cell", scaleCellOptions, "trimmed-mean", 0x634b9455da602922},
+	{"cell", scaleCellOptions, "multi-krum", 0xe833857a6350cd1e},
+}
+
+// TestScaleWorkersAgree holds that the value pass's worker count cannot move
+// a result: on both shapes and for three rules, runScale at 2, 3 (uneven
+// shares of the scale_cell shape's 12 504 bottom clusters) and 8 workers
+// reports exactly what one worker does, and hits the pinned digest. Run
+// under -race it also holds that the workers share nothing a level's
+// barrier does not order.
+func TestScaleWorkersAgree(t *testing.T) {
+	for _, pin := range scaleComputedPins {
+		o := pin.opts()
+		o.Rule = pin.rule
+		var want string
+		for _, workers := range []int{1, 2, 3, 8} {
+			res, err := runScale(o, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := scaleDigest(res); got != pin.want {
+				t.Errorf("%s %s, %d workers: computed-fields digest %#x, pinned %#x", pin.shape, pin.rule, workers, got, pin.want)
+			}
+			got := fmtScale(deterministicView(res))
+			if workers == 1 {
+				want = got
+			} else if got != want {
+				t.Errorf("%s %s: %d workers report\n%s\none worker\n%s", pin.shape, pin.rule, workers, got, want)
+			}
 		}
 	}
 }
@@ -147,13 +179,14 @@ func TestScaleCohortBoundsActivations(t *testing.T) {
 	if res.Net.PeakQueue == 0 {
 		t.Fatal("PeakQueue gauge not populated")
 	}
-	// A cluster has at most one event pending at a time, and every bottom
-	// cluster fills the same Cohort-vector scratch.
+	// A cluster has at most one event pending at a time, and a value-pass
+	// worker fills every bottom cluster's updates into one Cohort-vector
+	// buffer; the count is one worker's.
 	if res.Net.PeakQueue > res.Clusters {
 		t.Fatalf("PeakQueue = %d, above one event per cluster (%d)", res.Net.PeakQueue, res.Clusters)
 	}
 	if res.BuffersAllocated != o.Cohort {
-		t.Fatalf("BuffersAllocated = %d, want the cohort scratch's %d", res.BuffersAllocated, o.Cohort)
+		t.Fatalf("BuffersAllocated = %d, want a worker's cohort buffer's %d", res.BuffersAllocated, o.Cohort)
 	}
 }
 
@@ -213,12 +246,15 @@ func scaleCellOptions() ScaleOptions {
 
 // TestRunScaleAllocBudget pins what one RunScale call allocates on the
 // scale_cell shape, in bytes and in objects: the figures this test measures
-// (9.31 MB, 63–79 objects) plus a margin. What is left is standing state,
-// every part of it a slab: the tree (the clusters and the member ids of each
-// level, 1.7 MB), one actor per cluster (2.7 MB) with its partial (1.8 MB),
-// the bottom clusters' arrival lists (0.8 MB) and the upper clusters' input
-// and child lists (0.6 MB), the queue at one event per cluster (1.2 MB) and
-// simnet's node table (0.2 MB). The same call allocated 49.7 MB when every
+// (8.72–8.93 MB, 58–82 objects over GOMAXPROCS 1–8) plus a margin. What is
+// left is standing state, every part of it a slab: the tree (the clusters
+// and the member ids of each level, 1.7 MB), one actor per cluster (2.4 MB)
+// with its partial (1.8 MB), the bottom clusters' arrival lists (0.8 MB) and
+// the upper clusters' child-order and child lists (0.17 MB), the queue at
+// one event per cluster (1.2 MB), simnet's node table (0.2 MB) and the value
+// pass's per-worker buffers (≈ 75 KB a worker; RunScale uses at most four).
+// The call allocated 9.31 MB while the upper clusters held their inputs as
+// vector and truth slabs. The same call allocated 49.7 MB when every
 // derived random stream was a heap object, Tree.Validate built two 100k-entry
 // maps and every dispatched event got its own Context; 31.9 MB in 302 k
 // objects while the heap, the free list and the vector pool grew by append,
@@ -237,8 +273,9 @@ func TestRunScaleAllocBudget(t *testing.T) {
 	}
 	const (
 		byteBudget = 10_300_000 // the benchmark's alloc_bytes_per_run reads in the same unit
-		// 63–79 measured over GOMAXPROCS 1–8: at this size the runtime's
-		// own few objects during the window show, so the margin is wider.
+		// 58–82 measured over GOMAXPROCS 1–8, six per value-pass worker past
+		// the first: at this size the runtime's own few objects during the
+		// window show, so the margin is wider.
 		objectBudget = 100
 	)
 	o := scaleCellOptions()

@@ -139,7 +139,7 @@ func New(latency LatencyModel, r *rng.RNG) *Sim {
 //
 // Deprecated: kept only because benchmark/replay.go calls it and a PR that
 // claims a gain may not edit benchmark/. The [benchmark] re-cut (ROADMAP
-// item 2) deletes it.
+// item 1) deletes it.
 func NewSharded(latency LatencyModel, r *rng.RNG, shards, workers int) *Sim {
 	return New(latency, r)
 }
