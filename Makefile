@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt verify verify-results verify-results-slow verify-scale verify-codec verify-trace verify-transport verify-consensus bench bench-compare profile-node profile-train profile-pipeline profile-scale kernel-addrs clean
+.PHONY: build test race vet fmt deadcode verify verify-results verify-results-slow verify-scale verify-codec verify-trace verify-transport verify-consensus bench bench-compare profile-node profile-train profile-pipeline profile-scale kernel-addrs clean
 
 build:
 	$(GO) build ./...
@@ -23,8 +23,15 @@ fmt:
 race:
 	$(GO) test -race ./...
 
+# deadcode builds the 20 mains (cmd/, examples/, benchmark) with inlining
+# off, reads their symbols with go tool nm, and fails on any non-test
+# function of 12 or more lines that no binary links and that the commented
+# allowlist in deadcode_test.go does not name (about 10 s; not in tier-1).
+deadcode:
+	$(GO) test -count=1 -tags deadcode -run TestDeadcode .
+
 # verify is the tier-1 gate: everything must pass before a commit.
-verify: fmt vet build race verify-codec verify-trace verify-transport verify-consensus verify-results
+verify: fmt vet build deadcode race verify-codec verify-trace verify-transport verify-consensus verify-results
 
 # verify-results keeps the committed oracle whole: it builds the generators
 # once, reruns every results_* file that takes seconds with the command

@@ -117,16 +117,16 @@ func TestMultiKrumExcludesByzantine(t *testing.T) {
 	byz := honestPopulation(r, 4, 8, center(8, 40), 0.05)
 	updates := append(append([]tensor.Vector{}, honest...), byz...)
 	mk := NewMultiKrum(0.25)
-	sel, err := mk.Selected(updates)
-	if err != nil {
+	var aud FilterAudit
+	out := tensor.NewVector(8)
+	if err := mk.AggregateInto(out, &Scratch{Audit: &aud}, updates); err != nil {
 		t.Fatal(err)
 	}
-	for _, i := range sel {
-		if i >= 12 {
+	for i := 12; i < len(updates); i++ {
+		if aud.Decisions[i] != DecisionTrimmed {
 			t.Fatalf("MultiKrum selected Byzantine index %d", i)
 		}
 	}
-	out, _ := mk.Aggregate(updates)
 	if d := tensor.Distance(out, center(8, 1)); d > 0.5 {
 		t.Fatalf("MultiKrum aggregate off-center by %v", d)
 	}
@@ -213,19 +213,19 @@ func TestCosineClusteringPicksMajorityDirection(t *testing.T) {
 	honest := honestPopulation(r, 8, 4, center(4, 1), 0.02)
 	flipped := honestPopulation(r, 3, 4, center(4, -1), 0.02)
 	updates := append(append([]tensor.Vector{}, honest...), flipped...)
-	out, err := CosineClustering{MinSimilarity: 0.5}.Aggregate(updates)
-	if err != nil {
+	var aud FilterAudit
+	out := tensor.NewVector(4)
+	if err := (CosineClustering{MinSimilarity: 0.5}).AggregateInto(out, &Scratch{Audit: &aud}, updates); err != nil {
 		t.Fatal(err)
 	}
 	if out[0] < 0 {
 		t.Fatalf("clustering picked the flipped direction: %v", out)
 	}
-	cl, _ := CosineClustering{MinSimilarity: 0.5}.Clusters(updates)
-	if len(cl) < 2 {
-		t.Fatalf("expected >= 2 clusters, got %d", len(cl))
-	}
-	if len(cl[0]) != 8 {
-		t.Fatalf("largest cluster size = %d, want 8", len(cl[0]))
+	// The kept cluster is exactly the 8 honest updates.
+	for i, d := range aud.Decisions {
+		if want := i < 8; (d == DecisionKept) != want {
+			t.Fatalf("update %d: decision %v, want kept = %v", i, d, want)
+		}
 	}
 }
 

@@ -199,30 +199,6 @@ func (a CosineClustering) labelsInto(s *Scratch, updates []tensor.Vector) []int 
 	return labels
 }
 
-// Clusters returns the clusters CosineClustering would form, largest first;
-// exposed for analysis tools and tests.
-func (a CosineClustering) Clusters(updates []tensor.Vector) ([][]int, error) {
-	if err := checkUpdates(updates); err != nil {
-		return nil, err
-	}
-	labels := a.labelsInto(&Scratch{Workers: 1}, updates)
-	groups := map[int][]int{}
-	for i, l := range labels {
-		groups[l] = append(groups[l], i)
-	}
-	out := make([][]int, 0, len(groups))
-	for _, g := range groups {
-		out = append(out, g)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if len(out[i]) != len(out[j]) {
-			return len(out[i]) > len(out[j])
-		}
-		return out[i][0] < out[j][0]
-	})
-	return out, nil
-}
-
 // registry of aggregators constructible by name, for CLI tools and configs.
 var registry = map[string]func() Aggregator{
 	"mean":              func() Aggregator { return Mean{} },

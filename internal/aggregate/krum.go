@@ -35,9 +35,7 @@ func (a Krum) Name() string {
 	return "multi-krum"
 }
 
-// thresholds resolves the effective (f, k, m) for an n-member update set —
-// the single source of truth shared by Aggregate and Selected so the two
-// paths cannot drift:
+// thresholds resolves the effective (f, k, m) for an n-member update set:
 //
 //   - f: assumed Byzantine count, max(F, floor(FFraction*n)).
 //   - k: neighbours per Krum score. Krum needs n-f-2 >= 1; with tiny quorums
@@ -175,24 +173,4 @@ func scoreOrder(order []int, scores []float64) {
 		}
 		order[j+1] = o
 	}
-}
-
-// Selected returns the indices MultiKrum would average for the given update
-// set, in score order. It is exposed for analysis tools and tests.
-func (a Krum) Selected(updates []tensor.Vector) ([]int, error) {
-	if err := checkUpdates(updates); err != nil {
-		return nil, err
-	}
-	_, k, m, err := a.thresholds(len(updates))
-	if err != nil {
-		return nil, err
-	}
-	if len(updates) == 1 {
-		return []int{0}, nil
-	}
-	s := &Scratch{Workers: 1}
-	order := krumOrderWS(s, updates, k)
-	out := make([]int, m)
-	copy(out, order[:m])
-	return out, nil
 }

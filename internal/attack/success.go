@@ -28,10 +28,3 @@ func BackdoorSuccessRate(m *nn.Model, test *dataset.Dataset, bd BackdoorTrigger)
 	}
 	return float64(triggered) / float64(total)
 }
-
-// CleanAccuracyUnderBackdoor measures the model's accuracy on untriggered
-// data — a stealthy backdoor keeps this high while BackdoorSuccessRate is
-// also high.
-func CleanAccuracyUnderBackdoor(m *nn.Model, test *dataset.Dataset) float64 {
-	return nn.Accuracy(m, test)
-}

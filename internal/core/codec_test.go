@@ -80,32 +80,6 @@ func TestIdentityCodecGoldenVanilla(t *testing.T) {
 	sameResult(t, "vanilla", run(nil), run(codec.Identity{}))
 }
 
-func TestIdentityCodecGoldenGossip(t *testing.T) {
-	base := buildScenario(t, 3, 2, 2, 3, 60, 0)
-	run := func(c codec.Codec) *Result {
-		res, err := RunGossip(GossipConfig{
-			Rounds:     3,
-			Local:      base.Local,
-			Aggregator: aggregate.Mean{},
-			ClientData: base.ClientData[:8],
-			TestData:   base.TestData,
-			Seed:       7,
-			EvalEvery:  1,
-			EvalSample: 4,
-			Codec:      c,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	base1, ident := run(nil), run(codec.Identity{})
-	sameResult(t, "gossip", base1, ident)
-	if ident.Comm.WireBytes == 0 {
-		t.Fatal("gossip identity codec must account wire bytes")
-	}
-}
-
 // TestCodecWorkerCountInvariance: lossy codecs are serial, deterministic
 // transforms, so a compressed run stays bit-identical for every worker
 // count — the same contract the aggregation kernels honor.

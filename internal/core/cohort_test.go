@@ -182,30 +182,3 @@ func TestVanillaCohort(t *testing.T) {
 		t.Fatalf("ModelTransfers = %d, want %d", a.Comm.ModelTransfers, 2*3*3)
 	}
 }
-
-func TestGossipCohort(t *testing.T) {
-	base := buildScenario(t, 2, 4, 2, 3, 40, 0)
-	run := func() *Result {
-		cfg := GossipConfig{
-			Rounds:     3,
-			Local:      base.Local,
-			Aggregator: aggregate.Mean{},
-			ClientData: base.ClientData,
-			TestData:   base.TestData,
-			Seed:       7,
-			Cohort:     2,
-		}
-		res, err := RunGossip(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	a, b := run(), run()
-	if a.TrainerActivations != 2*3 {
-		t.Fatalf("TrainerActivations = %d, want 6", a.TrainerActivations)
-	}
-	if a.FinalAccuracy != b.FinalAccuracy {
-		t.Fatal("gossip cohort run not deterministic")
-	}
-}

@@ -10,6 +10,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sort"
 
 	"abdhfl/internal/attack"
 	"abdhfl/internal/codec"
@@ -160,7 +161,14 @@ func (c *Config) Validate() error {
 		return err
 	}
 	anyCBA := c.Partial.IsCBA() || c.Global.IsCBA()
-	for lvl, rule := range c.PartialByLevel {
+	// Sorted, so that with several bad levels the error names the lowest.
+	levels := make([]int, 0, len(c.PartialByLevel))
+	for lvl := range c.PartialByLevel {
+		levels = append(levels, lvl)
+	}
+	sort.Ints(levels)
+	for _, lvl := range levels {
+		rule := c.PartialByLevel[lvl]
 		if lvl < 1 || lvl > c.Tree.Bottom() {
 			return fmt.Errorf("core: PartialByLevel level %d out of [1, %d]", lvl, c.Tree.Bottom())
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"abdhfl/internal/aggregate"
@@ -435,84 +436,6 @@ func TestChurnValidation(t *testing.T) {
 	}
 }
 
-func TestGossipLearns(t *testing.T) {
-	cfg := buildScenario(t, 3, 2, 2, 1, 120, 0)
-	res, err := RunGossip(GossipConfig{
-		Rounds:     25,
-		Local:      cfg.Local,
-		Aggregator: aggregate.Mean{},
-		ClientData: cfg.ClientData,
-		TestData:   cfg.TestData,
-		Seed:       7,
-		EvalEvery:  25,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.FinalAccuracy < 0.5 {
-		t.Fatalf("gossip accuracy = %v", res.FinalAccuracy)
-	}
-	if res.Comm.ModelTransfers == 0 {
-		t.Fatal("gossip recorded no transfers")
-	}
-}
-
-func TestGossipDeterministic(t *testing.T) {
-	cfg := buildScenario(t, 3, 2, 2, 1, 60, 0)
-	run := func() float64 {
-		res, err := RunGossip(GossipConfig{
-			Rounds:     5,
-			Local:      cfg.Local,
-			Aggregator: aggregate.Mean{},
-			ClientData: cfg.ClientData,
-			TestData:   cfg.TestData,
-			Seed:       9,
-			EvalEvery:  5,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.FinalAccuracy
-	}
-	if run() != run() {
-		t.Fatal("gossip non-deterministic")
-	}
-}
-
-func TestGossipWeakerThanHierarchyUnderPoisoning(t *testing.T) {
-	// The structural claim motivating ABD-HFL: with 50% poisoned devices, a
-	// flat gossip (even with a robust rule over its small neighbourhoods)
-	// degrades far below the hierarchical system.
-	cfg := buildScenario(t, 3, 4, 4, 10, 80, 32)
-	hfl, err := RunHFL(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gossip, err := RunGossip(GossipConfig{
-		Rounds:     10,
-		Fanout:     3,
-		Local:      cfg.Local,
-		Aggregator: aggregate.Median{},
-		ClientData: cfg.ClientData,
-		TestData:   cfg.TestData,
-		Byzantine:  cfg.Byzantine,
-		Seed:       7,
-		EvalEvery:  10,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gossip.FinalAccuracy >= hfl.FinalAccuracy {
-		t.Fatalf("gossip (%v) not below ABD-HFL (%v) at 50%% poisoning", gossip.FinalAccuracy, hfl.FinalAccuracy)
-	}
-}
-
-func TestGossipValidation(t *testing.T) {
-	if _, err := RunGossip(GossipConfig{}); err == nil {
-		t.Fatal("empty gossip config accepted")
-	}
-}
-
 func TestRunHFLWithLeaderRotation(t *testing.T) {
 	cfg := buildScenario(t, 3, 4, 4, 8, 60, 8)
 	cfg.RotateLeaders = true
@@ -558,6 +481,19 @@ func TestPartialByLevelValidation(t *testing.T) {
 	cfg.PartialByLevel = map[int]LevelRule{1: {}}
 	if _, err := RunHFL(cfg); err == nil {
 		t.Fatal("empty per-level rule accepted")
+	}
+}
+
+// TestPartialByLevelValidationNamesLowestLevel: with two bad levels the
+// error always names the lower one, whatever the map's iteration order.
+func TestPartialByLevelValidationNamesLowestLevel(t *testing.T) {
+	cfg := buildScenario(t, 3, 2, 2, 2, 20, 0)
+	cfg.PartialByLevel = map[int]LevelRule{1: {}, 2: {}}
+	for i := 0; i < 20; i++ {
+		err := cfg.Validate()
+		if err == nil || !strings.Contains(err.Error(), "PartialByLevel[1]") {
+			t.Fatalf("call %d: Validate = %v, want the level-1 error", i, err)
+		}
 	}
 }
 

@@ -180,36 +180,3 @@ func TestVanillaPinned(t *testing.T) {
 		})
 	}
 }
-
-func TestGossipPinned(t *testing.T) {
-	for _, arm := range []struct {
-		name  string
-		tweak func(*GossipConfig)
-		want  pinned
-	}{
-		{"median", func(c *GossipConfig) {}, pinned{0x5fc38c9ad71790dc, 0xc9317e287271e896, 0xd485d2e2adc0c5c5}},
-		{"voting-cohort-int8", func(c *GossipConfig) {
-			c.Aggregator, c.NeighborhoodCBA = nil, consensus.Voting{}
-			c.Cohort = 5
-			c.Codec = mustCodec(t, "int8")
-		}, pinned{0x8a11c6a12798cc04, 0x6a1c02760f509574, 0x90a2f2456c2f55d3}},
-	} {
-		t.Run(arm.name, func(t *testing.T) {
-			got := pinRun(t, func(tr *trace.Tracer, reg *telemetry.Registry, onFilter func(telemetry.FilterDecision)) error {
-				base := buildScenario(t, 3, 2, 2, 3, 40, 2)
-				cfg := GossipConfig{
-					Rounds: 3, Local: base.Local, Aggregator: aggregate.Median{},
-					ClientData: base.ClientData, TestData: base.TestData, Byzantine: base.Byzantine,
-					Seed: 9, EvalEvery: 2, Workers: 2,
-				}
-				arm.tweak(&cfg)
-				cfg.Trace, cfg.Telemetry, cfg.OnFilter = tr, reg, onFilter
-				_, err := RunGossip(cfg)
-				return err
-			})
-			if got != arm.want {
-				t.Fatalf("pinned output moved: got %v, want %v", got, arm.want)
-			}
-		})
-	}
-}

@@ -3,7 +3,7 @@ package core
 import "abdhfl/internal/trace"
 
 // coreTracer emits causal spans for the logically-synchronous engines
-// (hfl, vanilla, gossip). These engines have no virtual clock, so spans sit
+// (hfl, vanilla). These engines have no virtual clock, so spans sit
 // on a deterministic logical clock of unit-width windows: each round r
 // occupies [base, base+3+B) where B is the tree's bottom level —
 //
@@ -26,7 +26,7 @@ import "abdhfl/internal/trace"
 // A nil *coreTracer (tracing off) makes every method a no-op.
 type coreTracer struct {
 	tr     *trace.Tracer
-	bottom int   // tree bottom level; 0 for the flat engines
+	bottom int   // tree bottom level; 0 for the flat vanilla engine
 	bytes  int64 // wire size of one model transfer
 	clock  float64
 	base   float64
@@ -57,14 +57,6 @@ func (ct *coreTracer) train(round, dev, cluster int) {
 	ct.tr.Record(trace.TrainSpan(round, dev, ct.bottom, cluster, parent, ct.base, ct.base+1))
 }
 
-// trainGossip emits a gossip device's train span, feeding its own
-// neighbourhood aggregation.
-func (ct *coreTracer) trainGossip(round, dev int) {
-	if ct != nil {
-		ct.tr.Record(trace.TrainSpan(round, dev, 0, dev, trace.SpanID("aggregate", round, 0, dev), ct.base, ct.base+1))
-	}
-}
-
 // aggregate emits the partial aggregation span of cluster ci at level lvl;
 // parentCi is its parent cluster's index at lvl-1 (ignored for lvl <= 1,
 // whose consumer is the global span).
@@ -78,17 +70,6 @@ func (ct *coreTracer) aggregate(round, lvl, ci, parentCi int, rule string, kept,
 	}
 	start := ct.base + 1 + float64(ct.bottom-lvl)
 	ct.tr.Record(trace.AggregateSpan(round, lvl, ci, parent, start, start+1, rule, ct.bytes, kept, filtered))
-}
-
-// gossipAggregate emits device dev's neighbourhood aggregation span (gossip
-// has no global model, so it feeds the round span directly).
-func (ct *coreTracer) gossipAggregate(round, dev int, rule string, kept, filtered int) {
-	if ct == nil {
-		return
-	}
-	s := trace.AggregateSpan(round, 0, dev, trace.SpanID("round", round), ct.base+1, ct.base+2, rule, ct.bytes, kept, filtered)
-	s.Device = dev
-	ct.tr.Record(s)
 }
 
 // global emits the round's global-formation span.

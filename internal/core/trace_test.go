@@ -92,24 +92,3 @@ func TestVanillaSpanStreamGolden(t *testing.T) {
 		t.Fatal("vanilla stream missing expected spans")
 	}
 }
-
-func TestGossipSpanStreamGolden(t *testing.T) {
-	base := buildScenario(t, 3, 2, 2, 1, 40, 0)
-	stream := goldenAcross(t, func(tr *trace.Tracer, workers int) error {
-		_, err := RunGossip(GossipConfig{
-			Rounds:     3,
-			Local:      base.Local,
-			Aggregator: aggregate.Mean{},
-			ClientData: base.ClientData,
-			TestData:   base.TestData,
-			Seed:       9,
-			EvalEvery:  1,
-			Workers:    workers,
-			Trace:      tr,
-		})
-		return err
-	})
-	if !strings.Contains(stream, `"name":"aggregate"`) {
-		t.Fatal("gossip stream missing aggregate spans")
-	}
-}

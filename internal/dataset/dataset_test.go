@@ -241,75 +241,3 @@ func BenchmarkPartitionNonIID(b *testing.B) {
 		_ = PartitionNonIID(rng.New(uint64(i)), d, 64, 2)
 	}
 }
-
-func TestRenderShape(t *testing.T) {
-	out := Render(Prototype(3))
-	lines := 0
-	for _, c := range out {
-		if c == '\n' {
-			lines++
-		}
-	}
-	if lines != Side {
-		t.Fatalf("rendered %d lines, want %d", lines, Side)
-	}
-	if len(out) != Side*(Side+1) {
-		t.Fatalf("rendered %d bytes", len(out))
-	}
-}
-
-func TestRenderClampsIntensity(t *testing.T) {
-	x := tensor.NewVector(Dim)
-	x[0] = -100
-	x[1] = 100
-	out := Render(x)
-	if out[0] != ' ' || out[1] != '@' {
-		t.Fatalf("clamping failed: %q", out[:2])
-	}
-}
-
-func TestSplitStratified(t *testing.T) {
-	d := Generate(rng.New(91), 1000, DefaultGen())
-	train, test := Split(rng.New(92), d, 0.2)
-	if train.Len()+test.Len() != 1000 {
-		t.Fatalf("split lost samples: %d + %d", train.Len(), test.Len())
-	}
-	if test.Len() != 200 {
-		t.Fatalf("test size = %d, want 200", test.Len())
-	}
-	// Stratification: every class contributes exactly 20 test samples.
-	h := test.LabelHistogram()
-	for c, n := range h {
-		if n != 20 {
-			t.Fatalf("class %d test count = %d, want 20", c, n)
-		}
-	}
-}
-
-func TestSplitEdgeFractions(t *testing.T) {
-	d := Generate(rng.New(93), 100, DefaultGen())
-	train, test := Split(rng.New(94), d, 0)
-	if train.Len() != 100 || test.Len() != 0 {
-		t.Fatal("zero fraction wrong")
-	}
-	train, test = Split(rng.New(94), d, 5) // clamped to 1
-	if train.Len() != 0 || test.Len() != 100 {
-		t.Fatal("over-one fraction not clamped")
-	}
-}
-
-func TestSplitNoOverlap(t *testing.T) {
-	d := Generate(rng.New(95), 300, DefaultGen())
-	train, test := Split(rng.New(96), d, 0.3)
-	// Feature vectors are shared with d; overlap would mean the same
-	// underlying slice appears on both sides.
-	seen := map[*float64]bool{}
-	for _, x := range train.X {
-		seen[&x[0]] = true
-	}
-	for _, x := range test.X {
-		if seen[&x[0]] {
-			t.Fatal("train and test share a sample")
-		}
-	}
-}

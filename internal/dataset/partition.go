@@ -165,29 +165,3 @@ func gammaSample(r *rng.RNG, shape float64) float64 {
 		}
 	}
 }
-
-// Split partitions d into train/test with the given test fraction,
-// stratified by label so both sides keep the class balance. Feature vectors
-// are shared with d.
-func Split(r *rng.RNG, d *Dataset, testFraction float64) (train, test *Dataset) {
-	if testFraction < 0 {
-		testFraction = 0
-	}
-	if testFraction > 1 {
-		testFraction = 1
-	}
-	byLabel := make([][]int, NumClasses)
-	for i, y := range d.Y {
-		byLabel[y] = append(byLabel[y], i)
-	}
-	var trainIdx, testIdx []int
-	for _, idx := range byLabel {
-		r.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-		cut := int(testFraction * float64(len(idx)))
-		testIdx = append(testIdx, idx[:cut]...)
-		trainIdx = append(trainIdx, idx[cut:]...)
-	}
-	sort.Ints(trainIdx)
-	sort.Ints(testIdx)
-	return d.Subset(trainIdx), d.Subset(testIdx)
-}

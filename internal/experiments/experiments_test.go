@@ -43,26 +43,6 @@ func TestRunTable5Smoke(t *testing.T) {
 	}
 }
 
-func TestTable5CollapsePoint(t *testing.T) {
-	res := &Table5Result{
-		Rows: []Table5Row{{
-			Cells: []Table5Cell{
-				{Fraction: 0, ABDHFL: 0.8, Vanilla: 0.8},
-				{Fraction: 0.5, ABDHFL: 0.8, Vanilla: 0.1},
-			},
-		}},
-	}
-	if p := res.CollapsePoint(0, true, 0.3); p != 0.5 {
-		t.Fatalf("vanilla collapse at %v", p)
-	}
-	if p := res.CollapsePoint(0, false, 0.3); p != -1 {
-		t.Fatalf("abdhfl collapse at %v, want never", p)
-	}
-	if p := res.CollapsePoint(5, true, 0.3); p != -1 {
-		t.Fatal("out-of-range family not handled")
-	}
-}
-
 func TestRunFig3Smoke(t *testing.T) {
 	series, err := RunFig3(Fig3Options{
 		Rounds:    3,
@@ -85,6 +65,32 @@ func TestRunFig3Smoke(t *testing.T) {
 	}
 	if series[0].Key() != "fig3_iid_type1_25_"+series[0].System {
 		t.Fatalf("key = %q", series[0].Key())
+	}
+}
+
+// TestFig3SystemOrder: every cell lists abdhfl before vanilla, so the series
+// order, the shared telemetry stream and abdhfl-fig3's output never follow
+// map iteration order.
+func TestFig3SystemOrder(t *testing.T) {
+	series, err := RunFig3(Fig3Options{
+		Rounds:    1,
+		Repeats:   1,
+		Samples:   10,
+		Dists:     []string{"iid", "noniid"},
+		Attacks:   []string{"type1", "type2"},
+		Fractions: []float64{0.3, 0.65},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(series) != 16 {
+		t.Fatalf("series = %d, want 16", len(series))
+	}
+	for i := 0; i < len(series); i += 2 {
+		if series[i].System != "abdhfl" || series[i+1].System != "vanilla" {
+			t.Fatalf("cell %s_%s_%v lists %s before %s", series[i].Dist, series[i].Attack,
+				series[i].Fraction, series[i].System, series[i+1].System)
+		}
 	}
 }
 

@@ -82,17 +82,19 @@ func RunFig3(o Fig3Options) ([]Fig3Series, error) {
 					return nil, err
 				}
 				m.Telemetry = o.Telemetry
-				for system, fn := range map[string]func(uint64) (*core.Result, error){
-					"abdhfl":  m.RunHFL,
-					"vanilla": m.RunVanilla,
-				} {
-					series, err := abdhfl.Repeats(system, o.Repeats, fn)
+				// A slice, not a map: the series order, the shared
+				// telemetry stream and the printed table all follow it.
+				for _, sys := range []struct {
+					name string
+					run  func(uint64) (*core.Result, error)
+				}{{"abdhfl", m.RunHFL}, {"vanilla", m.RunVanilla}} {
+					series, err := abdhfl.Repeats(sys.name, o.Repeats, sys.run)
 					if err != nil {
 						return nil, err
 					}
 					out = append(out, Fig3Series{
 						Dist: dist, Attack: atk, Fraction: frac,
-						System: system, Series: series,
+						System: sys.name, Series: series,
 					})
 				}
 			}

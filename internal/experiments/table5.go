@@ -155,22 +155,3 @@ func (r *Table5Result) Table() metrics.Table {
 	}
 	return t
 }
-
-// CollapsePoint returns the lowest malicious fraction at which the given
-// system's accuracy falls below threshold for a family, or -1 if it never
-// does — the "where does it break" summary used by analyses and tests.
-func (r *Table5Result) CollapsePoint(family int, vanilla bool, threshold float64) float64 {
-	if family < 0 || family >= len(r.Rows) {
-		return -1
-	}
-	for _, c := range r.Rows[family].Cells {
-		acc := c.ABDHFL
-		if vanilla {
-			acc = c.Vanilla
-		}
-		if acc < threshold {
-			return c.Fraction
-		}
-	}
-	return -1
-}

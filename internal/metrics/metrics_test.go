@@ -128,51 +128,3 @@ func TestPct(t *testing.T) {
 		t.Fatalf("Pct = %q", Pct(0.578125))
 	}
 }
-
-func TestWelchTSeparatedSamples(t *testing.T) {
-	a := []float64{0.89, 0.90, 0.91, 0.90, 0.89}
-	b := []float64{0.10, 0.11, 0.10, 0.09, 0.10}
-	tt, df := WelchT(a, b)
-	if tt < 10 {
-		t.Fatalf("t = %v, expected strongly positive", tt)
-	}
-	if df <= 0 {
-		t.Fatalf("df = %v", df)
-	}
-	if !SignificantAt05(tt, df) {
-		t.Fatal("clearly separated samples not significant")
-	}
-}
-
-func TestWelchTIdenticalSamples(t *testing.T) {
-	a := []float64{0.5, 0.6, 0.55, 0.52}
-	tt, df := WelchT(a, a)
-	if tt != 0 {
-		t.Fatalf("t = %v for identical samples", tt)
-	}
-	if SignificantAt05(tt, df) {
-		t.Fatal("identical samples reported significant")
-	}
-}
-
-func TestWelchTDegenerate(t *testing.T) {
-	if tt, df := WelchT([]float64{1}, []float64{2, 3}); tt != 0 || df != 0 {
-		t.Fatal("single-point sample not handled")
-	}
-	// Zero variance in both: denominator zero.
-	if tt, _ := WelchT([]float64{1, 1}, []float64{1, 1}); tt != 0 {
-		t.Fatal("zero-variance samples not handled")
-	}
-}
-
-func TestSignificantAt05Thresholds(t *testing.T) {
-	if SignificantAt05(2.0, 0) {
-		t.Fatal("df=0 should never be significant")
-	}
-	if SignificantAt05(2.0, 1.5) {
-		t.Fatal("t=2 at ~1 df should not pass the 12.7 critical value")
-	}
-	if !SignificantAt05(3.0, 100) {
-		t.Fatal("t=3 at 100 df should be significant")
-	}
-}

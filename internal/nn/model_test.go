@@ -358,95 +358,3 @@ func TestWeightDecayShrinksNorm(t *testing.T) {
 		t.Fatal("weight decay did not shrink the parameter norm")
 	}
 }
-
-func TestQuantizeRoundTripAccuracy(t *testing.T) {
-	r := rng.New(71)
-	m := New(r, dataset.Dim, 32, dataset.NumClasses)
-	params := m.Params()
-	q := Quantize(params, 0)
-	deq, err := q.Dequantize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(deq) != len(params) {
-		t.Fatal("length changed")
-	}
-	relErr := tensor.Distance(params, deq) / tensor.Norm2(params)
-	if relErr > 0.01 {
-		t.Fatalf("relative error = %v, want < 1%%", relErr)
-	}
-	// A quantized model must predict (almost) like the original.
-	m2 := New(rng.New(1), dataset.Dim, 32, dataset.NumClasses)
-	m2.SetParams(deq)
-	test := dataset.Generate(r.Derive("test"), 300, dataset.DefaultGen())
-	agree := 0
-	for i := range test.X {
-		if m.Predict(test.X[i]) == m2.Predict(test.X[i]) {
-			agree++
-		}
-	}
-	if float64(agree)/float64(test.Len()) < 0.95 {
-		t.Fatalf("predictions agree on only %d/%d samples", agree, test.Len())
-	}
-}
-
-func TestQuantizeVolumeReduction(t *testing.T) {
-	params := tensor.NewVector(2410)
-	q := Quantize(params, 0)
-	// ~8x reduction: 2410 float64 units -> ~311 units.
-	if q.VolumeUnits() >= 2410/4 {
-		t.Fatalf("volume = %d units, want well under %d", q.VolumeUnits(), 2410/4)
-	}
-}
-
-func TestQuantizeZeroVector(t *testing.T) {
-	params := tensor.NewVector(100)
-	q := Quantize(params, 32)
-	deq, err := q.Dequantize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range deq {
-		if v != 0 {
-			t.Fatal("zero vector not preserved")
-		}
-	}
-	if QuantizationError(params, 32) != 0 {
-		t.Fatal("zero vector error not zero")
-	}
-}
-
-func TestQuantizeExtremesClamped(t *testing.T) {
-	params := tensor.Vector{-5, 5, 0.001}
-	q := Quantize(params, 8)
-	deq, err := q.Dequantize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(deq[0]+5) > 0.05 || math.Abs(deq[1]-5) > 0.05 {
-		t.Fatalf("extremes mangled: %v", deq)
-	}
-}
-
-func TestDequantizeRejectsCorrupt(t *testing.T) {
-	q := &QuantizedParams{Data: make([]int8, 10), Scales: []float64{1}, ChunkSize: 0}
-	if _, err := q.Dequantize(); err == nil {
-		t.Fatal("bad chunk size accepted")
-	}
-	q = &QuantizedParams{Data: make([]int8, 10), Scales: []float64{1, 2, 3}, ChunkSize: 10}
-	if _, err := q.Dequantize(); err == nil {
-		t.Fatal("scale mismatch accepted")
-	}
-}
-
-func TestQuantizationErrorShrinksWithChunks(t *testing.T) {
-	r := rng.New(72)
-	params := tensor.NewVector(4096)
-	for i := range params {
-		params[i] = r.NormFloat64() * math.Exp(r.NormFloat64())
-	}
-	// Smaller chunks adapt scales locally: error must not grow.
-	if QuantizationError(params, 64) > QuantizationError(params, 4096) {
-		t.Fatal("finer chunking increased quantization error")
-	}
-}

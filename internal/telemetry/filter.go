@@ -10,11 +10,11 @@ package telemetry
 // The id slices are owned by the emitting engine and reused across calls —
 // consumers must copy (or fully reduce) them before returning.
 type FilterDecision struct {
-	// Engine names the emitting engine ("hfl", "vanilla", "gossip",
-	// "pipeline", "node").
+	// Engine names the emitting engine ("hfl", "vanilla", "pipeline",
+	// "node").
 	Engine string
 	// Level is the tree level of the aggregating node (0 = top). The flat
-	// baselines report everything at level 0.
+	// vanilla baseline reports everything at level 0.
 	Level int
 	// Cluster is the aggregating cluster's index within its level.
 	Cluster int

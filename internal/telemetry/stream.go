@@ -42,30 +42,6 @@ func (s *Stream) Observe(v float64) {
 	}
 }
 
-// Merge folds another stream into the receiver (Chan et al. parallel
-// variance combination), leaving other unchanged.
-func (s *Stream) Merge(other *Stream) {
-	if s == nil || other == nil || other.count == 0 {
-		return
-	}
-	if s.count == 0 {
-		*s = *other
-		return
-	}
-	na, nb := float64(s.count), float64(other.count)
-	delta := other.mean - s.mean
-	total := na + nb
-	s.mean += delta * nb / total
-	s.m2 += other.m2 + delta*delta*na*nb/total
-	s.count += other.count
-	if other.min < s.min {
-		s.min = other.min
-	}
-	if other.max > s.max {
-		s.max = other.max
-	}
-}
-
 // Count returns the number of samples observed (0 on a nil stream).
 func (s *Stream) Count() int64 {
 	if s == nil {

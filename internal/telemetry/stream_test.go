@@ -56,34 +56,9 @@ func TestStreamMatchesDirect(t *testing.T) {
 	}
 }
 
-func TestStreamMergeMatchesCombined(t *testing.T) {
-	r := rng.New(9)
-	var a, b, all Stream
-	var xs []float64
-	for i := 0; i < 5000; i++ {
-		v := r.ExpFloat64() * 7
-		xs = append(xs, v)
-		if i%3 == 0 {
-			a.Observe(v)
-		} else {
-			b.Observe(v)
-		}
-		all.Observe(v)
-	}
-	a.Merge(&b)
-	got, want := a.Snapshot(), directStats(xs)
-	if got.Count != want.Count || got.Min != want.Min || got.Max != want.Max {
-		t.Fatalf("merge count/min/max mismatch: %+v vs %+v", got, want)
-	}
-	if !close64(got.Mean, want.Mean) || !close64(got.Std, want.Std) {
-		t.Fatalf("merge mean/std mismatch: %+v vs %+v", got, want)
-	}
-}
-
 func TestStreamEdgeCases(t *testing.T) {
 	var nilStream *Stream
 	nilStream.Observe(1) // must not panic
-	nilStream.Merge(&Stream{})
 	if nilStream.Count() != 0 || nilStream.Snapshot() != (StreamSnapshot{}) {
 		t.Fatal("nil stream not inert")
 	}
@@ -96,16 +71,5 @@ func TestStreamEdgeCases(t *testing.T) {
 	snap := one.Snapshot()
 	if snap.Count != 1 || snap.Mean != 42 || snap.Std != 0 || snap.Min != 42 || snap.Max != 42 {
 		t.Fatalf("single-sample snapshot wrong: %+v", snap)
-	}
-	// Merging into an empty stream copies.
-	var dst Stream
-	dst.Merge(&one)
-	if dst.Snapshot() != snap {
-		t.Fatal("merge into empty did not copy")
-	}
-	// Merging an empty stream is a no-op.
-	dst.Merge(&empty)
-	if dst.Snapshot() != snap {
-		t.Fatal("merging empty changed state")
 	}
 }

@@ -324,32 +324,3 @@ func addScaled(row []float64, c []float64, y []Vector) {
 		}
 	}
 }
-
-// MatMul returns a*b as a new matrix.
-func MatMul(a, b *Matrix) *Matrix {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: MatMul shape mismatch: %dx%d by %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	out := NewMatrix(a.Rows, b.Cols)
-	rows := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-			orow := out.Data[i*out.Cols : (i+1)*out.Cols]
-			for k, av := range arow {
-				if av == 0 {
-					continue
-				}
-				brow := b.Data[k*b.Cols : (k+1)*b.Cols]
-				for j, bv := range brow {
-					orow[j] += av * bv
-				}
-			}
-		}
-	}
-	if a.Rows*a.Cols*b.Cols < parallelThreshold {
-		rows(0, a.Rows)
-	} else {
-		parallelRows(a.Rows, rows)
-	}
-	return out
-}

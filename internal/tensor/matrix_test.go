@@ -61,36 +61,6 @@ func TestAddOuter(t *testing.T) {
 	}
 }
 
-func TestMatMulIdentity(t *testing.T) {
-	r := rng.New(9)
-	a := NewMatrix(5, 5)
-	for i := range a.Data {
-		a.Data[i] = r.NormFloat64()
-	}
-	id := NewMatrix(5, 5)
-	for i := 0; i < 5; i++ {
-		id.Set(i, i, 1)
-	}
-	p := MatMul(a, id)
-	if !vecAlmostEq(Vector(p.Data), Vector(a.Data), 1e-12) {
-		t.Fatal("A*I != A")
-	}
-}
-
-func TestMatMulKnown(t *testing.T) {
-	a := NewMatrix(2, 2)
-	copy(a.Data, []float64{1, 2, 3, 4})
-	b := NewMatrix(2, 2)
-	copy(b.Data, []float64{5, 6, 7, 8})
-	p := MatMul(a, b)
-	want := []float64{19, 22, 43, 50}
-	for i, w := range want {
-		if p.Data[i] != w {
-			t.Fatalf("MatMul = %v", p.Data)
-		}
-	}
-}
-
 func TestMatrixRowAliases(t *testing.T) {
 	m := NewMatrix(2, 2)
 	m.Row(1)[0] = 42

@@ -1,9 +1,6 @@
 package tensor
 
-import (
-	"math"
-	"sort"
-)
+import "sort"
 
 // Median returns the coordinate median of a copy of xs (the input is not
 // modified). For an even count it returns the mean of the two middle values.
@@ -35,28 +32,6 @@ func TrimmedMean(xs []float64, trim int) float64 {
 		s += x
 	}
 	return s / float64(n-2*trim)
-}
-
-// MeanStddev returns the sample mean and (population) standard deviation of
-// xs. The stddev of fewer than two samples is 0.
-func MeanStddev(xs []float64) (mean, stddev float64) {
-	n := float64(len(xs))
-	if n == 0 {
-		return 0, 0
-	}
-	for _, x := range xs {
-		mean += x
-	}
-	mean /= n
-	if len(xs) < 2 {
-		return mean, 0
-	}
-	varsum := 0.0
-	for _, x := range xs {
-		d := x - mean
-		varsum += d * d
-	}
-	return mean, math.Sqrt(varsum / n)
 }
 
 // CoordinateMedian stores the per-coordinate median of vs into dst and

@@ -68,25 +68,6 @@ func TestTrimmedMeanPanics(t *testing.T) {
 	TrimmedMean([]float64{1, 2}, 1)
 }
 
-func TestMeanStddev(t *testing.T) {
-	mean, sd := MeanStddev([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if mean != 5 {
-		t.Fatalf("mean = %v", mean)
-	}
-	if !almostEq(sd, 2, 1e-12) {
-		t.Fatalf("stddev = %v", sd)
-	}
-}
-
-func TestMeanStddevEdge(t *testing.T) {
-	if m, s := MeanStddev(nil); m != 0 || s != 0 {
-		t.Fatal("empty MeanStddev not zero")
-	}
-	if m, s := MeanStddev([]float64{7}); m != 7 || s != 0 {
-		t.Fatal("single-sample MeanStddev wrong")
-	}
-}
-
 func TestCoordinateMedianResistsOutlier(t *testing.T) {
 	vs := []Vector{{1, 1}, {2, 2}, {1000, -1000}}
 	dst := CoordinateMedian(NewVector(2), vs)

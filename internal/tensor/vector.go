@@ -136,32 +136,6 @@ func Mean(dst Vector, vs []Vector) Vector {
 	return Scale(dst, 1/float64(len(vs)), dst)
 }
 
-// WeightedMean stores sum(w_i*v_i)/sum(w_i) into dst and returns dst. It
-// panics if vs is empty, lengths differ, or the weights sum to zero.
-func WeightedMean(dst Vector, vs []Vector, ws []float64) Vector {
-	if len(vs) == 0 {
-		panic("tensor: WeightedMean of empty set")
-	}
-	if len(vs) != len(ws) {
-		panic("tensor: WeightedMean weight count mismatch")
-	}
-	total := 0.0
-	for _, w := range ws {
-		total += w
-	}
-	if total == 0 {
-		panic("tensor: WeightedMean weights sum to zero")
-	}
-	assertSameLen(dst, vs[0])
-	for i := range dst {
-		dst[i] = 0
-	}
-	for k, v := range vs {
-		Axpy(dst, ws[k], v)
-	}
-	return Scale(dst, 1/total, dst)
-}
-
 // ArgMax returns the index of the largest element of v (first on ties). It
 // panics on an empty vector.
 func ArgMax(v Vector) int {

@@ -123,29 +123,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestWeightedMean(t *testing.T) {
-	vs := []Vector{{0, 0}, {10, 10}}
-	dst := NewVector(2)
-	WeightedMean(dst, vs, []float64{1, 3})
-	if !vecAlmostEq(dst, Vector{7.5, 7.5}, 1e-12) {
-		t.Fatalf("WeightedMean = %v", dst)
-	}
-}
-
-func TestWeightedMeanEqualWeightsMatchesMean(t *testing.T) {
-	r := rng.New(1)
-	check := func(seed uint64) bool {
-		rr := rng.New(seed ^ r.Uint64())
-		vs := []Vector{randVec(rr, 5), randVec(rr, 5), randVec(rr, 5)}
-		m := Mean(NewVector(5), vs)
-		w := WeightedMean(NewVector(5), vs, []float64{2, 2, 2})
-		return vecAlmostEq(m, w, 1e-9)
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestArgMax(t *testing.T) {
 	if i := ArgMax(Vector{1, 5, 3}); i != 1 {
 		t.Fatalf("ArgMax = %d", i)

@@ -108,9 +108,11 @@ func (f *FlightRecorder) Dump() string {
 	return b.String()
 }
 
-// Hook adapts the recorder to the simulator's Trace callback, mirroring
-// SimnetHook's event shape with the same cached type names. Nil-safe (the
-// returned func drops everything).
+// Hook adapts the recorder to the simulator's Trace callback: every
+// delivered message becomes a "message" event with the payload's cached
+// dynamic type name as detail and, when the payload implements
+// RoundCarrier, its round (-1 otherwise). Nil-safe (the returned func drops
+// everything).
 func (f *FlightRecorder) Hook() func(simnet.Message) {
 	names := make(payloadNames, 8)
 	return func(m simnet.Message) {

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 )
 
 // PathStep is one span on a critical path together with its exclusive
@@ -142,25 +141,4 @@ func RenderPaths(w io.Writer, paths []RoundPath) {
 		fmt.Fprintf(w, "%-6d %10.2f %10.2f %10.2f %10.2f %10.2f  %-18s %s\n",
 			p.Round, p.Total, p.TrainMS, p.LinkMS, p.AggregateMS, p.GlobalMS, link, straggler)
 	}
-}
-
-// DescribePath renders one path's step chain ("global <- msg 5->0 <- ...")
-// for logs and flight-recorder dumps.
-func DescribePath(p RoundPath) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "round %d (%.2fms):", p.Round, p.Total)
-	for _, st := range p.Steps {
-		s := st.Span
-		switch s.Name {
-		case "msg":
-			fmt.Fprintf(&b, " <- msg %d->%d %.2fms", s.From, s.To, st.Own)
-		case "train":
-			fmt.Fprintf(&b, " <- train dev%d %.2fms", s.Device, st.Own)
-		case "aggregate":
-			fmt.Fprintf(&b, " <- agg L%d/c%d %.2fms", s.Level, s.Cluster, st.Own)
-		default:
-			fmt.Fprintf(&b, " <- %s %.2fms", s.Name, st.Own)
-		}
-	}
-	return b.String()
 }

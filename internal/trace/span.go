@@ -26,7 +26,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"abdhfl/internal/simnet"
 	"abdhfl/internal/telemetry"
 )
 
@@ -300,27 +299,9 @@ func (t *Tracer) WriteJSONL(w io.Writer) error {
 	return bw.Flush()
 }
 
-// SpanHook adapts a Tracer to the simulator's Trace callback: every
-// delivered message becomes a hop-level "msg" span covering [SentAt, At],
-// with the cached payload type name as detail and the RoundCarrier round
-// when available. Engines that know the hop's consumer emit structured msg
-// spans themselves instead; this generic hook records Parent zero.
-func SpanHook(t *Tracer) func(simnet.Message) {
-	names := make(payloadNames, 8)
-	return func(m simnet.Message) {
-		round := -1
-		if rc, ok := m.Payload.(RoundCarrier); ok {
-			round = rc.TraceRound()
-		}
-		s := MsgSpan(SpanID("msg", round, int(m.From), int(m.To)), 0, names.name(m.Payload), round, -1, -1, float64(m.SentAt), float64(m.At), 0)
-		s.From, s.To = int(m.From), int(m.To)
-		t.Record(s)
-	}
-}
-
-// DroppedWarning returns a one-line operator warning when the tracer (or
-// recorder) dropped events past its capacity, and "" otherwise. The cmd
-// binaries print it on their summaries.
+// DroppedWarning returns a one-line operator warning when the tracer
+// dropped events past its capacity, and "" otherwise. The cmd binaries print
+// it on their summaries.
 func DroppedWarning(what string, dropped int) string {
 	if dropped <= 0 {
 		return ""

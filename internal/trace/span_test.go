@@ -225,9 +225,6 @@ func TestCriticalPathsWalk(t *testing.T) {
 	if sum != p.Total {
 		t.Fatalf("breakdown %v != total %v", sum, p.Total)
 	}
-	if d := DescribePath(p); !strings.Contains(d, "train dev2") {
-		t.Fatalf("describe = %q", d)
-	}
 }
 
 func TestFlightRecorderRing(t *testing.T) {
@@ -273,19 +270,6 @@ func TestFlightHookAndTee(t *testing.T) {
 	}
 	if TeeMessageHooks(nil, nil) != nil {
 		t.Fatal("all-nil tee should collapse to nil")
-	}
-}
-
-// TestSimnetHookZeroAlloc pins the satellite fix: after the first delivery of
-// each payload type, SimnetHook must not allocate — the type name is cached
-// and the recorder is saturated so Record drops without growing.
-func TestSimnetHookZeroAlloc(t *testing.T) {
-	rec := &Recorder{Cap: 1}
-	hook := SimnetHook(rec)
-	m := simnet.Message{From: 3, To: 4, At: 7, Payload: 42}
-	hook(m) // warm the type-name cache and fill the cap
-	if allocs := testing.AllocsPerRun(100, func() { hook(m) }); allocs != 0 {
-		t.Fatalf("SimnetHook allocates %.1f per message in steady state", allocs)
 	}
 }
 

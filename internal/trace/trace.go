@@ -1,20 +1,13 @@
-// Package trace records structured protocol events (message deliveries,
-// aggregations, round completions) and exports them as JSON Lines for
-// offline analysis or visualisation. A Recorder can be attached to the
-// discrete-event simulator via SimnetHook, or fed manually by engines.
+// Package trace records what the engines do, in two forms: causal spans
+// (Tracer, span.go), exported as JSON Lines or a Chrome/Perfetto trace and
+// walked for each round's critical path, and a bounded flight recorder of
+// the simulator's message deliveries (FlightRecorder, flight.go) that a
+// chaos sweep dumps when an invariant trips.
 package trace
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"reflect"
-	"sort"
-	"strings"
-	"sync"
-
-	"abdhfl/internal/simnet"
-	"abdhfl/internal/telemetry"
 )
 
 // Event is one recorded protocol occurrence.
@@ -34,139 +27,19 @@ type Event struct {
 	Detail string `json:"detail,omitempty"`
 }
 
-// Recorder accumulates events. It is safe for concurrent use.
-type Recorder struct {
-	mu     sync.Mutex
-	events []Event
-	// Cap bounds memory; once reached, new events are dropped and Dropped
-	// counts them. Zero means 1 << 20.
-	Cap     int
-	dropped int
-	// DroppedCounter, when set, mirrors every dropped event into a
-	// telemetry counter (abdhfl_trace_dropped_total) so silent truncation
-	// shows up on dashboards, not just in post-run Dropped() checks.
-	DroppedCounter *telemetry.Counter
-}
-
-// Record appends an event (or counts it as dropped past the cap).
-func (r *Recorder) Record(ev Event) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	capacity := r.Cap
-	if capacity == 0 {
-		capacity = 1 << 20
-	}
-	if len(r.events) >= capacity {
-		r.dropped++
-		r.DroppedCounter.Inc()
-		return
-	}
-	r.events = append(r.events, ev)
-}
-
-// Len returns the number of retained events.
-func (r *Recorder) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.events)
-}
-
-// Dropped returns the number of events discarded past the cap.
-func (r *Recorder) Dropped() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dropped
-}
-
-// Events returns a copy of the retained events.
-func (r *Recorder) Events() []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]Event(nil), r.events...)
-}
-
-// WriteJSONL emits the events as JSON Lines.
-func (r *Recorder) WriteJSONL(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	for _, ev := range r.Events() {
-		if err := enc.Encode(ev); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// CountByKind returns event counts keyed by Kind. It counts under the lock
-// rather than copying the full event slice.
-func (r *Recorder) CountByKind() map[string]int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := map[string]int{}
-	for i := range r.events {
-		out[r.events[i].Kind]++
-	}
-	return out
-}
-
-// Summary renders a one-line-per-kind count report (kinds sorted).
-func (r *Recorder) Summary() string {
-	counts := r.CountByKind()
-	kinds := make([]string, 0, len(counts))
-	for k := range counts {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	var out strings.Builder
-	for _, k := range kinds {
-		fmt.Fprintf(&out, "%-12s %d\n", k, counts[k])
-	}
-	if d := r.Dropped(); d > 0 {
-		fmt.Fprintf(&out, "(dropped)    %d\n", d)
-	}
-	return out.String()
-}
-
 // RoundCarrier is implemented by message payloads that belong to a protocol
-// round; SimnetHook uses it to stamp message events with their round.
+// round; FlightRecorder.Hook uses it to stamp message events with their
+// round.
 type RoundCarrier interface {
 	TraceRound() int
 }
 
-// SimnetHook adapts a Recorder to the simulator's Trace callback: every
-// delivered message becomes a "message" event with the payload's dynamic
-// type as detail and, when the payload implements RoundCarrier, its round.
-//
-// Payload type names are cached per dynamic type so the steady state is one
-// map lookup with zero allocations — a simulation delivers a handful of
-// payload types millions of times, and fmt.Sprintf("%T") per delivery was
-// the dominant tracing cost at 100k+ devices. The cache is closure-local
-// and unsynchronised because the simulator invokes Trace from its
-// single-threaded dispatch loop.
-func SimnetHook(rec *Recorder) func(simnet.Message) {
-	names := make(map[reflect.Type]string, 8)
-	return func(m simnet.Message) {
-		round := -1
-		if rc, ok := m.Payload.(RoundCarrier); ok {
-			round = rc.TraceRound()
-		}
-		t := reflect.TypeOf(m.Payload)
-		name, ok := names[t]
-		if !ok {
-			name = fmt.Sprintf("%T", m.Payload)
-			names[t] = name
-		}
-		rec.Record(Event{
-			Time:   float64(m.At),
-			Kind:   "message",
-			From:   int(m.From),
-			To:     int(m.To),
-			Round:  round,
-			Detail: name,
-		})
-	}
-}
-
-// payloadName resolves the cached dynamic type name of a payload.
+// payloadNames caches the dynamic type name of each payload type, so a hook
+// costs one map lookup and no allocation per delivery once it has seen the
+// type: a simulation delivers a handful of payload types millions of times,
+// and fmt.Sprintf("%T") per delivery was the dominant tracing cost at 100k+
+// devices. The cache is unsynchronised because the simulator invokes its
+// Trace hook from its single-threaded dispatch loop.
 type payloadNames map[reflect.Type]string
 
 func (p payloadNames) name(payload any) string {

@@ -10,104 +10,71 @@ import (
 )
 
 func TestRecordAndEvents(t *testing.T) {
-	var r Recorder
-	r.Record(Event{Time: 1, Kind: "message", From: 0, To: 1})
-	r.Record(Event{Time: 2, Kind: "aggregate", From: 1, To: -1, Round: 3})
-	if r.Len() != 2 {
-		t.Fatalf("len = %d", r.Len())
-	}
-	evs := r.Events()
-	if evs[0].Kind != "message" || evs[1].Round != 3 {
+	f := NewFlightRecorder(4)
+	f.Record(Event{Time: 1, Kind: "message", From: 0, To: 1})
+	f.Record(Event{Time: 2, Kind: "aggregate", From: 1, To: -1, Round: 3})
+	evs := f.Tail()
+	if len(evs) != 2 || evs[0].Kind != "message" || evs[1].Round != 3 {
 		t.Fatalf("events = %+v", evs)
 	}
-	// Events returns a copy.
+	// Tail returns a copy.
 	evs[0].Kind = "mutated"
-	if r.Events()[0].Kind != "message" {
-		t.Fatal("Events exposed internal storage")
-	}
-}
-
-func TestCapDropsAndCounts(t *testing.T) {
-	r := Recorder{Cap: 2}
-	for i := 0; i < 5; i++ {
-		r.Record(Event{Time: float64(i), Kind: "x"})
-	}
-	if r.Len() != 2 {
-		t.Fatalf("len = %d", r.Len())
-	}
-	if r.Dropped() != 3 {
-		t.Fatalf("dropped = %d", r.Dropped())
-	}
-	if !strings.Contains(r.Summary(), "(dropped)") {
-		t.Fatal("summary missing dropped line")
+	if f.Tail()[0].Kind != "message" {
+		t.Fatal("Tail exposed internal storage")
 	}
 }
 
 func TestWriteJSONL(t *testing.T) {
-	var r Recorder
-	r.Record(Event{Time: 1.5, Kind: "message", From: 2, To: 7, Detail: "msgFlag"})
+	f := NewFlightRecorder(4)
+	f.Record(Event{Time: 1.5, Kind: "message", From: 2, To: 7, Detail: "msgFlag"})
 	var b strings.Builder
-	if err := r.WriteJSONL(&b); err != nil {
+	if err := f.WriteTail(&b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
 	if !strings.Contains(out, `"kind":"message"`) || !strings.Contains(out, `"detail":"msgFlag"`) {
 		t.Fatalf("jsonl = %q", out)
 	}
-	if strings.Count(out, "\n") != 1 {
-		t.Fatal("expected exactly one line")
-	}
-}
-
-func TestCountByKindAndSummary(t *testing.T) {
-	var r Recorder
-	r.Record(Event{Kind: "a"})
-	r.Record(Event{Kind: "a"})
-	r.Record(Event{Kind: "b"})
-	counts := r.CountByKind()
-	if counts["a"] != 2 || counts["b"] != 1 {
-		t.Fatalf("counts = %v", counts)
-	}
-	sum := r.Summary()
-	ai := strings.Index(sum, "a")
-	bi := strings.Index(sum, "b")
-	if ai < 0 || bi < 0 || ai > bi {
-		t.Fatalf("summary not sorted: %q", sum)
+	if strings.Count(out, "\n") != 2 {
+		t.Fatal("expected a header line and exactly one event line")
 	}
 }
 
 func TestConcurrentRecording(t *testing.T) {
-	var r Recorder
+	f := NewFlightRecorder(16)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				r.Record(Event{Kind: "c"})
+				f.Record(Event{Kind: "c"})
 			}
 		}()
 	}
 	wg.Wait()
-	if r.Len() != 800 {
-		t.Fatalf("len = %d", r.Len())
+	if f.Total() != 800 || len(f.Tail()) != 16 {
+		t.Fatalf("total = %d, retained = %d", f.Total(), len(f.Tail()))
 	}
 }
 
 func TestRoundZeroSerialized(t *testing.T) {
-	var r Recorder
-	r.Record(Event{Kind: "message", Round: 0})
-	r.Record(Event{Kind: "message", Round: -1})
+	f := NewFlightRecorder(4)
+	f.Record(Event{Kind: "message", Round: 0})
+	f.Record(Event{Kind: "message", Round: -1})
 	var b strings.Builder
-	if err := r.WriteJSONL(&b); err != nil {
+	if err := f.WriteTail(&b); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
-	if !strings.Contains(lines[0], `"round":0`) {
-		t.Fatalf("round 0 dropped from JSONL: %q", lines[0])
+	if len(lines) != 3 {
+		t.Fatalf("want a header and two events, got %q", b.String())
 	}
-	if !strings.Contains(lines[1], `"round":-1`) {
-		t.Fatalf("sentinel round missing: %q", lines[1])
+	if !strings.Contains(lines[1], `"round":0`) {
+		t.Fatalf("round 0 dropped from JSONL: %q", lines[1])
+	}
+	if !strings.Contains(lines[2], `"round":-1`) {
+		t.Fatalf("sentinel round missing: %q", lines[2])
 	}
 }
 
@@ -116,18 +83,18 @@ type echo struct{}
 func (echo) OnMessage(ctx *simnet.Context, msg simnet.Message) {}
 
 func TestSimnetHook(t *testing.T) {
-	var rec Recorder
+	f := NewFlightRecorder(8)
 	s := simnet.New(simnet.Fixed(2), rng.New(1))
-	s.Trace = SimnetHook(&rec)
+	s.Trace = f.Hook()
 	s.Register(1, echo{})
 	s.Inject(1, "payload")
 	if _, err := s.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	if rec.Len() != 1 {
-		t.Fatalf("recorded %d events", rec.Len())
+	if f.Total() != 1 {
+		t.Fatalf("recorded %d events", f.Total())
 	}
-	ev := rec.Events()[0]
+	ev := f.Tail()[0]
 	if ev.Kind != "message" || ev.To != 1 || ev.Time != 2 || ev.Detail != "string" {
 		t.Fatalf("event = %+v", ev)
 	}
@@ -141,20 +108,32 @@ type roundPayload struct{ round int }
 func (p roundPayload) TraceRound() int { return p.round }
 
 func TestSimnetHookRoundCarrier(t *testing.T) {
-	var rec Recorder
+	f := NewFlightRecorder(8)
 	s := simnet.New(simnet.Fixed(1), rng.New(1))
-	s.Trace = SimnetHook(&rec)
+	s.Trace = f.Hook()
 	s.Register(1, echo{})
 	s.Inject(1, roundPayload{round: 0})
 	s.Inject(1, roundPayload{round: 7})
 	if _, err := s.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	evs := rec.Events()
+	evs := f.Tail()
 	if len(evs) != 2 {
 		t.Fatalf("recorded %d events", len(evs))
 	}
 	if evs[0].Round != 0 || evs[1].Round != 7 {
 		t.Fatalf("rounds = %d, %d", evs[0].Round, evs[1].Round)
+	}
+}
+
+// TestSimnetHookZeroAlloc: after the first delivery of each payload type,
+// the flight recorder's hook must not allocate — the type name is cached and
+// the ring overwrites in place.
+func TestSimnetHookZeroAlloc(t *testing.T) {
+	hook := NewFlightRecorder(1).Hook()
+	m := simnet.Message{From: 3, To: 4, At: 7, Payload: 42}
+	hook(m) // warm the type-name cache
+	if allocs := testing.AllocsPerRun(100, func() { hook(m) }); allocs != 0 {
+		t.Fatalf("FlightRecorder.Hook allocates %.1f per message in steady state", allocs)
 	}
 }
