@@ -85,7 +85,8 @@ func scaleDigest(r *ScaleResult) uint64 {
 // and computing every value in a pass at the round's close may move only the
 // two counts scaleDigest leaves out: a device's values are a pure function of
 // (seed, round, device), and its arrival fires at the same time in the same
-// order.
+// order. The depth-2, depth-4 and narrow-top shapes were pinned on the
+// level-by-level value pass, before the pass went depth-first.
 func TestScaleComputedFieldsPinned(t *testing.T) {
 	for _, pin := range scaleComputedPins {
 		o := pin.opts()
@@ -109,10 +110,43 @@ var scaleComputedPins = []struct {
 	{"cell", scaleCellOptions, "median", 0xec1dc564f7a60794},
 	{"cell", scaleCellOptions, "trimmed-mean", 0x634b9455da602922},
 	{"cell", scaleCellOptions, "multi-krum", 0xe833857a6350cd1e},
+	{"depth2", scaleDepth2Options, "median", 0xe24c747984aae846},
+	{"depth2", scaleDepth2Options, "multi-krum", 0x7dc918b1a9e9351e},
+	{"depth4", scaleDepth4Options, "median", 0x610d2d6972e34145},
+	{"depth4", scaleDepth4Options, "trimmed-mean", 0x249def36ff78331a},
+	{"narrow", scaleNarrowTopOptions, "median", 0x1a6c6537b552cbf2},
+	{"narrow", scaleNarrowTopOptions, "multi-krum", 0x89599e0ee377a185},
+}
+
+// scaleDepth2Options is a two-level tree: the bottom clusters are the top's
+// children, so the top aggregates device-cluster partials directly.
+func scaleDepth2Options() ScaleOptions {
+	return ScaleOptions{
+		Depth: 2, Fanout: 8, Devices: 2000, Gamma: 0.2, Cohort: 3,
+		Rounds: 3, Dim: 8, Seed: 13,
+	}
+}
+
+// scaleDepth4Options is a four-level tree with fanout 16: two top children,
+// each over two levels of upper clusters.
+func scaleDepth4Options() ScaleOptions {
+	return ScaleOptions{
+		Depth: 4, Fanout: 16, Devices: 8192, Gamma: 0.25, Cohort: 5,
+		Rounds: 3, Dim: 8, Seed: 17,
+	}
+}
+
+// scaleNarrowTopOptions has a top of three children: fewer than the eight
+// value-pass workers TestScaleWorkersAgree runs.
+func scaleNarrowTopOptions() ScaleOptions {
+	return ScaleOptions{
+		Depth: 3, Fanout: 4, Devices: 40, Gamma: 0.3, Cohort: 3,
+		Rounds: 4, Dim: 8, Seed: 19,
+	}
 }
 
 // TestScaleWorkersAgree holds that the value pass's worker count cannot move
-// a result: on both shapes and for three rules, runScale at 2, 3 (uneven
+// a result: on every pinned shape and rule, runScale at 2, 3 (uneven
 // shares of the scale_cell shape's 12 504 bottom clusters) and 8 workers
 // reports exactly what one worker does, and hits the pinned digest. Run
 // under -race it also holds that the workers share nothing a level's
