@@ -79,7 +79,8 @@ verify-results-slow:
 # dispatch-order property over messages, closure timers and argument timers,
 # with and without a reserve, argument timers never armed in the past, rerun
 # invariance, event pooling and the 64-byte event, the scale results pinned
-# whole and with the state counts left out (small and scale_cell shapes),
+# whole and with the state counts left out (small, scale_cell, depth-2,
+# depth-4 and narrow-top shapes),
 # the same results from the value pass at 1, 2, 3 and 8 workers
 # (TestScaleWorkersAgree), cohort accounting and the one-event-per-cluster
 # queue bound (core + scale engine), the one-pass coordinate kernel against
@@ -205,13 +206,16 @@ profile-pipeline:
 # CPU and allocates its bytes and its objects (BenchmarkScaleDevicesPerSec:
 # the benchmark's 100k-device cell, topology build included), one CPU and one
 # allocation profile of the same runs read by space and by count, under the
-# benchmark line's bytes and objects per run (-benchmem).
+# benchmark line's bytes and objects per run (-benchmem); then the bytes of
+# runScale line by line, which names each slab the -top view sums into
+# runScale.
 profile-scale:
 	mkdir -p .bench_build
 	$(GO) test -count=1 -run '^$$' -bench ScaleDevicesPerSec -benchtime 20x -benchmem -cpuprofile scale.cpu -memprofile scale.mem -memprofilerate 4096 -outputdir .bench_build -o .bench_build/scale.test ./internal/experiments
 	$(GO) tool pprof -top -nodecount=25 .bench_build/scale.test .bench_build/scale.cpu
 	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=25 .bench_build/scale.test .bench_build/scale.mem
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=15 .bench_build/scale.test .bench_build/scale.mem
+	$(GO) tool pprof -sample_index=alloc_space -list 'experiments.runScale' .bench_build/scale.test .bench_build/scale.mem
 
 # kernel-addrs prints where the linker put the hot tensor/nn functions in the
 # benchmark binary: address, address mod 64, symbol. The per-sample loops these

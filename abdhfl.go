@@ -331,7 +331,7 @@ func Build(s Scenario) (*Materials, error) {
 
 func (m *Materials) placeByzantine(r *rng.RNG) error {
 	s := m.Scenario
-	if s.MaliciousFraction < 0 || s.MaliciousFraction > 1 {
+	if !(s.MaliciousFraction >= 0 && s.MaliciousFraction <= 1) { // a NaN fails every comparison
 		return fmt.Errorf("abdhfl: malicious fraction %v out of [0,1]", s.MaliciousFraction)
 	}
 	devices := m.Tree.NumDevices()

@@ -371,3 +371,17 @@ func TestLoadedScenarioBuildsAndRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestBuildRejectsFractionOutOfRange holds MaliciousFraction to [0,1] under
+// every placement: a NaN once panicked under prefix and random placement and
+// built no Byzantine device under adversarial placement.
+func TestBuildRejectsFractionOutOfRange(t *testing.T) {
+	for _, p := range []Placement{PlacePrefix, PlaceRandom, PlaceAdversarial} {
+		for _, f := range []float64{-0.1, 1.5, math.NaN()} {
+			_, err := Build(quick(func(s *Scenario) { s.Placement = p; s.MaliciousFraction = f }))
+			if err == nil || !strings.Contains(err.Error(), "malicious fraction") {
+				t.Errorf("%s placement, fraction %v: error %v, want one naming the fraction", p, f, err)
+			}
+		}
+	}
+}

@@ -126,7 +126,7 @@ func parseFractions(arg string) ([]float64, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bad fraction %q: %w", part, err)
 		}
-		if f < 0 || f > 1 {
+		if !(f >= 0 && f <= 1) { // a NaN fails every comparison
 			return nil, fmt.Errorf("fraction %v out of [0,1]", f)
 		}
 		out = append(out, f)

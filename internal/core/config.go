@@ -192,13 +192,11 @@ func (c *Config) Validate() error {
 			}
 		}
 	}
-	if c.Quorum < 0 || c.Quorum > 1 {
+	if !(c.Quorum >= 0 && c.Quorum <= 1) { // a NaN fails every comparison
 		return fmt.Errorf("core: Quorum %v out of [0,1]", c.Quorum)
 	}
-	if p := c.Churn.OfflineProb; p < 0 || p >= 1 {
-		if p != 0 {
-			return fmt.Errorf("core: Churn.OfflineProb %v out of [0,1)", p)
-		}
+	if p := c.Churn.OfflineProb; !(p >= 0 && p < 1) {
+		return fmt.Errorf("core: Churn.OfflineProb %v out of [0,1)", p)
 	}
 	if c.Cohort < 0 {
 		return fmt.Errorf("core: Cohort %d must be >= 0", c.Cohort)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -433,6 +434,30 @@ func TestChurnValidation(t *testing.T) {
 	cfg.Churn = ChurnModel{OfflineProb: -0.1}
 	if _, err := RunHFL(cfg); err == nil {
 		t.Fatal("negative OfflineProb accepted")
+	}
+}
+
+// TestConfigFractionsInRange holds Quorum to [0,1] and Churn.OfflineProb to
+// [0,1): every value out of range, NaN included, is an error naming the field.
+func TestConfigFractionsInRange(t *testing.T) {
+	cfg := buildScenario(t, 3, 2, 2, 2, 20, 0)
+	for _, c := range []struct {
+		field string
+		v     float64
+		set   func(*Config, float64)
+	}{
+		{"Quorum", -0.1, func(c *Config, v float64) { c.Quorum = v }},
+		{"Quorum", 1.5, func(c *Config, v float64) { c.Quorum = v }},
+		{"Quorum", math.NaN(), func(c *Config, v float64) { c.Quorum = v }},
+		{"OfflineProb", -0.1, func(c *Config, v float64) { c.Churn.OfflineProb = v }},
+		{"OfflineProb", 1, func(c *Config, v float64) { c.Churn.OfflineProb = v }},
+		{"OfflineProb", math.NaN(), func(c *Config, v float64) { c.Churn.OfflineProb = v }},
+	} {
+		bad := cfg
+		c.set(&bad, c.v)
+		if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%s %v: error %v, want one naming the field", c.field, c.v, err)
+		}
 	}
 }
 

@@ -85,7 +85,7 @@ func (o *ScaleOptions) validate() error {
 	if o.Depth < 2 {
 		return fmt.Errorf("scale: Depth %d < 2", o.Depth)
 	}
-	if o.Gamma < 0 || o.Gamma >= 1 {
+	if !(o.Gamma >= 0 && o.Gamma < 1) { // a NaN fails every comparison
 		return fmt.Errorf("scale: Gamma %v out of [0,1)", o.Gamma)
 	}
 	return nil
@@ -127,11 +127,16 @@ type ScaleResult struct {
 	DevicesPerSec float64
 }
 
+// scalePartial is a child cluster's partial reaching its parent leader; the
+// child is the message's sender. Being empty, it boxes without allocating.
+type scalePartial struct{}
+
 // scaleGlobal is the dissemination broadcast starting the next round.
 type scaleGlobal struct{ round int }
 
-// scaleEngine holds the run-wide state shared by all cluster actors. The
-// run has two parts. The event loop — the actors' handlers, dispatched
+// scaleEngine holds the run's state and is the simnet handler of every
+// cluster's node, dispatching each event to the actor of the node it fires
+// on. The run has two parts. The event loop — the handlers, dispatched
 // serially by simnet, so no locking there — decides only when things happen
 // and in which order: which devices a cohort samples, when each upload lands,
 // in which order child partials reach their parent. The value pass runs
@@ -148,6 +153,12 @@ type scaleEngine struct {
 
 	nodeOf [][]simnet.NodeID
 
+	// The slabs an actor's off indexes: a bottom cluster's arrivals, and an
+	// upper cluster's children by node id and in the order their partials
+	// arrived.
+	arrivals        []scaleArrival
+	childIDs, order []int32
+
 	g     tensor.Vector // ground-truth gradient direction
 	gNorm float64
 
@@ -162,11 +173,14 @@ type scaleEngine struct {
 	// serves them all.
 	pick, scratch []int
 
-	// The value pass: its workers, each level's barrier, and the join of
-	// the workers it spawns.
-	workers   []scaleWorker
-	levelDone []sync.WaitGroup
-	passEnd   sync.WaitGroup
+	// The value pass: its workers and their join; the top's inputs — the
+	// partials of its children in arrival order, the only partials stored —
+	// and their ground truth; and the global model the top forms from them.
+	workers  []scaleWorker
+	passEnd  sync.WaitGroup
+	topIn    []tensor.Vector
+	topTruth []bool
+	global   tensor.Vector
 
 	levels                 []LevelScore
 	sigmaW, sigmaP, sigmaG telemetry.Stream
@@ -219,63 +233,65 @@ type scaleArrival struct {
 	device int
 }
 
-// scaleActor simulates one cluster: the bottom level collects its sampled
-// cohort's uploads; upper levels collect child partials.
+// scaleActor simulates one cluster, tree.Clusters[level][index]: the bottom
+// level collects its sampled cohort's uploads; upper levels collect child
+// partials. It holds only int32 counts and offsets — its members are the
+// tree's, its lists are cut from the engine's slabs, its values are computed
+// by the value pass — so a cluster costs 28 bytes while the run lasts.
 type scaleActor struct {
-	eng          *scaleEngine
-	level, index int
-	cluster      *topology.Cluster
-	parent       simnet.NodeID
-	expect       int // inputs per round (cohort size or child count)
-	round        int
-	// partial, byzSampled and totSampled are what the value pass computed
-	// for this cluster: its partial model and the sampled-leaf Byzantine
-	// census of its subtree — the parent's audit ground truth.
-	partial                tensor.Vector
-	byzSampled, totSampled int
-
-	// Bottom level: this round's uploads in landing order.
-	arrivals []scaleArrival
-
-	// Upper levels: child cluster actors, and this round's children by node
-	// id in the order their partials arrived.
-	childIDs []simnet.NodeID
-	order    []int32
+	level, index int32
+	parent       int32 // node id; unused at the top
+	expect       int32 // inputs per round (cohort size or child count)
+	round        int32
+	// off locates the cluster's lists: at the bottom this round's uploads in
+	// landing order, arrivals[off:off+expect]; above it the children by node
+	// id, childIDs[off:off+expect], and this round's got children in the
+	// order their partials arrived, order[off:off+got].
+	off, got int32
 }
 
-// OnTimer is an upload landing; the argument is its index in a.arrivals.
-func (a *scaleActor) OnTimer(ctx *simnet.Context, i int) { a.onArrival(ctx, i) }
+// arrivalsOf returns bottom cluster a's arrival list.
+func (e *scaleEngine) arrivalsOf(a *scaleActor) []scaleArrival {
+	return e.arrivals[a.off : a.off+a.expect]
+}
 
-func (a *scaleActor) OnMessage(ctx *simnet.Context, msg simnet.Message) {
+// OnTimer is an upload landing; the argument is its index in the cluster's
+// arrival list.
+func (e *scaleEngine) OnTimer(ctx *simnet.Context, i int) {
+	e.onArrival(ctx, &e.actors[ctx.Self()], i)
+}
+
+func (e *scaleEngine) OnMessage(ctx *simnet.Context, msg simnet.Message) {
+	a := &e.actors[ctx.Self()]
 	switch m := msg.Payload.(type) {
-	case *scaleActor:
-		a.onPartial(ctx, msg, m)
+	case scalePartial:
+		e.onPartial(ctx, a, msg)
 	case scaleGlobal:
-		a.onGlobal(ctx, m)
+		e.onGlobal(ctx, a, m)
 	default:
 		panic(fmt.Sprintf("scale: unexpected payload %T", msg.Payload))
 	}
 }
 
-// startRound samples the bottom cluster's cohort, draws each sampled device's
+// startRound samples bottom cluster a's cohort, draws each sampled device's
 // upload arrival (local training time plus uplink), and arms the earliest:
 // a cluster has one arrival on the queue at a time, each arming the next.
-func (a *scaleActor) startRound(ctx *simnet.Context, round int) {
-	e := a.eng
-	a.round = round
+func (e *scaleEngine) startRound(ctx *simnet.Context, a *scaleActor, round int) {
+	a.round = int32(round)
 	rr := e.roundStream(round)
+	members := e.tree.Clusters[a.level][a.index].Members
 	pick := e.pick[:a.expect]
-	if a.expect >= a.cluster.Size() {
+	if int(a.expect) >= len(members) {
 		for i := range pick {
 			pick[i] = i
 		}
 	} else {
-		rr.DeriveN("cohort", uint64(a.index)).ChoiceInto(pick, a.cluster.Size(), e.scratch)
+		rr.DeriveN("cohort", uint64(a.index)).ChoiceInto(pick, len(members), e.scratch)
 	}
 	now := ctx.Now()
-	arr := a.arrivals[:0]
+	arr := e.arrivalsOf(a)[:0]
 	for _, mi := range pick {
-		d := a.cluster.Members[mi]
+		d := members[mi]
 		dr := rr.DeriveN("dev", uint64(d))
 		// Local training duration plus uplink latency, virtual ms. Drawn
 		// from the device's own derived stream so arrival times are
@@ -291,77 +307,73 @@ func (a *scaleActor) startRound(ctx *simnet.Context, round int) {
 		}
 		arr[k] = scaleArrival{at: at, device: d}
 	}
-	a.arrivals = arr
 	ctx.AtArg(arr[0].at, 0)
 }
 
-// onArrival is upload i landing at the leader. Until the cohort's last
-// lands, the next arrival is armed and nothing else happens. The last sends
-// the partial up: the landing order it stands for is a.arrivals, which the
-// value pass reads.
-func (a *scaleActor) onArrival(ctx *simnet.Context, i int) {
-	if i++; i < len(a.arrivals) {
-		ctx.AtArg(a.arrivals[i].at, i)
+// onArrival is upload i landing at bottom cluster a's leader. Until the
+// cohort's last lands, the next arrival is armed and nothing else happens.
+// The last sends the partial up: the landing order it stands for is the
+// arrival list, which the value pass reads.
+func (e *scaleEngine) onArrival(ctx *simnet.Context, a *scaleActor, i int) {
+	arr := e.arrivalsOf(a)
+	if i++; i < len(arr) {
+		ctx.AtArg(arr[i].at, i)
 		return
 	}
-	e := a.eng
-	n := len(a.arrivals)
-	e.sigmaW.Observe(float64(a.arrivals[n-1].at - a.arrivals[0].at))
-	e.activations += n
-	ctx.SendVolume(a.parent, a, int64(e.o.Dim))
+	e.sigmaW.Observe(float64(arr[len(arr)-1].at - arr[0].at))
+	e.activations += len(arr)
+	ctx.SendVolume(simnet.NodeID(a.parent), scalePartial{}, int64(e.o.Dim))
 }
 
-// onPartial collects one child cluster's partial model at an upper level by
-// recording the child's place in the arrival order. The payload is the child
-// actor: its round stays as it is until its next round, which starts only
-// after the round closes.
-func (a *scaleActor) onPartial(ctx *simnet.Context, msg simnet.Message, c *scaleActor) {
-	e := a.eng
-	if c.round != a.round {
+// onPartial collects one child cluster's partial model at upper cluster a by
+// recording the child's place in the arrival order. The child's round stays
+// as it is until its next round, which starts only after the round closes.
+func (e *scaleEngine) onPartial(ctx *simnet.Context, a *scaleActor, msg simnet.Message) {
+	if c := &e.actors[msg.From]; c.round != a.round {
 		panic(fmt.Sprintf("scale: cluster (%d,%d) got round %d partial during round %d",
 			a.level, a.index, c.round, a.round))
 	}
 	e.sigmaP.Observe(float64(msg.At - msg.SentAt))
-	a.order = append(a.order, int32(msg.From))
-	if len(a.order) < a.expect {
+	e.order[a.off+a.got] = int32(msg.From)
+	if a.got++; a.got < a.expect {
 		return
 	}
 	if a.level > 0 {
-		ctx.SendVolume(a.parent, a, int64(e.o.Dim))
+		ctx.SendVolume(simnet.NodeID(a.parent), scalePartial{}, int64(e.o.Dim))
 		return
 	}
 	// Top of the tree: every order of the round is recorded, so its values
 	// can be computed and the global model for this round is formed.
-	e.valuePass(a.round)
+	e.valuePass(a)
 	now := ctx.Now()
 	e.sigmaG.Observe(float64(now - e.lastGlobalAt))
 	e.lastGlobalAt = now
-	e.relErr = relativeError(a.partial, e.g, e.gNorm)
+	e.relErr = relativeError(e.global, e.g, e.gNorm)
 	e.roundsDone++
 	if e.roundsDone < e.o.Rounds {
 		a.round++
-		a.disseminate(ctx, a.round)
+		e.disseminate(ctx, a, int(a.round))
 	}
 }
 
 // onGlobal forwards the dissemination broadcast down the tree; bottom
 // clusters start the next round on receipt.
-func (a *scaleActor) onGlobal(ctx *simnet.Context, m scaleGlobal) {
-	if len(a.childIDs) > 0 {
-		a.disseminate(ctx, m.round)
-		a.round = m.round
+func (e *scaleEngine) onGlobal(ctx *simnet.Context, a *scaleActor, m scaleGlobal) {
+	if int(a.level) < e.tree.Bottom() {
+		e.disseminate(ctx, a, m.round)
+		a.round = int32(m.round)
 		return
 	}
-	a.startRound(ctx, m.round)
+	e.startRound(ctx, a, m.round)
 }
 
-// disseminate sends round's global to every child. The last round's child
-// order has been read by the value pass, so it is cleared here.
-func (a *scaleActor) disseminate(ctx *simnet.Context, round int) {
-	a.order = a.order[:0]
+// disseminate sends round's global to every child of a. The last round's
+// child order has been read by the value pass, so it is cleared here.
+func (e *scaleEngine) disseminate(ctx *simnet.Context, a *scaleActor, round int) {
+	a.got = 0
 	var m any = scaleGlobal{round: round} // boxed once, not once per child
-	for _, id := range a.childIDs {
-		ctx.SendVolume(id, m, int64(a.eng.o.Dim))
+	for _, id := range e.childIDs[a.off : a.off+a.expect] {
+		ctx.SendVolume(simnet.NodeID(id), m, int64(e.o.Dim))
 	}
 }
 
@@ -371,66 +383,100 @@ func (a *scaleActor) disseminate(ctx *simnet.Context, round int) {
 type scaleWorker struct {
 	scr   aggregate.Scratch
 	audit aggregate.FilterAudit
-	// A cluster's inputs — the cohort's updates, filled into the first
-	// Cohort×Dim of updates, or the child partials — and their ground truth.
-	vecs    []tensor.Vector
-	truth   []bool
-	updates []float64
+	// in[l] and truth[l], for each level l below the top, hold the inputs of
+	// the one level-l cluster the worker computes at a time and their ground
+	// truth: at the bottom the cohort's updates, above it the child
+	// partials, each written into its slot as its subtree is computed.
+	in    [][]tensor.Vector
+	truth [][]bool
 	// levels[l] scores this worker's level-l filter decisions of the pass;
 	// valuePass merges it into the engine's and clears it.
 	levels []LevelScore
 }
 
-// newPass cuts the value pass's state for w workers, each aggregating at
-// most inputs vectors, from one slab per kind.
-func (e *scaleEngine) newPass(w, inputs int) {
-	depth, per := e.tree.Depth(), e.o.Cohort*e.o.Dim
-	e.workers = make([]scaleWorker, w)
-	e.levelDone = make([]sync.WaitGroup, depth)
-	vecs := make([]tensor.Vector, w*inputs)
-	truth := make([]bool, w*inputs)
-	updates := make([]float64, w*per)
+// cut returns the first n elements of *s, capacity n, and moves *s past them.
+func cut[T any](s *[]T, n int) []T {
+	v := (*s)[:n:n]
+	*s = (*s)[n:]
+	return v
+}
+
+// newPass cuts the value pass's state for w workers from one slab per kind.
+// A worker holds the inputs of one cluster per level below the top: fan
+// child partials at an upper level, the cohort's updates at the bottom. The
+// top's inputs are the engine's; worker 0, which aggregates them, gets an
+// audit wide enough for them.
+func (e *scaleEngine) newPass(w, fan, top int) {
+	depth, dim, cohort := e.tree.Depth(), e.o.Dim, e.o.Cohort
+	per := (depth-2)*fan + cohort // input vectors per worker
+	vecs := make([]tensor.Vector, w*per+top)
+	truth := make([]bool, w*per+top)
+	vals := make([]float64, (w*per+top+1)*dim)
+	ins := make([][]tensor.Vector, w*depth)
+	truths := make([][]bool, w*depth)
 	levels := make([]LevelScore, w*depth)
 	// An audit reuses buffers whose capacity suffices: cut at the widest
-	// cluster's size, they never grow.
-	decisions := make([]aggregate.Decision, w*inputs)
-	weights := make([]float64, 2*w*inputs)
+	// cluster a worker aggregates, they never grow.
+	wide := max(fan, top)
+	decisions := make([]aggregate.Decision, (w-1)*fan+wide)
+	weights := make([]float64, 2*((w-1)*fan+wide))
+	rows := func(n int) []tensor.Vector {
+		v := cut(&vecs, n)
+		for k := range v {
+			v[k] = cut(&vals, dim)
+		}
+		return v
+	}
+	e.global = cut(&vals, dim)
+	e.topIn, e.topTruth = rows(top), cut(&truth, top)
+	e.workers = make([]scaleWorker, w)
 	for i := range e.workers {
 		wk := &e.workers[i]
 		wk.scr.Workers = 1
 		wk.scr.Audit = &wk.audit
-		wk.audit.Decisions, decisions = decisions[:0:inputs], decisions[inputs:]
-		wk.audit.Weights, weights = weights[:0:inputs], weights[inputs:]
-		wk.audit.TrimFrac, weights = weights[:0:inputs], weights[inputs:]
-		wk.vecs, vecs = vecs[:inputs:inputs], vecs[inputs:]
-		wk.truth, truth = truth[:inputs:inputs], truth[inputs:]
-		wk.updates, updates = updates[:per:per], updates[per:]
-		wk.levels, levels = levels[:depth:depth], levels[depth:]
+		n := fan
+		if i == 0 {
+			n = wide
+		}
+		wk.audit.Decisions = cut(&decisions, n)[:0]
+		wk.audit.Weights = cut(&weights, n)[:0]
+		wk.audit.TrimFrac = cut(&weights, n)[:0]
+		wk.in, wk.truth = cut(&ins, depth), cut(&truths, depth)
+		for l := 1; l < depth; l++ {
+			n := fan
+			if l == depth-1 {
+				n = cohort
+			}
+			wk.in[l], wk.truth[l] = rows(n), cut(&truth, n)
+		}
+		wk.levels = cut(&levels, depth)
 	}
 }
 
-// valuePass computes round's values level by level, from the bottom up,
-// across len(e.workers) workers; with one it runs inline. The event loop is
-// paused while it runs. A cluster's values depend only on (seed, round,
-// device) and the recorded orders, each cluster writes only its own partial
-// and census, a level reads only the level below it, which the barrier has
-// finished, and the audit scores are integer sums: the result is
-// bit-identical for every worker count.
-func (e *scaleEngine) valuePass(round int) {
-	rr := e.roundStream(round)
+// valuePass computes the values of top's round across len(e.workers)
+// workers; with one it runs inline. The event loop is paused while it runs.
+// Each worker takes a contiguous share of the top's children, in the order
+// their partials arrived, and computes each child's subtree depth-first into
+// the top's inputs; after the one barrier, worker 0 aggregates the top. A
+// cluster's values depend only on (seed, round, device) and the recorded
+// orders, each subtree writes only its worker's buffers and its own top
+// input, and the audit scores are integer sums: the result is bit-identical
+// for every worker count.
+func (e *scaleEngine) valuePass(top *scaleActor) {
+	rr := e.roundStream(int(top.round))
+	order := e.order[top.off : top.off+top.got]
 	w := len(e.workers)
-	for l := range e.levelDone {
-		e.levelDone[l].Add(w)
-	}
 	e.passEnd.Add(w - 1)
 	for i := 1; i < w; i++ {
 		go func() {
 			defer e.passEnd.Done()
-			e.passWork(i, rr)
+			e.passWork(i, order, rr)
 		}()
 	}
-	e.passWork(0, rr)
+	e.passWork(0, order, rr)
 	e.passEnd.Wait()
+	n := len(order)
+	e.aggregate(&e.workers[0], top, e.global, e.topIn[:n], e.topTruth[:n])
 	for i := range e.workers {
 		for l, s := range e.workers[i].levels {
 			t := &e.levels[l]
@@ -440,57 +486,54 @@ func (e *scaleEngine) valuePass(round int) {
 	}
 }
 
-// passWork is worker i's part of the pass over round stream rr: at each
-// level, from the bottom up, its contiguous share of the level's clusters,
-// then a wait until every worker has done its share.
-func (e *scaleEngine) passWork(i int, rr *rng.RNG) {
+// passWork is worker i's part of the pass over round stream rr: the subtrees
+// of its contiguous share of the top's children, each into its top input,
+// with the input's ground truth — its subtree's sampled leaves were
+// majority-Byzantine (below that, the level below is expected to have
+// cleaned the partial).
+func (e *scaleEngine) passWork(i int, order []int32, rr *rng.RNG) {
 	wk, w := &e.workers[i], len(e.workers)
-	for l := e.tree.Bottom(); l >= 0; l-- {
-		ids := e.nodeOf[l]
-		for _, id := range ids[i*len(ids)/w : (i+1)*len(ids)/w] {
-			e.values(wk, &e.actors[id], rr)
-		}
-		e.levelDone[l].Done()
-		e.levelDone[l].Wait()
+	for k := i * len(order) / w; k < (i+1)*len(order)/w; k++ {
+		byz, tot := e.subtree(wk, &e.actors[order[k]], e.topIn[k], rr)
+		e.topTruth[k] = 2*byz > tot
 	}
 }
 
-// values computes cluster a's values from round stream rr with worker wk's
-// buffers: its inputs in the recorded order — at the bottom each sampled
-// device's update, filled here, at upper levels the child partials — and
-// their census, then the robust rule's partial and the filter audit scored
-// against the inputs' ground truth.
-func (e *scaleEngine) values(wk *scaleWorker, a *scaleActor, rr *rng.RNG) {
-	var vecs []tensor.Vector
-	var truth []bool
-	if a.level == e.tree.Bottom() {
-		n := len(a.arrivals)
-		vecs, truth = wk.vecs[:n], wk.truth[:n]
-		a.byzSampled, a.totSampled = 0, n
-		for k, up := range a.arrivals {
+// subtree computes cluster a's partial into out from round stream rr with
+// worker wk's buffers, and returns the Byzantine census of its subtree's
+// sampled leaves. Its inputs, in the recorded order, are at the bottom each
+// sampled device's update, filled here, and above it each child's partial,
+// computed depth-first just before a aggregates it.
+func (e *scaleEngine) subtree(wk *scaleWorker, a *scaleActor, out tensor.Vector, rr *rng.RNG) (byz, tot int) {
+	in, truth := wk.in[a.level], wk.truth[a.level]
+	if int(a.level) == e.tree.Bottom() {
+		arr := e.arrivalsOf(a)
+		in, truth = in[:len(arr)], truth[:len(arr)]
+		for k, up := range arr {
 			truth[k] = e.isByz(up.device)
 			if truth[k] {
-				a.byzSampled++
+				byz++
 			}
-			vecs[k] = wk.updates[k*e.o.Dim : (k+1)*e.o.Dim]
-			e.fill(vecs[k], rr, up.device, truth[k])
+			e.fill(in[k], rr, up.device, truth[k])
 		}
+		tot = len(arr)
 	} else {
-		n := len(a.order)
-		vecs, truth = wk.vecs[:n], wk.truth[:n]
-		a.byzSampled, a.totSampled = 0, 0
-		for k, id := range a.order {
-			c := &e.actors[id]
-			vecs[k] = c.partial
-			// Upper-level ground truth: the subtree's sampled leaves were
-			// majority-Byzantine (below that, the level below is expected to
-			// have cleaned the partial).
-			truth[k] = 2*c.byzSampled > c.totSampled
-			a.byzSampled += c.byzSampled
-			a.totSampled += c.totSampled
+		order := e.order[a.off : a.off+a.got]
+		in, truth = in[:len(order)], truth[:len(order)]
+		for k, id := range order {
+			b, t := e.subtree(wk, &e.actors[id], in[k], rr)
+			truth[k] = 2*b > t
+			byz, tot = byz+b, tot+t
 		}
 	}
-	if err := e.agg.AggregateInto(a.partial, &wk.scr, vecs); err != nil {
+	e.aggregate(wk, a, out, in, truth)
+	return byz, tot
+}
+
+// aggregate writes cluster a's partial of in into out with worker wk's
+// scratch and scores the filter audit against the inputs' ground truth.
+func (e *scaleEngine) aggregate(wk *scaleWorker, a *scaleActor, out tensor.Vector, in []tensor.Vector, truth []bool) {
+	if err := e.agg.AggregateInto(out, &wk.scr, in); err != nil {
 		panic(fmt.Sprintf("scale: cluster (%d,%d): %v", a.level, a.index, err))
 	}
 	s := &wk.levels[a.level]
@@ -523,14 +566,18 @@ func relativeError(got, want tensor.Vector, wantNorm float64) float64 {
 // the event loop, which stays serial, the rest: four workers leave the pass
 // near an eighth of that run, so eight could take at most a further
 // sixteenth off. Each worker past the first adds six objects to the run's
-// 58 — its goroutine in each of the two rounds, and its scratch's column
+// 58–60 — its goroutine in each of the two rounds, and its scratch's column
 // and count buffers, grown for the cohort and again for a child count — so
-// eight workers measure 100–112 objects, past TestRunScaleAllocBudget's 100.
+// eight workers measure 109–117 objects, past TestRunScaleAllocBudget's 100.
 const scalePassMaxWorkers = 4
 
-// RunScale builds the topology, wires one simnet actor per cluster, and
+// RunScale builds the topology, wires one simnet node per cluster, and
 // drives Rounds global rounds through the event engine; each round's value
-// pass fans out across GOMAXPROCS workers, at most scalePassMaxWorkers.
+// pass computes the top's children's subtrees depth-first across GOMAXPROCS
+// workers, at most scalePassMaxWorkers. On the benchmark's scale_cell shape
+// (100 032 devices, 14 069 clusters, two rounds) a call allocates ≈ 5.1 MB,
+// all of it standing state cut from slabs: 28 bytes an actor, and one
+// partial stored for each of the top's 1 563 children.
 func RunScale(o ScaleOptions) (*ScaleResult, error) {
 	return runScale(o, min(tensor.ResolveWorkers(0), scalePassMaxWorkers))
 }
@@ -608,49 +655,56 @@ func runScale(o ScaleOptions, workers int) (*ScaleResult, error) {
 	for l := range tree.Clusters {
 		for i, c := range tree.Clusters[l] {
 			a := &actors[e.nodeOf[l][i]]
-			*a = scaleActor{eng: e, level: l, index: i, cluster: c}
+			*a = scaleActor{level: int32(l), index: int32(i)}
 			if l > 0 {
 				// Parents come first in level-major order: count this
 				// cluster among its parent's inputs.
 				p := tree.Parent(l, i)
-				a.parent = e.nodeOf[p.Level][p.Index]
+				a.parent = int32(e.nodeOf[p.Level][p.Index])
 				actors[a.parent].expect++
 			}
 			if l == bottom {
-				a.expect = min(o.Cohort, c.Size())
-				sampled += a.expect
+				a.expect = int32(min(o.Cohort, c.Size()))
+				sampled += int(a.expect)
 				widest = max(widest, c.Size())
 			}
 		}
 	}
-	// Registering the last node first sizes simnet's node table once.
+	// The engine handles every node. Registering the last node first sizes
+	// simnet's node table once.
 	for id := clusters - 1; id >= 0; id-- {
-		e.sim.Register(simnet.NodeID(id), &actors[id])
+		e.sim.Register(simnet.NodeID(id), e)
 	}
-	// Every cluster but the top is one input of its parent.
-	partials := make([]float64, clusters*o.Dim)
-	arrivals := make([]scaleArrival, sampled)
-	order := make([]int32, clusters-1)
-	childIDs := make([]simnet.NodeID, clusters-1)
-	inputs := o.Cohort // the most inputs one cluster aggregates
+	// Every cluster but the top is one input of its parent. An upper
+	// cluster's off first marks the end of its range; visiting the children
+	// from the last id down fills each parent's range back to its start.
+	e.arrivals = make([]scaleArrival, sampled)
+	e.order = make([]int32, clusters-1)
+	e.childIDs = make([]int32, clusters-1)
+	var arrivals, children int32
+	fan := o.Cohort // the most inputs one cluster below the top aggregates
 	for i := range actors {
 		a := &actors[i]
-		a.partial, partials = partials[:o.Dim:o.Dim], partials[o.Dim:]
-		if a.level == bottom {
-			a.arrivals, arrivals = arrivals[:0:a.expect], arrivals[a.expect:]
+		if int(a.level) == bottom {
+			a.off = arrivals
+			arrivals += a.expect
 			continue
 		}
-		a.order, order = order[:0:a.expect], order[a.expect:]
-		a.childIDs, childIDs = childIDs[:0:a.expect], childIDs[a.expect:]
-		inputs = max(inputs, a.expect)
+		children += a.expect
+		a.off = children
+		if a.level > 0 {
+			fan = max(fan, int(a.expect))
+		}
 	}
-	for id := 1; id < clusters; id++ {
+	for id := clusters - 1; id > 0; id-- {
 		p := &actors[actors[id].parent]
-		p.childIDs = append(p.childIDs, simnet.NodeID(id))
+		p.off--
+		e.childIDs[p.off] = int32(id)
 	}
 	e.pick = make([]int, o.Cohort)
 	e.scratch = make([]int, widest)
-	e.newPass(workers, inputs)
+	top := int(actors[0].expect)
+	e.newPass(min(workers, top), fan, top)
 
 	// What can be pending at once bounds the queue, and sizes it once: a
 	// bottom cluster has its kick-off, its one armed arrival, its partial or
@@ -662,7 +716,7 @@ func runScale(o ScaleOptions, workers int) (*ScaleResult, error) {
 
 	// Kick off round 0 at every bottom cluster: one closure, which finds its
 	// actor by the node it fires on.
-	kickOff := func(ctx *simnet.Context) { actors[ctx.Self()].startRound(ctx, 0) }
+	kickOff := func(ctx *simnet.Context) { e.startRound(ctx, &e.actors[ctx.Self()], 0) }
 	for _, id := range e.nodeOf[bottom] {
 		e.sim.ScheduleAt(0, id, kickOff)
 	}

@@ -3,9 +3,11 @@ package experiments
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"abdhfl/internal/telemetry"
 	"abdhfl/internal/testenv"
@@ -147,10 +149,10 @@ func scaleNarrowTopOptions() ScaleOptions {
 
 // TestScaleWorkersAgree holds that the value pass's worker count cannot move
 // a result: on every pinned shape and rule, runScale at 2, 3 (uneven
-// shares of the scale_cell shape's 12 504 bottom clusters) and 8 workers
-// reports exactly what one worker does, and hits the pinned digest. Run
-// under -race it also holds that the workers share nothing a level's
-// barrier does not order.
+// shares of the scale_cell top's 1 563 children) and 8 workers (more than
+// the narrow top's three children) reports exactly what one worker does,
+// and hits the pinned digest. Run under -race it also holds that the
+// workers share nothing the pass's one barrier does not order.
 func TestScaleWorkersAgree(t *testing.T) {
 	for _, pin := range scaleComputedPins {
 		o := pin.opts()
@@ -240,12 +242,14 @@ func TestScaleGammaDegradesError(t *testing.T) {
 }
 
 func TestScaleOptionValidation(t *testing.T) {
-	bad := smallScale()
-	bad.Gamma = 1.5
-	if _, err := RunScale(bad); err == nil {
-		t.Fatal("Gamma 1.5 accepted")
+	for _, g := range []float64{-0.1, 1, 1.5, math.NaN(), math.Inf(1)} {
+		bad := smallScale()
+		bad.Gamma = g
+		if _, err := RunScale(bad); err == nil || !strings.Contains(err.Error(), "Gamma") {
+			t.Errorf("Gamma %v: error %v, want one naming the field", g, err)
+		}
 	}
-	bad = smallScale()
+	bad := smallScale()
 	bad.Rule = "no-such-rule"
 	if _, err := RunScale(bad); err == nil {
 		t.Fatal("unknown rule accepted")
@@ -280,14 +284,16 @@ func scaleCellOptions() ScaleOptions {
 
 // TestRunScaleAllocBudget pins what one RunScale call allocates on the
 // scale_cell shape, in bytes and in objects: the figures this test measures
-// (8.72–8.93 MB, 58–82 objects over GOMAXPROCS 1–8) plus a margin. What is
+// (5.10–5.13 MB, 58–87 objects over GOMAXPROCS 1–8) plus a margin. What is
 // left is standing state, every part of it a slab: the tree (the clusters
-// and the member ids of each level, 1.7 MB), one actor per cluster (2.4 MB)
-// with its partial (1.8 MB), the bottom clusters' arrival lists (0.8 MB) and
-// the upper clusters' child-order and child lists (0.17 MB), the queue at
-// one event per cluster (1.2 MB), simnet's node table (0.2 MB) and the value
-// pass's per-worker buffers (≈ 75 KB a worker; RunScale uses at most four).
-// The call allocated 9.31 MB while the upper clusters held their inputs as
+// and the member ids of each level, 1.7 MB), a 28-byte actor per cluster
+// (0.39 MB), the bottom clusters' arrival lists (0.8 MB) and the upper
+// clusters' child-order and child lists (0.11 MB), the queue at one event
+// per cluster (1.2 MB), simnet's node table (0.2 MB), the top's inputs — the
+// only partials stored — (0.24 MB) and the value pass's per-worker buffers
+// (≈ 3 KB a worker past the first; RunScale uses at most four). The call
+// allocated 8.80 MB while every cluster kept its partial and a 168-byte
+// actor, and 9.31 MB while the upper clusters also held their inputs as
 // vector and truth slabs. The same call allocated 49.7 MB when every
 // derived random stream was a heap object, Tree.Validate built two 100k-entry
 // maps and every dispatched event got its own Context; 31.9 MB in 302 k
@@ -306,8 +312,8 @@ func TestRunScaleAllocBudget(t *testing.T) {
 		t.Skip("the race detector's own allocations are counted in TotalAlloc")
 	}
 	const (
-		byteBudget = 10_300_000 // the benchmark's alloc_bytes_per_run reads in the same unit
-		// 58–82 measured over GOMAXPROCS 1–8, six per value-pass worker past
+		byteBudget = 5_650_000 // the benchmark's alloc_bytes_per_run reads in the same unit
+		// 58–87 measured over GOMAXPROCS 1–8, six per value-pass worker past
 		// the first: at this size the runtime's own few objects during the
 		// window show, so the margin is wider.
 		objectBudget = 100
@@ -330,6 +336,16 @@ func TestRunScaleAllocBudget(t *testing.T) {
 	}
 	if objects > objectBudget {
 		t.Errorf("RunScale allocated %d objects, budget %d", objects, objectBudget)
+	}
+}
+
+// TestScaleActorSize holds what a cluster costs while a run lasts: the
+// scale_cell shape has 14 069 clusters, so each byte of scaleActor is 14 KB
+// of every call, and TestRunScaleAllocBudget's margin would let the actor
+// more than double before it failed.
+func TestScaleActorSize(t *testing.T) {
+	if got := unsafe.Sizeof(scaleActor{}); got != 28 {
+		t.Fatalf("scaleActor is %d bytes, want 28", got)
 	}
 }
 

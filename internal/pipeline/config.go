@@ -263,7 +263,7 @@ func (c *Config) Validate() error {
 			}
 		}
 	}
-	if c.Quorum < 0 || c.Quorum > 1 {
+	if !(c.Quorum >= 0 && c.Quorum <= 1) { // a NaN fails every comparison
 		return fmt.Errorf("pipeline: Quorum %v out of [0,1]", c.Quorum)
 	}
 	if c.TimeoutBackoff != 0 && c.TimeoutBackoff < 1 {

@@ -205,6 +205,19 @@ func TestPipelineTopBRA(t *testing.T) {
 	}
 }
 
+// TestPipelineQuorumInRange holds Quorum to [0,1]: every value out of it,
+// NaN included, is an error naming the field.
+func TestPipelineQuorumInRange(t *testing.T) {
+	cfg := buildConfig(t, 3, 2, 2, 5, 1, 0)
+	for _, q := range []float64{-0.1, 1.5, math.NaN()} {
+		bad := cfg
+		bad.Quorum = q
+		if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "Quorum") {
+			t.Errorf("Quorum %v: error %v, want one naming the field", q, err)
+		}
+	}
+}
+
 func TestPipelineValidation(t *testing.T) {
 	cfg := buildConfig(t, 3, 2, 2, 5, 1, 0)
 
