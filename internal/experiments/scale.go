@@ -475,8 +475,7 @@ func (e *scaleEngine) valuePass(top *scaleActor) {
 	}
 	e.passWork(0, order, rr)
 	e.passEnd.Wait()
-	n := len(order)
-	e.aggregate(&e.workers[0], top, e.global, e.topIn[:n], e.topTruth[:n])
+	e.aggregate(&e.workers[0], top, e.global, e.topIn, e.topTruth)
 	for i := range e.workers {
 		for l, s := range e.workers[i].levels {
 			t := &e.levels[l]
