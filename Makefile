@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt deadcode verify verify-results verify-results-slow verify-scale verify-codec verify-trace verify-transport verify-consensus bench bench-compare profile-node profile-train profile-pipeline profile-scale kernel-addrs clean
+.PHONY: build test race vet fmt deadcode verify verify-results verify-results-slow verify-scale verify-transport bench bench-compare profile-node profile-train profile-pipeline profile-scale kernel-addrs clean
 
 build:
 	$(GO) build ./...
@@ -19,7 +19,11 @@ fmt:
 # under the race detector, plus the chaostest invariant sweeps — among them
 # node's chaos sweep (crashed, churned and omitting devices and lossy frames
 # on a real loopback wire must never deadlock a leader); the engines must
-# stay clean for every worker count and under every fault plan.
+# stay clean for every worker count and under every fault plan. It is every
+# layer's -race gate: the codec round-trips and corrupt-payload rejection,
+# the trace shard-merge and worker-count byte identity, the transport
+# frame, ownership and conformance suites, and the ABA conformance and
+# chaostest ABA sweeps all run here, once.
 race:
 	$(GO) test -race ./...
 
@@ -31,7 +35,7 @@ deadcode:
 	$(GO) test -count=1 -tags deadcode -run TestDeadcode .
 
 # verify is the tier-1 gate: everything must pass before a commit.
-verify: fmt vet build deadcode race verify-codec verify-trace verify-transport verify-consensus verify-results
+verify: fmt vet build deadcode race verify-transport verify-results
 
 # verify-results keeps the committed oracle whole: it builds the generators
 # once, reruns every results_* file that takes seconds with the command
@@ -100,57 +104,16 @@ verify-scale:
 	$(GO) test -cpu 1,2,4,8 -run 'TestRunScaleAllocBudget|TestScaleComputedFieldsPinned|TestScaleResultPinned' ./internal/experiments
 	$(GO) test -run '^$$' -bench ScaleDevicesPerSec -benchtime 1x ./internal/experiments
 
-# verify-codec gates the update-codec layer: encode→decode round-trips and
-# corrupt-payload rejection, steady-state zero-allocation checks, golden
-# Identity bit-equivalence on every engine plus worker-count invariance of
-# the lossy codecs, and the bandwidth model's latency/fault-stream
-# invariance, all under -race.
-verify-codec:
-	$(GO) test -race -run 'Codec|RoundTrip|Alloc|Corrupt|NonFinite|ByName|Transcode|Bandwidth' \
-		./internal/codec ./internal/simnet ./internal/core ./internal/pipeline ./internal/experiments
-
-# verify-trace gates the causal-span layer: shard-merge and worker-count
-# byte-identity of the exported streams on every engine, concurrent
-# recording under -race, Chrome/Perfetto JSON schema sanity, critical-path
-# invariants, the flight-recorder ring, and the zero-allocation hooks.
-verify-trace:
-	$(GO) test -race -run 'Span|Trace|Chrome|CriticalPath|Flight|Shard' \
-		./internal/trace ./internal/core ./internal/pipeline \
-		./internal/experiments ./internal/chaostest
-
-# verify-transport gates the real-wire layer: a build, the frame fuzz
-# corpus replayed as regular tests, the frame/stall/dupe/hostile-input
-# suites and the ownership contract (Send copies, a held payload survives
-# released ones, released buffers recycle, the free list stays bounded,
-# duplicate copies own their buffers, a shared address book stays unwritten),
-# the distributed≡core plus loopback≡TCP conformance goldens, the payload
-# decoders' hostile headers, the round-scratch lifetime check (round vectors,
-# spare global and the shared training pool NaN-poisoned at every round end)
-# and SGDWS on a dirty pooled model and workspace under -race, then —
-# without -race, whose own allocations would be counted — the per-RunCluster
-# allocation budget (bytes and objects), then the multi-process abdhfl-node
-# cluster smoke (1 root, 2 leaders, 4 devices over real sockets with a fault
-# plan active).
+# verify-transport runs what race cannot: without -race, whose own
+# allocations would be counted, the per-RunCluster allocation budget (bytes
+# and objects); then the multi-process abdhfl-node cluster smokes (1 root,
+# 2 leaders, 4 devices over real sockets with a fault plan active, and the
+# 7-process run with ABA deciding at the root while a drop+duplicate plan
+# hits the ballot frames). Every -race test of the codec, trace, transport
+# and consensus layers runs in race.
 verify-transport:
-	$(GO) build -o /dev/null ./cmd/abdhfl-node
-	$(GO) test -race -run 'Frame|Stall|Dupe|Duplicate|Release|Concurrent|Hostility|Lifecycle|Restart|Fuzz|SharedBook' ./internal/transport
-	$(GO) test -race -run 'Conformance|MatchesCore|Decode|RoundScratch|DirtyScratch' ./internal/node ./internal/nn
 	$(GO) test -run TestRunClusterAllocBudget ./internal/node
 	$(GO) test -run ClusterSmoke ./cmd/abdhfl-node
-
-# verify-consensus gates the randomized-agreement layer: the
-# adversarial-schedule ABA conformance suite (agreement/validity/termination
-# over 240 seeds and three membership sizes), worker-count and transcript
-# invariance, committee-rotation determinism, the registry round-trip, the
-# chaostest ABA sweeps with the zero-fault ABA≡voting golden, the node
-# ballot-exchange conformance (distributed≡core, loopback≡TCP under
-# drop+dup), all under -race — then the 7-process abdhfl-node smoke with
-# ABA deciding at the root while a drop+duplicate plan hits the ballot
-# frames.
-verify-consensus:
-	$(GO) test -race -run 'ABA|CommitteeForRound|RotatingCommittee|NamesRoundTrip|ConsensusLatency' \
-		./internal/consensus ./internal/chaostest ./internal/node ./internal/experiments
-	$(GO) test -run ClusterSmokeABA ./cmd/abdhfl-node
 
 # bench runs the repository benchmark (BENCHMARK.json): four workloads, five
 # end-to-end metrics each, then the per-layer trace pass.

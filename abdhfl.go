@@ -473,7 +473,7 @@ func (m *Materials) RunVanilla(seed uint64) (*core.Result, error) {
 	return core.RunVanilla(core.VanillaConfig{
 		Rounds:      m.Scenario.Rounds,
 		Local:       m.Local,
-		Aggregator:  bra,
+		Rule:        core.LevelRule{BRA: bra},
 		ClientData:  m.Shards,
 		TestData:    m.TestData,
 		Byzantine:   m.Byzantine,
@@ -497,15 +497,18 @@ func (m *Materials) PipelineConfig(seed uint64, flagLevel int, timing pipeline.T
 	if err != nil {
 		return pipeline.Config{}, err
 	}
-	voting := consensus.Voting{}
-	cfg := pipeline.Config{
+	global := m.GlobalRule.CBA
+	if global == nil {
+		global = consensus.Voting{}
+	}
+	return pipeline.Config{
 		Tree:             m.Tree,
 		Rounds:           m.Scenario.Rounds,
 		FlagLevel:        flagLevel,
 		Quorum:           m.Scenario.Quorum,
 		Local:            m.Local,
-		PartialBRA:       bra,
-		TopVoting:        &voting,
+		Partial:          core.LevelRule{BRA: bra},
+		Global:           core.LevelRule{CBA: global},
 		ClientData:       m.Shards,
 		TestData:         m.TestData,
 		ValidationShards: m.ValidationShards,
@@ -518,20 +521,12 @@ func (m *Materials) PipelineConfig(seed uint64, flagLevel int, timing pipeline.T
 		OnFilter:         m.OnFilter,
 		Trace:            m.Trace,
 		Codec:            m.Codec,
-	}
-	// A non-voting top consensus (e.g. the randomized "aba") carries over to
-	// the pipeline's top actor; plain voting keeps the historical TopVoting
-	// wiring so existing runs stay byte-identical.
-	if cba := m.GlobalRule.CBA; cba != nil {
-		if _, isVoting := cba.(consensus.Voting); !isVoting {
-			cfg.TopCBA = cba
-		}
-	}
-	return cfg, nil
+	}, nil
 }
 
 // RunPipeline executes the asynchronous pipeline workflow with the given
-// flag level, using the scenario's intermediate BRA rule and a voting top.
+// flag level, using the scenario's BRA below the top and its consensus
+// protocol (voting when it has none) at the top.
 func (m *Materials) RunPipeline(seed uint64, flagLevel int, timing pipeline.Timing) (*pipeline.Result, error) {
 	cfg, err := m.PipelineConfig(seed, flagLevel, timing)
 	if err != nil {

@@ -25,8 +25,8 @@ func abaPipelineOutcome(fx *chaostest.Fixture, seed uint64, rounds int) chaostes
 		CollectTimeout:   300,
 		Faults:           chaosPlan(seed, fx.Tree.NumDevices()),
 		Local:            localCfg,
-		PartialBRA:       aggregate.NewMultiKrum(0.25),
-		TopCBA:           consensus.ABA{},
+		Partial:          core.LevelRule{BRA: aggregate.NewMultiKrum(0.25)},
+		Global:           core.LevelRule{CBA: consensus.ABA{}},
 		ClientData:       fx.Shards,
 		TestData:         fx.Test,
 		ValidationShards: fx.ValShards,

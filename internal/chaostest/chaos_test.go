@@ -39,7 +39,6 @@ func chaosPlan(seed uint64, devices int) *fault.Plan {
 }
 
 func pipelineOutcome(fx *chaostest.Fixture, seed uint64, rounds int) chaostest.Outcome {
-	voting := consensus.Voting{}
 	flight := trace.NewFlightRecorder(0)
 	cfg := pipeline.Config{
 		Flight:           flight,
@@ -50,8 +49,8 @@ func pipelineOutcome(fx *chaostest.Fixture, seed uint64, rounds int) chaostest.O
 		CollectTimeout:   300,
 		Faults:           chaosPlan(seed, fx.Tree.NumDevices()),
 		Local:            localCfg,
-		PartialBRA:       aggregate.NewMultiKrum(0.25),
-		TopVoting:        &voting,
+		Partial:          core.LevelRule{BRA: aggregate.NewMultiKrum(0.25)},
+		Global:           core.LevelRule{CBA: consensus.Voting{}},
 		ClientData:       fx.Shards,
 		TestData:         fx.Test,
 		ValidationShards: fx.ValShards,

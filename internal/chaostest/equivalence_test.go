@@ -44,8 +44,8 @@ func TestPipelineMatchesCoreBitForBit(t *testing.T) {
 		Rounds:     rounds,
 		FlagLevel:  0,
 		Local:      local,
-		PartialBRA: aggregate.NewMultiKrum(0.25),
-		TopBRA:     aggregate.Median{},
+		Partial:    core.LevelRule{BRA: aggregate.NewMultiKrum(0.25)},
+		Global:     core.LevelRule{BRA: aggregate.Median{}},
 		ClientData: fx.Shards,
 		TestData:   fx.Test,
 		Seed:       seed,

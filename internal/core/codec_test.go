@@ -65,7 +65,7 @@ func TestIdentityCodecGoldenVanilla(t *testing.T) {
 		res, err := RunVanilla(VanillaConfig{
 			Rounds:     3,
 			Local:      base.Local,
-			Aggregator: aggregate.Median{},
+			Rule:       LevelRule{BRA: aggregate.Median{}},
 			ClientData: base.ClientData,
 			TestData:   base.TestData,
 			Seed:       7,

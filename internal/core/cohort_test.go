@@ -150,7 +150,7 @@ func TestVanillaCohort(t *testing.T) {
 		cfg := VanillaConfig{
 			Rounds:     3,
 			Local:      base.Local,
-			Aggregator: aggregate.Mean{},
+			Rule:       LevelRule{BRA: aggregate.Mean{}},
 			ClientData: base.ClientData,
 			TestData:   base.TestData,
 			Seed:       7,

@@ -124,7 +124,7 @@ func TestRunHFLResistsPoisoningAtBound(t *testing.T) {
 	van, err := RunVanilla(VanillaConfig{
 		Rounds:     12,
 		Local:      cfg.Local,
-		Aggregator: aggregate.Mean{},
+		Rule:       LevelRule{BRA: aggregate.Mean{}},
 		ClientData: cfg.ClientData,
 		TestData:   cfg.TestData,
 		Byzantine:  cfg.Byzantine,
@@ -147,7 +147,7 @@ func TestVanillaLearnsWithoutAttack(t *testing.T) {
 	res, err := RunVanilla(VanillaConfig{
 		Rounds:     20,
 		Local:      cfg.Local,
-		Aggregator: aggregate.NewMultiKrum(0.25),
+		Rule:       LevelRule{BRA: aggregate.NewMultiKrum(0.25)},
 		ClientData: cfg.ClientData,
 		TestData:   cfg.TestData,
 		Seed:       7,
@@ -367,7 +367,7 @@ func TestRunHFLBackdoorMeasuredByTriggerRate(t *testing.T) {
 	van, err := RunVanilla(VanillaConfig{
 		Rounds:     15,
 		Local:      cfg.Local,
-		Aggregator: aggregate.Mean{},
+		Rule:       LevelRule{BRA: aggregate.Mean{}},
 		ClientData: cfg.ClientData,
 		TestData:   cfg.TestData,
 		Byzantine:  cfg.Byzantine,
@@ -506,6 +506,23 @@ func TestPartialByLevelValidation(t *testing.T) {
 	cfg.PartialByLevel = map[int]LevelRule{1: {}}
 	if _, err := RunHFL(cfg); err == nil {
 		t.Fatal("empty per-level rule accepted")
+	}
+
+	// VanillaConfig.Rule is held to the same rule: exactly one of BRA or CBA.
+	van := VanillaConfig{Rounds: 1, ClientData: cfg.ClientData, TestData: cfg.TestData}
+	for _, c := range []struct {
+		rule LevelRule
+		ok   bool
+	}{
+		{LevelRule{}, false},
+		{LevelRule{BRA: aggregate.Mean{}, CBA: consensus.Voting{}}, false},
+		{LevelRule{BRA: aggregate.Mean{}}, true},
+		{LevelRule{CBA: consensus.Voting{}}, true},
+	} {
+		van.Rule = c.rule
+		if err := van.Validate(); (err == nil) != c.ok || (err != nil && !strings.Contains(err.Error(), "vanilla rule")) {
+			t.Errorf("vanilla Rule %+v: Validate = %v, want ok=%v", c.rule, err, c.ok)
+		}
 	}
 }
 

@@ -156,7 +156,7 @@ func TestVanillaPinned(t *testing.T) {
 	}{
 		{"mkrum", func(c *VanillaConfig) {}, pinned{0xf271c2ff8807527d, 0xa28d2a2ce6d2fdf3, 0xb774339e4baf2fe8}},
 		{"voting-cohort-int8", func(c *VanillaConfig) {
-			c.Aggregator, c.TopCBA = nil, consensus.Voting{}
+			c.Rule = LevelRule{CBA: consensus.Voting{}}
 			c.Cohort = 6
 			c.Codec = mustCodec(t, "int8")
 		}, pinned{0xca64bd608976e504, 0x1d5cf53a6704b5c1, 0x96ad60cb3241168b}},
@@ -165,7 +165,7 @@ func TestVanillaPinned(t *testing.T) {
 			got := pinRun(t, func(tr *trace.Tracer, reg *telemetry.Registry, onFilter func(telemetry.FilterDecision)) error {
 				base := buildScenario(t, 3, 2, 2, 3, 40, 2)
 				cfg := VanillaConfig{
-					Rounds: 3, Local: base.Local, Aggregator: aggregate.NewMultiKrum(0.25),
+					Rounds: 3, Local: base.Local, Rule: LevelRule{BRA: aggregate.NewMultiKrum(0.25)},
 					ClientData: base.ClientData, TestData: base.TestData, Byzantine: base.Byzantine,
 					Seed: 7, EvalEvery: 2, Workers: 2,
 				}

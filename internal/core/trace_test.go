@@ -78,7 +78,7 @@ func TestVanillaSpanStreamGolden(t *testing.T) {
 		_, err := RunVanilla(VanillaConfig{
 			Rounds:     3,
 			Local:      base.Local,
-			Aggregator: aggregate.Mean{},
+			Rule:       LevelRule{BRA: aggregate.Mean{}},
 			ClientData: base.ClientData,
 			TestData:   base.TestData,
 			Seed:       7,

@@ -5,10 +5,8 @@ import (
 	"fmt"
 	"time"
 
-	"abdhfl/internal/aggregate"
 	"abdhfl/internal/attack"
 	"abdhfl/internal/codec"
-	"abdhfl/internal/consensus"
 	"abdhfl/internal/dataset"
 	"abdhfl/internal/nn"
 	"abdhfl/internal/rng"
@@ -23,17 +21,15 @@ import (
 // the paper's Table V ("Vanilla FL is set with a central server as
 // aggregation for all 64 clients").
 type VanillaConfig struct {
-	Rounds     int
-	Local      nn.TrainConfig
-	Hidden     []int
-	Aggregator aggregate.Aggregator
-	// TopCBA, when set, replaces the server's aggregation rule with a
-	// consensus protocol over the submitted updates (any registered
-	// protocol, e.g. "voting" or the randomized "aba"): contributing
-	// clients score every update on their own data and the protocol's
-	// decision becomes the round's global model — the star-topology
-	// counterpart of the hierarchical engine's CBA levels.
-	TopCBA consensus.Protocol
+	Rounds int
+	Local  nn.TrainConfig
+	Hidden []int
+	// Rule is the server's aggregation. A CBA (any registered protocol, e.g.
+	// "voting" or the randomized "aba") runs a consensus over the submitted
+	// updates instead: contributing clients score every update on their own
+	// data and the protocol's decision becomes the round's global model —
+	// the star-topology counterpart of the hierarchical engine's CBA levels.
+	Rule LevelRule
 
 	ClientData []*dataset.Dataset
 	TestData   *dataset.Dataset
@@ -74,10 +70,7 @@ func (c *VanillaConfig) Validate() error {
 	if c.TestData == nil || c.TestData.Len() == 0 {
 		return errors.New("core: vanilla TestData is empty")
 	}
-	if c.Aggregator == nil && c.TopCBA == nil {
-		return errors.New("core: vanilla Aggregator is nil")
-	}
-	return nil
+	return c.Rule.Check("core: vanilla")
 }
 
 // RunVanilla executes the star-topology baseline.
@@ -97,10 +90,6 @@ func RunVanilla(cfg VanillaConfig) (*Result, error) {
 		evalEvery = 1
 	}
 	hcfg := Config{ClientData: cfg.ClientData, Local: cfg.Local, Byzantine: cfg.Byzantine, ModelAttack: cfg.ModelAttack}
-	rule := step.Rule{BRA: cfg.Aggregator}
-	if cfg.TopCBA != nil {
-		rule = step.Rule{CBA: cfg.TopCBA}
-	}
 
 	res := &Result{}
 	updates := make([]tensor.Vector, clients)
@@ -172,25 +161,25 @@ func RunVanilla(cfg VanillaConfig) (*Result, error) {
 			inputs = vecs
 		}
 		in := step.Input{Round: round, Vecs: inputs, IDs: ids, Dst: globalBufs[round%2]}
-		if cfg.TopCBA != nil {
+		if cfg.Rule.IsCBA() {
 			// Consensus at the server: contributing clients are the members,
 			// each scoring every update on its own shard.
 			in.Rand = roundRNG.Derive("cba-top")
-			in.Workers, in.Local, in.Byzantine, in.Name = workers, cfg.ClientData, hcfg.protocolByzantine(), rule.Bare()
+			in.Workers, in.Local, in.Byzantine, in.Name = workers, cfg.ClientData, hcfg.protocolByzantine(), cfg.Rule.Bare()
 		}
-		agg, v, comm, err := st.Aggregate(rule, in)
+		agg, v, comm, err := st.Aggregate(cfg.Rule, in)
 		if err != nil {
 			return nil, fmt.Errorf("core: vanilla round %d: %w", round, err)
 		}
 		if ct != nil {
 			kept, filtered := v.Counts()
-			ct.global(round, rule.Bare(), kept, filtered)
+			ct.global(round, cfg.Rule.Bare(), kept, filtered)
 		}
 		// Star topology: every participant uploads and the server broadcasts
 		// back; a consensus at the server exchanges the models among the
 		// members instead of broadcasting.
 		roundComm := CommStats{ModelTransfers: 2 * len(inputs)}
-		if cfg.TopCBA != nil {
+		if cfg.Rule.IsCBA() {
 			roundComm = CommStats{ModelTransfers: comm.ModelTransfers + len(inputs), ScalarMessages: comm.ScalarMessages}
 		}
 		// Server→client downlink: the broadcast global crosses one codec hop

@@ -9,6 +9,7 @@ import (
 	"abdhfl/internal/fault"
 	"abdhfl/internal/metrics"
 	"abdhfl/internal/pipeline"
+	"abdhfl/internal/step"
 	"abdhfl/internal/telemetry"
 	"abdhfl/internal/trace"
 )
@@ -102,6 +103,19 @@ func ChaosSchemes() []ChaosScheme {
 	}
 }
 
+// pipelineRules resolves a scheme's rule names into the pipeline's two
+// rules: a BRA below the top, and a BRA or "voting" at the top.
+func pipelineRules(partial, top string) (p, g step.Rule, err error) {
+	if p.BRA, err = aggregate.ByName(partial); err != nil {
+		return p, g, err
+	}
+	if top == "voting" {
+		return p, step.Rule{CBA: consensus.Voting{}}, nil
+	}
+	g.BRA, err = aggregate.ByName(top)
+	return p, g, err
+}
+
 // ChaosPlan composes the fault plan for one intensity: message loss at the
 // rate itself, duplication at half, reordering on a quarter of messages,
 // an eighth of the devices crashed mid-run and another eighth churned out
@@ -182,17 +196,8 @@ func RunChaos(o ChaosOptions) ([]ChaosResult, error) {
 			cfg.CollectTimeout = 1200
 			cfg.Faults = plan
 			cfg.EvalEvery = 1
-			if cfg.PartialBRA, err = aggregate.ByName(scheme.Partial); err != nil {
+			if cfg.Partial, cfg.Global, err = pipelineRules(scheme.Partial, scheme.Top); err != nil {
 				return nil, err
-			}
-			if scheme.Top == "voting" {
-				voting := consensus.Voting{}
-				cfg.TopVoting = &voting
-			} else {
-				cfg.TopVoting = nil
-				if cfg.TopBRA, err = aggregate.ByName(scheme.Top); err != nil {
-					return nil, err
-				}
 			}
 			res, err := pipeline.Run(cfg)
 			if err != nil {

@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"abdhfl"
-	"abdhfl/internal/aggregate"
 	"abdhfl/internal/codec"
-	"abdhfl/internal/consensus"
 	"abdhfl/internal/metrics"
 	"abdhfl/internal/pipeline"
 	"abdhfl/internal/simnet"
@@ -167,17 +165,8 @@ func RunCodecMatrix(o CodecMatrixOptions) ([]CodecMatrixResult, error) {
 					Rate:       o.RateBytes,
 					PerMessage: o.PerMessage,
 				}
-				if cfg.PartialBRA, err = aggregate.ByName(scheme.Partial); err != nil {
+				if cfg.Partial, cfg.Global, err = pipelineRules(scheme.Partial, scheme.Top); err != nil {
 					return nil, err
-				}
-				if scheme.Top == "voting" {
-					voting := consensus.Voting{}
-					cfg.TopVoting = &voting
-				} else {
-					cfg.TopVoting = nil
-					if cfg.TopBRA, err = aggregate.ByName(scheme.Top); err != nil {
-						return nil, err
-					}
 				}
 				res, err := pipeline.Run(cfg)
 				if err != nil {

@@ -13,13 +13,12 @@ import (
 	"errors"
 	"fmt"
 
-	"abdhfl/internal/aggregate"
 	"abdhfl/internal/codec"
-	"abdhfl/internal/consensus"
 	"abdhfl/internal/dataset"
 	"abdhfl/internal/fault"
 	"abdhfl/internal/nn"
 	"abdhfl/internal/simnet"
+	"abdhfl/internal/step"
 	"abdhfl/internal/telemetry"
 	"abdhfl/internal/tensor"
 	"abdhfl/internal/topology"
@@ -118,14 +117,16 @@ type Config struct {
 	// selects 1.
 	Quorum float64
 	// CollectTimeout is Algorithm 4's "or Timeout" branch (the
-	// semi-synchronous regime of SHFL): a leader that has waited this many
-	// virtual ms since its first arrival for a round aggregates whatever it
-	// holds, even below the quorum. Zero disables timeouts (pure quorum).
+	// semi-synchronous regime of SHFL): a leader below the top that has
+	// waited this many virtual ms since its first arrival for a round
+	// aggregates whatever it holds, even below the quorum; the top waits for
+	// its quorum. Zero disables timeouts (pure quorum).
 	//
-	// When Faults are enabled, leaders additionally arm the deadline as soon
-	// as they learn a round exists (forwarding its flag model), so a leader
-	// whose inputs are ALL lost still makes progress instead of waiting for
-	// a first arrival that never comes.
+	// When Faults are enabled, every leader, the top's included, arms the
+	// deadline as soon as it learns a round exists (forwarding its flag
+	// model, or forming the previous global), so a leader whose inputs are
+	// ALL lost still makes progress instead of waiting for a first arrival
+	// that never comes.
 	CollectTimeout float64
 	// TimeoutBackoff multiplies the collect deadline on every empty expiry
 	// (a deadline that fires with zero inputs re-arms rather than closing
@@ -147,14 +148,11 @@ type Config struct {
 	Local  nn.TrainConfig
 	Hidden []int
 
-	// PartialBRA aggregates intermediate clusters. TopCBA (any registered
-	// consensus protocol, e.g. the randomized "aba") or TopVoting selects a
-	// consensus at the top; otherwise TopBRA is used. TopCBA wins when both
-	// consensus fields are set.
-	PartialBRA aggregate.Aggregator
-	TopBRA     aggregate.Aggregator
-	TopVoting  *consensus.Voting
-	TopCBA     consensus.Protocol
+	// Partial aggregates every cluster below the top and must be a BRA: the
+	// engine runs consensus only at the top. Global forms the global model at
+	// the top: a BRA, or any registered consensus protocol (e.g. "voting" or
+	// the randomized "aba"), which scores on ValidationShards.
+	Partial, Global step.Rule
 
 	ClientData       []*dataset.Dataset
 	TestData         *dataset.Dataset
@@ -245,13 +243,16 @@ func (c *Config) Validate() error {
 	if c.TestData == nil || c.TestData.Len() == 0 {
 		return errors.New("pipeline: TestData is empty")
 	}
-	if c.PartialBRA == nil {
-		return errors.New("pipeline: PartialBRA is nil")
+	if err := c.Partial.Check("pipeline: Partial"); err != nil {
+		return err
 	}
-	if c.TopVoting == nil && c.TopBRA == nil && c.TopCBA == nil {
-		return errors.New("pipeline: set TopBRA, TopVoting, or TopCBA")
+	if c.Partial.IsCBA() {
+		return errors.New("pipeline: Partial must be a BRA: consensus runs only at the top")
 	}
-	if c.TopVoting != nil || c.TopCBA != nil {
+	if err := c.Global.Check("pipeline: Global"); err != nil {
+		return err
+	}
+	if c.Global.IsCBA() {
 		if len(c.ValidationShards) == 0 {
 			// The shard validator indexes member % len(ValidationShards); an
 			// empty slice would be a mod-by-zero panic mid-simulation.
@@ -271,6 +272,15 @@ func (c *Config) Validate() error {
 	}
 	if c.TimeoutRetries < 0 {
 		return fmt.Errorf("pipeline: TimeoutRetries %d negative", c.TimeoutRetries)
+	}
+	if c.Faults != nil {
+		// LeaderFailed matches by equality: a pair outside the tree would
+		// switch on the faulted machinery and inject nothing.
+		for _, lf := range c.Faults.LeaderFailures {
+			if lf.Level < 0 || lf.Level >= c.Tree.Depth() || lf.Cluster < 0 || lf.Cluster >= len(c.Tree.Clusters[lf.Level]) {
+				return fmt.Errorf("pipeline: leader failure names cluster (%d, %d), which is not in the tree", lf.Level, lf.Cluster)
+			}
+		}
 	}
 	return nil
 }

@@ -73,22 +73,23 @@ type engine struct {
 	result    *Result
 	evalModel *nn.Model
 	workers   int
-	// st is shared by every cluster- and top-level step: every step runs on
-	// the event loop (discrete events run one at a time; only local training
-	// leaves it, see pool), so one warm stepper serves all actors without
-	// contention. Every step's destination comes from the free list (take).
-	// A step that fails drops its cluster's round; obs counts it and keeps
-	// the first error for Result.StepError. partial and top are the two
-	// rules.
-	st           *step.Stepper
-	obs          *step.Observer
-	partial, top step.Rule
+	// st is shared by every cluster's step, the top's included: every step
+	// runs on the event loop (discrete events run one at a time; only local
+	// training leaves it, see pool), so one warm stepper serves all actors
+	// without contention. Every step's destination comes from the free list
+	// (take). A step that fails drops its cluster's round; obs counts it and
+	// keeps the first error for Result.StepError.
+	st  *step.Stepper
+	obs *step.Observer
 	// ins holds the run's telemetry handles; nil (and every call a no-op)
 	// when Config.Telemetry is unset.
 	ins      *instruments
 	quorumOf func(size int) int
 	alpha    AlphaPolicy
-	done     bool
+	// completed counts the global rounds formed; done is set once it
+	// reaches Config.Rounds.
+	completed int
+	done      bool
 	// plan is the run's fault plan (nil-safe: every query on a nil plan
 	// reports "no fault"). faulty gates the extra liveness machinery —
 	// flag-armed deadlines — that only faulted runs need.
@@ -332,13 +333,15 @@ func (d *deviceActor) finish(ctx *simnet.Context, round int, startParams tensor.
 	}
 }
 
-// clusterActor is the leader A_{l,i} of an intermediate (or bottom) cluster:
-// collect a quorum, aggregate, forward upwards; at the flag level it also
-// releases the flag model downwards (Alg. 3-5).
+// clusterActor is the leader A_{l,i} of a cluster: collect a quorum,
+// aggregate, forward upwards; at the flag level it also releases the flag
+// model downwards (Alg. 3-5). The top (level 0, a cluster of peers with no
+// server above it) runs the same collect, and its step forms and
+// disseminates the global model instead (Alg. 6).
 type clusterActor struct {
 	e         *engine
 	cluster   *topology.Cluster
-	parent    simnet.NodeID
+	parent    simnet.NodeID   // unset at the top
 	children  []simnet.NodeID // child cluster actors, or member devices at the bottom
 	collected map[int][]tensor.Vector
 	// collectedIDs tracks, in lockstep with collected, each input's
@@ -481,15 +484,21 @@ func (a *clusterActor) receive(ctx *simnet.Context, round int, params tensor.Vec
 			e.firstArrival[bi][round] = ctx.Now()
 		}
 	}
+	if a.cluster.Level == 0 {
+		if _, ok := e.firstPartial[round]; !ok {
+			e.firstPartial[round] = ctx.Now()
+		}
+	}
 	first := len(a.collected[round]) == 0
 	a.collected[round] = append(a.collected[round], params)
 	if e.st.Records() {
 		a.collectedIDs[round] = append(a.collectedIDs[round], from)
 	}
-	if first && e.cfg.CollectTimeout > 0 && !e.faulty {
+	if first && a.cluster.Level > 0 && e.cfg.CollectTimeout > 0 && !e.faulty {
 		// Algorithm 4's "until M >= φ*C or Timeout": arm the semi-synchronous
 		// deadline at the first arrival for this round. (Faulted runs arm at
-		// flag forwarding instead, see armCollect.)
+		// flag forwarding instead, see armCollect; the top waits for its
+		// quorum.)
 		ctx.After(simnet.Time(e.cfg.CollectTimeout), func(ctx *simnet.Context) {
 			if !a.closed[round] && len(a.collected[round]) > 0 {
 				if len(a.collected[round]) < e.quorumOf(a.cluster.Size()) {
@@ -531,11 +540,16 @@ func (a *clusterActor) aggregateRound(ctx *simnet.Context, round int) {
 }
 
 // step forms the round's partial from the closed collection and forwards
-// it: upwards, and at the flag level downwards as the next round's flag.
+// it: upwards, and at the flag level downwards as the next round's flag. The
+// top forms the global instead.
 func (a *clusterActor) step(ctx *simnet.Context, round int, vecs []tensor.Vector, ids []int, closeAt simnet.Time) {
+	if a.cluster.Level == 0 {
+		a.formGlobal(ctx, round, vecs, ids)
+		return
+	}
 	e := a.e
 	dst := e.take()
-	agg, v, _, err := e.st.Aggregate(e.partial, step.Input{
+	agg, v, _, err := e.st.Aggregate(e.cfg.Partial, step.Input{
 		Level: a.cluster.Level, Cluster: a.cluster.Index, Round: round,
 		Vecs: vecs, IDs: ids, Dst: dst,
 	})
@@ -564,121 +578,20 @@ func (a *clusterActor) relSize() float64 {
 	return float64(leaves) / float64(a.e.tree.NumDevices())
 }
 
-// topActor forms the global model (Alg. 6) and disseminates it.
-type topActor struct {
-	e         *engine
-	collected map[int][]tensor.Vector
-	// collectedIDs tracks each partial's contributor (its level-1 cluster
-	// leader id), in lockstep with collected; see clusterActor.collectedIDs.
-	collectedIDs map[int][]int
-	// seen deduplicates per-round contributions by level-1 cluster index
-	// (the fault layer can duplicate partials in flight).
-	seen      map[int]map[int]bool
-	closed    map[int]bool
-	armed     map[int]bool
-	children  []simnet.NodeID
-	completed int
-	// recycles: see clusterActor.recycles (level-1 partials are flags when
-	// the flag level is 1).
-	recycles bool
-}
-
-func (t *topActor) OnMessage(ctx *simnet.Context, msg simnet.Message) {
-	m, ok := msg.Payload.(msgPartial)
-	if !ok {
-		return
-	}
-	e := t.e
-	if t.closed[m.round] || m.round >= e.cfg.Rounds {
-		return
-	}
-	if t.seen[m.round][m.child] {
-		return
-	}
-	if t.seen[m.round] == nil {
-		t.seen[m.round] = map[int]bool{}
-	}
-	t.seen[m.round][m.child] = true
-	if _, seen := e.firstPartial[m.round]; !seen {
-		e.firstPartial[m.round] = ctx.Now()
-	}
-	e.tracePartial(1, m.child, m.round, -1, 0, msg.SentAt, ctx.Now(), len(m.params))
-	t.collected[m.round] = append(t.collected[m.round], m.params)
-	if e.st.Records() {
-		t.collectedIDs[m.round] = append(t.collectedIDs[m.round], e.tree.Clusters[1][m.child].Leader)
-	}
-	t.armCollect(ctx, m.round, 0)
-	if len(t.collected[m.round]) < e.quorumOf(e.tree.Top().Size()) {
-		return
-	}
-	t.closeRound(ctx, m.round)
-}
-
-// closeRound seals the round's collection and schedules global aggregation
-// over whatever was collected.
-func (t *topActor) closeRound(ctx *simnet.Context, round int) {
-	e := t.e
-	t.closed[round] = true
-	vecs := t.collected[round]
-	ids := t.collectedIDs[round]
-	delete(t.collected, round)
-	delete(t.collectedIDs, round)
-	delete(t.seen, round)
-	dur := e.aggDuration(0, 0, round)
-	ctx.After(dur, func(ctx *simnet.Context) { t.formGlobal(ctx, round, vecs, ids) })
-}
-
-// armCollect mirrors clusterActor.armCollect for the top level: under
-// faults, the global round's deadline is armed as soon as the previous
-// global forms (or at the first partial's arrival), backs off while empty,
-// and finally abandons the round so the run drains instead of hanging.
-func (t *topActor) armCollect(ctx *simnet.Context, round, attempt int) {
-	e := t.e
-	if !e.faulty || e.cfg.CollectTimeout <= 0 || round >= e.cfg.Rounds {
-		return
-	}
-	if attempt == 0 {
-		if t.armed[round] || t.closed[round] {
-			return
-		}
-		t.armed[round] = true
-	}
-	d := e.cfg.CollectTimeout * math.Pow(e.backoff, float64(attempt))
-	ctx.After(simnet.Time(d), func(ctx *simnet.Context) {
-		if t.closed[round] {
-			return
-		}
-		if n := len(t.collected[round]); n > 0 {
-			if n < e.quorumOf(e.tree.Top().Size()) {
-				e.subQuorum()
-			}
-			t.closeRound(ctx, round)
-			return
-		}
-		if attempt+1 < e.retries {
-			t.armCollect(ctx, round, attempt+1)
-			return
-		}
-		t.closed[round] = true
-		e.abandoned()
-	})
-}
-
-func (t *topActor) formGlobal(ctx *simnet.Context, round int, vecs []tensor.Vector, ids []int) {
-	e := t.e
+// formGlobal is the top's step: it forms the global model (Alg. 6) and
+// disseminates it.
+func (a *clusterActor) formGlobal(ctx *simnet.Context, round int, vecs []tensor.Vector, ids []int) {
+	e := a.e
 	// The global is never freed: it is the next Delta reference, the run's
 	// final model, and devices merge it (and, at flag level 0, start from it)
 	// whenever it reaches them.
 	dst := e.take()
 	in := step.Input{Round: round, Vecs: vecs, IDs: ids, Dst: dst}
-	if e.top.IsCBA() {
+	if e.cfg.Global.IsCBA() {
 		in.Rand = e.root.Derive(fmt.Sprintf("vote-%d", round))
-		in.Workers, in.Shards, in.Name = e.workers, e.cfg.ValidationShards, e.top.Bare()
+		in.Workers, in.Shards, in.Name = e.workers, e.cfg.ValidationShards, e.cfg.Global.Bare()
 	}
-	global, v, _, err := e.st.Aggregate(e.top, in)
-	if t.recycles {
-		e.recycle(vecs...)
-	}
+	global, v, _, err := e.st.Aggregate(e.cfg.Global, in)
 	if err != nil {
 		e.recycle(dst)
 		return
@@ -693,20 +606,20 @@ func (t *topActor) formGlobal(ctx *simnet.Context, round int, vecs []tensor.Vect
 	e.result.FinalParams = global
 	e.evaluate(round, ctx.Now(), global)
 	gm := msgGlobal{round: round, params: global, formedAt: ctx.Now()}
-	for _, ch := range t.children {
+	for _, ch := range a.children {
 		ctx.SendVolume(ch, gm, e.volume(hopGlobal, len(global)))
 	}
 	if e.cfg.FlagLevel == 0 {
 		flag := msgFlag{round: round + 1, params: global, relSize: 1}
-		for _, ch := range t.children {
+		for _, ch := range a.children {
 			ctx.SendVolume(ch, flag, e.volume(hopFlag, len(global)))
 		}
 	}
-	t.completed++
+	e.completed++
 	// A formed global proves round+1 is about to start below: arm its
 	// top-level deadline now so a fully-starved next round still resolves.
-	t.armCollect(ctx, round+1, 0)
-	if t.completed >= e.cfg.Rounds {
+	a.armCollect(ctx, round+1, 0)
+	if e.completed >= e.cfg.Rounds {
 		e.done = true
 		e.result.Duration = ctx.Now()
 	}
@@ -764,13 +677,6 @@ func Run(cfg Config) (*Result, error) {
 		workers:   cfg.Workers,
 		lastRef:   init,
 		dim:       len(init),
-		partial:   step.Rule{BRA: cfg.PartialBRA},
-		top:       step.Rule{BRA: cfg.TopBRA},
-	}
-	if cfg.TopCBA != nil {
-		e.top = step.Rule{CBA: cfg.TopCBA}
-	} else if cfg.TopVoting != nil {
-		e.top = step.Rule{CBA: *cfg.TopVoting}
 	}
 	e.plan = cfg.Faults
 	e.faulty = cfg.Faults.Enabled()
@@ -848,25 +754,9 @@ func Run(cfg Config) (*Result, error) {
 			sim.Register(simnet.NodeID(id), devActors[id])
 		}
 	}
-	var topA *topActor
+	var top *clusterActor
 	for l := 0; l < tree.Depth(); l++ {
 		for i, c := range tree.Clusters[l] {
-			if l == 0 {
-				topA = &topActor{
-					e:            e,
-					collected:    map[int][]tensor.Vector{},
-					collectedIDs: map[int][]int{},
-					seen:         map[int]map[int]bool{},
-					closed:       map[int]bool{},
-					armed:        map[int]bool{},
-					recycles:     cfg.FlagLevel != 1,
-				}
-				for _, ch := range tree.ChildClusters(0, 0) {
-					topA.children = append(topA.children, e.nodeOfCluster(1, ch.Index))
-				}
-				sim.Register(e.clusterNode[0][0], topA)
-				continue
-			}
 			a := &clusterActor{
 				e:            e,
 				cluster:      c,
@@ -878,8 +768,8 @@ func Run(cfg Config) (*Result, error) {
 				isBottom:     l == bottom,
 				recycles:     l == bottom || l+1 != cfg.FlagLevel,
 			}
-			if l == 1 {
-				a.parent = e.clusterNode[0][0]
+			if l == 0 {
+				top = a
 			} else {
 				p := tree.Parent(l, i)
 				a.parent = e.nodeOfCluster(p.Level, p.Index)
@@ -913,7 +803,7 @@ func Run(cfg Config) (*Result, error) {
 		// Bootstrap the top's round-0 deadline: with every round-0 partial
 		// lost, no arrival would ever arm it.
 		sim.ScheduleAt(0, e.clusterNode[0][0], func(ctx *simnet.Context) {
-			topA.armCollect(ctx, 0, 0)
+			top.armCollect(ctx, 0, 0)
 		})
 	}
 	e.startTraining(tensor.ResolveWorkers(cfg.Workers), devices)
@@ -924,14 +814,14 @@ func Run(cfg Config) (*Result, error) {
 	if e.codecErr != nil {
 		return nil, e.codecErr
 	}
-	e.result.CompletedRounds = topA.completed
+	e.result.CompletedRounds = e.completed
 	e.result.StepError = e.obs.Err()
 	if !e.done {
 		if !e.faulty {
 			if e.result.StepError != nil {
-				return nil, fmt.Errorf("pipeline: simulation drained after %d/%d rounds: %w", topA.completed, cfg.Rounds, e.result.StepError)
+				return nil, fmt.Errorf("pipeline: simulation drained after %d/%d rounds: %w", e.completed, cfg.Rounds, e.result.StepError)
 			}
-			return nil, fmt.Errorf("pipeline: simulation drained after %d/%d rounds", topA.completed, cfg.Rounds)
+			return nil, fmt.Errorf("pipeline: simulation drained after %d/%d rounds", e.completed, cfg.Rounds)
 		}
 		// Degraded operation under injected faults: the plan starved the
 		// protocol of its remaining rounds. The run still terminated (no

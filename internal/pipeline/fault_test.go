@@ -127,6 +127,27 @@ func TestPipelineTimeoutQuorumTable(t *testing.T) {
 			},
 		},
 		{
+			// The top is a cluster like any other: a failed top leader
+			// collects and forms nothing from its round on, so the run stops
+			// at the rounds formed before it, abandons the top's next
+			// collection and still returns.
+			name: "top-leader-failure-stops-globals",
+			build: func(t *testing.T) Config {
+				cfg := buildConfig(t, 3, 2, 2, 5, 1, 0)
+				cfg.CollectTimeout = 300
+				cfg.Faults = &fault.Plan{LeaderFailures: []fault.LeaderFailure{{Level: 0, Cluster: 0, FromRound: 2}}}
+				return cfg
+			},
+			check: func(t *testing.T, res *Result, err error) {
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.CompletedRounds != 2 || res.Abandoned != 1 {
+					t.Fatalf("completed %d rounds with %d abandoned collections, want 2 and 1", res.CompletedRounds, res.Abandoned)
+				}
+			},
+		},
+		{
 			// Total transport loss: every message dropped. Nothing can
 			// complete, but the run must terminate cleanly — deadlines expire,
 			// retries back off, collections are abandoned, and the result
@@ -254,7 +275,7 @@ func (f failingRule) AggregateInto(dst tensor.Vector, s *aggregate.Scratch, u []
 func TestStepErrorIsReported(t *testing.T) {
 	calls := 0
 	cfg := buildConfig(t, 3, 2, 2, 4, 1, 0)
-	cfg.PartialBRA = failingRule{cfg.PartialBRA, &calls, 3}
+	cfg.Partial.BRA = failingRule{cfg.Partial.BRA, &calls, 3}
 	cfg.Quorum = 0.5 // the parent proceeds on the sibling's partial
 	cfg.Telemetry = telemetry.New()
 	res, err := Run(cfg)
@@ -273,7 +294,7 @@ func TestStepErrorIsReported(t *testing.T) {
 
 	calls = 0
 	cfg = buildConfig(t, 3, 2, 2, 4, 1, 0)
-	cfg.PartialBRA = failingRule{cfg.PartialBRA, &calls, 3}
+	cfg.Partial.BRA = failingRule{cfg.Partial.BRA, &calls, 3}
 	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "drained") || !strings.Contains(err.Error(), "rule blew up") {
 		t.Fatalf("a full-quorum run starved by a failed step must say so: %v", err)
 	}

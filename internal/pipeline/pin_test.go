@@ -12,6 +12,7 @@ import (
 	"abdhfl/internal/codec"
 	"abdhfl/internal/consensus"
 	"abdhfl/internal/fault"
+	"abdhfl/internal/step"
 	"abdhfl/internal/telemetry"
 	"abdhfl/internal/trace"
 )
@@ -116,13 +117,13 @@ func TestPipelinePinned(t *testing.T) {
 	}{
 		{"voting-flag1", func(c *Config) {}, pinned{0xcd6b8b448cb32bd3, 0x3648873abee690e9, 0xd01cd5a65fee0bbf}},
 		{"median-flag0-int8", func(c *Config) {
-			c.TopVoting, c.TopBRA = nil, aggregate.Median{}
+			c.Global = step.Rule{BRA: aggregate.Median{}}
 			c.FlagLevel = 0
 			c.Codec = mustCodec(t, "int8")
 		}, pinned{0xf7de58b9d4eb535d, 0xde83b56598360915, 0x865a2f7b2e373dfd}},
 		{"aba-faults-quorum-delta", func(c *Config) {
-			c.TopVoting, c.TopCBA = nil, consensus.ABA{}
-			c.PartialBRA = aggregate.CenteredClipping{}
+			c.Global = step.Rule{CBA: consensus.ABA{}}
+			c.Partial = step.Rule{BRA: aggregate.CenteredClipping{}}
 			c.Quorum = 0.7
 			c.CollectTimeout = 300
 			c.Faults = &fault.Plan{Seed: 5, Drop: 0.1, Duplicate: 0.1, CrashFromRound: map[int]int{7: 1}}

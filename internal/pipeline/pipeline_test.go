@@ -9,9 +9,11 @@ import (
 	"abdhfl/internal/attack"
 	"abdhfl/internal/consensus"
 	"abdhfl/internal/dataset"
+	"abdhfl/internal/fault"
 	"abdhfl/internal/nn"
 	"abdhfl/internal/rng"
 	"abdhfl/internal/simnet"
+	"abdhfl/internal/step"
 	"abdhfl/internal/topology"
 )
 
@@ -33,14 +35,13 @@ func buildConfig(t testing.TB, levels, m, top, rounds, flagLevel, byz int) Confi
 		byzMap[id] = true
 		attack.LabelFlipAll{Target: 9}.Poison(r.Derive("poison"), shards[id])
 	}
-	voting := consensus.Voting{}
 	return Config{
 		Tree:             tree,
 		Rounds:           rounds,
 		FlagLevel:        flagLevel,
 		Local:            nn.TrainConfig{LearningRate: 0.1, BatchSize: 16, Iterations: 5},
-		PartialBRA:       aggregate.NewMultiKrum(0.25),
-		TopVoting:        &voting,
+		Partial:          step.Rule{BRA: aggregate.NewMultiKrum(0.25)},
+		Global:           step.Rule{CBA: consensus.Voting{}},
 		ClientData:       shards,
 		TestData:         test,
 		ValidationShards: valShards,
@@ -192,10 +193,9 @@ func TestPipelineQuorumSpeedsRounds(t *testing.T) {
 	}
 }
 
-func TestPipelineTopBRA(t *testing.T) {
+func TestPipelineGlobalBRA(t *testing.T) {
 	cfg := buildConfig(t, 3, 2, 2, 5, 1, 0)
-	cfg.TopVoting = nil
-	cfg.TopBRA = aggregate.Median{}
+	cfg.Global = step.Rule{BRA: aggregate.Median{}}
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -220,35 +220,41 @@ func TestPipelineQuorumInRange(t *testing.T) {
 
 func TestPipelineValidation(t *testing.T) {
 	cfg := buildConfig(t, 3, 2, 2, 5, 1, 0)
-
-	bad := cfg
-	bad.FlagLevel = 2 // == bottom, out of the paper's {0..L-1}
-	if _, err := Run(bad); err == nil {
-		t.Fatal("bottom flag level accepted")
+	leaderDown := func(level, cluster int) func(*Config) {
+		return func(c *Config) {
+			c.Faults = &fault.Plan{LeaderFailures: []fault.LeaderFailure{{Level: level, Cluster: cluster, FromRound: 1}}}
+		}
 	}
-
-	bad = cfg
-	bad.Rounds = 0
-	if _, err := Run(bad); err == nil {
-		t.Fatal("zero rounds accepted")
+	for _, tc := range []struct {
+		name  string
+		tweak func(*Config)
+		want  string // a substring of the error
+	}{
+		{"bottom flag level", func(c *Config) { c.FlagLevel = 2 }, "FlagLevel"}, // == bottom, out of the paper's {0..L-1}
+		{"zero rounds", func(c *Config) { c.Rounds = 0 }, "Rounds"},
+		{"partial unset", func(c *Config) { c.Partial = step.Rule{} }, "Partial rule"},
+		{"partial both", func(c *Config) { c.Partial.CBA = consensus.Voting{} }, "Partial rule"},
+		{"partial CBA", func(c *Config) { c.Partial = step.Rule{CBA: consensus.Voting{}} }, "Partial must be a BRA"},
+		{"global unset", func(c *Config) { c.Global = step.Rule{} }, "Global rule"},
+		{"global CBA without shards", func(c *Config) { c.ValidationShards = nil }, "ValidationShard"},
+		{"leader failure at a negative level", leaderDown(-1, 0), "(-1, 0)"},
+		{"leader failure at level = depth", leaderDown(3, 0), "(3, 0)"},
+		{"leader failure at cluster = width", leaderDown(1, 2), "(1, 2)"},
+		{"leader failure at a negative cluster", leaderDown(2, -1), "(2, -1)"},
+	} {
+		bad := cfg
+		tc.tweak(&bad)
+		if _, err := Run(bad); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
+		}
 	}
-
-	bad = cfg
-	bad.PartialBRA = nil
-	if _, err := Run(bad); err == nil {
-		t.Fatal("nil partial BRA accepted")
-	}
-
-	bad = cfg
-	bad.TopVoting = nil
-	if _, err := Run(bad); err == nil {
-		t.Fatal("no top rule accepted")
-	}
-
-	bad = cfg
-	bad.ValidationShards = nil
-	if _, err := Run(bad); err == nil {
-		t.Fatal("voting without shards accepted")
+	// A BRA Global needs no shards, and a leader failure inside the tree
+	// passes.
+	ok := cfg
+	ok.Global, ok.ValidationShards = step.Rule{BRA: aggregate.Median{}}, nil
+	leaderDown(2, 3)(&ok)
+	if err := ok.Validate(); err != nil {
+		t.Fatalf("valid config rejected: %v", err)
 	}
 }
 
@@ -347,7 +353,7 @@ func TestRenderTimeline(t *testing.T) {
 }
 
 func TestPipelineBandwidthSlowsGlobalPhase(t *testing.T) {
-	// Choke the links into the top actor: σ_g (collection at the top) must
+	// Choke the links into the top cluster: σ_g (collection at the top) must
 	// grow relative to an unconstrained run.
 	base := buildConfig(t, 3, 2, 2, 8, 1, 0)
 	fast, err := Run(base)
@@ -355,7 +361,7 @@ func TestPipelineBandwidthSlowsGlobalPhase(t *testing.T) {
 		t.Fatal(err)
 	}
 	choked := base
-	topNode := simnet.NodeID(base.Tree.NumDevices()) // first allocated cluster id = top actor
+	topNode := simnet.NodeID(base.Tree.NumDevices()) // first allocated cluster id = the top
 	choked.Bandwidth = func(_, to simnet.NodeID) float64 {
 		if to == topNode {
 			return 50 // ~48ms extra per 2410-param model

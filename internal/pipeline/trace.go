@@ -41,21 +41,19 @@ func (e *engine) traceUplink(dev, round, level, cluster int, sentAt, at simnet.T
 
 // tracePartial emits the child-cluster->parent hop span for a counted
 // partial model. child is the sender's cluster index at level childLevel;
-// (level, cluster) identify the consuming aggregation — level -1 means the
+// (level, cluster) identify the consuming aggregation — level 0 means the
 // top (the round's global span).
 func (e *engine) tracePartial(childLevel, child, round, level, cluster int, sentAt, at simnet.Time, dim int) {
 	if e.tr == nil {
 		return
 	}
-	parent := trace.SpanID("global", round)
-	to := int(e.clusterNode[0][0])
-	if level >= 0 {
-		parent = trace.SpanID("aggregate", round, level, cluster)
-		to = int(e.clusterNode[level][cluster])
+	parent := trace.SpanID("aggregate", round, level, cluster)
+	if level == 0 {
+		parent = trace.SpanID("global", round)
 	}
 	s := trace.MsgSpan(trace.SpanID("pmsg", round, childLevel, child), parent, "partial",
 		round, childLevel, child, float64(sentAt), float64(at), step.WireBytes(e.cfg.Codec, dim))
-	s.From, s.To = int(e.clusterNode[childLevel][child]), to
+	s.From, s.To = int(e.clusterNode[childLevel][child]), int(e.clusterNode[level][cluster])
 	e.tr.Record(s)
 }
 
@@ -67,7 +65,7 @@ func (e *engine) traceAggregate(level, cluster, round int, v *step.Verdict, clos
 	}
 	kept, filtered := v.Counts()
 	e.tr.Record(trace.AggregateSpan(round, level, cluster, trace.SpanID("pmsg", round, level, cluster),
-		float64(closeAt), float64(end), e.partial.Bare(), 0, kept, filtered))
+		float64(closeAt), float64(end), e.cfg.Partial.Bare(), 0, kept, filtered))
 }
 
 // traceGlobal emits the round's global-formation span plus the enclosing
@@ -78,7 +76,7 @@ func (e *engine) traceGlobal(round int, v *step.Verdict, end simnet.Time, dim in
 	}
 	start := e.firstPartial[round]
 	kept, filtered := v.Counts()
-	e.tr.Record(trace.GlobalSpan(round, float64(start), float64(end), e.top.Bare(), step.WireBytes(e.cfg.Codec, dim), kept, filtered))
+	e.tr.Record(trace.GlobalSpan(round, float64(start), float64(end), e.cfg.Global.Bare(), step.WireBytes(e.cfg.Codec, dim), kept, filtered))
 	rs, ok := e.roundStart[round]
 	if !ok {
 		rs = start

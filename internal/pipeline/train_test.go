@@ -40,7 +40,7 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 		}, true, false},
 		{"step-error", func(t *testing.T) Config {
 			cfg := buildConfig(t, 3, 2, 2, 4, 1, 0)
-			cfg.PartialBRA = failingRule{cfg.PartialBRA, new(int), 3}
+			cfg.Partial.BRA = failingRule{cfg.Partial.BRA, new(int), 3}
 			cfg.Quorum = 0.5 // the parent proceeds on the sibling's partial
 			return cfg
 		}, false, true},

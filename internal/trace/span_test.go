@@ -116,7 +116,7 @@ func TestShardMergeDeterminism(t *testing.T) {
 }
 
 // TestConcurrentSpanRecording hammers one tracer from many goroutines; run
-// under -race via make verify-trace. Explicit Seq keeps the merged order
+// under -race via make race. Explicit Seq keeps the merged order
 // deterministic even though arrival order is not.
 func TestConcurrentSpanRecording(t *testing.T) {
 	tr := NewTracer(8, 0)
