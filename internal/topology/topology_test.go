@@ -75,6 +75,41 @@ func TestECSMRejectsBadShapes(t *testing.T) {
 	if _, err := NewECSM(3, 0, 4); err == nil {
 		t.Fatal("zero cluster size accepted")
 	}
+	// A shape whose device count overflows an int is an error, not a
+	// wrapped count that panics or exhausts memory in the build.
+	for _, c := range [][3]int{{23, 8, 1}, {3, 1 << 32, 1 << 32}, {64, 2, 1}} {
+		if _, err := NewECSM(c[0], c[1], c[2]); err == nil || !strings.Contains(err.Error(), "overflows") {
+			t.Errorf("NewECSM%v: error %v, want an overflow", c, err)
+		}
+	}
+}
+
+// TestECSMDevicesOverflowBoundary counts shapes on both sides of the largest
+// int: the product that reaches it exactly is a count, the next one an error.
+func TestECSMDevicesOverflowBoundary(t *testing.T) {
+	for _, c := range []struct {
+		levels, m, top, want int // want -1: overflow
+	}{
+		{2, math.MaxInt, 1, math.MaxInt},
+		{2, math.MaxInt/2 + 1, 2, -1},
+		{63, 2, 1, 1 << 62},
+		{64, 2, 1, -1},
+		{3, 1 << 31, 1<<32 - 1, -1}, // the bottom's cluster count fits, its devices do not
+		{3, 1 << 32, 1 << 32, -1},   // the bottom's cluster count already overflows
+		{21, 8, 1, 1 << 60},
+		{22, 8, 1, -1},
+	} {
+		got, err := ecsmDevices(c.levels, c.m, c.top)
+		if c.want < 0 {
+			if err == nil {
+				t.Errorf("ecsmDevices(%d, %d, %d) = %d, want an overflow error", c.levels, c.m, c.top, got)
+			}
+			continue
+		}
+		if err != nil || got != c.want {
+			t.Errorf("ecsmDevices(%d, %d, %d) = %d, %v; want %d", c.levels, c.m, c.top, got, err, c.want)
+		}
+	}
 }
 
 func TestLeadersAreLowestIDs(t *testing.T) {
