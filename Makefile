@@ -81,15 +81,17 @@ verify-results-slow:
 
 # verify-scale gates the million-device layer: the event queue's (at, seq)
 # dispatch-order property over messages, closure timers and argument timers,
-# with and without a reserve, argument timers never armed in the past, rerun
-# invariance, event pooling and the 64-byte event, the scale results pinned
-# whole and with the state counts left out (small, scale_cell, depth-2,
-# depth-4 and narrow-top shapes),
-# the same results from the value pass at 1, 2, 3 and 8 workers
-# (TestScaleWorkersAgree), cohort accounting and the one-event-per-cluster
-# queue bound (core + scale engine), the one-pass coordinate kernel against
-# its two-pass reference, the branch-free AllFinite and the string-free
-# decimal-label derive against Derive, all under -race; then — without -race,
+# with and without a reserve, argument timers never armed in the past, also
+# from outside a callback (Sim.AtArg), rerun invariance, event pooling and
+# the 64-byte event, the scale results pinned whole and with the state counts
+# left out (small, scale_cell, depth-2, depth-4 and narrow-top shapes), the
+# event count by its closed form, shapes too large for int32 ids rejected,
+# the same results from the value pass at 1, 2, 3 and 8 workers while it
+# runs beside the next round's event loop (TestScaleWorkersAgree), cohort
+# accounting and the queue bound of one event per bottom cluster (core +
+# scale engine), the one-pass coordinate kernel against its two-pass
+# reference, the branch-free AllFinite and the string-free decimal-label
+# derive against Derive, all under -race; then — without -race,
 # whose own allocations would be counted — the allocation budgets of the
 # derived random streams (Derive, DeriveDecimal, DeriveN) and of one
 # scale_cell run (bytes and objects); then, because RunScale's value pass

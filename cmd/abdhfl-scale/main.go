@@ -3,7 +3,7 @@
 // error, bottom-level filter precision/recall, trainer activations and
 // materialized update buffers (the cohort vectors one bottom aggregation
 // holds, per value-pass worker, whatever the population), event counts, the
-// event queue's peak occupancy (at most one event per cluster), and the
+// event queue's peak occupancy (at most one event per bottom cluster), and the
 // σ_w/σ_g timing aggregates.
 //
 // Every cell simulates the full device population on the discrete-event

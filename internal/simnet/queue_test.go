@@ -285,6 +285,44 @@ func TestAtArgNotInThePast(t *testing.T) {
 	}
 }
 
+// TestSimAtArg: an argument timer armed from outside a callback fires with
+// its argument on the node it names; it orders by (at, seq) among argument
+// timers armed with Context.AtArg and closure timers armed with ScheduleAt;
+// arming one in the past panics; and one for a node without a handler is
+// counted as dropped.
+func TestSimAtArg(t *testing.T) {
+	sim := New(Fixed(1), rng.New(1))
+	var got []string
+	sim.Register(0, recordingNode{got: &got})
+	closure := func(name string) TimerFunc {
+		return func(*Context) { got = append(got, name) }
+	}
+	sim.AtArg(0, 2, 7)                        // seq 0, due at 2
+	sim.ScheduleAt(1, 0, func(ctx *Context) { // seq 1, due at 1
+		ctx.AtArg(2, 7)                               // seq 5, due at 2
+		sim.ScheduleAt(2, 0, closure("closure-late")) // seq 6, due at 2
+	})
+	sim.ScheduleAt(2, 0, closure("closure")) // seq 2, due at 2
+	sim.AtArg(0, 1, 7)                       // seq 3, due at 1: after seq 1
+	sim.AtArg(5, 3, 7)                       // seq 4: node 5 has no handler
+	if _, err := sim.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	want := "argument argument closure argument closure-late"
+	if strings.Join(got, " ") != want {
+		t.Fatalf("fired %v, want %s", got, want)
+	}
+	if st := sim.Stats(); st.DroppedUnregistered != 1 {
+		t.Fatalf("DroppedUnregistered = %d, want the one timer for node 5", st.DroppedUnregistered)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Sim.AtArg before the current time did not panic")
+		}
+	}()
+	sim.AtArg(0, sim.Now()-0.5, 7)
+}
+
 // TestEventIsOneCacheLine pins the event struct at 64 bytes: the queue holds
 // tens of thousands of them, and an argument timer was fitted into fields a
 // timer leaves unused so that it would stay there.
