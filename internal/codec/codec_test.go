@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
 
@@ -286,5 +287,42 @@ func TestNestedDeltaRejected(t *testing.T) {
 	}
 	if err := c.DecodeInto(v, []byte{tagDelta, tagDelta, 0}, nil); err == nil {
 		t.Fatal("nested Delta decode must error")
+	}
+}
+
+// TestInt8MatchesItsFormula holds Int8Quant to the arithmetic its doc
+// states, bit for bit: code round(255·t) with t = (x/255 − lo/255) / step,
+// and reconstruction lo·(1−t) + hi·t with t = code/255. The encoder forms
+// lo/255 once per chunk and the decoder reads t and 1−t from tables; both
+// must give exactly what the per-coordinate arithmetic gives.
+func TestInt8MatchesItsFormula(t *testing.T) {
+	r := rng.New(11)
+	v := randomVector(r, 3*DefaultChunk+17)
+	v[5], v[DefaultChunk+1] = 1e300, -1e300
+	c := Int8Quant{}
+	buf := make([]byte, c.WireBytes(len(v)))
+	if _, err := c.EncodeInto(buf, v, nil); err != nil {
+		t.Fatal(err)
+	}
+	got := tensor.NewVector(len(v))
+	if err := c.DecodeInto(got, buf, nil); err != nil {
+		t.Fatal(err)
+	}
+	nc := numChunks(len(v), DefaultChunk)
+	head, codes := buf[9:], buf[9+16*nc:]
+	for i, x := range v {
+		lo := math.Float64frombits(binary.LittleEndian.Uint64(head[16*(i/DefaultChunk):]))
+		hi := math.Float64frombits(binary.LittleEndian.Uint64(head[16*(i/DefaultChunk)+8:]))
+		want := byte(0)
+		if step := hi/255 - lo/255; step != 0 {
+			want = byte(max(0, min(255, math.Round(255*((x/255-lo/255)/step)))))
+		}
+		if codes[i] != want {
+			t.Fatalf("coordinate %d: code %d, want %d", i, codes[i], want)
+		}
+		tq := float64(codes[i]) / 255
+		if rec := lo*(1-tq) + hi*tq; math.Float64bits(got[i]) != math.Float64bits(rec) && !math.IsInf(rec, 0) {
+			t.Fatalf("coordinate %d: decoded %v, want %v", i, got[i], rec)
+		}
 	}
 }

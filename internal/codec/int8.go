@@ -85,7 +85,9 @@ func (c Int8Quant) EncodeInto(dst []byte, v tensor.Vector, s *Scratch) (int, err
 		head = head[16:]
 		// step = (hi-lo)/255 computed without forming hi-lo, which can
 		// overflow for finite bounds of opposite sign near ±MaxFloat64.
-		step := hi/255 - lo/255
+		// lo/255 is formed once: Go does not hoist a loop-invariant division.
+		lo255 := lo / 255
+		step := hi/255 - lo255
 		if step == 0 {
 			for i := start; i < end; i++ {
 				codes[i] = 0
@@ -95,7 +97,7 @@ func (c Int8Quant) EncodeInto(dst []byte, v tensor.Vector, s *Scratch) (int, err
 		for i := start; i < end; i++ {
 			// t is the coordinate's position in [lo, hi] normalized to [0, 1],
 			// again without ever forming x-lo.
-			t := (v[i]/255 - lo/255) / step
+			t := (v[i]/255 - lo255) / step
 			q := math.Round(255 * t)
 			if q < 0 {
 				q = 0
@@ -107,6 +109,17 @@ func (c Int8Quant) EncodeInto(dst []byte, v tensor.Vector, s *Scratch) (int, err
 	}
 	return n, nil
 }
+
+// int8T[c] is code c's position c/255 in a chunk's [lo, hi], and
+// int8OneMinusT[c] is 1 − int8T[c]: the same bits the per-coordinate
+// division and subtraction give, read from a table instead.
+var int8T, int8OneMinusT = func() (t, u [256]float64) {
+	for c := range t {
+		t[c] = float64(c) / 255
+		u[c] = 1 - t[c]
+	}
+	return t, u
+}()
 
 // DecodeInto implements Codec.
 func (c Int8Quant) DecodeInto(dst tensor.Vector, src []byte, s *Scratch) error {
@@ -142,8 +155,8 @@ func (c Int8Quant) DecodeInto(dst tensor.Vector, src []byte, s *Scratch) error {
 			return ErrNonFinite
 		}
 		for i := start; i < end; i++ {
-			t := float64(codes[i]) / 255
-			x := lo*(1-t) + hi*t
+			q := codes[i]
+			x := lo*int8OneMinusT[q] + hi*int8T[q]
 			// The exact combination lies between lo and hi; only product
 			// rounding at the very top of the float64 range can push the
 			// sum over — clamp back to the nearer finite bound.

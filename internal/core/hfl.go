@@ -51,7 +51,7 @@ func RunHFL(cfg Config) (*Result, error) {
 	// shape, so the cluster counts are stable.
 	dim := len(globalParams)
 	obs := step.NewObserver(cfg.Telemetry, "hfl", len(tree.Clusters), cfg.OnFilter, cfg.Trace)
-	st := step.NewStepper(obs, workers, sizes, false)
+	st := step.NewStepper(obs, workers, nn.NewEvalPool(sizes...), false)
 	// Codec working memory beside the stepper: the round loop is sequential,
 	// so one Scratch serves every hop of every round.
 	codecScratch := codec.NewScratch()

@@ -99,7 +99,7 @@ func RunVanilla(cfg VanillaConfig) (*Result, error) {
 	// write while round r-1's result is still the read-only training start.
 	dim := len(globalParams)
 	obs := step.NewObserver(cfg.Telemetry, "vanilla", 1, cfg.OnFilter, cfg.Trace)
-	st := step.NewStepper(obs, workers, sizes, false)
+	st := step.NewStepper(obs, workers, nn.NewEvalPool(sizes...), false)
 	codecScratch := codec.NewScratch()
 	ins := newInstruments(cfg.Telemetry, "vanilla", cfg.Codec, dim)
 	ct := newCoreTracer(cfg.Trace, 0, step.WireBytes(cfg.Codec, dim))

@@ -284,9 +284,11 @@ func (e *Engine) rootRound(roundRNG *rng.RNG, round int, skip map[int]bool) erro
 		return err
 	}
 
-	// The contributors, in level-1 cluster order: the partials that arrived
-	// and the leaders that sent them (the top cluster's members).
+	// The contributors, in level-1 cluster order: the partials that arrived,
+	// their model bytes (held frames, valid until the round ends) and the
+	// leaders that sent them (the top cluster's members).
 	vecs := make([]tensor.Vector, 0, len(level1))
+	payloads := make([][]byte, 0, len(level1))
 	leaders := make([]int, 0, len(level1))
 	var audits []WireAudit
 	for _, c := range level1 {
@@ -303,19 +305,21 @@ func (e *Engine) rootRound(roundRNG *rng.RNG, round int, skip map[int]bool) erro
 			return fmt.Errorf("root: round %d model from %d: %w", round, c.Leader, err)
 		}
 		vecs = append(vecs, v)
+		payloads = append(payloads, mbytes)
 		leaders = append(leaders, c.Leader)
 		audits = append(audits, sub...)
 	}
 
 	// --- ABA ballot exchange: when the global rule is the randomized
-	// consensus, the root ships each contributing leader the decoded
-	// proposal set and collects their validation ballots before agreeing.
+	// consensus, the root forwards each contributing leader the partials'
+	// model bytes and collects their validation ballots before agreeing.
 	// With every row present the result is bit-identical to computing the
-	// ballots here, because each remote ballot is the same bits
-	// (ShardBallot); missing rows consume the protocol's fault budget.
+	// ballots here, because each leader decodes the same proposal vectors
+	// and each remote ballot is the same bits (ShardBallot); missing rows
+	// consume the protocol's fault budget.
 	var ballots *consensus.BallotSet
 	if e.ccfg.Global.NeedsBallots() && len(vecs) > 0 {
-		if ballots, err = e.exchangeBallots(round, vecs, leaders); err != nil {
+		if ballots, err = e.exchangeBallots(round, payloads, leaders); err != nil {
 			return err
 		}
 	}
@@ -380,16 +384,16 @@ func (e *Engine) rootRound(roundRNG *rng.RNG, round int, skip map[int]bool) erro
 }
 
 // exchangeBallots runs the ABA proposal/ballot wire exchange: the root
-// sends each contributing level-1 leader the full decoded proposal set
+// sends each contributing level-1 leader every partial's model payload
 // plus that leader's consensus member index (KindProposal) — one encoding,
 // its member word rewritten per recipient — then collects
 // the leaders' validation ballots (KindBallot). Leaders that never answer
 // — a dropped proposal or ballot under the fault plan — come back as nil
 // rows: silent consensus members the randomized protocol absorbs within
 // its fault budget (and recomputes locally beyond it).
-func (e *Engine) exchangeBallots(round int, vecs []tensor.Vector, leaders []int) (*consensus.BallotSet, error) {
+func (e *Engine) exchangeBallots(round int, payloads [][]byte, leaders []int) (*consensus.BallotSet, error) {
 	expect := make(map[transport.NodeID]bool, len(leaders))
-	e.wire = appendProposals(e.wire[:0], 0, vecs)
+	e.wire = appendProposals(e.wire[:0], 0, payloads)
 	for m, ld := range leaders {
 		binary.LittleEndian.PutUint32(e.wire, uint32(m))
 		if err := e.send(KindProposal, ld, round, e.wire); err != nil {
@@ -401,13 +405,13 @@ func (e *Engine) exchangeBallots(round int, vecs []tensor.Vector, leaders []int)
 	if err != nil {
 		return nil, err
 	}
-	set := &consensus.BallotSet{Rows: make([][]bool, len(vecs))}
+	set := &consensus.BallotSet{Rows: make([][]bool, len(payloads))}
 	for m, ld := range leaders {
 		raw, ok := got[transport.NodeID(ld)]
 		if !ok {
 			continue
 		}
-		member, bits, err := decodeBallot(raw, len(vecs))
+		member, bits, err := decodeBallot(raw, len(payloads))
 		if err != nil {
 			return nil, fmt.Errorf("root: round %d ballot from %d: %w", round, ld, err)
 		}
@@ -419,10 +423,11 @@ func (e *Engine) exchangeBallots(round int, vecs []tensor.Vector, leaders []int)
 	return set, nil
 }
 
-// answerProposal serves one ballot-exchange proposal: the leader computes
-// its validation ballot over the root's proposal set (the exact decoded
-// vectors the root holds, so the bits match a central computation) and
-// ships it back, holding f until the round ends.
+// answerProposal serves one ballot-exchange proposal: the leader decodes
+// the root's proposal set against the round-start global (the exact
+// vectors the root decoded, so the bits match a central computation),
+// computes its validation ballot over them and ships it back, holding f
+// until the round ends.
 func (e *Engine) answerProposal(f transport.Frame) error {
 	if e.st == nil {
 		return fmt.Errorf("node %d: round %d proposal sent to a non-leader", e.id, f.Round)

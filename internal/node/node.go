@@ -244,7 +244,7 @@ func New(cfg Config) (*Engine, error) {
 	}
 	if e.isRoot || len(e.led) > 0 {
 		obs := step.NewObserver(ccfg.Telemetry, "node", len(tree.Clusters), ccfg.OnFilter, nil)
-		e.st = step.NewStepper(obs, max(ccfg.Workers, 1), e.sizes, true)
+		e.st = step.NewStepper(obs, max(ccfg.Workers, 1), e.pool, true)
 	}
 	e.jsonEnc = json.NewEncoder(&e.jsonBuf)
 	// One queue for all kinds: the engine is single-threaded, and the

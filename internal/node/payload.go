@@ -59,6 +59,11 @@ func (e *Engine) decodeModel(dst tensor.Vector, src []byte) error {
 	for i := range dst {
 		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
 	}
+	if !tensor.AllFinite(dst) {
+		// The codec decoders' postcondition, kept without a codec: no NaN or
+		// Inf a peer ships reaches an aggregation rule.
+		return codec.ErrNonFinite
+	}
 	return nil
 }
 
@@ -96,67 +101,77 @@ func (e *Engine) encodePartial(agg tensor.Vector, audits []WireAudit) ([]byte, e
 	return e.wire, nil
 }
 
-// ABA ballot-exchange wire formats. Proposals ship as raw little-endian
-// float64s with NO codec hop: the root sends each contributing leader the
-// exact decoded vectors it holds, so the leader's validation scores — and
-// therefore its ballot bits — are bit-identical to what the root (or
-// RunHFL) would compute centrally. A codec hop here would let quantization
-// noise diverge the distributed ballots from the core engine's.
+// ABA ballot-exchange wire formats. A proposal is a level-1 partial's
+// model payload exactly as the root received it: the root forwards the
+// bytes, and each leader decodes them against the same round-start global
+// the root decoded them against (every node holds it bit for bit from
+// dissemination). So the leader's vectors — and therefore its validation
+// scores and ballot bits — are the bits the root (or RunHFL) holds. This is
+// not a second codec hop: nothing is re-encoded, the root's one decode is
+// repeated on the same bytes against the same reference.
 
 // appendProposals appends a KindProposal payload to dst: the receiver's
-// consensus member index plus every contributing proposal in member order.
-// Layout: [u32 member][u32 count][u32 dim][count×dim×f64 LE]. The member
-// index is the first word, so one encoding serves every recipient with
-// that word rewritten.
-func appendProposals(dst []byte, member int, proposals []tensor.Vector) []byte {
-	dim := 0
-	if len(proposals) > 0 {
-		dim = len(proposals[0])
+// consensus member index plus every contributing partial's model payload
+// in member order. Layout: [u32 member][u32 count], then per proposal
+// [u32 len][len bytes of model payload]. The member index is the first
+// word, so one encoding serves every recipient with that word rewritten.
+func appendProposals(dst []byte, member int, payloads [][]byte) []byte {
+	n := 8
+	for _, p := range payloads {
+		n += 4 + len(p)
 	}
-	dst = slices.Grow(dst, 12+8*len(proposals)*dim)
+	dst = slices.Grow(dst, n)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(member))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(proposals)))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(dim))
-	for _, p := range proposals {
-		for _, x := range p {
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(x))
-		}
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payloads)))
+	for _, p := range payloads {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(p)))
+		dst = append(dst, p...)
 	}
 	return dst
 }
 
 // decodeProposals parses a KindProposal payload into round-scratch
-// vectors. Every header field is peer-chosen, so each is bounded on its own
-// before the length they imply is computed (in uint64, where the bounded
-// product cannot wrap): dim must be the model's, count at most the number
-// of level-1 clusters a proposal set can hold, member one of the count.
-// Values must be finite, the postcondition codec decodes give every other
-// vector that reaches an aggregation rule.
+// vectors. Every header field is peer-chosen, so each is bounded before
+// anything is sized from it: count at most the number of level-1 clusters
+// a proposal set can hold, member one of the count, each length word at
+// most the bytes that remain, and the last payload must end the message.
+// The framing is checked whole before any vector is taken; each payload
+// then decodes like any model off the wire (decodeModel), whose codec
+// header or raw length check rejects a foreign dimension and whose
+// nil-error result is finite.
 func (e *Engine) decodeProposals(raw []byte) (member int, proposals []tensor.Vector, err error) {
-	if len(raw) < 12 {
+	if len(raw) < 8 {
 		return 0, nil, fmt.Errorf("node: proposal message truncated (%d bytes)", len(raw))
 	}
 	m := binary.LittleEndian.Uint32(raw)
 	count := binary.LittleEndian.Uint32(raw[4:])
-	dim := binary.LittleEndian.Uint32(raw[8:])
-	if uint64(dim) != uint64(e.dim) || uint64(count) > uint64(len(e.tree.Clusters[1])) || m >= count {
-		return 0, nil, fmt.Errorf("node: proposal header (member %d, count %d, dim %d) out of range for %d clusters of dim %d", m, count, dim, len(e.tree.Clusters[1]), e.dim)
+	if uint64(count) > uint64(len(e.tree.Clusters[1])) || m >= count {
+		return 0, nil, fmt.Errorf("node: proposal header (member %d, count %d) out of range for %d clusters", m, count, len(e.tree.Clusters[1]))
 	}
-	if want := 12 + 8*uint64(count)*uint64(dim); uint64(len(raw)) != want {
-		return 0, nil, fmt.Errorf("node: proposal message is %d bytes, want %d", len(raw), want)
+	rest := raw[8:]
+	for i := range count {
+		if len(rest) < 4 {
+			return 0, nil, fmt.Errorf("node: proposal %d length truncated (%d bytes left)", i, len(rest))
+		}
+		n := binary.LittleEndian.Uint32(rest)
+		if uint64(n) > uint64(len(rest)-4) {
+			return 0, nil, fmt.Errorf("node: proposal %d length %d exceeds the %d bytes left", i, n, len(rest)-4)
+		}
+		rest = rest[4+int(n):]
+	}
+	if len(rest) != 0 {
+		return 0, nil, fmt.Errorf("node: proposal message has %d trailing bytes", len(rest))
 	}
 	proposals = make([]tensor.Vector, count)
-	off := 12
+	rest = raw[8:]
 	for i := range proposals {
+		end := 4 + int(binary.LittleEndian.Uint32(rest))
 		v := e.roundVec()
-		for j := range v {
-			v[j] = math.Float64frombits(binary.LittleEndian.Uint64(raw[off:]))
-			off += 8
-		}
-		if !tensor.AllFinite(v) {
-			return 0, nil, fmt.Errorf("node: proposal %d: %w", i, codec.ErrNonFinite)
+		if err := e.decodeModel(v, rest[4:end]); err != nil {
+			return 0, nil, fmt.Errorf("node: proposal %d: %w", i, err)
 		}
 		proposals[i] = v
+		rest = rest[end:]
 	}
 	return int(m), proposals, nil
 }

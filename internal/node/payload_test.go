@@ -1,93 +1,233 @@
 package node
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"abdhfl/internal/codec"
+	"abdhfl/internal/rng"
 	"abdhfl/internal/tensor"
 )
 
 // decoderEngine is the slice of an Engine the payload decoders read: the
-// model dimension and the tree (testScenario's, two level-1 clusters).
-func decoderEngine(t *testing.T, dim int) *Engine {
+// model dimension, the tree (testScenario's, two level-1 clusters), the
+// codec (nil for raw float64s) and the round-start global every decode
+// refers to, a copy of global.
+func decoderEngine(t testing.TB, cdc codec.Codec, global tensor.Vector) *Engine {
 	t.Helper()
-	return &Engine{dim: dim, tree: build(t, testScenario("")).Tree}
+	return &Engine{dim: len(global), tree: build(t, testScenario("")).Tree, cdc: cdc, cs: codec.NewScratch(), global: global.Clone()}
 }
 
-func proposalHeader(member, count, dim uint32, body int) []byte {
-	raw := make([]byte, 12+body)
-	binary.LittleEndian.PutUint32(raw, member)
-	binary.LittleEndian.PutUint32(raw[4:], count)
-	binary.LittleEndian.PutUint32(raw[8:], dim)
+// proposalTestDim spans two int8 chunks, the second one short.
+const proposalTestDim = codec.DefaultChunk + 3
+
+func proposalTestVector(r *rng.RNG) tensor.Vector {
+	v := tensor.NewVector(proposalTestDim)
+	for i := range v {
+		v[i] = 3 * r.NormFloat64()
+	}
+	return v
+}
+
+// proposalCodecNames are the no-codec path ("") and every registry codec
+// ("delta" is delta-int8), with the other delta compositions: every delta
+// decode reads the global.
+var proposalCodecNames = append([]string{""}, append(codec.Names(), "delta-topk", "delta-identity")...)
+
+// proposalCodec returns the codec registered under name; "" is nil.
+func proposalCodec(t testing.TB, name string) codec.Codec {
+	t.Helper()
+	if name == "" {
+		return nil
+	}
+	c, err := codec.ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+func u32s(vals ...uint32) []byte {
+	var raw []byte
+	for _, v := range vals {
+		raw = binary.LittleEndian.AppendUint32(raw, v)
+	}
 	return raw
 }
 
-// TestDecodeProposalsHostileHeaders feeds the proposal decoder headers only
-// a hostile peer would send. The first is ROADMAP 5a's 12-byte frame:
-// count=2³¹ and dim=2³⁰ make 8·count·dim wrap to 0, so the old length check
-// passed and the decoder asked the runtime for 2³¹ slice headers (48 GiB —
-// a fatal out-of-memory, not an error). Every case must come back as an
-// error having allocated nothing of the peer's choosing.
-func TestDecodeProposalsHostileHeaders(t *testing.T) {
-	const dim = 3
-	e := decoderEngine(t, dim)
-	cases := []struct {
-		name string
-		raw  []byte
-	}{
-		{"length wraps to the header", proposalHeader(0, 1<<31, 1<<30, 0)},
-		{"count beyond the level-1 clusters", proposalHeader(0, 3, dim, 3*dim*8)},
-		{"foreign dimension", proposalHeader(0, 2, dim+1, 2*(dim+1)*8)},
-		{"zero dimension", proposalHeader(0, 2, 0, 0)},
-		{"member outside the set", proposalHeader(2, 2, dim, 2*dim*8)},
-		{"no proposals", proposalHeader(0, 0, dim, 0)},
-		{"one byte short", proposalHeader(0, 2, dim, 2*dim*8-1)},
-		{"one byte long", proposalHeader(0, 2, dim, 2*dim*8+1)},
-		{"truncated header", make([]byte, 11)},
+// hostileProposal is a KindProposal message only a hostile peer would send
+// an int8 leader. A nil want is a framing error, which must be rejected
+// before any scratch vector is taken; the rest get past the framing and
+// are the codec's to reject with want.
+type hostileProposal struct {
+	name string
+	raw  []byte
+	want error
+}
+
+func hostileProposals(t testing.TB, e *Engine) []hostileProposal {
+	t.Helper()
+	good, err := e.appendModel(nil, proposalTestVector(rng.New(1)))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range cases {
+	one := func(payload []byte) []byte { return appendProposals(nil, 0, [][]byte{payload}) }
+	// The int8 layout: tag, u32 dim, u32 chunk, then the first chunk's lo.
+	foreign := slices.Clone(good)
+	binary.LittleEndian.PutUint32(foreign[1:], proposalTestDim+1)
+	empty, err := e.appendModel(nil, tensor.Vector{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nanLo := slices.Clone(good)
+	binary.LittleEndian.PutUint64(nanLo[9:], math.Float64bits(math.NaN()))
+	extra := appendProposals(nil, 0, [][]byte{good, good}) // a second proposal past count 1
+	binary.LittleEndian.PutUint32(extra[4:], 1)
+	return []hostileProposal{
+		{"truncated header", u32s(0)[:3], nil},
+		{"count of 2³¹", u32s(0, 1<<31), nil},
+		{"count beyond the level-1 clusters", appendProposals(nil, 0, [][]byte{good, good, good}), nil},
+		{"member outside the set", appendProposals(nil, 2, [][]byte{good, good}), nil},
+		{"no proposals", u32s(0, 0), nil},
+		{"truncated length word", append(u32s(0, 1), 0, 0), nil},
+		{"second length word missing", u32s(0, 2, 0), nil},
+		{"length past the end", append(u32s(0, 1, 10), make([]byte, 9)...), nil},
+		{"length of 2³²−1", append(u32s(0, 1, math.MaxUint32), good...), nil},
+		// 4 + 2³² − 4 is 0 in 32 bits: the end offset would wrap to the header.
+		{"length wraps to the header", append(u32s(0, 1, math.MaxUint32-3), good...), nil},
+		{"one byte short", one(good)[:len(one(good))-1], nil},
+		{"one byte long", append(one(good), 0), nil},
+		{"trailing bytes", extra, nil},
+		{"foreign dimension", one(foreign), codec.ErrDimMismatch},
+		{"zero dimension", one(empty), codec.ErrDimMismatch},
+		{"int8 chunk header carrying NaN", one(nanLo), codec.ErrNonFinite},
+	}
+}
+
+// TestDecodeProposalsHostileHeaders feeds the proposal decoder messages
+// only a hostile peer would send. Every length word is peer-chosen: one
+// that claims more than the message holds, up to 2³²−1, must be an error
+// having allocated nothing of the peer's choosing, and so must a count a
+// proposal set cannot have (2³¹ slice headers would be 48 GiB).
+func TestDecodeProposalsHostileHeaders(t *testing.T) {
+	e := decoderEngine(t, codec.Int8Quant{}, proposalTestVector(rng.New(2)))
+	for _, tc := range hostileProposals(t, e) {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, _, err := e.decodeProposals(tc.raw); err == nil {
+			e.scratchUsed = 0
+			_, _, err := e.decodeProposals(tc.raw)
+			if err == nil {
 				t.Fatal("accepted")
 			}
-			if e.scratchUsed != 0 {
-				t.Fatalf("took %d scratch vectors for a rejected header", e.scratchUsed)
+			if tc.want != nil && !errors.Is(err, tc.want) {
+				t.Fatalf("error %v, want %v", err, tc.want)
+			}
+			if tc.want == nil && e.scratchUsed != 0 {
+				t.Fatalf("took %d scratch vectors for a rejected frame", e.scratchUsed)
 			}
 		})
 	}
 }
 
-// TestDecodeProposalsRoundTrip pins the accepted form — the encoder's
-// output comes back bit for bit, in round-scratch vectors — and the
-// finiteness postcondition codec decodes already give.
+// TestDecodeProposalsRoundTrip pins the property forwarding rests on: for
+// the raw path and every codec, a leader's decode of a proposal is bit for
+// bit the root's decode of the same partial bytes against the same global,
+// in the leader's round scratch. The delta codecs' reference is the global,
+// so a leader decoding against anything else would fail here.
 func TestDecodeProposalsRoundTrip(t *testing.T) {
-	const dim = 3
-	e := decoderEngine(t, dim)
-	want := []tensor.Vector{{1, -2.5, 0}, {math.SmallestNonzeroFloat64, math.MaxFloat64, -0.0}}
-	member, got, err := e.decodeProposals(appendProposals(nil, 1, want))
-	if err != nil {
-		t.Fatal(err)
+	r := rng.New(3)
+	global := proposalTestVector(r)
+	partials := []tensor.Vector{proposalTestVector(r), proposalTestVector(r)}
+	partials[1][0], partials[1][1], partials[1][2] = math.SmallestNonzeroFloat64, -0.0, 1e300
+	for _, name := range proposalCodecNames {
+		t.Run("codec="+cmp.Or(name, "raw"), func(t *testing.T) {
+			cdc := proposalCodec(t, name)
+			root, leader := decoderEngine(t, cdc, global), decoderEngine(t, cdc, global)
+			payloads := make([][]byte, len(partials))
+			for i, p := range partials {
+				sender := decoderEngine(t, cdc, global)
+				var err error
+				if payloads[i], err = sender.appendModel(nil, p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			member, got, err := leader.decodeProposals(appendProposals(nil, 1, payloads))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if member != 1 || len(got) != len(partials) {
+				t.Fatalf("member %d with %d proposals, want 1 with %d", member, len(got), len(partials))
+			}
+			for i, p := range payloads {
+				want := tensor.NewVector(proposalTestDim)
+				if err := root.decodeModel(want, p); err != nil {
+					t.Fatal(err)
+				}
+				sameParams(t, "proposal", want, got[i])
+				if &got[i][0] != &leader.scratch[i][0] {
+					t.Errorf("proposal %d was not decoded into round scratch", i)
+				}
+			}
+		})
 	}
-	if member != 1 || len(got) != len(want) {
-		t.Fatalf("member %d with %d proposals, want 1 with %d", member, len(got), len(want))
-	}
-	for i := range want {
-		sameParams(t, "proposal", want[i], got[i])
-		if &got[i][0] != &e.scratch[i][0] {
-			t.Errorf("proposal %d was not decoded into round scratch", i)
-		}
-	}
+}
+
+// TestDecodeModelRawNonFinite holds the no-codec path to the codec
+// decoders' postcondition: a raw update carrying NaN or ±Inf is
+// codec.ErrNonFinite, never a vector an aggregation rule sees.
+func TestDecodeModelRawNonFinite(t *testing.T) {
+	e := decoderEngine(t, nil, tensor.NewVector(3))
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		e.scratchUsed = 0
-		poisoned := []tensor.Vector{{1, 2, 3}, {4, bad, 6}}
-		if _, _, err := e.decodeProposals(appendProposals(nil, 0, poisoned)); !errors.Is(err, codec.ErrNonFinite) {
-			t.Errorf("proposal carrying %v: error %v, want codec.ErrNonFinite", bad, err)
+		raw, err := e.appendModel(nil, tensor.Vector{1, bad, 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.decodeModel(tensor.NewVector(3), raw); !errors.Is(err, codec.ErrNonFinite) {
+			t.Errorf("raw update carrying %v: error %v, want codec.ErrNonFinite", bad, err)
 		}
 	}
+}
+
+// FuzzDecodeProposals feeds the proposal decoder arbitrary messages under
+// the raw path and every codec: it must return an error or count finite
+// vectors of the model's dimension, and never panic.
+func FuzzDecodeProposals(f *testing.F) {
+	r := rng.New(4)
+	global := proposalTestVector(r)
+	engines := make([]*Engine, len(proposalCodecNames))
+	for i, name := range proposalCodecNames {
+		engines[i] = decoderEngine(f, proposalCodec(f, name), global)
+		p, err := engines[i].appendModel(nil, proposalTestVector(r))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(uint8(i), appendProposals(nil, 0, [][]byte{p}))
+		f.Add(uint8(i), appendProposals(nil, 1, [][]byte{p, p}))
+	}
+	int8At := slices.Index(proposalCodecNames, "int8")
+	for _, tc := range hostileProposals(f, engines[int8At]) {
+		f.Add(uint8(int8At), tc.raw)
+	}
+	f.Fuzz(func(t *testing.T, which uint8, raw []byte) {
+		e := engines[int(which)%len(engines)]
+		e.scratchUsed = 0
+		_, got, err := e.decodeProposals(raw)
+		if err != nil {
+			return
+		}
+		if want := binary.LittleEndian.Uint32(raw[4:]); uint64(len(got)) != uint64(want) {
+			t.Fatalf("%d proposals from a message counting %d", len(got), want)
+		}
+		for i, v := range got {
+			if len(v) != proposalTestDim || !tensor.AllFinite(v) {
+				t.Fatalf("proposal %d: dim %d, finite %v", i, len(v), tensor.AllFinite(v))
+			}
+		}
+	})
 }
 
 // TestDecodePartialAndBallotLengths gives the other two remote-reachable
@@ -96,27 +236,20 @@ func TestDecodeProposalsRoundTrip(t *testing.T) {
 // proposal, checked before its bits are sized: a well-formed 1 MiB ballot
 // over 3 proposals is rejected having allocated none of it.
 func TestDecodePartialAndBallotLengths(t *testing.T) {
-	u32 := func(vals ...uint32) []byte {
-		var raw []byte
-		for _, v := range vals {
-			raw = binary.LittleEndian.AppendUint32(raw, v)
-		}
-		return raw
-	}
 	for _, raw := range [][]byte{
 		nil,
-		u32(1)[:3],
-		u32(1),
-		append(u32(5), "[]"...),
-		append(u32(math.MaxUint32), "[]"...),
-		append(u32(math.MaxUint32-3), "[]"...),
-		append(u32(2), 'x', 'y'), // model fits; audit list missing
+		u32s(1)[:3],
+		u32s(1),
+		append(u32s(5), "[]"...),
+		append(u32s(math.MaxUint32), "[]"...),
+		append(u32s(math.MaxUint32-3), "[]"...),
+		append(u32s(2), 'x', 'y'), // model fits; audit list missing
 	} {
 		if _, _, err := decodePartial(raw); err == nil {
 			t.Errorf("decodePartial accepted % x", raw)
 		}
 	}
-	if model, audits, err := decodePartial(append(u32(2), 'x', 'y', '[', ']')); err != nil || string(model) != "xy" || len(audits) != 0 {
+	if model, audits, err := decodePartial(append(u32s(2), 'x', 'y', '[', ']')); err != nil || string(model) != "xy" || len(audits) != 0 {
 		t.Errorf("decodePartial of a well-formed message: %q, %v, %v", model, audits, err)
 	}
 
@@ -125,13 +258,13 @@ func TestDecodePartialAndBallotLengths(t *testing.T) {
 		want int
 	}{
 		{nil, 1},
-		{u32(0, 1)[:7], 1},
-		{u32(0, 1), 1},
-		{append(u32(0, 1), 1, 1), 1},
-		{u32(0, math.MaxUint32), math.MaxUint32},
-		{append(u32(0, math.MaxUint32-7), 1), math.MaxUint32 - 7},
-		{append(u32(0, 2), 1, 0), 3},
-		{append(u32(0, 4), 1, 0, 1, 1), 3},
+		{u32s(0, 1)[:7], 1},
+		{u32s(0, 1), 1},
+		{append(u32s(0, 1), 1, 1), 1},
+		{u32s(0, math.MaxUint32), math.MaxUint32},
+		{append(u32s(0, math.MaxUint32-7), 1), math.MaxUint32 - 7},
+		{append(u32s(0, 2), 1, 0), 3},
+		{append(u32s(0, 4), 1, 0, 1, 1), 3},
 	} {
 		if _, _, err := decodeBallot(tc.raw, tc.want); err == nil {
 			t.Errorf("decodeBallot accepted % x over %d proposals", tc.raw, tc.want)

@@ -31,19 +31,42 @@ func nodeRoundScenario() abdhfl.Scenario {
 	}.WithDefaults()
 }
 
+// TestRunClusterWireVolume pins what one RunCluster call puts on the wire
+// on the node_round shape: 136 frames a round (updates, partials, the
+// global's relay, and the ABA ballot exchange's four proposals and four
+// ballots) and 380 712 bytes, of which the proposals are the level-1
+// partials' int8 bytes forwarded, not the decoded vectors. Both backends
+// frame alike, so a byte more or less is a wire format change.
+func TestRunClusterWireVolume(t *testing.T) {
+	const rounds, framesPerRound, bytesPerRound = 5, 136, 380_712
+	mat := build(t, nodeRoundScenario())
+	for _, backend := range []string{BackendLoopback, BackendTCP} {
+		t.Run(backend, func(t *testing.T) {
+			res, err := RunCluster(ClusterOpts{Materials: mat, Seed: 3, Backend: backend})
+			if err != nil {
+				t.Fatalf("cluster run: %v", err)
+			}
+			if tot := res.Total; tot.FramesSent != rounds*framesPerRound || tot.BytesSent != rounds*bytesPerRound {
+				t.Errorf("%s: %d frames, %d bytes sent; want %d and %d", backend, tot.FramesSent, tot.BytesSent, rounds*framesPerRound, rounds*bytesPerRound)
+			}
+		})
+	}
+}
+
 // TestRunClusterAllocBudget pins what one RunCluster call allocates on the
 // node_round shape, in bytes and in objects. The budgets are the figures
-// this test measures (loopback 6.7 MB / 10 700 objects, TCP 8.1 MB /
-// 18 100 objects) plus a tenth. The same run allocated 279 MB when every
+// this test measures (loopback 6.2 MB / 10 500 objects, TCP 7.3 MB /
+// 17 900 objects) plus a tenth. The same run allocated 279 MB when every
 // endpoint pre-sized its dupe map, 21.4 MB over TCP while every frame was
-// read into, and encoded into, a fresh buffer, and 12.5 MB while every
-// engine built its own model, workspace, gradients and update vector, armed
-// a fresh timer per wait and filled its own address book. What is left is
-// mostly the engines' global and spare vectors and leader round scratch,
-// the wire's frame buffers and one connection reader per link. The object
-// budget catches a per-frame allocation that returns even when its bytes
-// are few. `make profile-node` prints where the bytes of a failing run come
-// from.
+// read into, and encoded into, a fresh buffer, 12.5 MB while every engine
+// built its own model, workspace, gradients and update vector, armed a
+// fresh timer per wait and filled its own address book, and 8.1 MB while
+// the root re-serialised the ABA proposals as raw float64s and every leader
+// scored them on a validation pool of its own. What is left is mostly the
+// engines' global and spare vectors and leader round scratch, the wire's
+// frame buffers and one connection reader per link. The object budget
+// catches a per-frame allocation that returns even when its bytes are few.
+// `make profile-node` prints where the bytes of a failing run come from.
 func TestRunClusterAllocBudget(t *testing.T) {
 	if testenv.UnderRace() {
 		t.Skip("the race detector's own allocations are counted in TotalAlloc")
@@ -54,8 +77,8 @@ func TestRunClusterAllocBudget(t *testing.T) {
 		bytes   uint64
 		objects uint64
 	}{
-		{BackendLoopback, 74 << 20 / 10, 11_800},
-		{BackendTCP, 89 << 20 / 10, 19_900},
+		{BackendLoopback, 69 << 20 / 10, 11_600},
+		{BackendTCP, 81 << 20 / 10, 19_700},
 	} {
 		t.Run(tc.backend, func(t *testing.T) {
 			run := func() (bytes, objects uint64) {

@@ -690,7 +690,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	e.ins = newInstruments(cfg.Telemetry, cfg.Codec, len(init))
 	e.obs = step.NewObserver(cfg.Telemetry, "pipeline", tree.Depth(), cfg.OnFilter, cfg.Trace)
-	e.st = step.NewStepper(e.obs, cfg.Workers, sizes, false)
+	e.st = step.NewStepper(e.obs, cfg.Workers, nn.NewEvalPool(sizes...), false)
 	e.tr = cfg.Trace
 	e.roundStart = map[int]simnet.Time{}
 	if cfg.Flight != nil {

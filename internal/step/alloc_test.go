@@ -7,6 +7,7 @@ import (
 
 	"abdhfl/internal/aggregate"
 	"abdhfl/internal/consensus"
+	"abdhfl/internal/nn"
 	"abdhfl/internal/rng"
 	"abdhfl/internal/telemetry"
 	"abdhfl/internal/tensor"
@@ -33,7 +34,7 @@ func TestBRAStepAllocationFree(t *testing.T) {
 	f := newFixture(t, 6)
 	f.obs.onFilter = func(d telemetryDecision) { sink += len(d.Kept) + len(d.Discarded) }
 	for _, bra := range []aggregate.Aggregator{aggregate.NewMultiKrum(0.25), aggregate.Median{}, aggregate.CenteredClipping{}} {
-		st := NewStepper(f.obs, 1, f.sizes, false)
+		st := NewStepper(f.obs, 1, nn.NewEvalPool(f.sizes...), false)
 		rule, name := Rule{BRA: bra}, bra.Name()
 		in := Input{Level: 1, Cluster: 2, Round: 3, Vecs: f.vecs, IDs: f.ids, Dst: tensor.NewVector(len(f.vecs[0]))}
 		run := func() {
@@ -61,7 +62,7 @@ func TestBRAStepAllocationFree(t *testing.T) {
 func TestVotingStepAddsNoAllocation(t *testing.T) {
 	f := newFixture(t, 4)
 	f.obs.onFilter = func(d telemetryDecision) { sink += len(d.Kept) + len(d.Discarded) }
-	st := NewStepper(f.obs, 1, f.sizes, false)
+	st := NewStepper(f.obs, 1, nn.NewEvalPool(f.sizes...), false)
 	rule := Rule{CBA: consensus.Voting{}}
 	r := rng.New(2)
 	in := Input{Round: 3, Vecs: f.vecs, IDs: f.ids, Dst: tensor.NewVector(len(f.vecs[0])), Rand: r, Shards: f.data, Byzantine: map[int]bool{101: true}, Name: "cba:voting"}
@@ -70,7 +71,7 @@ func TestVotingStepAddsNoAllocation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	bare := NewStepper(nil, 1, f.sizes, false)
+	bare := NewStepper(nil, 1, nn.NewEvalPool(f.sizes...), false)
 	bare.in = in
 	ctx := &consensus.Context{Members: 4, Byzantine: map[int]bool{1: true}, Validator: bare.shardFn, Rand: r, Round: 3}
 	dst := tensor.NewVector(len(f.vecs[0]))

@@ -158,14 +158,15 @@ type Stepper struct {
 
 // NewStepper returns a stepper reporting to obs (nil reports nowhere) whose
 // kernels fan out over at most workers goroutines and whose validators score
-// models of the given layer sizes. It records verdicts when obs has a
-// consumer for them; verdicts forces recording regardless, for callers that
-// ship the verdict themselves.
-func NewStepper(obs *Observer, workers int, sizes []int, verdicts bool) *Stepper {
+// on models borrowed from pool, which may be shared with other users of the
+// same model shape. It records verdicts when obs has a consumer for them;
+// verdicts forces recording regardless, for callers that ship the verdict
+// themselves.
+func NewStepper(obs *Observer, workers int, pool *nn.EvalPool, verdicts bool) *Stepper {
 	s := &Stepper{
 		obs:     obs,
 		scratch: aggregate.NewScratch(workers),
-		pool:    nn.NewEvalPool(sizes...),
+		pool:    pool,
 		record:  verdicts || obs.wantsVerdicts(),
 	}
 	if s.record {

@@ -58,7 +58,7 @@ func TestAggregateBRAMatchesTheRuleAndReports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := NewStepper(f.obs, 2, f.sizes, false)
+	st := NewStepper(f.obs, 2, nn.NewEvalPool(f.sizes...), false)
 	dst := tensor.NewVector(len(want))
 	got, v, comm, err := st.Aggregate(rule, Input{Level: 2, Cluster: 7, Round: 3, Vecs: f.vecs, IDs: f.ids, Dst: dst})
 	if err != nil {
@@ -103,7 +103,7 @@ func TestAggregateCBAMatchesTheProtocolAndReports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := NewStepper(f.obs, 2, f.sizes, false)
+	st := NewStepper(f.obs, 2, nn.NewEvalPool(f.sizes...), false)
 	// IDs index Local: contributor 100+i scores on data[i].
 	local := make([]*dataset.Dataset, 104)
 	copy(local[100:], f.data)
@@ -163,7 +163,7 @@ func TestAggregateErrorIsCountedAndKept(t *testing.T) {
 	f := newFixture(t, 4)
 	calls := 0
 	rule := Rule{BRA: failing{aggregate.Mean{}, &calls, 2}}
-	st := NewStepper(f.obs, 1, f.sizes, false)
+	st := NewStepper(f.obs, 1, nn.NewEvalPool(f.sizes...), false)
 	in := Input{Level: 1, Cluster: 4, Round: 6, Vecs: f.vecs, Dst: tensor.NewVector(len(f.vecs[0]))}
 	for i := 0; i < 3; i++ {
 		_, _, _, err := st.Aggregate(rule, in)
@@ -200,7 +200,7 @@ func TestNothingObservedRecordsNothing(t *testing.T) {
 		t.Fatal("nil observer has an error")
 	}
 	for _, obs := range []*Observer{nobody, NewObserver(nil, "x", 3, nil, nil)} {
-		st := NewStepper(obs, 1, f.sizes, false)
+		st := NewStepper(obs, 1, nn.NewEvalPool(f.sizes...), false)
 		if st.Records() {
 			t.Fatal("an unobserved stepper must not pay for auditing")
 		}
@@ -214,7 +214,7 @@ func TestNothingObservedRecordsNothing(t *testing.T) {
 		}
 	}
 	// ...unless the caller ships verdicts itself.
-	st := NewStepper(nobody, 1, f.sizes, true)
+	st := NewStepper(nobody, 1, nn.NewEvalPool(f.sizes...), true)
 	_, v, _, err := st.Aggregate(Rule{BRA: aggregate.Median{}}, Input{Vecs: f.vecs, Dst: tensor.NewVector(len(f.vecs[0]))})
 	if err != nil || len(v.Kept)+len(v.Discarded) != 4 || v.Rule != "median" {
 		t.Fatalf("err %v verdict %+v", err, v)
@@ -222,7 +222,7 @@ func TestNothingObservedRecordsNothing(t *testing.T) {
 }
 
 func TestProtocolByzantineFollowsContributorIDs(t *testing.T) {
-	st := NewStepper(nil, 1, ModelSizes(nil), false)
+	st := NewStepper(nil, 1, nn.NewEvalPool(ModelSizes(nil)...), false)
 	in := &Input{Vecs: make([]tensor.Vector, 3), IDs: []int{4, 9, 2}}
 	if st.protocolByzantine(in) != nil {
 		t.Fatal("no flags, no map")
@@ -243,14 +243,14 @@ func TestShardBallotMatchesCentralBallots(t *testing.T) {
 	if !rule.NeedsBallots() || (Rule{CBA: consensus.Voting{}}).NeedsBallots() || (Rule{BRA: aggregate.Mean{}}).NeedsBallots() {
 		t.Fatal("only ABA consumes injected ballots")
 	}
-	st := NewStepper(nil, 1, f.sizes, false)
+	st := NewStepper(nil, 1, nn.NewEvalPool(f.sizes...), false)
 	want, _, _, err := st.Aggregate(rule, Input{Vecs: f.vecs, Dst: tensor.NewVector(len(f.vecs[0])), Shards: f.data, Rand: rng.New(3)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	set := &consensus.BallotSet{Rows: make([][]bool, 4)}
 	for m := range set.Rows {
-		set.Rows[m] = NewStepper(nil, 1, f.sizes, false).ShardBallot(rule, f.data, m, f.vecs)
+		set.Rows[m] = NewStepper(nil, 1, nn.NewEvalPool(f.sizes...), false).ShardBallot(rule, f.data, m, f.vecs)
 	}
 	got, _, _, err := st.Aggregate(rule, Input{Vecs: f.vecs, Dst: tensor.NewVector(len(f.vecs[0])), Shards: f.data, Rand: rng.New(3), Ballots: set})
 	if err != nil {
