@@ -1,14 +1,18 @@
 package node
 
 import (
+	"encoding/binary"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
 	"abdhfl"
+	"abdhfl/internal/core"
 	"abdhfl/internal/fault"
 	"abdhfl/internal/telemetry"
+	"abdhfl/internal/transport"
 )
 
 // testScenario is small enough for multi-backend runs under -race but
@@ -70,6 +74,25 @@ func sameParams(t *testing.T, what string, want, got []float64) {
 	}
 }
 
+// runCore runs s on RunHFL and returns its result and its filter audit in
+// the canonical WireAudit form.
+func runCore(t *testing.T, s abdhfl.Scenario) (*core.Result, []WireAudit) {
+	t.Helper()
+	cm := build(t, s)
+	var audits []WireAudit
+	cm.OnFilter = func(d telemetry.FilterDecision) {
+		audits = append(audits, WireAudit{
+			Level: d.Level, Cluster: d.Cluster, Round: d.Round, Rule: d.Rule,
+			Kept: canonInts(d.Kept), Clipped: canonInts(d.Clipped), Discarded: canonInts(d.Discarded),
+		})
+	}
+	res, err := cm.RunHFL(s.Seed)
+	if err != nil {
+		t.Fatalf("core run: %v", err)
+	}
+	return res, audits
+}
+
 // TestNodeClusterMatchesCore is the distributed≡single-process golden: a
 // full loopback cluster run must reproduce core.RunHFL byte for byte —
 // final model, accuracy curve, σ-accounting, and the filter audit — with
@@ -82,19 +105,7 @@ func TestNodeClusterMatchesCore(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			s := testScenario(codecName)
-
-			cm := build(t, s)
-			var coreAudits []WireAudit
-			cm.OnFilter = func(d telemetry.FilterDecision) {
-				coreAudits = append(coreAudits, WireAudit{
-					Level: d.Level, Cluster: d.Cluster, Round: d.Round, Rule: d.Rule,
-					Kept: canonInts(d.Kept), Clipped: canonInts(d.Clipped), Discarded: canonInts(d.Discarded),
-				})
-			}
-			want, err := cm.RunHFL(s.Seed)
-			if err != nil {
-				t.Fatalf("core run: %v", err)
-			}
+			want, coreAudits := runCore(t, s)
 
 			got, err := RunCluster(ClusterOpts{
 				Materials:  build(t, s),
@@ -283,6 +294,99 @@ func TestLoopbackTCPConformance(t *testing.T) {
 			}
 			if tc.plan != nil && tc.plan.Drop > 0 && lb.Total.FaultDropped == 0 {
 				t.Errorf("drop plan injected nothing")
+			}
+		})
+	}
+}
+
+// TestStandaloneEnginesMatchCluster runs every engine with no state shared
+// with another, as cmd/abdhfl-node's one engine per process runs: each
+// draws its own initial model and borrows from its own pool and free list.
+// On the ABA + delta-int8 scenario the run must be bit for bit the
+// RunCluster run, whose engines share one of each, and RunHFL's: final
+// params, curve, σ-accounting and filter audit.
+func TestStandaloneEnginesMatchCluster(t *testing.T) {
+	s := testScenario("delta-int8")
+	s.TopProtocol = "aba"
+	want, coreAudits := runCore(t, s)
+	cluster, err := RunCluster(ClusterOpts{Materials: build(t, s), Seed: s.Seed, StallAfter: 2 * time.Second})
+	if err != nil {
+		t.Fatalf("cluster run: %v", err)
+	}
+	got := loopbackRun{standalone: true}.run(t, build(t, s), s.Seed)
+
+	for id, r := range got {
+		if !reflect.DeepEqual(r, cluster.Results[id]) {
+			t.Errorf("node %d: standalone %+v != RunCluster %+v", id, r, cluster.Results[id])
+		}
+		sameParams(t, "node model vs RunHFL", want.FinalParams, r.FinalParams)
+	}
+	root := got[len(got)-1]
+	if !reflect.DeepEqual(want.Curve, root.Curve) || want.Comm != root.Comm {
+		t.Errorf("curve/comm: core %+v %+v != standalone %+v %+v", want.Curve, want.Comm, root.Curve, root.Comm)
+	}
+	if !reflect.DeepEqual(coreAudits, canonAudits(root.Audit)) {
+		t.Errorf("filter audit diverges:\ncore:       %+v\nstandalone: %+v", coreAudits, canonAudits(root.Audit))
+	}
+}
+
+// ballotMangler stands between a level-1 leader and its endpoint and
+// rewrites each KindBallot frame the leader sends with mangle; a nil
+// result swallows the frame.
+type ballotMangler struct {
+	transport.Endpoint
+	mangle func([]byte) []byte
+}
+
+func (b ballotMangler) Send(to transport.NodeID, f *transport.Frame) error {
+	if f.Kind != KindBallot {
+		return b.Endpoint.Send(to, f)
+	}
+	g := *f
+	if g.Payload = b.mangle(slices.Clone(f.Payload)); g.Payload == nil {
+		return nil
+	}
+	return b.Endpoint.Send(to, &g)
+}
+
+// TestMalformedBallotIsSilent holds the root to the rule a ballot row
+// already follows when it never arrives: a ballot that arrives malformed,
+// or naming another consensus member, makes its sender a silent member,
+// not the end of the run. With four top members (one silent within the
+// fault budget), the run must report what the run where that leader's
+// ballots are swallowed reports: final model, curve, audit and
+// consensus exclusions.
+func TestMalformedBallotIsSilent(t *testing.T) {
+	s := testScenario("")
+	s.TopProtocol, s.TopNodes = "aba", 4
+	leader := build(t, s).Tree.Clusters[1][1].Leader
+	run := func(t *testing.T, mangle func([]byte) []byte) *Result {
+		t.Helper()
+		res := loopbackRun{wrap: func(id int, ep transport.Endpoint) transport.Endpoint {
+			if id != leader {
+				return ep
+			}
+			return ballotMangler{ep, mangle}
+		}}.run(t, build(t, s), s.Seed)
+		return res[len(res)-1]
+	}
+	want := run(t, func([]byte) []byte { return nil })
+	for _, tc := range []struct {
+		name   string
+		mangle func([]byte) []byte
+	}{
+		{"truncated", func(p []byte) []byte { return p[:len(p)-1] }},
+		{"bit count", func(p []byte) []byte { return append(p, 1) }},
+		{"another member", func(p []byte) []byte {
+			binary.LittleEndian.PutUint32(p, binary.LittleEndian.Uint32(p)^1)
+			return p
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := run(t, tc.mangle)
+			sameParams(t, "final params", want.FinalParams, got.FinalParams)
+			if !reflect.DeepEqual(want.Curve, got.Curve) || !reflect.DeepEqual(want.Audit, got.Audit) || want.ExcludedByConsensus != got.ExcludedByConsensus {
+				t.Errorf("mangled ballot reports differently from a swallowed one:\nwant %+v\ngot  %+v", want, got)
 			}
 		})
 	}

@@ -26,9 +26,6 @@ type pendKey struct {
 // confined to the transport underneath.
 func (e *Engine) Run() (*Result, error) {
 	seedRNG := rng.New(e.cfg.Seed)
-	e.global = nn.InitParamsInto(nil, seedRNG.Derive("init"), e.sizes...)
-	e.dim = len(e.global)
-	e.spare = tensor.NewVector(e.dim)
 	defer e.timer.Stop()
 	for round := 0; round < e.ccfg.Rounds; round++ {
 		e.curRound = round
@@ -53,7 +50,6 @@ func (e *Engine) runRound(seedRNG *rng.RNG, round int) error {
 	roundRNG := seedRNG.DeriveDecimal("round-", round)
 	skip := core.DrawRoundSkip(e.ccfg, roundRNG, e.tree)
 	clear(e.produces)
-	e.scratchUsed = 0
 
 	if e.isRoot {
 		// The root tallies the round's deterministic trainer activations —
@@ -66,16 +62,16 @@ func (e *Engine) runRound(seedRNG *rng.RNG, round int) error {
 		return e.rootRound(roundRNG, round, skip)
 	}
 
-	// --- Local training (Algorithm 2) on a borrowed model, into spare: dead
-	// until the round-end global decode, after the update's last reader.
+	// --- Local training (Algorithm 2) on a borrowed model, into a borrowed
+	// vector.
 	var update tensor.Vector
 	if e.trains(int(e.id), round, skip) {
-		s := e.pool.Get()
+		s := e.sh.pool.Get()
 		s.Model.SetParams(e.global)
 		r := roundRNG.DeriveDecimal("device-", int(e.id))
 		nn.SGDWS(s.Model, s.WS, e.ccfg.ClientData[e.id], e.ccfg.Local, r)
-		update = s.Model.ParamsInto(e.spare)
-		e.pool.Put(s)
+		update = s.Model.ParamsInto(e.roundVec())
+		e.sh.pool.Put(s)
 	}
 
 	// --- Uplink: non-leader devices ship the update to their bottom
@@ -114,10 +110,14 @@ func (e *Engine) runRound(seedRNG *rng.RNG, round int) error {
 		}
 	}
 
+	// The update (sent, or aggregated by its own leader), the collected
+	// inputs and the partials have all been read for the last time.
+	e.giveBack()
+
 	// --- Dissemination (Algorithm 5): wait for the round's global model,
 	// relay the payload bytes verbatim to every cluster this node leads
 	// (all broadcast copies carry the same encoding), then decode it
-	// against the previous global.
+	// against the previous global, which then goes back to the process.
 	payload, err := e.awaitGlobal(round)
 	if err != nil {
 		return err
@@ -133,10 +133,12 @@ func (e *Engine) runRound(seedRNG *rng.RNG, round int) error {
 			}
 		}
 	}
-	if err := e.decodeModel(e.spare, payload); err != nil {
+	next := e.sh.take()
+	if err := e.decodeModel(next, payload); err != nil {
 		return fmt.Errorf("node %d: round %d global decode: %w", e.id, round, err)
 	}
-	e.global, e.spare = e.spare, e.global
+	e.sh.put(e.global)
+	e.global = next
 	e.logf("node %d: round %d done", e.id, round)
 	return nil
 }
@@ -324,11 +326,13 @@ func (e *Engine) rootRound(roundRNG *rng.RNG, round int, skip map[int]bool) erro
 		}
 	}
 
-	// --- Global aggregation (Algorithm 6), into the spare global buffer.
-	newGlobal, v, comm, err := e.st.Aggregate(e.ccfg.Global, e.ccfg.TopInput(roundRNG, round, vecs, leaders, e.spare, ballots))
+	// --- Global aggregation (Algorithm 6), into a borrowed vector: the
+	// partials' last reader.
+	newGlobal, v, comm, err := e.st.Aggregate(e.ccfg.Global, e.ccfg.TopInput(roundRNG, round, vecs, leaders, e.sh.take(), ballots))
 	if err != nil {
 		return fmt.Errorf("root: round %d: %w", round, err)
 	}
+	e.giveBack()
 	top := wireAudit(0, 0, round, &v, core.StepComm(e.ccfg.Global, comm, len(vecs), len(vecs)))
 	top.Excluded = v.Excluded
 	audits = append(audits, top)
@@ -343,7 +347,8 @@ func (e *Engine) rootRound(roundRNG *rng.RNG, round int, skip map[int]bool) erro
 
 	// --- Dissemination: encode against the previous global (the reference
 	// every receiver still holds), apply the same lossy hop to the root's
-	// own copy, and hand the payload to the top members for relay.
+	// own copy, give the previous global back, and hand the payload to the
+	// top members for relay.
 	payload, err := e.encodeModel(newGlobal)
 	if err != nil {
 		return fmt.Errorf("root: round %d dissemination codec: %w", round, err)
@@ -353,7 +358,8 @@ func (e *Engine) rootRound(roundRNG *rng.RNG, round int, skip map[int]bool) erro
 			return fmt.Errorf("root: round %d dissemination codec: %w", round, err)
 		}
 	}
-	e.global, e.spare = newGlobal, e.global
+	e.sh.put(e.global)
+	e.global = newGlobal
 	for _, m := range e.tree.Top().Members {
 		if err := e.send(KindGlobal, m, round, payload); err != nil {
 			return err
@@ -362,10 +368,10 @@ func (e *Engine) rootRound(roundRNG *rng.RNG, round int, skip map[int]bool) erro
 
 	// --- Evaluation, on RunHFL's cadence.
 	if (round+1)%e.evalEver == 0 || round == e.ccfg.Rounds-1 {
-		s := e.pool.Get()
+		s := e.sh.pool.Get()
 		s.Model.SetParams(e.global)
 		acc, loss := nn.Evaluate(s.Model, e.ccfg.TestData, e.workers)
-		e.pool.Put(s)
+		e.sh.pool.Put(s)
 		stat := core.RoundStat{Round: round + 1, Accuracy: acc, Loss: loss}
 		e.res.Curve = append(e.res.Curve, stat)
 		if e.ccfg.OnRound != nil {
@@ -388,9 +394,10 @@ func (e *Engine) rootRound(roundRNG *rng.RNG, round int, skip map[int]bool) erro
 // plus that leader's consensus member index (KindProposal) — one encoding,
 // its member word rewritten per recipient — then collects
 // the leaders' validation ballots (KindBallot). Leaders that never answer
-// — a dropped proposal or ballot under the fault plan — come back as nil
-// rows: silent consensus members the randomized protocol absorbs within
-// its fault budget (and recomputes locally beyond it).
+// — a dropped proposal or ballot under the fault plan — or answer with a
+// malformed ballot, or one naming another member, come back as nil rows:
+// silent consensus members the randomized protocol absorbs within its
+// fault budget (and recomputes locally beyond it).
 func (e *Engine) exchangeBallots(round int, payloads [][]byte, leaders []int) (*consensus.BallotSet, error) {
 	expect := make(map[transport.NodeID]bool, len(leaders))
 	e.wire = appendProposals(e.wire[:0], 0, payloads)
@@ -412,11 +419,12 @@ func (e *Engine) exchangeBallots(round int, payloads [][]byte, leaders []int) (*
 			continue
 		}
 		member, bits, err := decodeBallot(raw, len(payloads))
-		if err != nil {
-			return nil, fmt.Errorf("root: round %d ballot from %d: %w", round, ld, err)
+		if err == nil && member != m {
+			err = fmt.Errorf("member %d want %d", member, m)
 		}
-		if member != m {
-			return nil, fmt.Errorf("root: round %d ballot from %d: member %d want %d", round, ld, member, m)
+		if err != nil {
+			e.logf("root: round %d ballot from %d (member %d) is silent: %v", round, ld, m, err)
+			continue
 		}
 		set.Rows[m] = bits
 	}
@@ -426,8 +434,8 @@ func (e *Engine) exchangeBallots(round int, payloads [][]byte, leaders []int) (*
 // answerProposal serves one ballot-exchange proposal: the leader decodes
 // the root's proposal set against the round-start global (the exact
 // vectors the root decoded, so the bits match a central computation),
-// computes its validation ballot over them and ships it back, holding f
-// until the round ends.
+// computes its validation ballot over them, gives the proposals back and
+// ships the ballot, holding f until the round ends.
 func (e *Engine) answerProposal(f transport.Frame) error {
 	if e.st == nil {
 		return fmt.Errorf("node %d: round %d proposal sent to a non-leader", e.id, f.Round)
@@ -437,6 +445,7 @@ func (e *Engine) answerProposal(f transport.Frame) error {
 		return fmt.Errorf("node %d: round %d proposal: %w", e.id, f.Round, err)
 	}
 	bits := e.st.ShardBallot(e.ccfg.Global, e.ccfg.ValidationShards, member, proposals)
+	e.giveBack()
 	e.wire = appendBallot(e.wire[:0], member, bits)
 	return e.send(KindBallot, int(RootID(e.tree)), int(f.Round), e.wire)
 }

@@ -32,6 +32,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
+	"sync"
 	"time"
 
 	"abdhfl"
@@ -39,6 +41,7 @@ import (
 	"abdhfl/internal/core"
 	"abdhfl/internal/fault"
 	"abdhfl/internal/nn"
+	"abdhfl/internal/rng"
 	"abdhfl/internal/step"
 	"abdhfl/internal/tensor"
 	"abdhfl/internal/topology"
@@ -100,9 +103,41 @@ type Config struct {
 	GlobalWait time.Duration
 	// Logf, when set, receives progress lines (round boundaries, stalls).
 	Logf func(format string, args ...any)
-	// pool lends the models devices train and the root evaluates on; the
+	// shared is the state the engines of one process hold in common; the
 	// engines RunCluster runs share one, nil gives the engine its own.
+	shared *shared
+}
+
+// shared is what the engines of one process hold in common: the pool of
+// models and workspaces they train, evaluate and score on, a free list of
+// dim-sized vectors every engine borrows its round's vectors from and
+// returns at their last read, and the run's initial model, drawn once.
+// Engines sharing one run the same Materials and Seed.
+type shared struct {
 	pool *nn.EvalPool
+	init tensor.Vector
+
+	mu   sync.Mutex
+	free []tensor.Vector
+}
+
+// take borrows a dim-sized vector, contents unspecified.
+func (s *shared) take() tensor.Vector {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if n := len(s.free); n > 0 {
+		v := s.free[n-1]
+		s.free = s.free[:n-1]
+		return v
+	}
+	return tensor.NewVector(len(s.init))
+}
+
+// put returns borrowed vectors that their borrower reads no more.
+func (s *shared) put(vs ...tensor.Vector) {
+	s.mu.Lock()
+	s.free = append(s.free, vs...)
+	s.mu.Unlock()
 }
 
 // Engine is one node's protocol actor. Run drives all of its roles for the
@@ -115,7 +150,6 @@ type Engine struct {
 	id       transport.NodeID
 	devices  int
 	isRoot   bool
-	sizes    []int
 	dim      int
 	workers  int
 	evalEver int
@@ -124,8 +158,8 @@ type Engine struct {
 	busDone <-chan struct{}
 	stall   time.Duration
 	gwait   time.Duration
-	timer   *time.Timer  // the one timer every wait arms (after)
-	pool    *nn.EvalPool // Config.pool, borrowed from per training or evaluation
+	timer   *time.Timer // the one timer every wait arms (after)
+	sh      *shared     // Config.shared: the pool, the free list, the initial model
 
 	// st is the cluster step's working memory, present on the root and on
 	// every leader: the same step RunHFL runs, applied to the vectors this
@@ -137,15 +171,13 @@ type Engine struct {
 	cdc codec.Codec
 	cs  *codec.Scratch
 
-	// global is the round-start model every codec hop refers to; the next
-	// one is formed (root) or decoded (everyone else) into spare and the
-	// two swap. scratch[:scratchUsed] are the dim-sized vectors handed out
-	// by roundVec since the round began — collected updates, partials,
-	// aggregation results, decoded proposals — all dead by the next round,
-	// which starts over at 0 and reuses them.
-	global, spare tensor.Vector
-	scratch       []tensor.Vector
-	scratchUsed   int
+	// global, the round-start model every codec hop refers to, is the one
+	// vector the engine owns; the next one is formed (root) or decoded
+	// (everyone else) into a borrowed vector, and the old one goes back.
+	// lent are the vectors roundVec borrowed since the last giveBack: the
+	// update, collected inputs, partials, decoded proposals.
+	global tensor.Vector
+	lent   []tensor.Vector
 
 	curRound int
 	produces map[[2]int]bool
@@ -219,13 +251,12 @@ func New(cfg Config) (*Engine, error) {
 		id:       cfg.ID,
 		devices:  devices,
 		isRoot:   int(cfg.ID) == devices,
-		sizes:    step.ModelSizes(ccfg.Hidden),
 		workers:  workers,
 		evalEver: evalEvery,
 		stall:    stall,
 		gwait:    gwait,
 		timer:    time.NewTimer(time.Hour),
-		pool:     cfg.pool,
+		sh:       cfg.shared,
 		cdc:      ccfg.Codec,
 		cs:       codec.NewScratch(),
 		led:      map[int][]int{},
@@ -239,12 +270,15 @@ func New(cfg Config) (*Engine, error) {
 			}
 		}
 	}
-	if e.pool == nil {
-		e.pool = nn.NewEvalPool(e.sizes...)
+	if e.sh == nil {
+		sizes := step.ModelSizes(ccfg.Hidden)
+		e.sh = &shared{pool: nn.NewEvalPool(sizes...), init: nn.InitParamsInto(nil, rng.New(cfg.Seed).Derive("init"), sizes...)}
 	}
+	e.global = slices.Clone(e.sh.init)
+	e.dim = len(e.global)
 	if e.isRoot || len(e.led) > 0 {
 		obs := step.NewObserver(ccfg.Telemetry, "node", len(tree.Clusters), ccfg.OnFilter, nil)
-		e.st = step.NewStepper(obs, max(ccfg.Workers, 1), e.pool, true)
+		e.st = step.NewStepper(obs, max(ccfg.Workers, 1), e.sh.pool, true)
 	}
 	e.jsonEnc = json.NewEncoder(&e.jsonBuf)
 	// One queue for all kinds: the engine is single-threaded, and the
@@ -279,14 +313,18 @@ func (e *Engine) inboundPerRound() int {
 	return n
 }
 
-// roundVec returns a dim-sized vector, contents unspecified, that is the
-// caller's until the round ends.
+// roundVec borrows a dim-sized vector, contents unspecified, that is the
+// caller's until the next giveBack.
 func (e *Engine) roundVec() tensor.Vector {
-	if e.scratchUsed == len(e.scratch) {
-		e.scratch = append(e.scratch, tensor.NewVector(e.dim))
-	}
-	e.scratchUsed++
-	return e.scratch[e.scratchUsed-1]
+	v := e.sh.take()
+	e.lent = append(e.lent, v)
+	return v
+}
+
+// giveBack returns every vector roundVec lent to the process.
+func (e *Engine) giveBack() {
+	e.sh.put(e.lent...)
+	e.lent = e.lent[:0]
 }
 
 // logf emits a progress line when a logger is configured.

@@ -130,12 +130,12 @@ func appendProposals(dst []byte, member int, payloads [][]byte) []byte {
 	return dst
 }
 
-// decodeProposals parses a KindProposal payload into round-scratch
-// vectors. Every header field is peer-chosen, so each is bounded before
+// decodeProposals parses a KindProposal payload into vectors roundVec
+// lends. Every header field is peer-chosen, so each is bounded before
 // anything is sized from it: count at most the number of level-1 clusters
 // a proposal set can hold, member one of the count, each length word at
 // most the bytes that remain, and the last payload must end the message.
-// The framing is checked whole before any vector is taken; each payload
+// The framing is checked whole before any vector is borrowed; each payload
 // then decodes like any model off the wire (decodeModel), whose codec
 // header or raw length check rejects a foreign dimension and whose
 // nil-error result is finite.

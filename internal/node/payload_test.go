@@ -3,8 +3,10 @@ package node
 import (
 	"cmp"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"math"
+	"reflect"
 	"runtime"
 	"slices"
 	"testing"
@@ -17,10 +19,10 @@ import (
 // decoderEngine is the slice of an Engine the payload decoders read: the
 // model dimension, the tree (testScenario's, two level-1 clusters), the
 // codec (nil for raw float64s) and the round-start global every decode
-// refers to, a copy of global.
+// refers to, a copy of global; its vectors come from a free list of its own.
 func decoderEngine(t testing.TB, cdc codec.Codec, global tensor.Vector) *Engine {
 	t.Helper()
-	return &Engine{dim: len(global), tree: build(t, testScenario("")).Tree, cdc: cdc, cs: codec.NewScratch(), global: global.Clone()}
+	return &Engine{dim: len(global), tree: build(t, testScenario("")).Tree, cdc: cdc, cs: codec.NewScratch(), global: global.Clone(), sh: &shared{init: global}}
 }
 
 // proposalTestDim spans two int8 chunks, the second one short.
@@ -62,7 +64,7 @@ func u32s(vals ...uint32) []byte {
 
 // hostileProposal is a KindProposal message only a hostile peer would send
 // an int8 leader. A nil want is a framing error, which must be rejected
-// before any scratch vector is taken; the rest get past the framing and
+// before any vector is borrowed; the rest get past the framing and
 // are the codec's to reject with want.
 type hostileProposal struct {
 	name string
@@ -118,7 +120,7 @@ func TestDecodeProposalsHostileHeaders(t *testing.T) {
 	e := decoderEngine(t, codec.Int8Quant{}, proposalTestVector(rng.New(2)))
 	for _, tc := range hostileProposals(t, e) {
 		t.Run(tc.name, func(t *testing.T) {
-			e.scratchUsed = 0
+			e.giveBack()
 			_, _, err := e.decodeProposals(tc.raw)
 			if err == nil {
 				t.Fatal("accepted")
@@ -126,8 +128,8 @@ func TestDecodeProposalsHostileHeaders(t *testing.T) {
 			if tc.want != nil && !errors.Is(err, tc.want) {
 				t.Fatalf("error %v, want %v", err, tc.want)
 			}
-			if tc.want == nil && e.scratchUsed != 0 {
-				t.Fatalf("took %d scratch vectors for a rejected frame", e.scratchUsed)
+			if tc.want == nil && len(e.lent) != 0 {
+				t.Fatalf("borrowed %d vectors for a rejected frame", len(e.lent))
 			}
 		})
 	}
@@ -136,7 +138,7 @@ func TestDecodeProposalsHostileHeaders(t *testing.T) {
 // TestDecodeProposalsRoundTrip pins the property forwarding rests on: for
 // the raw path and every codec, a leader's decode of a proposal is bit for
 // bit the root's decode of the same partial bytes against the same global,
-// in the leader's round scratch. The delta codecs' reference is the global,
+// in vectors the leader borrowed. The delta codecs' reference is the global,
 // so a leader decoding against anything else would fail here.
 func TestDecodeProposalsRoundTrip(t *testing.T) {
 	r := rng.New(3)
@@ -168,8 +170,8 @@ func TestDecodeProposalsRoundTrip(t *testing.T) {
 					t.Fatal(err)
 				}
 				sameParams(t, "proposal", want, got[i])
-				if &got[i][0] != &leader.scratch[i][0] {
-					t.Errorf("proposal %d was not decoded into round scratch", i)
+				if &got[i][0] != &leader.lent[i][0] {
+					t.Errorf("proposal %d was not decoded into a borrowed vector", i)
 				}
 			}
 		})
@@ -214,7 +216,7 @@ func FuzzDecodeProposals(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, which uint8, raw []byte) {
 		e := engines[int(which)%len(engines)]
-		e.scratchUsed = 0
+		e.giveBack()
 		_, got, err := e.decodeProposals(raw)
 		if err != nil {
 			return
@@ -236,15 +238,7 @@ func FuzzDecodeProposals(f *testing.F) {
 // proposal, checked before its bits are sized: a well-formed 1 MiB ballot
 // over 3 proposals is rejected having allocated none of it.
 func TestDecodePartialAndBallotLengths(t *testing.T) {
-	for _, raw := range [][]byte{
-		nil,
-		u32s(1)[:3],
-		u32s(1),
-		append(u32s(5), "[]"...),
-		append(u32s(math.MaxUint32), "[]"...),
-		append(u32s(math.MaxUint32-3), "[]"...),
-		append(u32s(2), 'x', 'y'), // model fits; audit list missing
-	} {
+	for _, raw := range hostilePartials {
 		if _, _, err := decodePartial(raw); err == nil {
 			t.Errorf("decodePartial accepted % x", raw)
 		}
@@ -253,7 +247,38 @@ func TestDecodePartialAndBallotLengths(t *testing.T) {
 		t.Errorf("decodePartial of a well-formed message: %q, %v, %v", model, audits, err)
 	}
 
-	for _, tc := range []struct {
+	for _, tc := range hostileBallots {
+		if _, _, err := decodeBallot(tc.raw, tc.want); err == nil {
+			t.Errorf("decodeBallot accepted % x over %d proposals", tc.raw, tc.want)
+		}
+	}
+	hostile := appendBallot(nil, 0, make([]bool, 1<<20))
+	var err error
+	if n := allocatedBy(func() { _, _, err = decodeBallot(hostile, 3) }); n >= 1<<20 {
+		t.Errorf("rejecting a 2^20-bit ballot allocated %d bytes", n)
+	}
+	if err == nil {
+		t.Error("decodeBallot accepted 2^20 bits over 3 proposals")
+	}
+	if member, bits, err := decodeBallot(appendBallot(nil, 3, []bool{true, false, true}), 3); err != nil || member != 3 || len(bits) != 3 || !bits[0] || bits[1] || !bits[2] {
+		t.Errorf("decodeBallot round trip: member %d bits %v err %v", member, bits, err)
+	}
+}
+
+// hostilePartials and hostileBallots are messages whose length fields
+// disagree with the message, up to the values whose sums leave 32 bits
+// (a ballot's with the number of proposals the root expects).
+var (
+	hostilePartials = [][]byte{
+		nil,
+		u32s(1)[:3],
+		u32s(1),
+		append(u32s(5), "[]"...),
+		append(u32s(math.MaxUint32), "[]"...),
+		append(u32s(math.MaxUint32-3), "[]"...),
+		append(u32s(2), 'x', 'y'), // model fits; audit list missing
+	}
+	hostileBallots = []struct {
 		raw  []byte
 		want int
 	}{
@@ -265,23 +290,104 @@ func TestDecodePartialAndBallotLengths(t *testing.T) {
 		{append(u32s(0, math.MaxUint32-7), 1), math.MaxUint32 - 7},
 		{append(u32s(0, 2), 1, 0), 3},
 		{append(u32s(0, 4), 1, 0, 1, 1), 3},
-	} {
-		if _, _, err := decodeBallot(tc.raw, tc.want); err == nil {
-			t.Errorf("decodeBallot accepted % x over %d proposals", tc.raw, tc.want)
-		}
 	}
-	hostile := appendBallot(nil, 0, make([]bool, 1<<20))
+)
+
+// allocatedBy returns the bytes fn allocates.
+func allocatedBy(fn func()) uint64 {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, _, err := decodeBallot(hostile, 3)
+	fn()
 	runtime.ReadMemStats(&after)
-	if err == nil {
-		t.Error("decodeBallot accepted 2^20 bits over 3 proposals")
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// FuzzDecodePartial feeds the partial decoder arbitrary messages, seeded
+// with partials an engine framed (raw and int8 models, audits with and
+// without id lists) and the hostile headers above. It must not panic, and
+// what it allocates is bounded by the message, never sized from the
+// length word. A nil error means a well-formed partial: the model is the
+// length word's count of bytes right after it, aliasing the message, and
+// the audit list decodes again to itself once re-encoded.
+func FuzzDecodePartial(f *testing.F) {
+	audits := []WireAudit{
+		{Level: 2, Cluster: 1, Round: 4, Rule: "multi-krum", Kept: []int{3, 5}, Discarded: []int{4}, Transfers: 3},
+		{Level: 1, Rule: "centered-clipping", Clipped: []int{0}, Scalars: 2, Excluded: 1},
 	}
-	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
-		t.Errorf("rejecting a 2^20-bit ballot allocated %d bytes", n)
+	for _, name := range []string{"", "int8"} {
+		e := decoderEngine(f, proposalCodec(f, name), proposalTestVector(rng.New(5)))
+		e.jsonEnc = json.NewEncoder(&e.jsonBuf)
+		for _, a := range [][]WireAudit{nil, audits} {
+			raw, err := e.encodePartial(proposalTestVector(rng.New(6)), a)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(slices.Clone(raw))
+		}
 	}
-	if member, bits, err := decodeBallot(appendBallot(nil, 3, []bool{true, false, true}), 3); err != nil || member != 3 || len(bits) != 3 || !bits[0] || bits[1] || !bits[2] {
-		t.Errorf("decodeBallot round trip: member %d bits %v err %v", member, bits, err)
+	for _, raw := range hostilePartials {
+		f.Add(raw)
 	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		var model []byte
+		var audits []WireAudit
+		var err error
+		if n := allocatedBy(func() { model, audits, err = decodePartial(raw) }); n > 64<<10+256*uint64(len(raw)) {
+			t.Fatalf("decoding a %d-byte partial allocated %d bytes", len(raw), n)
+		}
+		if err != nil {
+			return
+		}
+		n := binary.LittleEndian.Uint32(raw)
+		if uint64(len(model)) != uint64(n) || (n > 0 && &model[0] != &raw[4]) {
+			t.Fatalf("model of %d bytes, length word %d, aliasing %v", len(model), n, n > 0 && &model[0] == &raw[4])
+		}
+		tail, err := json.Marshal(audits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, again, err := decodePartial(append(append(u32s(n), model...), tail...))
+		if err != nil || !reflect.DeepEqual(again, audits) {
+			t.Fatalf("re-encoded audits decode to %+v, %v; want %+v", again, err, audits)
+		}
+	})
+}
+
+// FuzzDecodeBallot feeds the ballot decoder arbitrary messages over up to
+// 2¹⁶−1 proposals (the count is the root's, not the peer's), seeded with
+// encoded ballots and the hostile headers above. It must not panic, and
+// what it allocates is bounded by the message, never sized from the bit
+// count word. A nil error means a well-formed ballot: one byte per
+// proposal after the header, each bit the byte's non-zeroness, and the
+// ballot encodes back to a message that decodes to the same.
+func FuzzDecodeBallot(f *testing.F) {
+	for _, bits := range [][]bool{{true}, {false, true, true}, make([]bool, 4)} {
+		f.Add(appendBallot(nil, len(bits)-1, bits), uint16(len(bits)))
+	}
+	for _, tc := range hostileBallots {
+		f.Add(tc.raw, uint16(min(tc.want, math.MaxUint16)))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte, want uint16) {
+		var member int
+		var bits []bool
+		var err error
+		if n := allocatedBy(func() { member, bits, err = decodeBallot(raw, int(want)) }); n > 16<<10+2*uint64(len(raw)) {
+			t.Fatalf("decoding a %d-byte ballot over %d proposals allocated %d bytes", len(raw), want, n)
+		}
+		if err != nil {
+			return
+		}
+		if len(raw) != 8+int(want) || len(bits) != int(want) || uint32(member) != binary.LittleEndian.Uint32(raw) {
+			t.Fatalf("%d-byte ballot over %d proposals decoded to member %d with %d bits", len(raw), want, member, len(bits))
+		}
+		for i, b := range bits {
+			if b != (raw[8+i] != 0) {
+				t.Fatalf("bit %d is %v from byte %#x", i, b, raw[8+i])
+			}
+		}
+		m2, b2, err := decodeBallot(appendBallot(nil, member, bits), int(want))
+		if err != nil || m2 != member || !slices.Equal(b2, bits) {
+			t.Fatalf("re-encoded ballot decodes to %d %v, %v", m2, b2, err)
+		}
+	})
 }

@@ -7,7 +7,6 @@ import (
 
 	"abdhfl"
 	"abdhfl/internal/fault"
-	"abdhfl/internal/nn"
 	"abdhfl/internal/telemetry"
 	"abdhfl/internal/trace"
 	"abdhfl/internal/transport"
@@ -106,9 +105,9 @@ func RunCluster(opts ClusterOpts) (*ClusterResult, error) {
 		return nil, fmt.Errorf("node: unknown backend %q", opts.Backend)
 	}
 
-	// The first engine builds the training pool, the rest share it.
+	// The first engine builds the process's shared state, the rest share it.
 	engines := make([]*Engine, n)
-	var pool *nn.EvalPool
+	var sh *shared
 	for id := 0; id < n; id++ {
 		eng, err := New(Config{
 			Materials:  opts.Materials,
@@ -118,13 +117,13 @@ func RunCluster(opts ClusterOpts) (*ClusterResult, error) {
 			Plan:       opts.Plan,
 			StallAfter: opts.StallAfter,
 			GlobalWait: opts.GlobalWait,
-			pool:       pool,
+			shared:     sh,
 		})
 		if err != nil {
 			closeAll()
 			return nil, fmt.Errorf("node %d: %w", id, err)
 		}
-		engines[id], pool = eng, eng.pool
+		engines[id], sh = eng, eng.sh
 	}
 
 	results := make([]*Result, n)

@@ -13,6 +13,7 @@ import (
 	"abdhfl/internal/fault"
 	"abdhfl/internal/nn"
 	"abdhfl/internal/rng"
+	"abdhfl/internal/tensor"
 	"abdhfl/internal/testenv"
 	"abdhfl/internal/transport"
 )
@@ -54,19 +55,23 @@ func TestRunClusterWireVolume(t *testing.T) {
 }
 
 // TestRunClusterAllocBudget pins what one RunCluster call allocates on the
-// node_round shape, in bytes and in objects. The budgets are the figures
-// this test measures (loopback 6.2 MB / 10 500 objects, TCP 7.3 MB /
-// 17 900 objects) plus a tenth. The same run allocated 279 MB when every
-// endpoint pre-sized its dupe map, 21.4 MB over TCP while every frame was
-// read into, and encoded into, a fresh buffer, 12.5 MB while every engine
-// built its own model, workspace, gradients and update vector, armed a
-// fresh timer per wait and filled its own address book, and 8.1 MB while
-// the root re-serialised the ABA proposals as raw float64s and every leader
-// scored them on a validation pool of its own. What is left is mostly the
-// engines' global and spare vectors and leader round scratch, the wire's
-// frame buffers and one connection reader per link. The object budget
-// catches a per-frame allocation that returns even when its bytes are few.
-// `make profile-node` prints where the bytes of a failing run come from.
+// node_round shape, in bytes and in objects. The budgets are the highest
+// figures this test measures at GOMAXPROCS 1 to 4 (loopback 3.9 MB /
+// 10 450 objects, TCP 5.0 MB / 17 700 objects) plus a tenth; at 8 more
+// engines hold a borrowed vector at once, and TCP reads up to 5.3 MB. The
+// same run allocated 279 MB when every endpoint pre-sized its dupe map,
+// 21.4 MB over TCP while every frame was read into, and encoded into, a
+// fresh buffer, 12.5 MB while every engine built its own model, workspace,
+// gradients and update vector, armed a fresh timer per wait and filled its
+// own address book, 8.1 MB while the root re-serialised the ABA proposals
+// as raw float64s and every leader scored them on a validation pool of its
+// own, and 7.3 MB while every engine drew its own initial model and kept a
+// spare global and round scratch of its own. What is left is mostly one
+// global per engine, the vectors engines have borrowed from the process at
+// once, the wire's frame buffers and one connection reader per link. The
+// object budget catches a per-frame allocation that returns even when its
+// bytes are few. `make profile-node` prints where the bytes of a failing
+// run come from.
 func TestRunClusterAllocBudget(t *testing.T) {
 	if testenv.UnderRace() {
 		t.Skip("the race detector's own allocations are counted in TotalAlloc")
@@ -77,8 +82,8 @@ func TestRunClusterAllocBudget(t *testing.T) {
 		bytes   uint64
 		objects uint64
 	}{
-		{BackendLoopback, 69 << 20 / 10, 11_600},
-		{BackendTCP, 81 << 20 / 10, 19_700},
+		{BackendLoopback, 43 << 20 / 10, 11_500},
+		{BackendTCP, 55 << 20 / 10, 19_500},
 	} {
 		t.Run(tc.backend, func(t *testing.T) {
 			run := func() (bytes, objects uint64) {
@@ -125,37 +130,52 @@ func BenchmarkRunClusterTCP(b *testing.B) {
 	}
 }
 
-// runLoopbackHooked is RunCluster over loopback, engines sharing one
-// training pool as there, with one addition: after every round an engine
-// finishes, atRoundEnd runs on that engine's own goroutine (it rides on the
+// loopbackRun is RunCluster over loopback with test hooks. Its engines
+// share one process state as there, unless standalone, when each builds
+// its own as cmd/abdhfl-node's one engine does; wrap, when set, stands
+// between an engine and its endpoint; atRoundEnd, when set, runs on an
+// engine's own goroutine after every round it finishes (it rides on the
 // "round done" progress line).
-func runLoopbackHooked(t *testing.T, mat *abdhfl.Materials, seed uint64, plan *fault.Plan, atRoundEnd func(*Engine)) []*Result {
+type loopbackRun struct {
+	plan       *fault.Plan
+	standalone bool
+	wrap       func(id int, ep transport.Endpoint) transport.Endpoint
+	atRoundEnd func(*Engine)
+}
+
+func (o loopbackRun) run(t *testing.T, mat *abdhfl.Materials, seed uint64) []*Result {
 	t.Helper()
 	n := mat.Tree.NumDevices() + 1
 	lb := transport.NewLoopback()
 	engines := make([]*Engine, n)
-	var pool *nn.EvalPool
+	var sh *shared
 	for id := range engines {
-		ep, err := lb.Attach(transport.Config{Self: transport.NodeID(id), Plan: plan, FaultKinds: FaultableKinds()})
+		ep, err := lb.Attach(transport.Config{Self: transport.NodeID(id), Plan: o.plan, FaultKinds: FaultableKinds()})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer ep.Close()
+		var wire transport.Endpoint = ep
+		if o.wrap != nil {
+			wire = o.wrap(id, ep)
+		}
 		id := id
 		engines[id], err = New(Config{
-			Materials: mat, Seed: seed, ID: transport.NodeID(id), Endpoint: ep, Plan: plan,
+			Materials: mat, Seed: seed, ID: transport.NodeID(id), Endpoint: wire, Plan: o.plan,
 			StallAfter: 500 * time.Millisecond, GlobalWait: 8 * time.Second,
 			Logf: func(format string, _ ...any) {
-				if strings.Contains(format, "done") {
-					atRoundEnd(engines[id])
+				if o.atRoundEnd != nil && strings.Contains(format, "done") {
+					o.atRoundEnd(engines[id])
 				}
 			},
-			pool: pool,
+			shared: sh,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		pool = engines[id].pool
+		if !o.standalone {
+			sh = engines[id].sh
+		}
 	}
 	results := make([]*Result, n)
 	errs := make([]error, n)
@@ -176,44 +196,48 @@ func runLoopbackHooked(t *testing.T, mat *abdhfl.Materials, seed uint64, plan *f
 	return results
 }
 
-// TestRoundScratchDeadAtRoundEnd is the lifetime claim the engine's reuse
-// rests on: every vector roundVec handed out, the spare global (which held
-// the round's own update) and every model and workspace in the shared
-// training pool are dead when a round ends. A 3-round run whose engines
-// overwrite all of them with NaN at each round's end — so any value carried
-// across a round boundary in reused memory poisons the model — must report
-// exactly what the untouched run reports, node by node: final model, curve,
-// σ-accounting, audits, stalls. The pool is a sync.Pool, which cannot be
-// listed, so each round end takes sixteen scratches out at once — what the
-// pool holds, or more — NaN-fills each model, trains it with momentum and
-// weight decay so its activations, gradients and momentum turn NaN too, and
-// puts them back: nearly every later borrow gets a poisoned scratch. Delta-int8 makes every decode read the previous global
-// and ABA adds the proposal vectors; the drop+duplicate plan adds starved
-// clusters, silent ballots and rounds that take fewer vectors than the
-// round before. The clean run is tied to RunHFL, the golden the reuse must
-// not move.
+// TestRoundScratchDeadAtRoundEnd is the lifetime claim the engines' sharing
+// rests on: every vector on the process free list and every model and
+// workspace in the shared training pool is dead — no engine reads it again
+// before it borrows it anew. A 3-round run whose engines overwrite all of
+// them with NaN at each of their round ends — while other engines are
+// mid-round, so a vector read after it went back poisons a model, or shows
+// as a race under -race — must report exactly what the untouched run
+// reports, node by node: final model, curve, σ-accounting, audits, stalls.
+// The pool is a sync.Pool, which cannot be listed, so each round end takes
+// sixteen scratches out at once — what the pool holds, or more —
+// NaN-fills each model, trains it with momentum and weight decay so its
+// activations, gradients and momentum turn NaN too, and puts them back:
+// nearly every later borrow gets a poisoned scratch. Delta-int8 makes every
+// decode read the previous global and ABA adds the proposal vectors; the
+// drop+duplicate plan adds starved clusters, silent ballots and rounds that
+// take fewer vectors than the round before. The clean run is tied to
+// RunHFL, the golden the sharing must not move.
 func TestRoundScratchDeadAtRoundEnd(t *testing.T) {
 	s := testScenario("delta-int8")
 	s.TopProtocol = "aba"
 	poison := func(e *Engine) {
-		for i := range e.spare {
-			e.spare[i] = math.NaN()
+		nan := tensor.NewVector(e.dim)
+		for i := range nan {
+			nan[i] = math.NaN()
 		}
-		for _, v := range e.scratch {
-			copy(v, e.spare)
+		e.sh.mu.Lock()
+		for _, v := range e.sh.free {
+			copy(v, nan)
 		}
+		e.sh.mu.Unlock()
 		var pooled [16]*nn.EvalScratch
 		for i := range pooled {
-			s := e.pool.Get()
+			s := e.sh.pool.Get()
 			for l := range s.Model.Weights {
-				copy(s.Model.Weights[l].Data, e.spare)
-				copy(s.Model.Biases[l], e.spare)
+				copy(s.Model.Weights[l].Data, nan)
+				copy(s.Model.Biases[l], nan)
 			}
 			nn.SGDWS(s.Model, s.WS, e.ccfg.ClientData[0], nn.TrainConfig{LearningRate: 1, BatchSize: 9, Iterations: 1, Momentum: 0.5, WeightDecay: 0.1}, rng.New(1))
 			pooled[i] = s
 		}
 		for _, s := range pooled {
-			e.pool.Put(s)
+			e.sh.pool.Put(s)
 		}
 	}
 	for _, tc := range []struct {
@@ -224,8 +248,8 @@ func TestRoundScratchDeadAtRoundEnd(t *testing.T) {
 		{"drop-dup", &fault.Plan{Seed: 9, Drop: 0.1, Duplicate: 0.2}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			want := runLoopbackHooked(t, build(t, s), s.Seed, tc.plan, func(*Engine) {})
-			got := runLoopbackHooked(t, build(t, s), s.Seed, tc.plan, poison)
+			want := loopbackRun{plan: tc.plan}.run(t, build(t, s), s.Seed)
+			got := loopbackRun{plan: tc.plan, atRoundEnd: poison}.run(t, build(t, s), s.Seed)
 			for id := range want {
 				if !reflect.DeepEqual(want[id], got[id]) {
 					t.Errorf("node %d reports differently once dead scratch is poisoned:\nwant %+v\ngot  %+v", id, want[id], got[id])
