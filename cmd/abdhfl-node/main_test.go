@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math/rand/v2"
 	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -69,15 +72,9 @@ func runClusterSmoke(t *testing.T, topProtocol string) {
 	}
 	sf.Close()
 
-	// Reserve one loopback port per process by binding and releasing.
 	cluster := make(map[string]string, procs)
-	for id := 0; id < procs; id++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		cluster[fmt.Sprint(id)] = ln.Addr().String()
-		ln.Close()
+	for id, addr := range freePorts(t, procs) {
+		cluster[fmt.Sprint(id)] = addr
 	}
 	clusterPath := writeJSONFile(t, dir, "cluster.json", cluster)
 
@@ -178,6 +175,43 @@ func runClusterSmoke(t *testing.T, topProtocol string) {
 	if stats["frames_sent"] == 0 || stats["frames_delivered"] == 0 {
 		t.Errorf("root wire counters empty: %v", stats)
 	}
+}
+
+// freePorts returns n loopback addresses the cluster's processes can bind.
+// A port bound and released at ":0" comes from the kernel's ephemeral
+// range, where any other ":0" bind (another package's test endpoint) may
+// take it before the process binds it; so the ports are picked below that
+// range, from a random start, each checked to bind and released.
+func freePorts(t *testing.T, n int) []string {
+	t.Helper()
+	const floor = 1024 // the first unprivileged port
+	low := 32768       // Linux's default start of the ephemeral range
+	if raw, err := os.ReadFile("/proc/sys/net/ipv4/ip_local_port_range"); err == nil {
+		if f := strings.Fields(string(raw)); len(f) == 2 {
+			if v, err := strconv.Atoi(f[0]); err == nil {
+				low = v
+			}
+		}
+	}
+	span := low - floor
+	if span < 4*n {
+		t.Skipf("the ephemeral range starts at port %d, leaving too few ports below it", low)
+	}
+	addrs := make([]string, 0, n)
+	start := rand.IntN(span)
+	for i := 0; i < span && len(addrs) < n; i++ {
+		addr := net.JoinHostPort("127.0.0.1", strconv.Itoa(floor+(start+i)%span))
+		ln, err := net.Listen("tcp", addr)
+		if err != nil {
+			continue
+		}
+		ln.Close()
+		addrs = append(addrs, addr)
+	}
+	if len(addrs) < n {
+		t.Fatalf("only %d of %d ports below %d bind", len(addrs), n, low)
+	}
+	return addrs
 }
 
 func writeJSONFile(t *testing.T, dir, name string, v any) string {

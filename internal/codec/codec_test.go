@@ -299,6 +299,29 @@ func TestInt8MatchesItsFormula(t *testing.T) {
 	r := rng.New(11)
 	v := randomVector(r, 3*DefaultChunk+17)
 	v[5], v[DefaultChunk+1] = 1e300, -1e300
+	int8MatchesItsFormula(t, v)
+}
+
+// TestInt8DecodesHugeChunks takes the decoder's other path: chunks whose
+// bounds lie beyond MaxFloat64/2, where lo·(1−t) + hi·t is clamped in case
+// its rounding overflows — one chunk spanning ±1.7e308 and one just under
+// MaxFloat64. Every coordinate must still decode finite and be what the
+// formula gives wherever the formula is finite.
+func TestInt8DecodesHugeChunks(t *testing.T) {
+	r := rng.New(12)
+	v := randomVector(r, 2*DefaultChunk+5)
+	v[3], v[7] = 1.7e308, -1.7e308
+	for i := DefaultChunk; i < 2*DefaultChunk; i++ {
+		v[i] = math.MaxFloat64 * (1 - float64(i%7)/1e3)
+	}
+	int8MatchesItsFormula(t, v)
+}
+
+// int8MatchesItsFormula encodes and decodes v and checks every code and
+// reconstruction against the per-coordinate arithmetic; a reconstruction
+// the formula rounds to Inf must decode to the chunk's nearer bound.
+func int8MatchesItsFormula(t *testing.T, v tensor.Vector) {
+	t.Helper()
 	c := Int8Quant{}
 	buf := make([]byte, c.WireBytes(len(v)))
 	if _, err := c.EncodeInto(buf, v, nil); err != nil {
@@ -321,7 +344,13 @@ func TestInt8MatchesItsFormula(t *testing.T) {
 			t.Fatalf("coordinate %d: code %d, want %d", i, codes[i], want)
 		}
 		tq := float64(codes[i]) / 255
-		if rec := lo*(1-tq) + hi*tq; math.Float64bits(got[i]) != math.Float64bits(rec) && !math.IsInf(rec, 0) {
+		rec := lo*(1-tq) + hi*tq
+		if math.IsInf(rec, 1) {
+			rec = math.Max(lo, hi)
+		} else if math.IsInf(rec, -1) {
+			rec = math.Min(lo, hi)
+		}
+		if math.Float64bits(got[i]) != math.Float64bits(rec) {
 			t.Fatalf("coordinate %d: decoded %v, want %v", i, got[i], rec)
 		}
 	}

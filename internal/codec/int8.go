@@ -154,6 +154,15 @@ func (c Int8Quant) DecodeInto(dst tensor.Vector, src []byte, s *Scratch) error {
 		if math.IsNaN(lo) || math.IsInf(lo, 0) || math.IsNaN(hi) || math.IsInf(hi, 0) {
 			return ErrNonFinite
 		}
+		// Each product is at most max(|lo|, |hi|) in magnitude, so below
+		// MaxFloat64/2 their sum cannot overflow and needs no clamp.
+		if math.Abs(lo) <= math.MaxFloat64/2 && math.Abs(hi) <= math.MaxFloat64/2 {
+			for i := start; i < end; i++ {
+				q := codes[i]
+				dst[i] = lo*int8OneMinusT[q] + hi*int8T[q]
+			}
+			continue
+		}
 		for i := start; i < end; i++ {
 			q := codes[i]
 			x := lo*int8OneMinusT[q] + hi*int8T[q]

@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -330,23 +331,24 @@ func TestStandaloneEnginesMatchCluster(t *testing.T) {
 	}
 }
 
-// ballotMangler stands between a level-1 leader and its endpoint and
-// rewrites each KindBallot frame the leader sends with mangle; a nil
-// result swallows the frame.
-type ballotMangler struct {
+// frameMangler stands between an engine and its endpoint and rewrites
+// each frame of kind the engine sends with mangle; a nil result swallows
+// the frame.
+type frameMangler struct {
 	transport.Endpoint
-	mangle func([]byte) []byte
+	kind   uint8
+	mangle func(to transport.NodeID, round uint32, payload []byte) []byte
 }
 
-func (b ballotMangler) Send(to transport.NodeID, f *transport.Frame) error {
-	if f.Kind != KindBallot {
-		return b.Endpoint.Send(to, f)
+func (m frameMangler) Send(to transport.NodeID, f *transport.Frame) error {
+	if f.Kind != m.kind {
+		return m.Endpoint.Send(to, f)
 	}
 	g := *f
-	if g.Payload = b.mangle(slices.Clone(f.Payload)); g.Payload == nil {
+	if g.Payload = m.mangle(to, f.Round, slices.Clone(f.Payload)); g.Payload == nil {
 		return nil
 	}
-	return b.Endpoint.Send(to, &g)
+	return m.Endpoint.Send(to, &g)
 }
 
 // TestMalformedBallotIsSilent holds the root to the rule a ballot row
@@ -366,7 +368,7 @@ func TestMalformedBallotIsSilent(t *testing.T) {
 			if id != leader {
 				return ep
 			}
-			return ballotMangler{ep, mangle}
+			return frameMangler{ep, KindBallot, func(_ transport.NodeID, _ uint32, p []byte) []byte { return mangle(p) }}
 		}}.run(t, build(t, s), s.Seed)
 		return res[len(res)-1]
 	}
@@ -389,5 +391,62 @@ func TestMalformedBallotIsSilent(t *testing.T) {
 				t.Errorf("mangled ballot reports differently from a swallowed one:\nwant %+v\ngot  %+v", want, got)
 			}
 		})
+	}
+}
+
+// TestDivergentRelayDecodesItsOwnGlobal holds the sharing of decoded
+// globals to its key: the exact bytes and the very reference vector. A
+// leader relays round 0's global to one member with a code byte changed,
+// so from then on that member holds a global no other engine holds, and
+// the bytes it receives in later rounds are the root's again but decode
+// against its own reference. Every node must report what it reports when
+// no engine shares anything with another, node by node.
+func TestDivergentRelayDecodesItsOwnGlobal(t *testing.T) {
+	s := testScenario("delta-int8")
+	leader := build(t, s).Tree.Clusters[1][0].Leader
+	member := leader + 1
+	wrap := func(id int, ep transport.Endpoint) transport.Endpoint {
+		if id != leader {
+			return ep
+		}
+		return frameMangler{ep, KindGlobal, func(to transport.NodeID, round uint32, p []byte) []byte {
+			if int(to) == member && round == 0 {
+				p[len(p)-1] ^= 0x5a
+			}
+			return p
+		}}
+	}
+	want := loopbackRun{wrap: wrap, standalone: true}.run(t, build(t, s), s.Seed)
+	got := loopbackRun{wrap: wrap}.run(t, build(t, s), s.Seed)
+	if slices.Equal(want[member].FinalParams, want[leader].FinalParams) {
+		t.Fatal("the altered relay left its member on the others' global")
+	}
+	for id := range want {
+		if !reflect.DeepEqual(want[id], got[id]) {
+			t.Errorf("node %d reports differently when globals are shared:\nwant %+v\ngot  %+v", id, want[id], got[id])
+		}
+	}
+}
+
+// TestEngineErrorEndsTheRun fails one engine in round 0 — the root, handed
+// a truncated partial — and holds the run to returning that error at once:
+// the other engines, parked waiting for a global that never comes, are cut
+// off by their endpoints closing instead of waiting out GlobalWait.
+func TestEngineErrorEndsTheRun(t *testing.T) {
+	s := testScenario("")
+	leader := build(t, s).Tree.Clusters[1][1].Leader
+	begin := time.Now()
+	_, err := loopbackRun{wrap: func(id int, ep transport.Endpoint) transport.Endpoint {
+		if id != leader {
+			return ep
+		}
+		return frameMangler{ep, KindPartial, func(_ transport.NodeID, _ uint32, p []byte) []byte { return p[:2] }}
+	}}.start(t, build(t, s), s.Seed)
+	took := time.Since(begin)
+	if err == nil || !strings.Contains(err.Error(), "truncated") {
+		t.Fatalf("run returned %v; want the root's truncated-partial error", err)
+	}
+	if took > loopbackGlobalWait/4 {
+		t.Errorf("the run took %v to return an engine error; GlobalWait is %v", took, loopbackGlobalWait)
 	}
 }

@@ -116,8 +116,9 @@ func (e *Engine) runRound(seedRNG *rng.RNG, round int) error {
 
 	// --- Dissemination (Algorithm 5): wait for the round's global model,
 	// relay the payload bytes verbatim to every cluster this node leads
-	// (all broadcast copies carry the same encoding), then decode it
-	// against the previous global, which then goes back to the process.
+	// (all broadcast copies carry the same encoding), then take the
+	// process's copy if the root published these bytes against this same
+	// previous global, or decode them against it into a copy of our own.
 	payload, err := e.awaitGlobal(round)
 	if err != nil {
 		return err
@@ -133,11 +134,13 @@ func (e *Engine) runRound(seedRNG *rng.RNG, round int) error {
 			}
 		}
 	}
-	next := e.sh.take()
-	if err := e.decodeModel(next, payload); err != nil {
-		return fmt.Errorf("node %d: round %d global decode: %w", e.id, round, err)
+	next := e.sh.decoded(e.global, payload)
+	if next == nil {
+		next = e.sh.take()
+		if err := e.decodeModel(next, payload); err != nil {
+			return fmt.Errorf("node %d: round %d global decode: %w", e.id, round, err)
+		}
 	}
-	e.sh.put(e.global)
 	e.global = next
 	e.logf("node %d: round %d done", e.id, round)
 	return nil
@@ -347,8 +350,11 @@ func (e *Engine) rootRound(roundRNG *rng.RNG, round int, skip map[int]bool) erro
 
 	// --- Dissemination: encode against the previous global (the reference
 	// every receiver still holds), apply the same lossy hop to the root's
-	// own copy, give the previous global back, and hand the payload to the
-	// top members for relay.
+	// own copy, publish that copy to the process's engines and hand the
+	// payload to the top members for relay. A receiver decoding the payload
+	// gets the copy bit for bit: the codec hop is the decode it would run,
+	// and raw float64s round-trip exactly once finite (a non-finite global
+	// fails the receiver's decode, so it is not published).
 	payload, err := e.encodeModel(newGlobal)
 	if err != nil {
 		return fmt.Errorf("root: round %d dissemination codec: %w", round, err)
@@ -358,7 +364,9 @@ func (e *Engine) rootRound(roundRNG *rng.RNG, round int, skip map[int]bool) erro
 			return fmt.Errorf("root: round %d dissemination codec: %w", round, err)
 		}
 	}
-	e.sh.put(e.global)
+	if e.cdc != nil || tensor.AllFinite(newGlobal) {
+		e.sh.publish(e.global, payload, newGlobal)
+	}
 	e.global = newGlobal
 	for _, m := range e.tree.Top().Members {
 		if err := e.send(KindGlobal, m, round, payload); err != nil {

@@ -32,7 +32,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"slices"
 	"sync"
 	"time"
 
@@ -111,14 +110,30 @@ type Config struct {
 // shared is what the engines of one process hold in common: the pool of
 // models and workspaces they train, evaluate and score on, a free list of
 // dim-sized vectors every engine borrows its round's vectors from and
-// returns at their last read, and the run's initial model, drawn once.
-// Engines sharing one run the same Materials and Seed.
+// returns at their last read, the run's initial model, drawn once, and
+// the globals the root last disseminated, decoded. Engines sharing one run
+// the same Materials and Seed.
 type shared struct {
 	pool *nn.EvalPool
 	init tensor.Vector
 
-	mu   sync.Mutex
-	free []tensor.Vector
+	mu      sync.Mutex
+	free    []tensor.Vector
+	globals [keptGlobals]decodedGlobal
+	next    int // the globals entry the next publish overwrites
+}
+
+// keptGlobals is how many decoded globals shared keeps: an engine up to
+// that many rounds behind the root still finds its global decoded.
+const keptGlobals = 4
+
+// decodedGlobal is one disseminated global: payload, decoded against ref,
+// is global bit for bit. The payload is the entry's own copy; ref and
+// global are never written again, nor returned to the free list, so their
+// addresses identify them for as long as the entry holds them.
+type decodedGlobal struct {
+	ref, global tensor.Vector
+	payload     []byte
 }
 
 // take borrows a dim-sized vector, contents unspecified.
@@ -138,6 +153,34 @@ func (s *shared) put(vs ...tensor.Vector) {
 	s.mu.Lock()
 	s.free = append(s.free, vs...)
 	s.mu.Unlock()
+}
+
+// publish records that payload decodes against ref to global, evicting the
+// oldest entry. From here on global, like ref, is read-only.
+func (s *shared) publish(ref tensor.Vector, payload []byte, global tensor.Vector) {
+	s.mu.Lock()
+	d := &s.globals[s.next]
+	d.ref, d.global = ref, global
+	d.payload = append(d.payload[:0], payload...)
+	s.next = (s.next + 1) % keptGlobals
+	s.mu.Unlock()
+}
+
+// decoded returns the published global that payload decodes to against
+// ref, or nil. Both key parts must match: the exact bytes, since a peer
+// may relay other bytes than the root sent (a hash could be made to
+// collide), and the very reference vector, since a codec's output depends
+// on it.
+func (s *shared) decoded(ref tensor.Vector, payload []byte) tensor.Vector {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i := range s.globals {
+		d := &s.globals[i]
+		if len(d.ref) == len(ref) && len(ref) > 0 && &d.ref[0] == &ref[0] && bytes.Equal(d.payload, payload) {
+			return d.global
+		}
+	}
+	return nil
 }
 
 // Engine is one node's protocol actor. Run drives all of its roles for the
@@ -171,11 +214,12 @@ type Engine struct {
 	cdc codec.Codec
 	cs  *codec.Scratch
 
-	// global, the round-start model every codec hop refers to, is the one
-	// vector the engine owns; the next one is formed (root) or decoded
-	// (everyone else) into a borrowed vector, and the old one goes back.
-	// lent are the vectors roundVec borrowed since the last giveBack: the
-	// update, collected inputs, partials, decoded proposals.
+	// global, the round-start model every codec hop refers to, is
+	// read-only: the root forms the next one into a borrowed vector and
+	// publishes it, everyone else takes the published one or decodes its
+	// own, and none ever goes back to the free list. lent are the vectors
+	// roundVec borrowed since the last giveBack: the update, collected
+	// inputs, partials, decoded proposals.
 	global tensor.Vector
 	lent   []tensor.Vector
 
@@ -274,7 +318,7 @@ func New(cfg Config) (*Engine, error) {
 		sizes := step.ModelSizes(ccfg.Hidden)
 		e.sh = &shared{pool: nn.NewEvalPool(sizes...), init: nn.InitParamsInto(nil, rng.New(cfg.Seed).Derive("init"), sizes...)}
 	}
-	e.global = slices.Clone(e.sh.init)
+	e.global = e.sh.init
 	e.dim = len(e.global)
 	if e.isRoot || len(e.led) > 0 {
 		obs := step.NewObserver(ccfg.Telemetry, "node", len(tree.Clusters), ccfg.OnFilter, nil)

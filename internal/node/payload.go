@@ -194,7 +194,8 @@ func appendBallot(dst []byte, member int, bits []bool) []byte {
 
 // decodeBallot parses a KindBallot payload over want proposals. The bit
 // count is peer-chosen, so it is checked against want before anything is
-// sized from it.
+// sized from it. A bit byte other than 0 or 1 is rejected, so every
+// ballot has exactly one encoding.
 func decodeBallot(raw []byte, want int) (member int, bits []bool, err error) {
 	if len(raw) < 8 {
 		return 0, nil, fmt.Errorf("node: ballot message truncated (%d bytes)", len(raw))
@@ -209,7 +210,11 @@ func decodeBallot(raw []byte, want int) (member int, bits []bool, err error) {
 	}
 	bits = make([]bool, n)
 	for i := range bits {
-		bits[i] = raw[8+i] != 0
+		b := raw[8+i]
+		if b > 1 {
+			return 0, nil, fmt.Errorf("node: ballot bit %d is byte %#x, want 0 or 1", i, b)
+		}
+		bits[i] = b == 1
 	}
 	return member, bits, nil
 }

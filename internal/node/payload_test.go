@@ -1,6 +1,7 @@
 package node
 
 import (
+	"bytes"
 	"cmp"
 	"encoding/binary"
 	"encoding/json"
@@ -267,7 +268,8 @@ func TestDecodePartialAndBallotLengths(t *testing.T) {
 
 // hostilePartials and hostileBallots are messages whose length fields
 // disagree with the message, up to the values whose sums leave 32 bits
-// (a ballot's with the number of proposals the root expects).
+// (a ballot's with the number of proposals the root expects), and ballots
+// with a bit byte other than 0 or 1.
 var (
 	hostilePartials = [][]byte{
 		nil,
@@ -290,6 +292,8 @@ var (
 		{append(u32s(0, math.MaxUint32-7), 1), math.MaxUint32 - 7},
 		{append(u32s(0, 2), 1, 0), 3},
 		{append(u32s(0, 4), 1, 0, 1, 1), 3},
+		{append(u32s(1, 3), 1, 0, 2), 3},
+		{append(u32s(0, 1), 0xff), 1},
 	}
 )
 
@@ -358,8 +362,8 @@ func FuzzDecodePartial(f *testing.F) {
 // encoded ballots and the hostile headers above. It must not panic, and
 // what it allocates is bounded by the message, never sized from the bit
 // count word. A nil error means a well-formed ballot: one byte per
-// proposal after the header, each bit the byte's non-zeroness, and the
-// ballot encodes back to a message that decodes to the same.
+// proposal after the header, and the decoded ballot re-encodes to the
+// message byte for byte, so no ballot has a second encoding.
 func FuzzDecodeBallot(f *testing.F) {
 	for _, bits := range [][]bool{{true}, {false, true, true}, make([]bool, 4)} {
 		f.Add(appendBallot(nil, len(bits)-1, bits), uint16(len(bits)))
@@ -377,17 +381,11 @@ func FuzzDecodeBallot(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if len(raw) != 8+int(want) || len(bits) != int(want) || uint32(member) != binary.LittleEndian.Uint32(raw) {
-			t.Fatalf("%d-byte ballot over %d proposals decoded to member %d with %d bits", len(raw), want, member, len(bits))
+		if len(bits) != int(want) {
+			t.Fatalf("ballot % x over %d proposals decoded to %d bits", raw, want, len(bits))
 		}
-		for i, b := range bits {
-			if b != (raw[8+i] != 0) {
-				t.Fatalf("bit %d is %v from byte %#x", i, b, raw[8+i])
-			}
-		}
-		m2, b2, err := decodeBallot(appendBallot(nil, member, bits), int(want))
-		if err != nil || m2 != member || !slices.Equal(b2, bits) {
-			t.Fatalf("re-encoded ballot decodes to %d %v, %v", m2, b2, err)
+		if again := appendBallot(nil, member, bits); !bytes.Equal(again, raw) {
+			t.Fatalf("ballot % x over %d proposals decoded to member %d bits %v, which encode to % x", raw, want, member, bits, again)
 		}
 	})
 }

@@ -59,8 +59,9 @@ func sortAudits(audits []WireAudit) {
 }
 
 // Result is what a node engine reports after its rounds complete. Every
-// node fills FinalParams (its copy of the final global model — identical
-// across nodes, which the conformance tests assert) and Stalls; the
+// node fills FinalParams (the final global model — identical across nodes,
+// which the conformance tests assert, and read-only: the engines of one
+// process may report the same vector) and Stalls; the
 // learning-run fields (Curve, Comm, audit, σ-accounting) are the root's,
 // mirroring core.Result field for field so the two engines' outputs
 // compare directly.

@@ -51,9 +51,10 @@ type ClusterResult struct {
 }
 
 // RunCluster runs one full distributed learning run in-process and returns
-// every node's outcome. Endpoints close only after every engine finishes:
-// a node done with its rounds may still owe relay traffic to a slower
-// sibling's subtree.
+// every node's outcome. Endpoints close only after every engine finishes
+// (a node done with its rounds may still owe relay traffic to a slower
+// sibling's subtree), or as soon as one fails: the run returns that first
+// error.
 func RunCluster(opts ClusterOpts) (*ClusterResult, error) {
 	if opts.Materials == nil {
 		return nil, fmt.Errorf("node: nil materials")
@@ -71,18 +72,13 @@ func RunCluster(opts ClusterOpts) (*ClusterResult, error) {
 		}
 	}
 	endpoints := make([]transport.Endpoint, 0, n)
-	closeAll := func() {
-		for _, ep := range endpoints {
-			ep.Close()
-		}
-	}
 	switch opts.Backend {
 	case BackendLoopback, "":
 		lb := transport.NewLoopback()
 		for id := 0; id < n; id++ {
 			ep, err := lb.Attach(epCfg(id))
 			if err != nil {
-				closeAll()
+				closeEndpoints(endpoints)
 				return nil, err
 			}
 			endpoints = append(endpoints, ep)
@@ -92,7 +88,7 @@ func RunCluster(opts ClusterOpts) (*ClusterResult, error) {
 		for id := 0; id < n; id++ {
 			ep, err := transport.ListenTCP(epCfg(id), "127.0.0.1:0", nil)
 			if err != nil {
-				closeAll()
+				closeEndpoints(endpoints)
 				return nil, err
 			}
 			endpoints = append(endpoints, ep)
@@ -120,29 +116,15 @@ func RunCluster(opts ClusterOpts) (*ClusterResult, error) {
 			shared:     sh,
 		})
 		if err != nil {
-			closeAll()
+			closeEndpoints(endpoints)
 			return nil, fmt.Errorf("node %d: %w", id, err)
 		}
 		engines[id], sh = eng, eng.sh
 	}
 
-	results := make([]*Result, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for id := 0; id < n; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			results[id], errs[id] = engines[id].Run()
-		}(id)
-	}
-	wg.Wait()
-	closeAll()
-
-	for id, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("node %d: %w", id, err)
-		}
+	results, err := runEngines(engines, endpoints)
+	if err != nil {
+		return nil, err
 	}
 	out := &ClusterResult{
 		Root:    results[n-1],
@@ -154,4 +136,49 @@ func RunCluster(opts ClusterOpts) (*ClusterResult, error) {
 		out.Total.Add(out.Stats[id])
 	}
 	return out, nil
+}
+
+// runEngines runs every engine on its own goroutine and waits for all of
+// them, then closes the endpoints. The first engine error closes them at
+// once, so the engines still waiting on a peer return instead of waiting
+// out their deadlines; that error, not the closed-transport errors it
+// causes, is the one returned.
+func runEngines(engines []*Engine, endpoints []transport.Endpoint) ([]*Result, error) {
+	results := make([]*Result, len(engines))
+	var (
+		wg    sync.WaitGroup
+		once  sync.Once
+		first error
+	)
+	for id, eng := range engines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := eng.Run()
+			if err != nil {
+				once.Do(func() {
+					first = fmt.Errorf("node %d: %w", id, err)
+					closeEndpoints(endpoints)
+				})
+			}
+			results[id] = res
+		}()
+	}
+	wg.Wait()
+	closeEndpoints(endpoints)
+	return results, first
+}
+
+// closeEndpoints closes every endpoint concurrently: a TCP endpoint's Close
+// waits on its own links draining, which need not wait on each other.
+func closeEndpoints(endpoints []transport.Endpoint) {
+	var wg sync.WaitGroup
+	for _, ep := range endpoints {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ep.Close()
+		}()
+	}
+	wg.Wait()
 }

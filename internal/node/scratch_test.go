@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -55,23 +54,25 @@ func TestRunClusterWireVolume(t *testing.T) {
 }
 
 // TestRunClusterAllocBudget pins what one RunCluster call allocates on the
-// node_round shape, in bytes and in objects. The budgets are the highest
-// figures this test measures at GOMAXPROCS 1 to 4 (loopback 3.9 MB /
-// 10 450 objects, TCP 5.0 MB / 17 700 objects) plus a tenth; at 8 more
-// engines hold a borrowed vector at once, and TCP reads up to 5.3 MB. The
-// same run allocated 279 MB when every endpoint pre-sized its dupe map,
-// 21.4 MB over TCP while every frame was read into, and encoded into, a
-// fresh buffer, 12.5 MB while every engine built its own model, workspace,
-// gradients and update vector, armed a fresh timer per wait and filled its
-// own address book, 8.1 MB while the root re-serialised the ABA proposals
-// as raw float64s and every leader scored them on a validation pool of its
-// own, and 7.3 MB while every engine drew its own initial model and kept a
-// spare global and round scratch of its own. What is left is mostly one
-// global per engine, the vectors engines have borrowed from the process at
-// once, the wire's frame buffers and one connection reader per link. The
-// object budget catches a per-frame allocation that returns even when its
-// bytes are few. `make profile-node` prints where the bytes of a failing
-// run come from.
+// node_round shape, in bytes and in objects. The byte budgets are the
+// highest figures this test measures at GOMAXPROCS 1 to 4 (loopback 2.8 MB,
+// TCP 3.8 MB) plus a tenth, rounded up; at 8 more engines hold a borrowed
+// vector at once, and TCP reads up to 4.0 MB. The object budgets are the
+// same runs' counts (10 360 and 17 790) plus about a tenth. The same run
+// allocated 279 MB when every endpoint pre-sized its dupe map, 21.4 MB over
+// TCP while every frame was read into, and encoded into, a fresh buffer,
+// 12.5 MB while every engine built its own model, workspace, gradients and
+// update vector, armed a fresh timer per wait and filled its own address
+// book, 8.1 MB while the root re-serialised the ABA proposals as raw
+// float64s and every leader scored them on a validation pool of its own,
+// 7.3 MB while every engine drew its own initial model and kept a spare
+// global and round scratch of its own, and 5.0 MB while every engine
+// decoded each round's global into a vector of its own. What is left is
+// mostly the vectors engines have borrowed from the process at once, the
+// wire's frame buffers and one connection reader per link. The object
+// budget catches a per-frame allocation that returns even when its bytes
+// are few. `make profile-node` prints where the bytes of a failing run come
+// from.
 func TestRunClusterAllocBudget(t *testing.T) {
 	if testenv.UnderRace() {
 		t.Skip("the race detector's own allocations are counted in TotalAlloc")
@@ -82,8 +83,8 @@ func TestRunClusterAllocBudget(t *testing.T) {
 		bytes   uint64
 		objects uint64
 	}{
-		{BackendLoopback, 43 << 20 / 10, 11_500},
-		{BackendTCP, 55 << 20 / 10, 19_500},
+		{BackendLoopback, 32 << 20 / 10, 11_400},
+		{BackendTCP, 43 << 20 / 10, 19_500},
 	} {
 		t.Run(tc.backend, func(t *testing.T) {
 			run := func() (bytes, objects uint64) {
@@ -145,9 +146,21 @@ type loopbackRun struct {
 
 func (o loopbackRun) run(t *testing.T, mat *abdhfl.Materials, seed uint64) []*Result {
 	t.Helper()
+	results, err := o.start(t, mat, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return results
+}
+
+// start runs the engines as RunCluster does (runEngines) and returns what
+// that returns.
+func (o loopbackRun) start(t *testing.T, mat *abdhfl.Materials, seed uint64) ([]*Result, error) {
+	t.Helper()
 	n := mat.Tree.NumDevices() + 1
 	lb := transport.NewLoopback()
 	engines := make([]*Engine, n)
+	endpoints := make([]transport.Endpoint, n)
 	var sh *shared
 	for id := range engines {
 		ep, err := lb.Attach(transport.Config{Self: transport.NodeID(id), Plan: o.plan, FaultKinds: FaultableKinds()})
@@ -155,6 +168,7 @@ func (o loopbackRun) run(t *testing.T, mat *abdhfl.Materials, seed uint64) []*Re
 			t.Fatal(err)
 		}
 		defer ep.Close()
+		endpoints[id] = ep
 		var wire transport.Endpoint = ep
 		if o.wrap != nil {
 			wire = o.wrap(id, ep)
@@ -162,7 +176,7 @@ func (o loopbackRun) run(t *testing.T, mat *abdhfl.Materials, seed uint64) []*Re
 		id := id
 		engines[id], err = New(Config{
 			Materials: mat, Seed: seed, ID: transport.NodeID(id), Endpoint: wire, Plan: o.plan,
-			StallAfter: 500 * time.Millisecond, GlobalWait: 8 * time.Second,
+			StallAfter: 500 * time.Millisecond, GlobalWait: loopbackGlobalWait,
 			Logf: func(format string, _ ...any) {
 				if o.atRoundEnd != nil && strings.Contains(format, "done") {
 					o.atRoundEnd(engines[id])
@@ -177,24 +191,12 @@ func (o loopbackRun) run(t *testing.T, mat *abdhfl.Materials, seed uint64) []*Re
 			sh = engines[id].sh
 		}
 	}
-	results := make([]*Result, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for id := range engines {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			results[id], errs[id] = engines[id].Run()
-		}(id)
-	}
-	wg.Wait()
-	for id, err := range errs {
-		if err != nil {
-			t.Fatalf("node %d: %v", id, err)
-		}
-	}
-	return results
+	return runEngines(engines, endpoints)
 }
+
+// loopbackGlobalWait is how long a loopbackRun engine waits for a round's
+// global before it fails.
+const loopbackGlobalWait = 8 * time.Second
 
 // TestRoundScratchDeadAtRoundEnd is the lifetime claim the engines' sharing
 // rests on: every vector on the process free list and every model and
