@@ -182,16 +182,19 @@ profile-scale:
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=15 .bench_build/scale.test .bench_build/scale.mem
 	$(GO) tool pprof -sample_index=alloc_space -list 'experiments.runScale' .bench_build/scale.test .bench_build/scale.mem
 
-# kernel-addrs prints where the linker put the hot tensor/nn functions in the
-# benchmark binary: address, address mod 64, symbol. The per-sample loops these
-# replaced ran 25-35 % slower when unrelated code moved them 32 bytes, so
-# compare this listing between two binaries before believing an nn-bound
-# timing difference between them.
+# kernel-addrs prints where the linker put the hot tensor/nn functions and
+# scale_cell's topology build (NewECSM and what it calls) in the benchmark
+# binary: address, address mod 64, symbol. The per-sample loops these
+# replaced ran 25-35 % slower when unrelated code moved them 32 bytes, and
+# scale_cell's setup_s read 17-24 % slower when code linked ahead of
+# internal/topology moved NewECSM 32 bytes, so compare this listing between
+# two binaries before believing an nn-bound or a setup_s timing difference
+# between them.
 kernel-addrs:
 	mkdir -p .bench_build
 	$(GO) build -o .bench_build/benchmark ./benchmark
 	$(GO) tool nm -n .bench_build/benchmark | awk -v hex=0123456789abcdef \
-		'$$3 ~ /internal\/tensor\.(matVec|MatVec|MatTVec|addOuter|AddOuter|addScaled|Axpy$$)|internal\/nn\.(SGDWS|Softmax|.*Tile)/ { \
+		'$$3 ~ /internal\/tensor\.(matVec|MatVec|MatTVec|addOuter|AddOuter|addScaled|Axpy$$)|internal\/nn\.(SGDWS|Softmax|.*Tile)|internal\/topology\.(NewECSM|ecsm|\(\*Tree\)\.Validate)/ { \
 			h = substr($$1, length($$1)-1); \
 			v = (index(hex, substr(h, 1, 1))-1)*16 + index(hex, substr(h, 2, 1))-1; \
 			printf "%s  %2d  %s\n", $$1, v%64, $$3 }'

@@ -55,10 +55,12 @@ func TestRunClusterWireVolume(t *testing.T) {
 
 // TestRunClusterAllocBudget pins what one RunCluster call allocates on the
 // node_round shape, in bytes and in objects. The byte budgets are the
-// highest figures this test measures at GOMAXPROCS 1 to 4 (loopback 2.8 MB,
-// TCP 3.8 MB) plus a tenth, rounded up; at 8 more engines hold a borrowed
-// vector at once, and TCP reads up to 4.0 MB. The object budgets are the
-// same runs' counts (10 360 and 17 790) plus about a tenth. The same run
+// highest figures this test measures at GOMAXPROCS 1 to 4 (loopback 2.87 MB,
+// TCP 2.84 MB, both at 4) plus a tenth, rounded up; thirty TCP runs at 2
+// beside a BenchmarkRunClusterTCP loading the CPU read at most 2.55 MB; at 8
+// more engines hold a borrowed vector at once, and TCP reads up to 3.0 MB.
+// The object budgets are the same runs' counts (10 450 and 17 260) plus
+// about a tenth; loopback's stays at its earlier 11 400. The same run
 // allocated 279 MB when every endpoint pre-sized its dupe map, 21.4 MB over
 // TCP while every frame was read into, and encoded into, a fresh buffer,
 // 12.5 MB while every engine built its own model, workspace, gradients and
@@ -66,10 +68,11 @@ func TestRunClusterWireVolume(t *testing.T) {
 // book, 8.1 MB while the root re-serialised the ABA proposals as raw
 // float64s and every leader scored them on a validation pool of its own,
 // 7.3 MB while every engine drew its own initial model and kept a spare
-// global and round scratch of its own, and 5.0 MB while every engine
-// decoded each round's global into a vector of its own. What is left is
-// mostly the vectors engines have borrowed from the process at once, the
-// wire's frame buffers and one connection reader per link. The object
+// global and round scratch of its own, 5.0 MB while every engine decoded
+// each round's global into a vector of its own, and 3.6 MB while every
+// endpoint kept a frame free list of its own and every TCP link a 4 KiB
+// reader. What is left is mostly the vectors engines have borrowed from
+// the process at once and the process's frame buffers. The object
 // budget catches a per-frame allocation that returns even when its bytes
 // are few. `make profile-node` prints where the bytes of a failing run come
 // from.
@@ -84,9 +87,11 @@ func TestRunClusterAllocBudget(t *testing.T) {
 		objects uint64
 	}{
 		{BackendLoopback, 32 << 20 / 10, 11_400},
-		{BackendTCP, 43 << 20 / 10, 19_500},
+		{BackendTCP, 32 << 20 / 10, 19_000},
 	} {
 		t.Run(tc.backend, func(t *testing.T) {
+			// run logs each run's figures with its redials, so an outlier
+			// says whether reconnects or failed dials came with it.
 			run := func() (bytes, objects uint64) {
 				var before, after runtime.MemStats
 				runtime.ReadMemStats(&before)
@@ -95,10 +100,14 @@ func TestRunClusterAllocBudget(t *testing.T) {
 					t.Fatalf("cluster run: %v", err)
 				}
 				runtime.ReadMemStats(&after)
-				if tot := res.Total; tot.FramesSent != tot.FramesDelivered || tot.SendErrors+tot.DecodeErrors != 0 {
+				tot := res.Total
+				if tot.FramesSent != tot.FramesDelivered || tot.SendErrors+tot.DecodeErrors != 0 {
 					t.Fatalf("unclean wire: %+v", tot)
 				}
-				return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
+				bytes, objects = after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
+				t.Logf("%s run: %.2f MB, %d objects, %d reconnects, %d failed dials, %d GCs",
+					tc.backend, float64(bytes)/(1<<20), objects, tot.Reconnects, tot.DialFailures, after.NumGC-before.NumGC)
+				return bytes, objects
 			}
 			run() // first-use costs (lazy tables, the listener's poller) are not per-run
 			bytes, objects := run()

@@ -71,8 +71,8 @@ func (e *LoopbackEndpoint) Addr() string { return "loopback" }
 func (e *LoopbackEndpoint) Bus() *Bus { return e.bus }
 
 // Send applies f's fault fate and enqueues the surviving copies to the
-// peer's inbox, each encoded into its own buffer from the peer's free list —
-// the buffer the receiver will release.
+// peer's inbox, each encoded into its own buffer from the process's free
+// list — the buffer the receiver will release.
 func (e *LoopbackEndpoint) Send(to NodeID, f *Frame) error {
 	select {
 	case <-e.quit:
@@ -85,7 +85,7 @@ func (e *LoopbackEndpoint) Send(to NodeID, f *Frame) error {
 	}
 	copies, delay := e.prepareSend(to, f)
 	for i := 0; i < copies; i++ {
-		raw := encodeInto(&peer.pool, f)
+		raw := encode(f)
 		if delay > 0 {
 			e.timers.Add(1)
 			go func() {

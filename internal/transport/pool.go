@@ -1,75 +1,70 @@
 package transport
 
 import (
-	"slices"
+	"math/bits"
 	"sync"
 )
 
-// Free-list bounds. An endpoint keeps at most poolBufs idle frame buffers,
-// each of at most poolBufMax bytes, so recycling pins at most 8 MiB per
-// endpoint however hostile or bursty its traffic. A frame larger than
-// poolBufMax is read into a one-off buffer the GC takes back.
+// Free-list bounds. Buffers are pooled in power-of-two size classes from
+// 1<<poolMinShift to poolBufMax bytes, and the process keeps at most
+// poolIdleMax bytes of them idle however hostile or bursty its traffic. A
+// frame larger than poolBufMax is read into a one-off buffer the GC takes
+// back.
 const (
-	poolBufs   = 32
-	poolBufMax = 256 << 10
+	poolMinShift = 6  // 64 B
+	poolMaxShift = 18 // 256 KiB
+	poolBufMax   = 1 << poolMaxShift
+	poolIdleMax  = 8 << 20
 )
 
-// bufPool is an endpoint's free list of whole-frame wire buffers (length
-// prefix, header and payload in one slice). Send encodes into one and the
-// receive path reads into one; Release hands a delivered frame's buffer
-// back. A buffer never returned is simply collected, so forgetting to
-// release costs an allocation, never correctness.
+// framePool is the process's one free list of whole-frame wire buffers
+// (length prefix, header and payload in one slice), shared by every
+// endpoint. Send encodes into one and the receive path reads into one;
+// Release hands a delivered frame's buffer back. A buffer never returned is
+// simply collected, so forgetting to release costs an allocation, never
+// correctness.
+var framePool bufPool
+
+// bufPool keeps one LIFO stack of idle buffers per size class; a buffer of
+// class c holds at least 1<<(poolMinShift+c) bytes.
 type bufPool struct {
 	mu   sync.Mutex
-	free [][]byte
+	idle int // bytes held in free
+	free [poolMaxShift - poolMinShift + 1][][]byte
 }
 
-// get returns a buffer of length n: the smallest idle one that fits, or a
-// fresh one. When idle buffers exist but none fits, one of them is evicted,
-// so the list drifts toward the sizes in use instead of filling up with
-// buffers too small for them.
+// get returns a buffer of length n: the last idle one of n's size class, or
+// a fresh one of the class's capacity.
 func (p *bufPool) get(n int) []byte {
-	if n <= poolBufMax {
-		p.mu.Lock()
-		best := -1
-		for i, b := range p.free {
-			if cap(b) >= n && (best < 0 || cap(b) < cap(p.free[best])) {
-				best = i
-			}
-		}
-		if best < 0 && len(p.free) > 0 {
-			p.free = p.drop(len(p.free) - 1)
-		}
-		if best >= 0 {
-			b := p.free[best]
-			p.free = p.drop(best)
-			p.mu.Unlock()
-			return b[:n]
-		}
-		p.mu.Unlock()
+	if n > poolBufMax {
+		return make([]byte, n)
 	}
-	// Grow rounds the capacity up to the allocator's size class, which
-	// costs nothing and lets a slightly larger frame reuse the buffer.
-	return slices.Grow([]byte(nil), n)[:n]
+	c := max(bits.Len(uint(n-1)), poolMinShift) - poolMinShift
+	p.mu.Lock()
+	if s := p.free[c]; len(s) > 0 {
+		b := s[len(s)-1]
+		s[len(s)-1] = nil
+		p.free[c] = s[:len(s)-1]
+		p.idle -= cap(b)
+		p.mu.Unlock()
+		return b[:n]
+	}
+	p.mu.Unlock()
+	return make([]byte, n, 1<<(poolMinShift+c))
 }
 
-// drop removes free[i] (order is not kept) and returns the shortened list.
-func (p *bufPool) drop(i int) [][]byte {
-	last := len(p.free) - 1
-	p.free[i] = p.free[last]
-	p.free[last] = nil
-	return p.free[:last]
-}
-
-// put returns b to the free list unless the list is full or b is larger
-// than the pool keeps. b must not be used again by the caller.
+// put returns b to the free list unless b is outside the size classes or
+// keeping it would exceed the idle bound. b must not be used again by the
+// caller.
 func (p *bufPool) put(b []byte) {
-	if b == nil || cap(b) > poolBufMax {
+	if cap(b) > poolBufMax || cap(b) < 1<<poolMinShift {
 		return
 	}
+	c := bits.Len(uint(cap(b))) - 1 - poolMinShift
 	p.mu.Lock()
-	if len(p.free) < poolBufs {
-		p.free = append(p.free, b[:0])
+	if p.idle+cap(b) <= poolIdleMax {
+		p.free[c] = append(p.free[c], b[:0])
+		p.idle += cap(b)
 	}
 	p.mu.Unlock()
 }

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -46,7 +45,7 @@ type TCPEndpoint struct {
 
 // tcpPeer is one outbound write queue and its writer goroutine. Each queued
 // frame is whole — length prefix, header and payload in one buffer from the
-// endpoint's free list — and the writer returns it there once written.
+// process's free list — and the writer returns it there once written.
 type tcpPeer struct {
 	addr string
 	q    *frameQueue
@@ -97,7 +96,7 @@ func (e *TCPEndpoint) Addr() string { return e.ln.Addr().String() }
 func (e *TCPEndpoint) Bus() *Bus { return e.bus }
 
 // Send applies f's fault fate and enqueues the surviving copies to the
-// peer's writer, each encoded into its own buffer from the endpoint's free
+// peer's writer, each encoded into its own buffer from the process's free
 // list.
 func (e *TCPEndpoint) Send(to NodeID, f *Frame) error {
 	p, err := e.peer(to)
@@ -106,7 +105,7 @@ func (e *TCPEndpoint) Send(to NodeID, f *Frame) error {
 	}
 	copies, delay := e.prepareSend(to, f)
 	for i := 0; i < copies; i++ {
-		raw := encodeInto(&e.pool, f)
+		raw := encode(f)
 		if delay > 0 {
 			e.timers.Add(1)
 			go func() {
@@ -198,7 +197,7 @@ func (e *TCPEndpoint) writeLoop(p *tcpPeer) {
 			if !e.writeFrame(p, &conn, raw) {
 				e.stats.SendErrors.Add(1)
 			}
-			e.pool.put(raw)
+			framePool.put(raw)
 		}
 	}
 	for {
@@ -220,6 +219,8 @@ func (e *TCPEndpoint) writeFrame(p *tcpPeer, conn *net.Conn, raw []byte) bool {
 		if *conn == nil {
 			c, err := net.DialTimeout("tcp", p.addr, dialTimeout)
 			if err != nil {
+				e.stats.DialFailures.Add(1)
+				e.counters.dialFailures.Inc()
 				select {
 				case <-e.quit:
 					return false
@@ -286,11 +287,8 @@ func (e *TCPEndpoint) readLoop(c net.Conn) {
 		delete(e.conns, c)
 		e.mu.Unlock()
 	}()
-	// Every frame is read whole into its own buffer, so the reader only
-	// spares small frames a second read for the length prefix.
-	br := bufio.NewReader(c)
 	for {
-		raw, err := readRawFrame(br, e.maxFrame, &e.pool)
+		raw, err := readRawFrame(c, e.maxFrame)
 		if err != nil {
 			if errors.Is(err, ErrCorruptFrame) || errors.Is(err, ErrFrameTooLarge) {
 				e.stats.DecodeErrors.Add(1)
@@ -302,10 +300,10 @@ func (e *TCPEndpoint) readLoop(c net.Conn) {
 	}
 }
 
-// readRawFrame reads one length-prefixed frame into a buffer from pool and
-// returns its full wire bytes (prefix included), validating the length claim
-// against maxFrame before drawing the buffer.
-func readRawFrame(r io.Reader, maxFrame int, pool *bufPool) ([]byte, error) {
+// readRawFrame reads one length-prefixed frame straight from r into a buffer
+// from framePool and returns its full wire bytes (prefix included),
+// validating the length claim against maxFrame before drawing the buffer.
+func readRawFrame(r io.Reader, maxFrame int) ([]byte, error) {
 	var lenbuf [4]byte
 	if _, err := io.ReadFull(r, lenbuf[:]); err != nil {
 		return nil, err
@@ -317,10 +315,10 @@ func readRawFrame(r io.Reader, maxFrame int, pool *bufPool) ([]byte, error) {
 	if int64(body)+4 > int64(maxFrame) {
 		return nil, ErrFrameTooLarge
 	}
-	buf := pool.get(4 + int(body))
+	buf := framePool.get(4 + int(body))
 	copy(buf, lenbuf[:])
 	if _, err := io.ReadFull(r, buf[4:]); err != nil {
-		pool.put(buf)
+		framePool.put(buf)
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 			return nil, io.ErrUnexpectedEOF
 		}

@@ -19,13 +19,14 @@ import (
 // Who owns the bytes: Send copies. The frame is encoded into a buffer the
 // transport owns before Send returns, so the caller's payload is the
 // caller's again at once, to overwrite or reuse. A payload received on a
-// Queue aliases a buffer drawn from the receiving endpoint's bounded free
-// list; it stays valid until the receiver hands the frame to Release, which
-// recycles the buffer for a later frame. A frame that is never released is
-// simply collected, so holding a payload forever is correct, only not free.
-// A frame delivered to several subscribers shares one buffer: release it
-// once, after all of them are done. The transport itself releases every
-// frame it drops (corrupt, duplicate, unrouted).
+// Queue aliases a buffer drawn from the process's bounded free list, which
+// every endpoint in the process shares; it stays valid until the receiver
+// hands the frame to Release, which recycles the buffer for a later frame.
+// A frame that is never released is simply collected, so holding a payload
+// forever is correct, only not free. A frame delivered to several
+// subscribers shares one buffer: release it once, after all of them are
+// done. The transport itself releases every frame it drops (corrupt,
+// duplicate, unrouted).
 type Endpoint interface {
 	// Self returns this endpoint's node id.
 	Self() NodeID
@@ -37,9 +38,9 @@ type Endpoint interface {
 	// fields. f.Payload is copied before Send returns: see the ownership
 	// rule above. Frame fate injection, if configured, applies.
 	Send(to NodeID, f *Frame) error
-	// Release returns a frame received from this endpoint's bus to its free
-	// list and clears f's payload. The payload must not be read after, and
-	// a frame must be released at most once.
+	// Release returns a frame received from this endpoint's bus to the
+	// process's free list and clears f's payload. The payload must not be
+	// read after, and a frame must be released at most once.
 	Release(f *Frame)
 	// Stats returns a snapshot of the endpoint's wire counters.
 	Stats() StatsSnapshot
@@ -124,13 +125,14 @@ type Stats struct {
 	FaultDelayed    atomic.Int64 // sends delayed (reordered) by the fault plan
 	DecodeErrors    atomic.Int64 // corrupt or truncated inbound frames
 	Reconnects      atomic.Int64 // TCP redials after a broken connection
+	DialFailures    atomic.Int64 // TCP dials that failed and were retried
 	SendErrors      atomic.Int64 // frames abandoned after delivery failures
 }
 
 // StatsSnapshot is a plain-value copy of Stats for reports and conformance
 // comparison. Every field is deterministic for a deterministic protocol
-// run except Reconnects (wire luck) — the conformance tests compare the
-// deterministic subset.
+// run except Reconnects and DialFailures (wire luck) — the conformance
+// tests compare the deterministic subset.
 type StatsSnapshot struct {
 	FramesSent      int64 `json:"frames_sent"`
 	FramesDelivered int64 `json:"frames_delivered"`
@@ -142,6 +144,7 @@ type StatsSnapshot struct {
 	FaultDelayed    int64 `json:"fault_delayed"`
 	DecodeErrors    int64 `json:"decode_errors"`
 	Reconnects      int64 `json:"reconnects"`
+	DialFailures    int64 `json:"dial_failures"`
 	SendErrors      int64 `json:"send_errors"`
 }
 
@@ -158,16 +161,18 @@ func (s *StatsSnapshot) Add(o StatsSnapshot) {
 	s.FaultDelayed += o.FaultDelayed
 	s.DecodeErrors += o.DecodeErrors
 	s.Reconnects += o.Reconnects
+	s.DialFailures += o.DialFailures
 	s.SendErrors += o.SendErrors
 }
 
 // Deterministic returns the snapshot with its wire-luck-dependent fields
-// (Reconnects, SendErrors) zeroed — the subset the loopback≡TCP golden
-// tests compare on fault-free runs, where every sent frame is awaited by
-// the receiving protocol engine and therefore fully counted before the
-// run completes.
+// (Reconnects, DialFailures, SendErrors) zeroed — the subset the
+// loopback≡TCP golden tests compare on fault-free runs, where every sent
+// frame is awaited by the receiving protocol engine and therefore fully
+// counted before the run completes.
 func (s StatsSnapshot) Deterministic() StatsSnapshot {
 	s.Reconnects = 0
+	s.DialFailures = 0
 	s.SendErrors = 0
 	return s
 }
@@ -195,11 +200,11 @@ func (s StatsSnapshot) SenderSide() StatsSnapshot {
 // counters are nil-receiver safe), so endpoints without a registry pay
 // only dead branches.
 type wireCounters struct {
-	framesSent, framesRecv *telemetry.Counter
-	bytesSent, bytesRecv   *telemetry.Counter
-	dupes, dropped, duped  *telemetry.Counter
-	delayed, decodeErrs    *telemetry.Counter
-	reconnects             *telemetry.Counter
+	framesSent, framesRecv   *telemetry.Counter
+	bytesSent, bytesRecv     *telemetry.Counter
+	dupes, dropped, duped    *telemetry.Counter
+	delayed, decodeErrs      *telemetry.Counter
+	reconnects, dialFailures *telemetry.Counter
 }
 
 func newWireCounters(reg *telemetry.Registry, backend string) wireCounters {
@@ -210,16 +215,17 @@ func newWireCounters(reg *telemetry.Registry, backend string) wireCounters {
 		return fmt.Sprintf(`%s{backend=%q}`, name, backend)
 	}
 	return wireCounters{
-		framesSent: reg.Counter(label("abdhfl_transport_frames_sent_total")),
-		framesRecv: reg.Counter(label("abdhfl_transport_frames_recv_total")),
-		bytesSent:  reg.Counter(label("abdhfl_transport_wire_bytes_sent_total")),
-		bytesRecv:  reg.Counter(label("abdhfl_transport_wire_bytes_recv_total")),
-		dupes:      reg.Counter(label("abdhfl_transport_dupes_suppressed_total")),
-		dropped:    reg.Counter(label("abdhfl_transport_fault_dropped_total")),
-		duped:      reg.Counter(label("abdhfl_transport_fault_duplicated_total")),
-		delayed:    reg.Counter(label("abdhfl_transport_fault_reordered_total")),
-		decodeErrs: reg.Counter(label("abdhfl_transport_decode_errors_total")),
-		reconnects: reg.Counter(label("abdhfl_transport_reconnects_total")),
+		framesSent:   reg.Counter(label("abdhfl_transport_frames_sent_total")),
+		framesRecv:   reg.Counter(label("abdhfl_transport_frames_recv_total")),
+		bytesSent:    reg.Counter(label("abdhfl_transport_wire_bytes_sent_total")),
+		bytesRecv:    reg.Counter(label("abdhfl_transport_wire_bytes_recv_total")),
+		dupes:        reg.Counter(label("abdhfl_transport_dupes_suppressed_total")),
+		dropped:      reg.Counter(label("abdhfl_transport_fault_dropped_total")),
+		duped:        reg.Counter(label("abdhfl_transport_fault_duplicated_total")),
+		delayed:      reg.Counter(label("abdhfl_transport_fault_reordered_total")),
+		decodeErrs:   reg.Counter(label("abdhfl_transport_decode_errors_total")),
+		reconnects:   reg.Counter(label("abdhfl_transport_reconnects_total")),
+		dialFailures: reg.Counter(label("abdhfl_transport_dial_failures_total")),
 	}
 }
 
@@ -239,9 +245,6 @@ type epCore struct {
 	seq        atomic.Uint64
 	epoch      time.Time
 	maxFrame   int
-	// pool recycles frame buffers: the ones received frames are read into
-	// (both backends) and, over TCP, the ones Send encodes into.
-	pool bufPool
 }
 
 func newEpCore(cfg Config, backend string) *epCore {
@@ -312,7 +315,7 @@ func (c *epCore) prepareSend(to NodeID, f *Frame) (copies int, delay time.Durati
 }
 
 // deliver runs the shared receive path on one frame's wire bytes. buf is
-// the frame's own buffer, drawn from c.pool or one-off — the delivered
+// the frame's own buffer, drawn from framePool or one-off — the delivered
 // Payload is a sub-slice of it, not a copy — and passes to the subscriber
 // with the frame, or back to the pool when the frame goes nowhere.
 func (c *epCore) deliver(buf []byte) {
@@ -322,13 +325,13 @@ func (c *epCore) deliver(buf []byte) {
 	if err := DecodeFrame(buf, &f, c.maxFrame); err != nil {
 		c.stats.DecodeErrors.Add(1)
 		c.counters.decodeErrs.Inc()
-		c.pool.put(buf)
+		framePool.put(buf)
 		return
 	}
 	if c.dupes.Seen(f.From, f.Seq) {
 		c.stats.DupesSuppressed.Add(1)
 		c.counters.dupes.Inc()
-		c.pool.put(buf)
+		framePool.put(buf)
 		return
 	}
 	now := time.Now()
@@ -357,19 +360,19 @@ func (c *epCore) deliver(buf []byte) {
 	c.counters.framesRecv.Inc()
 	f.buf = buf
 	if !c.bus.Publish(f) {
-		c.pool.put(buf)
+		framePool.put(buf)
 	}
 }
 
-// Release returns a received frame's buffer to the free list.
+// Release returns a received frame's buffer to the process's free list.
 func (c *epCore) Release(f *Frame) {
-	c.pool.put(f.buf)
+	framePool.put(f.buf)
 	f.buf, f.Payload = nil, nil
 }
 
-// encode writes f's wire bytes into a buffer from pool.
-func encodeInto(pool *bufPool, f *Frame) []byte {
-	return AppendFrame(pool.get(EncodedSize(len(f.Payload)))[:0], f)
+// encode writes f's wire bytes into a buffer from framePool.
+func encode(f *Frame) []byte {
+	return AppendFrame(framePool.get(EncodedSize(len(f.Payload)))[:0], f)
 }
 
 // snapshot copies the counters.
@@ -385,6 +388,7 @@ func (c *epCore) snapshot() StatsSnapshot {
 		FaultDelayed:    c.stats.FaultDelayed.Load(),
 		DecodeErrors:    c.stats.DecodeErrors.Load(),
 		Reconnects:      c.stats.Reconnects.Load(),
+		DialFailures:    c.stats.DialFailures.Load(),
 		SendErrors:      c.stats.SendErrors.Load(),
 	}
 }

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"abdhfl/internal/fault"
+	"abdhfl/internal/telemetry"
 )
 
 // tcpPair returns two connected TCP endpoints (ids 1 and 2) with cleanup
@@ -60,8 +62,9 @@ func waitStat(t *testing.T, what string, want int64, get func() int64) {
 func TestConcurrentSendRecv(t *testing.T) {
 	const senders, perSender = 8, 50
 	payload := []byte("concurrent-payload")
-	endpointPairs(t, Config{QueueCap: 4}, func(t *testing.T, a, b Endpoint, _ *bufPool) {
+	endpointPairs(t, Config{QueueCap: 4}, 1, func(t *testing.T, pairs []pair) {
 		t.Helper()
+		a, b := pairs[0].a, pairs[0].b
 		total := senders * perSender
 		qa := a.Bus().Subscribe(64, 1)
 		qb := b.Bus().Subscribe(64, 1)
@@ -229,6 +232,42 @@ func TestEndpointLifecycleErrors(t *testing.T) {
 	a.Close() // idempotent
 }
 
+// TestDialFailuresCounted sends to a peer whose address refuses
+// connections: the writer's failed dials are counted in Stats and in
+// telemetry, and, being wire luck, stay out of the deterministic and the
+// sender-side subsets the loopback≡TCP comparisons use.
+func TestDialFailuresCounted(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused := ln.Addr().String()
+	ln.Close()
+	reg := telemetry.New()
+	a, err := ListenTCP(Config{Self: 1, Registry: reg, Linger: 50 * time.Millisecond}, "127.0.0.1:0", map[NodeID]string{2: refused})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { a.Close() })
+	if err := a.Send(2, &Frame{Kind: 1}); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for a.Stats().DialFailures == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("no failed dial counted after 5s")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	s := a.Stats()
+	if c := reg.Counter(`abdhfl_transport_dial_failures_total{backend="tcp"}`).Value(); c < 1 {
+		t.Errorf("telemetry counts %d failed dials, stats %d", c, s.DialFailures)
+	}
+	if s.Deterministic().DialFailures != 0 || s.SenderSide().DialFailures != 0 {
+		t.Error("failed dials counted in a deterministic subset")
+	}
+}
+
 // TestSharedBookAddPeerIsPrivate pins ShareBook's contract: endpoints
 // share one address book that none of them writes. While one endpoint adds
 // peers, the others keep resolving peers through the book; under -race a
@@ -332,27 +371,37 @@ func TestTCPPeerRestart(t *testing.T) {
 	}
 }
 
-// endpointPairs runs fn on a fresh pair of endpoints (ids 1 and 2) of each
-// backend, handing it the receiver's free list as well.
-func endpointPairs(t *testing.T, cfg Config, fn func(t *testing.T, a, b Endpoint, pool *bufPool)) {
+// pair is two endpoints of one backend, a sending to b.
+type pair struct{ a, b Endpoint }
+
+// endpointPairs runs fn on n fresh pairs of endpoints (ids 1 and 2 in each)
+// of each backend. Every endpoint of a process draws on the one free list.
+func endpointPairs(t *testing.T, cfg Config, n int, fn func(t *testing.T, pairs []pair)) {
 	t.Run("loopback", func(t *testing.T) {
-		lb := NewLoopback()
-		attach := func(id NodeID) *LoopbackEndpoint {
-			c := cfg
-			c.Self = id
-			ep, err := lb.Attach(c)
-			if err != nil {
-				t.Fatal(err)
+		pairs := make([]pair, n)
+		for i := range pairs {
+			lb := NewLoopback()
+			attach := func(id NodeID) *LoopbackEndpoint {
+				c := cfg
+				c.Self = id
+				ep, err := lb.Attach(c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { ep.Close() })
+				return ep
 			}
-			t.Cleanup(func() { ep.Close() })
-			return ep
+			pairs[i] = pair{attach(1), attach(2)}
 		}
-		a, b := attach(1), attach(2)
-		fn(t, a, b, &b.pool)
+		fn(t, pairs)
 	})
 	t.Run("tcp", func(t *testing.T) {
-		a, b := tcpPair(t, func(id NodeID) Config { c := cfg; c.Self = id; return c })
-		fn(t, a, b, &b.pool)
+		pairs := make([]pair, n)
+		for i := range pairs {
+			a, b := tcpPair(t, func(id NodeID) Config { c := cfg; c.Self = id; return c })
+			pairs[i] = pair{a, b}
+		}
+		fn(t, pairs)
 	})
 }
 
@@ -368,24 +417,58 @@ func recvFrame(t *testing.T, q *Queue) Frame {
 	}
 }
 
-// idle returns a copy of the pool's free list.
-func (p *bufPool) idle() [][]byte {
+// The process list is shared by every endpoint, so a test that inspects it
+// must not run beside other endpoint tests: none in this package is
+// parallel.
+
+// idleBufs returns the list's idle buffers, every class, and its count of
+// idle bytes.
+func (p *bufPool) idleBufs() (bufs [][]byte, idle int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return append([][]byte(nil), p.free...)
+	for _, class := range p.free {
+		bufs = append(bufs, class...)
+	}
+	return bufs, p.idle
+}
+
+// poison overwrites every idle buffer to its capacity, under the list's
+// mutex: a buffer that is on the list while still in use changes.
+func (p *bufPool) poison() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, class := range p.free {
+		for _, b := range class {
+			b = b[:cap(b)]
+			for i := range b {
+				b[i] = 0xEE
+			}
+		}
+	}
+}
+
+// empty drops every idle buffer.
+func (p *bufPool) empty() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.free, p.idle = [len(p.free)][][]byte{}, 0
 }
 
 // TestFramePayloadOwnership pins the ownership rule stated on Endpoint from
-// both ends of a connection. The sender encodes every frame from one scratch
-// slice and overwrites it as soon as Send returns: what arrives is what was
-// sent. The receiver holds frame 0, never released, while 50 later frames
-// arrive and are released — their buffers go back to the free list under
-// it — and finds it byte-unchanged. In lock step, a released buffer carries
-// the next frame of its size. Sizes straddle the connection reader's buffer,
-// so both of its read paths deliver. Under -race a transport write to a held
-// payload, or a read of the sender's slice after Send, is a reported race.
+// both ends of a connection, with two endpoint pairs drawing on the
+// process's free list at once. Each sender encodes every frame from one
+// scratch slice and overwrites it as soon as Send returns: what arrives is
+// what was sent. Each receiver holds every third frame, never released,
+// while the others arrive and are released — their buffers go back to the
+// free list under it — and after every release the test poisons every idle
+// buffer on the list: a held payload whose buffer is on the list changes.
+// Wire sizes straddle the size classes (2^k and 2^k+1 bytes), up to one
+// past the largest pooled class. Then, alone on the emptied list, a frame
+// after a release of its size is read into a recycled buffer. Under -race a
+// transport write to a held payload, or a read of the sender's slice after
+// Send, is a reported race.
 func TestFramePayloadOwnership(t *testing.T) {
-	const later = 50
+	const frames = 2 * 2 * (poolMaxShift - poolMinShift + 1)
 	pattern := func(k, size int) []byte {
 		p := make([]byte, size)
 		for i := range p {
@@ -393,92 +476,137 @@ func TestFramePayloadOwnership(t *testing.T) {
 		}
 		return p
 	}
-	sizeOf := func(k int) int { return 1 + (k*977)%9000 }
-	endpointPairs(t, Config{}, func(t *testing.T, a, b Endpoint, _ *bufPool) {
-		q := b.Bus().Subscribe(later+1, 1)
-		var scratch []byte
-		send := func(k, size int) {
-			t.Helper()
-			scratch = append(scratch[:0], pattern(k, size)...)
-			if err := a.Send(b.Self(), &Frame{Kind: 1, Round: uint32(k), Payload: scratch}); err != nil {
-				t.Fatal(err)
-			}
-			for i := range scratch {
-				scratch[i] = 0xFF
+	sizeOf := func(k int) int {
+		shift := poolMinShift + (k/2)%(poolMaxShift-poolMinShift+1)
+		return 1<<shift + k%2 - headerSize
+	}
+	endpointPairs(t, Config{}, 2, func(t *testing.T, pairs []pair) {
+		queues := make([]*Queue, len(pairs))
+		sendErrs := make([]error, len(pairs))
+		var wg sync.WaitGroup
+		for i, p := range pairs {
+			queues[i] = p.b.Bus().Subscribe(frames, 1)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var scratch []byte
+				for k := 0; k < frames; k++ {
+					scratch = append(scratch[:0], pattern(k, sizeOf(k))...)
+					if sendErrs[i] = p.a.Send(p.b.Self(), &Frame{Kind: 1, Round: uint32(k), Payload: scratch}); sendErrs[i] != nil {
+						return
+					}
+					for i := range scratch {
+						scratch[i] = 0xFF
+					}
+				}
+			}()
+		}
+		var held []Frame
+		for k := 0; k < frames; k++ {
+			for i, q := range queues {
+				f := recvFrame(t, q)
+				if int(f.Round) != k || !bytes.Equal(f.Payload, pattern(k, sizeOf(k))) {
+					t.Fatalf("pair %d: frame %d arrived as round %d with %d payload bytes", i, k, f.Round, len(f.Payload))
+				}
+				if k%3 == 0 {
+					held = append(held, f)
+					continue
+				}
+				pairs[i].b.Release(&f)
+				if f.Payload != nil {
+					t.Fatal("Release left the frame's payload set")
+				}
+				framePool.poison()
 			}
 		}
-		for k := 0; k <= later; k++ {
-			send(k, sizeOf(k))
+		wg.Wait()
+		if err := errors.Join(sendErrs...); err != nil {
+			t.Fatal(err)
 		}
-		held := recvFrame(t, q)
-		if held.Round != 0 {
-			t.Fatalf("first frame delivered is round %d", held.Round)
-		}
-		for k := 1; k <= later; k++ {
-			f := recvFrame(t, q)
-			if int(f.Round) != k || !bytes.Equal(f.Payload, pattern(k, sizeOf(k))) {
-				t.Fatalf("frame %d arrived as round %d with %d payload bytes", k, f.Round, len(f.Payload))
+		for _, f := range held {
+			if k := int(f.Round); !bytes.Equal(f.Payload, pattern(k, sizeOf(k))) {
+				t.Fatalf("held frame %d changed while later frames were released", k)
 			}
-			b.Release(&f)
-			if f.Payload != nil {
-				t.Fatal("Release left the frame's payload set")
-			}
-		}
-		if !bytes.Equal(held.Payload, pattern(0, sizeOf(0))) {
-			t.Fatalf("payload held across %d later frames changed", later)
 		}
 
-		send(later+1, 700)
-		f := recvFrame(t, q)
-		first := &f.Payload[0]
-		b.Release(&f)
-		send(later+2, 700)
-		f = recvFrame(t, q)
-		if &f.Payload[0] != first {
-			t.Error("a frame after a release of its size was read into a fresh buffer")
-		}
-		if !bytes.Equal(f.Payload, pattern(later+2, 700)) {
-			t.Error("a frame in a recycled buffer arrived changed")
+		for i, p := range pairs {
+			framePool.empty()
+			send := func(k int) Frame {
+				t.Helper()
+				if err := p.a.Send(p.b.Self(), &Frame{Kind: 1, Round: uint32(k), Payload: pattern(k, 700)}); err != nil {
+					t.Fatal(err)
+				}
+				return recvFrame(t, queues[i])
+			}
+			f1, f2 := send(frames), send(frames+1)
+			p.b.Release(&f1)
+			p.b.Release(&f2)
+			idle, _ := framePool.idleBufs()
+			f := send(frames + 2)
+			if !slices.ContainsFunc(idle, func(b []byte) bool { return &b[:1][0] == &f.buf[0] }) {
+				t.Errorf("pair %d: a frame after a release of its size was read into a fresh buffer", i)
+			}
+			if !bytes.Equal(f.Payload, pattern(frames+2, 700)) {
+				t.Errorf("pair %d: a frame in a recycled buffer arrived changed", i)
+			}
 		}
 	})
 }
 
-// TestReleasePoolBounded fills a receiver's free list past both of its
-// bounds: a frame larger than poolBufMax — as a hostile peer may send, up to
-// MaxFrame — and more frames than poolBufs are delivered intact, held, then
-// all released, and the list keeps neither the oversized buffer nor more
-// than poolBufs.
+// TestReleasePoolBounded releases more than the process's idle bound of
+// frames, held across three endpoint pairs at once and each of the largest
+// pooled class, plus one frame of exactly MaxFrame per pair — as a hostile
+// peer may send, above every class. Every frame arrives intact, and once all
+// are released the list holds at most poolIdleMax idle bytes, its count of
+// them is the sum of its buffers, and it keeps no buffer above poolBufMax.
 func TestReleasePoolBounded(t *testing.T) {
-	endpointPairs(t, Config{}, func(t *testing.T, a, b Endpoint, pool *bufPool) {
-		const small = poolBufs + 8
-		q := b.Bus().Subscribe(small+1, 1)
-		big := bytes.Repeat([]byte{0xAB}, poolBufMax+1)
-		if err := a.Send(b.Self(), &Frame{Kind: 1, Payload: big}); err != nil {
-			t.Fatal(err)
+	const n, perPair, maxFrame = 3, 12, 1 << 20
+	big := bytes.Repeat([]byte{0xAB}, maxFrame-headerSize)
+	full := bytes.Repeat([]byte{0xCD}, poolBufMax-headerSize)
+	endpointPairs(t, Config{MaxFrame: maxFrame}, n, func(t *testing.T, pairs []pair) {
+		if n*perPair*poolBufMax <= poolIdleMax {
+			t.Fatalf("%d frames of %d bytes do not exceed the idle bound", n*perPair, poolBufMax)
 		}
-		for k := 1; k <= small; k++ {
-			if err := a.Send(b.Self(), &Frame{Kind: 1, Round: uint32(k), Payload: []byte{byte(k)}}); err != nil {
-				t.Fatal(err)
+		queues := make([]*Queue, n)
+		for i, p := range pairs {
+			queues[i] = p.b.Bus().Subscribe(perPair+1, 1)
+			for k := 0; k <= perPair; k++ {
+				payload := full
+				if k == 0 {
+					payload = big
+				}
+				if err := p.a.Send(p.b.Self(), &Frame{Kind: 1, Round: uint32(k), Payload: payload}); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
-		frames := make([]Frame, 0, small+1)
-		for k := 0; k <= small; k++ {
-			frames = append(frames, recvFrame(t, q))
+		var held []Frame
+		for i, q := range queues {
+			for k := 0; k <= perPair; k++ {
+				f := recvFrame(t, q)
+				want := full
+				if f.Round == 0 {
+					want = big
+				}
+				if !bytes.Equal(f.Payload, want) {
+					t.Fatalf("pair %d: frame %d (%d payload bytes) arrived changed", i, f.Round, len(f.Payload))
+				}
+				held = append(held, f)
+			}
 		}
-		if !bytes.Equal(frames[0].Payload, big) {
-			t.Fatal("oversized frame arrived changed")
+		for i := range held {
+			pairs[i/(perPair+1)].b.Release(&held[i])
 		}
-		for i := range frames {
-			b.Release(&frames[i])
-		}
-		free := pool.idle()
-		if len(free) > poolBufs {
-			t.Errorf("free list holds %d buffers, bound %d", len(free), poolBufs)
-		}
+		free, idle := framePool.idleBufs()
+		sum := 0
 		for _, buf := range free {
+			sum += cap(buf)
 			if cap(buf) > poolBufMax {
 				t.Errorf("free list kept a %d-byte buffer, bound %d", cap(buf), poolBufMax)
 			}
+		}
+		if sum != idle || idle > poolIdleMax {
+			t.Errorf("free list holds %d idle bytes and counts %d, bound %d", sum, idle, poolIdleMax)
 		}
 	})
 }
@@ -502,6 +630,7 @@ func TestLoopbackDuplicateCopiesOwnBuffers(t *testing.T) {
 	}
 	t.Cleanup(func() { b.Close() })
 	q := b.Bus().Subscribe(4, 1)
+	framePool.empty()
 	payload := []byte("duplicated-frame")
 	if err := a.Send(2, &Frame{Kind: 1, Payload: payload}); err != nil {
 		t.Fatal(err)
@@ -511,7 +640,7 @@ func TestLoopbackDuplicateCopiesOwnBuffers(t *testing.T) {
 	if a.Stats().FaultDuplicated != 1 {
 		t.Fatalf("fault duplicated = %d, want 1", a.Stats().FaultDuplicated)
 	}
-	free := b.pool.idle()
+	free, _ := framePool.idleBufs()
 	if len(free) != 1 {
 		t.Fatalf("free list after the suppressed copy: %d buffers, want 1", len(free))
 	}
