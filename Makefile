@@ -128,17 +128,19 @@ bench-compare:
 	$(GO) run ./benchmark -compare $(OLD) $(NEW)
 
 # profile-node prints where node_round-shaped RunCluster calls allocate
-# their bytes (the alloc-budget test's four TCP runs and its one Build,
-# every allocation sampled), then a CPU and a block profile of 150 such TCP
-# runs (BenchmarkRunClusterTCP, every blocking event sampled): the CPU top
-# says what the engines, codec and wire compute, the block top where the 65
-# engines wait on one another (chanrecv under Engine.collect / awaitGlobal)
-# and where the wire waits on them (Bus.Publish, frameQueue.push), so the
-# next attribution is read rather than guessed. The test binary and profiles
-# land in the git-ignored .bench_build/.
+# their bytes (40 TCP runs of BenchmarkRunClusterTCP and its one Build, every
+# allocation sampled: the process store makes the first run pay for what the
+# later ones reuse, so the top is the steady state only over many runs),
+# then a CPU and a block profile of 150 such TCP runs (every blocking event
+# sampled): the CPU top says what the engines, codec and wire compute, the
+# block top where the 65 engines wait on one another (chanrecv under
+# Engine.collect / awaitGlobal) and where the wire waits on them
+# (Bus.Publish, frameQueue.push), so the next attribution is read rather
+# than guessed. The test binary and profiles land in the git-ignored
+# .bench_build/.
 profile-node:
 	mkdir -p .bench_build
-	$(GO) test -count=1 -run 'TestRunClusterAllocBudget/tcp' -memprofile node.mem -memprofilerate 1 -outputdir .bench_build -o .bench_build/node.test ./internal/node
+	$(GO) test -count=1 -run '^$$' -bench RunClusterTCP -benchtime 40x -memprofile node.mem -memprofilerate 1 -outputdir .bench_build -o .bench_build/node.test ./internal/node
 	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=30 .bench_build/node.test .bench_build/node.mem
 	$(GO) test -count=1 -run '^$$' -bench RunClusterTCP -benchtime 150x -cpuprofile node.cpu -blockprofile node.block -blockprofilerate 1 -outputdir .bench_build -o .bench_build/node.test ./internal/node
 	$(GO) tool pprof -top -nodecount=25 .bench_build/node.test .bench_build/node.cpu

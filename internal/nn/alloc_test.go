@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"abdhfl/internal/dataset"
@@ -281,5 +282,37 @@ func TestSGDWSOnDirtyScratchMatchesFresh(t *testing.T) {
 				t.Fatalf("%+v: param %d is %v on dirty scratch, %v on fresh", cfg, i, got[i], want[i])
 			}
 		}
+	}
+}
+
+// TestEvalPoolSurvivesCollection: a scratch put back is still there after
+// garbage collections, so the next Get hands it out again and builds
+// nothing. A sync.Pool drops its contents at a collection and would build a
+// new model and workspace here.
+func TestEvalPoolSurvivesCollection(t *testing.T) {
+	p := NewEvalPool(dataset.Dim, 32, dataset.NumClasses)
+	s := p.Get()
+	p.Put(s)
+	runtime.GC()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got := p.Get()
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n > 0 {
+		t.Errorf("Get after two collections allocates %d objects, want 0", n)
+	}
+	if got != s {
+		t.Errorf("Get after two collections returned a new scratch, want the one put back")
+	}
+}
+
+// TestEvalPoolCycleAllocationFree: once a pool holds a scratch, a Get/Put
+// cycle allocates nothing.
+func TestEvalPoolCycleAllocationFree(t *testing.T) {
+	p := NewEvalPool(dataset.Dim, 32, dataset.NumClasses)
+	p.Put(p.Get())
+	if allocs := testing.AllocsPerRun(100, func() { p.Put(p.Get()) }); allocs > 0 {
+		t.Fatalf("EvalPool Get/Put allocates %.1f objects per cycle, want 0", allocs)
 	}
 }

@@ -209,24 +209,38 @@ type EvalScratch struct {
 // the activations), so the node engines of one process borrow from one pool
 // for each device's SetParams → SGDWS → ParamsInto span instead of holding a
 // model each.
+//
+// It is a mutex-guarded LIFO, not a sync.Pool, which a garbage collection
+// empties so that the next borrowers build new models: it keeps a scratch
+// until it is borrowed again, and holds no more than were borrowed at once.
 type EvalPool struct {
-	pool sync.Pool
+	shape []int
+	mu    sync.Mutex
+	free  []*EvalScratch
 }
 
 // NewEvalPool returns a pool producing models with the given layer sizes.
 func NewEvalPool(sizes ...int) *EvalPool {
-	shape := append([]int(nil), sizes...)
-	p := &EvalPool{}
-	p.pool.New = func() any {
-		m := NewShaped(shape...)
-		return &EvalScratch{Model: m, WS: NewWorkspace(m)}
-	}
-	return p
+	return &EvalPool{shape: append([]int(nil), sizes...)}
 }
 
 // Get returns a scratch with undefined parameter contents; callers SetParams
 // before use and Put it back when done.
-func (p *EvalPool) Get() *EvalScratch { return p.pool.Get().(*EvalScratch) }
+func (p *EvalPool) Get() *EvalScratch {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if n := len(p.free); n > 0 {
+		s := p.free[n-1]
+		p.free = p.free[:n-1]
+		return s
+	}
+	m := NewShaped(p.shape...)
+	return &EvalScratch{Model: m, WS: NewWorkspace(m)}
+}
 
-// Put returns s to the pool.
-func (p *EvalPool) Put(s *EvalScratch) { p.pool.Put(s) }
+// Put returns s to the pool; the caller uses it no more.
+func (p *EvalPool) Put(s *EvalScratch) {
+	p.mu.Lock()
+	p.free = append(p.free, s)
+	p.mu.Unlock()
+}

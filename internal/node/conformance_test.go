@@ -300,12 +300,14 @@ func TestLoopbackTCPConformance(t *testing.T) {
 	}
 }
 
-// TestStandaloneEnginesMatchCluster runs every engine with no state shared
-// with another, as cmd/abdhfl-node's one engine per process runs: each
-// draws its own initial model and borrows from its own pool and free list.
-// On the ABA + delta-int8 scenario the run must be bit for bit the
-// RunCluster run, whose engines share one of each, and RunHFL's: final
-// params, curve, σ-accounting and filter audit.
+// TestStandaloneEnginesMatchCluster runs every engine with no run state
+// shared with another, as cmd/abdhfl-node's one engine per process runs:
+// each draws its own initial model and keeps its own memo of decoded
+// globals (so decodes every global itself). The process store is still
+// shared, as in every process: the vectors, send buffers and models the
+// engines borrow. On the ABA + delta-int8 scenario the run must be bit for
+// bit the RunCluster run, whose engines share one init and one memo, and
+// RunHFL's: final params, curve, σ-accounting and filter audit.
 func TestStandaloneEnginesMatchCluster(t *testing.T) {
 	s := testScenario("delta-int8")
 	s.TopProtocol = "aba"

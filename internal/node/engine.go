@@ -66,12 +66,12 @@ func (e *Engine) runRound(seedRNG *rng.RNG, round int) error {
 	// vector.
 	var update tensor.Vector
 	if e.trains(int(e.id), round, skip) {
-		s := e.sh.pool.Get()
+		s := e.pool.Get()
 		s.Model.SetParams(e.global)
 		r := roundRNG.DeriveDecimal("device-", int(e.id))
 		nn.SGDWS(s.Model, s.WS, e.ccfg.ClientData[e.id], e.ccfg.Local, r)
 		update = s.Model.ParamsInto(e.roundVec())
-		e.sh.pool.Put(s)
+		e.pool.Put(s)
 	}
 
 	// --- Uplink: non-leader devices ship the update to their bottom
@@ -85,11 +85,11 @@ func (e *Engine) runRound(seedRNG *rng.RNG, round int) error {
 				return fmt.Errorf("node %d: round %d own update codec: %w", e.id, round, err)
 			}
 		} else if !e.cfg.Plan.OmitUpload(int(e.id), round) {
-			payload, err := e.encodeModel(update)
+			payload, err := e.appendModel(store.buf(), update)
 			if err != nil {
 				return fmt.Errorf("node %d: round %d update codec: %w", e.id, round, err)
 			}
-			if err := e.send(KindUpdate, bc.Leader, round, payload); err != nil {
+			if err := e.sendBuf(KindUpdate, bc.Leader, round, payload); err != nil {
 				return err
 			}
 		}
@@ -136,7 +136,7 @@ func (e *Engine) runRound(seedRNG *rng.RNG, round int) error {
 	}
 	next := e.sh.decoded(e.global, payload)
 	if next == nil {
-		next = e.sh.take()
+		next = store.take(e.dim)
 		if err := e.decodeModel(next, payload); err != nil {
 			return fmt.Errorf("node %d: round %d global decode: %w", e.id, round, err)
 		}
@@ -268,7 +268,7 @@ func (e *Engine) leadCluster(roundRNG *rng.RNG, round, lvl, ci int, skip map[int
 	if err != nil {
 		return fmt.Errorf("node %d: round %d cluster (%d,%d) partial codec: %w", e.id, round, lvl, ci, err)
 	}
-	return e.send(KindPartial, parent, round, payload)
+	return e.sendBuf(KindPartial, parent, round, payload)
 }
 
 // rootRound collects the level-1 partials, forms and disseminates the
@@ -331,7 +331,7 @@ func (e *Engine) rootRound(roundRNG *rng.RNG, round int, skip map[int]bool) erro
 
 	// --- Global aggregation (Algorithm 6), into a borrowed vector: the
 	// partials' last reader.
-	newGlobal, v, comm, err := e.st.Aggregate(e.ccfg.Global, e.ccfg.TopInput(roundRNG, round, vecs, leaders, e.sh.take(), ballots))
+	newGlobal, v, comm, err := e.st.Aggregate(e.ccfg.Global, e.ccfg.TopInput(roundRNG, round, vecs, leaders, store.take(e.dim), ballots))
 	if err != nil {
 		return fmt.Errorf("root: round %d: %w", round, err)
 	}
@@ -355,7 +355,7 @@ func (e *Engine) rootRound(roundRNG *rng.RNG, round int, skip map[int]bool) erro
 	// gets the copy bit for bit: the codec hop is the decode it would run,
 	// and raw float64s round-trip exactly once finite (a non-finite global
 	// fails the receiver's decode, so it is not published).
-	payload, err := e.encodeModel(newGlobal)
+	payload, err := e.appendModel(store.buf(), newGlobal)
 	if err != nil {
 		return fmt.Errorf("root: round %d dissemination codec: %w", round, err)
 	}
@@ -373,13 +373,14 @@ func (e *Engine) rootRound(roundRNG *rng.RNG, round int, skip map[int]bool) erro
 			return err
 		}
 	}
+	store.putBuf(payload)
 
 	// --- Evaluation, on RunHFL's cadence.
 	if (round+1)%e.evalEver == 0 || round == e.ccfg.Rounds-1 {
-		s := e.sh.pool.Get()
+		s := e.pool.Get()
 		s.Model.SetParams(e.global)
 		acc, loss := nn.Evaluate(s.Model, e.ccfg.TestData, e.workers)
-		e.sh.pool.Put(s)
+		e.pool.Put(s)
 		stat := core.RoundStat{Round: round + 1, Accuracy: acc, Loss: loss}
 		e.res.Curve = append(e.res.Curve, stat)
 		if e.ccfg.OnRound != nil {
@@ -408,14 +409,15 @@ func (e *Engine) rootRound(roundRNG *rng.RNG, round int, skip map[int]bool) erro
 // fault budget (and recomputes locally beyond it).
 func (e *Engine) exchangeBallots(round int, payloads [][]byte, leaders []int) (*consensus.BallotSet, error) {
 	expect := make(map[transport.NodeID]bool, len(leaders))
-	e.wire = appendProposals(e.wire[:0], 0, payloads)
+	wire := appendProposals(store.buf(), 0, payloads)
 	for m, ld := range leaders {
-		binary.LittleEndian.PutUint32(e.wire, uint32(m))
-		if err := e.send(KindProposal, ld, round, e.wire); err != nil {
+		binary.LittleEndian.PutUint32(wire, uint32(m))
+		if err := e.send(KindProposal, ld, round, wire); err != nil {
 			return nil, err
 		}
 		expect[transport.NodeID(ld)] = true
 	}
+	store.putBuf(wire)
 	got, err := e.collect(KindBallot, round, expect, 2*e.stall)
 	if err != nil {
 		return nil, err
@@ -454,13 +456,20 @@ func (e *Engine) answerProposal(f transport.Frame) error {
 	}
 	bits := e.st.ShardBallot(e.ccfg.Global, e.ccfg.ValidationShards, member, proposals)
 	e.giveBack()
-	e.wire = appendBallot(e.wire[:0], member, bits)
-	return e.send(KindBallot, int(RootID(e.tree)), int(f.Round), e.wire)
+	return e.sendBuf(KindBallot, int(RootID(e.tree)), int(f.Round), appendBallot(store.buf(), member, bits))
+}
+
+// sendBuf sends payload, a send buffer borrowed from the store, and gives
+// the buffer back.
+func (e *Engine) sendBuf(kind uint8, to, round int, payload []byte) error {
+	err := e.send(kind, to, round, payload)
+	store.putBuf(payload)
+	return err
 }
 
 // send ships one protocol frame. The transport copies the frame, so
-// payload may be send scratch the next encode overwrites, and the frame
-// itself is the engine's one outbound frame.
+// payload may be a buffer given back right after, and the frame itself is
+// the engine's one outbound frame.
 func (e *Engine) send(kind uint8, to, round int, payload []byte) error {
 	e.out = transport.Frame{Kind: kind, Round: uint32(round), Payload: payload}
 	if err := e.cfg.Endpoint.Send(transport.NodeID(to), &e.out); err != nil {

@@ -32,6 +32,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -102,23 +103,19 @@ type Config struct {
 	GlobalWait time.Duration
 	// Logf, when set, receives progress lines (round boundaries, stalls).
 	Logf func(format string, args ...any)
-	// shared is the state the engines of one process hold in common; the
+	// shared is the state the engines of one run hold in common; the
 	// engines RunCluster runs share one, nil gives the engine its own.
 	shared *shared
 }
 
-// shared is what the engines of one process hold in common: the pool of
-// models and workspaces they train, evaluate and score on, a free list of
-// dim-sized vectors every engine borrows its round's vectors from and
-// returns at their last read, the run's initial model, drawn once, and
-// the globals the root last disseminated, decoded. Engines sharing one run
-// the same Materials and Seed.
+// shared is what the engines of one run hold in common: the run's initial
+// model, drawn once, and the globals the root last disseminated, decoded.
+// Engines sharing one run the same Materials and Seed. Everything else they
+// borrow comes from the process's store.
 type shared struct {
-	pool *nn.EvalPool
 	init tensor.Vector
 
 	mu      sync.Mutex
-	free    []tensor.Vector
 	globals [keptGlobals]decodedGlobal
 	next    int // the globals entry the next publish overwrites
 }
@@ -129,29 +126,84 @@ const keptGlobals = 4
 
 // decodedGlobal is one disseminated global: payload, decoded against ref,
 // is global bit for bit. The payload is the entry's own copy; ref and
-// global are never written again, nor returned to the free list, so their
+// global are never written again, nor given to the store, so their
 // addresses identify them for as long as the entry holds them.
 type decodedGlobal struct {
 	ref, global tensor.Vector
 	payload     []byte
 }
 
-// take borrows a dim-sized vector, contents unspecified.
-func (s *shared) take() tensor.Vector {
+// storeIdleMax bounds the bytes the store keeps idle, the frame list's rule.
+const storeIdleMax = 8 << 20
+
+// store is what every engine of the process borrows, kept across runs: a
+// free list of model vectors per dim, one nn.EvalPool per model shape and a
+// free list of send buffers. What it lends is the borrower's alone until
+// given back. A global never enters it.
+var store = procStore{vecs: map[int][]tensor.Vector{}}
+
+type procStore struct {
+	mu     sync.Mutex
+	idle   int // bytes held in vecs and bufs
+	vecs   map[int][]tensor.Vector
+	bufs   [][]byte
+	shapes [][]int // shapes[i] is pools[i]'s layer sizes
+	pools  []*nn.EvalPool
+}
+
+// pool returns the process's model pool of shape sizes.
+func (s *procStore) pool(sizes []int) *nn.EvalPool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if n := len(s.free); n > 0 {
-		v := s.free[n-1]
-		s.free = s.free[:n-1]
-		return v
+	if i := slices.IndexFunc(s.shapes, func(sh []int) bool { return slices.Equal(sh, sizes) }); i >= 0 {
+		return s.pools[i]
 	}
-	return tensor.NewVector(len(s.init))
+	s.shapes, s.pools = append(s.shapes, sizes), append(s.pools, nn.NewEvalPool(sizes...))
+	return s.pools[len(s.pools)-1]
+}
+
+// take borrows a dim-sized vector, contents unspecified.
+func (s *procStore) take(dim int) tensor.Vector {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	free := s.vecs[dim]
+	if len(free) == 0 {
+		return tensor.NewVector(dim)
+	}
+	s.vecs[dim], s.idle = free[:len(free)-1], s.idle-8*dim
+	return free[len(free)-1]
 }
 
 // put returns borrowed vectors that their borrower reads no more.
-func (s *shared) put(vs ...tensor.Vector) {
+func (s *procStore) put(vs ...tensor.Vector) {
 	s.mu.Lock()
-	s.free = append(s.free, vs...)
+	for _, v := range vs {
+		if s.idle+8*len(v) <= storeIdleMax {
+			s.vecs[len(v)] = append(s.vecs[len(v)], v)
+			s.idle += 8 * len(v)
+		}
+	}
+	s.mu.Unlock()
+}
+
+// buf borrows an empty send buffer (nil when none is idle).
+func (s *procStore) buf() []byte {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.bufs) == 0 {
+		return nil
+	}
+	b := s.bufs[len(s.bufs)-1]
+	s.bufs, s.idle = s.bufs[:len(s.bufs)-1], s.idle-cap(b)
+	return b
+}
+
+// putBuf gives back a buffer buf lent, however it grew.
+func (s *procStore) putBuf(b []byte) {
+	s.mu.Lock()
+	if s.idle+cap(b) <= storeIdleMax {
+		s.bufs, s.idle = append(s.bufs, b[:0]), s.idle+cap(b)
+	}
 	s.mu.Unlock()
 }
 
@@ -201,8 +253,9 @@ type Engine struct {
 	busDone <-chan struct{}
 	stall   time.Duration
 	gwait   time.Duration
-	timer   *time.Timer // the one timer every wait arms (after)
-	sh      *shared     // Config.shared: the pool, the free list, the initial model
+	timer   *time.Timer  // the one timer every wait arms (after)
+	sh      *shared      // Config.shared: the run's initial model and decoded globals
+	pool    *nn.EvalPool // the store's pool of the run's model shape
 
 	// st is the cluster step's working memory, present on the root and on
 	// every leader: the same step RunHFL runs, applied to the vectors this
@@ -217,7 +270,7 @@ type Engine struct {
 	// global, the round-start model every codec hop refers to, is
 	// read-only: the root forms the next one into a borrowed vector and
 	// publishes it, everyone else takes the published one or decodes its
-	// own, and none ever goes back to the free list. lent are the vectors
+	// own, and none ever goes back to the store. lent are the vectors
 	// roundVec borrowed since the last giveBack: the update, collected
 	// inputs, partials, decoded proposals.
 	global tensor.Vector
@@ -231,10 +284,8 @@ type Engine struct {
 	// (Send copies) or answered within its round.
 	held []transport.Frame
 
-	// wire is the send scratch every encoder writes into, grown to the
-	// largest payload once; jsonEnc writes partial audit lists to jsonBuf;
-	// out is the frame send hands the endpoint.
-	wire    []byte
+	// jsonEnc writes partial audit lists to jsonBuf; out is the frame send
+	// hands the endpoint.
 	jsonBuf bytes.Buffer
 	jsonEnc *json.Encoder
 	out     transport.Frame
@@ -249,10 +300,15 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Materials == nil {
 		return nil, fmt.Errorf("node: nil materials")
 	}
+	return newEngine(cfg, cfg.Materials.CoreConfig(cfg.Seed))
+}
+
+// newEngine is New on the run configuration ccfg, the materials' one
+// unless a test sets what they do not (Hidden).
+func newEngine(cfg Config, ccfg core.Config) (*Engine, error) {
 	if cfg.Endpoint == nil {
 		return nil, fmt.Errorf("node: nil endpoint")
 	}
-	ccfg := cfg.Materials.CoreConfig(cfg.Seed)
 	if err := ccfg.Validate(); err != nil {
 		return nil, fmt.Errorf("node: %w", err)
 	}
@@ -314,15 +370,16 @@ func New(cfg Config) (*Engine, error) {
 			}
 		}
 	}
+	sizes := step.ModelSizes(ccfg.Hidden)
 	if e.sh == nil {
-		sizes := step.ModelSizes(ccfg.Hidden)
-		e.sh = &shared{pool: nn.NewEvalPool(sizes...), init: nn.InitParamsInto(nil, rng.New(cfg.Seed).Derive("init"), sizes...)}
+		e.sh = &shared{init: nn.InitParamsInto(nil, rng.New(cfg.Seed).Derive("init"), sizes...)}
 	}
 	e.global = e.sh.init
 	e.dim = len(e.global)
+	e.pool = store.pool(sizes)
 	if e.isRoot || len(e.led) > 0 {
 		obs := step.NewObserver(ccfg.Telemetry, "node", len(tree.Clusters), ccfg.OnFilter, nil)
-		e.st = step.NewStepper(obs, max(ccfg.Workers, 1), e.sh.pool, true)
+		e.st = step.NewStepper(obs, max(ccfg.Workers, 1), e.pool, true)
 	}
 	e.jsonEnc = json.NewEncoder(&e.jsonBuf)
 	// One queue for all kinds: the engine is single-threaded, and the
@@ -360,14 +417,14 @@ func (e *Engine) inboundPerRound() int {
 // roundVec borrows a dim-sized vector, contents unspecified, that is the
 // caller's until the next giveBack.
 func (e *Engine) roundVec() tensor.Vector {
-	v := e.sh.take()
+	v := store.take(e.dim)
 	e.lent = append(e.lent, v)
 	return v
 }
 
-// giveBack returns every vector roundVec lent to the process.
+// giveBack returns every vector roundVec lent to the store.
 func (e *Engine) giveBack() {
-	e.sh.put(e.lent...)
+	store.put(e.lent...)
 	e.lent = e.lent[:0]
 }
 

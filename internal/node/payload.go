@@ -19,16 +19,8 @@ import (
 // Transcode, which is what keeps the two engines byte-identical. Without a
 // codec, payloads are raw little-endian float64s (lossless).
 
-// encodeModel returns v's wire payload against the current global as the
-// codec reference. The bytes live in the engine's send scratch: valid until
-// the next encode, which is all Send needs, since it copies.
-func (e *Engine) encodeModel(v tensor.Vector) ([]byte, error) {
-	var err error
-	e.wire, err = e.appendModel(e.wire[:0], v)
-	return e.wire, err
-}
-
-// appendModel appends v's wire payload to dst.
+// appendModel appends v's wire payload against the current global as the
+// codec reference to dst, usually a send buffer borrowed from the store.
 func (e *Engine) appendModel(dst []byte, v tensor.Vector) ([]byte, error) {
 	if e.cdc != nil {
 		e.cs.Ref = e.global
@@ -69,13 +61,17 @@ func (e *Engine) decodeModel(dst tensor.Vector, src []byte) error {
 
 // transcodeLocal applies the codec hop to a vector handed over locally
 // (a leader's own update, or a partial whose parent leader is the same
-// process): the value must degrade exactly as if it had crossed the wire.
+// process): the value must degrade exactly as if it had crossed the wire,
+// so it is the wire's encode and decode, through a borrowed send buffer.
 func (e *Engine) transcodeLocal(v tensor.Vector) error {
 	if e.cdc == nil {
 		return nil
 	}
-	e.cs.Ref = e.global
-	_, err := codec.Transcode(e.cdc, v, e.cs)
+	b, err := e.appendModel(store.buf(), v)
+	if err == nil {
+		err = e.decodeModel(v, b)
+	}
+	store.putBuf(b)
 	return err
 }
 
@@ -85,9 +81,9 @@ func (e *Engine) transcodeLocal(v tensor.Vector) error {
 // filter audit without a separate reporting channel.
 
 // encodePartial frames the partial model agg, codec-encoded, with its
-// subtree audits, in the engine's send scratch.
+// subtree audits, in a send buffer borrowed from the store.
 func (e *Engine) encodePartial(agg tensor.Vector, audits []WireAudit) ([]byte, error) {
-	out, err := e.appendModel(append(e.wire[:0], 0, 0, 0, 0), agg)
+	out, err := e.appendModel(append(store.buf(), 0, 0, 0, 0), agg)
 	if err != nil {
 		return nil, err
 	}
@@ -97,8 +93,7 @@ func (e *Engine) encodePartial(agg tensor.Vector, audits []WireAudit) ([]byte, e
 		return nil, err
 	}
 	tail := e.jsonBuf.Bytes()
-	e.wire = append(out, tail[:len(tail)-1]...) // Encode ends with a newline json.Marshal does not write
-	return e.wire, nil
+	return append(out, tail[:len(tail)-1]...), nil // Encode ends with a newline json.Marshal does not write
 }
 
 // ABA ballot-exchange wire formats. A proposal is a level-1 partial's

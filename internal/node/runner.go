@@ -101,7 +101,7 @@ func RunCluster(opts ClusterOpts) (*ClusterResult, error) {
 		return nil, fmt.Errorf("node: unknown backend %q", opts.Backend)
 	}
 
-	// The first engine builds the process's shared state, the rest share it.
+	// The first engine builds the run's shared state, the rest share it.
 	engines := make([]*Engine, n)
 	var sh *shared
 	for id := 0; id < n; id++ {

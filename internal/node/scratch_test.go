@@ -1,14 +1,18 @@
 package node
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"abdhfl"
+	"abdhfl/internal/core"
 	"abdhfl/internal/fault"
 	"abdhfl/internal/nn"
 	"abdhfl/internal/rng"
@@ -54,13 +58,15 @@ func TestRunClusterWireVolume(t *testing.T) {
 }
 
 // TestRunClusterAllocBudget pins what one RunCluster call allocates on the
-// node_round shape, in bytes and in objects. The byte budgets are the
-// highest figures this test measures at GOMAXPROCS 1 to 4 (loopback 2.87 MB,
-// TCP 2.84 MB, both at 4) plus a tenth, rounded up; thirty TCP runs at 2
-// beside a BenchmarkRunClusterTCP loading the CPU read at most 2.55 MB; at 8
-// more engines hold a borrowed vector at once, and TCP reads up to 3.0 MB.
-// The object budgets are the same runs' counts (10 450 and 17 260) plus
-// about a tenth; loopback's stays at its earlier 11 400. The same run
+// node_round shape, in bytes and in objects, as the most any of three runs
+// after a first one allocates (the first pays for what the process keeps:
+// lazy tables, the listener's poller, the frame list and the store). The
+// byte budgets are the highest figures measured plus a tenth, rounded up:
+// thirty runs of this test at each of GOMAXPROCS 1 to 4 read at most
+// 1.85 MB over TCP and 2.04 MB over loopback, ten at 8 at most 2.04 MB
+// over TCP, and fifteen at 2 beside a BenchmarkRunClusterTCP loading the
+// CPU at most 2.2 MB over TCP. The object budgets are earlier counts plus
+// about a tenth; those runs read at most 17 650 and 10 770. The same run
 // allocated 279 MB when every endpoint pre-sized its dupe map, 21.4 MB over
 // TCP while every frame was read into, and encoded into, a fresh buffer,
 // 12.5 MB while every engine built its own model, workspace, gradients and
@@ -69,12 +75,14 @@ func TestRunClusterWireVolume(t *testing.T) {
 // float64s and every leader scored them on a validation pool of its own,
 // 7.3 MB while every engine drew its own initial model and kept a spare
 // global and round scratch of its own, 5.0 MB while every engine decoded
-// each round's global into a vector of its own, and 3.6 MB while every
+// each round's global into a vector of its own, 3.6 MB while every
 // endpoint kept a frame free list of its own and every TCP link a 4 KiB
-// reader. What is left is mostly the vectors engines have borrowed from
-// the process at once and the process's frame buffers. The object
-// budget catches a per-frame allocation that returns even when its bytes
-// are few. `make profile-node` prints where the bytes of a failing run come
+// reader, and 2.5–2.9 MB (3.5–4.6 MB when a collection emptied the model
+// pool, a sync.Pool then) while every run grew its own vector free list and
+// model pool and every engine kept a send buffer. What is left is mostly
+// the sockets, the root's ABA instance and each round's globals. The
+// object budget catches a per-frame allocation that returns even when its
+// bytes are few. `make profile-node` prints where the bytes of a run come
 // from.
 func TestRunClusterAllocBudget(t *testing.T) {
 	if testenv.UnderRace() {
@@ -86,8 +94,8 @@ func TestRunClusterAllocBudget(t *testing.T) {
 		bytes   uint64
 		objects uint64
 	}{
-		{BackendLoopback, 32 << 20 / 10, 11_400},
-		{BackendTCP, 32 << 20 / 10, 19_000},
+		{BackendLoopback, 23 << 20 / 10, 11_400},
+		{BackendTCP, 25 << 20 / 10, 19_000},
 	} {
 		t.Run(tc.backend, func(t *testing.T) {
 			// run logs each run's figures with its redials, so an outlier
@@ -109,11 +117,11 @@ func TestRunClusterAllocBudget(t *testing.T) {
 					tc.backend, float64(bytes)/(1<<20), objects, tot.Reconnects, tot.DialFailures, after.NumGC-before.NumGC)
 				return bytes, objects
 			}
-			run() // first-use costs (lazy tables, the listener's poller) are not per-run
-			bytes, objects := run()
-			for i := 0; i < 2; i++ {
+			run() // first-use costs (lazy tables, the listener's poller, the store) are not per-run
+			var bytes, objects uint64
+			for i := 0; i < 3; i++ {
 				b, o := run()
-				bytes, objects = min(bytes, b), min(objects, o)
+				bytes, objects = max(bytes, b), max(objects, o)
 			}
 			t.Logf("%s: %.2f MB, %d objects per RunCluster (budget %.2f MB, %d objects)",
 				tc.backend, float64(bytes)/(1<<20), objects, float64(tc.bytes)/(1<<20), tc.objects)
@@ -141,14 +149,16 @@ func BenchmarkRunClusterTCP(b *testing.B) {
 }
 
 // loopbackRun is RunCluster over loopback with test hooks. Its engines
-// share one process state as there, unless standalone, when each builds
-// its own as cmd/abdhfl-node's one engine does; wrap, when set, stands
+// share one run state as there, unless standalone, when each builds its own
+// as cmd/abdhfl-node's one engine does; hidden, when set, is the model's
+// hidden layers in place of the materials' default; wrap, when set, stands
 // between an engine and its endpoint; atRoundEnd, when set, runs on an
 // engine's own goroutine after every round it finishes (it rides on the
 // "round done" progress line).
 type loopbackRun struct {
 	plan       *fault.Plan
 	standalone bool
+	hidden     []int
 	wrap       func(id int, ep transport.Endpoint) transport.Endpoint
 	atRoundEnd func(*Engine)
 }
@@ -166,24 +176,32 @@ func (o loopbackRun) run(t *testing.T, mat *abdhfl.Materials, seed uint64) []*Re
 // that returns.
 func (o loopbackRun) start(t *testing.T, mat *abdhfl.Materials, seed uint64) ([]*Result, error) {
 	t.Helper()
+	return runEngines(o.engines(t, mat, seed))
+}
+
+// engines builds the run's engines on loopback endpoints that close, at
+// the latest, when the test ends.
+func (o loopbackRun) engines(t *testing.T, mat *abdhfl.Materials, seed uint64) ([]*Engine, []transport.Endpoint) {
+	t.Helper()
 	n := mat.Tree.NumDevices() + 1
 	lb := transport.NewLoopback()
 	engines := make([]*Engine, n)
 	endpoints := make([]transport.Endpoint, n)
+	ccfg := mat.CoreConfig(seed)
+	ccfg.Hidden = o.hidden
 	var sh *shared
 	for id := range engines {
 		ep, err := lb.Attach(transport.Config{Self: transport.NodeID(id), Plan: o.plan, FaultKinds: FaultableKinds()})
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer ep.Close()
+		t.Cleanup(func() { ep.Close() })
 		endpoints[id] = ep
 		var wire transport.Endpoint = ep
 		if o.wrap != nil {
 			wire = o.wrap(id, ep)
 		}
-		id := id
-		engines[id], err = New(Config{
+		engines[id], err = newEngine(Config{
 			Materials: mat, Seed: seed, ID: transport.NodeID(id), Endpoint: wire, Plan: o.plan,
 			StallAfter: 500 * time.Millisecond, GlobalWait: loopbackGlobalWait,
 			Logf: func(format string, _ ...any) {
@@ -192,7 +210,7 @@ func (o loopbackRun) start(t *testing.T, mat *abdhfl.Materials, seed uint64) ([]
 				}
 			},
 			shared: sh,
-		})
+		}, ccfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,55 +218,62 @@ func (o loopbackRun) start(t *testing.T, mat *abdhfl.Materials, seed uint64) ([]
 			sh = engines[id].sh
 		}
 	}
-	return runEngines(engines, endpoints)
+	return engines, endpoints
 }
 
 // loopbackGlobalWait is how long a loopbackRun engine waits for a round's
 // global before it fails.
 const loopbackGlobalWait = 8 * time.Second
 
-// TestRoundScratchDeadAtRoundEnd is the lifetime claim the engines' sharing
-// rests on: every vector on the process free list and every model and
-// workspace in the shared training pool is dead — no engine reads it again
-// before it borrows it anew. A 3-round run whose engines overwrite all of
-// them with NaN at each of their round ends — while other engines are
-// mid-round, so a vector read after it went back poisons a model, or shows
-// as a race under -race — must report exactly what the untouched run
-// reports, node by node: final model, curve, σ-accounting, audits, stalls.
-// The pool is a sync.Pool, which cannot be listed, so each round end takes
-// sixteen scratches out at once — what the pool holds, or more —
-// NaN-fills each model, trains it with momentum and weight decay so its
-// activations, gradients and momentum turn NaN too, and puts them back:
-// nearly every later borrow gets a poisoned scratch. Delta-int8 makes every
-// decode read the previous global and ABA adds the proposal vectors; the
-// drop+duplicate plan adds starved clusters, silent ballots and rounds that
-// take fewer vectors than the round before. The clean run is tied to
-// RunHFL, the golden the sharing must not move.
+// TestRoundScratchDeadAtRoundEnd is the lifetime claim the process store
+// rests on: every vector, send buffer and model it holds idle is dead — no
+// engine reads it again before it borrows it anew. A 3-round run whose
+// engines overwrite all of them at each of their round ends — while other
+// engines are mid-round, so a vector read after it went back poisons a
+// model, or shows as a race under -race — must report exactly what the
+// untouched run reports, node by node: final model, curve, σ-accounting,
+// audits, stalls. Under the store's lock the poison NaN-fills every idle
+// vector, fills every idle send buffer with 0xff, and borrows the run's
+// model pool empty: it takes scratches until the pool builds a fresh one
+// (all-zero, where every used one holds a model's parameters), NaN-fills
+// each taken model, trains it with momentum and weight decay so its
+// activations, gradients and momentum turn NaN too, and puts it back.
+// Delta-int8 makes every decode read the previous global and ABA adds the
+// proposal vectors; the drop+duplicate plan adds starved clusters, silent
+// ballots and rounds that take fewer vectors than the round before. The
+// clean run is tied to RunHFL, the golden the sharing must not move.
 func TestRoundScratchDeadAtRoundEnd(t *testing.T) {
 	s := testScenario("delta-int8")
 	s.TopProtocol = "aba"
 	poison := func(e *Engine) {
-		nan := tensor.NewVector(e.dim)
-		for i := range nan {
-			nan[i] = math.NaN()
+		store.mu.Lock()
+		defer store.mu.Unlock()
+		for _, vs := range store.vecs {
+			for _, v := range vs {
+				fillNaN(v)
+			}
 		}
-		e.sh.mu.Lock()
-		for _, v := range e.sh.free {
-			copy(v, nan)
+		for _, b := range store.bufs {
+			b = b[:cap(b)]
+			for i := range b {
+				b[i] = 0xff
+			}
 		}
-		e.sh.mu.Unlock()
-		var pooled [16]*nn.EvalScratch
-		for i := range pooled {
-			s := e.sh.pool.Get()
+		var taken []*nn.EvalScratch
+		for {
+			s := e.pool.Get()
+			if freshModel(s.Model) {
+				break
+			}
 			for l := range s.Model.Weights {
-				copy(s.Model.Weights[l].Data, nan)
-				copy(s.Model.Biases[l], nan)
+				fillNaN(s.Model.Weights[l].Data)
+				fillNaN(s.Model.Biases[l])
 			}
 			nn.SGDWS(s.Model, s.WS, e.ccfg.ClientData[0], nn.TrainConfig{LearningRate: 1, BatchSize: 9, Iterations: 1, Momentum: 0.5, WeightDecay: 0.1}, rng.New(1))
-			pooled[i] = s
+			taken = append(taken, s)
 		}
-		for _, s := range pooled {
-			e.sh.pool.Put(s)
+		for _, s := range taken {
+			e.pool.Put(s)
 		}
 	}
 	for _, tc := range []struct {
@@ -279,5 +304,123 @@ func TestRoundScratchDeadAtRoundEnd(t *testing.T) {
 				t.Errorf("curve/comm diverge from RunHFL: %+v %+v != %+v %+v", root.Curve, root.Comm, core.Curve, core.Comm)
 			}
 		})
+	}
+}
+
+func fillNaN(v []float64) {
+	for i := range v {
+		v[i] = math.NaN()
+	}
+}
+
+// freshModel reports whether m is all zeros, as an nn.EvalPool builds it.
+func freshModel(m *nn.Model) bool {
+	for l := range m.Weights {
+		if slices.ContainsFunc(m.Weights[l].Data, func(x float64) bool { return x != 0 }) ||
+			slices.ContainsFunc(m.Biases[l], func(x float64) bool { return x != 0 }) {
+			return false
+		}
+	}
+	return true
+}
+
+// emptyStore drops every vector and send buffer the process store holds
+// idle; its model pools stay.
+func emptyStore() {
+	store.mu.Lock()
+	store.vecs, store.bufs, store.idle = map[int][]tensor.Vector{}, nil, 0
+	store.mu.Unlock()
+}
+
+// TestStoreServesTwoShapes runs two loopback clusters of different model
+// shapes (hidden layers 32 and 16, so two dims) at once in one process, on
+// the one store: each run's every node must hold its own RunHFL's final
+// model, and its root RunHFL's curve and σ-accounting. Afterwards the
+// store's idle bytes are within the bound, every idle vector has one of the
+// two dims, and the idle count matches what the lists hold. Run it with
+// -race too.
+func TestStoreServesTwoShapes(t *testing.T) {
+	emptyStore()
+	s := testScenario("delta-int8")
+	hidden := [][]int{{32}, {16}}
+	results := make([][]*Result, len(hidden))
+	errs := make([]error, len(hidden))
+	var wg sync.WaitGroup
+	for i, h := range hidden {
+		engines, endpoints := loopbackRun{hidden: h}.engines(t, build(t, s), s.Seed)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = runEngines(engines, endpoints)
+		}()
+	}
+	wg.Wait()
+	dims := map[int]bool{}
+	for i, h := range hidden {
+		if errs[i] != nil {
+			t.Fatalf("hidden %v: %v", h, errs[i])
+		}
+		ccfg := build(t, s).CoreConfig(s.Seed)
+		ccfg.Hidden = h
+		want, err := core.RunHFL(ccfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dims[len(want.FinalParams)] = true
+		for id, r := range results[i] {
+			sameParams(t, fmt.Sprintf("hidden %v node %d vs RunHFL", h, id), want.FinalParams, r.FinalParams)
+		}
+		root := results[i][len(results[i])-1]
+		if !reflect.DeepEqual(want.Curve, root.Curve) || want.Comm != root.Comm {
+			t.Errorf("hidden %v: curve/comm %+v %+v != RunHFL %+v %+v", h, root.Curve, root.Comm, want.Curve, want.Comm)
+		}
+	}
+	if len(dims) != 2 {
+		t.Fatalf("the two shapes share a dim: %v", dims)
+	}
+	store.mu.Lock()
+	defer store.mu.Unlock()
+	held := 0
+	for dim, vs := range store.vecs {
+		for _, v := range vs {
+			if !dims[len(v)] || len(v) != dim {
+				t.Errorf("idle vector of dim %d on the dim-%d list; the runs' dims are %v", len(v), dim, dims)
+			}
+			held += 8 * len(v)
+		}
+	}
+	for _, b := range store.bufs {
+		held += cap(b)
+	}
+	if store.idle != held || store.idle > storeIdleMax {
+		t.Errorf("store idle count %d, lists hold %d bytes, bound %d", store.idle, held, storeIdleMax)
+	}
+}
+
+// TestStoreIdleBounded fills the store past its idle bound: the vectors and
+// send buffers put beyond it are dropped, and a take makes room for one
+// more put.
+func TestStoreIdleBounded(t *testing.T) {
+	emptyStore()
+	defer emptyStore()
+	const dim = 2410
+	fit := storeIdleMax / (8 * dim)
+	vs := make([]tensor.Vector, fit+3)
+	for i := range vs {
+		vs[i] = store.take(dim)
+	}
+	store.put(vs...)
+	store.putBuf(make([]byte, 0, 8*dim))
+	if n := len(store.vecs[dim]); n != fit || store.idle != 8*dim*fit || len(store.bufs) != 0 {
+		t.Fatalf("after putting %d vectors and a buffer: %d vectors, %d buffers, %d idle bytes; want %d, 0 and %d", fit+3, n, len(store.bufs), store.idle, fit, 8*dim*fit)
+	}
+	store.put(vs[fit])
+	if n := len(store.vecs[dim]); n != fit {
+		t.Errorf("a put past the bound was kept: %d vectors", n)
+	}
+	store.take(dim)
+	store.putBuf(make([]byte, 0, 8*dim))
+	if len(store.bufs) != 1 || store.idle != 8*dim*fit {
+		t.Errorf("after a take and a buffer put: %d buffers, %d idle bytes; want 1 and %d", len(store.bufs), store.idle, 8*dim*fit)
 	}
 }

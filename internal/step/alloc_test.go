@@ -1,5 +1,3 @@
-//go:build !race
-
 package step
 
 import (
@@ -23,9 +21,9 @@ var (
 )
 
 // The step's allocation budget, with everything attached — registry, an
-// OnFilter consumer, a tracer — and the stepper warm. (Not under -race: the
-// detector makes sync.Pool drop entries at random, so the evaluation pool
-// behind the validators allocates by chance.)
+// OnFilter consumer, a tracer — and the stepper warm. It holds under -race
+// too: the evaluation pool behind the validators is not a sync.Pool, whose
+// entries the detector drops at random.
 
 // TestBRAStepAllocationFree: a whole BRA step — the rule, the verdict, the
 // counters, the callback, the span an engine would build from it — is zero

@@ -190,7 +190,10 @@ func (s *Stepper) Records() bool { return s.record }
 // for the consensus layer's parallel fan-out.
 func (s *Stepper) score(model tensor.Vector, data *dataset.Dataset) float64 {
 	e := s.pool.Get()
-	defer s.pool.Put(e)
+	// The same call as a deferred s.pool.Put(e), in a form whose code size
+	// keeps what links after this package where it was: internal/topology's
+	// NewECSM takes longer at another address mod 64 (`make kernel-addrs`).
+	defer func() { s.pool.Put(e) }()
 	e.Model.SetParams(model)
 	return nn.AccuracyWS(e.Model, e.WS, data)
 }
