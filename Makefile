@@ -148,11 +148,14 @@ profile-node:
 
 # profile-train prints where the two training-bound benchmark shapes spend
 # their CPU: a table5_cell-shaped RunHFL loop and a pipeline_round-shaped
-# RunPipeline loop (BenchmarkTrainShapes), one profile over both.
+# RunPipeline loop (BenchmarkTrainShapes), one profile over both; then where
+# 32 table5_cell-shaped runs allocate their bytes (every allocation sampled).
 profile-train:
 	mkdir -p .bench_build
 	$(GO) test -count=1 -run '^$$' -bench TrainShapes -benchtime 3s -cpuprofile train.cpu -outputdir .bench_build -o .bench_build/train.test .
 	$(GO) tool pprof -top -nodecount=25 .bench_build/train.test .bench_build/train.cpu
+	$(GO) test -count=1 -run '^$$' -bench 'TrainShapes/table5_cell' -benchtime 32x -memprofile train.mem -memprofilerate 1 -outputdir .bench_build -o .bench_build/train.test .
+	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=25 .bench_build/train.test .bench_build/train.mem
 
 # profile-pipeline prints where pipeline_round-shaped RunPipeline calls
 # allocate their bytes (the alloc-budget test's four runs and its one Build,

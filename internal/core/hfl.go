@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -28,7 +29,9 @@ func RunHFL(cfg Config) (*Result, error) {
 	}
 	root := rng.New(cfg.Seed)
 	sizes := step.ModelSizes(cfg.Hidden)
-	globalParams := nn.InitParamsInto(nil, root.Derive("init"), sizes...)
+	pool := step.Store.Pool(sizes)
+	eval := pool.Get()
+	dim := eval.Model.NumParams()
 
 	tree := cfg.Tree
 	devices := tree.NumDevices()
@@ -39,19 +42,19 @@ func RunHFL(cfg Config) (*Result, error) {
 	}
 
 	res := &Result{}
-	evalModel := nn.NewShaped(sizes...)
 	updates := make([]tensor.Vector, devices)
-	trainer := newLocalTrainer(sizes, workers, devices)
+	trainer := newLocalTrainer(pool, dim, workers)
 
 	// Aggregation working memory, reused across rounds: one stepper for every
 	// cluster step (aggregation is sequential within a round), one
 	// destination buffer per (level, cluster) — inputs at each level live in
 	// the level below's buffers, so destinations never alias inputs — and a
-	// double-buffered global destination. Leader rotation preserves the tree
-	// shape, so the cluster counts are stable.
-	dim := len(globalParams)
+	// double-buffered global destination, whose second half holds the
+	// initial model until round 1 overwrites it. Leader rotation preserves
+	// the tree shape, so the cluster counts are stable. Every vector and
+	// model comes from the process store and goes back at the end (release).
 	obs := step.NewObserver(cfg.Telemetry, "hfl", len(tree.Clusters), cfg.OnFilter, cfg.Trace)
-	st := step.NewStepper(obs, workers, nn.NewEvalPool(sizes...), false)
+	st := step.NewStepper(obs, workers, pool, false)
 	// Codec working memory beside the stepper: the round loop is sequential,
 	// so one Scratch serves every hop of every round.
 	codecScratch := codec.NewScratch()
@@ -63,7 +66,8 @@ func RunHFL(cfg Config) (*Result, error) {
 		partialBufs[lvl] = make([]tensor.Vector, len(tree.Clusters[lvl]))
 		levelOut[lvl] = make([]tensor.Vector, len(tree.Clusters[lvl]))
 	}
-	var globalBufs [2]tensor.Vector
+	globalBufs := [2]tensor.Vector{step.Store.Take(dim), nn.InitParamsInto(step.Store.Take(dim), root.Derive("init"), sizes...)}
+	globalParams := globalBufs[1]
 	vecsBuf := make([]tensor.Vector, 0, devices)
 	idsBuf := make([]int, 0, devices)
 
@@ -175,7 +179,7 @@ func RunHFL(cfg Config) (*Result, error) {
 				}
 				vecs, ids = step.ApplyQuorum(cfg.Quorum, roundRNG, lvl, ci, vecs, ids)
 				if partialBufs[lvl][ci] == nil {
-					partialBufs[lvl][ci] = tensor.NewVector(dim)
+					partialBufs[lvl][ci] = step.Store.Take(dim)
 				}
 				agg, v, comm, err := st.Aggregate(rule, cfg.ClusterInput(roundRNG, c, round, vecs, ids, partialBufs[lvl][ci]))
 				if err != nil {
@@ -212,9 +216,6 @@ func RunHFL(cfg Config) (*Result, error) {
 				ids = append(ids, tree.Clusters[1][i].Leader)
 			}
 		}
-		if globalBufs[round%2] == nil {
-			globalBufs[round%2] = tensor.NewVector(dim)
-		}
 		newGlobal, v, comm, err := st.Aggregate(cfg.Global, cfg.TopInput(roundRNG, round, vecs, ids, globalBufs[round%2], nil))
 		if err != nil {
 			return nil, fmt.Errorf("core: round %d top level: %w", round, err)
@@ -248,10 +249,10 @@ func RunHFL(cfg Config) (*Result, error) {
 
 		// --- Evaluation.
 		if (round+1)%evalEvery == 0 || round == cfg.Rounds-1 {
-			evalModel.SetParams(globalParams)
+			eval.Model.SetParams(globalParams)
 			// Evaluate's chunked reduction is worker-count-invariant, so the
 			// curve is bit-identical whatever cfg.Workers is.
-			acc, loss := nn.Evaluate(evalModel, cfg.TestData, workers)
+			acc, loss := nn.Evaluate(eval.Model, cfg.TestData, workers)
 			stat := RoundStat{Round: round + 1, Accuracy: acc, Loss: loss}
 			res.Curve = append(res.Curve, stat)
 			ins.evalDone(acc, loss)
@@ -283,43 +284,48 @@ func RunHFL(cfg Config) (*Result, error) {
 	}
 	res.FinalParams = globalParams
 	res.TrainerBuffers = trainer.allocated
+	trainer.release(updates)
+	pool.Put(eval)
+	for _, bufs := range partialBufs {
+		step.Store.Put(slices.DeleteFunc(bufs, func(v tensor.Vector) bool { return v == nil })...)
+	}
+	step.Store.Put(globalBufs[cfg.Rounds%2])
 	return res, nil
 }
 
-// localTrainer owns the per-worker training models/workspaces and a pool of
-// update buffers handed out only to the round's active trainers. Every
-// device still derives its own random stream, so results are independent of
-// both worker count and job scheduling. Idle devices hold NO model vector:
-// a buffer exists only between a device's activation and the next round's
-// reclaim, so a cohort-sampled run materializes ~active-set buffers instead
-// of one per device — the lazy-state half of the million-device scale-out.
+// localTrainer holds the per-worker training models/workspaces and a pool
+// of update buffers handed out only to the round's active trainers, all
+// borrowed from the process store (step.Store, whose doc states the
+// ownership rule). Every device still derives its own random stream, so
+// results are independent of both worker count and job scheduling. Idle
+// devices hold NO model vector: a buffer is lent only between a device's
+// activation and the next round's reclaim, so a cohort-sampled run borrows
+// ~active-set buffers instead of one per device — the lazy-state half of
+// the million-device scale-out.
 type localTrainer struct {
-	models []*nn.Model
-	wss    []*nn.Workspace
+	models *nn.EvalPool
+	dim    int
+	// scratch holds the workers' models and workspaces, borrowed for the run.
+	scratch []*nn.EvalScratch
 	// pool holds reclaimed update buffers; active lists the ids whose
 	// buffers are currently lent out (reclaimed at the next round call,
 	// AFTER aggregation has consumed them — all rules copy into their own
 	// outputs, never retaining update vectors across rounds).
 	pool      []tensor.Vector
 	active    []int
-	allocated int // total buffers ever materialized (Result.TrainerBuffers)
+	allocated int // total buffers ever borrowed from the store (Result.TrainerBuffers)
 }
 
-func newLocalTrainer(sizes []int, workers, devices int) *localTrainer {
-	t := &localTrainer{
-		models: make([]*nn.Model, workers),
-		wss:    make([]*nn.Workspace, workers),
-	}
-	for w := 0; w < workers; w++ {
-		t.models[w] = nn.NewShaped(sizes...)
-		t.wss[w] = nn.NewWorkspace(t.models[w])
+func newLocalTrainer(models *nn.EvalPool, dim, workers int) *localTrainer {
+	t := &localTrainer{models: models, dim: dim, scratch: make([]*nn.EvalScratch, workers)}
+	for w := range t.scratch {
+		t.scratch[w] = models.Get()
 	}
 	return t
 }
 
-// take hands out a pooled buffer, or nil — the worker's ParamsInto then
-// allocates one, which counts as a materialization. Called only from the
-// scheduling goroutine.
+// take hands out a pooled buffer, else one borrowed from the store, which
+// counts as a materialization. Called only from the scheduling goroutine.
 func (t *localTrainer) take() tensor.Vector {
 	if n := len(t.pool); n > 0 {
 		v := t.pool[n-1]
@@ -328,7 +334,7 @@ func (t *localTrainer) take() tensor.Vector {
 		return v
 	}
 	t.allocated++
-	return nil
+	return step.Store.Take(t.dim)
 }
 
 // reclaim returns the previous round's lent-out buffers to the pool. The
@@ -344,6 +350,16 @@ func (t *localTrainer) reclaim(updates []tensor.Vector) {
 	t.active = t.active[:0]
 }
 
+// release gives every buffer and model the trainer holds back to the store,
+// once the run has read the last round's updates.
+func (t *localTrainer) release(updates []tensor.Vector) {
+	t.reclaim(updates)
+	step.Store.Put(t.pool...)
+	for _, s := range t.scratch {
+		t.models.Put(s)
+	}
+}
+
 // round runs every active device's local SGD over the worker pool and stores
 // flattened parameter updates (skipped devices — offline or outside the
 // round's cohort — get nil).
@@ -352,7 +368,7 @@ func (t *localTrainer) round(cfg Config, start tensor.Vector, updates []tensor.V
 	devices := len(updates)
 	var wg sync.WaitGroup
 	jobs := make(chan int)
-	for w := range t.models {
+	for _, s := range t.scratch {
 		wg.Add(1)
 		go func(m *nn.Model, ws *nn.Workspace) {
 			defer wg.Done()
@@ -362,7 +378,7 @@ func (t *localTrainer) round(cfg Config, start tensor.Vector, updates []tensor.V
 				nn.SGDWS(m, ws, cfg.ClientData[id], cfg.Local, r)
 				updates[id] = m.ParamsInto(updates[id])
 			}
-		}(t.models[w], t.wss[w])
+		}(s.Model, s.WS)
 	}
 	for id := 0; id < devices; id++ {
 		if skip[id] {
@@ -378,12 +394,6 @@ func (t *localTrainer) round(cfg Config, start tensor.Vector, updates []tensor.V
 	}
 	close(jobs)
 	wg.Wait()
-}
-
-// trainLocal is the one-shot form of localTrainer.round, kept for engines
-// without per-round state (vanilla).
-func trainLocal(cfg Config, sizes []int, start tensor.Vector, updates []tensor.Vector, skip map[int]bool, roundRNG *rng.RNG, workers int) {
-	newLocalTrainer(sizes, workers, len(updates)).round(cfg, start, updates, skip, roundRNG)
 }
 
 // DrawRoundSkip draws the round's non-training set: every device independently

@@ -107,76 +107,98 @@ func mustCodec(t *testing.T, name string) codec.Codec {
 	return c
 }
 
+// hflPins and vanillaPins are the round engines' pinned arms; every arm runs
+// the same scenario with its tweak applied.
+var hflPins = []struct {
+	name  string
+	tweak func(*testing.T, *Config)
+	want  pinned
+}{
+	{"bra-voting", func(*testing.T, *Config) {}, pinned{0x1e65401c9ce78865, 0xc4af93fcc6e0b557, 0xc12bc58397eec2d1}},
+	{"bra-bra-int8", func(t *testing.T, c *Config) {
+		c.Global = LevelRule{BRA: aggregate.Median{}}
+		c.Codec = mustCodec(t, "int8")
+	}, pinned{0x6b806140b2201267, 0x121a8c94984a91f7, 0x79a287d34b2f8ad6}},
+	{"cba-aba-signflip", func(_ *testing.T, c *Config) {
+		c.Partial = LevelRule{CBA: consensus.Voting{}}
+		c.Global = LevelRule{CBA: consensus.ABA{}}
+		c.ModelAttack = attack.SignFlip{}
+	}, pinned{0xabb4b89901d5d980, 0x6c8b9a882f6c4ed2, 0xe903eb1e6197afc4}},
+	{"clip-quorum-churn-delta", func(t *testing.T, c *Config) {
+		c.PartialByLevel = map[int]LevelRule{2: {BRA: aggregate.CenteredClipping{}}}
+		c.Quorum = 0.7
+		c.Churn.OfflineProb = 0.2
+		c.RotateLeaders = true
+		c.Codec = mustCodec(t, "delta-int8")
+	}, pinned{0xebbe7e943a411bf3, 0xa161ff255b55935c, 0xf98a93be515dffd2}},
+}
+
+var vanillaPins = []struct {
+	name  string
+	tweak func(*testing.T, *VanillaConfig)
+	want  pinned
+}{
+	{"mkrum", func(*testing.T, *VanillaConfig) {}, pinned{0xf271c2ff8807527d, 0xa28d2a2ce6d2fdf3, 0xb774339e4baf2fe8}},
+	{"voting-cohort-int8", func(t *testing.T, c *VanillaConfig) {
+		c.Rule = LevelRule{CBA: consensus.Voting{}}
+		c.Cohort = 6
+		c.Codec = mustCodec(t, "int8")
+	}, pinned{0xca64bd608976e504, 0x1d5cf53a6704b5c1, 0x96ad60cb3241168b}},
+}
+
+// checkHFLPin runs hflPins[arm] through pinRun and compares its digests
+// with the pin; poison fills the process store with NaN vectors before
+// each of the two runs (poisonStore).
+func checkHFLPin(t *testing.T, arm int, poison bool) {
+	t.Helper()
+	got := pinRun(t, func(tr *trace.Tracer, reg *telemetry.Registry, onFilter func(telemetry.FilterDecision)) error {
+		cfg := buildScenario(t, 3, 3, 4, 3, 40, 5)
+		cfg.EvalEvery = 2
+		cfg.Workers = 2
+		hflPins[arm].tweak(t, &cfg)
+		cfg.Trace, cfg.Telemetry, cfg.OnFilter = tr, reg, onFilter
+		if poison {
+			poisonStore(cfg.Hidden)
+		}
+		_, err := RunHFL(cfg)
+		return err
+	})
+	if got != hflPins[arm].want {
+		t.Fatalf("pinned output moved: got %v, want %v", got, hflPins[arm].want)
+	}
+}
+
+// checkVanillaPin is checkHFLPin for vanillaPins[arm].
+func checkVanillaPin(t *testing.T, arm int, poison bool) {
+	t.Helper()
+	got := pinRun(t, func(tr *trace.Tracer, reg *telemetry.Registry, onFilter func(telemetry.FilterDecision)) error {
+		base := buildScenario(t, 3, 2, 2, 3, 40, 2)
+		cfg := VanillaConfig{
+			Rounds: 3, Local: base.Local, Rule: LevelRule{BRA: aggregate.NewMultiKrum(0.25)},
+			ClientData: base.ClientData, TestData: base.TestData, Byzantine: base.Byzantine,
+			Seed: 7, EvalEvery: 2, Workers: 2,
+		}
+		vanillaPins[arm].tweak(t, &cfg)
+		cfg.Trace, cfg.Telemetry, cfg.OnFilter = tr, reg, onFilter
+		if poison {
+			poisonStore(cfg.Hidden)
+		}
+		_, err := RunVanilla(cfg)
+		return err
+	})
+	if got != vanillaPins[arm].want {
+		t.Fatalf("pinned output moved: got %v, want %v", got, vanillaPins[arm].want)
+	}
+}
+
 func TestHFLPinned(t *testing.T) {
-	for _, arm := range []struct {
-		name  string
-		tweak func(*Config)
-		want  pinned
-	}{
-		{"bra-voting", func(c *Config) {}, pinned{0x1e65401c9ce78865, 0xc4af93fcc6e0b557, 0xc12bc58397eec2d1}},
-		{"bra-bra-int8", func(c *Config) {
-			c.Global = LevelRule{BRA: aggregate.Median{}}
-			c.Codec = mustCodec(t, "int8")
-		}, pinned{0x6b806140b2201267, 0x121a8c94984a91f7, 0x79a287d34b2f8ad6}},
-		{"cba-aba-signflip", func(c *Config) {
-			c.Partial = LevelRule{CBA: consensus.Voting{}}
-			c.Global = LevelRule{CBA: consensus.ABA{}}
-			c.ModelAttack = attack.SignFlip{}
-		}, pinned{0xabb4b89901d5d980, 0x6c8b9a882f6c4ed2, 0xe903eb1e6197afc4}},
-		{"clip-quorum-churn-delta", func(c *Config) {
-			c.PartialByLevel = map[int]LevelRule{2: {BRA: aggregate.CenteredClipping{}}}
-			c.Quorum = 0.7
-			c.Churn.OfflineProb = 0.2
-			c.RotateLeaders = true
-			c.Codec = mustCodec(t, "delta-int8")
-		}, pinned{0xebbe7e943a411bf3, 0xa161ff255b55935c, 0xf98a93be515dffd2}},
-	} {
-		t.Run(arm.name, func(t *testing.T) {
-			got := pinRun(t, func(tr *trace.Tracer, reg *telemetry.Registry, onFilter func(telemetry.FilterDecision)) error {
-				cfg := buildScenario(t, 3, 3, 4, 3, 40, 5)
-				cfg.EvalEvery = 2
-				cfg.Workers = 2
-				arm.tweak(&cfg)
-				cfg.Trace, cfg.Telemetry, cfg.OnFilter = tr, reg, onFilter
-				_, err := RunHFL(cfg)
-				return err
-			})
-			if got != arm.want {
-				t.Fatalf("pinned output moved: got %v, want %v", got, arm.want)
-			}
-		})
+	for arm, pin := range hflPins {
+		t.Run(pin.name, func(t *testing.T) { checkHFLPin(t, arm, false) })
 	}
 }
 
 func TestVanillaPinned(t *testing.T) {
-	for _, arm := range []struct {
-		name  string
-		tweak func(*VanillaConfig)
-		want  pinned
-	}{
-		{"mkrum", func(c *VanillaConfig) {}, pinned{0xf271c2ff8807527d, 0xa28d2a2ce6d2fdf3, 0xb774339e4baf2fe8}},
-		{"voting-cohort-int8", func(c *VanillaConfig) {
-			c.Rule = LevelRule{CBA: consensus.Voting{}}
-			c.Cohort = 6
-			c.Codec = mustCodec(t, "int8")
-		}, pinned{0xca64bd608976e504, 0x1d5cf53a6704b5c1, 0x96ad60cb3241168b}},
-	} {
-		t.Run(arm.name, func(t *testing.T) {
-			got := pinRun(t, func(tr *trace.Tracer, reg *telemetry.Registry, onFilter func(telemetry.FilterDecision)) error {
-				base := buildScenario(t, 3, 2, 2, 3, 40, 2)
-				cfg := VanillaConfig{
-					Rounds: 3, Local: base.Local, Rule: LevelRule{BRA: aggregate.NewMultiKrum(0.25)},
-					ClientData: base.ClientData, TestData: base.TestData, Byzantine: base.Byzantine,
-					Seed: 7, EvalEvery: 2, Workers: 2,
-				}
-				arm.tweak(&cfg)
-				cfg.Trace, cfg.Telemetry, cfg.OnFilter = tr, reg, onFilter
-				_, err := RunVanilla(cfg)
-				return err
-			})
-			if got != arm.want {
-				t.Fatalf("pinned output moved: got %v, want %v", got, arm.want)
-			}
-		})
+	for arm, pin := range vanillaPins {
+		t.Run(pin.name, func(t *testing.T) { checkVanillaPin(t, arm, false) })
 	}
 }

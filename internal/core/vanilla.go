@@ -80,8 +80,9 @@ func RunVanilla(cfg VanillaConfig) (*Result, error) {
 	}
 	root := rng.New(cfg.Seed)
 	sizes := step.ModelSizes(cfg.Hidden)
-	globalParams := nn.InitParamsInto(nil, root.Derive("init"), sizes...)
-	evalModel := nn.NewShaped(sizes...)
+	pool := step.Store.Pool(sizes)
+	eval := pool.Get()
+	dim := eval.Model.NumParams()
 
 	clients := len(cfg.ClientData)
 	workers := tensor.ResolveWorkers(cfg.Workers)
@@ -93,17 +94,18 @@ func RunVanilla(cfg VanillaConfig) (*Result, error) {
 
 	res := &Result{}
 	updates := make([]tensor.Vector, clients)
-	trainer := newLocalTrainer(sizes, workers, clients)
+	trainer := newLocalTrainer(pool, dim, workers)
 	// Aggregation memory persists across rounds: the stepper keeps the rule's
 	// internal buffers warm, and the double-buffered destination lets round r
-	// write while round r-1's result is still the read-only training start.
-	dim := len(globalParams)
+	// write while round r-1's result is still the read-only training start;
+	// its second half holds the initial model until round 1 overwrites it.
 	obs := step.NewObserver(cfg.Telemetry, "vanilla", 1, cfg.OnFilter, cfg.Trace)
-	st := step.NewStepper(obs, workers, nn.NewEvalPool(sizes...), false)
+	st := step.NewStepper(obs, workers, pool, false)
 	codecScratch := codec.NewScratch()
 	ins := newInstruments(cfg.Telemetry, "vanilla", cfg.Codec, dim)
 	ct := newCoreTracer(cfg.Trace, 0, step.WireBytes(cfg.Codec, dim))
-	var globalBufs [2]tensor.Vector
+	globalBufs := [2]tensor.Vector{step.Store.Take(dim), nn.InitParamsInto(step.Store.Take(dim), root.Derive("init"), sizes...)}
+	globalParams := globalBufs[1]
 	for round := 0; round < cfg.Rounds; round++ {
 		roundRNG := root.DeriveDecimal("round-", round)
 		ct.beginRound()
@@ -139,9 +141,6 @@ func RunVanilla(cfg VanillaConfig) (*Result, error) {
 		if ins.enabled() {
 			ins.observePhase(phaseTrain, time.Since(tPhase))
 			tPhase = time.Now()
-		}
-		if globalBufs[round%2] == nil {
-			globalBufs[round%2] = tensor.NewVector(dim)
 		}
 		inputs := updates
 		var ids []int
@@ -200,8 +199,8 @@ func RunVanilla(cfg VanillaConfig) (*Result, error) {
 		}
 
 		if (round+1)%evalEvery == 0 || round == cfg.Rounds-1 {
-			evalModel.SetParams(globalParams)
-			acc, loss := nn.Evaluate(evalModel, cfg.TestData, workers)
+			eval.Model.SetParams(globalParams)
+			acc, loss := nn.Evaluate(eval.Model, cfg.TestData, workers)
 			res.Curve = append(res.Curve, RoundStat{Round: round + 1, Accuracy: acc, Loss: loss})
 			ins.evalDone(acc, loss)
 			ct.eval(round)
@@ -219,6 +218,9 @@ func RunVanilla(cfg VanillaConfig) (*Result, error) {
 	}
 	res.FinalParams = globalParams
 	res.TrainerBuffers = trainer.allocated
+	trainer.release(updates)
+	pool.Put(eval)
+	step.Store.Put(globalBufs[cfg.Rounds%2])
 	return res, nil
 }
 

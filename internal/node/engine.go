@@ -85,7 +85,7 @@ func (e *Engine) runRound(seedRNG *rng.RNG, round int) error {
 				return fmt.Errorf("node %d: round %d own update codec: %w", e.id, round, err)
 			}
 		} else if !e.cfg.Plan.OmitUpload(int(e.id), round) {
-			payload, err := e.appendModel(store.buf(), update)
+			payload, err := e.appendModel(step.Store.Buf(), update)
 			if err != nil {
 				return fmt.Errorf("node %d: round %d update codec: %w", e.id, round, err)
 			}
@@ -136,7 +136,7 @@ func (e *Engine) runRound(seedRNG *rng.RNG, round int) error {
 	}
 	next := e.sh.decoded(e.global, payload)
 	if next == nil {
-		next = store.take(e.dim)
+		next = step.Store.Take(e.dim)
 		if err := e.decodeModel(next, payload); err != nil {
 			return fmt.Errorf("node %d: round %d global decode: %w", e.id, round, err)
 		}
@@ -331,7 +331,7 @@ func (e *Engine) rootRound(roundRNG *rng.RNG, round int, skip map[int]bool) erro
 
 	// --- Global aggregation (Algorithm 6), into a borrowed vector: the
 	// partials' last reader.
-	newGlobal, v, comm, err := e.st.Aggregate(e.ccfg.Global, e.ccfg.TopInput(roundRNG, round, vecs, leaders, store.take(e.dim), ballots))
+	newGlobal, v, comm, err := e.st.Aggregate(e.ccfg.Global, e.ccfg.TopInput(roundRNG, round, vecs, leaders, step.Store.Take(e.dim), ballots))
 	if err != nil {
 		return fmt.Errorf("root: round %d: %w", round, err)
 	}
@@ -355,7 +355,7 @@ func (e *Engine) rootRound(roundRNG *rng.RNG, round int, skip map[int]bool) erro
 	// gets the copy bit for bit: the codec hop is the decode it would run,
 	// and raw float64s round-trip exactly once finite (a non-finite global
 	// fails the receiver's decode, so it is not published).
-	payload, err := e.appendModel(store.buf(), newGlobal)
+	payload, err := e.appendModel(step.Store.Buf(), newGlobal)
 	if err != nil {
 		return fmt.Errorf("root: round %d dissemination codec: %w", round, err)
 	}
@@ -373,7 +373,7 @@ func (e *Engine) rootRound(roundRNG *rng.RNG, round int, skip map[int]bool) erro
 			return err
 		}
 	}
-	store.putBuf(payload)
+	step.Store.PutBuf(payload)
 
 	// --- Evaluation, on RunHFL's cadence.
 	if (round+1)%e.evalEver == 0 || round == e.ccfg.Rounds-1 {
@@ -409,7 +409,7 @@ func (e *Engine) rootRound(roundRNG *rng.RNG, round int, skip map[int]bool) erro
 // fault budget (and recomputes locally beyond it).
 func (e *Engine) exchangeBallots(round int, payloads [][]byte, leaders []int) (*consensus.BallotSet, error) {
 	expect := make(map[transport.NodeID]bool, len(leaders))
-	wire := appendProposals(store.buf(), 0, payloads)
+	wire := appendProposals(step.Store.Buf(), 0, payloads)
 	for m, ld := range leaders {
 		binary.LittleEndian.PutUint32(wire, uint32(m))
 		if err := e.send(KindProposal, ld, round, wire); err != nil {
@@ -417,7 +417,7 @@ func (e *Engine) exchangeBallots(round int, payloads [][]byte, leaders []int) (*
 		}
 		expect[transport.NodeID(ld)] = true
 	}
-	store.putBuf(wire)
+	step.Store.PutBuf(wire)
 	got, err := e.collect(KindBallot, round, expect, 2*e.stall)
 	if err != nil {
 		return nil, err
@@ -456,14 +456,14 @@ func (e *Engine) answerProposal(f transport.Frame) error {
 	}
 	bits := e.st.ShardBallot(e.ccfg.Global, e.ccfg.ValidationShards, member, proposals)
 	e.giveBack()
-	return e.sendBuf(KindBallot, int(RootID(e.tree)), int(f.Round), appendBallot(store.buf(), member, bits))
+	return e.sendBuf(KindBallot, int(RootID(e.tree)), int(f.Round), appendBallot(step.Store.Buf(), member, bits))
 }
 
 // sendBuf sends payload, a send buffer borrowed from the store, and gives
 // the buffer back.
 func (e *Engine) sendBuf(kind uint8, to, round int, payload []byte) error {
 	err := e.send(kind, to, round, payload)
-	store.putBuf(payload)
+	step.Store.PutBuf(payload)
 	return err
 }
 

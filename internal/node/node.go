@@ -32,7 +32,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"slices"
 	"sync"
 	"time"
 
@@ -111,7 +110,7 @@ type Config struct {
 // shared is what the engines of one run hold in common: the run's initial
 // model, drawn once, and the globals the root last disseminated, decoded.
 // Engines sharing one run the same Materials and Seed. Everything else they
-// borrow comes from the process's store.
+// borrow comes from the process store, step.Store.
 type shared struct {
 	init tensor.Vector
 
@@ -131,80 +130,6 @@ const keptGlobals = 4
 type decodedGlobal struct {
 	ref, global tensor.Vector
 	payload     []byte
-}
-
-// storeIdleMax bounds the bytes the store keeps idle, the frame list's rule.
-const storeIdleMax = 8 << 20
-
-// store is what every engine of the process borrows, kept across runs: a
-// free list of model vectors per dim, one nn.EvalPool per model shape and a
-// free list of send buffers. What it lends is the borrower's alone until
-// given back. A global never enters it.
-var store = procStore{vecs: map[int][]tensor.Vector{}}
-
-type procStore struct {
-	mu     sync.Mutex
-	idle   int // bytes held in vecs and bufs
-	vecs   map[int][]tensor.Vector
-	bufs   [][]byte
-	shapes [][]int // shapes[i] is pools[i]'s layer sizes
-	pools  []*nn.EvalPool
-}
-
-// pool returns the process's model pool of shape sizes.
-func (s *procStore) pool(sizes []int) *nn.EvalPool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if i := slices.IndexFunc(s.shapes, func(sh []int) bool { return slices.Equal(sh, sizes) }); i >= 0 {
-		return s.pools[i]
-	}
-	s.shapes, s.pools = append(s.shapes, sizes), append(s.pools, nn.NewEvalPool(sizes...))
-	return s.pools[len(s.pools)-1]
-}
-
-// take borrows a dim-sized vector, contents unspecified.
-func (s *procStore) take(dim int) tensor.Vector {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	free := s.vecs[dim]
-	if len(free) == 0 {
-		return tensor.NewVector(dim)
-	}
-	s.vecs[dim], s.idle = free[:len(free)-1], s.idle-8*dim
-	return free[len(free)-1]
-}
-
-// put returns borrowed vectors that their borrower reads no more.
-func (s *procStore) put(vs ...tensor.Vector) {
-	s.mu.Lock()
-	for _, v := range vs {
-		if s.idle+8*len(v) <= storeIdleMax {
-			s.vecs[len(v)] = append(s.vecs[len(v)], v)
-			s.idle += 8 * len(v)
-		}
-	}
-	s.mu.Unlock()
-}
-
-// buf borrows an empty send buffer (nil when none is idle).
-func (s *procStore) buf() []byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.bufs) == 0 {
-		return nil
-	}
-	b := s.bufs[len(s.bufs)-1]
-	s.bufs, s.idle = s.bufs[:len(s.bufs)-1], s.idle-cap(b)
-	return b
-}
-
-// putBuf gives back a buffer buf lent, however it grew.
-func (s *procStore) putBuf(b []byte) {
-	s.mu.Lock()
-	if s.idle+cap(b) <= storeIdleMax {
-		s.bufs, s.idle = append(s.bufs, b[:0]), s.idle+cap(b)
-	}
-	s.mu.Unlock()
 }
 
 // publish records that payload decodes against ref to global, evicting the
@@ -376,7 +301,7 @@ func newEngine(cfg Config, ccfg core.Config) (*Engine, error) {
 	}
 	e.global = e.sh.init
 	e.dim = len(e.global)
-	e.pool = store.pool(sizes)
+	e.pool = step.Store.Pool(sizes)
 	if e.isRoot || len(e.led) > 0 {
 		obs := step.NewObserver(ccfg.Telemetry, "node", len(tree.Clusters), ccfg.OnFilter, nil)
 		e.st = step.NewStepper(obs, max(ccfg.Workers, 1), e.pool, true)
@@ -417,14 +342,14 @@ func (e *Engine) inboundPerRound() int {
 // roundVec borrows a dim-sized vector, contents unspecified, that is the
 // caller's until the next giveBack.
 func (e *Engine) roundVec() tensor.Vector {
-	v := store.take(e.dim)
+	v := step.Store.Take(e.dim)
 	e.lent = append(e.lent, v)
 	return v
 }
 
 // giveBack returns every vector roundVec lent to the store.
 func (e *Engine) giveBack() {
-	store.put(e.lent...)
+	step.Store.Put(e.lent...)
 	e.lent = e.lent[:0]
 }
 

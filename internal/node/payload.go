@@ -8,6 +8,7 @@ import (
 	"slices"
 
 	"abdhfl/internal/codec"
+	"abdhfl/internal/step"
 	"abdhfl/internal/tensor"
 )
 
@@ -67,11 +68,11 @@ func (e *Engine) transcodeLocal(v tensor.Vector) error {
 	if e.cdc == nil {
 		return nil
 	}
-	b, err := e.appendModel(store.buf(), v)
+	b, err := e.appendModel(step.Store.Buf(), v)
 	if err == nil {
 		err = e.decodeModel(v, b)
 	}
-	store.putBuf(b)
+	step.Store.PutBuf(b)
 	return err
 }
 
@@ -83,7 +84,7 @@ func (e *Engine) transcodeLocal(v tensor.Vector) error {
 // encodePartial frames the partial model agg, codec-encoded, with its
 // subtree audits, in a send buffer borrowed from the store.
 func (e *Engine) encodePartial(agg tensor.Vector, audits []WireAudit) ([]byte, error) {
-	out, err := e.appendModel(append(store.buf(), 0, 0, 0, 0), agg)
+	out, err := e.appendModel(append(step.Store.Buf(), 0, 0, 0, 0), agg)
 	if err != nil {
 		return nil, err
 	}

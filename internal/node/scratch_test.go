@@ -16,7 +16,7 @@ import (
 	"abdhfl/internal/fault"
 	"abdhfl/internal/nn"
 	"abdhfl/internal/rng"
-	"abdhfl/internal/tensor"
+	"abdhfl/internal/step"
 	"abdhfl/internal/testenv"
 	"abdhfl/internal/transport"
 )
@@ -227,38 +227,26 @@ const loopbackGlobalWait = 8 * time.Second
 
 // TestRoundScratchDeadAtRoundEnd is the lifetime claim the process store
 // rests on: every vector, send buffer and model it holds idle is dead — no
-// engine reads it again before it borrows it anew. A 3-round run whose
-// engines overwrite all of them at each of their round ends — while other
-// engines are mid-round, so a vector read after it went back poisons a
-// model, or shows as a race under -race — must report exactly what the
-// untouched run reports, node by node: final model, curve, σ-accounting,
-// audits, stalls. Under the store's lock the poison NaN-fills every idle
-// vector, fills every idle send buffer with 0xff, and borrows the run's
-// model pool empty: it takes scratches until the pool builds a fresh one
-// (all-zero, where every used one holds a model's parameters), NaN-fills
-// each taken model, trains it with momentum and weight decay so its
-// activations, gradients and momentum turn NaN too, and puts it back.
-// Delta-int8 makes every decode read the previous global and ABA adds the
-// proposal vectors; the drop+duplicate plan adds starved clusters, silent
-// ballots and rounds that take fewer vectors than the round before. The
-// clean run is tied to RunHFL, the golden the sharing must not move.
+// engine reads or writes it again before it borrows it anew. A 3-round run
+// under the store's quarantine, which NaN-fills every vector and 0xff-fills
+// every send buffer the moment it is given back and never lends either
+// again, must report exactly what the untouched run reports, node by node:
+// final model, curve, σ-accounting, audits, stalls; and every value it
+// retired must still hold its poison at the end. The model pool is nn's and
+// outside the quarantine, so it is poisoned at each engine's round end,
+// while other engines are mid-round: the poison borrows the pool empty — it
+// takes scratches until the pool builds a fresh one (all-zero, where every
+// used one holds a model's parameters), NaN-fills each taken model, trains
+// it with momentum and weight decay so its activations, gradients and
+// momentum turn NaN too, and puts it back. Delta-int8 makes every decode
+// read the previous global and ABA adds the proposal vectors; the
+// drop+duplicate plan adds starved clusters, silent ballots and rounds that
+// take fewer vectors than the round before. The clean run is tied to
+// RunHFL, the golden the sharing must not move.
 func TestRoundScratchDeadAtRoundEnd(t *testing.T) {
 	s := testScenario("delta-int8")
 	s.TopProtocol = "aba"
-	poison := func(e *Engine) {
-		store.mu.Lock()
-		defer store.mu.Unlock()
-		for _, vs := range store.vecs {
-			for _, v := range vs {
-				fillNaN(v)
-			}
-		}
-		for _, b := range store.bufs {
-			b = b[:cap(b)]
-			for i := range b {
-				b[i] = 0xff
-			}
-		}
+	poisonModels := func(e *Engine) {
 		var taken []*nn.EvalScratch
 		for {
 			s := e.pool.Get()
@@ -285,7 +273,13 @@ func TestRoundScratchDeadAtRoundEnd(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			want := loopbackRun{plan: tc.plan}.run(t, build(t, s), s.Seed)
-			got := loopbackRun{plan: tc.plan, atRoundEnd: poison}.run(t, build(t, s), s.Seed)
+			end := step.Store.Quarantine()
+			t.Cleanup(func() {
+				if !end() {
+					t.Error("a vector or send buffer was written, or given back again, after it went back to the store")
+				}
+			})
+			got := loopbackRun{plan: tc.plan, atRoundEnd: poisonModels}.run(t, build(t, s), s.Seed)
 			for id := range want {
 				if !reflect.DeepEqual(want[id], got[id]) {
 					t.Errorf("node %d reports differently once dead scratch is poisoned:\nwant %+v\ngot  %+v", id, want[id], got[id])
@@ -324,23 +318,13 @@ func freshModel(m *nn.Model) bool {
 	return true
 }
 
-// emptyStore drops every vector and send buffer the process store holds
-// idle; its model pools stay.
-func emptyStore() {
-	store.mu.Lock()
-	store.vecs, store.bufs, store.idle = map[int][]tensor.Vector{}, nil, 0
-	store.mu.Unlock()
-}
-
 // TestStoreServesTwoShapes runs two loopback clusters of different model
 // shapes (hidden layers 32 and 16, so two dims) at once in one process, on
 // the one store: each run's every node must hold its own RunHFL's final
-// model, and its root RunHFL's curve and σ-accounting. Afterwards the
-// store's idle bytes are within the bound, every idle vector has one of the
-// two dims, and the idle count matches what the lists hold. Run it with
-// -race too.
+// model, and its root RunHFL's curve and σ-accounting. The store's own
+// bookkeeping under concurrent borrowers of two dims is step's
+// TestStoreTwoDimsConcurrently. Run it with -race too.
 func TestStoreServesTwoShapes(t *testing.T) {
-	emptyStore()
 	s := testScenario("delta-int8")
 	hidden := [][]int{{32}, {16}}
 	results := make([][]*Result, len(hidden))
@@ -377,50 +361,5 @@ func TestStoreServesTwoShapes(t *testing.T) {
 	}
 	if len(dims) != 2 {
 		t.Fatalf("the two shapes share a dim: %v", dims)
-	}
-	store.mu.Lock()
-	defer store.mu.Unlock()
-	held := 0
-	for dim, vs := range store.vecs {
-		for _, v := range vs {
-			if !dims[len(v)] || len(v) != dim {
-				t.Errorf("idle vector of dim %d on the dim-%d list; the runs' dims are %v", len(v), dim, dims)
-			}
-			held += 8 * len(v)
-		}
-	}
-	for _, b := range store.bufs {
-		held += cap(b)
-	}
-	if store.idle != held || store.idle > storeIdleMax {
-		t.Errorf("store idle count %d, lists hold %d bytes, bound %d", store.idle, held, storeIdleMax)
-	}
-}
-
-// TestStoreIdleBounded fills the store past its idle bound: the vectors and
-// send buffers put beyond it are dropped, and a take makes room for one
-// more put.
-func TestStoreIdleBounded(t *testing.T) {
-	emptyStore()
-	defer emptyStore()
-	const dim = 2410
-	fit := storeIdleMax / (8 * dim)
-	vs := make([]tensor.Vector, fit+3)
-	for i := range vs {
-		vs[i] = store.take(dim)
-	}
-	store.put(vs...)
-	store.putBuf(make([]byte, 0, 8*dim))
-	if n := len(store.vecs[dim]); n != fit || store.idle != 8*dim*fit || len(store.bufs) != 0 {
-		t.Fatalf("after putting %d vectors and a buffer: %d vectors, %d buffers, %d idle bytes; want %d, 0 and %d", fit+3, n, len(store.bufs), store.idle, fit, 8*dim*fit)
-	}
-	store.put(vs[fit])
-	if n := len(store.vecs[dim]); n != fit {
-		t.Errorf("a put past the bound was kept: %d vectors", n)
-	}
-	store.take(dim)
-	store.putBuf(make([]byte, 0, 8*dim))
-	if len(store.bufs) != 1 || store.idle != 8*dim*fit {
-		t.Errorf("after a take and a buffer put: %d buffers, %d idle bytes; want 1 and %d", len(store.bufs), store.idle, 8*dim*fit)
 	}
 }

@@ -53,11 +53,10 @@ func (m msgGlobal) TraceRound() int  { return m.round }
 
 // engine wires the actors together and accumulates statistics.
 type engine struct {
-	cfg   Config
-	tree  *topology.Tree
-	sim   *simnet.Sim
-	root  *rng.RNG
-	sizes []int
+	cfg  Config
+	tree *topology.Tree
+	sim  *simnet.Sim
+	root *rng.RNG
 
 	deviceLeader []simnet.NodeID // device id -> bottom cluster actor id
 	clusterNode  [][]simnet.NodeID
@@ -70,15 +69,14 @@ type engine struct {
 	firstPartial map[int]simnet.Time
 	globalReady  map[int]simnet.Time
 
-	result    *Result
-	evalModel *nn.Model
-	workers   int
+	result  *Result
+	workers int
 	// st is shared by every cluster's step, the top's included: every step
 	// runs on the event loop (discrete events run one at a time; only local
 	// training leaves it, see pool), so one warm stepper serves all actors
-	// without contention. Every step's destination comes from the free list
-	// (take). A step that fails drops its cluster's round; obs counts it and
-	// keeps the first error for Result.StepError.
+	// without contention. Every step's destination comes from the process
+	// store (take). A step that fails drops its cluster's round; obs counts
+	// it and keeps the first error for Result.StepError.
 	st  *step.Stepper
 	obs *step.Observer
 	// ins holds the run's telemetry handles; nil (and every call a no-op)
@@ -112,43 +110,24 @@ type engine struct {
 	tr            *trace.Tracer
 	deviceCluster []int
 	roundStart    map[int]simnet.Time
-	// pool trains devices off the event loop. free holds model vectors (dim
-	// elements) that nothing reads any more, for the next training or step
-	// to fill; only the event loop touches it (take, recycle).
-	pool trainPool
-	free []tensor.Vector
-	dim  int
+	// pool trains devices off the event loop; models is the process
+	// store's model pool of the run's shape, which the training workers,
+	// the evaluation model and the stepper's validators borrow from.
+	pool   trainPool
+	models *nn.EvalPool
+	dim    int
 }
 
-// poisonRecycled makes recycle fill every vector it frees with NaN, so a
-// test can show that no freed vector is read again — such a read would
-// carry the NaN into the model. Only tests set it.
-var poisonRecycled bool
+// take borrows a model vector from the process store for a training or a
+// step to overwrite.
+func (e *engine) take() tensor.Vector { return step.Store.Take(e.dim) }
 
-// take returns a model vector for a training or a step to overwrite: the
-// most recently freed one, else a fresh one.
-func (e *engine) take() tensor.Vector {
-	n := len(e.free)
-	if n == 0 {
-		return tensor.NewVector(e.dim)
-	}
-	v := e.free[n-1]
-	e.free = e.free[:n-1]
-	return v
-}
-
-// recycle frees vectors whose last reader is done with them. A model vector
-// is sent once, to one collector, unless it is a flag or a global (see
-// clusterActor.recycles), so the collector's step is its last read: a
-// duplicated or late delivery of it is dropped unread.
-func (e *engine) recycle(vs ...tensor.Vector) {
-	if poisonRecycled {
-		for _, v := range vs {
-			tensor.Fill(v, math.NaN())
-		}
-	}
-	e.free = append(e.free, vs...)
-}
+// recycle gives vectors back to the store at their last read (step.Store
+// states the rule). A model vector is sent once, to one collector, unless
+// it is a flag or a global (see clusterActor.recycles), so the collector's
+// step is its last read: a duplicated or late delivery of it is dropped
+// unread.
+func (e *engine) recycle(vs ...tensor.Vector) { step.Store.Put(vs...) }
 
 // Hop indices of the per-hop wire-byte counters.
 const (
@@ -633,8 +612,10 @@ func (e *engine) evaluate(round int, now simnet.Time, global tensor.Vector) {
 	if (round+1)%every != 0 && round != e.cfg.Rounds-1 {
 		return
 	}
-	e.evalModel.SetParams(global)
-	acc := nn.AccuracyWorkers(e.evalModel, e.cfg.TestData, e.workers)
+	ev := e.models.Get()
+	ev.Model.SetParams(global)
+	acc := nn.AccuracyWorkers(ev.Model, e.cfg.TestData, e.workers)
+	e.models.Put(ev)
 	e.ins.evalDone(acc)
 	e.result.Curve = append(e.result.Curve, RoundAccuracy{Round: round + 1, Time: now, Accuracy: acc})
 }
@@ -666,17 +647,16 @@ func Run(cfg Config) (*Result, error) {
 	// reference; each formed global replaces it.
 	init := nn.InitParamsInto(nil, root.Derive("init"), sizes...)
 	e := &engine{
-		cfg:       cfg,
-		tree:      tree,
-		sim:       sim,
-		root:      root,
-		sizes:     sizes,
-		result:    &Result{},
-		alpha:     cfg.Alpha,
-		evalModel: nn.NewShaped(sizes...),
-		workers:   cfg.Workers,
-		lastRef:   init,
-		dim:       len(init),
+		cfg:     cfg,
+		tree:    tree,
+		sim:     sim,
+		root:    root,
+		result:  &Result{},
+		alpha:   cfg.Alpha,
+		workers: cfg.Workers,
+		lastRef: init,
+		models:  step.Store.Pool(sizes),
+		dim:     len(init),
 	}
 	e.plan = cfg.Faults
 	e.faulty = cfg.Faults.Enabled()
@@ -690,7 +670,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	e.ins = newInstruments(cfg.Telemetry, cfg.Codec, len(init))
 	e.obs = step.NewObserver(cfg.Telemetry, "pipeline", tree.Depth(), cfg.OnFilter, cfg.Trace)
-	e.st = step.NewStepper(e.obs, cfg.Workers, nn.NewEvalPool(sizes...), false)
+	e.st = step.NewStepper(e.obs, cfg.Workers, e.models, false)
 	e.tr = cfg.Trace
 	e.roundStart = map[int]simnet.Time{}
 	if cfg.Flight != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -12,8 +13,10 @@ import (
 	"abdhfl/internal/codec"
 	"abdhfl/internal/consensus"
 	"abdhfl/internal/fault"
+	"abdhfl/internal/nn"
 	"abdhfl/internal/step"
 	"abdhfl/internal/telemetry"
+	"abdhfl/internal/tensor"
 	"abdhfl/internal/trace"
 )
 
@@ -224,15 +227,51 @@ func TestPipelineResultPinned(t *testing.T) {
 	}
 }
 
-// TestFreedVectorsAreNeverReadAgain: with every vector the engine frees
-// overwritten with NaN, each pinned run still produces its pinned bits. So
-// no upload, partial or failed step's destination is read once it is freed,
-// no flag or global is freed, and every training and step overwrites the
-// whole vector take hands it.
+// TestFreedVectorsAreNeverReadAgain: under the store's quarantine, which
+// NaN-fills every vector the engine gives back and never lends it again,
+// each pinned run still produces its pinned bits, and nothing given back is
+// written again. So no upload, partial or failed step's destination is read
+// or written once it is freed, and no flag or global is freed.
 func TestFreedVectorsAreNeverReadAgain(t *testing.T) {
-	poisonRecycled = true
-	defer func() { poisonRecycled = false }()
+	end := step.Store.Quarantine()
+	t.Cleanup(func() {
+		if !end() {
+			t.Error("a vector was written, or given back again, after it went back to the store")
+		}
+	})
 	for arm, pin := range resultPins {
 		t.Run(pin.name, func(t *testing.T) { checkResultPin(t, arm, 3) })
+	}
+}
+
+// TestStoreCannotLeakIntoResults: started on a process store of NaN
+// vectors of the model's dim, each pinned run still produces its pinned
+// bits, so every training and step overwrites the whole vector it borrows;
+// and a Result's FinalParams is the caller's, left bit for bit as it was by
+// the runs after it.
+func TestStoreCannotLeakIntoResults(t *testing.T) {
+	var first *Result
+	var kept tensor.Vector
+	for arm, pin := range resultPins {
+		t.Run(pin.name, func(t *testing.T) {
+			cfg := buildConfig(t, 3, 3, 4, 4, 1, 5)
+			dim := nn.NewShaped(step.ModelSizes(cfg.Hidden)...).NumParams()
+			vs := make([]tensor.Vector, 256)
+			for i := range vs {
+				vs[i] = tensor.Fill(step.Store.Take(dim), math.NaN())
+			}
+			step.Store.Put(vs...)
+			checkResultPin(t, arm, 3)
+			if first == nil {
+				var err error
+				if first, err = Run(cfg); err != nil {
+					t.Fatal(err)
+				}
+				kept = slices.Clone(first.FinalParams)
+			}
+		})
+	}
+	if first != nil && !slices.EqualFunc(kept, first.FinalParams, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+		t.Error("a later run wrote an earlier run's FinalParams")
 	}
 }

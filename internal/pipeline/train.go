@@ -21,7 +21,7 @@ type trainJob struct {
 }
 
 // trainPool runs local SGD off the event loop on a fixed set of goroutines,
-// each owning one model and workspace (Workspace re-zeroes momentum per call,
+// each borrowing one model and workspace from the store for the run (Workspace re-zeroes momentum per call,
 // so sharing them across devices is bit-identical to one pair per device).
 type trainPool struct {
 	jobs chan trainJob
@@ -36,8 +36,9 @@ func (e *engine) startTraining(workers, devices int) {
 		e.pool.wg.Add(1)
 		go func() {
 			defer e.pool.wg.Done()
-			m := nn.NewShaped(e.sizes...)
-			ws := nn.NewWorkspace(m)
+			sc := e.models.Get()
+			defer e.models.Put(sc)
+			m, ws := sc.Model, sc.WS
 			for j := range e.pool.jobs {
 				m.SetParams(j.start)
 				// The SGD stream is derived exactly as in core.RunHFL (root ->
