@@ -158,15 +158,18 @@ profile-train:
 	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=25 .bench_build/train.test .bench_build/train.mem
 
 # profile-pipeline prints where pipeline_round-shaped RunPipeline calls
-# allocate their bytes (the alloc-budget test's four runs and its one Build,
-# every allocation sampled), then a CPU and a block profile of the same shape
-# (every blocking event sampled): the CPU top says what the training workers
-# and the event loop compute, the block top how long the loop waits to join a
-# training (chanrecv under deviceActor.finish) and the workers wait for a job
-# (under startTraining), so the overlap is read rather than guessed.
+# allocate their bytes (40 runs of BenchmarkTrainShapes/pipeline_round,
+# every allocation sampled: the process store makes the first run pay for
+# what later runs reuse, and Build, which runs once, shows as
+# dataset.Sample, so only many runs show the steady state), then a CPU and
+# a block profile of the same shape (every blocking event sampled): the CPU
+# top says what the training workers and the event loop compute, the block
+# top how long the loop waits to join a training (chanrecv under
+# deviceActor.finish) and the workers wait for a job (under startTraining),
+# so the overlap is read rather than guessed.
 profile-pipeline:
 	mkdir -p .bench_build
-	$(GO) test -count=1 -run TestRunPipelineAllocBudget -memprofile pipeline.mem -memprofilerate 1 -outputdir .bench_build -o .bench_build/pipeline.test .
+	$(GO) test -count=1 -run '^$$' -bench 'TrainShapes/pipeline_round' -benchtime 40x -memprofile pipeline.mem -memprofilerate 1 -outputdir .bench_build -o .bench_build/pipeline.test .
 	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=25 .bench_build/pipeline.test .bench_build/pipeline.mem
 	$(GO) test -count=1 -run '^$$' -bench 'TrainShapes/pipeline_round' -benchtime 3s -cpuprofile pipeline.cpu -blockprofile pipeline.block -blockprofilerate 1 -outputdir .bench_build -o .bench_build/pipeline.test .
 	$(GO) tool pprof -top -nodecount=25 .bench_build/pipeline.test .bench_build/pipeline.cpu

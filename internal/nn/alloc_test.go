@@ -288,22 +288,26 @@ func TestSGDWSOnDirtyScratchMatchesFresh(t *testing.T) {
 // TestEvalPoolSurvivesCollection: a scratch put back is still there after
 // garbage collections, so the next Get hands it out again and builds
 // nothing. A sync.Pool drops its contents at a collection and would build a
-// new model and workspace here.
+// new model and workspace here. The "builds nothing" half is counted over
+// many collect-then-Get cycles, whose average a stray allocation elsewhere
+// in the process does not move off zero, as one model build does.
 func TestEvalPoolSurvivesCollection(t *testing.T) {
 	p := NewEvalPool(dataset.Dim, 32, dataset.NumClasses)
 	s := p.Get()
 	p.Put(s)
 	runtime.GC()
 	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	got := p.Get()
-	runtime.ReadMemStats(&after)
-	if n := after.Mallocs - before.Mallocs; n > 0 {
-		t.Errorf("Get after two collections allocates %d objects, want 0", n)
-	}
-	if got != s {
+	if got := p.Get(); got != s {
 		t.Errorf("Get after two collections returned a new scratch, want the one put back")
+	}
+	p.Put(s)
+	allocs := testing.AllocsPerRun(50, func() {
+		runtime.GC()
+		runtime.GC()
+		p.Put(p.Get())
+	})
+	if allocs > 0 {
+		t.Errorf("Get after two collections allocates %.0f objects, want 0", allocs)
 	}
 }
 
@@ -315,4 +319,56 @@ func TestEvalPoolCycleAllocationFree(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { p.Put(p.Get()) }); allocs > 0 {
 		t.Fatalf("EvalPool Get/Put allocates %.1f objects per cycle, want 0", allocs)
 	}
+}
+
+// TestEvaluationOnPooledModelMatchesFresh: a model an EvalPool built
+// evaluates on workspaces borrowed from that pool. Whatever those
+// workspaces held before (here another model's evaluation, then NaN in every
+// activation), Evaluate, AccuracyWorkers and LossWorkers return the same
+// bits as on a fresh model for every worker count, and on a warm pool a
+// serial evaluation builds no workspace.
+func TestEvaluationOnPooledModelMatchesFresh(t *testing.T) {
+	sizes := []int{dataset.Dim, 16, dataset.NumClasses}
+	d := dataset.Generate(rng.New(2), 3*evalChunkSize+17, dataset.DefaultGen())
+	params := New(rng.New(1), sizes...).Params()
+	fresh := NewShaped(sizes...)
+	fresh.SetParams(params)
+	wantAcc, wantLoss := Evaluate(fresh, d, 1)
+
+	p := NewEvalPool(sizes...)
+	var dirty []*EvalScratch
+	for range 8 {
+		dirty = append(dirty, p.Get())
+	}
+	for i, s := range dirty {
+		s.Model.SetParams(New(rng.New(uint64(10+i)), sizes...).Params())
+		EvaluateWS(s.Model, s.WS, d)
+		for _, acts := range s.WS.acts {
+			for _, a := range acts {
+				tensor.Fill(a, math.NaN())
+			}
+		}
+		tensor.Fill(s.WS.back, math.NaN())
+		p.Put(s)
+	}
+	ev := p.Get()
+	ev.Model.SetParams(params)
+	for _, workers := range []int{1, 2, 3, 8} {
+		if acc, loss := Evaluate(ev.Model, d, workers); acc != wantAcc || loss != wantLoss {
+			t.Errorf("Evaluate with %d workers = (%v, %v), fresh model = (%v, %v)", workers, acc, loss, wantAcc, wantLoss)
+		}
+		if acc := AccuracyWorkers(ev.Model, d, workers); acc != wantAcc {
+			t.Errorf("AccuracyWorkers with %d workers = %v, fresh model = %v", workers, acc, wantAcc)
+		}
+		if loss := LossWorkers(ev.Model, d, workers); loss != wantLoss {
+			t.Errorf("LossWorkers with %d workers = %v, fresh model = %v", workers, loss, wantLoss)
+		}
+	}
+	pooled := testing.AllocsPerRun(20, func() { Evaluate(ev.Model, d, 1) })
+	unpooled := testing.AllocsPerRun(20, func() { Evaluate(fresh, d, 1) })
+	ws := testing.AllocsPerRun(20, func() { NewWorkspace(fresh) })
+	if pooled > unpooled-ws {
+		t.Errorf("serial Evaluate on a pooled model allocates %.0f objects, on a fresh model %.0f; want a workspace's %.0f fewer", pooled, unpooled, ws)
+	}
+	p.Put(ev)
 }

@@ -162,11 +162,28 @@ func evalRange(m *Model, ws *Workspace, d *dataset.Dataset, lo, hi int) (int, fl
 	return correct, total
 }
 
+// borrowWS lends a workspace shaped for m: a scratch of the pool that built
+// m, so a warm pool evaluates without building one, or a new workspace for a
+// model no pool built. returnWS gives it back. No result depends on which:
+// the forward pass overwrites every activation it reads.
+func borrowWS(m *Model) *EvalScratch {
+	if m.pool != nil {
+		return m.pool.Get()
+	}
+	return &EvalScratch{WS: NewWorkspace(m)}
+}
+
+func returnWS(m *Model, s *EvalScratch) {
+	if m.pool != nil {
+		m.pool.Put(s)
+	}
+}
+
 // forEachChunk splits [0, n) into evalChunkSize chunks, runs kernel over
-// them on up to `workers` goroutines (each with its own m-shaped workspace),
-// and reduces the per-chunk results IN CHUNK ORDER via combine — the source
-// of worker-count independence. The single-worker case runs inline with no
-// goroutines.
+// them on up to `workers` goroutines (each with its own m-shaped workspace,
+// borrowed by borrowWS), and reduces the per-chunk results IN CHUNK ORDER
+// via combine — the source of worker-count independence. The single-worker
+// case runs inline with no goroutines.
 func forEachChunk(m *Model, n, workers int, kernel func(ws *Workspace, lo, hi int) (int, float64), combine func(int, float64)) {
 	chunks := (n + evalChunkSize - 1) / evalChunkSize
 	workers = tensor.ResolveWorkers(workers)
@@ -174,16 +191,17 @@ func forEachChunk(m *Model, n, workers int, kernel func(ws *Workspace, lo, hi in
 		workers = chunks
 	}
 	if workers <= 1 {
-		ws := NewWorkspace(m)
+		s := borrowWS(m)
 		for c := 0; c < chunks; c++ {
 			lo := c * evalChunkSize
 			hi := lo + evalChunkSize
 			if hi > n {
 				hi = n
 			}
-			ci, cf := kernel(ws, lo, hi)
+			ci, cf := kernel(s.WS, lo, hi)
 			combine(ci, cf)
 		}
+		returnWS(m, s)
 		return
 	}
 	counts := make([]int, chunks)
@@ -194,10 +212,11 @@ func forEachChunk(m *Model, n, workers int, kernel func(ws *Workspace, lo, hi in
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ws := NewWorkspace(m)
+			s := borrowWS(m)
 			for {
 				c := int(next.Add(1)) - 1
 				if c >= chunks {
+					returnWS(m, s)
 					return
 				}
 				lo := c * evalChunkSize
@@ -205,7 +224,7 @@ func forEachChunk(m *Model, n, workers int, kernel func(ws *Workspace, lo, hi in
 				if hi > n {
 					hi = n
 				}
-				counts[c], sums[c] = kernel(ws, lo, hi)
+				counts[c], sums[c] = kernel(s.WS, lo, hi)
 			}
 		}()
 	}

@@ -19,6 +19,9 @@ type Model struct {
 	Sizes   []int // layer widths, input first
 	Weights []*tensor.Matrix
 	Biases  []tensor.Vector
+	// pool is the EvalPool that built the model, nil for any other:
+	// Evaluate, AccuracyWorkers and LossWorkers borrow their workspaces there.
+	pool *EvalPool
 }
 
 // New constructs a model with the given layer sizes and He-initialised

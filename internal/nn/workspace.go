@@ -235,6 +235,7 @@ func (p *EvalPool) Get() *EvalScratch {
 		return s
 	}
 	m := NewShaped(p.shape...)
+	m.pool = p
 	return &EvalScratch{Model: m, WS: NewWorkspace(m)}
 }
 

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"abdhfl/internal/codec"
@@ -116,6 +117,12 @@ type engine struct {
 	pool   trainPool
 	models *nn.EvalPool
 	dim    int
+	// held lists what the run took from the store and reads until it ends:
+	// the initial model, every flag-level partial and every global (each a
+	// start model or a merge input of devices, whenever they get to it).
+	// giveBack returns them once the training workers are joined.
+	held []tensor.Vector
+	devs []*deviceActor
 }
 
 // take borrows a model vector from the process store for a training or a
@@ -124,10 +131,29 @@ func (e *engine) take() tensor.Vector { return step.Store.Take(e.dim) }
 
 // recycle gives vectors back to the store at their last read (step.Store
 // states the rule). A model vector is sent once, to one collector, unless
-// it is a flag or a global (see clusterActor.recycles), so the collector's
-// step is its last read: a duplicated or late delivery of it is dropped
-// unread.
+// it is a flag or a global (see clusterActor.recycles; those are held), so
+// the collector's step is its last read: a duplicated or late delivery of it
+// is dropped unread.
 func (e *engine) recycle(vs ...tensor.Vector) { step.Store.Put(vs...) }
+
+// giveBack ends the run's hold on the store, after stopTraining: it gives
+// back every held vector but res's FinalParams, which is the caller's (res
+// is nil on an error return), and every upload a worker left in its device's
+// slot that nobody joined.
+func (e *engine) giveBack(res *Result) {
+	for _, d := range e.devs {
+		select {
+		case v := <-d.trained:
+			e.recycle(v)
+		default:
+		}
+	}
+	if res != nil && res.FinalParams != nil {
+		final := &res.FinalParams[0]
+		e.held = slices.DeleteFunc(e.held, func(v tensor.Vector) bool { return &v[0] == final })
+	}
+	e.recycle(e.held...)
+}
 
 // Hop indices of the per-hop wire-byte counters.
 const (
@@ -318,28 +344,62 @@ func (d *deviceActor) finish(ctx *simnet.Context, round int, startParams tensor.
 // server above it) runs the same collect, and its step forms and
 // disseminates the global model instead (Alg. 6).
 type clusterActor struct {
-	e         *engine
-	cluster   *topology.Cluster
-	parent    simnet.NodeID   // unset at the top
-	children  []simnet.NodeID // child cluster actors, or member devices at the bottom
-	collected map[int][]tensor.Vector
-	// collectedIDs tracks, in lockstep with collected, each input's
-	// contributor id (device id at the bottom, child-cluster leader id
-	// above) so filter audits can name who was kept or discarded. Only
-	// maintained when the stepper records verdicts.
-	collectedIDs map[int][]int
-	// seen deduplicates contributions per round: the fault layer can
-	// duplicate messages, and a duplicated upload must never count twice
-	// toward the quorum.
-	seen   map[int]map[int]bool
-	closed map[int]bool
-	// armed tracks rounds whose collect deadline is already scheduled.
-	armed    map[int]bool
+	e        *engine
+	cluster  *topology.Cluster
+	parent   simnet.NodeID   // unset at the top
+	children []simnet.NodeID // child cluster actors, or member devices at the bottom
+	// marks holds each round's markArmed and markClosed bits. open holds
+	// the rounds collecting now; spare holds collections whose step has
+	// run, which the next round to open reuses.
+	marks    []uint8
+	open     []*collection
+	spare    []*collection
 	isBottom bool
 	// recycles reports that this leader's step is its inputs' last read:
 	// uploads, and partials of a level that is not the flag level (a flag
 	// partial is also every device's start model below it).
 	recycles bool
+	// relSize is the fraction of all devices under a flag-level cluster,
+	// carried by its flags.
+	relSize float64
+}
+
+// Per-round marks of a cluster leader.
+const (
+	markArmed  uint8 = 1 << iota // the round's collect deadline is scheduled
+	markClosed                   // the round's collection is closed
+)
+
+// collection is one round's collect at a leader. vecs holds the inputs in
+// arrival order; ids, in lockstep, each input's contributor id (device id
+// at the bottom, child-cluster leader id above) so filter audits can name
+// who was kept or discarded, kept only when the stepper records verdicts.
+// seen marks the children already counted, by position in children: the
+// fault layer can duplicate messages, and a duplicated upload must never
+// count twice toward the quorum.
+type collection struct {
+	round int
+	vecs  []tensor.Vector
+	ids   []int
+	seen  []bool
+}
+
+// collecting returns round's open collection, nil if it has none.
+func (a *clusterActor) collecting(round int) *collection {
+	for _, c := range a.open {
+		if c.round == round {
+			return c
+		}
+	}
+	return nil
+}
+
+// collected returns how many inputs round's collection holds.
+func (a *clusterActor) collected(round int) int {
+	if c := a.collecting(round); c != nil {
+		return len(c.vecs)
+	}
+	return 0
 }
 
 // failed reports whether this cluster's leader is fault-planned down for
@@ -373,7 +433,7 @@ func (a *clusterActor) OnMessage(ctx *simnet.Context, msg simnet.Message) {
 			}
 		}
 		for _, ch := range a.children {
-			ctx.SendVolume(ch, m, e.volume(hopFlag, len(m.params)))
+			ctx.SendVolume(ch, msg.Payload, e.volume(hopFlag, len(m.params)))
 		}
 		// A forwarded flag is proof that round m.round is starting below:
 		// under faults, arm the collect deadline now so the round cannot
@@ -390,7 +450,7 @@ func (a *clusterActor) OnMessage(ctx *simnet.Context, msg simnet.Message) {
 			}
 		}
 		for _, ch := range a.children {
-			ctx.SendVolume(ch, m, e.volume(hopGlobal, len(m.params)))
+			ctx.SendVolume(ch, msg.Payload, e.volume(hopGlobal, len(m.params)))
 		}
 	}
 }
@@ -405,10 +465,10 @@ func (a *clusterActor) armCollect(ctx *simnet.Context, round, attempt int) {
 		return
 	}
 	if attempt == 0 {
-		if a.armed[round] || a.closed[round] {
+		if a.marks[round] != 0 {
 			return
 		}
-		a.armed[round] = true
+		a.marks[round] |= markArmed
 	}
 	d := e.cfg.CollectTimeout * math.Pow(e.backoff, float64(attempt))
 	ctx.After(simnet.Time(d), func(ctx *simnet.Context) { a.collectDeadline(ctx, round, attempt) })
@@ -419,10 +479,10 @@ func (a *clusterActor) armCollect(ctx *simnet.Context, round, attempt int) {
 // operation); an empty one re-arms, then abandons.
 func (a *clusterActor) collectDeadline(ctx *simnet.Context, round, attempt int) {
 	e := a.e
-	if a.closed[round] {
+	if a.marks[round]&markClosed != 0 {
 		return
 	}
-	if n := len(a.collected[round]); n > 0 {
+	if n := a.collected(round); n > 0 {
 		if n < e.quorumOf(a.cluster.Size()) {
 			e.subQuorum()
 		}
@@ -433,7 +493,7 @@ func (a *clusterActor) collectDeadline(ctx *simnet.Context, round, attempt int) 
 		a.armCollect(ctx, round, attempt+1)
 		return
 	}
-	a.closed[round] = true
+	a.marks[round] |= markClosed
 	e.abandoned()
 }
 
@@ -442,16 +502,22 @@ func (a *clusterActor) collectDeadline(ctx *simnet.Context, round, attempt int) 
 // below). sentAt is the hop's send time, kept only for span emission.
 func (a *clusterActor) receive(ctx *simnet.Context, round int, params tensor.Vector, from int, sentAt simnet.Time, child int) {
 	e := a.e
-	if a.closed[round] || round >= e.cfg.Rounds {
+	if round >= e.cfg.Rounds || a.marks[round]&markClosed != 0 {
 		return
 	}
-	if a.seen[round][from] {
+	sender := simnet.NodeID(from)
+	if child >= 0 {
+		sender = e.nodeOfCluster(a.cluster.Level+1, child)
+	}
+	c := a.collecting(round)
+	if c == nil {
+		c = a.openRound(round)
+	}
+	pos := slices.Index(a.children, sender)
+	if c.seen[pos] {
 		return // duplicate delivery of an already-counted contribution
 	}
-	if a.seen[round] == nil {
-		a.seen[round] = map[int]bool{}
-	}
-	a.seen[round][from] = true
+	c.seen[pos] = true
 	if child < 0 {
 		e.traceUplink(from, round, a.cluster.Level, a.cluster.Index, sentAt, ctx.Now(), len(params))
 	} else {
@@ -468,10 +534,10 @@ func (a *clusterActor) receive(ctx *simnet.Context, round int, params tensor.Vec
 			e.firstPartial[round] = ctx.Now()
 		}
 	}
-	first := len(a.collected[round]) == 0
-	a.collected[round] = append(a.collected[round], params)
+	first := len(c.vecs) == 0
+	c.vecs = append(c.vecs, params)
 	if e.st.Records() {
-		a.collectedIDs[round] = append(a.collectedIDs[round], from)
+		c.ids = append(c.ids, from)
 	}
 	if first && a.cluster.Level > 0 && e.cfg.CollectTimeout > 0 && !e.faulty {
 		// Algorithm 4's "until M >= φ*C or Timeout": arm the semi-synchronous
@@ -479,8 +545,8 @@ func (a *clusterActor) receive(ctx *simnet.Context, round int, params tensor.Vec
 		// flag forwarding instead, see armCollect; the top waits for its
 		// quorum.)
 		ctx.After(simnet.Time(e.cfg.CollectTimeout), func(ctx *simnet.Context) {
-			if !a.closed[round] && len(a.collected[round]) > 0 {
-				if len(a.collected[round]) < e.quorumOf(a.cluster.Size()) {
+			if n := a.collected(round); a.marks[round]&markClosed == 0 && n > 0 {
+				if n < e.quorumOf(a.cluster.Size()) {
 					e.subQuorum()
 				}
 				a.aggregateRound(ctx, round)
@@ -490,31 +556,45 @@ func (a *clusterActor) receive(ctx *simnet.Context, round int, params tensor.Vec
 	if first {
 		a.armCollect(ctx, round, 0)
 	}
-	if len(a.collected[round]) < e.quorumOf(a.cluster.Size()) {
+	if len(c.vecs) < e.quorumOf(a.cluster.Size()) {
 		return
 	}
 	a.aggregateRound(ctx, round)
+}
+
+// openRound opens round's collection, on a spare one if there is one.
+func (a *clusterActor) openRound(round int) *collection {
+	var c *collection
+	if n := len(a.spare); n > 0 {
+		c, a.spare = a.spare[n-1], a.spare[:n-1]
+	} else {
+		c = &collection{vecs: make([]tensor.Vector, 0, len(a.children)), seen: make([]bool, len(a.children))}
+	}
+	c.round = round
+	a.open = append(a.open, c)
+	return c
 }
 
 // aggregateRound closes the round's collection and aggregates whatever
 // arrived (quorum reached or timeout fired).
 func (a *clusterActor) aggregateRound(ctx *simnet.Context, round int) {
 	e := a.e
-	a.closed[round] = true
-	vecs := a.collected[round]
-	ids := a.collectedIDs[round]
-	delete(a.collected, round)
-	delete(a.collectedIDs, round)
-	delete(a.seen, round)
+	a.marks[round] |= markClosed
+	i := slices.IndexFunc(a.open, func(c *collection) bool { return c.round == round })
+	c := a.open[i]
+	a.open = slices.Delete(a.open, i, i+1)
 	closeAt := ctx.Now()
 	dur := e.aggDuration(a.cluster.Level, a.cluster.Index, round)
 	ctx.After(dur, func(ctx *simnet.Context) {
 		if !a.failed(round) {
-			a.step(ctx, round, vecs, ids, closeAt)
+			a.step(ctx, round, c.vecs, c.ids, closeAt)
 		}
 		if a.recycles {
-			e.recycle(vecs...)
+			e.recycle(c.vecs...)
 		}
+		c.vecs, c.ids = c.vecs[:0], c.ids[:0]
+		clear(c.seen)
+		a.spare = append(a.spare, c)
 	})
 }
 
@@ -543,27 +623,23 @@ func (a *clusterActor) step(ctx *simnet.Context, round int, vecs []tensor.Vector
 	e.transcodeHop(agg, e.lastRef)
 	ctx.SendVolume(a.parent, msgPartial{round: round, params: agg, child: a.cluster.Index}, e.volume(hopPartial, len(agg)))
 	if a.cluster.Level == e.cfg.FlagLevel {
-		flag := msgFlag{round: round + 1, params: agg, relSize: a.relSize()}
+		// Boxed once for the whole fan-out.
+		var flag any = msgFlag{round: round + 1, params: agg, relSize: a.relSize}
 		for _, ch := range a.children {
 			ctx.SendVolume(ch, flag, e.volume(hopFlag, len(agg)))
 		}
+		e.held = append(e.held, agg)
 		a.armCollect(ctx, round+1, 0)
 	}
-}
-
-// relSize is the fraction of all devices under this cluster.
-func (a *clusterActor) relSize() float64 {
-	leaves := len(a.e.tree.LeafDescendants(a.cluster.Level, a.cluster.Index))
-	return float64(leaves) / float64(a.e.tree.NumDevices())
 }
 
 // formGlobal is the top's step: it forms the global model (Alg. 6) and
 // disseminates it.
 func (a *clusterActor) formGlobal(ctx *simnet.Context, round int, vecs []tensor.Vector, ids []int) {
 	e := a.e
-	// The global is never freed: it is the next Delta reference, the run's
-	// final model, and devices merge it (and, at flag level 0, start from it)
-	// whenever it reaches them.
+	// The global is held to the run's end (engine.held): it is the next
+	// Delta reference, maybe the run's final model, and devices merge it
+	// (and, at flag level 0, start from it) whenever it reaches them.
 	dst := e.take()
 	in := step.Input{Round: round, Vecs: vecs, IDs: ids, Dst: dst}
 	if e.cfg.Global.IsCBA() {
@@ -582,14 +658,16 @@ func (a *clusterActor) formGlobal(ctx *simnet.Context, round int, vecs []tensor.
 	// decoded result becomes the reference for everything formed after it.
 	e.transcodeHop(global, e.lastRef)
 	e.lastRef = global
+	e.held = append(e.held, global)
 	e.result.FinalParams = global
 	e.evaluate(round, ctx.Now(), global)
-	gm := msgGlobal{round: round, params: global, formedAt: ctx.Now()}
+	var gm any = msgGlobal{round: round, params: global, formedAt: ctx.Now()}
 	for _, ch := range a.children {
 		ctx.SendVolume(ch, gm, e.volume(hopGlobal, len(global)))
 	}
 	if e.cfg.FlagLevel == 0 {
-		flag := msgFlag{round: round + 1, params: global, relSize: 1}
+		// The flag is the global, held once above.
+		var flag any = msgFlag{round: round + 1, params: global, relSize: 1}
 		for _, ch := range a.children {
 			ctx.SendVolume(ch, flag, e.volume(hopFlag, len(global)))
 		}
@@ -622,7 +700,7 @@ func (e *engine) evaluate(round int, now simnet.Time, global tensor.Vector) {
 
 // Run executes the asynchronous pipeline workflow and returns accuracy and
 // timing results.
-func Run(cfg Config) (*Result, error) {
+func Run(cfg Config) (res *Result, err error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -643,9 +721,13 @@ func Run(cfg Config) (*Result, error) {
 		sim.Fault = cfg.Faults
 	}
 	sizes := step.ModelSizes(cfg.Hidden)
+	models := step.Store.Pool(sizes)
+	sc := models.Get()
+	dim := sc.Model.NumParams()
+	models.Put(sc)
 	// Everyone bootstraps from the initial model, so it is the first Delta
 	// reference; each formed global replaces it.
-	init := nn.InitParamsInto(nil, root.Derive("init"), sizes...)
+	init := nn.InitParamsInto(step.Store.Take(dim), root.Derive("init"), sizes...)
 	e := &engine{
 		cfg:     cfg,
 		tree:    tree,
@@ -655,8 +737,9 @@ func Run(cfg Config) (*Result, error) {
 		alpha:   cfg.Alpha,
 		workers: cfg.Workers,
 		lastRef: init,
-		models:  step.Store.Pool(sizes),
-		dim:     len(init),
+		models:  models,
+		dim:     dim,
+		held:    []tensor.Vector{init},
 	}
 	e.plan = cfg.Faults
 	e.faulty = cfg.Faults.Enabled()
@@ -726,6 +809,7 @@ func Run(cfg Config) (*Result, error) {
 
 	// --- Register actors.
 	devActors := make([]*deviceActor, devices)
+	e.devs = devActors
 	for id := 0; id < devices; id++ {
 		devActors[id] = &deviceActor{e: e, id: id, curRound: -1, seenGlobal: map[int]bool{}, trained: make(chan tensor.Vector, 1)}
 		if !cfg.Crashed[id] {
@@ -735,18 +819,20 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 	var top *clusterActor
+	// Every leader's per-round marks, in one slab (next-devices leaders).
+	marks := make([]uint8, int(next-simnet.NodeID(devices))*cfg.Rounds)
 	for l := 0; l < tree.Depth(); l++ {
 		for i, c := range tree.Clusters[l] {
 			a := &clusterActor{
-				e:            e,
-				cluster:      c,
-				collected:    map[int][]tensor.Vector{},
-				collectedIDs: map[int][]int{},
-				seen:         map[int]map[int]bool{},
-				closed:       map[int]bool{},
-				armed:        map[int]bool{},
-				isBottom:     l == bottom,
-				recycles:     l == bottom || l+1 != cfg.FlagLevel,
+				e:        e,
+				cluster:  c,
+				marks:    marks[:cfg.Rounds:cfg.Rounds],
+				isBottom: l == bottom,
+				recycles: l == bottom || l+1 != cfg.FlagLevel,
+			}
+			marks = marks[cfg.Rounds:]
+			if l > 0 && l == cfg.FlagLevel {
+				a.relSize = float64(len(tree.LeafDescendants(l, i))) / float64(devices)
 			}
 			if l == 0 {
 				top = a
@@ -787,7 +873,10 @@ func Run(cfg Config) (*Result, error) {
 		})
 	}
 	e.startTraining(tensor.ResolveWorkers(cfg.Workers), devices)
-	defer e.stopTraining()
+	defer func() {
+		e.stopTraining()
+		e.giveBack(res)
+	}()
 	if _, err := sim.Run(0); err != nil {
 		return nil, err
 	}

@@ -275,3 +275,85 @@ func TestStoreCannotLeakIntoResults(t *testing.T) {
 		t.Error("a later run wrote an earlier run's FinalParams")
 	}
 }
+
+// TestHeldVectorsGoBackAtRunEnd: what a run reads until it ends — the
+// initial model, every flag-level partial and every global — goes back to
+// the store once the training workers are joined, all but FinalParams,
+// which is the caller's. Each arm runs under the store's quarantine: what
+// goes back keeps its poison and nothing goes back twice (at ℓF = 0 the
+// flag is the global, held once), and a later run leaves the arm's
+// FinalParams bit for bit as it was. Two faulted arms drain early, one with
+// an earlier global as FinalParams and one with none. The last arm unwinds
+// mid-run with trainings queued: a give-back before the workers are joined
+// poisons start models they are still reading, which `go test -race`
+// reports.
+func TestHeldVectorsGoBackAtRunEnd(t *testing.T) {
+	type abort struct{}
+	for _, arm := range []struct {
+		name      string
+		tweak     func(*Config)
+		completed int // rounds the run forms; -1 when it unwinds
+	}{
+		{"flag1", func(*Config) {}, 4},
+		{"flag0", func(c *Config) { c.FlagLevel = 0 }, 4},
+		{"drained-early", func(c *Config) {
+			c.Faults = &fault.Plan{Seed: 5, CrashFromRound: map[int]int{0: 2}}
+		}, 2},
+		{"drained-before-a-global", func(c *Config) {
+			c.Faults = &fault.Plan{Seed: 5, CrashFromRound: map[int]int{0: 0}}
+		}, 0},
+		{"unwound", func(c *Config) {
+			// One worker, long trainings and a cheap top step: when the
+			// top forms round 0's global, the round-1 trainings the flags
+			// released are still queued.
+			c.Workers = 1
+			c.Local.Iterations = 40
+			c.Global = step.Rule{BRA: aggregate.Median{}}
+			c.OnFilter = func(d telemetry.FilterDecision) {
+				if d.Level == 0 {
+					panic(abort{})
+				}
+			}
+		}, -1},
+	} {
+		t.Run(arm.name, func(t *testing.T) {
+			cfg := buildConfig(t, 3, 3, 4, 4, 1, 5)
+			cfg.EvalEvery = 2
+			cfg.Workers = 2
+			arm.tweak(&cfg)
+			end := step.Store.Quarantine()
+			res, err := func() (res *Result, err error) {
+				defer func() {
+					if r := recover(); r != nil {
+						if _, ok := r.(abort); !ok {
+							panic(r)
+						}
+					}
+				}()
+				return Run(cfg)
+			}()
+			if !end() {
+				t.Error("a vector was written, or given back again, after it went back to the store")
+			}
+			if arm.completed < 0 {
+				if res != nil || err != nil {
+					t.Fatalf("the run did not unwind: %v, %v", res, err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.CompletedRounds != arm.completed || (res.FinalParams == nil) != (arm.completed == 0) {
+				t.Fatalf("completed %d rounds with FinalParams set %v, want %d rounds", res.CompletedRounds, res.FinalParams != nil, arm.completed)
+			}
+			kept := slices.Clone(res.FinalParams)
+			if _, err := Run(cfg); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.EqualFunc(kept, res.FinalParams, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+				t.Error("a later run wrote this run's FinalParams")
+			}
+		})
+	}
+}

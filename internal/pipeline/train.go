@@ -53,7 +53,8 @@ func (e *engine) startTraining(workers, devices int) {
 }
 
 // stopTraining closes the queue and waits for the workers to exit; a result
-// nobody joins stays in its device's one-slot channel, so none is stuck sending.
+// nobody joins stays in its device's one-slot channel, so none is stuck
+// sending, and giveBack takes it from there.
 func (e *engine) stopTraining() {
 	close(e.pool.jobs)
 	e.pool.wg.Wait()

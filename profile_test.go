@@ -88,22 +88,24 @@ func allocsPerRun(t *testing.T, run func() error) (bytes, objects uint64) {
 // TestRunPipelineAllocBudget pins what one RunPipeline call allocates on the
 // pipeline_round shape, in bytes and in objects, as the most any of three
 // runs after a first one allocates: the most this test measured in 220
-// runs at GOMAXPROCS 1 to 4, beside other test binaries (839 768 bytes,
-// 6 009 objects), plus a tenth. The same call allocated 16.4 MB
+// runs at GOMAXPROCS 1 to 4, beside other test binaries (218 448 bytes,
+// 3 407 objects), plus a tenth. The same call allocated 16.4 MB
 // when every device owned a model and a workspace and every training
 // returned a fresh parameter vector, 6.4 MB while every step formed its
-// partial in a fresh vector, and 2.6 MB while every run grew its own vector
-// free list and built its own models, so a budget this close catches the
-// return of any of them; the object budget catches a per-step allocation
-// that returns even when its bytes are few. `make profile-pipeline`
+// partial in a fresh vector, 2.6 MB while every run grew its own vector
+// free list and built its own models, and 0.84 MB while it never gave back
+// its initial model, flags and globals (19 280 bytes each) and collected
+// each round into fresh maps, so a budget this close catches the return of
+// any of them; the object budget catches a per-step allocation that returns
+// even when its bytes are few. `make profile-pipeline`
 // profiles the same runs.
 func TestRunPipelineAllocBudget(t *testing.T) {
 	if testenv.UnderRace() {
 		t.Skip("the race detector's own allocations are counted in TotalAlloc")
 	}
 	const (
-		budget  = 924_000 // bytes; the benchmark's alloc_bytes_per_run reads in the same unit
-		objects = 6_610
+		budget  = 240_300 // bytes; the benchmark's alloc_bytes_per_run reads in the same unit
+		objects = 3_748
 	)
 	s := pipelineRoundScenario()
 	s.Workers = 2
@@ -128,17 +130,18 @@ func TestRunPipelineAllocBudget(t *testing.T) {
 // table5_cell shape at two workers, in bytes and in objects, as the most
 // any of three runs after a first one allocates: the most this test
 // measured in 220 runs at GOMAXPROCS 1 to 4, beside other test binaries
-// (54 040 bytes, 215 objects), plus a tenth. The same call
-// allocated 1.94 MB while every run built its own models and drew none of
-// its vectors from the process store, so the budget catches a model vector
-// (19 280 bytes) that a run allocates again.
+// (42 328 bytes, 213 objects; 219 of the 220 read at most 22 680), plus a
+// tenth. The same call allocated 1.94 MB while every run built its own
+// models and drew none of its vectors from the process store, and up to
+// 54 kB while every evaluation built a workspace per worker, so the budget
+// catches two model vectors (19 280 bytes each) that a run allocates again.
 func TestRunHFLAllocBudget(t *testing.T) {
 	if testenv.UnderRace() {
 		t.Skip("the race detector's own allocations are counted in TotalAlloc")
 	}
 	const (
-		budget  = 59_500 // bytes; the benchmark's alloc_bytes_per_run reads in the same unit
-		objects = 237
+		budget  = 46_600 // bytes; the benchmark's alloc_bytes_per_run reads in the same unit
+		objects = 235
 	)
 	s := table5CellScenario()
 	s.Workers = 2
