@@ -148,11 +148,12 @@ profile-node:
 
 # profile-train prints where the two training-bound benchmark shapes spend
 # their CPU: a table5_cell-shaped RunHFL loop and a pipeline_round-shaped
-# RunPipeline loop (BenchmarkTrainShapes), one profile over both; then where
-# 32 table5_cell-shaped runs allocate their bytes (every allocation sampled).
+# RunPipeline loop (BenchmarkTrainShapes, without its 40-round shape), one
+# profile over both; then where 32 table5_cell-shaped runs allocate their
+# bytes (every allocation sampled).
 profile-train:
 	mkdir -p .bench_build
-	$(GO) test -count=1 -run '^$$' -bench TrainShapes -benchtime 3s -cpuprofile train.cpu -outputdir .bench_build -o .bench_build/train.test .
+	$(GO) test -count=1 -run '^$$' -bench 'TrainShapes/(table5_cell|pipeline_round)$$' -benchtime 3s -cpuprofile train.cpu -outputdir .bench_build -o .bench_build/train.test .
 	$(GO) tool pprof -top -nodecount=25 .bench_build/train.test .bench_build/train.cpu
 	$(GO) test -count=1 -run '^$$' -bench 'TrainShapes/table5_cell' -benchtime 32x -memprofile train.mem -memprofilerate 1 -outputdir .bench_build -o .bench_build/train.test .
 	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=25 .bench_build/train.test .bench_build/train.mem
@@ -161,17 +162,23 @@ profile-train:
 # allocate their bytes (40 runs of BenchmarkTrainShapes/pipeline_round,
 # every allocation sampled: the process store makes the first run pay for
 # what later runs reuse, and Build, which runs once, shows as
-# dataset.Sample, so only many runs show the steady state), then a CPU and
-# a block profile of the same shape (every blocking event sampled): the CPU
-# top says what the training workers and the event loop compute, the block
-# top how long the loop waits to join a training (chanrecv under
+# dataset.Sample, so only many runs show the steady state), then the
+# objects of 10 runs of the same shape at 40 rounds
+# (BenchmarkTrainShapes/pipeline_round_40): at 5 rounds a run's setup and
+# its rounds weigh alike, so what a round allocates is read off the 40-round
+# shape, where the per-round sites lead. Then a CPU and a block profile of
+# the 5-round shape (every blocking event sampled): the CPU top says what
+# the training workers and the event loop compute, the block top how long
+# the loop waits to join a training (WaitGroup.Wait under
 # deviceActor.finish) and the workers wait for a job (under startTraining),
 # so the overlap is read rather than guessed.
 profile-pipeline:
 	mkdir -p .bench_build
-	$(GO) test -count=1 -run '^$$' -bench 'TrainShapes/pipeline_round' -benchtime 40x -memprofile pipeline.mem -memprofilerate 1 -outputdir .bench_build -o .bench_build/pipeline.test .
+	$(GO) test -count=1 -run '^$$' -bench 'TrainShapes/pipeline_round$$' -benchtime 40x -memprofile pipeline.mem -memprofilerate 1 -outputdir .bench_build -o .bench_build/pipeline.test .
 	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=25 .bench_build/pipeline.test .bench_build/pipeline.mem
-	$(GO) test -count=1 -run '^$$' -bench 'TrainShapes/pipeline_round' -benchtime 3s -cpuprofile pipeline.cpu -blockprofile pipeline.block -blockprofilerate 1 -outputdir .bench_build -o .bench_build/pipeline.test .
+	$(GO) test -count=1 -run '^$$' -bench 'TrainShapes/pipeline_round_40' -benchtime 10x -memprofile pipeline40.mem -memprofilerate 1 -outputdir .bench_build -o .bench_build/pipeline.test .
+	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=25 .bench_build/pipeline.test .bench_build/pipeline40.mem
+	$(GO) test -count=1 -run '^$$' -bench 'TrainShapes/pipeline_round$$' -benchtime 3s -cpuprofile pipeline.cpu -blockprofile pipeline.block -blockprofilerate 1 -outputdir .bench_build -o .bench_build/pipeline.test .
 	$(GO) tool pprof -top -nodecount=25 .bench_build/pipeline.test .bench_build/pipeline.cpu
 	$(GO) tool pprof -top -nodecount=15 .bench_build/pipeline.test .bench_build/pipeline.block
 

@@ -391,7 +391,7 @@ func (m *Materials) applyAttack(r *rng.RNG) error {
 		return fmt.Errorf("abdhfl: unknown attack %q", m.Scenario.Attack)
 	}
 	for id := range m.Byzantine {
-		data.Poison(r.Derive(fmt.Sprintf("dev-%d", id)), m.Shards[id])
+		data.Poison(r.DeriveDecimal("dev-", id), m.Shards[id])
 	}
 	return nil
 }

@@ -149,7 +149,7 @@ func (a ABA) AgreeInto(dst tensor.Vector, ctx *Context, proposals []tensor.Vecto
 	}
 	forEachMember(ctx.workers(), n, func(i int) {
 		if ballots[i] == nil && !silent[i] {
-			ballots[i] = v.votes(ctx, i, proposals)
+			ballots[i] = v.votes(ctx, i, proposals, make([]bool, 0, len(proposals)))
 		}
 	})
 
@@ -159,13 +159,9 @@ func (a ABA) AgreeInto(dst tensor.Vector, ctx *Context, proposals []tensor.Vecto
 	// — the genuinely divergent-input regime is RunBinaryABA's province.
 	counts := make([]int, n)
 	for _, b := range ballots {
-		for j, up := range b {
-			if up {
-				counts[j]++
-			}
-		}
+		tally(counts, b)
 	}
-	keptIdx, _ := v.decide(counts, n)
+	keptIdx, _ := v.decide(counts, n, nil)
 	inputBit := make([]int, n)
 	for _, j := range keptIdx {
 		inputBit[j] = 1

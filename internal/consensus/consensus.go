@@ -224,21 +224,28 @@ func (v Voting) AgreeInto(dst tensor.Vector, ctx *Context, proposals []tensor.Ve
 	// Member scorings are independent (each member evaluates every proposal
 	// on its own data), so they fan out over the context's worker bound; the
 	// vote tally is reduced serially in member order, keeping the outcome
-	// identical to the serial protocol.
-	ballots := make([][]bool, n)
-	forEachMember(ctx.workers(), n, func(member int) {
-		ballots[member] = v.votes(ctx, member, proposals)
-	})
+	// identical to the serial protocol. counts is the caller's (Stats.Votes);
+	// the rest lives on the stack for up to 16 proposals, and a serial run
+	// tallies each ballot as it is cast.
 	counts := make([]int, n)
-	for _, ballot := range ballots {
-		for i, up := range ballot {
-			if up {
-				counts[i]++
-			}
+	if w := ctx.workers(); w > 1 {
+		ballots := make([][]bool, n)
+		forEachMember(w, n, func(member int) {
+			ballots[member] = v.votes(ctx, member, proposals, make([]bool, 0, len(proposals)))
+		})
+		for _, ballot := range ballots {
+			tally(counts, ballot)
+		}
+	} else {
+		var ballot [16]bool
+		for member := range n {
+			tally(counts, v.votes(ctx, member, proposals, ballot[:0]))
 		}
 	}
-	keptIdx, excluded := v.decide(counts, n)
-	kept := make([]tensor.Vector, 0, len(keptIdx))
+	var idx [16]int
+	var vecs [16]tensor.Vector
+	keptIdx, excluded := v.decide(counts, n, idx[:0])
+	kept := vecs[:0]
 	for _, i := range keptIdx {
 		kept = append(kept, proposals[i])
 	}
@@ -255,31 +262,40 @@ func (v Voting) AgreeInto(dst tensor.Vector, ctx *Context, proposals []tensor.Ve
 	return st, nil
 }
 
-// votes computes member's up/down votes over the proposals (true = upvote),
-// applying the adversarial inversion for Byzantine members. It is the
-// ballot kernel Voting, ABA and Ballot share.
-func (v Voting) votes(ctx *Context, member int, proposals []tensor.Vector) []bool {
+// votes appends member's up/down votes over the proposals (true = upvote)
+// to out, applying the adversarial inversion for Byzantine members. It is
+// the ballot kernel Voting, ABA and Ballot share.
+func (v Voting) votes(ctx *Context, member int, proposals []tensor.Vector, out []bool) []bool {
 	margin := v.Margin
 	if margin == 0 {
 		margin = 0.1
 	}
-	scores := make([]float64, len(proposals))
+	var buf [16]float64
+	scores := buf[:0]
 	best := 0.0
 	for i := range proposals {
-		scores[i] = ctx.Validator(member, proposals[i])
+		scores = append(scores, ctx.Validator(member, proposals[i]))
 		if scores[i] > best {
 			best = scores[i]
 		}
 	}
-	out := make([]bool, len(proposals))
 	for i := range proposals {
 		up := scores[i] >= best-margin
 		if ctx.isByz(member) {
 			up = !up
 		}
-		out[i] = up
+		out = append(out, up)
 	}
 	return out
+}
+
+// tally adds a ballot's upvotes to counts.
+func tally(counts []int, ballot []bool) {
+	for i, up := range ballot {
+		if up {
+			counts[i]++
+		}
+	}
 }
 
 // Ballot computes one member's validation-voting up/down ballot over the
@@ -288,13 +304,14 @@ func (v Voting) votes(ctx *Context, member int, proposals []tensor.Vector) []boo
 // own process and ship only the bits; the bits are identical to what the
 // in-process protocols would compute (same validator, same margin rule).
 func Ballot(ctx *Context, member int, margin float64, proposals []tensor.Vector) []bool {
-	return Voting{Margin: margin}.votes(ctx, member, proposals)
+	return Voting{Margin: margin}.votes(ctx, member, proposals, make([]bool, 0, len(proposals)))
 }
 
-// decide tallies the vote counts and returns the kept proposal indices and
-// the excluded ones: a proposal needs KeepFraction of the members' upvotes,
-// and when none has them the most-upvoted one is kept alone.
-func (v Voting) decide(counts []int, members int) (kept, excluded []int) {
+// decide tallies the vote counts and appends the kept proposal indices to
+// kept and returns them with the excluded ones: a proposal needs
+// KeepFraction of the members' upvotes, and when none has them the
+// most-upvoted one is kept alone.
+func (v Voting) decide(counts []int, members int, kept []int) (_, excluded []int) {
 	keep := v.KeepFraction
 	if keep == 0 {
 		keep = 0.5
@@ -317,7 +334,7 @@ func (v Voting) decide(counts []int, members int) (kept, excluded []int) {
 				best = i
 			}
 		}
-		kept = []int{best}
+		kept = append(kept, best)
 		excluded = excluded[:0]
 		for i := range counts {
 			if i != best {

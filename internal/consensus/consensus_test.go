@@ -115,6 +115,23 @@ func TestVotingStatsShape(t *testing.T) {
 	}
 }
 
+// TestVotingAgreeIntoAllocatesOnlyItsTally holds a serial Voting instance to
+// the one allocation its caller keeps, Stats.Votes: the ballots, scores and
+// kept set of up to 16 proposals live on the stack, so a pipeline round's
+// top-level vote costs one object.
+func TestVotingAgreeIntoAllocatesOnlyItsTally(t *testing.T) {
+	proposals, good := goodBadProposals(4, 0, 4)
+	ctx := &Context{Members: 4, Validator: accuracyLike(good), Rand: rng.New(5)}
+	dst := tensor.NewVector(4)
+	if n := testing.AllocsPerRun(50, func() {
+		if _, err := (Voting{}).AgreeInto(dst, ctx, proposals); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1 {
+		t.Fatalf("Voting.AgreeInto allocated %v objects per call, want 1 (Stats.Votes)", n)
+	}
+}
+
 func TestVotingMemberProposalMismatch(t *testing.T) {
 	proposals, good := goodBadProposals(3, 0, 4)
 	ctx := &Context{Members: 5, Validator: accuracyLike(good), Rand: rng.New(1)}

@@ -65,9 +65,15 @@ func runProto(t *testing.T, p Protocol, workers int, proposals []tensor.Vector) 
 }
 
 // Serial and parallel consensus must be bit-identical: ballots and score rows
-// are computed independently per member and reduced in member order.
+// are computed independently per member and reduced in member order. The 20
+// proposals outgrow Voting's stack scratch.
 func TestAgreeWorkerCountInvariance(t *testing.T) {
-	proposals := parallelProposals(9, 40, 7)
+	for _, proposals := range [][]tensor.Vector{parallelProposals(9, 40, 7), parallelProposals(20, 40, 7)} {
+		agreeWorkerCountInvariance(t, proposals)
+	}
+}
+
+func agreeWorkerCountInvariance(t *testing.T, proposals []tensor.Vector) {
 	for _, p := range []Protocol{Voting{}, Committee{}} {
 		refOut, refStats := runProto(t, p, 1, proposals)
 		for _, workers := range []int{0, 2, 4, 16} {

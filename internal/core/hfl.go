@@ -499,7 +499,7 @@ func applyModelAttack(cfg Config, updates []tensor.Vector, start tensor.Vector, 
 func (c *Config) ClusterInput(roundRNG *rng.RNG, cl *topology.Cluster, round int, vecs []tensor.Vector, ids []int, dst tensor.Vector) step.Input {
 	in := step.Input{Level: cl.Level, Cluster: cl.Index, Round: round, Vecs: vecs, IDs: ids, Dst: dst}
 	if c.RuleAt(cl.Level).IsCBA() {
-		in.Rand = roundRNG.Derive(fmt.Sprintf("cba-%d-%d", cl.Level, cl.Index))
+		in.Rand = roundRNG.DeriveDecimals("cba-", cl.Level, cl.Index)
 		in.Workers, in.Local, in.Byzantine = c.Workers, c.ClientData, c.protocolByzantine()
 	}
 	return in

@@ -352,8 +352,11 @@ func scaleCellOptions() ScaleOptions {
 }
 
 // TestRunScaleAllocBudget pins what one RunScale call allocates on the
-// scale_cell shape, in bytes and in objects: the figures this test measures
-// (4.61–4.63 MB, 58–89 objects over GOMAXPROCS 1–8) plus a margin. What is
+// scale_cell shape, in bytes and in objects, as the most any of three calls
+// after a first one allocates: the most this test measured in 42 runs at
+// GOMAXPROCS 1 to 8, ten of them beside other test binaries (4 637 400
+// bytes, 102 objects), plus a tenth of the objects and, so that the byte
+// budget stays under the 5.10 MB below, 0.36 MB. What is
 // left is standing state, every part of it a slab: the tree (the clusters
 // and the member ids of each level, 1.7 MB), a 28-byte actor per cluster
 // (0.39 MB), the bottom clusters' sampled device ids, one slab per round
@@ -385,12 +388,11 @@ func TestRunScaleAllocBudget(t *testing.T) {
 		t.Skip("the race detector's own allocations are counted in TotalAlloc")
 	}
 	const (
-		byteBudget = 5_100_000 // the benchmark's alloc_bytes_per_run reads in the same unit
-		// 58–89 measured over GOMAXPROCS 1–8, six to eight per value-pass
+		byteBudget = 5_000_000 // the benchmark's alloc_bytes_per_run reads in the same unit
+		// 58–102 measured over GOMAXPROCS 1–8, six to eight per value-pass
 		// worker past the first and the pass's own goroutine each round: at
-		// this size the runtime's own few objects during the window show, so
-		// the margin is wider.
-		objectBudget = 100
+		// this size the runtime's own few objects during the window show.
+		objectBudget = 113
 	)
 	o := scaleCellOptions()
 	run := func() (bytes, objects uint64) {
@@ -400,11 +402,14 @@ func TestRunScaleAllocBudget(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
 	}
-	b1, o1 := run()
-	b2, o2 := run()
-	bytes, objects := min(b1, b2), min(o1, o2)
-	t.Logf("%.2f MB in %d objects per RunScale (budget %.2f MB, %d objects)",
-		float64(bytes)/1e6, objects, float64(byteBudget)/1e6, objectBudget)
+	run() // the first call pays the process's first-use costs
+	var bytes, objects uint64
+	for i := 0; i < 3; i++ {
+		b, o := run()
+		bytes, objects = max(bytes, b), max(objects, o)
+	}
+	t.Logf("%d bytes (%.2f MB) in %d objects per RunScale (budget %.2f MB, %d objects)",
+		bytes, float64(bytes)/1e6, objects, float64(byteBudget)/1e6, objectBudget)
 	if bytes > byteBudget {
 		t.Errorf("RunScale allocated %d bytes, budget %d", bytes, byteBudget)
 	}

@@ -200,8 +200,9 @@ type Config struct {
 	// copy or reduce them before returning.
 	OnFilter func(telemetry.FilterDecision)
 	// Workers is the number of goroutines that run devices' local training,
-	// and bounds those used for consensus validator scoring, test-set
-	// evaluation and the robust-aggregation kernels; zero selects GOMAXPROCS.
+	// and bounds those used for consensus validator scoring and the
+	// robust-aggregation kernels (test-set evaluation runs on the loop);
+	// zero selects GOMAXPROCS.
 	// Training leaves the event loop — a device's SGD is dispatched when the
 	// device starts, in virtual time, and joined at its finish timer, so the
 	// overlap the pipeline simulates is also real — because it is a pure

@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 
 	"abdhfl/internal/codec"
 	"abdhfl/internal/fault"
@@ -22,16 +23,16 @@ import (
 // before the send, and from then on every holder — each recipient of a
 // fan-out, the collectors that retain it, the engine's codec reference — only
 // reads it. That is what lets one vector be shared by all of them uncopied.
+// An upload or a partial names its sender by the message's From: a device's
+// node id is its id, and a level's leaders have consecutive node ids.
 type (
 	msgLocal struct { // device -> bottom cluster leader
 		round  int
 		params tensor.Vector
-		dev    int
 	}
 	msgPartial struct { // cluster leader -> parent leader / top
 		round  int
 		params tensor.Vector
-		child  int // sender's cluster index at its level
 	}
 	msgFlag struct { // flag-level cluster -> descendants
 		round   int // the round this flag model STARTS (paper's r+1)
@@ -62,13 +63,11 @@ type engine struct {
 	deviceLeader []simnet.NodeID // device id -> bottom cluster actor id
 	clusterNode  [][]simnet.NodeID
 
-	// Per-bottom-cluster timing observations, keyed by round.
-	firstArrival  []map[int]simnet.Time
-	flagArrival   []map[int]simnet.Time
-	globalArrival []map[int]simnet.Time
-	// Top observations.
-	firstPartial map[int]simnet.Time
-	globalReady  map[int]simnet.Time
+	// arrivals holds every bottom cluster's per-round timing observations,
+	// Rounds of them per cluster, and rounds the top's, one per round; a
+	// time not observed yet reads never.
+	arrivals []arrivals
+	rounds   []roundTimes
 
 	result  *Result
 	workers int
@@ -104,13 +103,15 @@ type engine struct {
 	cs       *codec.Scratch
 	lastRef  tensor.Vector
 	codecErr error
+	// init is the initial model, every device's round-0 start.
+	init tensor.Vector
+	// vote is the top's consensus stream of the round, "vote-<round>".
+	vote rng.RNG
 	// tr is the optional causal span tracer (nil disables emission
 	// entirely — every trace* helper returns immediately). deviceCluster
-	// maps device id -> bottom cluster index and roundStart records each
-	// round's earliest device training start, both only for span attrs.
+	// maps device id -> bottom cluster index, only for span attrs.
 	tr            *trace.Tracer
 	deviceCluster []int
-	roundStart    map[int]simnet.Time
 	// pool trains devices off the event loop; models is the process
 	// store's model pool of the run's shape, which the training workers,
 	// the evaluation model and the stepper's validators borrow from.
@@ -125,6 +126,21 @@ type engine struct {
 	devs []*deviceActor
 }
 
+// Per-round timing observations, each the earliest (virtual time never
+// decreases, so the first) and never until made: arrivals are a bottom
+// cluster's (its first upload, the flag that starts the round, the global),
+// roundTimes the top's (first partial, global formed) and, for span attrs
+// only, the earliest device training start.
+const never simnet.Time = math.MaxFloat64
+
+type (
+	arrivals   struct{ first, flag, global simnet.Time }
+	roundTimes struct{ firstPartial, globalReady, start simnet.Time }
+)
+
+// arrival returns bottom cluster b's observations of round.
+func (e *engine) arrival(b, round int) *arrivals { return &e.arrivals[b*e.cfg.Rounds+round] }
+
 // take borrows a model vector from the process store for a training or a
 // step to overwrite.
 func (e *engine) take() tensor.Vector { return step.Store.Take(e.dim) }
@@ -138,14 +154,12 @@ func (e *engine) recycle(vs ...tensor.Vector) { step.Store.Put(vs...) }
 
 // giveBack ends the run's hold on the store, after stopTraining: it gives
 // back every held vector but res's FinalParams, which is the caller's (res
-// is nil on an error return), and every upload a worker left in its device's
-// slot that nobody joined.
+// is nil on an error return), and every upload a worker filled that nobody
+// joined.
 func (e *engine) giveBack(res *Result) {
 	for _, d := range e.devs {
-		select {
-		case v := <-d.trained:
-			e.recycle(v)
-		default:
+		if d.training {
+			e.recycle(d.trained)
 		}
 	}
 	if res != nil && res.FinalParams != nil {
@@ -211,7 +225,7 @@ func (e *engine) nodeOfCluster(l, i int) simnet.NodeID { return e.clusterNode[l]
 func (e *engine) trainDuration(id, round int) simnet.Time {
 	t := e.cfg.Timing.TrainBase
 	if j := e.cfg.Timing.TrainJitter; j > 0 {
-		t *= 1 + j*e.root.Derive(fmt.Sprintf("tdur-%d-%d", id, round)).Float64()
+		t *= 1 + j*e.root.DeriveDecimals("tdur-", id, round).Float64()
 	}
 	return simnet.Time(t)
 }
@@ -221,7 +235,7 @@ func (e *engine) trainDuration(id, round int) simnet.Time {
 func (e *engine) aggDuration(l, i, round int) simnet.Time {
 	t := e.cfg.Timing.AggBase
 	if j := e.cfg.Timing.AggJitter; j > 0 {
-		t *= 1 + j*e.root.Derive(fmt.Sprintf("adur-%d-%d-%d", l, i, round)).Float64()
+		t *= 1 + j*e.root.DeriveDecimals("adur-", l, i, round).Float64()
 	}
 	if l == 0 {
 		t += e.cfg.Timing.GlobalExtra
@@ -230,19 +244,34 @@ func (e *engine) aggDuration(l, i, round int) simnet.Time {
 }
 
 // deviceActor trains locally, uploads, and merges stale globals (Alg. 2).
+// A device trains one round at a time: curRound and startParams are the
+// in-flight training's, which its finish timer reads.
 type deviceActor struct {
 	e           *engine
 	id          int
 	relSize     float64
 	training    bool
 	curRound    int
+	startParams tensor.Vector
 	trainStart  simnet.Time
-	stashedFlag *msgFlag
-	pending     []msgGlobal
-	seenGlobal  map[int]bool
-	// trained carries the in-flight training's result from its worker to
-	// finish. One slot: the worker's send never waits for the join.
-	trained chan tensor.Vector
+	// stashed is the newest flag that arrived during training; its params
+	// are nil when there is none.
+	stashed    msgFlag
+	pending    []msgGlobal
+	seenGlobal []bool // by round
+	// trained is the in-flight training's upload, which its worker fills
+	// before join is done.
+	trained tensor.Vector
+	join    sync.WaitGroup
+}
+
+// OnTimer is the in-flight training's finish, or at t=0 the bootstrap.
+func (d *deviceActor) OnTimer(ctx *simnet.Context, _ int) {
+	if d.training {
+		d.finish(ctx)
+	} else {
+		d.start(ctx, 0, d.e.init, 1)
+	}
 }
 
 func (d *deviceActor) OnMessage(ctx *simnet.Context, msg simnet.Message) {
@@ -252,9 +281,8 @@ func (d *deviceActor) OnMessage(ctx *simnet.Context, msg simnet.Message) {
 			return
 		}
 		if d.training {
-			if d.stashedFlag == nil || m.round > d.stashedFlag.round {
-				mm := m
-				d.stashedFlag = &mm
+			if d.stashed.params == nil || m.round > d.stashed.round {
+				d.stashed = m
 			}
 			return
 		}
@@ -282,23 +310,26 @@ func (d *deviceActor) start(ctx *simnet.Context, round int, params tensor.Vector
 	}
 	d.training = true
 	d.curRound = round
+	d.startParams = params
 	d.relSize = relSize
 	if d.e.tr != nil {
 		d.trainStart = ctx.Now()
-		if _, ok := d.e.roundStart[round]; !ok {
-			d.e.roundStart[round] = ctx.Now()
-		}
+		r := &d.e.rounds[round]
+		r.start = min(r.start, ctx.Now())
 	}
-	d.e.pool.jobs <- trainJob{d: d, round: round, start: params, buf: d.e.take()}
-	dur := d.e.trainDuration(d.id, round)
-	ctx.After(dur, func(ctx *simnet.Context) { d.finish(ctx, round, params) })
+	d.trained = d.e.take()
+	d.join.Add(1)
+	d.e.pool.jobs <- trainJob{d: d, round: round, start: params}
+	ctx.AtArg(ctx.Now()+d.e.trainDuration(d.id, round), 0)
 }
 
-func (d *deviceActor) finish(ctx *simnet.Context, round int, startParams tensor.Vector) {
+func (d *deviceActor) finish(ctx *simnet.Context) {
 	e := d.e
+	round := d.curRound
 	// Join the training dispatched at start; from here on everything happens
 	// on the loop and in event order, whatever the worker count.
-	out := <-d.trained
+	d.join.Wait()
+	out := d.trained
 	// Correction-factor merges for globals that arrived during training.
 	for _, g := range d.pending {
 		if e.cfg.FlagLevel == 0 && g.round < round {
@@ -326,12 +357,11 @@ func (d *deviceActor) finish(ctx *simnet.Context, round int, startParams tensor.
 	} else {
 		// Uplink codec hop: the round's start parameters are the Delta
 		// reference (the leader disseminated them, so both ends hold them).
-		e.transcodeHop(out, startParams)
-		ctx.SendVolume(e.deviceLeader[d.id], msgLocal{round: round, params: out, dev: d.id}, e.volume(hopUplink, len(out)))
+		e.transcodeHop(out, d.startParams)
+		ctx.SendVolume(e.deviceLeader[d.id], msgLocal{round: round, params: out}, e.volume(hopUplink, len(out)))
 	}
-	if d.stashedFlag != nil {
-		f := *d.stashedFlag
-		d.stashedFlag = nil
+	if f := d.stashed; f.params != nil {
+		d.stashed = msgFlag{}
 		if f.round > round {
 			d.start(ctx, f.round, f.params, f.relSize)
 		}
@@ -349,8 +379,9 @@ type clusterActor struct {
 	parent   simnet.NodeID   // unset at the top
 	children []simnet.NodeID // child cluster actors, or member devices at the bottom
 	// marks holds each round's markArmed and markClosed bits. open holds
-	// the rounds collecting now; spare holds collections whose step has
-	// run, which the next round to open reuses.
+	// the rounds collecting now or closed and waiting for their step; spare
+	// holds collections whose step has run, which the next round to open
+	// reuses.
 	marks    []uint8
 	open     []*collection
 	spare    []*collection
@@ -376,15 +407,55 @@ const (
 // who was kept or discarded, kept only when the stepper records verdicts.
 // seen marks the children already counted, by position in children: the
 // fault layer can duplicate messages, and a duplicated upload must never
-// count twice toward the quorum.
+// count twice toward the quorum. closeAt is when the collection closed.
 type collection struct {
-	round int
-	vecs  []tensor.Vector
-	ids   []int
-	seen  []bool
+	round   int
+	vecs    []tensor.Vector
+	ids     []int
+	seen    []bool
+	closeAt simnet.Time
 }
 
-// collecting returns round's open collection, nil if it has none.
+// Cluster timers: OnTimer's argument is timerArg's packing of one of these
+// kinds with its round and attempt.
+const (
+	clArm      = iota // arm the round's collect deadline (the top's round 0)
+	clDeadline        // a collect deadline or timeout (collectDeadline)
+	clStep            // the closed collection's aggregation time is up
+	numClusterTimers
+)
+
+// timerArg packs a cluster timer, armed for a round below Config.Rounds.
+func (a *clusterActor) timerArg(kind, round, attempt int) int {
+	return (attempt*a.e.cfg.Rounds+round)*numClusterTimers + kind
+}
+
+func (a *clusterActor) OnTimer(ctx *simnet.Context, arg int) {
+	kind, arg := arg%numClusterTimers, arg/numClusterTimers
+	round, attempt := arg%a.e.cfg.Rounds, arg/a.e.cfg.Rounds
+	switch kind {
+	case clArm:
+		a.armCollect(ctx, round, 0)
+	case clDeadline:
+		a.collectDeadline(ctx, round, attempt)
+	case clStep:
+		i := slices.IndexFunc(a.open, func(c *collection) bool { return c.round == round })
+		c := a.open[i]
+		a.open = slices.Delete(a.open, i, i+1)
+		if !a.failed(round) {
+			a.step(ctx, round, c.vecs, c.ids, c.closeAt)
+		}
+		if a.recycles {
+			a.e.recycle(c.vecs...)
+		}
+		c.vecs, c.ids = c.vecs[:0], c.ids[:0]
+		clear(c.seen)
+		a.spare = append(a.spare, c)
+	}
+}
+
+// collecting returns round's open collection, closed or not, nil if it has
+// none.
 func (a *clusterActor) collecting(round int) *collection {
 	for _, c := range a.open {
 		if c.round == round {
@@ -415,22 +486,21 @@ func (a *clusterActor) OnMessage(ctx *simnet.Context, msg simnet.Message) {
 		if a.failed(m.round) {
 			return
 		}
-		a.receive(ctx, m.round, m.params, m.dev, msg.SentAt, -1)
+		a.receive(ctx, m.round, m.params, int(msg.From), msg.SentAt, -1)
 	case msgPartial:
 		if a.failed(m.round) {
 			return
 		}
-		a.receive(ctx, m.round, m.params, e.tree.Clusters[a.cluster.Level+1][m.child].Leader, msg.SentAt, m.child)
+		child := int(msg.From - e.nodeOfCluster(a.cluster.Level+1, 0))
+		a.receive(ctx, m.round, m.params, e.tree.Clusters[a.cluster.Level+1][child].Leader, msg.SentAt, child)
 	case msgFlag:
 		if a.failed(m.round) {
 			return
 		}
 		// Cascade the flag model downwards (Alg. 5).
-		if a.isBottom {
-			bi := a.cluster.Index
-			if _, ok := e.flagArrival[bi][m.round]; !ok {
-				e.flagArrival[bi][m.round] = ctx.Now()
-			}
+		if a.isBottom && m.round < e.cfg.Rounds {
+			at := e.arrival(a.cluster.Index, m.round)
+			at.flag = min(at.flag, ctx.Now())
 		}
 		for _, ch := range a.children {
 			ctx.SendVolume(ch, msg.Payload, e.volume(hopFlag, len(m.params)))
@@ -444,10 +514,8 @@ func (a *clusterActor) OnMessage(ctx *simnet.Context, msg simnet.Message) {
 			return
 		}
 		if a.isBottom {
-			bi := a.cluster.Index
-			if _, ok := e.globalArrival[bi][m.round]; !ok {
-				e.globalArrival[bi][m.round] = ctx.Now()
-			}
+			at := e.arrival(a.cluster.Index, m.round)
+			at.global = min(at.global, ctx.Now())
 		}
 		for _, ch := range a.children {
 			ctx.SendVolume(ch, msg.Payload, e.volume(hopGlobal, len(m.params)))
@@ -471,12 +539,13 @@ func (a *clusterActor) armCollect(ctx *simnet.Context, round, attempt int) {
 		a.marks[round] |= markArmed
 	}
 	d := e.cfg.CollectTimeout * math.Pow(e.backoff, float64(attempt))
-	ctx.After(simnet.Time(d), func(ctx *simnet.Context) { a.collectDeadline(ctx, round, attempt) })
+	ctx.AtArg(ctx.Now()+simnet.Time(d), a.timerArg(clDeadline, round, attempt))
 }
 
 // collectDeadline is the timeout branch of Algorithm 4 with backoff: a
 // deadline firing with a non-empty sub-quorum set aggregates it (degraded
-// operation); an empty one re-arms, then abandons.
+// operation); an empty one re-arms, then abandons. The timeout a fault-free
+// run arms at a round's first arrival fires here too, never empty.
 func (a *clusterActor) collectDeadline(ctx *simnet.Context, round, attempt int) {
 	e := a.e
 	if a.marks[round]&markClosed != 0 {
@@ -524,15 +593,12 @@ func (a *clusterActor) receive(ctx *simnet.Context, round int, params tensor.Vec
 		e.tracePartial(a.cluster.Level+1, child, round, a.cluster.Level, a.cluster.Index, sentAt, ctx.Now(), len(params))
 	}
 	if a.isBottom {
-		bi := a.cluster.Index
-		if _, ok := e.firstArrival[bi][round]; !ok {
-			e.firstArrival[bi][round] = ctx.Now()
-		}
+		at := e.arrival(a.cluster.Index, round)
+		at.first = min(at.first, ctx.Now())
 	}
 	if a.cluster.Level == 0 {
-		if _, ok := e.firstPartial[round]; !ok {
-			e.firstPartial[round] = ctx.Now()
-		}
+		r := &e.rounds[round]
+		r.firstPartial = min(r.firstPartial, ctx.Now())
 	}
 	first := len(c.vecs) == 0
 	c.vecs = append(c.vecs, params)
@@ -544,14 +610,7 @@ func (a *clusterActor) receive(ctx *simnet.Context, round int, params tensor.Vec
 		// deadline at the first arrival for this round. (Faulted runs arm at
 		// flag forwarding instead, see armCollect; the top waits for its
 		// quorum.)
-		ctx.After(simnet.Time(e.cfg.CollectTimeout), func(ctx *simnet.Context) {
-			if n := a.collected(round); a.marks[round]&markClosed == 0 && n > 0 {
-				if n < e.quorumOf(a.cluster.Size()) {
-					e.subQuorum()
-				}
-				a.aggregateRound(ctx, round)
-			}
-		})
+		ctx.AtArg(ctx.Now()+simnet.Time(e.cfg.CollectTimeout), a.timerArg(clDeadline, round, 0))
 	}
 	if first {
 		a.armCollect(ctx, round, 0)
@@ -576,26 +635,12 @@ func (a *clusterActor) openRound(round int) *collection {
 }
 
 // aggregateRound closes the round's collection and aggregates whatever
-// arrived (quorum reached or timeout fired).
+// arrived (quorum reached or timeout fired) once the aggregation time is up
+// (OnTimer's clStep).
 func (a *clusterActor) aggregateRound(ctx *simnet.Context, round int) {
-	e := a.e
 	a.marks[round] |= markClosed
-	i := slices.IndexFunc(a.open, func(c *collection) bool { return c.round == round })
-	c := a.open[i]
-	a.open = slices.Delete(a.open, i, i+1)
-	closeAt := ctx.Now()
-	dur := e.aggDuration(a.cluster.Level, a.cluster.Index, round)
-	ctx.After(dur, func(ctx *simnet.Context) {
-		if !a.failed(round) {
-			a.step(ctx, round, c.vecs, c.ids, closeAt)
-		}
-		if a.recycles {
-			e.recycle(c.vecs...)
-		}
-		c.vecs, c.ids = c.vecs[:0], c.ids[:0]
-		clear(c.seen)
-		a.spare = append(a.spare, c)
-	})
+	a.collecting(round).closeAt = ctx.Now()
+	ctx.AtArg(ctx.Now()+a.e.aggDuration(a.cluster.Level, a.cluster.Index, round), a.timerArg(clStep, round, 0))
 }
 
 // step forms the round's partial from the closed collection and forwards
@@ -621,7 +666,7 @@ func (a *clusterActor) step(ctx *simnet.Context, round int, vecs []tensor.Vector
 	// One codec hop per formed partial: the upward send and the flag
 	// release below ship the same encoded bytes.
 	e.transcodeHop(agg, e.lastRef)
-	ctx.SendVolume(a.parent, msgPartial{round: round, params: agg, child: a.cluster.Index}, e.volume(hopPartial, len(agg)))
+	ctx.SendVolume(a.parent, msgPartial{round: round, params: agg}, e.volume(hopPartial, len(agg)))
 	if a.cluster.Level == e.cfg.FlagLevel {
 		// Boxed once for the whole fan-out.
 		var flag any = msgFlag{round: round + 1, params: agg, relSize: a.relSize}
@@ -643,7 +688,8 @@ func (a *clusterActor) formGlobal(ctx *simnet.Context, round int, vecs []tensor.
 	dst := e.take()
 	in := step.Input{Round: round, Vecs: vecs, IDs: ids, Dst: dst}
 	if e.cfg.Global.IsCBA() {
-		in.Rand = e.root.Derive(fmt.Sprintf("vote-%d", round))
+		e.vote = *e.root.DeriveDecimal("vote-", round)
+		in.Rand = &e.vote
 		in.Workers, in.Shards, in.Name = e.workers, e.cfg.ValidationShards, e.cfg.Global.Bare()
 	}
 	global, v, _, err := e.st.Aggregate(e.cfg.Global, in)
@@ -652,7 +698,7 @@ func (a *clusterActor) formGlobal(ctx *simnet.Context, round int, vecs []tensor.
 		return
 	}
 	e.ins.globalFormed()
-	e.globalReady[round] = ctx.Now()
+	e.rounds[round].globalReady = ctx.Now()
 	e.traceGlobal(round, &v, ctx.Now(), len(global))
 	// Dissemination codec hop: encoded against the previous global, then the
 	// decoded result becomes the reference for everything formed after it.
@@ -692,7 +738,7 @@ func (e *engine) evaluate(round int, now simnet.Time, global tensor.Vector) {
 	}
 	ev := e.models.Get()
 	ev.Model.SetParams(global)
-	acc := nn.AccuracyWorkers(ev.Model, e.cfg.TestData, e.workers)
+	acc := nn.AccuracyWS(ev.Model, ev.WS, e.cfg.TestData)
 	e.models.Put(ev)
 	e.ins.evalDone(acc)
 	e.result.Curve = append(e.result.Curve, RoundAccuracy{Round: round + 1, Time: now, Accuracy: acc})
@@ -737,6 +783,7 @@ func Run(cfg Config) (res *Result, err error) {
 		alpha:   cfg.Alpha,
 		workers: cfg.Workers,
 		lastRef: init,
+		init:    init,
 		models:  models,
 		dim:     dim,
 		held:    []tensor.Vector{init},
@@ -755,7 +802,6 @@ func Run(cfg Config) (res *Result, err error) {
 	e.obs = step.NewObserver(cfg.Telemetry, "pipeline", tree.Depth(), cfg.OnFilter, cfg.Trace)
 	e.st = step.NewStepper(e.obs, cfg.Workers, e.models, false)
 	e.tr = cfg.Trace
-	e.roundStart = map[int]simnet.Time{}
 	if cfg.Flight != nil {
 		sim.Trace = cfg.Flight.Hook()
 	}
@@ -795,27 +841,30 @@ func Run(cfg Config) (res *Result, err error) {
 			e.deviceCluster[m] = i
 		}
 	}
-	nBottom := len(tree.Clusters[bottom])
-	e.firstArrival = make([]map[int]simnet.Time, nBottom)
-	e.flagArrival = make([]map[int]simnet.Time, nBottom)
-	e.globalArrival = make([]map[int]simnet.Time, nBottom)
-	for i := 0; i < nBottom; i++ {
-		e.firstArrival[i] = map[int]simnet.Time{}
-		e.flagArrival[i] = map[int]simnet.Time{}
-		e.globalArrival[i] = map[int]simnet.Time{}
+	e.arrivals = make([]arrivals, len(tree.Clusters[bottom])*cfg.Rounds)
+	for i := range e.arrivals {
+		e.arrivals[i] = arrivals{never, never, never}
 	}
-	e.firstPartial = map[int]simnet.Time{}
-	e.globalReady = map[int]simnet.Time{}
+	e.rounds = make([]roundTimes, cfg.Rounds)
+	for i := range e.rounds {
+		e.rounds[i] = roundTimes{never, never, never}
+	}
 
 	// --- Register actors.
 	devActors := make([]*deviceActor, devices)
 	e.devs = devActors
+	seen := make([]bool, devices*cfg.Rounds)
 	for id := 0; id < devices; id++ {
-		devActors[id] = &deviceActor{e: e, id: id, curRound: -1, seenGlobal: map[int]bool{}, trained: make(chan tensor.Vector, 1)}
+		devActors[id] = &deviceActor{e: e, id: id, curRound: -1, seenGlobal: seen[:cfg.Rounds:cfg.Rounds]}
+		seen = seen[cfg.Rounds:]
 		if !cfg.Crashed[id] {
 			// Crashed devices stay unregistered: the simulator drops their
-			// traffic, exactly like a crash-stop node.
+			// traffic, exactly like a crash-stop node. Every live device
+			// starts round 0 from the initial model at t=0 (the bootstrap,
+			// OnTimer); a quorum φ < 1 lets their clusters proceed without
+			// the crashed ones.
 			sim.Register(simnet.NodeID(id), devActors[id])
+			sim.AtArg(simnet.NodeID(id), 0, 0)
 		}
 	}
 	var top *clusterActor
@@ -853,24 +902,10 @@ func Run(cfg Config) (res *Result, err error) {
 		}
 	}
 
-	// --- Bootstrap: every live device receives the initial model as the
-	// round-0 flag at t=0. Crashed devices never start (failure injection);
-	// a quorum φ < 1 lets their clusters proceed without them.
-	for id := 0; id < devices; id++ {
-		if cfg.Crashed[id] {
-			continue
-		}
-		id := id
-		sim.ScheduleAt(0, simnet.NodeID(id), func(ctx *simnet.Context) {
-			devActors[id].start(ctx, 0, init, 1)
-		})
-	}
 	if e.faulty && cfg.CollectTimeout > 0 {
 		// Bootstrap the top's round-0 deadline: with every round-0 partial
 		// lost, no arrival would ever arm it.
-		sim.ScheduleAt(0, e.clusterNode[0][0], func(ctx *simnet.Context) {
-			top.armCollect(ctx, 0, 0)
-		})
+		sim.AtArg(e.clusterNode[0][0], 0, top.timerArg(clArm, 0, 0))
 	}
 	e.startTraining(tensor.ResolveWorkers(cfg.Workers), devices)
 	defer func() {
@@ -909,27 +944,24 @@ func Run(cfg Config) (res *Result, err error) {
 // computeTimings derives the per-round σ_w, σ_p, σ_g, σ and ν series from
 // the recorded observation points, averaged across bottom clusters.
 func (e *engine) computeTimings() {
-	nBottom := len(e.firstArrival)
+	nBottom := len(e.arrivals) / e.cfg.Rounds
 	var nuSum float64
 	var nuCount int
 	for round := 0; round < e.cfg.Rounds-1; round++ {
 		var sw, sp, sg, sigma float64
 		count := 0
-		ready, okReady := e.globalReady[round]
-		first, okFirst := e.firstPartial[round]
-		if !okReady || !okFirst {
+		top := e.rounds[round]
+		if top.globalReady == never || top.firstPartial == never {
 			continue
 		}
-		sgTop := float64(ready - first)
+		sgTop := float64(top.globalReady - top.firstPartial)
 		for b := 0; b < nBottom; b++ {
-			fa, ok1 := e.firstArrival[b][round]
-			fl, ok2 := e.flagArrival[b][round+1]
-			ga, ok3 := e.globalArrival[b][round]
-			if !ok1 || !ok2 || !ok3 {
+			at, next := e.arrival(b, round), e.arrival(b, round+1)
+			if at.first == never || next.flag == never || at.global == never {
 				continue
 			}
-			total := float64(ga - fa)
-			wait := float64(fl - fa)
+			total := float64(at.global - at.first)
+			wait := float64(next.flag - at.first)
 			if total <= 0 {
 				continue
 			}

@@ -74,11 +74,11 @@ func (e *engine) traceGlobal(round int, v *step.Verdict, end simnet.Time, dim in
 	if e.tr == nil {
 		return
 	}
-	start := e.firstPartial[round]
+	start := e.rounds[round].firstPartial
 	kept, filtered := v.Counts()
 	e.tr.Record(trace.GlobalSpan(round, float64(start), float64(end), e.cfg.Global.Bare(), step.WireBytes(e.cfg.Codec, dim), kept, filtered))
-	rs, ok := e.roundStart[round]
-	if !ok {
+	rs := e.rounds[round].start
+	if rs == never {
 		rs = start
 	}
 	e.tr.Record(trace.RoundSpan(round, float64(rs), float64(end)))

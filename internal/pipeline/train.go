@@ -11,13 +11,13 @@ import (
 // device starts (virtual time) and joined at its finish timer. Training is a
 // pure function of the job: the SGD stream is label-derived, start is a sent
 // — hence immutable — model vector, and the shard is read-only. Everything
-// here is written before the dispatch send; a worker touches nothing else of
-// the engine, and the loop touches buf again only after the join.
+// here and the device's upload vector (trained) are written before the
+// dispatch send; a worker touches nothing else of the engine, and the loop
+// touches the upload again only after the join.
 type trainJob struct {
 	d     *deviceActor
 	round int
 	start tensor.Vector
-	buf   tensor.Vector // the upload vector to fill (engine.take)
 }
 
 // trainPool runs local SGD off the event loop on a fixed set of goroutines,
@@ -46,15 +46,16 @@ func (e *engine) startTraining(workers, devices int) {
 				// pipeline run is bit-identical to it on the same seed.
 				r := e.root.DeriveDecimal("round-", j.round).DeriveDecimal("device-", j.d.id)
 				nn.SGDWS(m, ws, e.cfg.ClientData[j.d.id], e.cfg.Local, r)
-				j.d.trained <- m.ParamsInto(j.buf)
+				m.ParamsInto(j.d.trained)
+				j.d.join.Done()
 			}
 		}()
 	}
 }
 
-// stopTraining closes the queue and waits for the workers to exit; a result
-// nobody joins stays in its device's one-slot channel, so none is stuck
-// sending, and giveBack takes it from there.
+// stopTraining closes the queue and waits for the workers to exit, which
+// finish every dispatched training; giveBack takes back the uploads nobody
+// joined.
 func (e *engine) stopTraining() {
 	close(e.pool.jobs)
 	e.pool.wg.Wait()

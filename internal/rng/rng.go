@@ -49,10 +49,10 @@ func (r *RNG) Split() *RNG {
 // Split it does not advance the receiver, so derivation order does not
 // matter: Derive(a) is the same stream regardless of any Derive(b) calls.
 //
-// Derive, DeriveDecimal and DeriveN are one-line wrappers so that they
-// inline: a derived generator that does not outlive its caller then lives on
-// that caller's stack, and a hot loop can derive a stream per device per
-// round without allocating (TestDeriveStaysOnStack).
+// Derive, DeriveDecimal, DeriveDecimals and DeriveN are one-line wrappers so
+// that they inline: a derived generator that does not outlive its caller then
+// lives on that caller's stack, and a hot loop can derive a stream per device
+// per round without allocating (TestDeriveStaysOnStack).
 func (r *RNG) Derive(label string) *RNG {
 	return &RNG{state: deriveState(r.state, label)}
 }
@@ -189,27 +189,40 @@ func (r *RNG) Choice(n, k int) []int {
 // "device-12" keep their bits while a hot loop derives them allocation-free.
 // It is not DeriveN, which folds n's bytes and so is a different stream.
 func (r *RNG) DeriveDecimal(label string, n int) *RNG {
-	return &RNG{state: deriveStateDecimal(r.state, label, n)}
+	return &RNG{state: deriveStateDecimals(r.state, label, []int{n})}
 }
 
-// deriveStateDecimal is DeriveDecimal's hash: the label, then n's decimal
-// digits most significant first, a minus sign ahead of a negative n — the
-// bytes strconv.Itoa writes.
+// DeriveDecimals returns Derive(label + the decimals of ns joined by "-")
+// without building the string: DeriveDecimals("adur-", l, i, round) is
+// Derive(fmt.Sprintf("adur-%d-%d-%d", l, i, round)), so a multi-index label
+// keeps its stream while a hot loop derives it allocation-free.
+func (r *RNG) DeriveDecimals(label string, ns ...int) *RNG {
+	return &RNG{state: deriveStateDecimals(r.state, label, ns)}
+}
+
+// deriveStateDecimals is DeriveDecimals' hash: the label, then each index's
+// decimal digits most significant first, a minus sign ahead of a negative
+// one — the bytes strconv.Itoa writes — with a '-' between two indices.
 //
 //go:noinline
-func deriveStateDecimal(h uint64, label string, n int) uint64 {
+func deriveStateDecimals(h uint64, label string, ns []int) uint64 {
 	h = foldLabel(h, label)
-	u := uint64(n)
-	if n < 0 {
-		h = (h ^ '-') * 0x100000001B3
-		u = -u
-	}
-	p := uint64(1)
-	for u/p >= 10 {
-		p *= 10
-	}
-	for ; p > 0; p /= 10 {
-		h = (h ^ ('0' + u/p%10)) * 0x100000001B3
+	for i, n := range ns {
+		u := uint64(n)
+		if i > 0 {
+			h = (h ^ '-') * 0x100000001B3
+		}
+		if n < 0 {
+			h = (h ^ '-') * 0x100000001B3
+			u = -u
+		}
+		p := uint64(1)
+		for u/p >= 10 {
+			p *= 10
+		}
+		for ; p > 0; p /= 10 {
+			h = (h ^ ('0' + u/p%10)) * 0x100000001B3
+		}
 	}
 	return finish(h)
 }

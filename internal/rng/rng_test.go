@@ -351,10 +351,40 @@ func TestDeriveDecimalIsDeriveOfTheDecimalLabel(t *testing.T) {
 	check("", 7)
 }
 
-// TestDeriveStaysOnStack holds the reason Derive, DeriveDecimal and DeriveN are one-line
-// wrappers: a derived generator that does not escape costs no allocation. A
-// compiler that stops inlining them fails here instead of silently adding an
-// allocation per derived stream (10 MB per 100k-device scale cell).
+// TestDeriveDecimalsIsDeriveOfTheFormattedLabel holds DeriveDecimals to its
+// contract: over a grid of labels and of one to three indices, negatives and
+// the int extremes included, its stream is Derive's on the label the engines
+// used to format, "tdur-%d-%d" and its kin.
+func TestDeriveDecimalsIsDeriveOfTheFormattedLabel(t *testing.T) {
+	r := New(42)
+	idx := []int{0, 1, 9, 10, 99, 100, 12345, -1, -10, -12345, math.MaxInt, math.MinInt}
+	for _, label := range []string{"tdur-", "adur-", "quorum-", "cba-", "vote-", ""} {
+		check := func(formatted string, ns ...int) {
+			if got, want := r.DeriveDecimals(label, ns...).Uint64(), r.Derive(formatted).Uint64(); got != want {
+				t.Fatalf("DeriveDecimals(%q, %v) = %#x, Derive(%q) = %#x", label, ns, got, formatted, want)
+			}
+		}
+		check(label)
+		for _, a := range idx {
+			check(fmt.Sprintf("%s%d", label, a), a)
+			for _, b := range idx {
+				check(fmt.Sprintf("%s%d-%d", label, a, b), a, b)
+				for _, c := range idx[:6] {
+					check(fmt.Sprintf("%s%d-%d-%d", label, a, b, c), a, b, c)
+				}
+			}
+		}
+	}
+	if got, want := r.DeriveDecimals("round-", 7).Uint64(), r.DeriveDecimal("round-", 7).Uint64(); got != want {
+		t.Fatalf("DeriveDecimals with one index = %#x, DeriveDecimal = %#x", got, want)
+	}
+}
+
+// TestDeriveStaysOnStack holds the reason Derive, DeriveDecimal,
+// DeriveDecimals and DeriveN are one-line wrappers: a derived generator that
+// does not escape costs no allocation. A compiler that stops inlining them
+// fails here instead of silently adding an allocation per derived stream
+// (10 MB per 100k-device scale cell).
 func TestDeriveStaysOnStack(t *testing.T) {
 	r := New(1)
 	var sink uint64
@@ -374,6 +404,9 @@ func TestDeriveStaysOnStack(t *testing.T) {
 		fsink += r.DeriveDecimal("round-", int(i)).DeriveDecimal("device-", int(i)).NormFloat64()
 	}); n != 0 {
 		t.Errorf("chained DeriveDecimal: %v allocs per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { i++; fsink += r.DeriveDecimals("adur-", int(i), 2, -int(i)).Float64() }); n != 0 {
+		t.Errorf("DeriveDecimals: %v allocs per call, want 0", n)
 	}
 	_, _ = sink, fsink
 }

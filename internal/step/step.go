@@ -348,7 +348,7 @@ func ApplyQuorum(phi float64, roundRNG *rng.RNG, lvl, ci int, vecs []tensor.Vect
 	if need >= len(vecs) {
 		return vecs, ids
 	}
-	pick := roundRNG.Derive(fmt.Sprintf("quorum-%d-%d", lvl, ci)).Choice(len(vecs), need)
+	pick := roundRNG.DeriveDecimals("quorum-", lvl, ci).Choice(len(vecs), need)
 	outV := make([]tensor.Vector, need)
 	outI := make([]int, need)
 	for k, i := range pick {
