@@ -81,7 +81,7 @@ func runTimeline(mat *abdhfl.Materials, flagLevel int) {
 	fmt.Print(pipeline.RenderTimeline(res.Timings, 60))
 	fmt.Printf("\nmean ν = %.3f   virtual duration = %.1f ms   merges = %d   final accuracy = %s\n",
 		res.MeanNu, float64(res.Duration), res.MergedGlobals, metrics.Pct(res.FinalAccuracy))
-	fmt.Printf("network: %d messages, %d model-volume units, %d dropped, %d duplicated, %d to unregistered nodes\n",
+	fmt.Printf("network: %d messages, %d bytes, %d dropped, %d duplicated, %d to unregistered nodes\n",
 		res.Network.Messages, res.Network.Volume,
 		res.Network.Dropped, res.Network.Duplicated, res.Network.DroppedUnregistered)
 }

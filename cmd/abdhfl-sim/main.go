@@ -7,6 +7,7 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"os"
@@ -166,9 +167,7 @@ func runRounds(mat *abdhfl.Materials, s abdhfl.Scenario, baseline bool) {
 	fmt.Printf("\nfinal accuracy: %s\n", metrics.Pct(res.FinalAccuracy))
 	fmt.Printf("communication: %d model transfers, %d scalar messages\n",
 		res.Comm.ModelTransfers, res.Comm.ScalarMessages)
-	if res.Comm.WireBytes > 0 {
-		fmt.Printf("wire traffic: %d encoded bytes (codec %s)\n", res.Comm.WireBytes, s.Codec)
-	}
+	fmt.Printf("wire traffic: %d encoded bytes (codec %s)\n", res.Comm.WireBytes, cmp.Or(s.Codec, "identity"))
 	if res.ExcludedByConsensus > 0 {
 		fmt.Printf("top-level consensus excluded %d partial models\n", res.ExcludedByConsensus)
 	}
@@ -192,13 +191,11 @@ func runPipeline(mat *abdhfl.Materials, flagLevel int) {
 	fmt.Printf("mean nu         %.3f\n", res.MeanNu)
 	fmt.Printf("virtual time    %.0f ms\n", float64(res.Duration))
 	fmt.Printf("merges          %d\n", res.MergedGlobals)
-	fmt.Printf("network         %d msgs / %d volume / %d dropped / %d dup / %d unregistered\n",
+	fmt.Printf("network         %d msgs / %d bytes / %d dropped / %d dup / %d unregistered\n",
 		res.Network.Messages, res.Network.Volume,
 		res.Network.Dropped, res.Network.Duplicated, res.Network.DroppedUnregistered)
 	fmt.Printf("peak queue      %d pending events\n", res.Network.PeakQueue)
-	if res.WireBytes > 0 {
-		fmt.Printf("wire traffic    %d encoded bytes (codec %s)\n", res.WireBytes, mat.Scenario.Codec)
-	}
+	fmt.Printf("wire traffic    %d encoded bytes (codec %s)\n", res.WireBytes, cmp.Or(mat.Scenario.Codec, "identity"))
 }
 
 func fatal(err error) {

@@ -8,9 +8,10 @@ import (
 )
 
 // Identity ships the raw float64 coordinates. Its encode→decode round trip
-// is bitwise exact (math.Float64bits both ways), so an engine run with the
-// Identity codec reproduces the uncompressed run bit for bit — the golden
-// baseline every lossy codec is measured against.
+// is bitwise exact (math.Float64bits both ways), so a run with the Identity
+// codec is the uncompressed run bit for bit — the golden baseline every
+// lossy codec is measured against, and what every engine runs when no codec
+// is configured.
 //
 // Wire format (little-endian):
 //

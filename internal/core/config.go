@@ -113,14 +113,13 @@ type Config struct {
 	// Clusters whose members are all offline contribute no partial model;
 	// the level above simply aggregates fewer inputs.
 	Churn ChurnModel
-	// Codec, when non-nil, passes every model transfer on the
-	// device→leader→root path (uploads, per-level partials, dissemination)
-	// through an encode→decode hop, so the run reflects both the wire size
+	// Codec passes every model transfer on the device→leader→root path
+	// (uploads, per-level partials, dissemination) through one
+	// encode→decode hop, so the run reflects both the wire size
 	// (CommStats.WireBytes) and the information loss of compressed updates.
 	// The Delta codec uses the round's start global model as its reference.
-	// Nil — and the bit-exact Identity codec — reproduce the uncompressed
-	// run's results exactly; lossy codecs perturb only the vectors, never the
-	// rng streams.
+	// Nil selects codec.Identity, the bit-exact uncompressed hop; lossy
+	// codecs perturb only the vectors, never the rng streams.
 	Codec codec.Codec
 	// Cohort is the number of trainers deterministically sampled from each
 	// bottom cluster per round (cross-device FL's client sampling). Devices
@@ -231,9 +230,8 @@ type CommStats struct {
 	ModelTransfers int
 	// ScalarMessages counts light messages (votes, scores).
 	ScalarMessages int
-	// WireBytes is the total encoded size of all model transfers when a
-	// Codec is configured (ModelTransfers × the codec's wire size); zero
-	// when transfers are counted in abstract units.
+	// WireBytes is the total encoded size of all model transfers:
+	// ModelTransfers × the codec's wire size.
 	WireBytes int64
 }
 

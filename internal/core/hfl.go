@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sync"
@@ -27,6 +28,7 @@ func RunHFL(cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	cfg.Codec = cmp.Or[codec.Codec](cfg.Codec, codec.Identity{})
 	root := rng.New(cfg.Seed)
 	sizes := step.ModelSizes(cfg.Hidden)
 	pool := step.Store.Pool(sizes)
@@ -59,7 +61,7 @@ func RunHFL(cfg Config) (*Result, error) {
 	// so one Scratch serves every hop of every round.
 	codecScratch := codec.NewScratch()
 	ins := newInstruments(cfg.Telemetry, "hfl", cfg.Codec, dim)
-	ct := newCoreTracer(cfg.Trace, tree.Bottom(), step.WireBytes(cfg.Codec, dim))
+	ct := newCoreTracer(cfg.Trace, tree.Bottom(), int64(cfg.Codec.WireBytes(dim)))
 	partialBufs := make([][]tensor.Vector, len(tree.Clusters))
 	levelOut := make([][]tensor.Vector, len(tree.Clusters))
 	for lvl := range tree.Clusters {
@@ -120,15 +122,13 @@ func RunHFL(cfg Config) (*Result, error) {
 		// --- Device→leader uplink: each submitted update crosses one codec
 		// hop. The Delta reference is the round's start model, which every
 		// device and leader already holds from dissemination.
-		if cfg.Codec != nil {
-			codecScratch.Ref = globalParams
-			for id, u := range updates {
-				if u == nil {
-					continue
-				}
-				if _, err := codec.Transcode(cfg.Codec, u, codecScratch); err != nil {
-					return nil, fmt.Errorf("core: round %d device %d codec: %w", round, id, err)
-				}
+		codecScratch.Ref = globalParams
+		for id, u := range updates {
+			if u == nil {
+				continue
+			}
+			if _, err := step.Hop(cfg.Codec, u, codecScratch); err != nil {
+				return nil, fmt.Errorf("core: round %d device %d codec: %w", round, id, err)
 			}
 		}
 
@@ -196,10 +196,8 @@ func RunHFL(cfg Config) (*Result, error) {
 				res.Comm.Add(StepComm(rule, comm, len(vecs), c.Size()))
 				// Leader→parent uplink: the freshly formed partial crosses the
 				// next codec hop before the level above consumes it.
-				if cfg.Codec != nil {
-					if _, err := codec.Transcode(cfg.Codec, agg, codecScratch); err != nil {
-						return nil, fmt.Errorf("core: round %d level %d cluster %d codec: %w", round, lvl, ci, err)
-					}
+				if _, err := step.Hop(cfg.Codec, agg, codecScratch); err != nil {
+					return nil, fmt.Errorf("core: round %d level %d cluster %d codec: %w", round, lvl, ci, err)
 				}
 				next[ci] = agg
 			}
@@ -231,11 +229,9 @@ func RunHFL(cfg Config) (*Result, error) {
 		// against the previous global every receiver still holds. The
 		// double-buffered globals keep the reference intact while the new
 		// model decodes in place.
-		if cfg.Codec != nil {
-			codecScratch.Ref = globalParams
-			if _, err := codec.Transcode(cfg.Codec, newGlobal, codecScratch); err != nil {
-				return nil, fmt.Errorf("core: round %d dissemination codec: %w", round, err)
-			}
+		codecScratch.Ref = globalParams
+		if _, err := step.Hop(cfg.Codec, newGlobal, codecScratch); err != nil {
+			return nil, fmt.Errorf("core: round %d dissemination codec: %w", round, err)
 		}
 		globalParams = newGlobal
 
@@ -266,10 +262,8 @@ func RunHFL(cfg Config) (*Result, error) {
 		}
 		// Wire-byte accounting: every model transfer this round shipped one
 		// codec-encoded vector of the same dimension.
-		if cfg.Codec != nil {
-			moved := res.Comm.ModelTransfers - commBefore.ModelTransfers
-			res.Comm.WireBytes += int64(moved) * int64(cfg.Codec.WireBytes(dim))
-		}
+		moved := res.Comm.ModelTransfers - commBefore.ModelTransfers
+		res.Comm.WireBytes += int64(moved) * int64(cfg.Codec.WireBytes(dim))
 		if ins.enabled() {
 			delta := res.Comm
 			delta.ModelTransfers -= commBefore.ModelTransfers

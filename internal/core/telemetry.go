@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"abdhfl/internal/codec"
-	"abdhfl/internal/step"
 	"abdhfl/internal/telemetry"
 )
 
@@ -38,7 +37,7 @@ type instruments struct {
 
 // newInstruments registers the engine's metric families under the given
 // engine label and publishes the codec's compression ratio at the run's
-// model dimension (the gauge stays zero without a codec).
+// model dimension: raw float64 bytes over wire bytes.
 func newInstruments(reg *telemetry.Registry, engine string, c codec.Codec, dim int) *instruments {
 	if reg == nil {
 		return nil
@@ -55,7 +54,7 @@ func newInstruments(reg *telemetry.Registry, engine string, c codec.Codec, dim i
 		scalars:   reg.Counter(label("abdhfl_comm_scalar_messages_total")),
 		wireBytes: reg.Counter(label("abdhfl_codec_wire_bytes_total")),
 	}
-	reg.Gauge(label("abdhfl_codec_compression_ratio")).Set(step.CompressionRatio(c, dim))
+	reg.Gauge(label("abdhfl_codec_compression_ratio")).Set(float64(8*dim) / float64(c.WireBytes(dim)))
 	for p := 0; p < numPhases; p++ {
 		ins.phases[p] = reg.Histogram(
 			fmt.Sprintf(`abdhfl_phase_seconds{engine=%q,phase=%q}`, engine, phaseNames[p]), nil)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"time"
@@ -52,7 +53,7 @@ type VanillaConfig struct {
 	Cohort int
 	// Codec mirrors Config.Codec: every client upload and the server's
 	// broadcast cross one encode→decode hop, with the round's start model as
-	// the Delta reference.
+	// the Delta reference; nil selects codec.Identity.
 	Codec codec.Codec
 	// Trace mirrors Config.Trace: causal spans on the logical clock (train
 	// spans feed the single "global" server aggregation here).
@@ -78,6 +79,7 @@ func RunVanilla(cfg VanillaConfig) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	cfg.Codec = cmp.Or[codec.Codec](cfg.Codec, codec.Identity{})
 	root := rng.New(cfg.Seed)
 	sizes := step.ModelSizes(cfg.Hidden)
 	pool := step.Store.Pool(sizes)
@@ -103,7 +105,7 @@ func RunVanilla(cfg VanillaConfig) (*Result, error) {
 	st := step.NewStepper(obs, workers, pool, false)
 	codecScratch := codec.NewScratch()
 	ins := newInstruments(cfg.Telemetry, "vanilla", cfg.Codec, dim)
-	ct := newCoreTracer(cfg.Trace, 0, step.WireBytes(cfg.Codec, dim))
+	ct := newCoreTracer(cfg.Trace, 0, int64(cfg.Codec.WireBytes(dim)))
 	globalBufs := [2]tensor.Vector{step.Store.Take(dim), nn.InitParamsInto(step.Store.Take(dim), root.Derive("init"), sizes...)}
 	globalParams := globalBufs[1]
 	for round := 0; round < cfg.Rounds; round++ {
@@ -127,15 +129,13 @@ func RunVanilla(cfg VanillaConfig) (*Result, error) {
 			}
 		}
 		// Client→server uplink: each submitted update crosses one codec hop.
-		if cfg.Codec != nil {
-			codecScratch.Ref = globalParams
-			for id, u := range updates {
-				if u == nil {
-					continue
-				}
-				if _, err := codec.Transcode(cfg.Codec, u, codecScratch); err != nil {
-					return nil, fmt.Errorf("core: vanilla round %d client %d codec: %w", round, id, err)
-				}
+		codecScratch.Ref = globalParams
+		for id, u := range updates {
+			if u == nil {
+				continue
+			}
+			if _, err := step.Hop(cfg.Codec, u, codecScratch); err != nil {
+				return nil, fmt.Errorf("core: vanilla round %d client %d codec: %w", round, id, err)
 			}
 		}
 		if ins.enabled() {
@@ -164,7 +164,7 @@ func RunVanilla(cfg VanillaConfig) (*Result, error) {
 			// Consensus at the server: contributing clients are the members,
 			// each scoring every update on its own shard.
 			in.Rand = roundRNG.Derive("cba-top")
-			in.Workers, in.Local, in.Byzantine, in.Name = workers, cfg.ClientData, hcfg.protocolByzantine(), cfg.Rule.Bare()
+			in.Workers, in.Local, in.Byzantine = workers, cfg.ClientData, hcfg.protocolByzantine()
 		}
 		agg, v, comm, err := st.Aggregate(cfg.Rule, in)
 		if err != nil {
@@ -184,13 +184,11 @@ func RunVanilla(cfg VanillaConfig) (*Result, error) {
 		// Server→client downlink: the broadcast global crosses one codec hop
 		// (the previous global, still intact in the other buffer, is the
 		// Delta reference every client holds).
-		if cfg.Codec != nil {
-			codecScratch.Ref = globalParams
-			if _, err := codec.Transcode(cfg.Codec, agg, codecScratch); err != nil {
-				return nil, fmt.Errorf("core: vanilla round %d broadcast codec: %w", round, err)
-			}
-			roundComm.WireBytes = int64(roundComm.ModelTransfers) * int64(cfg.Codec.WireBytes(len(agg)))
+		codecScratch.Ref = globalParams
+		if _, err := step.Hop(cfg.Codec, agg, codecScratch); err != nil {
+			return nil, fmt.Errorf("core: vanilla round %d broadcast codec: %w", round, err)
 		}
+		roundComm.WireBytes = int64(roundComm.ModelTransfers) * int64(cfg.Codec.WireBytes(dim))
 		globalParams = agg
 		res.Comm.Add(roundComm)
 		if ins.enabled() {

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"cmp"
 	"encoding/binary"
 	"math"
 	"reflect"
@@ -97,14 +98,10 @@ func runCore(t *testing.T, s abdhfl.Scenario) (*core.Result, []WireAudit) {
 // TestNodeClusterMatchesCore is the distributed≡single-process golden: a
 // full loopback cluster run must reproduce core.RunHFL byte for byte —
 // final model, accuracy curve, σ-accounting, and the filter audit — with
-// and without an update codec in the path.
+// no codec configured (each engine's identity) and with a lossy one.
 func TestNodeClusterMatchesCore(t *testing.T) {
 	for _, codecName := range []string{"", "delta-int8"} {
-		name := codecName
-		if name == "" {
-			name = "raw"
-		}
-		t.Run(name, func(t *testing.T) {
+		t.Run(cmp.Or(codecName, "none"), func(t *testing.T) {
 			s := testScenario(codecName)
 			want, coreAudits := runCore(t, s)
 

@@ -352,21 +352,15 @@ func (e *Engine) rootRound(roundRNG *rng.RNG, round int, skip map[int]bool) erro
 	// every receiver still holds), apply the same lossy hop to the root's
 	// own copy, publish that copy to the process's engines and hand the
 	// payload to the top members for relay. A receiver decoding the payload
-	// gets the copy bit for bit: the codec hop is the decode it would run,
-	// and raw float64s round-trip exactly once finite (a non-finite global
-	// fails the receiver's decode, so it is not published).
+	// gets the copy bit for bit: the codec hop is the decode it would run.
 	payload, err := e.appendModel(step.Store.Buf(), newGlobal)
+	if err == nil {
+		err = e.decodeModel(newGlobal, payload)
+	}
 	if err != nil {
 		return fmt.Errorf("root: round %d dissemination codec: %w", round, err)
 	}
-	if e.cdc != nil {
-		if err := e.decodeModel(newGlobal, payload); err != nil {
-			return fmt.Errorf("root: round %d dissemination codec: %w", round, err)
-		}
-	}
-	if e.cdc != nil || tensor.AllFinite(newGlobal) {
-		e.sh.publish(e.global, payload, newGlobal)
-	}
+	e.sh.publish(e.global, payload, newGlobal)
 	e.global = newGlobal
 	for _, m := range e.tree.Top().Members {
 		if err := e.send(KindGlobal, m, round, payload); err != nil {
@@ -390,10 +384,8 @@ func (e *Engine) rootRound(roundRNG *rng.RNG, round int, skip map[int]bool) erro
 
 	// Wire-byte accounting: every model transfer this round shipped one
 	// codec-encoded vector.
-	if e.cdc != nil {
-		moved := e.res.Comm.ModelTransfers - commBefore.ModelTransfers
-		e.res.Comm.WireBytes += int64(moved) * int64(e.cdc.WireBytes(e.dim))
-	}
+	moved := e.res.Comm.ModelTransfers - commBefore.ModelTransfers
+	e.res.Comm.WireBytes += int64(moved) * int64(e.cdc.WireBytes(e.dim))
 	e.logf("root: round %d done (%d partials)", round, len(got))
 	return nil
 }

@@ -30,6 +30,7 @@ package node
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"sync"
@@ -48,7 +49,7 @@ import (
 )
 
 // Protocol frame kinds. Payloads: KindUpdate and KindGlobal carry one
-// encoded model (codec bytes or raw float64s, see payload.go); KindPartial
+// codec-encoded model (see payload.go); KindPartial
 // carries a partial model plus the filter audits accumulated in the
 // sender's subtree.
 const (
@@ -282,7 +283,7 @@ func newEngine(cfg Config, ccfg core.Config) (*Engine, error) {
 		gwait:    gwait,
 		timer:    time.NewTimer(time.Hour),
 		sh:       cfg.shared,
-		cdc:      ccfg.Codec,
+		cdc:      cmp.Or[codec.Codec](ccfg.Codec, codec.Identity{}),
 		cs:       codec.NewScratch(),
 		led:      map[int][]int{},
 		produces: map[[2]int]bool{},

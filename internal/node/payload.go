@@ -4,75 +4,46 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"math"
 	"slices"
 
-	"abdhfl/internal/codec"
 	"abdhfl/internal/step"
 	"abdhfl/internal/tensor"
 )
 
-// Model payload encoding. With a codec configured, a model crossing the
-// wire is exactly one codec hop: the sender EncodeInto's the vector (Delta
-// reference = the round-start global model both ends hold from
-// dissemination) and the receiver DecodeInto's the same bytes against the
-// same reference — the distributed realization of core.RunHFL's per-hop
-// Transcode, which is what keeps the two engines byte-identical. Without a
-// codec, payloads are raw little-endian float64s (lossless).
+// Model payload encoding. A model crossing the wire is exactly one codec
+// hop: the sender EncodeInto's the vector (Delta reference = the round-start
+// global model both ends hold from dissemination) and the receiver
+// DecodeInto's the same bytes against the same reference — the distributed
+// realization of core.RunHFL's per-hop step.Hop, which is what keeps the
+// two engines byte-identical. Without a configured codec the codec is
+// codec.Identity, so every payload has a codec's tag and dimension header.
 
 // appendModel appends v's wire payload against the current global as the
 // codec reference to dst, usually a send buffer borrowed from the store.
 func (e *Engine) appendModel(dst []byte, v tensor.Vector) ([]byte, error) {
-	if e.cdc != nil {
-		e.cs.Ref = e.global
-		dst = slices.Grow(dst, e.cdc.WireBytes(len(v)))
-		n, err := e.cdc.EncodeInto(dst[len(dst):cap(dst)], v, e.cs)
-		if err != nil {
-			return dst, err
-		}
-		return dst[:len(dst)+n], nil
+	e.cs.Ref = e.global
+	dst = slices.Grow(dst, e.cdc.WireBytes(len(v)))
+	n, err := e.cdc.EncodeInto(dst[len(dst):cap(dst)], v, e.cs)
+	if err != nil {
+		return dst, err
 	}
-	dst = slices.Grow(dst, 8*len(v))
-	for _, x := range v {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(x))
-	}
-	return dst, nil
+	return dst[:len(dst)+n], nil
 }
 
 // decodeModel reconstructs a wire payload into dst against the current
-// global as the codec reference.
+// global as the codec reference. A nil error leaves dst finite.
 func (e *Engine) decodeModel(dst tensor.Vector, src []byte) error {
-	if e.cdc != nil {
-		e.cs.Ref = e.global
-		return e.cdc.DecodeInto(dst, src, e.cs)
-	}
-	if len(src) != 8*len(dst) {
-		return fmt.Errorf("node: raw model payload is %d bytes, want %d", len(src), 8*len(dst))
-	}
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
-	}
-	if !tensor.AllFinite(dst) {
-		// The codec decoders' postcondition, kept without a codec: no NaN or
-		// Inf a peer ships reaches an aggregation rule.
-		return codec.ErrNonFinite
-	}
-	return nil
+	e.cs.Ref = e.global
+	return e.cdc.DecodeInto(dst, src, e.cs)
 }
 
 // transcodeLocal applies the codec hop to a vector handed over locally
 // (a leader's own update, or a partial whose parent leader is the same
 // process): the value must degrade exactly as if it had crossed the wire,
-// so it is the wire's encode and decode, through a borrowed send buffer.
+// so it is the wire's encode and decode (step.Hop).
 func (e *Engine) transcodeLocal(v tensor.Vector) error {
-	if e.cdc == nil {
-		return nil
-	}
-	b, err := e.appendModel(step.Store.Buf(), v)
-	if err == nil {
-		err = e.decodeModel(v, b)
-	}
-	step.Store.PutBuf(b)
+	e.cs.Ref = e.global
+	_, err := step.Hop(e.cdc, v, e.cs)
 	return err
 }
 
@@ -133,8 +104,7 @@ func appendProposals(dst []byte, member int, payloads [][]byte) []byte {
 // most the bytes that remain, and the last payload must end the message.
 // The framing is checked whole before any vector is borrowed; each payload
 // then decodes like any model off the wire (decodeModel), whose codec
-// header or raw length check rejects a foreign dimension and whose
-// nil-error result is finite.
+// header rejects a foreign dimension and whose nil-error result is finite.
 func (e *Engine) decodeProposals(raw []byte) (member int, proposals []tensor.Vector, err error) {
 	if len(raw) < 8 {
 		return 0, nil, fmt.Errorf("node: proposal message truncated (%d bytes)", len(raw))

@@ -2,7 +2,7 @@ package node
 
 import (
 	"bytes"
-	"cmp"
+
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -19,7 +19,7 @@ import (
 
 // decoderEngine is the slice of an Engine the payload decoders read: the
 // model dimension, the tree (testScenario's, two level-1 clusters), the
-// codec (nil for raw float64s) and the round-start global every decode
+// codec and the round-start global every decode
 // refers to, a copy of global; its vectors come from a free list of its own.
 func decoderEngine(t testing.TB, cdc codec.Codec, global tensor.Vector) *Engine {
 	t.Helper()
@@ -37,17 +37,13 @@ func proposalTestVector(r *rng.RNG) tensor.Vector {
 	return v
 }
 
-// proposalCodecNames are the no-codec path ("") and every registry codec
-// ("delta" is delta-int8), with the other delta compositions: every delta
-// decode reads the global.
-var proposalCodecNames = append([]string{""}, append(codec.Names(), "delta-topk", "delta-identity")...)
+// proposalCodecNames are every registry codec ("delta" is delta-int8),
+// with the other delta compositions: every delta decode reads the global.
+var proposalCodecNames = append(codec.Names(), "delta-topk", "delta-identity")
 
-// proposalCodec returns the codec registered under name; "" is nil.
+// proposalCodec returns the codec registered under name.
 func proposalCodec(t testing.TB, name string) codec.Codec {
 	t.Helper()
-	if name == "" {
-		return nil
-	}
 	c, err := codec.ByName(name)
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +133,7 @@ func TestDecodeProposalsHostileHeaders(t *testing.T) {
 }
 
 // TestDecodeProposalsRoundTrip pins the property forwarding rests on: for
-// the raw path and every codec, a leader's decode of a proposal is bit for
+// every codec, a leader's decode of a proposal is bit for
 // bit the root's decode of the same partial bytes against the same global,
 // in vectors the leader borrowed. The delta codecs' reference is the global,
 // so a leader decoding against anything else would fail here.
@@ -147,7 +143,7 @@ func TestDecodeProposalsRoundTrip(t *testing.T) {
 	partials := []tensor.Vector{proposalTestVector(r), proposalTestVector(r)}
 	partials[1][0], partials[1][1], partials[1][2] = math.SmallestNonzeroFloat64, -0.0, 1e300
 	for _, name := range proposalCodecNames {
-		t.Run("codec="+cmp.Or(name, "raw"), func(t *testing.T) {
+		t.Run("codec="+name, func(t *testing.T) {
 			cdc := proposalCodec(t, name)
 			root, leader := decoderEngine(t, cdc, global), decoderEngine(t, cdc, global)
 			payloads := make([][]byte, len(partials))
@@ -179,24 +175,29 @@ func TestDecodeProposalsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecodeModelRawNonFinite holds the no-codec path to the codec
-// decoders' postcondition: a raw update carrying NaN or ±Inf is
-// codec.ErrNonFinite, never a vector an aggregation rule sees.
+// TestDecodeModelRawNonFinite holds the uncompressed payload, a run's
+// without a codec, to the decoders' postcondition: raw float64 bits of NaN
+// or ±Inf a peer ships are codec.ErrNonFinite, never a vector an
+// aggregation rule sees, and such a vector cannot be sent.
 func TestDecodeModelRawNonFinite(t *testing.T) {
-	e := decoderEngine(t, nil, tensor.NewVector(3))
+	e := decoderEngine(t, codec.Identity{}, tensor.NewVector(3))
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		raw, err := e.appendModel(nil, tensor.Vector{1, bad, 3})
+		if _, err := e.appendModel(nil, tensor.Vector{1, bad, 3}); !errors.Is(err, codec.ErrNonFinite) {
+			t.Errorf("encoding an update carrying %v: error %v, want codec.ErrNonFinite", bad, err)
+		}
+		raw, err := e.appendModel(nil, tensor.Vector{1, 2, 3})
 		if err != nil {
 			t.Fatal(err)
 		}
+		binary.LittleEndian.PutUint64(raw[len(raw)-16:], math.Float64bits(bad))
 		if err := e.decodeModel(tensor.NewVector(3), raw); !errors.Is(err, codec.ErrNonFinite) {
-			t.Errorf("raw update carrying %v: error %v, want codec.ErrNonFinite", bad, err)
+			t.Errorf("update carrying %v: error %v, want codec.ErrNonFinite", bad, err)
 		}
 	}
 }
 
 // FuzzDecodeProposals feeds the proposal decoder arbitrary messages under
-// the raw path and every codec: it must return an error or count finite
+// every codec: it must return an error or count finite
 // vectors of the model's dimension, and never panic.
 func FuzzDecodeProposals(f *testing.F) {
 	r := rng.New(4)
@@ -307,7 +308,7 @@ func allocatedBy(fn func()) uint64 {
 }
 
 // FuzzDecodePartial feeds the partial decoder arbitrary messages, seeded
-// with partials an engine framed (raw and int8 models, audits with and
+// with partials an engine framed (identity and int8 models, audits with and
 // without id lists) and the hostile headers above. It must not panic, and
 // what it allocates is bounded by the message, never sized from the
 // length word. A nil error means a well-formed partial: the model is the
@@ -318,7 +319,7 @@ func FuzzDecodePartial(f *testing.F) {
 		{Level: 2, Cluster: 1, Round: 4, Rule: "multi-krum", Kept: []int{3, 5}, Discarded: []int{4}, Transfers: 3},
 		{Level: 1, Rule: "centered-clipping", Clipped: []int{0}, Scalars: 2, Excluded: 1},
 	}
-	for _, name := range []string{"", "int8"} {
+	for _, name := range []string{"identity", "int8"} {
 		e := decoderEngine(f, proposalCodec(f, name), proposalTestVector(rng.New(5)))
 		e.jsonEnc = json.NewEncoder(&e.jsonBuf)
 		for _, a := range [][]WireAudit{nil, audits} {

@@ -10,8 +10,7 @@ import (
 
 // samePipelineResult checks everything a codec hop could perturb: the
 // accuracy curve, timings, final parameters, and the event schedule
-// (Duration). Network volume is excluded — the codec changes volume units
-// from elements to bytes by design.
+// (Duration). Network volume is excluded — a codec's wire size is its own.
 func samePipelineResult(t *testing.T, tag string, a, b *Result) {
 	t.Helper()
 	if a.Duration != b.Duration {
@@ -43,9 +42,9 @@ func samePipelineResult(t *testing.T, tag string, a, b *Result) {
 	}
 }
 
-// TestIdentityCodecGoldenPipeline: the bit-exact Identity codec must
-// reproduce a nil-codec pipeline run exactly — model stream, schedule, and
-// timings — with both flag-level settings.
+// TestIdentityCodecGoldenPipeline: a nil codec is the bit-exact Identity
+// codec — model stream, schedule, timings and wire bytes — with both
+// flag-level settings.
 func TestIdentityCodecGoldenPipeline(t *testing.T) {
 	for _, flagLevel := range []int{0, 1} {
 		run := func(c codec.Codec) *Result {
@@ -60,11 +59,8 @@ func TestIdentityCodecGoldenPipeline(t *testing.T) {
 		}
 		base, ident := run(nil), run(codec.Identity{})
 		samePipelineResult(t, "pipeline", base, ident)
-		if base.WireBytes != 0 {
-			t.Fatal("nil codec must not account wire bytes")
-		}
-		if ident.WireBytes == 0 {
-			t.Fatal("identity codec must account wire bytes")
+		if base.WireBytes != ident.WireBytes || base.Network != ident.Network {
+			t.Fatalf("nil codec ships %d wire bytes (%+v), identity %d (%+v)", base.WireBytes, base.Network, ident.WireBytes, ident.Network)
 		}
 	}
 }

@@ -166,23 +166,22 @@ type Config struct {
 
 	Timing  Timing
 	Latency simnet.LatencyModel
-	// Bandwidth, if non-nil, models per-link capacity (volume units per
-	// virtual ms); model transfers then add size/bandwidth to their delay —
-	// the per-level bandwidth factor of Appendix E. Nil = infinite. (To charge
-	// a byte rate plus per-message overhead, wrap Latency in simnet.Bandwidth
-	// instead: with a Codec set, message volumes are wire bytes.)
+	// Bandwidth, if non-nil, models per-link capacity (bytes per virtual
+	// ms); model transfers then add their wire bytes / bandwidth to their
+	// delay — the per-level bandwidth factor of Appendix E. Nil = infinite.
+	// (To charge a byte rate plus per-message overhead, wrap Latency in
+	// simnet.Bandwidth instead: message volumes are wire bytes either way.)
 	Bandwidth func(from, to simnet.NodeID) float64
 	Alpha     AlphaPolicy
 
-	// Codec, when non-nil, passes every model transfer through one
-	// encode→decode hop at the sender that forms it (device upload, partial,
-	// and the global/flag dissemination; pure forwards re-ship the same bytes
-	// without a second hop) and charges wire bytes — instead of raw element
-	// counts — as the message volume the latency/bandwidth models see. The
-	// Delta codec's reference is the engine's last formed global model (the
-	// round's start parameters for device uploads). Nil and codec.Identity
-	// reproduce the uncompressed model stream bit-for-bit; only the volume
-	// units change under Identity.
+	// Codec passes every model transfer through one encode→decode hop at
+	// the sender that forms it (device upload, partial, and the global/flag
+	// dissemination; pure forwards re-ship the same bytes without a second
+	// hop) and charges its wire bytes as the message volume the
+	// latency/bandwidth models see. The Delta codec's reference is the
+	// engine's last formed global model (the round's start parameters for
+	// device uploads). Nil selects codec.Identity, the bit-exact
+	// uncompressed hop.
 	Codec codec.Codec
 
 	Seed uint64
@@ -199,10 +198,11 @@ type Config struct {
 	// and round). The id slices are reused between calls; consumers must
 	// copy or reduce them before returning.
 	OnFilter func(telemetry.FilterDecision)
-	// Workers is the number of goroutines that run devices' local training,
-	// and bounds those used for consensus validator scoring and the
-	// robust-aggregation kernels (test-set evaluation runs on the loop);
-	// zero selects GOMAXPROCS.
+	// Workers is the number of goroutines that run devices' local training
+	// and bounds those of the robust-aggregation kernels; zero selects
+	// GOMAXPROCS for both. The top's consensus validator scoring takes the
+	// value as given, and consensus.Context treats zero as one, so zero
+	// scores serially. Test-set evaluation runs on the loop.
 	// Training leaves the event loop — a device's SGD is dispatched when the
 	// device starts, in virtual time, and joined at its finish timer, so the
 	// overlap the pipeline simulates is also real — because it is a pure
@@ -346,9 +346,8 @@ type Result struct {
 	// on (upstream deadlines absorb it like any other silent cluster), so
 	// this — with abdhfl_step_errors_total — is where such a failure shows.
 	StepError error
-	// WireBytes is the total encoded bytes shipped across all links (every
-	// SendVolume charge, forwards included) when a Codec is configured; zero
-	// without one.
+	// WireBytes is the total encoded bytes shipped across all links: every
+	// SendVolume charge, forwards included.
 	WireBytes int64
 	// FinalParams is the last formed global model's parameter vector; nil
 	// when no round completed. Exposed for cross-engine equivalence checks.

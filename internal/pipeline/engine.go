@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -180,26 +181,20 @@ const (
 
 var hopNames = [numHops]string{"uplink", "partial", "flag", "global"}
 
-// transcodeHop passes a freshly formed model vector through the configured
-// codec (encode→decode in place) with ref as the Delta reference both
-// endpoints hold. Forwarded copies of the same vector re-ship the same bytes
-// and must NOT call this again — charge them with volume only.
+// transcodeHop passes a freshly formed model vector through the codec
+// (step.Hop, in place) with ref as the Delta reference both endpoints hold.
+// Forwarded copies of the same vector re-ship the same bytes and must NOT
+// call this again — charge them with volume only.
 func (e *engine) transcodeHop(v, ref tensor.Vector) {
-	if e.cfg.Codec == nil {
-		return
-	}
 	e.cs.Ref = ref
-	if _, err := codec.Transcode(e.cfg.Codec, v, e.cs); err != nil && e.codecErr == nil {
+	if _, err := step.Hop(e.cfg.Codec, v, e.cs); err != nil && e.codecErr == nil {
 		e.codecErr = fmt.Errorf("pipeline: codec %s: %w", e.cfg.Codec.Name(), err)
 	}
 }
 
-// volume returns the link charge for one model transfer — wire bytes under a
-// codec, the raw element count without one — and accounts it per hop.
+// volume returns the link charge for one model transfer, its wire bytes,
+// and accounts it per hop.
 func (e *engine) volume(hop, dim int) int64 {
-	if e.cfg.Codec == nil {
-		return int64(dim)
-	}
 	n := int64(e.cfg.Codec.WireBytes(dim))
 	e.result.WireBytes += n
 	e.ins.wireHop(hop, n)
@@ -690,7 +685,7 @@ func (a *clusterActor) formGlobal(ctx *simnet.Context, round int, vecs []tensor.
 	if e.cfg.Global.IsCBA() {
 		e.vote = *e.root.DeriveDecimal("vote-", round)
 		in.Rand = &e.vote
-		in.Workers, in.Shards, in.Name = e.workers, e.cfg.ValidationShards, e.cfg.Global.Bare()
+		in.Workers, in.Shards = e.workers, e.cfg.ValidationShards
 	}
 	global, v, _, err := e.st.Aggregate(e.cfg.Global, in)
 	if err != nil {
@@ -753,6 +748,7 @@ func Run(cfg Config) (res *Result, err error) {
 	if cfg.Alpha == nil {
 		cfg.Alpha = AdaptiveAlpha{}
 	}
+	cfg.Codec = cmp.Or[codec.Codec](cfg.Codec, codec.Identity{})
 	if cfg.Latency == nil {
 		cfg.Latency = simnet.Fixed(1)
 	}
@@ -881,7 +877,7 @@ func Run(cfg Config) (res *Result, err error) {
 			}
 			marks = marks[cfg.Rounds:]
 			if l > 0 && l == cfg.FlagLevel {
-				a.relSize = float64(len(tree.LeafDescendants(l, i))) / float64(devices)
+				a.relSize = float64(tree.LeafCount(l, i)) / float64(devices)
 			}
 			if l == 0 {
 				top = a

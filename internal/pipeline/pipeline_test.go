@@ -364,7 +364,7 @@ func TestPipelineBandwidthSlowsGlobalPhase(t *testing.T) {
 	topNode := simnet.NodeID(base.Tree.NumDevices()) // first allocated cluster id = the top
 	choked.Bandwidth = func(_, to simnet.NodeID) float64 {
 		if to == topNode {
-			return 50 // ~48ms extra per 2410-param model
+			return 50 // ~386 ms extra per 19 285-byte model
 		}
 		return 0
 	}

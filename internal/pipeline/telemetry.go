@@ -5,7 +5,6 @@ import (
 
 	"abdhfl/internal/codec"
 	"abdhfl/internal/simnet"
-	"abdhfl/internal/step"
 	"abdhfl/internal/telemetry"
 )
 
@@ -46,8 +45,8 @@ type instruments struct {
 }
 
 // newInstruments registers the engine's metric families and publishes the
-// codec's compression ratio at the run's model dimension (the gauge stays
-// zero without a codec).
+// codec's compression ratio at the run's model dimension: raw float64
+// bytes over wire bytes.
 func newInstruments(reg *telemetry.Registry, c codec.Codec, dim int) *instruments {
 	if reg == nil {
 		return nil
@@ -67,7 +66,7 @@ func newInstruments(reg *telemetry.Registry, c codec.Codec, dim int) *instrument
 		droppedUn: reg.Counter(`abdhfl_simnet_dropped_total{reason="unregistered"}`),
 		dup:       reg.Counter("abdhfl_simnet_duplicated_total"),
 	}
-	reg.Gauge(`abdhfl_codec_compression_ratio{engine="pipeline"}`).Set(step.CompressionRatio(c, dim))
+	reg.Gauge(`abdhfl_codec_compression_ratio{engine="pipeline"}`).Set(float64(8*dim) / float64(c.WireBytes(dim)))
 	for h := 0; h < numHops; h++ {
 		ins.wireHops[h] = reg.Counter(fmt.Sprintf(`abdhfl_codec_wire_bytes_total{engine="pipeline",hop=%q}`, hopNames[h]))
 	}

@@ -34,7 +34,7 @@ func (e *engine) traceUplink(dev, round, level, cluster int, sentAt, at simnet.T
 		return
 	}
 	s := trace.MsgSpan(trace.SpanID("umsg", round, dev), trace.SpanID("aggregate", round, level, cluster), "uplink",
-		round, level, cluster, float64(sentAt), float64(at), step.WireBytes(e.cfg.Codec, dim))
+		round, level, cluster, float64(sentAt), float64(at), int64(e.cfg.Codec.WireBytes(dim)))
 	s.Device, s.From, s.To = dev, dev, int(e.clusterNode[level][cluster])
 	e.tr.Record(s)
 }
@@ -52,7 +52,7 @@ func (e *engine) tracePartial(childLevel, child, round, level, cluster int, sent
 		parent = trace.SpanID("global", round)
 	}
 	s := trace.MsgSpan(trace.SpanID("pmsg", round, childLevel, child), parent, "partial",
-		round, childLevel, child, float64(sentAt), float64(at), step.WireBytes(e.cfg.Codec, dim))
+		round, childLevel, child, float64(sentAt), float64(at), int64(e.cfg.Codec.WireBytes(dim)))
 	s.From, s.To = int(e.clusterNode[childLevel][child]), int(e.clusterNode[level][cluster])
 	e.tr.Record(s)
 }
@@ -76,7 +76,7 @@ func (e *engine) traceGlobal(round int, v *step.Verdict, end simnet.Time, dim in
 	}
 	start := e.rounds[round].firstPartial
 	kept, filtered := v.Counts()
-	e.tr.Record(trace.GlobalSpan(round, float64(start), float64(end), e.cfg.Global.Bare(), step.WireBytes(e.cfg.Codec, dim), kept, filtered))
+	e.tr.Record(trace.GlobalSpan(round, float64(start), float64(end), e.cfg.Global.Bare(), int64(e.cfg.Codec.WireBytes(dim)), kept, filtered))
 	rs := e.rounds[round].start
 	if rs == never {
 		rs = start

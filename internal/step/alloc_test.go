@@ -54,16 +54,14 @@ func TestBRAStepAllocationFree(t *testing.T) {
 // and tallies, so a voting step cannot be zero — but the step must add
 // nothing to what a bare AgreeInto over a prebuilt context costs: no
 // context, validator closure, Byzantine map, decision vector, verdict or
-// callback garbage.
-// (The one thing it can add is the tagged rule name it builds when Input.Name
-// is empty — one string per CBA step, as the round engine always paid.)
+// callback garbage — and no tagged rule name per step.
 func TestVotingStepAddsNoAllocation(t *testing.T) {
 	f := newFixture(t, 4)
 	f.obs.onFilter = func(d telemetryDecision) { sink += len(d.Kept) + len(d.Discarded) }
 	st := NewStepper(f.obs, 1, nn.NewEvalPool(f.sizes...), false)
 	rule := Rule{CBA: consensus.Voting{}}
 	r := rng.New(2)
-	in := Input{Round: 3, Vecs: f.vecs, IDs: f.ids, Dst: tensor.NewVector(len(f.vecs[0])), Rand: r, Shards: f.data, Byzantine: map[int]bool{101: true}, Name: "cba:voting"}
+	in := Input{Round: 3, Vecs: f.vecs, IDs: f.ids, Dst: tensor.NewVector(len(f.vecs[0])), Rand: r, Shards: f.data, Byzantine: map[int]bool{101: true}}
 	stepRun := func() {
 		if _, _, _, err := st.Aggregate(rule, in); err != nil {
 			t.Fatal(err)

@@ -14,6 +14,8 @@ package step
 import (
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 
 	"abdhfl/internal/aggregate"
 	"abdhfl/internal/codec"
@@ -55,8 +57,7 @@ func (r Rule) Name() string {
 }
 
 // Bare returns the aggregator's or protocol's own name, untagged — what the
-// flat baselines and the pipeline have always put in their spans and
-// verdicts.
+// flat baseline and the pipeline put in their spans.
 func (r Rule) Bare() string {
 	if r.CBA != nil {
 		return r.CBA.Name()
@@ -100,10 +101,6 @@ type Input struct {
 	Byzantine map[int]bool
 	// Ballots optionally injects wire-collected member ballots.
 	Ballots *consensus.BallotSet
-	// Name overrides the name a CBA verdict reports; empty selects the
-	// rule's tagged name ("cba:voting"). Engines that report Rule.Bare pass
-	// it here.
-	Name string
 }
 
 // Verdict is one step's filtering outcome. The id slices are the stepper's
@@ -112,7 +109,7 @@ type Input struct {
 // stepper records verdicts.
 type Verdict struct {
 	// Rule is the display name the step reports: a BRA's own name, a CBA's
-	// tagged "cba:" (or Input.Name).
+	// tagged "cba:" one.
 	Rule string
 	// Kept entered the result at full weight, Clipped at reduced weight,
 	// Discarded not at all.
@@ -154,6 +151,9 @@ type Stepper struct {
 
 	record                bool
 	kept, clipped, disced []int
+	// cbaName is the last CBA verdict's tagged rule name, built once and
+	// not on every step.
+	cbaName string
 }
 
 // NewStepper returns a stepper reporting to obs (nil reports nowhere) whose
@@ -304,9 +304,10 @@ func (s *Stepper) consensusVerdict(rule Rule, in *Input, excluded []int) Verdict
 	if !s.record {
 		return v
 	}
-	if v.Rule = in.Name; v.Rule == "" {
-		v.Rule = rule.Name()
+	if strings.TrimPrefix(s.cbaName, "cba:") != rule.CBA.Name() {
+		s.cbaName = rule.Name()
 	}
+	v.Rule = s.cbaName
 	s.kept, s.disced = s.kept[:0], s.disced[:0]
 	ei := 0
 	for i := range in.Vecs {
@@ -368,20 +369,17 @@ func ModelSizes(hidden []int) []int {
 	return append(sizes, dataset.NumClasses)
 }
 
-// WireBytes is the charge of one model transfer: codec wire bytes when a
-// codec is set, the raw element count otherwise (the engines' volume unit).
-func WireBytes(c codec.Codec, dim int) int64 {
-	if c == nil {
-		return int64(dim)
+// Hop carries v across one model transfer in place: c encodes it against
+// s.Ref into a send buffer borrowed from Store and decodes those bytes back
+// into v, the value every receiver of the transfer holds. It returns the
+// wire size in bytes. Every engine's codec hop is this call.
+func Hop(c codec.Codec, v tensor.Vector, s *codec.Scratch) (int, error) {
+	n := c.WireBytes(len(v))
+	b := slices.Grow(Store.Buf(), n)[:n]
+	n, err := c.EncodeInto(b, v, s)
+	if err == nil {
+		err = c.DecodeInto(v, b[:n], s)
 	}
-	return int64(c.WireBytes(dim))
-}
-
-// CompressionRatio is raw float64 bytes over wire bytes at dimension dim;
-// zero without a codec.
-func CompressionRatio(c codec.Codec, dim int) float64 {
-	if c == nil || dim == 0 {
-		return 0
-	}
-	return float64(8*dim) / float64(c.WireBytes(dim))
+	Store.PutBuf(b)
+	return n, err
 }

@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"math"
 	"os/exec"
+	"slices"
 	"strings"
 	"testing"
 
 	"abdhfl/internal/aggregate"
+	"abdhfl/internal/codec"
 	"abdhfl/internal/consensus"
 	"abdhfl/internal/dataset"
 	"abdhfl/internal/nn"
@@ -131,16 +133,16 @@ func TestAggregateCBAMatchesTheProtocolAndReports(t *testing.T) {
 		t.Fatalf("excluded counter %d, verdict %d", got, v.Excluded)
 	}
 
-	// Name overrides the reported rule, and nil IDs are positions (Shards
-	// then does the scoring).
+	// Nil IDs are positions (Shards then does the scoring), and the rule
+	// keeps its tagged name.
 	dst = tensor.NewVector(len(want))
-	in.Dst, in.Name, in.IDs, in.Local, in.Shards, in.Rand = dst, "voting", nil, nil, f.data, rng.New(9)
+	in.Dst, in.IDs, in.Local, in.Shards, in.Rand = dst, nil, nil, f.data, rng.New(9)
 	got, v, _, err = st.Aggregate(rule, in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &got[0] != &dst[0] || tensor.Distance(got, want) != 0 || v.Rule != "voting" {
-		t.Fatalf("Dst/Name not honoured: rule %q", v.Rule)
+	if &got[0] != &dst[0] || tensor.Distance(got, want) != 0 || v.Rule != "cba:voting" {
+		t.Fatalf("Dst not honoured: rule %q", v.Rule)
 	}
 }
 
@@ -291,8 +293,22 @@ func TestSizesAndWireHelpers(t *testing.T) {
 	if got := fmt.Sprint(ModelSizes(nil), ModelSizes([]int{8, 4})); got != fmt.Sprintf("[%d 32 %d] [%d 8 4 %d]", dataset.Dim, dataset.NumClasses, dataset.Dim, dataset.NumClasses) {
 		t.Fatal(got)
 	}
-	if WireBytes(nil, 100) != 100 || CompressionRatio(nil, 100) != 0 {
-		t.Fatal("no codec: raw element count, ratio 0")
+	v := tensor.Vector{1.5, -2, math.SmallestNonzeroFloat64, 1e300}
+	want := v.Clone()
+	if n, err := Hop(codec.Identity{}, v, nil); err != nil || n != 5+8*len(v) || !slices.Equal(v, want) {
+		t.Fatalf("identity hop: %d bytes, %v, %v; want %d bytes and %v unchanged", n, err, v, 5+8*len(v), want)
+	}
+	// A lossy hop moves the value exactly as codec.Transcode does.
+	ref := want.Clone()
+	if _, err := codec.Transcode(codec.Int8Quant{}, ref, nil); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := Hop(codec.Int8Quant{}, v, nil); err != nil || n != (codec.Int8Quant{}).WireBytes(len(v)) || !slices.Equal(v, ref) {
+		t.Fatalf("int8 hop: %d bytes, %v, %v; want %v", n, err, v, ref)
+	}
+	v[2] = math.Inf(1)
+	if _, err := Hop(codec.Identity{}, v, nil); !errors.Is(err, codec.ErrNonFinite) {
+		t.Fatalf("a non-finite vector crossed the hop: %v", err)
 	}
 }
 

@@ -154,6 +154,9 @@ func TestLeafDescendantsPartition(t *testing.T) {
 	// Descendants of top children partition the 64 devices.
 	seen := map[int]bool{}
 	for _, ch := range tree.ChildClusters(0, 0) {
+		if n := tree.LeafCount(ch.Level, ch.Index); n != len(tree.LeafDescendants(ch.Level, ch.Index)) {
+			t.Fatalf("cluster (%d,%d) counts %d leaves, lists %v", ch.Level, ch.Index, n, tree.LeafDescendants(ch.Level, ch.Index))
+		}
 		for _, leaf := range tree.LeafDescendants(ch.Level, ch.Index) {
 			if seen[leaf] {
 				t.Fatalf("leaf %d in two subtrees", leaf)
@@ -161,8 +164,8 @@ func TestLeafDescendantsPartition(t *testing.T) {
 			seen[leaf] = true
 		}
 	}
-	if len(seen) != 64 {
-		t.Fatalf("descendants cover %d devices, want 64", len(seen))
+	if len(seen) != 64 || tree.LeafCount(0, 0) != 64 {
+		t.Fatalf("descendants cover %d devices, the top counts %d; want 64", len(seen), tree.LeafCount(0, 0))
 	}
 }
 

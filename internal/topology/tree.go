@@ -138,6 +138,21 @@ func (t *Tree) LeafDescendants(l, idx int) []int {
 	return out
 }
 
+// LeafCount is len(LeafDescendants(l, idx)), counted without building the
+// list.
+func (t *Tree) LeafCount(l, idx int) int {
+	if l == t.Bottom() {
+		return len(t.Clusters[l][idx].Members)
+	}
+	n := 0
+	for ci := range t.Clusters[l+1] {
+		if t.parentOf[l+1][ci] == idx {
+			n += t.LeafCount(l+1, ci)
+		}
+	}
+	return n
+}
+
 // ClusterOf returns the bottom-level cluster containing device id, or nil.
 func (t *Tree) ClusterOf(id int) *Cluster {
 	for _, c := range t.Clusters[t.Bottom()] {

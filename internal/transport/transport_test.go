@@ -539,14 +539,24 @@ func TestFramePayloadOwnership(t *testing.T) {
 				return recvFrame(t, queues[i])
 			}
 			f1, f2 := send(frames), send(frames+1)
+			// A TCP writer gives a frame's send buffer back after writing
+			// it, so f2's could reach the list after the snapshot below and
+			// be the one the next read takes. The writer gives it back
+			// before it writes the next frame, so once a frame of another
+			// size class has arrived it is on the list.
+			if err := p.a.Send(p.b.Self(), &Frame{Kind: 1, Round: uint32(frames + 2)}); err != nil {
+				t.Fatal(err)
+			}
+			settled := recvFrame(t, queues[i])
+			p.b.Release(&settled)
 			p.b.Release(&f1)
 			p.b.Release(&f2)
 			idle, _ := framePool.idleBufs()
-			f := send(frames + 2)
+			f := send(frames + 3)
 			if !slices.ContainsFunc(idle, func(b []byte) bool { return &b[:1][0] == &f.buf[0] }) {
 				t.Errorf("pair %d: a frame after a release of its size was read into a fresh buffer", i)
 			}
-			if !bytes.Equal(f.Payload, pattern(frames+2, 700)) {
+			if !bytes.Equal(f.Payload, pattern(frames+3, 700)) {
 				t.Errorf("pair %d: a frame in a recycled buffer arrived changed", i)
 			}
 		}
