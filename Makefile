@@ -23,7 +23,12 @@ fmt:
 # layer's -race gate: the codec round-trips and corrupt-payload rejection,
 # the trace shard-merge and worker-count byte identity, the transport
 # frame, ownership and conformance suites, and the ABA conformance and
-# chaostest ABA sweeps all run here, once.
+# chaostest ABA sweeps all run here, once. So do the free lists' tests
+# (internal/freelist: TestConcurrentGetPut, and TestQuarantine for vectors,
+# send and frame buffers and models) and the lifetime tests that run under
+# freelist.Quarantine (TestRoundScratchDeadAtRoundEnd,
+# TestFreedVectorsAreNeverReadAgain, TestStoreCannotLeakIntoResults,
+# TestFramePayloadOwnership).
 race:
 	$(GO) test -race ./...
 

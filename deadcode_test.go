@@ -46,7 +46,7 @@ var deadcodeAllowed = map[string]string{
 	"abdhfl/internal/trace.FlightRecorder.WriteTail": "flight-recorder dump, read by the chaostest sweeps",
 	"abdhfl/internal/trace.TeeMessageHooks":          "fans a simnet hook out to the flight recorder and one more hook",
 
-	"abdhfl/internal/step.ProcStore.Quarantine": "the store's test-only quarantine; the core, pipeline and node lifetime tests switch it on",
+	"abdhfl/internal/freelist.Quarantine": "the free lists' test-only quarantine; the freelist, transport, core, pipeline and node lifetime tests switch it on",
 
 	"abdhfl.Scenario.jsonView":           "WriteScenario's view; the abdhfl-node process smoke writes scenario files with it",
 	"abdhfl/internal/core.Scheme.String": "fmt.Stringer of the exported Scheme enum; names TestRunHFLAllSchemes' subtests",

@@ -258,9 +258,9 @@ type Result struct {
 	// × rounds when nothing limits participation; fewer under churn or
 	// cohort sampling).
 	TrainerActivations int
-	// TrainerBuffers is the number of update buffers the engine
-	// materialized over the whole run. Idle devices hold no model vector, so
-	// with cohort sampling this tracks the per-round active set, not the
-	// device count — the lazy-state guarantee the scale tests pin.
+	// TrainerBuffers is the most update buffers the engine lent in any one
+	// round. Idle devices hold no model vector, so with cohort sampling this
+	// tracks the per-round active set, not the device count — the
+	// lazy-state guarantee the scale tests pin.
 	TrainerBuffers int
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"cmp"
 	"fmt"
-	"slices"
 	"sync"
 	"time"
 
@@ -277,37 +276,32 @@ func RunHFL(cfg Config) (*Result, error) {
 		res.FinalAccuracy = res.Curve[len(res.Curve)-1].Accuracy
 	}
 	res.FinalParams = globalParams
-	res.TrainerBuffers = trainer.allocated
+	res.TrainerBuffers = trainer.most
 	trainer.release(updates)
 	pool.Put(eval)
 	for _, bufs := range partialBufs {
-		step.Store.Put(slices.DeleteFunc(bufs, func(v tensor.Vector) bool { return v == nil })...)
+		step.Store.Put(bufs...) // a nil vector is dropped
 	}
 	step.Store.Put(globalBufs[cfg.Rounds%2])
 	return res, nil
 }
 
-// localTrainer holds the per-worker training models/workspaces and a pool
-// of update buffers handed out only to the round's active trainers, all
-// borrowed from the process store (step.Store, whose doc states the
-// ownership rule). Every device still derives its own random stream, so
-// results are independent of both worker count and job scheduling. Idle
-// devices hold NO model vector: a buffer is lent only between a device's
-// activation and the next round's reclaim, so a cohort-sampled run borrows
-// ~active-set buffers instead of one per device — the lazy-state half of
-// the million-device scale-out.
+// localTrainer holds the per-worker training models/workspaces, borrowed
+// from the process store (step.Store) for the run, and borrows update
+// buffers there only for the round's active trainers. Every device derives
+// its own random stream, so results are independent of both worker count
+// and job scheduling. Idle devices hold NO model vector: a buffer is lent
+// only between a device's activation and the next round's reclaim — the
+// lazy-state half of the million-device scale-out.
 type localTrainer struct {
 	models *nn.EvalPool
 	dim    int
 	// scratch holds the workers' models and workspaces, borrowed for the run.
 	scratch []*nn.EvalScratch
-	// pool holds reclaimed update buffers; active lists the ids whose
-	// buffers are currently lent out (reclaimed at the next round call,
-	// AFTER aggregation has consumed them — all rules copy into their own
-	// outputs, never retaining update vectors across rounds).
-	pool      []tensor.Vector
-	active    []int
-	allocated int // total buffers ever borrowed from the store (Result.TrainerBuffers)
+	// active lists the ids whose buffers are lent out, given back at the
+	// next round call, after aggregation has copied them.
+	active []int
+	most   int // the most buffers lent in any one round (Result.TrainerBuffers)
 }
 
 func newLocalTrainer(models *nn.EvalPool, dim, workers int) *localTrainer {
@@ -318,28 +312,13 @@ func newLocalTrainer(models *nn.EvalPool, dim, workers int) *localTrainer {
 	return t
 }
 
-// take hands out a pooled buffer, else one borrowed from the store, which
-// counts as a materialization. Called only from the scheduling goroutine.
-func (t *localTrainer) take() tensor.Vector {
-	if n := len(t.pool); n > 0 {
-		v := t.pool[n-1]
-		t.pool[n-1] = nil
-		t.pool = t.pool[:n-1]
-		return v
-	}
-	t.allocated++
-	return step.Store.Take(t.dim)
-}
-
-// reclaim returns the previous round's lent-out buffers to the pool. The
-// slots may hold different vectors than were lent (the attack layer swaps in
-// same-dimension poisoned vectors); whatever is there is recycled.
+// reclaim gives the previous round's lent-out buffers back to the store.
+// The slots may hold different vectors than were lent (the attack layer
+// swaps in same-dimension poisoned vectors); whatever is there goes back.
 func (t *localTrainer) reclaim(updates []tensor.Vector) {
 	for _, id := range t.active {
-		if updates[id] != nil {
-			t.pool = append(t.pool, updates[id])
-			updates[id] = nil
-		}
+		step.Store.Put(updates[id])
+		updates[id] = nil
 	}
 	t.active = t.active[:0]
 }
@@ -348,7 +327,6 @@ func (t *localTrainer) reclaim(updates []tensor.Vector) {
 // once the run has read the last round's updates.
 func (t *localTrainer) release(updates []tensor.Vector) {
 	t.reclaim(updates)
-	step.Store.Put(t.pool...)
 	for _, s := range t.scratch {
 		t.models.Put(s)
 	}
@@ -380,12 +358,13 @@ func (t *localTrainer) round(cfg Config, start tensor.Vector, updates []tensor.V
 			continue
 		}
 		// Assign the buffer before dispatch: the channel send orders the
-		// write against the worker's read, and pool/active stay owned by
-		// this goroutine.
-		updates[id] = t.take()
+		// write against the worker's read, and active stays owned by this
+		// goroutine.
+		updates[id] = step.Store.Take(t.dim)
 		t.active = append(t.active, id)
 		jobs <- id
 	}
+	t.most = max(t.most, len(t.active))
 	close(jobs)
 	wg.Wait()
 }

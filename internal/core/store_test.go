@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"abdhfl/internal/freelist"
 	"abdhfl/internal/nn"
 	"abdhfl/internal/step"
 	"abdhfl/internal/tensor"
@@ -39,10 +40,10 @@ func TestStoreCannotLeakIntoResults(t *testing.T) {
 		t.Run("vanilla/"+pin.name, func(t *testing.T) { checkVanillaPin(t, arm, true) })
 	}
 	t.Run("quarantine", func(t *testing.T) {
-		end := step.Store.Quarantine()
+		end := freelist.Quarantine()
 		t.Cleanup(func() {
 			if !end() {
-				t.Error("a vector was written, or given back again, after it went back to the store")
+				t.Error("a vector or model was written, or given back again, after it went back to its free list")
 			}
 		})
 		for arm := range hflPins {

@@ -215,7 +215,7 @@ func RunVanilla(cfg VanillaConfig) (*Result, error) {
 		res.FinalAccuracy = res.Curve[len(res.Curve)-1].Accuracy
 	}
 	res.FinalParams = globalParams
-	res.TrainerBuffers = trainer.allocated
+	res.TrainerBuffers = trainer.most
 	trainer.release(updates)
 	pool.Put(eval)
 	step.Store.Put(globalBufs[cfg.Rounds%2])

@@ -2,8 +2,10 @@ package nn
 
 import (
 	"fmt"
-	"sync"
+	"math"
+	"slices"
 
+	"abdhfl/internal/freelist"
 	"abdhfl/internal/tensor"
 )
 
@@ -197,51 +199,40 @@ type EvalScratch struct {
 	WS    *Workspace
 }
 
-// EvalPool is a concurrency-safe cache of EvalScratch values of one model
-// shape. Consensus validators score n×n (member, proposal) pairs per round;
-// building a fresh He-initialised model per call — immediately overwritten by
-// SetParams — was the simulator's single largest allocation source. A pool
-// amortises the model and workspace across calls and across goroutines.
-//
-// It serves training too: SGDWS reads nothing a borrowed model or workspace
-// held before (SetParams overwrites the parameters, every iteration zeroes
-// the gradients, momentum starts from zero and the forward pass overwrites
-// the activations), so the node engines of one process borrow from one pool
-// for each device's SetParams → SGDWS → ParamsInto span instead of holding a
-// model each.
-//
-// It is a mutex-guarded LIFO, not a sync.Pool, which a garbage collection
-// empties so that the next borrowers build new models: it keeps a scratch
-// until it is borrowed again, and holds no more than were borrowed at once.
-type EvalPool struct {
-	shape []int
-	mu    sync.Mutex
-	free  []*EvalScratch
-}
+// EvalPool lends EvalScratch values of one model shape, on a freelist.List
+// (whose ownership rule its borrowers keep), so consensus validators,
+// training and evaluation reuse models and workspaces across calls and
+// goroutines instead of building one per score. Training may borrow too:
+// SGDWS reads nothing a borrowed model or workspace held before (SetParams
+// overwrites the parameters, every iteration zeroes the gradients, momentum
+// starts from zero and the forward pass overwrites the activations). Under
+// freelist's quarantine a scratch given back has its parameters NaN-filled.
+type EvalPool struct{ free *freelist.List[*EvalScratch] }
 
 // NewEvalPool returns a pool producing models with the given layer sizes.
 func NewEvalPool(sizes ...int) *EvalPool {
-	return &EvalPool{shape: append([]int(nil), sizes...)}
+	p, sizes := &EvalPool{}, slices.Clone(sizes)
+	p.free = freelist.New(func() *EvalScratch {
+		m := NewShaped(sizes...)
+		m.pool = p
+		return &EvalScratch{Model: m, WS: NewWorkspace(m)}
+	}, poisonScratch)
+	return p
 }
 
 // Get returns a scratch with undefined parameter contents; callers SetParams
 // before use and Put it back when done.
-func (p *EvalPool) Get() *EvalScratch {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if n := len(p.free); n > 0 {
-		s := p.free[n-1]
-		p.free = p.free[:n-1]
-		return s
-	}
-	m := NewShaped(p.shape...)
-	m.pool = p
-	return &EvalScratch{Model: m, WS: NewWorkspace(m)}
-}
+func (p *EvalPool) Get() *EvalScratch { return p.free.Get() }
 
 // Put returns s to the pool; the caller uses it no more.
-func (p *EvalPool) Put(s *EvalScratch) {
-	p.mu.Lock()
-	p.free = append(p.free, s)
-	p.mu.Unlock()
+func (p *EvalPool) Put(s *EvalScratch) { p.free.Put(s) }
+
+// poisonScratch NaN-fills s's parameters and returns the check that they
+// are all NaN still.
+func poisonScratch(s *EvalScratch) (intact func() bool) {
+	m := s.Model
+	m.SetParams(tensor.Fill(tensor.NewVector(m.NumParams()), math.NaN()))
+	return func() bool {
+		return !slices.ContainsFunc(m.ParamsInto(nil), func(x float64) bool { return !math.IsNaN(x) })
+	}
 }

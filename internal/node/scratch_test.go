@@ -2,11 +2,8 @@ package node
 
 import (
 	"fmt"
-	"math"
 	"reflect"
 	"runtime"
-	"slices"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -14,9 +11,7 @@ import (
 	"abdhfl"
 	"abdhfl/internal/core"
 	"abdhfl/internal/fault"
-	"abdhfl/internal/nn"
-	"abdhfl/internal/rng"
-	"abdhfl/internal/step"
+	"abdhfl/internal/freelist"
 	"abdhfl/internal/testenv"
 	"abdhfl/internal/transport"
 )
@@ -152,15 +147,12 @@ func BenchmarkRunClusterTCP(b *testing.B) {
 // share one run state as there, unless standalone, when each builds its own
 // as cmd/abdhfl-node's one engine does; hidden, when set, is the model's
 // hidden layers in place of the materials' default; wrap, when set, stands
-// between an engine and its endpoint; atRoundEnd, when set, runs on an
-// engine's own goroutine after every round it finishes (it rides on the
-// "round done" progress line).
+// between an engine and its endpoint.
 type loopbackRun struct {
 	plan       *fault.Plan
 	standalone bool
 	hidden     []int
 	wrap       func(id int, ep transport.Endpoint) transport.Endpoint
-	atRoundEnd func(*Engine)
 }
 
 func (o loopbackRun) run(t *testing.T, mat *abdhfl.Materials, seed uint64) []*Result {
@@ -203,13 +195,7 @@ func (o loopbackRun) engines(t *testing.T, mat *abdhfl.Materials, seed uint64) (
 		}
 		engines[id], err = newEngine(Config{
 			Materials: mat, Seed: seed, ID: transport.NodeID(id), Endpoint: wire, Plan: o.plan,
-			StallAfter: 500 * time.Millisecond, GlobalWait: loopbackGlobalWait,
-			Logf: func(format string, _ ...any) {
-				if o.atRoundEnd != nil && strings.Contains(format, "done") {
-					o.atRoundEnd(engines[id])
-				}
-			},
-			shared: sh,
+			StallAfter: 500 * time.Millisecond, GlobalWait: loopbackGlobalWait, shared: sh,
 		}, ccfg)
 		if err != nil {
 			t.Fatal(err)
@@ -226,44 +212,21 @@ func (o loopbackRun) engines(t *testing.T, mat *abdhfl.Materials, seed uint64) (
 const loopbackGlobalWait = 8 * time.Second
 
 // TestRoundScratchDeadAtRoundEnd is the lifetime claim the process store
-// rests on: every vector, send buffer and model it holds idle is dead — no
-// engine reads or writes it again before it borrows it anew. A 3-round run
-// under the store's quarantine, which NaN-fills every vector and 0xff-fills
-// every send buffer the moment it is given back and never lends either
-// again, must report exactly what the untouched run reports, node by node:
-// final model, curve, σ-accounting, audits, stalls; and every value it
-// retired must still hold its poison at the end. The model pool is nn's and
-// outside the quarantine, so it is poisoned at each engine's round end,
-// while other engines are mid-round: the poison borrows the pool empty — it
-// takes scratches until the pool builds a fresh one (all-zero, where every
-// used one holds a model's parameters), NaN-fills each taken model, trains
-// it with momentum and weight decay so its activations, gradients and
-// momentum turn NaN too, and puts it back. Delta-int8 makes every decode
-// read the previous global and ABA adds the proposal vectors; the
-// drop+duplicate plan adds starved clusters, silent ballots and rounds that
-// take fewer vectors than the round before. The clean run is tied to
-// RunHFL, the golden the sharing must not move.
+// rests on: every vector, send buffer, frame buffer and model it holds idle
+// is dead — no engine reads or writes it again before it borrows it anew. A
+// 3-round run under freelist's quarantine, which poisons every value the
+// moment it is given back (a vector or a model's parameters NaN-filled, a
+// send or frame buffer 0xff-filled) and never lends it again, must report
+// exactly what the untouched run reports, node by node: final model,
+// curve, σ-accounting, audits, stalls; and every value it retired must
+// still hold its poison at the end. Delta-int8 makes every decode read the
+// previous global and ABA adds the proposal vectors; the drop+duplicate
+// plan adds starved clusters, silent ballots and rounds that take fewer
+// vectors than the round before. The clean run is tied to RunHFL, the
+// golden the sharing must not move.
 func TestRoundScratchDeadAtRoundEnd(t *testing.T) {
 	s := testScenario("delta-int8")
 	s.TopProtocol = "aba"
-	poisonModels := func(e *Engine) {
-		var taken []*nn.EvalScratch
-		for {
-			s := e.pool.Get()
-			if freshModel(s.Model) {
-				break
-			}
-			for l := range s.Model.Weights {
-				fillNaN(s.Model.Weights[l].Data)
-				fillNaN(s.Model.Biases[l])
-			}
-			nn.SGDWS(s.Model, s.WS, e.ccfg.ClientData[0], nn.TrainConfig{LearningRate: 1, BatchSize: 9, Iterations: 1, Momentum: 0.5, WeightDecay: 0.1}, rng.New(1))
-			taken = append(taken, s)
-		}
-		for _, s := range taken {
-			e.pool.Put(s)
-		}
-	}
 	for _, tc := range []struct {
 		name string
 		plan *fault.Plan
@@ -273,13 +236,13 @@ func TestRoundScratchDeadAtRoundEnd(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			want := loopbackRun{plan: tc.plan}.run(t, build(t, s), s.Seed)
-			end := step.Store.Quarantine()
+			end := freelist.Quarantine()
 			t.Cleanup(func() {
 				if !end() {
-					t.Error("a vector or send buffer was written, or given back again, after it went back to the store")
+					t.Error("a vector, buffer or model was written, or given back again, after it went back to its free list")
 				}
 			})
-			got := loopbackRun{plan: tc.plan, atRoundEnd: poisonModels}.run(t, build(t, s), s.Seed)
+			got := loopbackRun{plan: tc.plan}.run(t, build(t, s), s.Seed)
 			for id := range want {
 				if !reflect.DeepEqual(want[id], got[id]) {
 					t.Errorf("node %d reports differently once dead scratch is poisoned:\nwant %+v\ngot  %+v", id, want[id], got[id])
@@ -299,23 +262,6 @@ func TestRoundScratchDeadAtRoundEnd(t *testing.T) {
 			}
 		})
 	}
-}
-
-func fillNaN(v []float64) {
-	for i := range v {
-		v[i] = math.NaN()
-	}
-}
-
-// freshModel reports whether m is all zeros, as an nn.EvalPool builds it.
-func freshModel(m *nn.Model) bool {
-	for l := range m.Weights {
-		if slices.ContainsFunc(m.Weights[l].Data, func(x float64) bool { return x != 0 }) ||
-			slices.ContainsFunc(m.Biases[l], func(x float64) bool { return x != 0 }) {
-			return false
-		}
-	}
-	return true
 }
 
 // TestStoreServesTwoShapes runs two loopback clusters of different model

@@ -13,6 +13,7 @@ import (
 	"abdhfl/internal/codec"
 	"abdhfl/internal/consensus"
 	"abdhfl/internal/fault"
+	"abdhfl/internal/freelist"
 	"abdhfl/internal/nn"
 	"abdhfl/internal/step"
 	"abdhfl/internal/telemetry"
@@ -234,16 +235,17 @@ func TestPipelineResultPinned(t *testing.T) {
 	}
 }
 
-// TestFreedVectorsAreNeverReadAgain: under the store's quarantine, which
-// NaN-fills every vector the engine gives back and never lends it again,
+// TestFreedVectorsAreNeverReadAgain: under freelist's quarantine, which
+// poisons every vector and model the engine gives back and never lends it
+// again,
 // each pinned run still produces its pinned bits, and nothing given back is
 // written again. So no upload, partial or failed step's destination is read
 // or written once it is freed, and no flag or global is freed.
 func TestFreedVectorsAreNeverReadAgain(t *testing.T) {
-	end := step.Store.Quarantine()
+	end := freelist.Quarantine()
 	t.Cleanup(func() {
 		if !end() {
-			t.Error("a vector was written, or given back again, after it went back to the store")
+			t.Error("a vector or model was written, or given back again, after it went back to its free list")
 		}
 	})
 	for arm, pin := range resultPins {
@@ -286,14 +288,14 @@ func TestStoreCannotLeakIntoResults(t *testing.T) {
 // TestHeldVectorsGoBackAtRunEnd: what a run reads until it ends — the
 // initial model, every flag-level partial and every global — goes back to
 // the store once the training workers are joined, all but FinalParams,
-// which is the caller's. Each arm runs under the store's quarantine: what
+// which is the caller's. Each arm runs under freelist's quarantine: what
 // goes back keeps its poison and nothing goes back twice (at ℓF = 0 the
 // flag is the global, held once), and a later run leaves the arm's
 // FinalParams bit for bit as it was. Two faulted arms drain early, one with
 // an earlier global as FinalParams and one with none. The last arm unwinds
 // mid-run with trainings queued: a give-back before the workers are joined
-// poisons start models they are still reading, which `go test -race`
-// reports.
+// poisons start models they are still reading and lets them write what was
+// given back, which end reports and `go test -race` reports as a race.
 func TestHeldVectorsGoBackAtRunEnd(t *testing.T) {
 	type abort struct{}
 	for _, arm := range []struct {
@@ -328,7 +330,7 @@ func TestHeldVectorsGoBackAtRunEnd(t *testing.T) {
 			cfg.EvalEvery = 2
 			cfg.Workers = 2
 			arm.tweak(&cfg)
-			end := step.Store.Quarantine()
+			end := freelist.Quarantine()
 			res, err := func() (res *Result, err error) {
 				defer func() {
 					if r := recover(); r != nil {
@@ -340,7 +342,7 @@ func TestHeldVectorsGoBackAtRunEnd(t *testing.T) {
 				return Run(cfg)
 			}()
 			if !end() {
-				t.Error("a vector was written, or given back again, after it went back to the store")
+				t.Error("a vector or model was written, or given back again, after it went back to its free list")
 			}
 			if arm.completed < 0 {
 				if res != nil || err != nil {

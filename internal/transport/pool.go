@@ -1,8 +1,9 @@
 package transport
 
 import (
-	"math/bits"
 	"sync"
+
+	"abdhfl/internal/freelist"
 )
 
 // Free-list bounds. Buffers are pooled in power-of-two size classes from
@@ -19,55 +20,9 @@ const (
 
 // framePool is the process's one free list of whole-frame wire buffers
 // (length prefix, header and payload in one slice), shared by every
-// endpoint. Send encodes into one and the receive path reads into one;
-// Release hands a delivered frame's buffer back. A buffer never returned is
-// simply collected, so forgetting to release costs an allocation, never
-// correctness.
-var framePool bufPool
-
-// bufPool keeps one LIFO stack of idle buffers per size class; a buffer of
-// class c holds at least 1<<(poolMinShift+c) bytes.
-type bufPool struct {
-	mu   sync.Mutex
-	idle int // bytes held in free
-	free [poolMaxShift - poolMinShift + 1][][]byte
-}
-
-// get returns a buffer of length n: the last idle one of n's size class, or
-// a fresh one of the class's capacity.
-func (p *bufPool) get(n int) []byte {
-	if n > poolBufMax {
-		return make([]byte, n)
-	}
-	c := max(bits.Len(uint(n-1)), poolMinShift) - poolMinShift
-	p.mu.Lock()
-	if s := p.free[c]; len(s) > 0 {
-		b := s[len(s)-1]
-		s[len(s)-1] = nil
-		p.free[c] = s[:len(s)-1]
-		p.idle -= cap(b)
-		p.mu.Unlock()
-		return b[:n]
-	}
-	p.mu.Unlock()
-	return make([]byte, n, 1<<(poolMinShift+c))
-}
-
-// put returns b to the free list unless b is outside the size classes or
-// keeping it would exceed the idle bound. b must not be used again by the
-// caller.
-func (p *bufPool) put(b []byte) {
-	if cap(b) > poolBufMax || cap(b) < 1<<poolMinShift {
-		return
-	}
-	c := bits.Len(uint(cap(b))) - 1 - poolMinShift
-	p.mu.Lock()
-	if p.idle+cap(b) <= poolIdleMax {
-		p.free[c] = append(p.free[c], b[:0])
-		p.idle += cap(b)
-	}
-	p.mu.Unlock()
-}
+// endpoint; the transport keeps freelist's ownership rule. A buffer never
+// given back is simply collected.
+var framePool = freelist.NewClasses(poolMinShift, poolMaxShift, poolIdleMax)
 
 // frameQueue is a FIFO of encoded frames with one consumer: a TCP peer's
 // writer or a loopback endpoint's receive loop. Its ring grows by doubling

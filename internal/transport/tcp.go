@@ -197,7 +197,7 @@ func (e *TCPEndpoint) writeLoop(p *tcpPeer) {
 			if !e.writeFrame(p, &conn, raw) {
 				e.stats.SendErrors.Add(1)
 			}
-			framePool.put(raw)
+			framePool.Put(raw)
 		}
 	}
 	for {
@@ -315,10 +315,10 @@ func readRawFrame(r io.Reader, maxFrame int) ([]byte, error) {
 	if int64(body)+4 > int64(maxFrame) {
 		return nil, ErrFrameTooLarge
 	}
-	buf := framePool.get(4 + int(body))
+	buf := framePool.Get(4 + int(body))
 	copy(buf, lenbuf[:])
 	if _, err := io.ReadFull(r, buf[4:]); err != nil {
-		framePool.put(buf)
+		framePool.Put(buf)
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 			return nil, io.ErrUnexpectedEOF
 		}

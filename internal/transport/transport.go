@@ -325,13 +325,13 @@ func (c *epCore) deliver(buf []byte) {
 	if err := DecodeFrame(buf, &f, c.maxFrame); err != nil {
 		c.stats.DecodeErrors.Add(1)
 		c.counters.decodeErrs.Inc()
-		framePool.put(buf)
+		framePool.Put(buf)
 		return
 	}
 	if c.dupes.Seen(f.From, f.Seq) {
 		c.stats.DupesSuppressed.Add(1)
 		c.counters.dupes.Inc()
-		framePool.put(buf)
+		framePool.Put(buf)
 		return
 	}
 	now := time.Now()
@@ -360,19 +360,19 @@ func (c *epCore) deliver(buf []byte) {
 	c.counters.framesRecv.Inc()
 	f.buf = buf
 	if !c.bus.Publish(f) {
-		framePool.put(buf)
+		framePool.Put(buf)
 	}
 }
 
 // Release returns a received frame's buffer to the process's free list.
 func (c *epCore) Release(f *Frame) {
-	framePool.put(f.buf)
+	framePool.Put(f.buf)
 	f.buf, f.Payload = nil, nil
 }
 
 // encode writes f's wire bytes into a buffer from framePool.
 func encode(f *Frame) []byte {
-	return AppendFrame(framePool.get(EncodedSize(len(f.Payload)))[:0], f)
+	return AppendFrame(framePool.Get(EncodedSize(len(f.Payload)))[:0], f)
 }
 
 // snapshot copies the counters.

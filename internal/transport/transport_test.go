@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"errors"
+	"math/bits"
 	"net"
 	"slices"
 	"sync"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"abdhfl/internal/fault"
+	"abdhfl/internal/freelist"
 	"abdhfl/internal/telemetry"
 )
 
@@ -421,37 +423,13 @@ func recvFrame(t *testing.T, q *Queue) Frame {
 // must not run beside other endpoint tests: none in this package is
 // parallel.
 
-// idleBufs returns the list's idle buffers, every class, and its count of
-// idle bytes.
-func (p *bufPool) idleBufs() (bufs [][]byte, idle int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, class := range p.free {
-		bufs = append(bufs, class...)
+// emptyFramePool borrows every idle buffer off the process's frame list and
+// drops it.
+func emptyFramePool() {
+	bufs, _ := framePool.Idle()
+	for _, b := range bufs {
+		framePool.Get(1 << (bits.Len(uint(cap(b))) - 1))
 	}
-	return bufs, p.idle
-}
-
-// poison overwrites every idle buffer to its capacity, under the list's
-// mutex: a buffer that is on the list while still in use changes.
-func (p *bufPool) poison() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, class := range p.free {
-		for _, b := range class {
-			b = b[:cap(b)]
-			for i := range b {
-				b[i] = 0xEE
-			}
-		}
-	}
-}
-
-// empty drops every idle buffer.
-func (p *bufPool) empty() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.free, p.idle = [len(p.free)][][]byte{}, 0
 }
 
 // TestFramePayloadOwnership pins the ownership rule stated on Endpoint from
@@ -459,14 +437,16 @@ func (p *bufPool) empty() {
 // process's free list at once. Each sender encodes every frame from one
 // scratch slice and overwrites it as soon as Send returns: what arrives is
 // what was sent. Each receiver holds every third frame, never released,
-// while the others arrive and are released — their buffers go back to the
-// free list under it — and after every release the test poisons every idle
-// buffer on the list: a held payload whose buffer is on the list changes.
-// Wire sizes straddle the size classes (2^k and 2^k+1 bytes), up to one
-// past the largest pooled class. Then, alone on the emptied list, a frame
-// after a release of its size is read into a recycled buffer. Under -race a
-// transport write to a held payload, or a read of the sender's slice after
-// Send, is a reported race.
+// while the others arrive and are released, all under freelist's
+// quarantine: a buffer given back is 0xff-filled at once and never lent
+// again, so a frame whose buffer went back before it was delivered, or a
+// held payload whose buffer went back, arrives or reads changed, and a
+// write to a buffer after it went back is reported at the end. Wire sizes
+// straddle the size classes (2^k and 2^k+1 bytes), up to one past the
+// largest pooled class. Then, out of quarantine and alone on the emptied
+// list, a frame after a release of its size is read into a recycled
+// buffer. Under -race a read of the sender's slice after Send is a
+// reported race.
 func TestFramePayloadOwnership(t *testing.T) {
 	const frames = 2 * 2 * (poolMaxShift - poolMinShift + 1)
 	pattern := func(k, size int) []byte {
@@ -481,6 +461,8 @@ func TestFramePayloadOwnership(t *testing.T) {
 		return 1<<shift + k%2 - headerSize
 	}
 	endpointPairs(t, Config{}, 2, func(t *testing.T, pairs []pair) {
+		end := freelist.Quarantine()
+		t.Cleanup(func() { end() }) // on a failure before the check below
 		queues := make([]*Queue, len(pairs))
 		sendErrs := make([]error, len(pairs))
 		var wg sync.WaitGroup
@@ -516,7 +498,6 @@ func TestFramePayloadOwnership(t *testing.T) {
 				if f.Payload != nil {
 					t.Fatal("Release left the frame's payload set")
 				}
-				framePool.poison()
 			}
 		}
 		wg.Wait()
@@ -528,9 +509,12 @@ func TestFramePayloadOwnership(t *testing.T) {
 				t.Fatalf("held frame %d changed while later frames were released", k)
 			}
 		}
+		if !end() {
+			t.Fatal("a frame buffer was written, or given back again, after it went back to the free list")
+		}
 
 		for i, p := range pairs {
-			framePool.empty()
+			emptyFramePool()
 			send := func(k int) Frame {
 				t.Helper()
 				if err := p.a.Send(p.b.Self(), &Frame{Kind: 1, Round: uint32(k), Payload: pattern(k, 700)}); err != nil {
@@ -551,7 +535,7 @@ func TestFramePayloadOwnership(t *testing.T) {
 			p.b.Release(&settled)
 			p.b.Release(&f1)
 			p.b.Release(&f2)
-			idle, _ := framePool.idleBufs()
+			idle, _ := framePool.Idle()
 			f := send(frames + 3)
 			if !slices.ContainsFunc(idle, func(b []byte) bool { return &b[:1][0] == &f.buf[0] }) {
 				t.Errorf("pair %d: a frame after a release of its size was read into a fresh buffer", i)
@@ -607,7 +591,7 @@ func TestReleasePoolBounded(t *testing.T) {
 		for i := range held {
 			pairs[i/(perPair+1)].b.Release(&held[i])
 		}
-		free, idle := framePool.idleBufs()
+		free, idle := framePool.Idle()
 		sum := 0
 		for _, buf := range free {
 			sum += cap(buf)
@@ -640,7 +624,7 @@ func TestLoopbackDuplicateCopiesOwnBuffers(t *testing.T) {
 	}
 	t.Cleanup(func() { b.Close() })
 	q := b.Bus().Subscribe(4, 1)
-	framePool.empty()
+	emptyFramePool()
 	payload := []byte("duplicated-frame")
 	if err := a.Send(2, &Frame{Kind: 1, Payload: payload}); err != nil {
 		t.Fatal(err)
@@ -650,7 +634,7 @@ func TestLoopbackDuplicateCopiesOwnBuffers(t *testing.T) {
 	if a.Stats().FaultDuplicated != 1 {
 		t.Fatalf("fault duplicated = %d, want 1", a.Stats().FaultDuplicated)
 	}
-	free, _ := framePool.idleBufs()
+	free, _ := framePool.Idle()
 	if len(free) != 1 {
 		t.Fatalf("free list after the suppressed copy: %d buffers, want 1", len(free))
 	}
