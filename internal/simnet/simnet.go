@@ -102,6 +102,7 @@ type Sim struct {
 	rng      *rng.RNG
 	frng     *rng.RNG // dedicated stream for fault draws
 	stats    Stats
+	stopped  bool // Stop was called during the current Run
 	// Fault, if non-nil, is consulted for every sent message and may drop,
 	// duplicate, or delay it (see FaultModel). Set it before the first Send.
 	Fault FaultModel
@@ -197,9 +198,6 @@ func (c *Context) Self() NodeID { return c.self }
 
 // Now returns the current virtual time.
 func (c *Context) Now() Time { return c.sim.now }
-
-// Rand returns the simulator's random stream.
-func (c *Context) Rand() *rng.RNG { return c.sim.rng }
 
 // Send enqueues a message to the given node with latency drawn from the
 // simulator's model. Volume 1 is recorded; use SendVolume for model-sized
@@ -317,7 +315,7 @@ func (s *Sim) Run(until Time) (int, error) {
 	}
 	processed := 0
 	ctx := &Context{sim: s}
-	for {
+	for !s.stopped {
 		e := s.q.pop()
 		if e == nil {
 			break
@@ -366,8 +364,13 @@ func (s *Sim) Run(until Time) (int, error) {
 		}
 		h.OnMessage(ctx, msg)
 	}
+	s.stopped = false
 	return processed, nil
 }
+
+// Stop makes Run return once the current callback returns; the events still
+// queued stay queued for a later Run.
+func (s *Sim) Stop() { s.stopped = true }
 
 // Reserve sizes the event queue for n simultaneously pending events, so a
 // run that knows its bound allocates the queue once instead of growing into

@@ -134,6 +134,31 @@ func TestRunUntilPausesAndResumes(t *testing.T) {
 	}
 }
 
+func TestStopEndsRunAndResumes(t *testing.T) {
+	s := New(Fixed(1), rng.New(1))
+	var fired []Time
+	for at := Time(1); at <= 3; at++ {
+		s.ScheduleAt(at, 1, func(ctx *Context) {
+			fired = append(fired, ctx.Now())
+			if ctx.Now() == 2 {
+				s.Stop()
+			}
+		})
+	}
+	if n, err := s.Run(0); err != nil || n != 2 {
+		t.Fatalf("Run = %d, %v; want 2 events before the stop", n, err)
+	}
+	if !s.Pending() || s.Now() != 2 {
+		t.Fatalf("after Stop: pending %v, clock %v; want the third timer queued at 2", s.Pending(), s.Now())
+	}
+	if n, err := s.Run(0); err != nil || n != 1 {
+		t.Fatalf("resumed Run = %d, %v; want the one queued event", n, err)
+	}
+	if len(fired) != 3 || fired[2] != 3 {
+		t.Fatalf("fired %v", fired)
+	}
+}
+
 func TestUnregisteredNodeDrops(t *testing.T) {
 	s := New(Fixed(1), rng.New(1))
 	s.Inject(99, "void")

@@ -1,9 +1,6 @@
 package transport
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // Bus is the endpoint's dispatch layer: received frames are published to
 // every Queue subscribed to their Kind, in subscription order. It plays the
@@ -21,8 +18,6 @@ type Bus struct {
 	subs   map[uint8][]*Queue
 	done   chan struct{}
 	closed bool
-	// unrouted counts frames published with no subscriber for their kind.
-	unrouted atomic.Int64
 }
 
 // Queue is one subscription: a buffered channel of frames. A frame's
@@ -60,7 +55,6 @@ func (b *Bus) Publish(f Frame) bool {
 	qs := b.subs[f.Kind]
 	b.mu.RUnlock()
 	if len(qs) == 0 {
-		b.unrouted.Add(1)
 		return false
 	}
 	for i, q := range qs {
@@ -86,6 +80,3 @@ func (b *Bus) Close() {
 		close(b.done)
 	}
 }
-
-// Unrouted returns the number of frames published with no subscriber.
-func (b *Bus) Unrouted() int64 { return b.unrouted.Load() }
