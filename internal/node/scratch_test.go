@@ -74,7 +74,10 @@ func TestRunClusterWireVolume(t *testing.T) {
 // endpoint kept a frame free list of its own and every TCP link a 4 KiB
 // reader, and 2.5–2.9 MB (3.5–4.6 MB when a collection emptied the model
 // pool, a sync.Pool then) while every run grew its own vector free list and
-// model pool and every engine kept a send buffer. What is left is mostly
+// model pool and every engine kept a send buffer. A run could still read
+// up to 2.65 MB when it overlapped more trainings than any run before it,
+// each borrowing one more model from the process pool, until at most
+// GOMAXPROCS engines trained at once (trainSlots). What is left is mostly
 // the sockets, the root's ABA instance and each round's globals. The
 // object budget catches a per-frame allocation that returns even when its
 // bytes are few. `make profile-node` prints where the bytes of a run come
