@@ -126,9 +126,10 @@ type Scenario struct {
 	// Aggregator is the BRA registry name used at intermediate levels (and
 	// by the vanilla baseline): "multi-krum", "median", ...
 	Aggregator string
-	// TopProtocol is the CBA used at the top — any consensus registry name
+	// TopProtocol is the CBA protocol — any consensus registry name
 	// ("voting", "committee", "rotating-committee", "approx-agreement",
-	// "pbft", "aba"), or "" for a BRA top.
+	// "pbft", "aba") — used at the top, and below it under Schemes 2 and 4.
+	// "" selects "voting". A BRA top comes from Scheme 2 or 3.
 	TopProtocol string
 	// Scheme (1-4, Table III) overrides the Aggregator/TopProtocol split;
 	// zero keeps the explicit configuration (which matches Scheme 1 with
@@ -490,49 +491,19 @@ func (m *Materials) RunVanilla(seed uint64) (*core.Result, error) {
 }
 
 // PipelineConfig assembles the asynchronous-engine configuration for the
-// given flag level, exposed (like CoreConfig) so callers can tweak
-// pipeline-only knobs before calling pipeline.Run directly.
-func (m *Materials) PipelineConfig(seed uint64, flagLevel int, timing pipeline.Timing) (pipeline.Config, error) {
-	bra, err := aggregate.ByName(m.Scenario.Aggregator)
-	if err != nil {
-		return pipeline.Config{}, err
-	}
-	global := m.GlobalRule.CBA
-	if global == nil {
-		global = consensus.Voting{}
-	}
-	return pipeline.Config{
-		Tree:             m.Tree,
-		Rounds:           m.Scenario.Rounds,
-		FlagLevel:        flagLevel,
-		Quorum:           m.Scenario.Quorum,
-		Local:            m.Local,
-		Partial:          core.LevelRule{BRA: bra},
-		Global:           core.LevelRule{CBA: global},
-		ClientData:       m.Shards,
-		TestData:         m.TestData,
-		ValidationShards: m.ValidationShards,
-		Byzantine:        m.Byzantine,
-		Timing:           timing,
-		Seed:             seed,
-		EvalEvery:        m.Scenario.EvalEvery,
-		Workers:          m.Scenario.Workers,
-		Telemetry:        m.Telemetry,
-		OnFilter:         m.OnFilter,
-		Trace:            m.Trace,
-		Codec:            m.Codec,
-	}, nil
+// given flag level: the run CoreConfig describes plus the pipeline's own
+// knobs, exposed so callers can tweak them before calling pipeline.Run
+// directly.
+func (m *Materials) PipelineConfig(seed uint64, flagLevel int, timing pipeline.Timing) pipeline.Config {
+	return pipeline.Config{Config: m.CoreConfig(seed), FlagLevel: flagLevel, Timing: timing}
 }
 
 // RunPipeline executes the asynchronous pipeline workflow with the given
-// flag level, using the scenario's BRA below the top and its consensus
-// protocol (voting when it has none) at the top.
+// flag level on the scenario's run. It fails, naming the field, on what the
+// pipeline does not implement: a model attack, cohort sampling, or a
+// consensus rule below the top (Schemes 2 and 4).
 func (m *Materials) RunPipeline(seed uint64, flagLevel int, timing pipeline.Timing) (*pipeline.Result, error) {
-	cfg, err := m.PipelineConfig(seed, flagLevel, timing)
-	if err != nil {
-		return nil, err
-	}
-	return pipeline.Run(cfg)
+	return pipeline.Run(m.PipelineConfig(seed, flagLevel, timing))
 }
 
 // Run is the one-call convenience API: build the scenario and run the

@@ -10,6 +10,7 @@ import (
 
 	"abdhfl/internal/core"
 	"abdhfl/internal/pipeline"
+	"abdhfl/internal/telemetry"
 )
 
 func quick(overrides func(*Scenario)) Scenario {
@@ -258,6 +259,55 @@ func TestRunPipelineFromMaterials(t *testing.T) {
 	}
 	if res.Duration <= 0 {
 		t.Fatal("pipeline did not run")
+	}
+}
+
+// TestRunPipelineRefusesWhatItDoesNotRun: a scenario the pipeline cannot
+// run as described is an error naming the field, never a different run.
+func TestRunPipelineRefusesWhatItDoesNotRun(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		tweak func(*Scenario)
+		want  string
+	}{
+		{"model attack", func(s *Scenario) { s.Attack, s.MaliciousFraction = AttackSignFlip, 0.25 }, "ModelAttack"},
+		{"cohort", func(s *Scenario) { s.Cohort = 1 }, "Cohort"},
+		{"scheme 2: a consensus partial", func(s *Scenario) { s.Scheme = 2 }, "Partial"},
+		{"scheme 4: a consensus partial", func(s *Scenario) { s.Scheme = 4 }, "Partial"},
+	} {
+		m, err := Build(quick(func(s *Scenario) { s.Rounds = 2; tc.tweak(s) }))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.RunPipeline(1, 1, pipeline.DefaultTiming()); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one naming %s", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestRunPipelineSchemeThreeTopIsBRA: Scheme 3's BRA top is the rule the
+// pipeline's top aggregates with, as the round engine's does.
+func TestRunPipelineSchemeThreeTopIsBRA(t *testing.T) {
+	m, err := Build(quick(func(s *Scenario) { s.Rounds, s.Scheme = 2, 3 }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tops []string
+	m.OnFilter = func(d telemetry.FilterDecision) {
+		if d.Level == 0 {
+			tops = append(tops, d.Rule)
+		}
+	}
+	if _, err := m.RunPipeline(1, 1, pipeline.DefaultTiming()); err != nil {
+		t.Fatal(err)
+	}
+	if len(tops) != 2 {
+		t.Fatalf("%d top verdicts, want one a round: %v", len(tops), tops)
+	}
+	for _, rule := range tops {
+		if rule != m.Scenario.Aggregator {
+			t.Fatalf("top verdicts %v, want the BRA %q every round", tops, m.Scenario.Aggregator)
+		}
 	}
 }
 

@@ -33,7 +33,7 @@ func main() {
 		rounds    = flag.Int("rounds", 40, "global rounds")
 		samples   = flag.Int("samples", 150, "samples per client")
 		agg       = flag.String("aggregator", "multi-krum", "intermediate BRA rule")
-		proto     = flag.String("protocol", "voting", "top-level CBA protocol ('' = BRA top)")
+		proto     = flag.String("protocol", "voting", "consensus protocol of the CBA levels ('' = voting; a BRA top comes from -scheme 2 or 3)")
 		scheme    = flag.Int("scheme", 0, "Table III scheme override (1-4, 0 = explicit rules)")
 		quorum    = flag.Float64("quorum", 1, "collection quorum φ")
 		codecName = flag.String("codec", "", "update codec: identity | int8 | topk | delta | delta-<inner> ('' = uncompressed)")

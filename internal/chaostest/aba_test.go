@@ -17,21 +17,23 @@ import (
 func abaPipelineOutcome(fx *chaostest.Fixture, seed uint64, rounds int) chaostest.Outcome {
 	flight := trace.NewFlightRecorder(0)
 	cfg := pipeline.Config{
-		Flight:           flight,
-		Tree:             fx.Tree,
-		Rounds:           rounds,
-		FlagLevel:        1,
-		Quorum:           0.5,
-		CollectTimeout:   300,
-		Faults:           chaosPlan(seed, fx.Tree.NumDevices()),
-		Local:            localCfg,
-		Partial:          core.LevelRule{BRA: aggregate.NewMultiKrum(0.25)},
-		Global:           core.LevelRule{CBA: consensus.ABA{}},
-		ClientData:       fx.Shards,
-		TestData:         fx.Test,
-		ValidationShards: fx.ValShards,
-		Seed:             seed,
-		EvalEvery:        1,
+		Config: core.Config{
+			Tree:             fx.Tree,
+			Rounds:           rounds,
+			Quorum:           0.5,
+			Local:            localCfg,
+			Partial:          core.LevelRule{BRA: aggregate.NewMultiKrum(0.25)},
+			Global:           core.LevelRule{CBA: consensus.ABA{}},
+			ClientData:       fx.Shards,
+			TestData:         fx.Test,
+			ValidationShards: fx.ValShards,
+			Seed:             seed,
+			EvalEvery:        1,
+		},
+		Flight:         flight,
+		FlagLevel:      1,
+		CollectTimeout: 300,
+		Faults:         chaosPlan(seed, fx.Tree.NumDevices()),
 	}
 	res, err := pipeline.Run(cfg)
 	o := chaostest.Outcome{Name: "pipeline-aba", Err: err, ConfiguredRounds: rounds, AccuracyFloor: 0.15, Flight: flight}

@@ -24,7 +24,7 @@ func TestPipelineMatchesCoreBitForBit(t *testing.T) {
 	const rounds = 4
 	local := localCfg
 
-	cres, err := core.RunHFL(core.Config{
+	run := core.Config{
 		Tree:       fx.Tree,
 		Rounds:     rounds,
 		Local:      local,
@@ -34,23 +34,16 @@ func TestPipelineMatchesCoreBitForBit(t *testing.T) {
 		TestData:   fx.Test,
 		Seed:       seed,
 		EvalEvery:  rounds,
-	})
+	}
+	cres, err := core.RunHFL(run)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	pres, err := pipeline.Run(pipeline.Config{
-		Tree:       fx.Tree,
-		Rounds:     rounds,
-		FlagLevel:  0,
-		Local:      local,
-		Partial:    core.LevelRule{BRA: aggregate.NewMultiKrum(0.25)},
-		Global:     core.LevelRule{BRA: aggregate.Median{}},
-		ClientData: fx.Shards,
-		TestData:   fx.Test,
-		Seed:       seed,
-		EvalEvery:  rounds,
-		Latency:    simnet.Fixed(0),
+		Config:    run,
+		FlagLevel: 0,
+		Latency:   simnet.Fixed(0),
 		// Non-zero bases keep the Timing struct from being replaced by the
 		// jittered default; zero jitter keeps every duration draw out of the
 		// RNG and every cluster in lockstep.

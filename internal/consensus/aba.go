@@ -191,7 +191,10 @@ func (a ABA) AgreeInto(dst tensor.Vector, ctx *Context, proposals []tensor.Vecto
 			byzSet[i] = true
 		}
 	}
-	coinRNG := ctx.Rand.Derive("common-coin")
+	sim, err := newABASim(n, byzSet, silent, sched, maxRounds, ctx.Rand.Derive("common-coin"))
+	if err != nil {
+		return Stats{}, err
+	}
 	inputs := make([]int, n)
 	st := Stats{Votes: counts}
 	var kept []tensor.Vector
@@ -205,8 +208,7 @@ func (a ABA) AgreeInto(dst tensor.Vector, ctx *Context, proposals []tensor.Vecto
 			jj := j
 			tr = func(ev string) { a.Trace(fmt.Sprintf("p%d %s", jj, ev)) }
 		}
-		out, err := runABAInstance(inst.Derive("schedule"), inst.Derive("adversary"),
-			coinRNG, uint64(j), inputs, byzSet, silent, sched, maxRounds, tr)
+		out, err := sim.run(inst.Derive("schedule"), inst.Derive("adversary"), uint64(j), inputs, tr)
 		if err != nil {
 			return Stats{}, fmt.Errorf("consensus: aba proposal %d: %w", j, err)
 		}
@@ -293,8 +295,11 @@ func RunBinaryABA(r *rng.RNG, inputs []int, byzantine, silent map[int]bool, sche
 	if maxRounds <= 0 {
 		maxRounds = 64
 	}
-	return runABAInstance(r.Derive("aba-schedule"), r.Derive("aba-adversary"),
-		r.Derive("common-coin"), 0, inputs, byzantine, silent, cfg, maxRounds, trace)
+	sim, err := newABASim(len(inputs), byzantine, silent, cfg, maxRounds, r.Derive("common-coin"))
+	if err != nil {
+		return BinaryOutcome{}, err
+	}
+	return sim.run(r.Derive("aba-schedule"), r.Derive("aba-adversary"), 0, inputs, trace)
 }
 
 // Message kinds of the binary instance.
@@ -372,6 +377,20 @@ func (nd *abaNode) roundState(r, n int) *abaRoundState {
 	return rs
 }
 
+// reset returns nd to an instance's start with input bit est. It keeps
+// nd's identity and, cleared, its round states' marks and its slabs.
+func (nd *abaNode) reset(est int) {
+	for r := range nd.rounds {
+		rs := &nd.rounds[r]
+		clear(rs.bval)
+		clear(rs.aux)
+		*rs = abaRoundState{bval: rs.bval, aux: rs.aux, first: -1}
+	}
+	clear(nd.burst)
+	*nd = abaNode{id: nd.id, byz: nd.byz, silent: nd.silent, est: est & 1, round: 1,
+		rounds: nd.rounds, completers: nd.completers, burst: nd.burst}
+}
+
 // abaSim runs one binary instance on a simnet queue: every message is an
 // argument timer on its recipient, at the delivery time the Schedule's own
 // stream draws, so events fire in (deliver-at, seq) order, latency draws are
@@ -381,66 +400,74 @@ type abaSim struct {
 	n, f      int
 	maxRounds int
 	cfg       Schedule
+	faulty    int // Byzantine or silent members
 	nodes     []abaNode
-	sim       *simnet.Sim
-	sched     *rng.RNG
-	adv       *rng.RNG
-	coinRNG   *rng.RNG
-	coinBase  uint64
-	trace     func(string)
-	messages  int
-	undecided int
-	lastMS    float64
-	err       error
+	// completers and decisions are slabs: the members' COMPLETE senders
+	// and run's outcome.
+	completers []bool
+	decisions  []int
+	sim        *simnet.Sim
+	sched      *rng.RNG
+	adv        *rng.RNG
+	coinRNG    *rng.RNG
+	coinBase   uint64
+	trace      func(string)
+	messages   int
+	undecided  int
+	lastMS     float64
+	err        error
 }
 
-func runABAInstance(sched, adv, coinRNG *rng.RNG, coinBase uint64, inputs []int, byzantine, silent map[int]bool, cfg Schedule, maxRounds int, trace func(string)) (BinaryOutcome, error) {
-	n := len(inputs)
+// newABASim checks one instance shape — n members, the byzantine and
+// silent ones, under cfg — and builds the simulator, members and slabs that
+// every instance of that shape reuses (run resets them).
+func newABASim(n int, byzantine, silent map[int]bool, cfg Schedule, maxRounds int, coinRNG *rng.RNG) (*abaSim, error) {
 	if n == 0 {
-		return BinaryOutcome{}, errors.New("consensus: aba with no members")
+		return nil, errors.New("consensus: aba with no members")
 	}
 	if n > 1<<abaMemberBits || maxRounds >= math.MaxInt>>(3+abaMemberBits) {
-		return BinaryOutcome{}, fmt.Errorf("consensus: aba packs at most %d members and %d rounds into a message, not %d and %d",
+		return nil, fmt.Errorf("consensus: aba packs at most %d members and %d rounds into a message, not %d and %d",
 			1<<abaMemberBits, math.MaxInt>>(3+abaMemberBits)-1, n, maxRounds)
 	}
 	if !(cfg.BaseMS >= 0 && cfg.JitterMS >= 0 && cfg.HeavyMS >= 0 && cfg.ResendMS >= 0) {
-		return BinaryOutcome{}, errors.New("consensus: aba schedule with a negative delay")
-	}
-	f := (n - 1) / 3
-	faulty := 0
-	for i := 0; i < n; i++ {
-		if byzantine[i] || silent[i] {
-			faulty++
-		}
-	}
-	if faulty > f {
-		return BinaryOutcome{}, fmt.Errorf("consensus: aba with %d faulty members exceeds f=%d (n=%d)", faulty, f, n)
+		return nil, errors.New("consensus: aba schedule with a negative delay")
 	}
 	s := &abaSim{
-		n: n, f: f, maxRounds: maxRounds, cfg: cfg,
-		sim:   simnet.New(nil, nil),
-		sched: sched, adv: adv, coinRNG: coinRNG, coinBase: coinBase,
-		trace: trace,
+		n: n, f: (n - 1) / 3, maxRounds: maxRounds, cfg: cfg,
+		sim:        simnet.New(nil, nil),
+		coinRNG:    coinRNG,
+		nodes:      make([]abaNode, n),
+		completers: make([]bool, 2*n*n),
+		decisions:  make([]int, n),
 	}
 	s.sim.MaxEvents = 1 << 21
-	s.sim.Reserve(2 * n * n) // about the peak of pending messages
-	s.nodes = make([]abaNode, n)
-	completers := make([]bool, 2*n*n)
+	s.sim.Reserve(2 * n * n)      // about the peak of pending messages
 	for i := n - 1; i >= 0; i-- { // the highest id first sizes simnet's table once
 		s.sim.Register(simnet.NodeID(i), s)
 	}
 	for i := range s.nodes {
-		nd := &s.nodes[i]
-		c := completers[2*i*n : 2*(i+1)*n]
-		*nd = abaNode{
-			id: i, byz: byzantine[i], silent: silent[i] && !byzantine[i],
-			est:        inputs[i] & 1,
-			round:      1,
-			completers: [2][]bool{c[:n], c[n:]},
+		c := s.completers[2*i*n : 2*(i+1)*n]
+		s.nodes[i] = abaNode{id: i, byz: byzantine[i], silent: silent[i] && !byzantine[i], completers: [2][]bool{c[:n], c[n:]}}
+		if byzantine[i] || silent[i] {
+			s.faulty++
 		}
-		if !nd.byz && !nd.silent {
-			s.undecided++
-		}
+	}
+	if s.faulty > s.f {
+		return nil, fmt.Errorf("consensus: aba with %d faulty members exceeds f=%d (n=%d)", s.faulty, s.f, n)
+	}
+	return s, nil
+}
+
+// run plays one instance on s from a fresh state. The outcome's Decisions
+// is s's buffer, good until the next run.
+func (s *abaSim) run(sched, adv *rng.RNG, coinBase uint64, inputs []int, trace func(string)) (BinaryOutcome, error) {
+	n := s.n
+	s.sim.Reset()
+	clear(s.completers)
+	s.sched, s.adv, s.coinBase, s.trace = sched, adv, coinBase, trace
+	s.messages, s.undecided, s.lastMS, s.err = 0, n-s.faulty, 0, nil
+	for i := range s.nodes {
+		s.nodes[i].reset(inputs[i])
 	}
 	// Round 1 openers: honest members BV-broadcast their input; Byzantine
 	// members open with per-recipient equivocating BVALs.
@@ -469,7 +496,7 @@ func runABAInstance(sched, adv, coinRNG *rng.RNG, coinBase uint64, inputs []int,
 		return BinaryOutcome{}, s.err
 	}
 	out := BinaryOutcome{
-		Decisions: make([]int, n),
+		Decisions: s.decisions,
 		Messages:  s.messages,
 		VirtualMS: s.lastMS,
 	}

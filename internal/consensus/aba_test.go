@@ -125,6 +125,42 @@ func (c propertyCase) run(trace func(string)) (BinaryOutcome, error) {
 	return RunBinaryABA(c.r.Derive("run"), c.inputs, c.byz, c.silent, &c.sched, 64, trace)
 }
 
+// TestABASimReuseMatchesFresh: an instance run on a simulator that already
+// ran one, as AgreeInto runs its proposals, replays every property case —
+// fault mixes, divergent inputs, every schedule — exactly as a fresh one:
+// the same transcript and the same outcome. A field run forgets to reset
+// shows here.
+func TestABASimReuseMatchesFresh(t *testing.T) {
+	for _, n := range []int{4, 7, 10} {
+		for seed := uint64(0); seed < 40; seed++ {
+			c := newPropertyCase(n, seed)
+			var want, got strings.Builder
+			fresh, err := c.run(func(ev string) { want.WriteString(ev + "\n") })
+			if err != nil {
+				t.Fatalf("n%d seed %d: %v", n, seed, err)
+			}
+			r := c.r.Derive("run")
+			s, err := newABASim(n, c.byz, c.silent, c.sched, 64, r.Derive("common-coin"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			flipped := make([]int, n)
+			for i, b := range c.inputs {
+				flipped[i] = 1 - b
+			}
+			s.run(r.Derive("other-schedule"), r.Derive("other-adversary"), 1, flipped, nil) // dirties every slab
+			out, err := s.run(r.Derive("aba-schedule"), r.Derive("aba-adversary"), 0, c.inputs,
+				func(ev string) { got.WriteString(ev + "\n") })
+			if err != nil {
+				t.Fatalf("n%d seed %d reused: %v", n, seed, err)
+			}
+			if got.String() != want.String() || fmt.Sprint(out) != fmt.Sprint(fresh) {
+				t.Fatalf("n%d seed %d: the reused simulator diverged: %+v, fresh %+v", n, seed, out, fresh)
+			}
+		}
+	}
+}
+
 const abaGolden = "testdata/aba_transcripts.txt"
 
 // TestBinaryABATranscriptGolden pins ABA's event order: every trace line of

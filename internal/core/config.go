@@ -26,7 +26,9 @@ import (
 // of BRA or CBA must be set. It is the cluster step's rule type.
 type LevelRule = step.Rule
 
-// Config describes one ABD-HFL run.
+// Config describes one ABD-HFL run, for every engine: pipeline.Config
+// embeds it and the node engine builds its run from it; each says where it
+// reads a field its own way or rejects it.
 type Config struct {
 	Tree *topology.Tree
 	// Rounds is the paper's R (global rounds).
@@ -73,34 +75,38 @@ type Config struct {
 	// progresses — streaming progress for long experiments.
 	OnRound func(RoundStat)
 	// Telemetry, when non-nil, receives the run's metrics: round and phase
-	// wall-clock histograms, accuracy/loss gauges, communication counters,
-	// consensus vote tallies, and per-level filter kept/clipped/discarded
-	// counts. Nil disables instrumentation entirely (the engines skip even
-	// the clock reads).
+	// timings, accuracy gauges, communication counters, consensus vote
+	// tallies, and per-level filter kept/clipped/discarded counts. Nil
+	// disables instrumentation entirely (the engines skip even the clock
+	// reads).
 	Telemetry *telemetry.Registry
 	// OnFilter, if non-nil, receives every aggregation step's filtering
 	// verdict — which contributor ids were kept, clipped, or discarded at
 	// each (level, cluster, round). The decision's id slices are reused
 	// between calls; consumers must copy or reduce them before returning.
 	OnFilter func(telemetry.FilterDecision)
-	// Trace, when non-nil, receives causal spans on a deterministic logical
-	// clock: per-device train spans, per-(level,cluster) aggregations with
-	// rule and kept/filtered counts, global formation, phase envelopes, and
-	// round spans. Output is byte-identical for every Workers value and
+	// Trace, when non-nil, receives causal spans: per-device train spans,
+	// per-(level,cluster) aggregations with rule and kept/filtered counts,
+	// global formation, and round envelopes. The clock is the engine's: a
+	// deterministic logical clock in the round engine, the virtual clock in
+	// the pipeline. Output is byte-identical for every Workers value and
 	// tracer shard count. Nil disables emission entirely.
 	Trace *trace.Tracer
 	// Workers bounds the worker pools of the run's parallel hot paths:
-	// local training, consensus validator scoring, test-set evaluation, and
-	// the robust-aggregation kernels (coordinate statistics and pairwise
-	// distances fan out over fixed-size chunks). Zero selects GOMAXPROCS.
-	// Results are bit-identical for every value — per-device/per-member work
-	// derives its own RNG stream, reductions run in a fixed order, and the
-	// aggregation kernels partition work identically regardless of worker
-	// count.
+	// local training, test-set evaluation, and the robust-aggregation
+	// kernels (coordinate statistics and pairwise distances fan out over
+	// fixed-size chunks), for which zero selects GOMAXPROCS; and consensus
+	// validator scoring, which takes the value as given (consensus.Context
+	// treats a value below 1 as 1, so zero scores serially). Results are
+	// bit-identical for every value — per-device/per-member work derives its
+	// own RNG stream, reductions run in a fixed order, and the aggregation
+	// kernels partition work identically regardless of worker count.
 	Workers int
 	// Quorum is the paper's φ: the fraction of a cluster's models a leader
-	// waits for before aggregating. The synchronous round engine uses it to
-	// subsample stragglers deterministically; zero selects 1 (all models).
+	// waits for before aggregating; zero selects 1 (all models). Which
+	// models a leader keeps is the engine's: the synchronous engines
+	// subsample stragglers deterministically, the pipeline takes the first
+	// arrivals.
 	Quorum float64
 	// RotateLeaders re-elects every cluster's leader each round
 	// (leader = members[round mod size], upper levels rebuilt from the new
@@ -115,11 +121,12 @@ type Config struct {
 	Churn ChurnModel
 	// Codec passes every model transfer on the device→leader→root path
 	// (uploads, per-level partials, dissemination) through one
-	// encode→decode hop, so the run reflects both the wire size
-	// (CommStats.WireBytes) and the information loss of compressed updates.
-	// The Delta codec uses the round's start global model as its reference.
-	// Nil selects codec.Identity, the bit-exact uncompressed hop; lossy
-	// codecs perturb only the vectors, never the rng streams.
+	// encode→decode hop, so the run reflects both the wire size (the
+	// result's WireBytes) and the information loss of compressed updates.
+	// The Delta codec's reference is the engine's: the round's start global
+	// model in the round engine. Nil selects codec.Identity, the bit-exact
+	// uncompressed hop; lossy codecs perturb only the vectors, never the rng
+	// streams.
 	Codec codec.Codec
 	// Cohort is the number of trainers deterministically sampled from each
 	// bottom cluster per round (cross-device FL's client sampling). Devices

@@ -185,10 +185,7 @@ func RunChaos(o ChaosOptions) ([]ChaosResult, error) {
 	for _, rate := range o.FaultRates {
 		plan := ChaosPlan(o.Seed, rate, mats.Tree.NumDevices(), o.Rounds)
 		for _, scheme := range ChaosSchemes() {
-			cfg, err := mats.PipelineConfig(o.Seed, o.FlagLevel, pipeline.DefaultTiming())
-			if err != nil {
-				return nil, err
-			}
+			cfg := mats.PipelineConfig(o.Seed, o.FlagLevel, pipeline.DefaultTiming())
 			cfg.Quorum = o.Quorum
 			// A safety-net deadline: well above the natural round period, so
 			// sub-quorum closes happen because inputs are LOST, not because the

@@ -154,10 +154,7 @@ func RunCodecMatrix(o CodecMatrixOptions) ([]CodecMatrixResult, error) {
 				}
 				scorer := NewFilterScorer(mats.Tree, mats.Byzantine)
 				mats.OnFilter = scorer.Observe
-				cfg, err := mats.PipelineConfig(o.Seed, o.FlagLevel, pipeline.DefaultTiming())
-				if err != nil {
-					return nil, err
-				}
+				cfg := mats.PipelineConfig(o.Seed, o.FlagLevel, pipeline.DefaultTiming())
 				cfg.EvalEvery = 1
 				cfg.Codec = c
 				cfg.Latency = simnet.Bandwidth{

@@ -108,10 +108,7 @@ func RunTracePaths(o TraceOptions) (*TraceReport, error) {
 	}
 	tr := trace.NewTracer(o.Shards, o.Cap)
 	mats.Trace = tr
-	cfg, err := mats.PipelineConfig(o.Seed, o.FlagLevel, pipeline.DefaultTiming())
-	if err != nil {
-		return nil, err
-	}
+	cfg := mats.PipelineConfig(o.Seed, o.FlagLevel, pipeline.DefaultTiming())
 	cfg.Quorum = o.Quorum
 	res, err := pipeline.Run(cfg)
 	if err != nil {

@@ -7,21 +7,20 @@
 // correction factor of Eq. (1). The engine measures, per round, the paper's
 // waiting time σ_w, pipelined aggregation time σ_p, global aggregation time
 // σ_g, and the efficiency indicator ν = (σ_p+σ_g)/σ of Eq. (3).
+//
+// A run is a core.Config, as for every engine; Config embeds it and adds
+// only what the simulation needs, and Run refuses by name what a run may
+// ask for and this engine does not implement.
 package pipeline
 
 import (
 	"errors"
 	"fmt"
 
-	"abdhfl/internal/codec"
-	"abdhfl/internal/dataset"
+	"abdhfl/internal/core"
 	"abdhfl/internal/fault"
-	"abdhfl/internal/nn"
 	"abdhfl/internal/simnet"
-	"abdhfl/internal/step"
-	"abdhfl/internal/telemetry"
 	"abdhfl/internal/tensor"
-	"abdhfl/internal/topology"
 	"abdhfl/internal/trace"
 )
 
@@ -104,18 +103,36 @@ func (a AdaptiveAlpha) Alpha(staleness, relSize float64) float64 {
 	return alpha
 }
 
-// Config describes one asynchronous pipeline run.
+// Config describes one asynchronous pipeline run: a core.Config plus the
+// pipeline's own knobs. The pipeline reads the run its own way:
+//
+//   - Partial, the rule of every cluster below the top, must be a BRA;
+//     Global may be a BRA or any consensus protocol, scoring on
+//     ValidationShards.
+//   - A leader aggregates on the first arrivals that fill its Quorum.
+//   - Codec hops at the sender that forms a model (upload, partial,
+//     global/flag dissemination; forwards re-ship the same bytes), and its
+//     wire bytes are the volume the latency and bandwidth models see. The
+//     Delta reference is the last formed global model.
+//   - Workers goroutines run local training off the event loop — dispatched
+//     at a device's start in virtual time and joined at its finish timer,
+//     since it is a pure function of start vector, round, device and shard
+//     — and bound the aggregation kernels (zero selects GOMAXPROCS for
+//     both); evaluation and everything observable stay on the loop in event
+//     order, so results are bit-identical for every value.
+//   - Telemetry also gets completed-round counters, the σ and ν
+//     distributions and stale-global merges; Trace also gets the counted
+//     message hops, on the virtual clock.
+//
+// Validate rejects PartialByLevel, ModelAttack, OnRound, RotateLeaders,
+// Churn and Cohort: the pipeline implements none of them.
 type Config struct {
-	Tree *topology.Tree
-	// Rounds of global aggregation to complete.
-	Rounds int
+	core.Config
+
 	// FlagLevel ℓ_F in [0, bottom-1]: the level whose partial models are
 	// disseminated as flag models. 0 means the global model itself is the
 	// flag (no pipelining of the top).
 	FlagLevel int
-	// Quorum φ: fraction of a cluster's inputs a leader waits for; zero
-	// selects 1.
-	Quorum float64
 	// CollectTimeout is Algorithm 4's "or Timeout" branch (the
 	// semi-synchronous regime of SHFL): a leader below the top that has
 	// waited this many virtual ms since its first arrival for a round
@@ -144,21 +161,6 @@ type Config struct {
 	// duplicated messages can never double-fill a quorum. Same seed, same
 	// plan -> bit-identical run.
 	Faults *fault.Plan
-
-	Local  nn.TrainConfig
-	Hidden []int
-
-	// Partial aggregates every cluster below the top and must be a BRA: the
-	// engine runs consensus only at the top. Global forms the global model at
-	// the top: a BRA, or any registered consensus protocol (e.g. "voting" or
-	// the randomized "aba"), which scores on ValidationShards.
-	Partial, Global step.Rule
-
-	ClientData       []*dataset.Dataset
-	TestData         *dataset.Dataset
-	ValidationShards []*dataset.Dataset
-
-	Byzantine map[int]bool
 	// Crashed devices never train or upload — failure injection for
 	// Assumption 2: as long as every cluster retains a quorum (φ) of live
 	// members, rounds still complete.
@@ -174,99 +176,24 @@ type Config struct {
 	Bandwidth func(from, to simnet.NodeID) float64
 	Alpha     AlphaPolicy
 
-	// Codec passes every model transfer through one encode→decode hop at
-	// the sender that forms it (device upload, partial, and the global/flag
-	// dissemination; pure forwards re-ship the same bytes without a second
-	// hop) and charges its wire bytes as the message volume the
-	// latency/bandwidth models see. The Delta codec's reference is the
-	// engine's last formed global model (the round's start parameters for
-	// device uploads). Nil selects codec.Identity, the bit-exact
-	// uncompressed hop.
-	Codec codec.Codec
-
-	Seed uint64
-	// EvalEvery rounds between accuracy evaluations; zero selects 1.
-	EvalEvery int
-	// Telemetry, when non-nil, receives the run's metrics: completed-round
-	// counters, the σ_w/σ_p/σ_g/σ and ν distributions, stale-global
-	// staleness and merge counts, accuracy, consensus vote tallies, and
-	// per-level filter kept/clipped/discarded counts. Nil disables all
-	// instrumentation.
-	Telemetry *telemetry.Registry
-	// OnFilter, if non-nil, receives every aggregation step's filtering
-	// verdict (contributor ids kept/clipped/discarded per level, cluster,
-	// and round). The id slices are reused between calls; consumers must
-	// copy or reduce them before returning.
-	OnFilter func(telemetry.FilterDecision)
-	// Workers is the number of goroutines that run devices' local training
-	// and bounds those of the robust-aggregation kernels; zero selects
-	// GOMAXPROCS for both. The top's consensus validator scoring takes the
-	// value as given, and consensus.Context treats zero as one, so zero
-	// scores serially. Test-set evaluation runs on the loop.
-	// Training leaves the event loop — a device's SGD is dispatched when the
-	// device starts, in virtual time, and joined at its finish timer, so the
-	// overlap the pipeline simulates is also real — because it is a pure
-	// function of the start vector, the round, the device id and the shard.
-	// Everything observable (stale-global merges, spans, metrics, codec hops,
-	// sends, aggregation) stays on the single-threaded loop in event order,
-	// so results are bit-identical for every value.
-	Workers int
-	// Trace, when non-nil, receives causal spans for every round: device
-	// train spans, counted uplink/partial message hops, per-cluster
-	// aggregations (with rule and kept/filtered counts), global formation,
-	// and round envelopes — all on the virtual clock, byte-identical
-	// across Workers and tracer shard counts. Nil disables emission
-	// entirely (zero overhead).
-	Trace *trace.Tracer
 	// Flight, when non-nil, mirrors every delivered simulator message into
 	// a bounded ring buffer; chaostest dumps its tail when an invariant
 	// trips.
 	Flight *trace.FlightRecorder
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors: the run's own (core.Config's
+// checks), the pipeline's, and every run field the pipeline does not
+// implement, named.
 func (c *Config) Validate() error {
-	if c.Tree == nil {
-		return errors.New("pipeline: Tree is nil")
-	}
-	if err := c.Tree.Validate(); err != nil {
-		return err
-	}
-	if c.Rounds <= 0 {
-		return errors.New("pipeline: Rounds must be positive")
+	if err := c.Config.Validate(); err != nil {
+		return fmt.Errorf("pipeline: %w", err)
 	}
 	if c.FlagLevel < 0 || c.FlagLevel > c.Tree.Bottom()-1 {
 		return fmt.Errorf("pipeline: FlagLevel %d out of [0, %d]", c.FlagLevel, c.Tree.Bottom()-1)
 	}
-	if len(c.ClientData) != c.Tree.NumDevices() {
-		return fmt.Errorf("pipeline: %d shards for %d devices", len(c.ClientData), c.Tree.NumDevices())
-	}
-	if c.TestData == nil || c.TestData.Len() == 0 {
-		return errors.New("pipeline: TestData is empty")
-	}
-	if err := c.Partial.Check("pipeline: Partial"); err != nil {
-		return err
-	}
 	if c.Partial.IsCBA() {
 		return errors.New("pipeline: Partial must be a BRA: consensus runs only at the top")
-	}
-	if err := c.Global.Check("pipeline: Global"); err != nil {
-		return err
-	}
-	if c.Global.IsCBA() {
-		if len(c.ValidationShards) == 0 {
-			// The shard validator indexes member % len(ValidationShards); an
-			// empty slice would be a mod-by-zero panic mid-simulation.
-			return errors.New("pipeline: top consensus requires at least one ValidationShard")
-		}
-		for i, s := range c.ValidationShards {
-			if s == nil || s.Len() == 0 {
-				return fmt.Errorf("pipeline: ValidationShards[%d] is empty", i)
-			}
-		}
-	}
-	if !(c.Quorum >= 0 && c.Quorum <= 1) { // a NaN fails every comparison
-		return fmt.Errorf("pipeline: Quorum %v out of [0,1]", c.Quorum)
 	}
 	if c.TimeoutBackoff != 0 && c.TimeoutBackoff < 1 {
 		return fmt.Errorf("pipeline: TimeoutBackoff %v below 1", c.TimeoutBackoff)
@@ -282,6 +209,20 @@ func (c *Config) Validate() error {
 				return fmt.Errorf("pipeline: leader failure names cluster (%d, %d), which is not in the tree", lf.Level, lf.Cluster)
 			}
 		}
+	}
+	switch {
+	case len(c.PartialByLevel) > 0:
+		return errors.New("pipeline: PartialByLevel is not supported: every cluster below the top aggregates with Partial")
+	case c.ModelAttack != nil:
+		return errors.New("pipeline: ModelAttack is not supported: Byzantine devices poison their data only")
+	case c.OnRound != nil:
+		return errors.New("pipeline: OnRound is not supported: the accuracy curve is Result.Curve")
+	case c.RotateLeaders:
+		return errors.New("pipeline: RotateLeaders is not supported: leaders are fixed for the run")
+	case c.Churn != (core.ChurnModel{}):
+		return errors.New("pipeline: Churn is not supported: inject device churn through Faults")
+	case c.Cohort != 0:
+		return errors.New("pipeline: Cohort is not supported: every live device trains every round")
 	}
 	return nil
 }

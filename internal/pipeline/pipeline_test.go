@@ -2,12 +2,14 @@ package pipeline
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"abdhfl/internal/aggregate"
 	"abdhfl/internal/attack"
 	"abdhfl/internal/consensus"
+	"abdhfl/internal/core"
 	"abdhfl/internal/dataset"
 	"abdhfl/internal/fault"
 	"abdhfl/internal/nn"
@@ -36,18 +38,20 @@ func buildConfig(t testing.TB, levels, m, top, rounds, flagLevel, byz int) Confi
 		attack.LabelFlipAll{Target: 9}.Poison(r.Derive("poison"), shards[id])
 	}
 	return Config{
-		Tree:             tree,
-		Rounds:           rounds,
-		FlagLevel:        flagLevel,
-		Local:            nn.TrainConfig{LearningRate: 0.1, BatchSize: 16, Iterations: 5},
-		Partial:          step.Rule{BRA: aggregate.NewMultiKrum(0.25)},
-		Global:           step.Rule{CBA: consensus.Voting{}},
-		ClientData:       shards,
-		TestData:         test,
-		ValidationShards: valShards,
-		Byzantine:        byzMap,
-		Seed:             3,
-		EvalEvery:        rounds,
+		Config: core.Config{
+			Tree:             tree,
+			Rounds:           rounds,
+			Local:            nn.TrainConfig{LearningRate: 0.1, BatchSize: 16, Iterations: 5},
+			Partial:          step.Rule{BRA: aggregate.NewMultiKrum(0.25)},
+			Global:           step.Rule{CBA: consensus.Voting{}},
+			ClientData:       shards,
+			TestData:         test,
+			ValidationShards: valShards,
+			Byzantine:        byzMap,
+			Seed:             3,
+			EvalEvery:        rounds,
+		},
+		FlagLevel: flagLevel,
 	}
 }
 
@@ -241,6 +245,13 @@ func TestPipelineValidation(t *testing.T) {
 		{"leader failure at level = depth", leaderDown(3, 0), "(3, 0)"},
 		{"leader failure at cluster = width", leaderDown(1, 2), "(1, 2)"},
 		{"leader failure at a negative cluster", leaderDown(2, -1), "(2, -1)"},
+		// The run fields the pipeline does not implement.
+		{"partial by level", func(c *Config) { c.PartialByLevel = map[int]step.Rule{1: c.Partial} }, "PartialByLevel"},
+		{"model attack", func(c *Config) { c.ModelAttack = attack.SignFlip{Scale: 3} }, "ModelAttack"},
+		{"round callback", func(c *Config) { c.OnRound = func(core.RoundStat) {} }, "OnRound"},
+		{"leader rotation", func(c *Config) { c.RotateLeaders = true }, "RotateLeaders"},
+		{"churn", func(c *Config) { c.Churn.OfflineProb = 0.1 }, "Churn"},
+		{"cohort", func(c *Config) { c.Cohort = 1 }, "Cohort"},
 	} {
 		bad := cfg
 		tc.tweak(&bad)
@@ -415,5 +426,22 @@ func TestCollectTimeoutSpeedsStragglerRounds(t *testing.T) {
 	}
 	if fast.Duration >= slow.Duration {
 		t.Fatalf("timeout duration %v not below pure-quorum %v", fast.Duration, slow.Duration)
+	}
+}
+
+// TestConfigShadowsNoRunField: a Config field named like one of the embedded
+// core.Config's would shadow it, so the engine would read one value and
+// core's Validate the other.
+func TestConfigShadowsNoRunField(t *testing.T) {
+	run := reflect.TypeFor[core.Config]()
+	own := reflect.TypeFor[Config]()
+	for i := 0; i < own.NumField(); i++ {
+		f := own.Field(i)
+		if f.Anonymous {
+			continue
+		}
+		if _, ok := run.FieldByName(f.Name); ok {
+			t.Errorf("pipeline.Config.%s shadows core.Config.%s", f.Name, f.Name)
+		}
 	}
 }

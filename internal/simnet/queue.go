@@ -120,6 +120,15 @@ func (q *eventQueue) pop() *event {
 	return top
 }
 
+// drain recycles every pending event and clears the high-water mark.
+func (q *eventQueue) drain() {
+	for i, sl := range q.heap {
+		q.put(sl.e)
+		q.heap[i] = slot{}
+	}
+	q.heap, q.peak = q.heap[:0], 0
+}
+
 // empty reports whether no events remain.
 func (q *eventQueue) empty() bool { return len(q.heap) == 0 }
 

@@ -372,6 +372,16 @@ func (s *Sim) Run(until Time) (int, error) {
 // queued stay queued for a later Run.
 func (s *Sim) Stop() { s.stopped = true }
 
+// Reset returns the simulator to time zero for another run: pending events
+// are discarded (their structs go back to the queue's free list), and the
+// clock, the schedule counter, the traffic counters and a pending Stop are
+// cleared. Handlers, the latency and fault models, settings and the random
+// streams (which are not rewound) are kept.
+func (s *Sim) Reset() {
+	s.q.drain()
+	s.now, s.seq, s.stats, s.stopped = 0, 0, Stats{}, false
+}
+
 // Reserve sizes the event queue for n simultaneously pending events, so a
 // run that knows its bound allocates the queue once instead of growing into
 // it. It is a hint: a run that exceeds it grows as if it had not been given.

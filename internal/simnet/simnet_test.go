@@ -159,6 +159,63 @@ func TestStopEndsRunAndResumes(t *testing.T) {
 	}
 }
 
+// argLog records argument timers as (node, arg, time) triples.
+type argLog struct{ fired [][3]float64 }
+
+func (l *argLog) OnMessage(*Context, Message) {}
+func (l *argLog) OnTimer(ctx *Context, arg int) {
+	l.fired = append(l.fired, [3]float64{float64(ctx.Self()), float64(arg), float64(ctx.Now())})
+}
+
+// TestResetReplaysLikeNew: a simulator reset mid-run (events pending, a Stop
+// set, counters non-zero) dispatches a second run exactly as a fresh one,
+// reusing its queue.
+func TestResetReplaysLikeNew(t *testing.T) {
+	play := func(s *Sim, l *argLog) {
+		for i := 0; i < 6; i++ {
+			s.AtArg(NodeID(i%2), Time(i%3), i) // equal times: schedule order breaks ties
+		}
+		if _, err := s.Run(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fresh := New(nil, nil)
+	var want argLog
+	fresh.Register(0, &want)
+	fresh.Register(1, &want)
+	play(fresh, &want)
+
+	s := New(nil, nil)
+	var got argLog
+	s.Register(0, &got)
+	s.Register(1, &got)
+	s.Inject(1, "x")
+	s.AtArg(0, 5, 9)
+	s.AtArg(1, 7, 9)
+	s.ScheduleAt(1, 0, func(*Context) { s.Stop() })
+	if _, err := s.Run(0); err != nil || !s.Pending() {
+		t.Fatalf("first run: %v, pending %v; want a stop with events queued", err, s.Pending())
+	}
+	s.Stop()
+	s.Reset()
+	if s.Pending() || s.Now() != 0 || s.seq != 0 || s.Stats() != (Stats{}) {
+		t.Fatalf("after Reset: pending %v, clock %v, seq %d, stats %+v", s.Pending(), s.Now(), s.seq, s.Stats())
+	}
+	got.fired = nil
+	play(s, &got)
+	if len(got.fired) != len(want.fired) {
+		t.Fatalf("reset run fired %v, fresh %v", got.fired, want.fired)
+	}
+	for i := range want.fired {
+		if got.fired[i] != want.fired[i] {
+			t.Fatalf("event %d: reset %v, fresh %v", i, got.fired[i], want.fired[i])
+		}
+	}
+	if s.Stats() != fresh.Stats() {
+		t.Fatalf("stats: reset %+v, fresh %+v", s.Stats(), fresh.Stats())
+	}
+}
+
 func TestUnregisteredNodeDrops(t *testing.T) {
 	s := New(Fixed(1), rng.New(1))
 	s.Inject(99, "void")
