@@ -464,30 +464,18 @@ func (m *Materials) RunHFL(seed uint64) (*core.Result, error) {
 	return core.RunHFL(m.CoreConfig(seed))
 }
 
-// RunVanilla executes the star-topology baseline with the scenario's BRA
-// rule as the central aggregator.
+// RunVanilla executes the star-topology baseline on the scenario's run: the
+// same devices, data, cohort and seed as RunHFL, with every device uploading
+// to one server that aggregates with the scenario's BRA Aggregator (under
+// Schemes 2 and 4 too, whose Partial is a consensus).
 func (m *Materials) RunVanilla(seed uint64) (*core.Result, error) {
 	bra, err := aggregate.ByName(m.Scenario.Aggregator)
 	if err != nil {
 		return nil, err
 	}
-	return core.RunVanilla(core.VanillaConfig{
-		Rounds:      m.Scenario.Rounds,
-		Local:       m.Local,
-		Rule:        core.LevelRule{BRA: bra},
-		ClientData:  m.Shards,
-		TestData:    m.TestData,
-		Byzantine:   m.Byzantine,
-		ModelAttack: m.ModelAttack,
-		Seed:        seed,
-		EvalEvery:   m.Scenario.EvalEvery,
-		Workers:     m.Scenario.Workers,
-		Cohort:      m.Scenario.Cohort,
-		Telemetry:   m.Telemetry,
-		OnFilter:    m.OnFilter,
-		Trace:       m.Trace,
-		Codec:       m.Codec,
-	})
+	cfg := m.CoreConfig(seed)
+	cfg.Partial = core.LevelRule{BRA: bra}
+	return core.RunVanilla(cfg)
 }
 
 // PipelineConfig assembles the asynchronous-engine configuration for the

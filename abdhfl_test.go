@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -153,6 +154,46 @@ func TestRunBaselineEndToEnd(t *testing.T) {
 	}
 	if res.FinalAccuracy <= 0.2 {
 		t.Fatalf("baseline accuracy = %v", res.FinalAccuracy)
+	}
+}
+
+// TestBaselineTrainsTheHierarchysCohort: the star baseline runs the
+// scenario's own participation. With Cohort 1 (one device per bottom
+// cluster) on the 64-device tree it trains, each round, exactly the devices
+// RunHFL trains, and the server's audit names them.
+func TestBaselineTrainsTheHierarchysCohort(t *testing.T) {
+	m, err := Build(Scenario{Cohort: 1, Rounds: 2, SamplesPerClient: 40, TestSamples: 200, ValidationSamples: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	contributors := func(level int, into map[int][]int) func(telemetry.FilterDecision) {
+		return func(d telemetry.FilterDecision) {
+			if d.Level == level {
+				into[d.Round] = slices.Concat(into[d.Round], d.Kept, d.Clipped, d.Discarded)
+			}
+		}
+	}
+	trained, audited := map[int][]int{}, map[int][]int{}
+	m.OnFilter = contributors(m.Tree.Bottom(), trained)
+	hfl, err := m.RunHFL(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.OnFilter = contributors(0, audited)
+	van, err := m.RunVanilla(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clusters := len(m.Tree.Clusters[m.Tree.Bottom()])
+	if hfl.TrainerActivations != clusters*m.Scenario.Rounds || van.TrainerActivations != hfl.TrainerActivations {
+		t.Fatalf("TrainerActivations: hfl %d, vanilla %d, want %d each", hfl.TrainerActivations, van.TrainerActivations, clusters*m.Scenario.Rounds)
+	}
+	for round := range m.Scenario.Rounds {
+		slices.Sort(trained[round])
+		slices.Sort(audited[round])
+		if !slices.Equal(trained[round], audited[round]) {
+			t.Errorf("round %d: RunHFL trained %v, the baseline's server aggregated %v", round, trained[round], audited[round])
+		}
 	}
 }
 

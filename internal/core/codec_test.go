@@ -59,16 +59,11 @@ func TestIdentityCodecGoldenHFL(t *testing.T) {
 func TestIdentityCodecGoldenVanilla(t *testing.T) {
 	base := buildScenario(t, 3, 2, 2, 3, 60, 0)
 	run := func(c codec.Codec) *Result {
-		res, err := RunVanilla(VanillaConfig{
-			Rounds:     3,
-			Local:      base.Local,
-			Rule:       LevelRule{BRA: aggregate.Median{}},
-			ClientData: base.ClientData,
-			TestData:   base.TestData,
-			Seed:       7,
-			EvalEvery:  1,
-			Codec:      c,
-		})
+		cfg := base
+		cfg.Partial = LevelRule{BRA: aggregate.Median{}}
+		cfg.EvalEvery = 1
+		cfg.Codec = c
+		res, err := RunVanilla(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

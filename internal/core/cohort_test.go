@@ -144,18 +144,23 @@ func TestCohortValidation(t *testing.T) {
 	}
 }
 
+// TestVanillaCohort: the star baseline samples its cohort per bottom
+// cluster, as RunHFL does — Cohort 3 trains three of each 4-device
+// cluster's members every round — and the server aggregates, and the audit
+// names, exactly those devices.
 func TestVanillaCohort(t *testing.T) {
 	base := buildScenario(t, 2, 4, 2, 3, 40, 0)
-	run := func() *Result {
-		cfg := VanillaConfig{
-			Rounds:     3,
-			Local:      base.Local,
-			Rule:       LevelRule{BRA: aggregate.Mean{}},
-			ClientData: base.ClientData,
-			TestData:   base.TestData,
-			Seed:       7,
-			Cohort:     3,
+	base.Partial = LevelRule{BRA: aggregate.Mean{}}
+	base.Cohort = 3
+	bottom := base.Tree.Clusters[base.Tree.Bottom()]
+	clusterOf := map[int]int{}
+	for ci, c := range bottom {
+		for _, m := range c.Members {
+			clusterOf[m] = ci
 		}
+	}
+	run := func() *Result {
+		cfg := base
 		var audited [][]int
 		cfg.OnFilter = func(d telemetry.FilterDecision) {
 			audited = append(audited, append([]int{}, d.Kept...))
@@ -164,21 +169,28 @@ func TestVanillaCohort(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, ids := range audited {
-			if len(ids) != 3 {
-				t.Fatalf("audit saw %d contributors, want cohort 3", len(ids))
+		for round, ids := range audited {
+			perCluster := make([]int, len(bottom))
+			for _, id := range ids {
+				perCluster[clusterOf[id]]++
+			}
+			for ci, n := range perCluster {
+				if n != cfg.Cohort {
+					t.Fatalf("round %d: the audit saw %d contributors from cluster %d, want cohort %d", round, n, ci, cfg.Cohort)
+				}
 			}
 		}
 		return res
 	}
 	a, b := run(), run()
-	if a.TrainerActivations != 3*3 {
-		t.Fatalf("TrainerActivations = %d, want 9", a.TrainerActivations)
+	trainers := base.Cohort * len(bottom)
+	if a.TrainerActivations != trainers*base.Rounds {
+		t.Fatalf("TrainerActivations = %d, want %d", a.TrainerActivations, trainers*base.Rounds)
 	}
 	if a.FinalAccuracy != b.FinalAccuracy {
 		t.Fatal("vanilla cohort run not deterministic")
 	}
-	if a.Comm.ModelTransfers != 2*3*3 {
-		t.Fatalf("ModelTransfers = %d, want %d", a.Comm.ModelTransfers, 2*3*3)
+	if a.Comm.ModelTransfers != 2*trainers*base.Rounds {
+		t.Fatalf("ModelTransfers = %d, want %d", a.Comm.ModelTransfers, 2*trainers*base.Rounds)
 	}
 }

@@ -5,6 +5,11 @@
 // is the star-topology baseline the paper compares against. Each level of
 // the tree can aggregate with a Byzantine-robust rule (BRA) or a
 // consensus-based protocol (CBA), giving the four Schemes of Table III.
+//
+// Every engine takes one run description, Config. RunVanilla runs the same
+// devices, data and participation as RunHFL, with one server aggregating by
+// Partial; it does not read Global, ValidationShards or Quorum, and refuses
+// PartialByLevel, RotateLeaders and OnRound.
 package core
 
 import (
@@ -26,9 +31,10 @@ import (
 // of BRA or CBA must be set. It is the cluster step's rule type.
 type LevelRule = step.Rule
 
-// Config describes one ABD-HFL run, for every engine: pipeline.Config
-// embeds it and the node engine builds its run from it; each says where it
-// reads a field its own way or rejects it.
+// Config describes one ABD-HFL run, for every engine: RunHFL and
+// RunVanilla take it, pipeline.Config embeds it and the node engine builds
+// its run from it; each says where it reads a field its own way or rejects
+// it.
 type Config struct {
 	Tree *topology.Tree
 	// Rounds is the paper's R (global rounds).
@@ -220,6 +226,12 @@ func (c *Config) RuleAt(lvl int) LevelRule {
 		return rule
 	}
 	return c.Partial
+}
+
+// Evaluates reports whether the engines measure test accuracy after round
+// (counted from 0): every EvalEvery-th round (zero selects 1) and the last.
+func (c *Config) Evaluates(round int) bool {
+	return (round+1)%max(c.EvalEvery, 1) == 0 || round == c.Rounds-1
 }
 
 // RoundStat is one point of a convergence curve.

@@ -121,16 +121,9 @@ func TestRunHFLResistsPoisoningAtBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	van, err := RunVanilla(VanillaConfig{
-		Rounds:     12,
-		Local:      cfg.Local,
-		Rule:       LevelRule{BRA: aggregate.Mean{}},
-		ClientData: cfg.ClientData,
-		TestData:   cfg.TestData,
-		Byzantine:  cfg.Byzantine,
-		Seed:       7,
-		EvalEvery:  12,
-	})
+	vcfg := cfg
+	vcfg.Partial = LevelRule{BRA: aggregate.Mean{}}
+	van, err := RunVanilla(vcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,15 +137,7 @@ func TestRunHFLResistsPoisoningAtBound(t *testing.T) {
 
 func TestVanillaLearnsWithoutAttack(t *testing.T) {
 	cfg := buildScenario(t, 3, 2, 2, 20, 120, 0)
-	res, err := RunVanilla(VanillaConfig{
-		Rounds:     20,
-		Local:      cfg.Local,
-		Rule:       LevelRule{BRA: aggregate.NewMultiKrum(0.25)},
-		ClientData: cfg.ClientData,
-		TestData:   cfg.TestData,
-		Seed:       7,
-		EvalEvery:  20,
-	})
+	res, err := RunVanilla(cfg) // the server aggregates with Partial, Multi-Krum
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,16 +349,9 @@ func TestRunHFLBackdoorMeasuredByTriggerRate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	van, err := RunVanilla(VanillaConfig{
-		Rounds:     15,
-		Local:      cfg.Local,
-		Rule:       LevelRule{BRA: aggregate.Mean{}},
-		ClientData: cfg.ClientData,
-		TestData:   cfg.TestData,
-		Byzantine:  cfg.Byzantine,
-		Seed:       7,
-		EvalEvery:  15,
-	})
+	vcfg := cfg
+	vcfg.Partial = LevelRule{BRA: aggregate.Mean{}}
+	van, err := RunVanilla(vcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -508,8 +486,9 @@ func TestPartialByLevelValidation(t *testing.T) {
 		t.Fatal("empty per-level rule accepted")
 	}
 
-	// VanillaConfig.Rule is held to the same rule: exactly one of BRA or CBA.
-	van := VanillaConfig{Rounds: 1, ClientData: cfg.ClientData, TestData: cfg.TestData}
+	// The star's one rule, Partial, is held to the same rule: exactly one
+	// of BRA or CBA.
+	cfg.PartialByLevel = nil
 	for _, c := range []struct {
 		rule LevelRule
 		ok   bool
@@ -519,9 +498,28 @@ func TestPartialByLevelValidation(t *testing.T) {
 		{LevelRule{BRA: aggregate.Mean{}}, true},
 		{LevelRule{CBA: consensus.Voting{}}, true},
 	} {
-		van.Rule = c.rule
-		if err := van.Validate(); (err == nil) != c.ok || (err != nil && !strings.Contains(err.Error(), "vanilla rule")) {
-			t.Errorf("vanilla Rule %+v: Validate = %v, want ok=%v", c.rule, err, c.ok)
+		cfg.Partial = c.rule
+		if _, err := RunVanilla(cfg); (err == nil) != c.ok || (err != nil && !strings.Contains(err.Error(), "core: Partial")) {
+			t.Errorf("vanilla Partial %+v: RunVanilla = %v, want ok=%v", c.rule, err, c.ok)
+		}
+	}
+}
+
+// TestVanillaRefusesWhatAStarCannotRun: a run the star cannot run as
+// described is an error naming the field, never a different run.
+func TestVanillaRefusesWhatAStarCannotRun(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		tweak func(*Config)
+	}{
+		{"PartialByLevel", func(c *Config) { c.PartialByLevel = map[int]LevelRule{1: {BRA: aggregate.Mean{}}} }},
+		{"RotateLeaders", func(c *Config) { c.RotateLeaders = true }},
+		{"OnRound", func(c *Config) { c.OnRound = func(RoundStat) {} }},
+	} {
+		cfg := buildScenario(t, 3, 2, 2, 2, 20, 0)
+		tc.tweak(&cfg)
+		if _, err := RunVanilla(cfg); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: RunVanilla = %v, want an error naming it", tc.field, err)
 		}
 	}
 }

@@ -37,10 +37,6 @@ func RunHFL(cfg Config) (*Result, error) {
 	tree := cfg.Tree
 	devices := tree.NumDevices()
 	workers := tensor.ResolveWorkers(cfg.Workers)
-	evalEvery := cfg.EvalEvery
-	if evalEvery <= 0 {
-		evalEvery = 1
-	}
 
 	res := &Result{}
 	updates := make([]tensor.Vector, devices)
@@ -243,7 +239,7 @@ func RunHFL(cfg Config) (*Result, error) {
 		}
 
 		// --- Evaluation.
-		if (round+1)%evalEvery == 0 || round == cfg.Rounds-1 {
+		if cfg.Evaluates(round) {
 			eval.Model.SetParams(globalParams)
 			// Evaluate's chunked reduction is worker-count-invariant, so the
 			// curve is bit-identical whatever cfg.Workers is.

@@ -22,8 +22,10 @@ import (
 // runs, were regenerated once when a nil codec became codec.Identity: their
 // byte counts, volumes and compression ratio took the identity's wire size
 // and their CBA verdicts the "cba:" tag, with every value, curve and
-// verdict unchanged. The span-stream goldens next door only compare one
-// build with itself.
+// verdict unchanged. The vanilla "voting-cohort-int8" arm was re-pinned
+// once when the star's cohort became RunHFL's per-cluster draw: its tweak
+// went from 6 of the 8 devices to 1 of each 2-device cluster. The
+// span-stream goldens next door only compare one build with itself.
 
 // pinned is one run's observable output folded into three FNV-1a digests.
 type pinned struct{ spans, metrics, filters uint64 }
@@ -140,15 +142,15 @@ var hflPins = []struct {
 
 var vanillaPins = []struct {
 	name  string
-	tweak func(*testing.T, *VanillaConfig)
+	tweak func(*testing.T, *Config)
 	want  pinned
 }{
-	{"mkrum", func(*testing.T, *VanillaConfig) {}, pinned{0x526fad0db9e7e7c1, 0x5722015547ac871, 0xb774339e4baf2fe8}},
-	{"voting-cohort-int8", func(t *testing.T, c *VanillaConfig) {
-		c.Rule = LevelRule{CBA: consensus.Voting{}}
-		c.Cohort = 6
+	{"mkrum", func(*testing.T, *Config) {}, pinned{0x526fad0db9e7e7c1, 0x5722015547ac871, 0xb774339e4baf2fe8}},
+	{"voting-cohort-int8", func(t *testing.T, c *Config) {
+		c.Partial = LevelRule{CBA: consensus.Voting{}}
+		c.Cohort = 1
 		c.Codec = mustCodec(t, "int8")
-	}, pinned{0xca64bd608976e504, 0x1d5cf53a6704b5c1, 0xe1692497744bad09}},
+	}, pinned{0xaf7e23d78e509209, 0xaa6325c9ed923c93, 0xde57139ec7d2aff7}},
 }
 
 // checkHFLPin runs hflPins[arm] through pinRun and compares its digests
@@ -177,12 +179,9 @@ func checkHFLPin(t *testing.T, arm int, poison bool) {
 func checkVanillaPin(t *testing.T, arm int, poison bool) {
 	t.Helper()
 	got := pinRun(t, func(tr *trace.Tracer, reg *telemetry.Registry, onFilter func(telemetry.FilterDecision)) error {
-		base := buildScenario(t, 3, 2, 2, 3, 40, 2)
-		cfg := VanillaConfig{
-			Rounds: 3, Local: base.Local, Rule: LevelRule{BRA: aggregate.NewMultiKrum(0.25)},
-			ClientData: base.ClientData, TestData: base.TestData, Byzantine: base.Byzantine,
-			Seed: 7, EvalEvery: 2, Workers: 2,
-		}
+		cfg := buildScenario(t, 3, 2, 2, 3, 40, 2) // the server's rule, Partial, is Multi-Krum
+		cfg.EvalEvery = 2
+		cfg.Workers = 2
 		vanillaPins[arm].tweak(t, &cfg)
 		cfg.Trace, cfg.Telemetry, cfg.OnFilter = tr, reg, onFilter
 		if poison {

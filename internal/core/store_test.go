@@ -65,7 +65,9 @@ func TestStoreCannotLeakIntoResults(t *testing.T) {
 			if _, err := RunHFL(cfg); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := RunVanilla(VanillaConfig{Rounds: 2, Local: cfg.Local, Rule: cfg.Partial, ClientData: cfg.ClientData, TestData: cfg.TestData, Seed: seed}); err != nil {
+			vcfg := cfg
+			vcfg.Rounds = 2
+			if _, err := RunVanilla(vcfg); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -73,19 +73,12 @@ func TestHFLSpanStreamGolden(t *testing.T) {
 }
 
 func TestVanillaSpanStreamGolden(t *testing.T) {
-	base := buildScenario(t, 3, 2, 2, 1, 40, 0)
+	cfg := buildScenario(t, 3, 2, 2, 3, 40, 0)
+	cfg.Partial = LevelRule{BRA: aggregate.Mean{}}
+	cfg.EvalEvery = 1
 	stream := goldenAcross(t, func(tr *trace.Tracer, workers int) error {
-		_, err := RunVanilla(VanillaConfig{
-			Rounds:     3,
-			Local:      base.Local,
-			Rule:       LevelRule{BRA: aggregate.Mean{}},
-			ClientData: base.ClientData,
-			TestData:   base.TestData,
-			Seed:       7,
-			EvalEvery:  1,
-			Workers:    workers,
-			Trace:      tr,
-		})
+		cfg.Workers, cfg.Trace = workers, tr
+		_, err := RunVanilla(cfg)
 		return err
 	})
 	if !strings.Contains(stream, `"name":"global"`) || !strings.Contains(stream, `"name":"train"`) {

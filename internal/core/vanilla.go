@@ -6,78 +6,45 @@ import (
 	"fmt"
 	"time"
 
-	"abdhfl/internal/attack"
 	"abdhfl/internal/codec"
-	"abdhfl/internal/dataset"
 	"abdhfl/internal/nn"
 	"abdhfl/internal/rng"
 	"abdhfl/internal/step"
-	"abdhfl/internal/telemetry"
 	"abdhfl/internal/tensor"
-	"abdhfl/internal/trace"
 )
 
-// VanillaConfig describes a classic star-topology FL run: one central server
-// aggregates every client's update with a single rule. It is the baseline of
-// the paper's Table V ("Vanilla FL is set with a central server as
-// aggregation for all 64 clients").
-type VanillaConfig struct {
-	Rounds int
-	Local  nn.TrainConfig
-	Hidden []int
-	// Rule is the server's aggregation. A CBA (any registered protocol, e.g.
-	// "voting" or the randomized "aba") runs a consensus over the submitted
-	// updates instead: contributing clients score every update on their own
-	// data and the protocol's decision becomes the round's global model —
-	// the star-topology counterpart of the hierarchical engine's CBA levels.
-	Rule LevelRule
-
-	ClientData []*dataset.Dataset
-	TestData   *dataset.Dataset
-
-	Byzantine   map[int]bool
-	ModelAttack attack.ModelPoison
-
-	Seed      uint64
-	EvalEvery int
-	Workers   int
-	// Telemetry and OnFilter mirror Config's fields: metrics registry and
-	// per-aggregation filter verdict callback (the star topology reports
-	// everything at level 0 with client ids as contributor ids).
-	Telemetry *telemetry.Registry
-	OnFilter  func(telemetry.FilterDecision)
-	// Cohort is the number of clients deterministically sampled to train per
-	// round (cross-device FL's client sampling); zero (or >= the client
-	// count) trains everyone. The server aggregates only the cohort's
-	// updates, and the filter audit reports the sampled client ids.
-	Cohort int
-	// Codec mirrors Config.Codec: every client upload and the server's
-	// broadcast cross one encode→decode hop, with the round's start model as
-	// the Delta reference; nil selects codec.Identity.
-	Codec codec.Codec
-	// Trace mirrors Config.Trace: causal spans on the logical clock (train
-	// spans feed the single "global" server aggregation here).
-	Trace *trace.Tracer
-}
-
-// Validate reports configuration errors.
-func (c *VanillaConfig) Validate() error {
-	if c.Rounds <= 0 {
-		return errors.New("core: vanilla Rounds must be positive")
-	}
-	if len(c.ClientData) == 0 {
-		return errors.New("core: vanilla needs client data")
-	}
-	if c.TestData == nil || c.TestData.Len() == 0 {
-		return errors.New("core: vanilla TestData is empty")
-	}
-	return c.Rule.Check("core: vanilla")
-}
-
-// RunVanilla executes the star-topology baseline.
-func RunVanilla(cfg VanillaConfig) (*Result, error) {
+// RunVanilla executes the star-topology baseline of the paper's Table V
+// ("Vanilla FL is set with a central server as aggregation for all 64
+// clients") over cfg.Tree's devices: every device that trains in a round
+// uploads its update to one server, which aggregates with cfg.Partial and
+// broadcasts the result back.
+//
+// It reads the run as RunHFL does: Rounds, Local, Hidden, ClientData,
+// TestData, Byzantine, ModelAttack, Seed, EvalEvery, Workers, Codec (one hop
+// per upload and one for the broadcast), Telemetry, OnFilter and Trace (the
+// star reports everything at level 0, with device ids as contributor ids).
+// Who trains each round is RunHFL's DrawRoundSkip set, so Churn and Cohort
+// (k devices per bottom cluster) bench the same devices in both engines. A
+// CBA Partial (any registered protocol, e.g. "voting" or the randomized
+// "aba") runs its consensus over the submitted updates on the round's
+// "cba-top" stream: the contributing devices are the members, each scoring
+// every update on its own ClientData shard.
+//
+// Global, ValidationShards and Quorum describe the hierarchy the baseline is
+// compared against; RunVanilla does not read them (Validate still checks
+// them). It refuses, naming the field, what a star cannot run:
+// PartialByLevel, RotateLeaders and OnRound.
+func RunVanilla(cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	switch {
+	case len(cfg.PartialByLevel) > 0:
+		return nil, errors.New("core: vanilla: PartialByLevel is not supported: the one server aggregates with Partial")
+	case cfg.RotateLeaders:
+		return nil, errors.New("core: vanilla: RotateLeaders is not supported: the star has no leaders")
+	case cfg.OnRound != nil:
+		return nil, errors.New("core: vanilla: OnRound is not supported: the accuracy curve is Result.Curve")
 	}
 	cfg.Codec = cmp.Or[codec.Codec](cfg.Codec, codec.Identity{})
 	root := rng.New(cfg.Seed)
@@ -86,16 +53,14 @@ func RunVanilla(cfg VanillaConfig) (*Result, error) {
 	eval := pool.Get()
 	dim := eval.Model.NumParams()
 
-	clients := len(cfg.ClientData)
+	devices := cfg.Tree.NumDevices()
 	workers := tensor.ResolveWorkers(cfg.Workers)
-	evalEvery := cfg.EvalEvery
-	if evalEvery <= 0 {
-		evalEvery = 1
-	}
-	hcfg := Config{ClientData: cfg.ClientData, Local: cfg.Local, Byzantine: cfg.Byzantine, ModelAttack: cfg.ModelAttack}
+	rule := cfg.Partial
 
 	res := &Result{}
-	updates := make([]tensor.Vector, clients)
+	updates := make([]tensor.Vector, devices)
+	vecsBuf := make([]tensor.Vector, 0, devices)
+	idsBuf := make([]int, 0, devices)
 	trainer := newLocalTrainer(pool, dim, workers)
 	// Aggregation memory persists across rounds: the stepper keeps the rule's
 	// internal buffers warm, and the double-buffered destination lets round r
@@ -116,10 +81,11 @@ func RunVanilla(cfg VanillaConfig) (*Result, error) {
 			tRound = time.Now()
 			tPhase = tRound
 		}
-		trainer.round(hcfg, globalParams, updates, drawVanillaSkip(cfg, roundRNG, clients), roundRNG)
+		skip := DrawRoundSkip(cfg, roundRNG, cfg.Tree)
+		trainer.round(cfg, globalParams, updates, skip, roundRNG)
 		res.TrainerActivations += len(trainer.active)
 		if cfg.ModelAttack != nil {
-			applyModelAttack(hcfg, updates, globalParams, roundRNG.Derive("attack"))
+			applyModelAttack(cfg, updates, globalParams, roundRNG.Derive("attack"))
 		}
 		if ct != nil {
 			for id, u := range updates {
@@ -135,7 +101,7 @@ func RunVanilla(cfg VanillaConfig) (*Result, error) {
 				continue
 			}
 			if _, err := step.Hop(cfg.Codec, u, codecScratch); err != nil {
-				return nil, fmt.Errorf("core: vanilla round %d client %d codec: %w", round, id, err)
+				return nil, fmt.Errorf("core: vanilla round %d device %d codec: %w", round, id, err)
 			}
 		}
 		if ins.enabled() {
@@ -144,41 +110,38 @@ func RunVanilla(cfg VanillaConfig) (*Result, error) {
 		}
 		inputs := updates
 		var ids []int
-		if cfg.Cohort > 0 && cfg.Cohort < clients {
-			// Aggregate only the cohort's updates, reporting the sampled
-			// client ids to the filter audit. Without cohort sampling there
-			// is no churn in the star baseline, so update positions are
-			// client ids and ids stays nil.
-			vecs := make([]tensor.Vector, 0, cfg.Cohort)
-			ids = make([]int, 0, cfg.Cohort)
+		if len(skip) > 0 {
+			// Aggregate only the trainers' updates, reporting their device
+			// ids to the filter audit. When everyone trains, update
+			// positions are device ids and ids stays nil.
+			inputs, ids = vecsBuf[:0], idsBuf[:0]
 			for id, u := range updates {
 				if u != nil {
-					vecs = append(vecs, u)
+					inputs = append(inputs, u)
 					ids = append(ids, id)
 				}
 			}
-			inputs = vecs
 		}
 		in := step.Input{Round: round, Vecs: inputs, IDs: ids, Dst: globalBufs[round%2]}
-		if cfg.Rule.IsCBA() {
-			// Consensus at the server: contributing clients are the members,
+		if rule.IsCBA() {
+			// Consensus at the server: contributing devices are the members,
 			// each scoring every update on its own shard.
 			in.Rand = roundRNG.Derive("cba-top")
-			in.Workers, in.Local, in.Byzantine = workers, cfg.ClientData, hcfg.protocolByzantine()
+			in.Workers, in.Local, in.Byzantine = workers, cfg.ClientData, cfg.protocolByzantine()
 		}
-		agg, v, comm, err := st.Aggregate(cfg.Rule, in)
+		agg, v, comm, err := st.Aggregate(rule, in)
 		if err != nil {
 			return nil, fmt.Errorf("core: vanilla round %d: %w", round, err)
 		}
 		if ct != nil {
 			kept, filtered := v.Counts()
-			ct.global(round, cfg.Rule.Bare(), kept, filtered)
+			ct.global(round, rule.Bare(), kept, filtered)
 		}
 		// Star topology: every participant uploads and the server broadcasts
 		// back; a consensus at the server exchanges the models among the
 		// members instead of broadcasting.
 		roundComm := CommStats{ModelTransfers: 2 * len(inputs)}
-		if cfg.Rule.IsCBA() {
+		if rule.IsCBA() {
 			roundComm = CommStats{ModelTransfers: comm.ModelTransfers + len(inputs), ScalarMessages: comm.ScalarMessages}
 		}
 		// Server→client downlink: the broadcast global crosses one codec hop
@@ -196,7 +159,7 @@ func RunVanilla(cfg VanillaConfig) (*Result, error) {
 			tPhase = time.Now()
 		}
 
-		if (round+1)%evalEvery == 0 || round == cfg.Rounds-1 {
+		if cfg.Evaluates(round) {
 			eval.Model.SetParams(globalParams)
 			acc, loss := nn.Evaluate(eval.Model, cfg.TestData, workers)
 			res.Curve = append(res.Curve, RoundStat{Round: round + 1, Accuracy: acc, Loss: loss})
@@ -220,26 +183,4 @@ func RunVanilla(cfg VanillaConfig) (*Result, error) {
 	pool.Put(eval)
 	step.Store.Put(globalBufs[cfg.Rounds%2])
 	return res, nil
-}
-
-// drawVanillaSkip benches every client outside the round's deterministic
-// k-cohort (nil when cohort sampling is off — everyone trains).
-func drawVanillaSkip(cfg VanillaConfig, roundRNG *rng.RNG, clients int) map[int]bool {
-	if cfg.Cohort <= 0 || cfg.Cohort >= clients {
-		return nil
-	}
-	r := roundRNG.Derive("cohort")
-	pick := make([]int, cfg.Cohort)
-	r.ChoiceInto(pick, clients, make([]int, clients))
-	skip := make(map[int]bool, clients-cfg.Cohort)
-	in := make([]bool, clients)
-	for _, p := range pick {
-		in[p] = true
-	}
-	for id := 0; id < clients; id++ {
-		if !in[id] {
-			skip[id] = true
-		}
-	}
-	return skip
 }

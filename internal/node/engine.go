@@ -382,7 +382,7 @@ func (e *Engine) rootRound(roundRNG *rng.RNG, round int, skip map[int]bool) erro
 	step.Store.PutBuf(payload)
 
 	// --- Evaluation, on RunHFL's cadence.
-	if (round+1)%e.evalEver == 0 || round == e.ccfg.Rounds-1 {
+	if e.ccfg.Evaluates(round) {
 		s := e.pool.Get()
 		s.Model.SetParams(e.global)
 		acc, loss := nn.Evaluate(s.Model, e.ccfg.TestData, e.workers)

@@ -168,12 +168,11 @@ type Engine struct {
 	ccfg core.Config
 	tree *topology.Tree
 
-	id       transport.NodeID
-	devices  int
-	isRoot   bool
-	dim      int
-	workers  int
-	evalEver int
+	id      transport.NodeID
+	devices int
+	isRoot  bool
+	dim     int
+	workers int
 
 	q       *transport.Queue
 	busDone <-chan struct{}
@@ -266,10 +265,6 @@ func newEngine(cfg Config, ccfg core.Config) (*Engine, error) {
 		}
 	}
 	workers := tensor.ResolveWorkers(ccfg.Workers)
-	evalEvery := ccfg.EvalEvery
-	if evalEvery <= 0 {
-		evalEvery = 1
-	}
 	e := &Engine{
 		cfg:      cfg,
 		ccfg:     ccfg,
@@ -278,7 +273,6 @@ func newEngine(cfg Config, ccfg core.Config) (*Engine, error) {
 		devices:  devices,
 		isRoot:   int(cfg.ID) == devices,
 		workers:  workers,
-		evalEver: evalEvery,
 		stall:    stall,
 		gwait:    gwait,
 		timer:    time.NewTimer(time.Hour),

@@ -161,20 +161,14 @@ type Config struct {
 	// duplicated messages can never double-fill a quorum. Same seed, same
 	// plan -> bit-identical run.
 	Faults *fault.Plan
-	// Crashed devices never train or upload — failure injection for
-	// Assumption 2: as long as every cluster retains a quorum (φ) of live
-	// members, rounds still complete.
-	Crashed map[int]bool
 
-	Timing  Timing
+	Timing Timing
+	// Latency draws every link's delay; nil selects simnet.Fixed(1). A
+	// simnet.SizedLatencyModel (simnet.Bandwidth, or any per-link one)
+	// also charges each message's wire bytes — the per-level bandwidth
+	// factor of Appendix E.
 	Latency simnet.LatencyModel
-	// Bandwidth, if non-nil, models per-link capacity (bytes per virtual
-	// ms); model transfers then add their wire bytes / bandwidth to their
-	// delay — the per-level bandwidth factor of Appendix E. Nil = infinite.
-	// (To charge a byte rate plus per-message overhead, wrap Latency in
-	// simnet.Bandwidth instead: message volumes are wire bytes either way.)
-	Bandwidth func(from, to simnet.NodeID) float64
-	Alpha     AlphaPolicy
+	Alpha   AlphaPolicy
 
 	// Flight, when non-nil, mirrors every delivered simulator message into
 	// a bounded ring buffer; chaostest dumps its tail when an invariant
@@ -263,7 +257,8 @@ type Result struct {
 	// formed (or, for a faulted run that stalled, the drain time).
 	Duration simnet.Time
 	// Network reports total traffic, including fault-layer drop/duplicate
-	// counts and deliveries lost to unregistered (crashed) nodes.
+	// counts. Every actor is registered, so DroppedUnregistered stays 0: a
+	// crashed device receives and ignores its traffic.
 	Network simnet.Stats
 	// MergedGlobals counts stale-global merges performed by devices
 	// (correction-factor applications).

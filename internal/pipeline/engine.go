@@ -724,11 +724,7 @@ func (a *clusterActor) formGlobal(ctx *simnet.Context, round int, vecs []tensor.
 }
 
 func (e *engine) evaluate(round int, now simnet.Time, global tensor.Vector) {
-	every := e.cfg.EvalEvery
-	if every <= 0 {
-		every = 1
-	}
-	if (round+1)%every != 0 && round != e.cfg.Rounds-1 {
+	if !e.cfg.Evaluates(round) {
 		return
 	}
 	ev := e.models.Get()
@@ -758,7 +754,6 @@ func Run(cfg Config) (res *Result, err error) {
 	root := rng.New(cfg.Seed)
 	tree := cfg.Tree
 	sim := simnet.New(cfg.Latency, root.Derive("net"))
-	sim.Bandwidth = cfg.Bandwidth
 	if cfg.Faults.Enabled() {
 		sim.Fault = cfg.Faults
 	}
@@ -853,15 +848,10 @@ func Run(cfg Config) (res *Result, err error) {
 	for id := 0; id < devices; id++ {
 		devActors[id] = &deviceActor{e: e, id: id, curRound: -1, seenGlobal: seen[:cfg.Rounds:cfg.Rounds]}
 		seen = seen[cfg.Rounds:]
-		if !cfg.Crashed[id] {
-			// Crashed devices stay unregistered: the simulator drops their
-			// traffic, exactly like a crash-stop node. Every live device
-			// starts round 0 from the initial model at t=0 (the bootstrap,
-			// OnTimer); a quorum φ < 1 lets their clusters proceed without
-			// the crashed ones.
-			sim.Register(simnet.NodeID(id), devActors[id])
-			sim.AtArg(simnet.NodeID(id), 0, 0)
-		}
+		// Every device starts round 0 from the initial model at t=0 (the
+		// bootstrap, OnTimer); one the fault plan crashes never trains.
+		sim.Register(simnet.NodeID(id), devActors[id])
+		sim.AtArg(simnet.NodeID(id), 0, 0)
 	}
 	var top *clusterActor
 	// Every leader's per-round marks, in one slab (next-devices leaders).

@@ -29,8 +29,9 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 	}{
 		{"success", func(t *testing.T) Config { return buildConfig(t, 3, 2, 2, 3, 1, 0) }, false, false},
 		{"drained-before-done", func(t *testing.T) Config {
+			// A failed first step starves a full-quorum run: it drains.
 			cfg := buildConfig(t, 3, 2, 2, 6, 1, 0)
-			cfg.Crashed = map[int]bool{0: true}
+			cfg.Partial.BRA = failingRule{cfg.Partial.BRA, new(int), 1}
 			return cfg
 		}, true, false},
 		{"codec-error", func(t *testing.T) Config {

@@ -23,8 +23,7 @@ type SizedLatencyModel interface {
 // "bytes/rate + base" model the codec matrix uses to make ν and the round
 // timings reflect payload size.
 //
-// Bandwidth composes with the legacy Sim.Bandwidth capacity hook (both terms
-// are added if both are configured) and with fault-injected ExtraDelay.
+// Bandwidth composes with fault-injected ExtraDelay (both terms are added).
 type Bandwidth struct {
 	// Base draws the size-independent propagation delay; nil means zero.
 	Base LatencyModel

@@ -110,12 +110,6 @@ type Sim struct {
 	Trace func(msg Message)
 	// MaxEvents guards against runaway protocols; zero means 10 million.
 	MaxEvents int
-	// Bandwidth, if non-nil, returns the link capacity from->to in volume
-	// units per virtual millisecond; a message of volume v then adds
-	// v/bandwidth to its delivery delay. It models the paper's Appendix E
-	// observation that per-level bandwidth differences dominate when models
-	// are large. Nil means infinite bandwidth.
-	Bandwidth func(from, to NodeID) float64
 }
 
 // New returns a simulator using the given latency model and random stream.
@@ -246,11 +240,6 @@ func (s *Sim) send(from, to NodeID, payload any, volume int64) {
 		d := s.latency.Delay(s.rng, from, to) + extra
 		if d < 0 {
 			d = 0
-		}
-		if s.Bandwidth != nil {
-			if bw := s.Bandwidth(from, to); bw > 0 {
-				d += float64(volume) / bw
-			}
 		}
 		// The size term is deterministic (no rng), so payload sizes never
 		// perturb the random latency/fault streams drawn above.

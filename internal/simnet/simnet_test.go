@@ -324,36 +324,6 @@ func BenchmarkEventThroughput(b *testing.B) {
 	}
 }
 
-func TestBandwidthAddsTransferDelay(t *testing.T) {
-	s := New(Fixed(1), rng.New(1))
-	s.Bandwidth = func(_, _ NodeID) float64 { return 100 } // 100 units/ms
-	n := &echoNode{}
-	s.Register(1, n)
-	s.ScheduleAt(0, 2, func(ctx *Context) {
-		ctx.SendVolume(1, "big", 500) // 5 ms of transfer time
-	})
-	if _, err := s.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if n.times[0] != 6 { // 1 ms latency + 500/100 transfer
-		t.Fatalf("delivery at %v, want 6", n.times[0])
-	}
-}
-
-func TestBandwidthZeroMeansInfinite(t *testing.T) {
-	s := New(Fixed(1), rng.New(1))
-	s.Bandwidth = func(_, _ NodeID) float64 { return 0 }
-	n := &echoNode{}
-	s.Register(1, n)
-	s.ScheduleAt(0, 2, func(ctx *Context) { ctx.SendVolume(1, "x", 1e6) })
-	if _, err := s.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if n.times[0] != 1 {
-		t.Fatalf("delivery at %v, want 1", n.times[0])
-	}
-}
-
 func TestCausalityProperty(t *testing.T) {
 	// Delivery never precedes sending, under any latency model draw.
 	s := New(LogNormal{Base: 3, Sigma: 1}, rng.New(9))
